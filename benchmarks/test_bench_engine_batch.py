@@ -20,13 +20,27 @@ scenario routes through the unified Scenario API
 (``fig3_epsilon_comparison`` builds a ``ScenarioSpec`` and runs it via
 ``SimulationSession``), so the gate also covers the facade's epoch-loop
 dispatch.
+
+A second, *count-based* gate covers the maintained all-pairs planner
+(overlays from 64 active nodes up): a static n=128 best-response engine
+must serve its third epoch with a fixed absolute budget of Dijkstra
+kernel rows.  Counts repeat exactly, so the gate holds on noisy runners
+where a wall-clock ratio would not.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
+from repro import telemetry
+from repro.core.engine_batch import EngineBatch, EngineSpec
+from repro.core.policies import BestResponsePolicy
+from repro.core.providers import DelayMetricProvider
 from repro.experiments import fig3_epsilon_comparison
+from repro.netsim.planetlab import uniform_delay_space
+from repro.util.rng import as_generator, spawn_generators
 
 N = 20
 K_VALUES = (2, 3, 4, 5, 6, 7, 8)
@@ -99,3 +113,58 @@ def test_engine_batch_epoch_sweep_speedup(benchmark, report):
         f"lockstep engine sweep only {speedup:.2f}x faster "
         f"(required >= {REQUIRED_SPEEDUP}x)"
     )
+
+
+STATIC_N = 128
+STATIC_K = 6
+STATIC_EPOCHS = 3
+#: Every kernel that runs Dijkstra rows: the stacked block sweeps (the
+#: epoch's scoring, the planner's matrix build), the plain multi-source
+#: sweep, and the sweeps inside the repair kernel (changed rows,
+#: refusals).
+DIJKSTRA_KERNELS = (
+    "batched_route_matrices.dijkstra",
+    "shortest.multi",
+    "shortest.repair.sweep",
+)
+#: The scoring sweep (n rows) plus one changed row per version bump
+#: (at most n) — with room for one full re-sweep after a refusal.  A
+#: fresh sweep per opportunity is n * (n - 1) = 16 256 rows.
+LAST_EPOCH_ROW_BUDGET = 3 * STATIC_N
+
+
+def _dijkstra_rows(registry) -> int:
+    counters = registry.snapshot()["counters"]
+    return int(sum(counters.get(f"kernel.{name}.rows", 0) for name in DIJKSTRA_KERNELS))
+
+
+def test_maintained_matrix_dijkstra_row_budget():
+    rng = as_generator(np.random.SeedSequence([SEED, STATIC_N]))
+    space = uniform_delay_space(STATIC_N, seed=rng)
+    (stream,) = spawn_generators(rng, 1)
+    spec = EngineSpec(
+        label="br",
+        provider=DelayMetricProvider(space, estimator="true", seed=stream),
+        policy=BestResponsePolicy(),
+        k=STATIC_K,
+        seed=stream,
+    )
+    batch = EngineBatch([spec], batched=True)
+    registry = telemetry.enable()
+    try:
+        for _ in range(STATIC_EPOCHS - 1):
+            batch.step_epoch()
+        before = _dijkstra_rows(registry)
+        (record,) = batch.step_epoch()
+        rows = _dijkstra_rows(registry) - before
+    finally:
+        telemetry.disable()
+    print(
+        f"\n=== maintained all-pairs planner (n={STATIC_N}, k={STATIC_K}): "
+        f"epoch {STATIC_EPOCHS} ran {rows} Dijkstra rows for "
+        f"{record.active_nodes} opportunities ({record.rewirings} re-wirings); "
+        f"budget {LAST_EPOCH_ROW_BUDGET}, fresh sweeps "
+        f"{STATIC_N * (STATIC_N - 1)} ==="
+    )
+    assert record.rewirings > 0, "the gate must measure a re-wiring epoch"
+    assert rows <= LAST_EPOCH_ROW_BUDGET

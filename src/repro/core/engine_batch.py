@@ -12,9 +12,17 @@ and *prefills* each engine's
 :class:`~repro.core.route_cache.ResidualRouteCache` with the residual
 route-value matrices its upcoming re-wiring opportunities will ask for:
 
-* additive metrics (delay, load) stack the ``(engine, node)`` residual
-  weight matrices of all engines' next waves into one block-diagonal CSR
-  Dijkstra call (:func:`repro.core.deployment_batch._batched_route_matrices`);
+* additive metrics (delay, load) on small overlays stack the ``(engine,
+  node)`` residual weight matrices of all engines' next waves into one
+  block-diagonal CSR Dijkstra call
+  (:func:`repro.core.deployment_batch._batched_route_matrices`);
+* additive metrics from :data:`_MAINTAIN_MIN_ACTIVE` active nodes up
+  keep **one all-pairs matrix of the current overlay per engine**: a
+  node's residual graph differs from the overlay in its own out-links
+  only and one re-wire changes one node's out-links, so both the
+  residual rows and the matrix update after a re-wire are sparse exact
+  repairs (:func:`repro.routing.shortest_path.repair_shortest_rows`)
+  instead of n-source sweeps;
 * the bandwidth metric closes residual adjacencies with Floyd-Warshall
   max-min pivoting, switching to one divide-and-conquer
   :func:`~repro.routing.widest_path.bottleneck_avoid_one` pass (all
@@ -72,7 +80,11 @@ from repro.core.node import RewireMode
 from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
 from repro.core.providers import MetricProvider
 from repro.core.wiring import Wiring
-from repro.routing.shortest_path import shortest_inbound_tables
+from repro.routing.shortest_path import (
+    repair_shortest_rows,
+    screen_shortest_repair,
+    shortest_inbound_tables,
+)
 from repro.routing.widest_path import (
     CLOSURE_MAX_NODES,
     bottleneck_avoid_one,
@@ -103,6 +115,14 @@ _REPAIR_WAVE_CAP = 1
 #: (The sequential engine applies its own, independently tuned bound —
 #: see ``repro.core.engine._STEP_REPAIR_MAX_SUSPECT``.)
 _REPAIR_MAX_SUSPECT = 0.35
+
+#: Active-membership floor of the maintained all-pairs planner.  From
+#: here up, deriving a residual from the engine's all-pairs matrix (and
+#: updating that matrix after a re-wire) by sparse repair beats a fresh
+#: n-source sweep per opportunity — measured break-even near n = 50,
+#: 1.8x at n = 100, 3.3x at n = 200.  Below it the stacked speculative
+#: sweeps, which also amortise many engines in one C call, keep the job.
+_MAINTAIN_MIN_ACTIVE = 64
 
 
 @dataclass
@@ -165,6 +185,10 @@ class _LockstepState:
         "version",
         "fusable",
         "pending",
+        "active_set",
+        "maintained",
+        "apsp",
+        "apsp_stale",
         "_tables",
         "_tables_version",
     )
@@ -182,6 +206,15 @@ class _LockstepState:
         #: node -> (entry token, epoch-order positions of the predicted
         #: weight refreshes baked into the entry's residual baseline).
         self.pending: Dict[int, Tuple[Tuple, Tuple[int, ...]]] = {}
+        self.active_set: frozenset = frozenset()
+        #: Whether this epoch's residuals come from :attr:`apsp` (the
+        #: maintained planner) rather than stacked speculative sweeps.
+        self.maintained = False
+        #: All-pairs distances over :attr:`dense` as it stood before the
+        #: nodes in :attr:`apsp_stale` changed their out-links (None:
+        #: not built, or invalidated).
+        self.apsp: Optional[np.ndarray] = None
+        self.apsp_stale: set = set()
         #: Shared repair tables over the current dense wiring, keyed by
         #: the wiring version they were built at.
         self._tables = None
@@ -197,9 +230,26 @@ class _LockstepState:
         # version bump, so the shared tables never survive an epoch.
         self._tables = None
         self._tables_version = -1
+        self.active_set = frozenset(self.plan.active_list)
+        before = self.dense
         self._rebuild_dense()
         self.version = self.engine.wiring.version
         self.wave = 1
+        self.maintained = (
+            not self.plan.announced.maximize
+            and self.engine.route_cache is not None
+            and len(self.plan.active_list) >= _MAINTAIN_MIN_ACTIVE
+        )
+        # The all-pairs matrix is a function of the dense overlay alone,
+        # so it survives the epoch boundary exactly when that did: churn,
+        # failure injection and wiring resets all show up as a different
+        # matrix, whatever they did to versions and fingerprints.
+        if not self.maintained or (
+            self.apsp is not None
+            and not np.array_equal(before, self.dense, equal_nan=True)
+        ):
+            self.apsp = None
+            self.apsp_stale.clear()
         # The fused broadcasts replicate the engine step's greedy-seeded
         # local search at any membership (churned-down engines pad their
         # hop/destination axes to the group's widest member and reduce
@@ -223,12 +273,51 @@ class _LockstepState:
         """Dense announced-weight matrix of the active wiring (NaN absent)."""
         n = self.engine.n
         dense = np.full((n, n), np.nan)
-        active_set = set(self.plan.active_list)
+        active_set = self.active_set
         for node in self.plan.active_list:
             for v, w in self.engine.wiring.weights_of(node).items():
                 if v in active_set:
                     dense[node, v] = w
         self.dense = dense
+
+    def derive_residual(self, node: int) -> np.ndarray:
+        """``node``'s residual route values, from the all-pairs matrix.
+
+        The maintained planner: one all-pairs matrix of the current
+        overlay is kept per engine — swept once, then brought up to date
+        after each re-wire (or in-place weight refresh) by
+        :func:`repair_shortest_rows` with the re-wired node as the
+        change — and ``node``'s residual graph differs from the overlay
+        in ``node``'s own out-links only, so its rows are the same
+        kernel's ``changed={node}, exclude=node`` repair.  Both are
+        bit-identical to the fresh sweeps they replace.  The kernel
+        itself re-sweeps an update too widespread to relax (counted as
+        *refused*).
+        """
+        tables = self.repair_tables()
+        sources = np.arange(self.engine.n)
+        if self.apsp is None:
+            telemetry.count("batch.prefill.swept")
+            self.apsp = _batched_route_matrices(
+                self.dense[None], maximize=False, block_nodes=_ENGINE_BLOCK_NODES
+            )[0]
+        elif self.apsp_stale:
+            screen = screen_shortest_repair(
+                self.apsp, sources, self.apsp_stale, tables
+            )
+            telemetry.count(
+                "batch.prefill.refused" if screen.sweeps else "batch.prefill.updated"
+            )
+            self.apsp = repair_shortest_rows(
+                self.apsp, sources, self.apsp_stale, None,
+                tables=tables, screen=screen,
+            )
+        self.apsp_stale.clear()
+        telemetry.count("batch.prefill.derived")
+        rows = repair_shortest_rows(
+            self.apsp, sources, (node,), None, exclude=node, tables=tables
+        )
+        return rows[self.hops_rows[node]]
 
     def hops_of(self, node: int) -> Tuple[int, ...]:
         """The node's candidate first hops, in evaluator (sorted) order."""
@@ -258,10 +347,12 @@ class _LockstepState:
             self.version = self.engine.wiring.version
             row = self.dense[node]
             row[:] = np.nan
-            active_set = set(self.plan.active_list)
+            active_set = self.active_set
             for v, w in self.engine.wiring.weights_of(node).items():
                 if v in active_set:
                     row[v] = w
+            if self.apsp is not None:
+                self.apsp_stale.add(node)
         settled = True
         if rewired:
             settled = self._settle_pending(node)
@@ -384,6 +475,15 @@ class EngineBatch:
         self.n = specs[0].provider.size
         self.engines: List[EgoistEngine] = [spec.build_engine() for spec in specs]
         self._states: Optional[List[_LockstepState]] = None
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Serve checkpoints pickle the batch between epochs.  The
+        # lockstep states hold nothing an epoch cannot re-derive (every
+        # begin_epoch resets them; the all-pairs matrices are caches),
+        # and a pickled one may have been laid out by older code — so a
+        # restored batch rebuilds them.
+        self.__dict__.update(state)
+        self._states = None
 
     # ------------------------------------------------------------------ #
     def step_epoch(self) -> List[EpochRecord]:
@@ -547,7 +647,10 @@ class EngineBatch:
         stamps each entry with the token of the state it will be valid
         under.  A re-wire falsifies the chain; :meth:`_LockstepState.after_step`
         then drops the not-yet-consumed entries before any step could
-        match one against a wrong wiring.
+        match one against a wrong wiring.  Engines on the maintained
+        planner do not speculate: their next node's rows are derived
+        from the all-pairs matrix (:meth:`_LockstepState.derive_residual`)
+        and stamped with the current token.
         """
         jobs: List[Tuple[_LockstepState, int, Tuple, Tuple[int, ...], np.ndarray]] = []
         for st in live:
@@ -586,6 +689,13 @@ class EngineBatch:
             next_node = plan.order[plan.pos]
             next_hops = st.hops_of(next_node)
             if not next_hops:
+                continue
+            if st.maintained:
+                # The node's own entry is an epoch old; the all-pairs
+                # matrix is at most one re-wire behind, which no
+                # changelog walk over that entry can beat.
+                if cache.get(next_node, next_hops) is None:
+                    cache.put(next_node, next_hops, st.derive_residual(next_node))
                 continue
             st.engine.repair_route_entry(
                 plan,

@@ -30,7 +30,7 @@ sweep of the new graph.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -139,36 +139,42 @@ class ShortestRepairTables:
 
     Stores the effective-weight matrix once (the :func:`_to_csr`
     zero-nudge applied — which is what keeps repaired sums bit-identical
-    to the fresh sweep) and materialises the destination-grouped in-edge
-    arrays (Bellman rounds) and the source-major CSR (direct C-level
+    to the fresh sweep) and materialises the destination-major in-edge
+    lists (cell relaxation) and the source-major CSR (direct C-level
     sweeps) only when a repair actually takes that strategy, so sharing
     the tables across many small repairs never pays for the structures
     they skip.
     """
 
-    __slots__ = ("weights", "_edges", "_csr")
+    __slots__ = ("weights", "_present", "_edges", "_csr")
 
     def __init__(self, adjacency: np.ndarray):
         weights = np.array(adjacency, dtype=float, copy=True)
-        zero = ~np.isnan(weights) & (weights <= 0)
-        weights[zero] = 1e-12
+        present = ~np.isnan(weights)
+        weights[present & (weights <= 0)] = 1e-12
+        np.fill_diagonal(present, False)
         self.weights = weights
+        self._present = present
         self._edges = None
         self._csr = None
 
     @property
-    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """In-edges as ``(indptr, src, w)``: node ``j``'s in-edges are
+        ``src[indptr[j]:indptr[j + 1]]`` with weights ``w[...]``."""
         if self._edges is None:
-            self._edges = _inbound_tables(self.weights)
+            n = self.weights.shape[0]
+            dst, src = np.nonzero(self._present.T)  # destination-major
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+            self._edges = (indptr, src, self.weights[src, dst])
         return self._edges
 
     @property
     def csr(self) -> csr_matrix:
         if self._csr is None:
             n = self.weights.shape[0]
-            present = ~np.isnan(self.weights)
-            np.fill_diagonal(present, False)
-            out_src, out_dst = np.nonzero(present)
+            out_src, out_dst = np.nonzero(self._present)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(out_src, minlength=n), out=indptr[1:])
             self._csr = csr_matrix(
@@ -187,14 +193,170 @@ def shortest_inbound_tables(adjacency: np.ndarray) -> ShortestRepairTables:
     return ShortestRepairTables(adjacency)
 
 
+#: Suspect share above which :func:`repair_shortest_rows` stops
+#: relaxing cells and re-sweeps the unchanged rows in one C-level call
+#: (measured crossover: 0.3 of the matrix at n = 200, 0.5 at n = 100).
+_SWEEP_ABOVE_SUSPECT = 0.35
+
+#: ``c`` of the screen's ``1 - c*n*eps`` slack factor (see
+#: :func:`repair_shortest_rows` for why ``c = 4`` is rigorous).
+_SCREEN_SLACK = 4.0
+
+
+class ShortestRepairScreen(NamedTuple):
+    """Result of :func:`screen_shortest_repair`.
+
+    ``rows`` is the stale matrix with the changed nodes' own rows
+    already recomputed; ``suspect`` flags the remaining cells whose
+    value may pass through a changed node.  Every other cell of ``rows``
+    already holds its final bits.
+    """
+
+    rows: np.ndarray
+    suspect: np.ndarray
+
+    @property
+    def share(self) -> float:
+        """Suspect fraction of the matrix."""
+        return np.count_nonzero(self.suspect) / max(1, self.suspect.size)
+
+    @property
+    def sweeps(self) -> bool:
+        """Whether :func:`repair_shortest_rows` will re-sweep the
+        unchanged rows rather than relax this many suspects."""
+        return self.share > _SWEEP_ABOVE_SUSPECT
+
+
+def _sweep_rows(
+    tables: ShortestRepairTables, indices: np.ndarray, exclude: Optional[int]
+) -> np.ndarray:
+    """Fresh Dijkstra rows over the tables' CSR (``exclude`` masked out)."""
+    if exclude is not None and len(indices) == 1 and int(indices[0]) == int(exclude):
+        # The excluded node has no out-links: it reaches only itself.
+        unit = np.full((1, tables.weights.shape[0]), np.inf)
+        unit[0, int(exclude)] = 0.0
+        return unit
+    csr = tables.csr
+    if exclude is not None:
+        lo = int(csr.indptr[int(exclude)])
+        hi = int(csr.indptr[int(exclude) + 1])
+        if hi > lo:
+            # An inf-weight edge is unusable for any finite distance,
+            # so masking the excluded node's out-edges this way
+            # yields the very same distances as removing them.
+            data = csr.data.copy()
+            data[lo:hi] = np.inf
+            csr = csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+    telemetry.kernel_call("shortest.repair.sweep", len(indices))
+    dist = _csgraph_dijkstra(csr, directed=True, indices=indices)
+    return np.atleast_2d(np.asarray(dist, dtype=float))
+
+
+def screen_shortest_repair(
+    old: np.ndarray,
+    sources: np.ndarray,
+    changed: Iterable[int],
+    tables: ShortestRepairTables,
+    *,
+    exclude: Optional[int] = None,
+) -> ShortestRepairScreen:
+    """Phase 1 of :func:`repair_shortest_rows`: new changed rows + suspects.
+
+    Recomputes the changed nodes' own rows (every path from a changed
+    node starts on a changed out-link) and flags, by the triangle test
+    derived in :func:`repair_shortest_rows`, every other cell a changed
+    node could affect.  A caller that wants to look at the outcome
+    first (:attr:`~ShortestRepairScreen.share`,
+    :attr:`~ShortestRepairScreen.sweeps`) hands the screen back to
+    :func:`repair_shortest_rows` (``screen=``) so it is computed once.
+    """
+    old = np.asarray(old, dtype=float)
+    rows, n = old.shape
+    sources = np.asarray(sources, dtype=int)
+    changed = sorted({int(c) for c in changed})
+    repaired = old.copy()
+    if rows == 0 or not changed:
+        return ShortestRepairScreen(repaired, np.zeros(old.shape, dtype=bool))
+    rows_of = [np.flatnonzero(sources == r) for r in changed]
+    changed_rows = np.concatenate(rows_of)
+    if len(changed_rows):
+        repaired[changed_rows] = _sweep_rows(tables, sources[changed_rows], exclude)
+    slack = 1.0 - _SCREEN_SLACK * n * np.finfo(float).eps
+    bound = None
+    for r, at in zip(changed, rows_of):
+        # NaN marks "no path this way": it survives the additions and
+        # compares False below, which is what exempts unreachable heads
+        # and tails, and column r itself.
+        head = old[:, r] * slack
+        head[np.isinf(head)] = np.nan
+        if len(at):
+            tail = np.minimum(old[at[0]], repaired[at[0]]) * slack
+            tail[np.isinf(tail)] = np.nan
+        else:
+            tail = np.zeros(n)  # only the prefix bound is known
+        tail[r] = np.nan
+        through = head[:, None] + tail[None, :]
+        bound = through if bound is None else np.fmin(bound, through, out=bound)
+    suspect = bound <= old
+    suspect[changed_rows] = False
+    suspect[np.arange(rows), sources] = False
+    return ShortestRepairScreen(repaired, suspect)
+
+
+def _relax_cells(
+    values: np.ndarray,
+    suspect: np.ndarray,
+    tables: ShortestRepairTables,
+    exclude: Optional[int],
+) -> np.ndarray:
+    """Bellman fixpoint of the ``suspect`` cells of ``values``, in place.
+
+    Each suspect cell ``(h, j)`` restarts from ``inf`` and is relaxed
+    over ``j``'s in-edges only — ``min_u values[h, u] + w(u, j)``, one
+    ragged gather plus a segmented minimum per round — until a round
+    changes nothing.  Every other cell is read, never written.
+    """
+    n = values.shape[1]
+    indptr, src, w = tables.edges
+    if exclude is not None:
+        w = np.where(src == int(exclude), np.inf, w)
+    flat = values.reshape(-1)
+    cell = np.flatnonzero(suspect)
+    flat[cell] = np.inf
+    col = cell % n
+    degree = indptr[col + 1] - indptr[col]
+    fed = degree > 0  # cells with no in-edge stay unreachable
+    cell, col, degree = cell[fed], col[fed], degree[fed]
+    telemetry.kernel_call("shortest.repair.relax", len(cell))
+    if not len(cell):
+        return values
+    starts = np.zeros(len(cell), dtype=np.int64)
+    np.cumsum(degree[:-1], out=starts[1:])
+    # Ragged expansion: cell c owns edges indptr[col[c]] .. +degree[c].
+    edge = np.arange(int(starts[-1] + degree[-1])) + np.repeat(
+        indptr[col] - starts, degree
+    )
+    feeder = np.repeat(cell - col, degree) + src[edge]
+    w = w[edge]
+    current = flat[cell]
+    while True:
+        # Cells start at inf and their feeders only ever decrease, so
+        # each round's minima are at or below the last round's.
+        relaxed = np.minimum.reduceat(flat[feeder] + w, starts)
+        if np.array_equal(relaxed, current):
+            return values
+        flat[cell] = current = relaxed
+
+
 def repair_shortest_rows(
     old: np.ndarray,
     sources: np.ndarray,
     changed: Iterable[int],
-    adjacency: np.ndarray,
+    adjacency: Optional[np.ndarray],
     *,
     exclude: Optional[int] = None,
-    tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    tables: Optional[ShortestRepairTables] = None,
+    screen: Optional[ShortestRepairScreen] = None,
 ) -> np.ndarray:
     """Repair stale shortest-path rows after a set of nodes re-wired.
 
@@ -212,114 +374,94 @@ def repair_shortest_rows(
         membership-preserving epochs accumulate one entry per re-wire).
     adjacency:
         Dense ``n x n`` announced-weight matrix of the **new** graph,
-        ``NaN`` marking absent edges.
+        ``NaN`` marking absent edges (unused when ``tables`` is given).
     exclude:
         Optionally a node whose out-edges are treated as absent even if
         present in ``adjacency`` — the residual-graph convention, letting
         callers share one dense overlay matrix (and one set of in-edge
         ``tables``) across every node's residual repair instead of
-        materialising per-node copies.
+        materialising per-node copies.  Deriving node ``i``'s residual
+        rows from the all-pairs matrix of the full overlay is the call
+        ``changed={i}, exclude=i``.
     tables:
         Optional precomputed :func:`shortest_inbound_tables` result for
         that sharing.
+    screen:
+        Optional :func:`screen_shortest_repair` result for these very
+        arguments, from a caller that already screened.
 
     Returns rows bit-identical to a fresh
     :func:`shortest_path_costs_multi` sweep of the new graph.
 
-    Why an incremental update can be exact despite float addition being
-    non-associative: Dijkstra's value for a destination is the minimum
-    over all paths of the *left-associated* running sum — a well-defined
-    function of the graph, because float ``+`` is monotone, so the min
-    distributes over tail extension.  Any algorithm whose relaxations
-    are tail extensions ``dist[u] + w`` therefore converges to the same
-    bits.  The kernel re-relaxes (Bellman rounds) only a *suspect* set
-    of cells, leaving everything else its old bits, which is sound
-    because with positive weights running sums never decrease along a
-    path, and prepending a prefix to a path never decreases its
-    left-associated sum — so any old or new path through a changed link,
-    first reaching changed node ``r`` over unchanged edges (``r``'s
-    in-links are untouched), costs at least ``old[h, r]`` *and* at least
-    ``r``'s own distance to the destination (old row for vanished paths,
-    freshly recomputed row for new ones).  Destinations cheaper than
-    those bounds keep their bits; the changed nodes' own rows are
-    recomputed outright first, which is what supplies the new-row
-    bounds.
+    Why an incremental update can be exact
+    --------------------------------------
+    *The value.*  Weights are positive and float ``+`` is monotone, so
+    ``fl(x + w) >= x`` and the running sum never decreases along a path.
+    Dijkstra's value for a destination is therefore the minimum over all
+    paths of the *left-associated* float sum ``fl(..fl(fl(w1 + w2) + w3)
+    .. + wm)`` — a well-defined function of the graph — and it satisfies
+    ``d[j] = min_u fl(d[u] + w(u, j))`` over **all** in-neighbours (a
+    ``u`` settled after ``j`` has ``d[u] >= d[j]`` and cannot undercut
+    it).
+
+    *The screen.*  Let ``C`` be the changed nodes, ``u = eps/2`` the unit
+    roundoff, and take any path ``P`` from ``h`` to ``j``, in the old or
+    the new graph, that visits ``C``; let ``r`` be the first node of
+    ``C`` on it.  The prefix ``h..r`` uses only out-links of unchanged
+    nodes, so it exists in both graphs and its own float sum is at least
+    ``a = old[h, r]``.  The tail ``r..j`` is a path of whichever graph
+    ``P`` lives in, so its own float sum is at least ``b = min(old[r, j],
+    new[r, j])`` (``new[r]`` being the freshly swept row).  A float sum
+    of ``m`` positive terms lies within ``(1 ± u)^(m-1)`` of the real
+    sum, and a simple path has fewer than ``n`` edges, hence in real
+    arithmetic ``S(P) >= (A + B)(1 - u)^n`` with ``A >= a (1 - u)^n`` and
+    ``B >= b (1 - u)^n``, i.e. ``S(P) >= (a + b)(1 - n*eps)``.  The
+    screen evaluates ``fl(fl(a*s) + fl(b*s))`` with ``s = 1 - c*n*eps``,
+    which exceeds ``(a + b) * s`` by at most ``(1 + u)^2``; with ``c =
+    4`` that is still below ``(a + b)(1 - n*eps)``.  So a cell with
+    ``bound(h, j) > old[h, j]`` for every ``r`` has no path through
+    ``C``, old or new, as cheap as its old value: the old value was
+    attained by a ``C``-avoiding path, those paths and their float sums
+    are the same in both graphs, and the cell keeps its bits.  All other
+    cells are *suspect*.  Exempt from ``r``'s test are column ``r`` (a
+    path to ``r`` that already visited ``r`` contains a cycle, and
+    dropping a cycle never raises a monotone running sum; ``r``'s
+    in-links did not change), the diagonal, and any cell with ``a`` or
+    ``b`` infinite — ``h`` cannot reach ``r``, or ``r`` reaches ``j`` in
+    neither graph — which is what keeps already-unreachable cells out of
+    the suspect set after a deletion.  A changed node that is not among
+    ``sources`` offers no tail rows, and only the exact prefix bound
+    ``old[h, r] <= S(P)`` is applied.
+
+    *The relaxation.*  Suspect cells restart from ``inf`` and are relaxed
+    by tail extensions ``fl(values[h, u] + w(u, j))`` until nothing
+    moves.  Every intermediate value is ``inf`` or the float sum of a
+    real path of the new graph — a realizable upper bound — and the
+    non-suspect cells (the source's own ``0`` among them) are already
+    exact, so by induction along the optimal path each suspect cell
+    reaches the minimum over paths: the unique least fixpoint, which is
+    the Dijkstra value.  When more than about a third of the matrix is
+    suspect the rounds cannot beat one C-level multi-source sweep, which
+    computes the same function and is equally bit-exact.
     """
     old = np.asarray(old, dtype=float)
-    rows, n = old.shape
+    sources = np.asarray(sources, dtype=int)
+    rows = old.shape[0]
     changed = sorted({int(c) for c in changed})
-    repaired = old.copy()
     if rows == 0 or not changed:
-        return repaired
+        return old.copy()
     telemetry.kernel_call("shortest.repair", rows)
     if tables is None:
         tables = shortest_inbound_tables(adjacency)
-
-    def sweep(indices: np.ndarray) -> np.ndarray:
-        csr = tables.csr
-        if exclude is not None:
-            lo = int(csr.indptr[int(exclude)])
-            hi = int(csr.indptr[int(exclude) + 1])
-            if hi > lo:
-                # An inf-weight edge is unusable for any finite distance,
-                # so masking the excluded node's out-edges this way
-                # yields the very same distances as removing them.
-                data = csr.data.copy()
-                data[lo:hi] = np.inf
-                csr = csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-        dist = _csgraph_dijkstra(csr, directed=True, indices=indices)
-        return np.atleast_2d(np.asarray(dist, dtype=float))
-
-    def bellman(values: np.ndarray) -> np.ndarray:
-        src, w, starts, dests = tables.edges
-        if not len(src):
-            return values
-        if exclude is not None:
-            w = np.where(src == int(exclude), np.inf, w)
-        while True:
-            cand = values[:, src] + w[None, :]
-            seg = np.minimum.reduceat(cand, starts, axis=1)
-            updated = values.copy()
-            updated[:, dests] = np.minimum(values[:, dests], seg)
-            if np.array_equal(updated, values):
-                return values
-            values = updated
-
-    sources = np.asarray(sources, dtype=int)
-    # Strategy pre-screen on the coarse suspect rule (``old[j] >=
-    # min_r old[r]``): when most of the matrix is suspect anyway — a
-    # centrally-placed re-wire — the incremental rounds cannot beat one
-    # C-level multi-source sweep of the shared CSR, which computes the
-    # same min-over-paths function and is therefore equally bit-exact.
-    coarse = old >= old[:, changed].min(axis=1)[:, None]
-    if coarse.mean() > 0.45:
-        return sweep(sources)
-    row_of = {int(s): i for i, s in enumerate(sources)}
-    # Phase 1: the changed nodes' own rows (every path from a changed
-    # node starts on a changed out-link) — recomputed outright.
-    changed_rows = [row_of[r] for r in changed if r in row_of]
-    if changed_rows:
-        repaired[changed_rows] = sweep(sources[changed_rows])
-    # Phase 2: remaining rows, relaxed over the refined suspect set.
-    suspect = np.zeros((rows, n), dtype=bool)
-    for r in changed:
-        i = row_of.get(r)
-        candidate = old >= old[:, [r]]
-        if i is not None:
-            bound = np.minimum(old[i], repaired[i])[None, :]
-            candidate &= old >= bound
-        suspect |= candidate
-    if changed_rows:
-        suspect[changed_rows, :] = False
-    suspect[np.arange(rows), sources] = False
-    if not suspect.any():
+    if screen is None:
+        screen = screen_shortest_repair(old, sources, changed, tables, exclude=exclude)
+    repaired, suspect = screen
+    if screen.sweeps:
+        untouched = np.flatnonzero(~np.isin(sources, changed))
+        if len(untouched):
+            repaired[untouched] = _sweep_rows(tables, sources[untouched], exclude)
         return repaired
-    if suspect.mean() > 0.25:
-        untouched = [i for i in range(rows) if i not in set(changed_rows)]
-        if untouched:
-            repaired[untouched] = sweep(sources[untouched])
-        return repaired
-    return bellman(np.where(suspect, np.inf, repaired))
+    return _relax_cells(repaired, suspect, tables, exclude)
 
 
 def shortest_path_tree(

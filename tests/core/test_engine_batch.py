@@ -9,15 +9,19 @@ without churn, cheating, and BR(eps).
 """
 
 import dataclasses
+import importlib
+import pickle
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.churn.models import parametrized_churn, trace_driven_churn
 from repro.core.cheating import CheatingModel
+from repro.core.codec import history_digest
 from repro.core.cost import DelayMetric
 from repro.core.engine import EgoistEngine, EpochRecord
-from repro.core.engine_batch import EngineBatch, EngineSpec
+from repro.core.engine_batch import _MAINTAIN_MIN_ACTIVE, EngineBatch, EngineSpec
 from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import (
     BestResponsePolicy,
@@ -35,6 +39,11 @@ from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
 from repro.util.rng import spawn_generators
 from repro.util.validation import ValidationError
+
+# ``repro.routing`` re-exports a function named ``shortest_path``, which
+# shadows the submodule attribute of the same name.
+shortest_path_module = importlib.import_module("repro.routing.shortest_path")
+deployment_batch_module = importlib.import_module("repro.core.deployment_batch")
 
 
 def assert_records_identical(a: EpochRecord, b: EpochRecord) -> None:
@@ -336,3 +345,162 @@ class TestMaskedFusedChurnPath:
         sequential_batch.run(4)
         assert batched_batch.cache_stats()["hit_rate"] > 0.4
         assert sequential_batch.cache_stats()["hit_rate"] < 0.2
+
+
+class TestMaintainedAllPairs:
+    """Above the size floor an additive engine keeps one all-pairs matrix
+    and derives every residual from it by repair (no per-opportunity
+    n-source sweep); the histories must stay byte-identical."""
+
+    N = 72
+
+    def _specs(self, *, estimator="true", drift=0.0, churn=None, n=None, seed=21):
+        return _delay_specs(
+            n or self.N,
+            seed,
+            estimator=estimator,
+            drift=drift,
+            churn=churn,
+            policies={"best-response": BestResponsePolicy()},
+            k_values=(4,),
+            compute_efficiency=churn is not None,
+        )
+
+    @staticmethod
+    def _digest(histories):
+        return history_digest(
+            [record for history in histories for record in history.records]
+        )
+
+    @staticmethod
+    def _run_counting(batch, epochs, monkeypatch):
+        """Run epoch by epoch; returns the Dijkstra rows and the planner
+        counter increments of each epoch."""
+        rows = [0]
+
+        def counting(original):
+            def dijkstra(graph, *args, indices=None, **kwargs):
+                rows[0] += np.size(indices) if indices is not None else graph.shape[0]
+                return original(graph, *args, indices=indices, **kwargs)
+
+            return dijkstra
+
+        for module in (shortest_path_module, deployment_batch_module):
+            monkeypatch.setattr(
+                module, "_csgraph_dijkstra", counting(module._csgraph_dijkstra)
+            )
+        per_epoch_rows, per_epoch_counts = [], []
+        registry = telemetry.enable()
+        try:
+            seen = {}
+            for _ in range(epochs):
+                rows[0] = 0
+                batch.step_epoch()
+                per_epoch_rows.append(rows[0])
+                counters = registry.snapshot()["counters"]
+                now = {
+                    key: counters.get(f"batch.prefill.{key}", 0)
+                    for key in ("derived", "updated", "refused", "swept")
+                }
+                per_epoch_counts.append(
+                    {key: now[key] - seen.get(key, 0) for key in now}
+                )
+                seen = now
+        finally:
+            telemetry.disable()
+        return per_epoch_rows, per_epoch_counts
+
+    def test_steady_epochs_are_served_from_the_maintained_matrix(self, monkeypatch):
+        n = self.N
+        batch = EngineBatch(self._specs(), batched=True)
+        rows, counts = self._run_counting(batch, 3, monkeypatch)
+        (engine,) = batch.engines
+        sequential = EngineBatch(self._specs(), batched=False).run(3)
+        assert self._digest([engine.history]) == self._digest(sequential)
+        # One sweep builds the matrix; from then on every opportunity is
+        # derived from it and every version bump is one repair.
+        assert [c["swept"] for c in counts] == [1, 0, 0]
+        assert all(c["derived"] == n for c in counts)
+        assert all(c["refused"] == 0 for c in counts)
+        # (Updates are lazy: a re-wire at an epoch's last opportunity is
+        # repaired by the next epoch's first derive.)
+        rewirings = engine.history.records[-1].rewirings
+        assert rewirings > 0 and abs(counts[-1]["updated"] - rewirings) <= 1
+        # A fresh-sweep epoch costs n * (n - 1) residual rows; a
+        # maintained one the n scoring rows plus one row per update.
+        assert rows[-1] <= 2 * n + counts[-1]["updated"]
+        assert rows[-1] * 10 < n * n
+        # One miss (the planner's probe) and one hit (the fused step)
+        # per opportunity, exactly as on the stacked-sweep path.
+        stats = engine.route_cache.stats()
+        assert stats["hits"] == stats["misses"] == 3 * n
+
+    def test_parity_under_a_drifting_announced_metric(self, monkeypatch):
+        # Ping estimates move every epoch, so every step re-installs its
+        # weights: the matrix is repaired once per opportunity.
+        specs = self._specs(estimator="ping", drift=0.02)
+        batch = EngineBatch(specs, batched=True)
+        _rows, counts = self._run_counting(batch, 3, monkeypatch)
+        sequential = EngineBatch(
+            self._specs(estimator="ping", drift=0.02), batched=False
+        ).run(3)
+        assert self._digest([batch.engines[0].history]) == self._digest(sequential)
+        assert sum(c["updated"] for c in counts) > self.N
+
+    def test_parity_under_churn_rebuilds_the_matrix(self, monkeypatch):
+        n = 80
+
+        def specs():
+            churn = trace_driven_churn(
+                n, 5 * 60.0, mean_on=1500.0, mean_off=100.0, seed=1
+            )
+            return self._specs(churn=churn, n=n)
+
+        batch = EngineBatch(specs(), batched=True)
+        _rows, counts = self._run_counting(batch, 5, monkeypatch)
+        sequential = EngineBatch(specs(), batched=False).run(5)
+        (engine,) = batch.engines
+        assert self._digest([engine.history]) == self._digest(sequential)
+        active = [record.active_nodes for record in engine.history.records]
+        assert len(set(active)) > 1, "the schedule never changed the membership"
+        assert min(active) >= _MAINTAIN_MIN_ACTIVE
+        # A departure takes links out of the dense overlay, so
+        # begin_epoch drops the matrix and the epoch's first derive
+        # re-sweeps it (nodes leave before every epoch of this schedule).
+        assert [c["swept"] for c in counts] == [1] * 5
+        assert sum(c["derived"] for c in counts) == sum(active)
+
+    def test_wiring_reset_between_epochs_drops_the_matrix(self, monkeypatch):
+        # Same membership, same metric fingerprint: only the dense
+        # overlay tells that the cached matrix no longer describes it.
+        def mutate(batch):
+            batch.engines[0].reset_wiring([3, 7])
+
+        batch = EngineBatch(self._specs(), batched=True)
+        batch.step_epoch()
+        mutate(batch)
+        _rows, counts = self._run_counting(batch, 2, monkeypatch)
+        sequential = EngineBatch(self._specs(), batched=False)
+        sequential.step_epoch()
+        mutate(sequential)
+        sequential.run(2)
+        assert self._digest([batch.engines[0].history]) == self._digest(
+            [sequential.engines[0].history]
+        )
+        assert [c["swept"] for c in counts] == [1, 0]
+
+    def test_a_restored_batch_rebuilds_its_lockstep_states(self):
+        # Serve checkpoints pickle the batch between epochs.
+        batch = EngineBatch(self._specs(), batched=True)
+        batch.run(2)
+        restored = pickle.loads(pickle.dumps(batch))
+        assert restored._states is None
+        restored.run(1)
+        uninterrupted = EngineBatch(self._specs(), batched=True).run(3)
+        assert self._digest([restored.engines[0].history]) == self._digest(uninterrupted)
+
+    @pytest.mark.parametrize("n", [24, 50])
+    def test_small_overlays_keep_the_stacked_sweeps(self, n, monkeypatch):
+        batch = EngineBatch(self._specs(n=n), batched=True)
+        _rows, counts = self._run_counting(batch, 2, monkeypatch)
+        assert all(value == 0 for c in counts for value in c.values())

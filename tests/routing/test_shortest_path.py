@@ -9,6 +9,7 @@ from repro.routing.graph import OverlayGraph
 from repro.routing.shortest_path import (
     all_pairs_shortest_costs,
     repair_shortest_rows,
+    screen_shortest_repair,
     shortest_inbound_tables,
     average_path_stretch,
     path_cost,
@@ -277,3 +278,125 @@ class TestRepairShortestRows:
         fresh = shortest_path_costs_multi(_graph_of(dense), sources)
         repaired = repair_shortest_rows(old, np.array(sources), changed, dense)
         assert np.array_equal(repaired, fresh)
+
+
+#: Link weights that make ties and near-ties the rule: small integers
+#: (many equal-cost alternatives), zero (nudged to 1e-12 by the sweep),
+#: and tenths whose float sums differ in the last bit by association
+#: order (0.1 + 0.2 != 0.3).
+_TIE_WEIGHTS = (0.0, 1.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3)
+
+
+def _tie_rich_dense(n, rng, *, degree=3):
+    dense = np.full((n, n), np.nan)
+    for node in range(n):
+        _tie_rich_rewire(dense, node, rng, degree=degree)
+    return dense
+
+
+def _tie_rich_rewire(dense, node, rng, *, degree=3):
+    """Give ``node`` a fresh random out-link set (possibly none), in place."""
+    n = dense.shape[0]
+    dense[node, :] = np.nan
+    others = [x for x in range(n) if x != node]
+    count = int(rng.integers(0, min(degree, n - 1) + 1))
+    for v in rng.choice(others, size=count, replace=False):
+        dense[node, int(v)] = _TIE_WEIGHTS[int(rng.integers(len(_TIE_WEIGHTS)))]
+
+
+def _fresh(dense, sources, exclude=None):
+    if exclude is not None:
+        dense = dense.copy()
+        dense[exclude, :] = np.nan
+    return shortest_path_costs_multi(_graph_of(dense), [int(s) for s in sources])
+
+
+class TestRepairOnTieRichGraphs:
+    """Property test of the triangle screen and the cell relaxation on
+    inputs the uniform-random fixtures never produce."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(4, 14),
+        st.integers(0, 100_000),
+        st.integers(1, 3),
+        st.sampled_from(["all", "subset"]),
+        st.sampled_from(["none", "bystander", "derive"]),
+    )
+    def test_repair_equals_fresh_sweep_and_screen_covers_the_delta(
+        self, n, seed, changes, source_mode, exclude_mode
+    ):
+        rng = np.random.default_rng(seed)
+        dense = _tie_rich_dense(n, rng)
+        changed = [int(c) for c in rng.choice(n, size=min(changes, n - 1), replace=False)]
+        if source_mode == "all":
+            sources = np.arange(n)
+        else:
+            # A strict subset, so changed nodes may be absent from it.
+            sources = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        exclude = None
+        if exclude_mode == "bystander":
+            exclude = int(rng.choice([x for x in range(n) if x not in changed]))
+        old = _fresh(dense, sources, exclude)
+        if exclude_mode == "derive":
+            # Residual rows out of all-pairs rows: the excluded node's
+            # out-links are the change, the matrix itself stays put.
+            changed = exclude = changed[0]
+            steps = [(dense, [changed])]
+        else:
+            # Two steps over the same nodes: degree 0 is a legal draw, so
+            # disconnect-then-reconnect sequences come up regularly.
+            steps = []
+            current = dense
+            for _ in range(2):
+                current = current.copy()
+                for node in changed:
+                    _tie_rich_rewire(current, node, rng)
+                steps.append((current, changed))
+        for new_dense, delta in steps:
+            fresh = _fresh(new_dense, sources, exclude)
+            tables = shortest_inbound_tables(new_dense)
+            screen = screen_shortest_repair(old, sources, delta, tables, exclude=exclude)
+            moved = ~((fresh == old) | (np.isnan(fresh) & np.isnan(old)))
+            moved[np.isin(sources, delta)] = False  # recomputed outright
+            assert not (moved & ~screen.suspect).any(), "the screen cleared a changed cell"
+            assert np.array_equal(screen.rows[np.isin(sources, delta)],
+                                  fresh[np.isin(sources, delta)])
+            repaired = repair_shortest_rows(old, sources, delta, new_dense, exclude=exclude)
+            assert np.array_equal(repaired, fresh)
+            handed = repair_shortest_rows(
+                old, sources, delta, None, exclude=exclude, tables=tables, screen=screen
+            )
+            assert np.array_equal(handed, fresh)
+            old = fresh
+
+    def test_equal_cost_paths_through_and_around_the_changed_node(self):
+        # 0 -> 1 -> 3 and 0 -> 2 -> 3 both cost 2; node 1 drops its link.
+        dense = np.full((4, 4), np.nan)
+        dense[0, 1] = dense[0, 2] = dense[1, 3] = dense[2, 3] = 1.0
+        sources = np.arange(4)
+        old = _fresh(dense, sources)
+        cut = dense.copy()
+        cut[1, :] = np.nan
+        screen = screen_shortest_repair(old, sources, [1], shortest_inbound_tables(cut))
+        assert screen.suspect[0, 3]  # tied with the surviving path: still suspect
+        assert not screen.suspect[0, 2] and not screen.suspect[2, 3]
+        assert not screen.suspect[:, 1].any()  # the changed node's own column
+        repaired = repair_shortest_rows(old, sources, [1], cut)
+        assert np.array_equal(repaired, _fresh(cut, sources))
+        assert repaired[0, 3] == 2.0
+
+    def test_unreachable_cells_stay_clear_after_a_deletion(self):
+        # Two components; a deletion inside one cannot touch inf cells.
+        dense = np.full((5, 5), np.nan)
+        dense[0, 1] = dense[1, 2] = 1.0
+        dense[3, 4] = 1.0
+        sources = np.arange(5)
+        old = _fresh(dense, sources)
+        cut = dense.copy()
+        cut[1, :] = np.nan
+        screen = screen_shortest_repair(old, sources, [1], shortest_inbound_tables(cut))
+        assert screen.suspect.sum() == 1 and screen.suspect[0, 2]
+        assert np.array_equal(
+            repair_shortest_rows(old, sources, [1], cut), _fresh(cut, sources)
+        )
