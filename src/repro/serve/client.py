@@ -303,7 +303,11 @@ class ServeClient:
     def lookup_batch(
         self, pairs: Sequence[Tuple[int, int]], *, engine: Optional[str] = None
     ) -> Dict[str, object]:
-        fields: Dict[str, object] = {"pairs": [list(pair) for pair in pairs]}
+        # JSON encodes tuples as arrays already; only a non-list sequence
+        # (a generator, an array) needs materialising.
+        fields: Dict[str, object] = {
+            "pairs": pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+        }
         if engine is not None:
             fields["engine"] = engine
         return self.request("lookup_batch", **fields)

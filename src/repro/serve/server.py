@@ -21,7 +21,10 @@ Admission control: every request passes through one bounded FIFO queue
 drained by a single worker task.  When the queue is full the request is
 *shed* immediately with a ``busy`` error (clients treat it as retryable
 backoff pressure) instead of accumulating unbounded latency — the
-``serve.shed`` counter records every shed.
+``serve.shed`` counter records every shed.  The worker outlives any
+request: an unexpected exception is answered ``internal`` (counted as
+``serve.internal_errors``, traceback on stderr) and the queue keeps
+draining.
 
 Graceful drain: :meth:`OverlayServer.drain` (wired to SIGTERM by
 :func:`run_server`) closes the listener, lets every queued and in-flight
@@ -38,6 +41,7 @@ import os
 import signal
 import threading
 import time
+import traceback
 from typing import Dict, Optional, Tuple
 
 from repro.serve.protocol import (
@@ -249,14 +253,35 @@ class OverlayServer:
     # Admission control
     # ------------------------------------------------------------------ #
     async def _request_worker(self) -> None:
-        """Drain the admitted-request queue, one request at a time."""
+        """Drain the admitted-request queue, one request at a time.
+
+        This is the only task answering requests, so nothing a request
+        raises may end it: an exception :meth:`_handle_request` does not
+        map to an error code is answered ``internal``, counted, and the
+        worker moves on to the next request.
+        """
         assert self._requests is not None
         try:
             while True:
                 line, connection, future = await self._requests.get()
                 try:
-                    if not future.cancelled():
-                        future.set_result(self._dispatch(line, connection))
+                    if future.cancelled():
+                        continue
+                    try:
+                        result = self._dispatch(line, connection)
+                    except Exception as error:
+                        self.service.counters["internal_errors"] += 1
+                        traceback.print_exc()
+                        result = (
+                            error_response(
+                                _recover_request_id(line),
+                                "internal",
+                                f"{type(error).__name__}: {error}",
+                            ),
+                            False,
+                            False,
+                        )
+                    future.set_result(result)
                 finally:
                     self._requests.task_done()
         except asyncio.CancelledError:

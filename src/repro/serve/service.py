@@ -23,9 +23,15 @@ for ``src`` is produced one of two ways:
   metrics, ``max_v min(w(src,v), resid[v, :])`` for bandwidth.  The
   residual matrix excludes ``src``'s own out-links, so routes never
   revisit the source.
-* **sweep** — one single-source sweep over the live overlay graph
-  (memoised per wiring version, so repeated lookups from one source pay
-  it once).
+* **sweep** — a sweep over the live overlay graph; every source a
+  request still misses after the cache screen shares one multi-source
+  kernel call.
+
+Rows land in one ``n x n`` route table per engine, valid for exactly one
+:class:`GlobalWiring` version (:class:`_RouteTable`), so a warm lookup
+is an array read and a warm ``lookup_batch`` frame is one gather.  A
+frame is validated whole before any row is filled: a rejected request
+changes neither the table nor a counter.
 
 Either way the answer is stamped with ``(epoch, version)``: the epoch
 that committed the overlay and the :class:`GlobalWiring` version the row
@@ -64,6 +70,7 @@ restored checkpoint before accepting connections.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -73,13 +80,12 @@ import numpy as np
 
 from repro.core.codec import (
     cache_stats_to_json,
-    encode_float,
     epoch_record_digest,
     epoch_record_to_json,
 )
 from repro.core.cost import DISCONNECTION_COST
-from repro.routing.shortest_path import shortest_path, shortest_path_costs_from
-from repro.routing.widest_path import widest_path, widest_path_bandwidths_from
+from repro.routing.shortest_path import shortest_path, shortest_path_costs_multi
+from repro.routing.widest_path import widest_path, widest_path_bandwidths_multi
 from repro.scenario.lifecycle import Mutation, Session
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.checkpoint import CheckpointManager, CheckpointState
@@ -99,6 +105,17 @@ DEDUPE_WINDOW = 1024
 #: Recent epoch digests kept for idempotent ``step`` replies.
 EPOCH_DIGEST_WINDOW = 128
 
+#: Why :meth:`OverlayService._cache_row` declined to serve a row, each
+#: counted as ``cache_row_miss.<reason>``.
+CACHE_ROW_MISS_REASONS = (
+    "no_cache",  # the engine keeps no residual cache / no metric fingerprint
+    "never_filled",  # no version-stamped entry for this source and hop set
+    "metric_changed",  # entry computed under another announced metric
+    "membership_changed",  # entry computed under another active set
+    "changelog",  # a node other than the source re-wired since the stamp
+    "unwired",  # the source has no wired first hop to reduce over
+)
+
 
 class ServeError(ValidationError):
     """A request the service cannot serve, with a machine-readable code."""
@@ -110,6 +127,24 @@ class ServeError(ValidationError):
 
 class RecoveryError(ValidationError):
     """Recovery could not restore a state consistent with the log."""
+
+
+class _RouteTable:
+    """One engine's route values, valid for exactly one wiring version.
+
+    ``values[src]`` holds ``src``'s route-value row iff ``have[src]``;
+    ``cached[src]`` tags the row's ``source`` (residual cache, else
+    sweep).  The buffers outlive the version: a stale table is re-stamped
+    and its ``have`` mask cleared, never reallocated.
+    """
+
+    __slots__ = ("version", "values", "have", "cached")
+
+    def __init__(self, n: int):
+        self.version: Optional[int] = None
+        self.values = np.empty((n, n))
+        self.have = np.zeros(n, dtype=bool)
+        self.cached = np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -229,8 +264,8 @@ class OverlayService:
         self.dedupe_window = int(dedupe_window)
         self.closed = False
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
-        #: Per-(label, src) route-value rows valid at a wiring version.
-        self._rows: Dict[Tuple[str, int], Tuple[int, np.ndarray, str]] = {}
+        #: Per-label route tables, each valid at one wiring version.
+        self._rows: Dict[str, _RouteTable] = {}
         #: Per-label overlay graphs valid at a wiring version.
         self._graphs: Dict[str, Tuple[int, object]] = {}
         #: Idempotency-key dedupe window: key -> applied_epoch (FIFO).
@@ -242,12 +277,14 @@ class OverlayService:
             "rows_from_cache": 0,
             "rows_from_sweep": 0,
             "row_memo_hits": 0,
+            **{f"cache_row_miss.{reason}": 0 for reason in CACHE_ROW_MISS_REASONS},
             "mutations": 0,
             "epochs": 0,
             "checkpoints": 0,
             "recoveries": 0,
             "retries": 0,
             "shed": 0,
+            "internal_errors": 0,
         }
         self.last_recovery: Optional[RecoveryReport] = None
         self._checkpoints = (
@@ -302,7 +339,10 @@ class OverlayService:
         self._check_open()
         with telemetry.span("serve.tick", epoch=self.session.epochs_completed):
             records = self.session.step()
-        self._rows.clear()
+        # An epoch may move the view (membership, announced metric) without
+        # a wiring bump, so the tables go stale with it, buffers kept.
+        for table in self._rows.values():
+            table.version = None
         self._graphs.clear()
         epoch = self.session.epochs_completed - 1
         digest = epoch_record_digest(records)
@@ -342,7 +382,7 @@ class OverlayService:
             return self.tick()
         try:
             expect = int(expect)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServeError("bad-request", "step expect must be an epoch count")
         done = self.session.epochs_completed
         if expect == done:
@@ -747,35 +787,36 @@ class OverlayService:
         node but ``src`` itself — ``src``'s residual matrix excludes its
         own out-links, so its own re-wire (and the per-epoch announced
         weight refresh that trails the stamp by one bump) cannot stale
-        it.  Anything else falls back to the sweep path.
+        it.  Anything else falls back to the sweep path, counted under
+        the ``cache_row_miss.<reason>`` that turned it away.
         """
         cache = engine.route_cache
         if cache is None or view.metric_fp is None:
-            return None
+            return self._miss("no_cache")
         hops = tuple(c for c in view.active_list if c != src)
         if not hops:
-            return None
+            return self._miss("unwired")
         got = cache.versioned_get(src, hops)
         if got is None:
-            return None
+            return self._miss("never_filled")
         matrix, token = got
-        if not (isinstance(token, tuple) and len(token) == 3):
-            return None
+        if not (
+            isinstance(token, tuple) and len(token) == 3 and isinstance(token[0], int)
+        ):
+            return self._miss("never_filled")
         version, metric_fp, active_key = token
-        if metric_fp != view.metric_fp or active_key != view.active_key:
-            return None
-        if not isinstance(version, int):
-            return None
+        if metric_fp != view.metric_fp:
+            return self._miss("metric_changed")
+        if active_key != view.active_key:
+            return self._miss("membership_changed")
         changed = engine.wiring.changed_since(version)
         if changed is None or not changed <= {src}:
-            return None
+            return self._miss("changelog")
         weights = engine.wiring.weights_of(src)
-        if not weights:
-            return None
         row_of = {hop: index for index, hop in enumerate(hops)}
         neighbors = sorted(v for v in weights if v in row_of)
         if not neighbors:
-            return None
+            return self._miss("unwired")
         first_hop_rows = matrix[[row_of[v] for v in neighbors], :]
         link = np.array([weights[v] for v in neighbors])[:, None]
         if view.announced.maximize:
@@ -786,43 +827,55 @@ class OverlayService:
             row[src] = 0.0
         return row
 
-    def _route_row(
-        self, engine, view, label: str, src: int
-    ) -> Tuple[np.ndarray, str]:
+    def _miss(self, reason: str) -> None:
+        self.counters[f"cache_row_miss.{reason}"] += 1
+
+    def _table(self, label: str, engine) -> _RouteTable:
+        """``label``'s route table, stamped with the live wiring version."""
+        table = self._rows.get(label)
+        if table is None:
+            table = self._rows[label] = _RouteTable(self.spec.n)
         version = engine.wiring.version
-        memo = self._rows.get((label, src))
-        if memo is not None and memo[0] == version:
-            self.counters["row_memo_hits"] += 1
-            return memo[1], memo[2]
-        row = self._cache_row(engine, view, src)
-        if row is not None:
-            source = "cache"
-            self.counters["rows_from_cache"] += 1
-        else:
+        if table.version != version:
+            table.version = version
+            table.have[:] = False
+        return table
+
+    def _fill(
+        self, table: _RouteTable, engine, view, label: str, sources: List[int]
+    ) -> None:
+        """Fill the rows of ``sources`` (distinct, all missing).
+
+        The residual cache is asked first, source by source in the given
+        order (the read touches the cache's LRU order); whatever it
+        declines shares one multi-source sweep of the memoised graph.
+        """
+        swept: List[int] = []
+        for src in sources:
+            row = self._cache_row(engine, view, src)
+            if row is None:
+                swept.append(src)
+            else:
+                table.values[src] = row
+        if swept:
             graph = self._graph(label, engine, view)
             if view.announced.maximize:
-                row = widest_path_bandwidths_from(graph, src)
+                rows = widest_path_bandwidths_multi(graph, swept)
             else:
-                row = shortest_path_costs_from(
-                    graph, src, disconnection_cost=float("inf")
+                rows = shortest_path_costs_multi(
+                    graph, swept, disconnection_cost=float("inf")
                 )
-            source = "sweep"
-            self.counters["rows_from_sweep"] += 1
-        self._rows[(label, src)] = (version, row, source)
-        return row, source
-
-    def _value(self, view, row: np.ndarray, dst: int) -> Tuple[object, bool]:
-        value = float(row[dst])
-        if view.announced.maximize:
-            reachable = np.isfinite(value) and value > 0.0
-        else:
-            reachable = np.isfinite(value) and value < DISCONNECTION_COST
-        return (encode_float(value) if reachable else None), bool(reachable)
+            table.values[swept] = rows
+        table.cached[sources] = True
+        table.cached[swept] = False
+        table.have[sources] = True
+        self.counters["rows_from_sweep"] += len(swept)
+        self.counters["rows_from_cache"] += len(sources) - len(swept)
 
     def _check_pair(self, src: int, dst: int) -> Tuple[int, int]:
         try:
             src, dst = int(src), int(dst)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServeError("bad-request", "src and dst must be node ids")
         n = self.spec.n
         if not (0 <= src < n and 0 <= dst < n):
@@ -830,6 +883,43 @@ class OverlayService:
         if src == dst:
             raise ServeError("bad-request", "src and dst must differ")
         return src, dst
+
+    def _check_frame(
+        self, pairs: Sequence[Sequence[int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A whole frame as validated ``(srcs, dsts)`` index arrays.
+
+        A frame of in-range integer pairs passes on three vector tests
+        over one flat array (sources, then destinations).  Anything else
+        — ragged, wrong arity, non-integer or out-of-range ids,
+        ``src == dst`` — is walked pair by pair, so the first bad pair
+        raises :meth:`_check_pair`'s error and ids ``int()`` accepts
+        (``"3"``, ``3.0``, ``True``) keep being served.
+        """
+        count = len(pairs)
+        flat = None
+        if set(map(type, pairs)) <= {list, tuple}:
+            try:
+                srcs, dsts = zip(*pairs, strict=True)
+                flat = np.array(srcs + dsts)
+            except ValueError:  # ragged, wrong arity, nested, or empty
+                pass
+        if (
+            flat is not None
+            and flat.dtype.kind == "i"
+            and 0 <= flat.min()
+            and flat.max() < self.spec.n
+        ):
+            srcs, dsts = flat[:count], flat[count:]
+            if (srcs != dsts).all():
+                return srcs, dsts
+        checked: List[Tuple[int, int]] = []
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ServeError("bad-request", "each pair must be [src, dst]")
+            checked.append(self._check_pair(pair[0], pair[1]))
+        frame = np.array(checked, dtype=np.intp).reshape(-1, 2)
+        return frame[:, 0], frame[:, 1]
 
     def lookup(
         self,
@@ -844,18 +934,26 @@ class OverlayService:
         src, dst = self._check_pair(src, dst)
         eng, view = self._view(engine)
         label = engine if engine is not None else self.session.labels[0]
-        row, source = self._route_row(eng, view, label, src)
-        value, reachable = self._value(view, row, dst)
+        table = self._table(label, eng)
+        if table.have[src]:
+            self.counters["row_memo_hits"] += 1
+        else:
+            self._fill(table, eng, view, label, [src])
+        value = float(table.values[src, dst])
+        if view.announced.maximize:
+            reachable = math.isfinite(value) and value > 0.0
+        else:
+            reachable = math.isfinite(value) and value < DISCONNECTION_COST
         self.counters["lookups"] += 1
         result: Dict[str, object] = {
             "src": src,
             "dst": dst,
-            "value": value,
+            "value": value if reachable else None,
             "reachable": reachable,
             "engine": label,
             "epoch": view.epoch,
-            "version": eng.wiring.version,
-            "source": source,
+            "version": table.version,
+            "source": "cache" if table.cached[src] else "sweep",
         }
         if want_path:
             graph = self._graph(label, eng, view)
@@ -869,29 +967,40 @@ class OverlayService:
     ) -> Dict[str, object]:
         """Route values for many ``(src, dst)`` pairs in one call.
 
-        The workload generator's hot path: rows are fetched once per
-        distinct source and shared across the batch.  ``values`` holds
-        one entry per pair (None when unreachable), in pair order.
+        The workload generator's hot path: the frame is validated whole,
+        its distinct missing sources are filled together, and the answer
+        is one gather from the route table.  ``values`` holds one entry
+        per pair (None when unreachable), in pair order.
         """
         self._check_open()
         if not isinstance(pairs, (list, tuple)):
             raise ServeError("bad-request", "pairs must be a list of [src, dst] pairs")
         eng, view = self._view(engine)
         label = engine if engine is not None else self.session.labels[0]
-        values: List[object] = []
-        for pair in pairs:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ServeError("bad-request", "each pair must be [src, dst]")
-            src, dst = self._check_pair(pair[0], pair[1])
-            row, _source = self._route_row(eng, view, label, src)
-            value, _reachable = self._value(view, row, dst)
-            values.append(value)
+        srcs, dsts = self._check_frame(pairs)
+        table = self._table(label, eng)
+        have = table.have[srcs]
+        filled = 0
+        if not have.all():
+            # Distinct, in first-occurrence order.
+            missing = list(dict.fromkeys(srcs[~have].tolist()))
+            self._fill(table, eng, view, label, missing)
+            filled = len(missing)
+        got = table.values[srcs, dsts]
+        if view.announced.maximize:
+            reachable = np.isfinite(got) & (got > 0.0)
+        else:
+            reachable = np.isfinite(got) & (got < DISCONNECTION_COST)
+        values: List[object] = got.tolist()
+        for index in np.flatnonzero(~reachable).tolist():
+            values[index] = None
         self.counters["lookups"] += len(values)
+        self.counters["row_memo_hits"] += len(values) - filled
         return {
             "values": values,
             "engine": label,
             "epoch": view.epoch,
-            "version": eng.wiring.version,
+            "version": table.version,
         }
 
     # ------------------------------------------------------------------ #
@@ -1022,6 +1131,7 @@ class OverlayService:
 
 
 __all__ = [
+    "CACHE_ROW_MISS_REASONS",
     "DEDUPE_WINDOW",
     "EPOCH_DIGEST_WINDOW",
     "LOG_SCHEMA_VERSION",

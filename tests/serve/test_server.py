@@ -29,14 +29,14 @@ def _spec(**overrides) -> ScenarioSpec:
 
 
 @pytest.fixture
-def endpoint():
-    """A served overlay on a unix socket, shut down afterwards."""
+def served():
+    """A served overlay on a unix socket: ``(socket path, service)``."""
     # Unix socket paths are length-limited (~104 bytes): mkdtemp in /tmp.
     sock = os.path.join(tempfile.mkdtemp(prefix="serve-", dir="/tmp"), "ovl.sock")
     service = OverlayService(_spec())
     service.tick()
     thread = start_background_server(service, socket_path=sock)
-    yield sock
+    yield sock, service
     if not service.closed:
         try:
             with ServeClient(socket_path=sock, timeout=5) as client:
@@ -44,6 +44,12 @@ def endpoint():
         except (ValidationError, OSError):
             pass
     thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(served):
+    return served[0]
 
 
 class TestRequestResponse:
@@ -116,6 +122,58 @@ class TestMalformedRequests:
             with pytest.raises(ValidationError):
                 client.lookup(0, 99)
             assert client.lookup(0, 5)["ok"] is True
+
+
+class TestWorkerSurvives:
+    """One request must never take the single request worker down."""
+
+    def _raw_lines(self, endpoint, payload: bytes, count: int):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10)
+            raw.connect(endpoint)
+            raw.sendall(payload)
+            reader = raw.makefile("rb")
+            return [json.loads(reader.readline()) for _ in range(count)]
+
+    def test_infinite_id_is_a_bad_request_and_serving_continues(self, endpoint):
+        # JSON 1e999 / Infinity parse to float inf, which int() refuses
+        # with OverflowError rather than ValueError.
+        poisoned = (
+            b'{"op": "lookup", "src": 1e999, "dst": 2, "id": 1}\n'
+            b'{"op": "lookup_batch", "pairs": [[0, 1], [Infinity, 2]], "id": 2}\n'
+            b'{"op": "step", "expect": 1e999, "id": 3}\n'
+            b'{"op": "lookup", "src": 0, "dst": 5, "id": 4}\n'
+        )
+        replies = self._raw_lines(endpoint, poisoned, 4)
+        assert [reply["id"] for reply in replies] == [1, 2, 3, 4]
+        for reply in replies[:3]:
+            assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert replies[3]["ok"] is True
+        # ... and a second connection is served too.
+        with ServeClient(socket_path=endpoint, timeout=10) as client:
+            assert client.lookup(0, 5)["ok"] is True
+            assert client.stats()["counters"]["internal_errors"] == 0
+
+    def test_unexpected_handler_exception_answers_internal(
+        self, served, monkeypatch, capsys
+    ):
+        endpoint, service = served
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(service, "snapshot", explode)
+        (reply,) = self._raw_lines(endpoint, b'{"op": "snapshot", "id": "s"}\n', 1)
+        assert reply == {
+            "ok": False,
+            "id": "s",
+            "error": "internal",
+            "message": "RuntimeError: injected",
+        }
+        with ServeClient(socket_path=endpoint, timeout=10) as client:
+            assert client.lookup(0, 5)["ok"] is True
+            assert client.stats()["counters"]["internal_errors"] == 1
+        assert "RuntimeError: injected" in capsys.readouterr().err
 
 
 class TestSubscribe:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.cost import DISCONNECTION_COST
 from repro.routing.shortest_path import shortest_path_costs_from
 from repro.routing.widest_path import widest_path_bandwidths_from
 from repro.scenario.spec import ScenarioSpec
-from repro.serve.service import OverlayService, ServeError
+from repro.serve.service import CACHE_ROW_MISS_REASONS, OverlayService, ServeError
+from repro.telemetry import runtime as telemetry
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -134,6 +137,114 @@ class TestLookupBatch:
         )
 
 
+    def test_cold_frame_fills_with_one_multi_source_call(self, service):
+        service.tick()
+        pairs = [[src, (src + 1) % 16] for src in range(16)] * 4
+        telemetry.enable()
+        try:
+            service.tick()  # version bump: every row is cold again
+            before = telemetry.metrics().snapshot()["counters"]
+            reply = service.lookup_batch(pairs)
+            after = telemetry.metrics().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        calls = "kernel.shortest.multi.calls"
+        assert after.get(calls, 0) - before.get(calls, 0) <= 1
+        assert len(reply["values"]) == 64
+        assert reply["version"] == service.session.engine().wiring.version
+
+
+#: (frame, today's message) — every rejection is a ``bad-request``.
+_NOT_A_LIST = "pairs must be a list of [src, dst] pairs"
+_NOT_A_PAIR = "each pair must be [src, dst]"
+_NOT_IDS = "src and dst must be node ids"
+_RANGE = "src/dst out of range for n=16"
+_SAME = "src and dst must differ"
+MALFORMED_FRAMES = [
+    ("not-pairs", _NOT_A_LIST),
+    ({"0": 1}, _NOT_A_LIST),
+    (None, _NOT_A_LIST),
+    ([[0]], _NOT_A_PAIR),
+    ([[0, 1, 2]], _NOT_A_PAIR),
+    ([[0, 1], [2]], _NOT_A_PAIR),
+    ([[0, 1], 7], _NOT_A_PAIR),
+    ([[0, 1], "ab"], _NOT_A_PAIR),
+    ([[0, 1], {"src": 2, "dst": 3}], _NOT_A_PAIR),
+    ([[0, "x"]], _NOT_IDS),
+    ([[0, None]], _NOT_IDS),
+    ([[0, [1]]], _NOT_IDS),
+    ([[0, float("nan")]], _NOT_IDS),
+    ([[0, float("inf")]], _NOT_IDS),
+    ([[float("-inf"), 1]], _NOT_IDS),
+    ([[0, 10**30]], _RANGE),
+    ([[0, 2**63]], _RANGE),
+    ([[0, 16]], _RANGE),
+    ([[-1, 2]], _RANGE),
+    ([[0, 99.5]], _RANGE),
+    ([[0, "99"]], _RANGE),
+    ([[3, 3]], _SAME),
+    ([[3, 3.0]], _SAME),
+    ([[True, 1]], _SAME),
+    # The first bad pair names the error, whatever follows it.
+    ([[0, 1], [3, 3], [0, 99]], _SAME),
+    ([[0, 1], [0, 99], [3, 3]], _RANGE),
+    ([[0, 1], [0, 99], [2]], _RANGE),
+    ([[0, 1], [3, 3], "ab"], _SAME),
+]
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("frame, message", MALFORMED_FRAMES)
+    def test_error_parity(self, service, frame, message):
+        service.tick()
+        with pytest.raises(ServeError) as err:
+            service.lookup_batch(frame)
+        assert err.value.code == "bad-request"
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "src, dst, message",
+        [
+            (float("inf"), 2, _NOT_IDS),
+            ("x", 1, _NOT_IDS),
+            (None, 1, _NOT_IDS),
+            (0, 10**30, _RANGE),
+            (0, 16, _RANGE),
+            (4, 4, _SAME),
+        ],
+    )
+    def test_single_lookup_error_parity(self, service, src, dst, message):
+        service.tick()
+        with pytest.raises(ServeError) as err:
+            service.lookup(src, dst)
+        assert err.value.code == "bad-request"
+        assert str(err.value) == message
+
+    def test_ids_int_accepts_are_still_served(self, service):
+        service.tick()
+        clean = service.lookup_batch([[0, 5], [1, 7], [2, 3]])
+        for frame in (
+            [["0", 5], [1, "7"], [2, 3]],
+            [[0.0, 5.9], [1, 7], [2.2, 3]],
+            [[False, 5], [True, 7], [2, 3]],
+            ((0, 5), (1, 7), (2, 3)),
+        ):
+            assert service.lookup_batch(frame)["values"] == clean["values"]
+        assert service.lookup_batch([])["values"] == []
+
+    def test_rejected_frame_fills_no_row_and_bumps_no_counter(self, service):
+        service.tick()
+        service.lookup(0, 5)  # stamps the table; row 0 is the only one held
+        table = service._rows[service.session.labels[0]]
+        counters = dict(service.counters)
+        have = table.have.copy()
+        for frame in ([[1, 2], [3, 4], [5, 5]], [[1, 2], [3, "x"]], [[1, 2], [3]]):
+            with pytest.raises(ServeError):
+                service.lookup_batch(frame)
+        assert service.counters == counters
+        assert (table.have == have).all()
+
+
 class TestResidualCachePath:
     def test_cache_row_matches_sweep_when_valid(self):
         service = OverlayService(_spec(n=20))
@@ -157,6 +268,112 @@ class TestResidualCachePath:
         # entry (its own trailing install cannot stale its residual).
         assert served_from_cache >= 1
         service.close()
+
+
+    def test_every_cache_miss_is_counted_under_one_reason(self):
+        service = OverlayService(_spec(n=20))
+        for _ in range(3):
+            service.tick()
+            service.lookup_batch([[src, (src + 1) % 20] for src in range(20)])
+        counters = service.stats()["counters"]
+        misses = {
+            reason: counters[f"cache_row_miss.{reason}"]
+            for reason in CACHE_ROW_MISS_REASONS
+        }
+        assert sum(misses.values()) == counters["rows_from_sweep"]
+        assert counters["rows_from_sweep"] + counters["rows_from_cache"] == 60
+        # Between epochs every node re-announces, so the changelog screen
+        # is what turns a filled, same-metric entry away.
+        assert misses["changelog"] > 0
+        service.close()
+
+    def test_engine_without_a_route_cache_counts_no_cache(self, service):
+        service.tick()
+        engine = service.session.engine()
+        engine.route_cache = None
+        assert service._cache_row(engine, engine.last_epoch_view, 0) is None
+        assert service.counters["cache_row_miss.no_cache"] == 1
+
+
+# ---------------------------------------------------------------------- #
+# Property: any interleaving of reads, writes and ticks serves the stamped
+# version's from-scratch routes
+# ---------------------------------------------------------------------- #
+_N = 10
+_node = st.integers(0, _N - 1)
+_pair = st.tuples(_node, _node).filter(lambda pair: pair[0] != pair[1])
+_operation = st.one_of(
+    st.tuples(st.just("lookup"), _pair),
+    st.tuples(st.just("batch"), st.lists(_pair, min_size=1, max_size=24)),
+    st.tuples(st.just("leave"), _node),
+    st.tuples(st.just("join"), _node),
+    st.tuples(st.just("drift"), st.integers(1, 2)),
+    st.tuples(st.just("tick"), st.none()),
+)
+
+
+def _from_scratch(service, src: int) -> np.ndarray:
+    """``src``'s route values by a fresh single-source run on the live overlay."""
+    engine = service.session.engine()
+    view = engine.last_epoch_view
+    graph = engine.wiring.to_graph(active=view.active_list)
+    if view.announced.maximize:
+        return widest_path_bandwidths_from(graph, src)
+    return shortest_path_costs_from(graph, src, disconnection_cost=float("inf"))
+
+
+def _assert_served(service, src: int, dst: int, value, source: str) -> None:
+    fresh = float(_from_scratch(service, src)[dst])
+    if service.session.engine().last_epoch_view.announced.maximize:
+        reachable = np.isfinite(fresh) and fresh > 0.0
+    else:
+        reachable = np.isfinite(fresh) and fresh < DISCONNECTION_COST
+    if not reachable:
+        assert value is None
+    elif source == "sweep":
+        assert value == fresh  # same kernel, same graph: bitwise
+    else:
+        assert value == pytest.approx(fresh, rel=1e-9)
+
+
+class TestServedValuesProperty:
+    @pytest.mark.parametrize("metric", ["delay-ping", "bandwidth"])
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(operations=st.lists(_operation, min_size=1, max_size=14))
+    def test_any_interleaving_serves_the_stamped_version(self, metric, operations):
+        service = OverlayService(_spec(n=_N, metric=metric))
+        try:
+            service.tick()
+            for kind, argument in operations:
+                live = service.session.engine().wiring
+                if kind == "lookup":
+                    reply = service.lookup(*argument)
+                    assert reply["version"] == live.version
+                    _assert_served(
+                        service, *argument, reply["value"], reply["source"]
+                    )
+                elif kind == "batch":
+                    reply = service.lookup_batch(argument)
+                    assert reply["version"] == live.version
+                    singles = [service.lookup(src, dst) for src, dst in argument]
+                    assert reply["values"] == [one["value"] for one in singles]
+                    for (src, dst), value, one in zip(
+                        argument, reply["values"], singles
+                    ):
+                        assert one["version"] == reply["version"]
+                        _assert_served(service, src, dst, value, one["source"])
+                elif kind == "tick":
+                    service.tick()
+                elif kind == "drift":
+                    service.mutate({"kind": "drift", "steps": argument})
+                else:
+                    service.mutate({"kind": kind, "nodes": [argument]})
+        finally:
+            service.close()
 
 
 class TestMutateAndSubscribe:
