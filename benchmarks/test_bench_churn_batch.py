@@ -45,6 +45,7 @@ from repro.core.policies import BestResponsePolicy
 from repro.core.providers import DelayMetricProvider
 from repro.churn.models import trace_driven_churn
 from repro.netsim.planetlab import synthetic_planetlab
+from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.rng import as_generator, spawn_generators
 
 N = 24
@@ -153,8 +154,10 @@ def test_churned_engine_batch_speedup(benchmark, report):
     # The dynamic-membership cache story: sequential engines cannot reuse
     # anything across churned epochs; the lockstep prefills + incremental
     # repairs keep the caches serving most lookups.
-    sequential_stats = sequential_batch.cache_stats()
-    batched_stats = batched_batch.cache_stats()
+    sequential_stats, batched_stats = (
+        pooled_cache_stats(engine.route_cache for engine in batch.engines)
+        for batch in (sequential_batch, batched_batch)
+    )
     print(
         f"\n=== churned epoch sweep (n={N}, {2 * len(K_VALUES)} deployments, "
         f"{EPOCHS} epochs): sequential {sequential_seconds:.2f}s / "

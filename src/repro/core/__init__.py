@@ -50,15 +50,17 @@ verbatim, so a converged deployment with a static substrate performs no
 routing sweeps at all during the re-wiring loop.
 
 One level higher, :class:`DeploymentBatch`
-(:mod:`repro.core.deployment_batch`) stacks many *independent*
-deployments of a k-sweep: best-response dynamics run in lockstep with
-residual sweeps computed in block-diagonal (or avoid-one closure)
-kernel calls, re-wiring opportunities are scored in fused broadcasts
-across deployments, and the built overlays are evaluated through one
-``(deployments x hops x destinations)`` route-value tensor — all
-bit-identical to building and scoring the deployments one by one
-(``batched=False``), which is gated by
-``benchmarks/test_bench_deployment_batch.py``.
+(:mod:`repro.core.deployment_batch`, build-only k-sweeps) and
+:class:`EngineBatch` (:mod:`repro.core.engine_batch`, epoch-driven
+engines) advance many *independent* deployments in lockstep.  What they
+share is described once, in :mod:`repro.core.lockstep`: the fused
+best-response kernel that scores a whole group of re-wiring
+opportunities in broadcasts, the stacked route-value sweeps, and the
+bandwidth residual fill.  Each batch adds only its planner and its
+adoption rule, and each is bit-identical to running its deployments one
+by one (``batched=False``), gated by
+``benchmarks/test_bench_deployment_batch.py`` and
+``benchmarks/test_bench_engine_batch.py``.
 """
 
 from repro.core.wiring import GlobalWiring, Wiring

@@ -10,14 +10,10 @@ stacks the per-deployment work instead:
   lockstep.  The expensive part of a re-wiring opportunity is the
   multi-source sweep producing the node's residual route-value matrix;
   the batch precomputes those matrices for *waves* of upcoming
-  ``(deployment, node)`` opportunities in shared kernel calls — a
-  single block-diagonal CSR Dijkstra for the additive metrics;
-  Floyd-Warshall max-min closures
-  (:func:`repro.routing.widest_path.bottleneck_closure_fw`), or one
-  divide-and-conquer
-  :func:`~repro.routing.widest_path.bottleneck_avoid_one` pass serving
-  *every* node of an overlay version at once, for bandwidth — and
-  injects them through each deployment's
+  ``(deployment, node)`` opportunities in shared kernel calls
+  (:func:`repro.core.lockstep.batched_route_matrices` for the additive
+  metrics, :func:`~repro.core.lockstep.fill_bandwidth_residuals` for
+  bandwidth) and injects them through each deployment's
   :class:`~repro.core.route_cache.ResidualRouteCache`.  Cache tokens are
   the engine's ``(wiring version, metric fingerprint, membership)``
   triples, with :func:`~repro.core.route_cache.metric_fingerprint`
@@ -27,10 +23,9 @@ stacks the per-deployment work instead:
   invalidation.  Wave sizes adapt per deployment (grow on a quiet run,
   reset on a re-wire) so quiescent rounds cost one kernel call while
   churning rounds waste almost no speculative work.  The re-wiring
-  opportunities themselves are also fused: the current-wiring
-  evaluation, every greedy-seed pass, and every local-search swap pass
-  of all same-objective deployments run as single broadcasts over one
-  stacked via tensor (:meth:`DeploymentBatch._fused_rewire_steps`).
+  opportunities themselves go through the one fused kernel,
+  :func:`repro.core.lockstep.fused_best_response`; only the adoption
+  rule (build-time BR(ε) with the *policy's* epsilon) lives here.
 
 * **Scoring.**  The built overlays' route-value matrices are stacked
   into a single ``(deployments x hops x destinations)`` tensor — one
@@ -46,11 +41,8 @@ Both phases are bitwise identical to the sequential reference path:
 per-source heap widest-path sweeps, then one ``all_node_costs`` per
 deployment) as the parity anchor and benchmark baseline, the same way
 the best-response kernels keep their interpreted path behind
-``vectorized=False``.  Route values are computed by the same exact
-selections/summations on block-separated problems, objective reductions
-use the same elementwise operations in the same order, and each
-deployment consumes its own spawned RNG stream in the same sequence
-either way.
+``vectorized=False``.  Each deployment consumes its own spawned RNG
+stream in the same sequence either way.
 """
 
 from __future__ import annotations
@@ -59,11 +51,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.core.best_response import WiringEvaluator, should_rewire
 from repro.core.cost import Metric, uniform_preferences
+from repro.core.lockstep import (
+    Member,
+    batched_route_matrices,
+    fill_bandwidth_residuals,
+    fusable,
+    fused_best_response,
+    wave_cap,
+)
 from repro.core.policies import (
     BestResponsePolicy,
     FullMeshPolicy,
@@ -80,27 +78,14 @@ from repro.core.route_cache import (
     metric_fingerprint,
 )
 from repro.core.wiring import GlobalWiring, Wiring
-from repro.routing.graph import OverlayGraph
-from repro.telemetry import runtime as telemetry
 from repro.routing.widest_path import (
     CLOSURE_MAX_NODES,
-    bottleneck_avoid_one,
-    bottleneck_closure_fw,
     reference_kernels,
     widest_path_bandwidths_multi,
 )
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
 
-#: Soft cap on the stacked node count of one block-diagonal Dijkstra call
-#: (the dense distance output is ``blocks*n x blocks*n`` float64, so 4096
-#: keeps a call's output near 128 MB).
-_DIJKSTRA_BLOCK_NODES = 4096
-
-#: Wave size from which one divide-and-conquer avoid-one pass (all
-#: residual matrices of the overlay version at once) beats closing the
-#: requested residuals one by one.
-_AVOID_ONE_MIN_WAVE = 8
 
 class _CacheOnlyResidual:
     """Placeholder residual graph for cache-fed evaluators.
@@ -178,8 +163,6 @@ class _BRBuildState:
         "metric_fp",
         "preferences",
         "fusable",
-        "direct_rows",
-        "pref_rows",
         "wiring",
         "dense",
         "cache",
@@ -205,28 +188,14 @@ class _BRBuildState:
         ]
         self.hops_key = [tuple(c) for c in self.candidates]
         self.hops_rows = [np.array(c, dtype=int) for c in self.candidates]
-        # Same values an evaluator would default to; precomputed once so
-        # the fused kernels can gather preference rows per step.
+        # Same values an evaluator would default to; resolved once so the
+        # fused step can gather preference rows.
         self.preferences = (
             spec.preferences
             if spec.preferences is not None
             else uniform_preferences(n)
         )
-        # The fused broadcasts replicate best_response's greedy-seeded
-        # local search; deployments that would take another branch
-        # (exact enumeration on small candidate pools, k = 0, or the
-        # interpreted kernels) step through a per-deployment evaluator.
-        policy = spec.policy
-        self.fusable = (
-            policy.vectorized
-            and int(spec.k) >= 1
-            and n - 1 > int(policy.exact_threshold)
-        )
-        # Static per-node rows (the announced metric and preferences do
-        # not change during a build): direct link weights to the node's
-        # hops, and the node's preference weights over its destinations.
-        self.direct_rows: Dict[int, np.ndarray] = {}
-        self.pref_rows: Dict[int, np.ndarray] = {}
+        self.fusable = fusable(spec.policy, spec.k, n - 1)
         self.wiring = seed_random_overlay(spec.announced, spec.k, self.node_list, self.rng)
         self.dense = _announced_dense(spec.announced, self.wiring, n)
         self.cache = ResidualRouteCache(max_entries=n)
@@ -235,16 +204,6 @@ class _BRBuildState:
         self.changed = 0
         self.round = 0
         self.wave = 1
-
-    def static_rows(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(direct link weights, preference weights)`` over hops."""
-        direct = self.direct_rows.get(node)
-        if direct is None:
-            hops = self.hops_rows[node]
-            direct = self.spec.announced.link_weight_row(node)[hops]
-            self.direct_rows[node] = direct
-            self.pref_rows[node] = self.preferences[node, hops]
-        return direct, self.pref_rows[node]
 
     # ------------------------------------------------------------------ #
     def refresh_token(self) -> None:
@@ -275,13 +234,7 @@ class _BRBuildState:
         self.wave = 1
 
     def grow_wave(self) -> None:
-        # Linear growth bets on a quiet streak continuing roughly as long
-        # as it has lasted; a re-wire throws the rest of the wave away,
-        # so speculation is capped harder for the bandwidth closures (a
-        # wasted member costs a full n^3 closure) than for the additive
-        # Dijkstra blocks.
-        cap = 8 if self.spec.announced.maximize else 16
-        self.wave = min(self.wave + 1, cap)
+        self.wave = min(self.wave + 1, wave_cap(self.spec.announced.maximize))
 
 
 def _announced_dense(metric: Metric, wiring: GlobalWiring, n: int) -> np.ndarray:
@@ -299,89 +252,6 @@ def _graph_dense(graph) -> np.ndarray:
     for u, v, w in graph.edges():
         dense[u, v] = w
     return dense
-
-
-def _graph_from_bandwidth_dense(adjacency: np.ndarray) -> OverlayGraph:
-    """Overlay graph of a dense bottleneck adjacency (0 absent, inf diag)."""
-    n = adjacency.shape[0]
-    graph = OverlayGraph(n)
-    offdiag = ~np.eye(n, dtype=bool)
-    for u, v in zip(*np.nonzero((adjacency > 0) & offdiag)):
-        graph.add_edge(int(u), int(v), float(adjacency[u, v]))
-    return graph
-
-
-def _block_dijkstra(stack: np.ndarray) -> np.ndarray:
-    """All-sources shortest-path costs of every member of ``stack``.
-
-    ``stack`` is a ``(members, n, n)`` tensor of additive weight matrices
-    with NaN marking absent edges.  The members are packed into one
-    block-diagonal CSR matrix and swept by a single csgraph Dijkstra call
-    with every node as a source; since blocks are disconnected from each
-    other, slicing the diagonal blocks of the result reproduces exactly
-    the per-member ``shortest_path_costs_multi`` matrices (unreachable
-    stays ``+inf``).  Zero weights get the same ``1e-12`` nudge as
-    :func:`repro.routing.shortest_path._to_csr`.
-    """
-    members, n, _ = stack.shape
-    mask = ~np.isnan(stack)
-    counts = mask.sum(axis=2).reshape(members * n)
-    indptr = np.zeros(members * n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    member_idx, _row_idx, col_idx = np.nonzero(mask)
-    data = stack[mask]
-    data = np.where(data > 0, data, 1e-12)
-    indices = member_idx * n + col_idx
-    big = csr_matrix(
-        (data, indices.astype(np.int64), indptr),
-        shape=(members * n, members * n),
-    )
-    dist = _csgraph_dijkstra(big, directed=True, indices=np.arange(members * n))
-    dist = np.asarray(dist, dtype=float).reshape(members, n, members, n)
-    member_idx = np.arange(members)
-    # Diagonal blocks only: member m's sources against member m's columns.
-    return dist[member_idx, :, member_idx, :]
-
-
-def _batched_route_matrices(
-    stack: np.ndarray, maximize: bool, *, block_nodes: int = _DIJKSTRA_BLOCK_NODES
-) -> np.ndarray:
-    """Route-value matrices of stacked deployments, chunked by memory.
-
-    Additive metrics go through the block-diagonal Dijkstra; bandwidth
-    through the max-min closure tensor (NaN-marked absences become the
-    closure's 0/``+inf`` conventions).  ``block_nodes`` caps the stacked
-    node count per Dijkstra call (its dense distance output is quadratic
-    in it); callers batching many small members per round (the lockstep
-    engine batch) pass a lower cap than the sweep default.
-    """
-    members, n, _ = stack.shape
-    telemetry.kernel_call(
-        "batched_route_matrices.widest" if maximize else "batched_route_matrices.dijkstra",
-        members * n,
-    )
-    out = np.empty_like(stack)
-    if maximize:
-        adjacency = np.where(np.isnan(stack), 0.0, stack)
-        idx = np.arange(n)
-        adjacency[:, idx, idx] = np.inf
-        if n > CLOSURE_MAX_NODES:
-            # Dense closures are O(n^3) per member; past the cutoff the
-            # per-source heap search (bitwise identical) wins.
-            for m in range(members):
-                graph = _graph_from_bandwidth_dense(adjacency[m])
-                out[m] = widest_path_bandwidths_multi(
-                    graph, list(range(n)), batched=False
-                )
-        else:
-            for m in range(members):
-                out[m] = bottleneck_closure_fw(adjacency[m])
-    else:
-        chunk = max(1, int(block_nodes) // max(1, n))
-        for start in range(0, members, chunk):
-            stop = min(start + chunk, members)
-            out[start:stop] = _block_dijkstra(stack[start:stop])
-    return out
 
 
 def _structural_overlay(spec: DeploymentSpec) -> GlobalWiring:
@@ -555,9 +425,8 @@ class DeploymentBatch:
         Every loop iteration advances each live deployment by exactly one
         re-wiring opportunity: residual matrices for the current nodes
         (plus adaptive lookahead waves) come from one kernel call, and
-        the opportunities themselves — current-wiring evaluation, greedy
-        seeding, and local-search swap passes — are scored for all fused
-        deployments in shared broadcasts (:meth:`_fused_rewire_steps`).
+        the opportunities themselves are scored for all fused deployments
+        by the shared kernel (:meth:`_fused_rewire_steps`).
         """
         states = [
             _BRBuildState(i, spec, self.announced_fingerprint(spec.announced))
@@ -570,9 +439,8 @@ class DeploymentBatch:
             st.start_round()
         while live:
             self._refill_waves(live)
-            # Fused groups must share the full objective convention —
-            # direction AND disconnection value — since the broadcast
-            # clamps use one value for the whole group.
+            # Fused groups share the full objective convention: direction
+            # AND disconnection value (one clamp value per kernel call).
             groups: Dict[Tuple[bool, float], List[_BRBuildState]] = {}
             for st in live:
                 if st.fusable:
@@ -609,7 +477,21 @@ class DeploymentBatch:
             if not missing:
                 continue
             if st.spec.announced.maximize:
-                self._refill_bandwidth(st, missing)
+                unfilled = fill_bandwidth_residuals(
+                    st.cache,
+                    st.dense,
+                    missing,
+                    st.node_list,
+                    lambda node: (st.hops_key[node], st.hops_rows[node]),
+                )
+                # Past the dense-closure cutoff: the per-source heap
+                # search on each residual graph — bitwise identical.
+                for node in unfilled:
+                    residual = st.wiring.residual_graph(node, active=st.node_list)
+                    rows = widest_path_bandwidths_multi(
+                        residual, st.candidates[node], batched=False
+                    )
+                    st.cache.put(node, st.hops_key[node], rows)
             else:
                 additive.extend((st, node) for node in missing)
         if not additive:
@@ -619,51 +501,11 @@ class DeploymentBatch:
         for j, (st, node) in enumerate(additive):
             stack[j] = st.dense
             stack[j, node, :] = np.nan
-        matrices = _batched_route_matrices(stack, maximize=False)
+        matrices = batched_route_matrices(stack, maximize=False)
         for j, (st, node) in enumerate(additive):
             st.cache.put(
                 node, st.hops_key[node], matrices[j][st.hops_rows[node], :]
             )
-
-    def _refill_bandwidth(self, st: _BRBuildState, missing: Sequence[int]) -> None:
-        """Residual bottleneck matrices for one bandwidth deployment.
-
-        Small waves close each node's residual adjacency directly
-        (Floyd-Warshall pivoting); once the wave says the overlay is
-        quiet, one divide-and-conquer :func:`bottleneck_avoid_one` pass
-        yields the residual matrices of *every* node of the current
-        overlay version at once, and the whole round is served from the
-        cache until the next re-wire.  Both produce bitwise-identical
-        slices (max-min values are selections, not arithmetic).
-        """
-        n = self.n
-        if n > CLOSURE_MAX_NODES:
-            # Dense closures (and the (n, n, n) avoid-one tensor) are
-            # O(n^3) in time/memory; past the cutoff run the per-source
-            # heap search on each residual graph — bitwise identical.
-            for node in missing:
-                residual = st.wiring.residual_graph(node, active=st.node_list)
-                rows = widest_path_bandwidths_multi(
-                    residual, st.candidates[node], batched=False
-                )
-                st.cache.put(node, st.hops_key[node], rows)
-            return
-        adjacency = np.where(np.isnan(st.dense), 0.0, st.dense)
-        np.fill_diagonal(adjacency, np.inf)
-        if len(missing) >= _AVOID_ONE_MIN_WAVE:
-            tensor = bottleneck_avoid_one(adjacency)
-            for node in st.node_list:
-                if st.hops_key[node]:
-                    st.cache.put(
-                        node, st.hops_key[node], tensor[node][st.hops_rows[node], :]
-                    )
-            return
-        for node in missing:
-            residual = adjacency.copy()
-            residual[node, :] = 0.0
-            residual[node, node] = np.inf
-            closure = bottleneck_closure_fw(residual)
-            st.cache.put(node, st.hops_key[node], closure[st.hops_rows[node], :])
 
     def _evaluator_rewire_step(self, st: _BRBuildState) -> None:
         """One re-wiring opportunity through a cache-fed evaluator.
@@ -696,198 +538,60 @@ class DeploymentBatch:
             st.grow_wave()
 
     def _fused_rewire_steps(self, group: Sequence[_BRBuildState]) -> None:
-        """One re-wiring opportunity per deployment, in shared broadcasts.
+        """One re-wiring opportunity per deployment, through the shared kernel.
 
-        All deployments in ``group`` share the objective direction, so
-        their ``(hops x destinations)`` via matrices stack into one
-        ``(deployments x hops x destinations)`` tensor and every kernel of
-        the sequential step — scoring the node's current wiring, each
-        greedy-seed pass, and each local-search swap pass — becomes a
-        single broadcast over it.  Deployments are padded to common
-        widths with identity rows (a hop index ``H`` pointing at an
-        all-identity via row), which min/max reductions ignore, so the
-        per-deployment values are bitwise identical to running
-        :func:`~repro.core.policies.best_response_rewire_step` with a
-        per-deployment evaluator — including tie-breaking, which resolves
-        through the same argmin/argsort lanes.
+        Gathers each deployment's next node into a
+        :class:`~repro.core.lockstep.Member`, lets
+        :func:`~repro.core.lockstep.fused_best_response` score the whole
+        group, and adopts per deployment under the build-time rule of
+        :func:`~repro.core.policies.best_response_rewire_step`: BR(ε)
+        with the policy's epsilon, an unwired node adopting anything.
         """
-        D = len(group)
-        n = self.n
-        H = n - 1
-        metric0 = group[0].spec.announced
-        maximize = bool(metric0.maximize)
-        unreachable = metric0.unreachable_value
-        combine = np.maximum if maximize else np.minimum
-        identity = -np.inf if maximize else np.inf
-        sentinel = identity
-
-        # Largest budgets first: the deployments still seeding at greedy
-        # step s then form a prefix, so per-pass kernels slice views
-        # instead of masking lanes.  Order inside the group is free —
-        # deployments are independent and draw from their own streams.
-        group = sorted(group, key=lambda st: -min(int(st.spec.k), H))
-        nodes = [st.order[st.pos] for st in group]
-        via = np.empty((D, H + 1, H))
-        prefs = np.empty((D, H))
-        directs = np.empty((D, H))
-        resid_dest = np.empty((D, H, H))
-        ks = np.empty(D, dtype=int)
-        for d, (st, node) in enumerate(zip(group, nodes)):
+        metric = group[0].spec.announced
+        members = []
+        for st in group:
+            node = st.order[st.pos]
             resid = st.cache.get(node, st.hops_key[node])
             if resid is None:  # pragma: no cover - refill guarantees this
                 raise ValidationError(
                     "fused step expected the residual route matrix to be cached"
                 )
-            resid_dest[d] = resid[:, st.hops_rows[node]]
-            directs[d], prefs[d] = st.static_rows(node)
-            ks[d] = min(int(st.spec.k), H)
-        if maximize:
-            np.minimum(directs[:, :, None], resid_dest, out=via[:, :H, :])
-        else:
-            np.add(directs[:, :, None], resid_dest, out=via[:, :H, :])
-        via[:, H, :] = identity
-        d_idx = np.arange(D)
-        # Mirrors WiringEvaluator._via_clean: when every via value is
-        # reachable the clamp is an identity and the kernels skip it
-        # (the padded identity row is reachable by construction for the
-        # reductions that consult it, so it is excluded from the check).
-        if maximize:
-            via_clean = bool(
-                np.all(np.isfinite(via[:, :H, :]) & (via[:, :H, :] > 0))
+            hops = st.hops_rows[node]
+            current = st.wiring.wiring_of(node)
+            members.append(
+                Member(
+                    resid,
+                    hops,
+                    st.spec.announced.link_weight_row(node)[hops],
+                    st.preferences[node, hops],
+                    st.spec.k,
+                    current.neighbors if current is not None else (),
+                    st.spec.policy.max_iterations,
+                )
             )
-        else:
-            via_clean = bool(np.all(np.isfinite(via[:, :H, :])))
-
-        def objective(rows: np.ndarray) -> np.ndarray:
-            """Objective of one padded wiring per deployment (rows (D, R))."""
-            vals = via[d_idx[:, None], rows]
-            best = vals.max(axis=1) if maximize else vals.min(axis=1)
-            if maximize:
-                best = np.where(
-                    np.isfinite(best) & (best > 0), best, unreachable
-                )
-            else:
-                best = np.where(np.isfinite(best), best, unreachable)
-            return (prefs * best).sum(axis=1)
-
-        def clamp_(values: np.ndarray) -> np.ndarray:
-            if via_clean:
-                # Reductions over reachable values stay reachable, so
-                # the clamp is an identity (same rule as the scalar
-                # kernels' _via_clean gate).
-                return values
-            if maximize:
-                bad = ~(np.isfinite(values) & (values > 0))
-            else:
-                bad = ~np.isfinite(values)
-            values[bad] = unreachable
-            return values
-
-        # --- score each node's current wiring ------------------------- #
-        neighbor_rows = []
-        for st, node in zip(group, nodes):
-            wiring = st.wiring.wiring_of(node)
-            neighbors = wiring.neighbors if wiring is not None else frozenset()
-            neighbor_rows.append([c - (c > node) for c in neighbors])
-        width = max(1, max(len(rows) for rows in neighbor_rows))
-        existing = np.full((D, width), H, dtype=int)
-        for d, rows in enumerate(neighbor_rows):
-            existing[d, : len(rows)] = rows
-        existing_cost = objective(existing)
-
-        # --- greedy marginal-gain seeding ----------------------------- #
-        k_max = int(ks.max())
-        running = np.full((D, H), identity)
-        taken = np.zeros((D, H), dtype=bool)
-        chosen = np.full((D, k_max), H, dtype=int)
-        for step in range(k_max):
-            live = int(np.count_nonzero(step < ks))  # a prefix: ks sorted desc
-            trial = combine(running[:live, None, :], via[:live, :H, :])
-            clamp_(trial)
-            trial *= prefs[:live, None, :]
-            costs = trial.sum(axis=2)
-            costs[taken[:live]] = sentinel
-            pos = costs.argmax(axis=1) if maximize else costs.argmin(axis=1)
-            sel = d_idx[:live]
-            chosen[sel, step] = pos
-            taken[sel, pos] = True
-            running[:live] = combine(running[:live], via[sel, pos])
-        current_cost = objective(chosen)
-
-        # --- single-swap local search --------------------------------- #
-        current_rows = chosen
-        occupied = taken
-        caps = np.array([int(st.spec.policy.max_iterations) for st in group])
-        active = caps > 0
-        slot_range = np.arange(k_max)
-        iteration = 0
-        while active.any():
-            cur_vals = via[d_idx[:, None], current_rows]
-            if k_max == 1:
-                loo = np.full((D, 1, H), identity)
-            else:
-                order = np.argsort(cur_vals, axis=1)
-                ext_slot = order[:, -1, :] if maximize else order[:, 0, :]
-                second_slot = order[:, -2, :] if maximize else order[:, 1, :]
-                ext = np.take_along_axis(
-                    cur_vals, ext_slot[:, None, :], axis=1
-                )[:, 0, :]
-                second = np.take_along_axis(
-                    cur_vals, second_slot[:, None, :], axis=1
-                )[:, 0, :]
-                loo = np.where(
-                    slot_range[None, :, None] == ext_slot[:, None, :],
-                    second[:, None, :],
-                    ext[:, None, :],
-                )
-            trial = combine(loo[:, :, None, :], via[:, None, :H, :])
-            clamp_(trial)
-            trial *= prefs[:, None, None, :]
-            swap = trial.sum(axis=3)
-            swap = np.where(occupied[:, None, :], sentinel, swap)
-            if k_max > 1:
-                swap = np.where(
-                    slot_range[None, :, None] >= ks[:, None, None], sentinel, swap
-                )
-            flat = swap.reshape(D, k_max * H)
-            pos = flat.argmax(axis=1) if maximize else flat.argmin(axis=1)
-            val = flat[d_idx, pos]
-            improved = (val > current_cost) if maximize else (val < current_cost)
-            improved &= active
-            sel = d_idx[improved]
-            if len(sel):
-                out_slot = pos[sel] // H
-                in_pos = pos[sel] % H
-                occupied[sel, current_rows[sel, out_slot]] = False
-                occupied[sel, in_pos] = True
-                current_rows[sel, out_slot] = in_pos
-                current_cost[sel] = val[sel]
-            iteration += 1
-            active = improved & (iteration < caps)
-
-        # --- adopt per deployment ------------------------------------- #
-        for d, (st, node) in enumerate(zip(group, nodes)):
-            metric = st.spec.announced
-            rows = [int(r) for r in current_rows[d, : ks[d]]]
-            neighbors = frozenset(r + (r >= node) for r in rows)
+        existing_cost, chosen, candidate_cost = fused_best_response(
+            members,
+            maximize=bool(metric.maximize),
+            unreachable=metric.unreachable_value,
+        )
+        for d, (st, member) in enumerate(zip(group, members)):
+            node = st.order[st.pos]
+            neighbors = frozenset(chosen[d])
             current = st.wiring.wiring_of(node)
             adopt = current is None or should_rewire(
-                metric,
+                st.spec.announced,
                 float(existing_cost[d]),
-                float(current_cost[d]),
+                float(candidate_cost[d]),
                 st.spec.policy.epsilon,
             )
             rewired = adopt and (
                 current is None or neighbors != set(current.neighbors)
             )
-            if rewired:
-                direct = directs[d]
-                weights = {
-                    r + (r >= node): float(direct[r]) for r in rows
-                }
-                st.wiring.set_wiring(Wiring.of(node, neighbors), weights)
             st.pos += 1
             if rewired:
+                # Full membership: hop position of id v is v - (v > node).
+                weights = {v: float(member.direct[v - (v > node)]) for v in chosen[d]}
+                st.wiring.set_wiring(Wiring.of(node, neighbors), weights)
                 st.changed += 1
                 st.note_rewired(node)
             else:
@@ -933,7 +637,7 @@ class DeploymentBatch:
                 ]
             else:
                 stack = np.stack([denses[key] for key in keys])
-                matrices = _batched_route_matrices(stack, maximize)
+                matrices = batched_route_matrices(stack, maximize)
             for key, matrix in zip(keys, matrices):
                 for i in slots[key]:
                     tensor[i] = matrix

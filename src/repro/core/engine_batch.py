@@ -3,9 +3,9 @@
 The paper's epoch-loop experiments (Figures 2-4's engine runs) sweep many
 *independent* :class:`~repro.core.engine.EgoistEngine` deployments — one
 per (policy, k) pair, or per churn rate — over one underlay.  Running them
-one after another leaves the stacked route-value kernels from
-:mod:`repro.core.deployment_batch` idle: every re-wiring opportunity pays
-its own residual graph construction and its own multi-source sweep.
+one after another leaves the stacked kernels of :mod:`repro.core.lockstep`
+idle: every re-wiring opportunity pays its own residual graph
+construction and its own multi-source sweep.
 
 :class:`EngineBatch` advances the deployments epoch by epoch in lockstep
 and *prefills* each engine's
@@ -15,7 +15,7 @@ route-value matrices its upcoming re-wiring opportunities will ask for:
 * additive metrics (delay, load) on small overlays stack the ``(engine,
   node)`` residual weight matrices of all engines' next waves into one
   block-diagonal CSR Dijkstra call
-  (:func:`repro.core.deployment_batch._batched_route_matrices`);
+  (:func:`repro.core.lockstep.batched_route_matrices`);
 * additive metrics from :data:`_MAINTAIN_MIN_ACTIVE` active nodes up
   keep **one all-pairs matrix of the current overlay per engine**: a
   node's residual graph differs from the overlay in its own out-links
@@ -23,23 +23,23 @@ route-value matrices its upcoming re-wiring opportunities will ask for:
   residual rows and the matrix update after a re-wire are sparse exact
   repairs (:func:`repro.routing.shortest_path.repair_shortest_rows`)
   instead of n-source sweeps;
-* the bandwidth metric closes residual adjacencies with Floyd-Warshall
-  max-min pivoting, switching to one divide-and-conquer
-  :func:`~repro.routing.widest_path.bottleneck_avoid_one` pass (all
-  residual matrices of the overlay version at once) when a quiet streak
-  makes whole-round speculation worthwhile.
+* the bandwidth metric goes through
+  :func:`repro.core.lockstep.fill_bandwidth_residuals` (per-node
+  closures, or one avoid-one pass once a quiet streak makes whole-round
+  speculation worthwhile).
 
 Wave sizes adapt per engine exactly like the deployment batch: they grow
-while nothing re-wires and fall back to single-step lookahead while
-re-wires keep falsifying the speculative chain.
+while nothing re-wires (:func:`repro.core.lockstep.wave_cap`) and fall
+back to single-step lookahead the moment a re-wire falsifies the
+speculative chain.
 
-Dynamic membership (the Fig. 2 churn path) is first-class: fused
-re-wiring broadcasts pad each engine's hop/destination axes to the
-group's widest member and reduce over per-engine compact prefixes, so
-churned-down engines share the same kernels as full ones; join/leave
-events between epochs re-derive the active mask instead of rebuilding
-the batch; and the engines' residual route caches are kept warm through
-the *incremental repair* kernels
+The re-wiring opportunities themselves run through the one fused kernel,
+:func:`repro.core.lockstep.fused_best_response`, at any membership (it
+pads churned-down engines to the group's widest member); only the
+adoption rule — the node's BR(ε) plus the link-state broadcast — lives
+here.  Join/leave events between epochs re-derive the active mask
+instead of rebuilding the batch, and the engines' residual route caches
+are kept warm through the *incremental repair* kernels
 (:func:`repro.routing.shortest_path.repair_shortest_rows` /
 :func:`repro.routing.widest_path.repair_widest_rows`) — a re-wire or a
 membership delta becomes a masked update of the cached matrices (exact,
@@ -69,15 +69,18 @@ import numpy as np
 from repro.churn.models import ChurnSchedule
 from repro.core.best_response import should_rewire
 from repro.core.cheating import CheatingModel
-from repro.core.deployment_batch import (
-    _AVOID_ONE_MIN_WAVE,
-    _batched_route_matrices,
-)
 from repro.core.engine import EgoistEngine, EngineHistory, EpochPlan, EpochRecord
 from repro.core.failures import FailureSpec
-from repro.core.hybrid import HybridBRPolicy
+from repro.core.lockstep import (
+    Member,
+    batched_route_matrices,
+    fill_bandwidth_residuals,
+    fusable,
+    fused_best_response,
+    wave_cap,
+)
 from repro.core.node import RewireMode
-from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
+from repro.core.policies import NeighborSelectionPolicy
 from repro.core.providers import MetricProvider
 from repro.core.wiring import Wiring
 from repro.routing.shortest_path import (
@@ -85,14 +88,8 @@ from repro.routing.shortest_path import (
     screen_shortest_repair,
     shortest_inbound_tables,
 )
-from repro.routing.widest_path import (
-    CLOSURE_MAX_NODES,
-    bottleneck_avoid_one,
-    bottleneck_closure_fw,
-    widest_inbound_tables,
-)
+from repro.routing.widest_path import widest_inbound_tables
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
 
@@ -101,13 +98,6 @@ from repro.util.validation import ValidationError
 #: ``(blocks*n)^2`` distance output — not the Dijkstra itself — dominates;
 #: a tighter cap than the deployment sweep's keeps that output near 8 MB.
 _ENGINE_BLOCK_NODES = 1024
-
-#: Wave cap while re-wires keep breaking the speculative chain: under
-#: sustained re-wiring a planned-ahead entry is usually falsified (and at
-#: best repaired, at worst recomputed) before it is consumed, so the
-#: chain stops looking ahead entirely until a quiet streak re-earns the
-#: deeper pipeline.
-_REPAIR_WAVE_CAP = 1
 
 #: Repair-vs-recompute bound for the batch: the lockstep prefills
 #: amortise fresh sweeps across engines in C-level stacked calls, so an
@@ -250,23 +240,13 @@ class _LockstepState:
         ):
             self.apsp = None
             self.apsp_stale.clear()
-        # The fused broadcasts replicate the engine step's greedy-seeded
-        # local search at any membership (churned-down engines pad their
-        # hop/destination axes to the group's widest member and reduce
-        # over their own compact prefix); engines that would take another
-        # branch — exact enumeration on small candidate pools, k = 0,
-        # interpreted kernels, HybridBR, or a disabled route cache — step
-        # through their own evaluator instead.  Join/leave events between
-        # epochs only re-derive this mask (via the re-begun plan's active
-        # list); the batch and its states persist.
-        policy = self.engine.policy
-        self.fusable = (
-            isinstance(policy, BestResponsePolicy)
-            and not isinstance(policy, HybridBRPolicy)
-            and policy.vectorized
-            and int(self.engine.k) >= 1
-            and self.engine.route_cache is not None
-            and len(self.plan.active_list) - 1 > int(policy.exact_threshold)
+        # Engines the kernel does not replicate (see lockstep.fusable), or
+        # with a disabled route cache, step through their own evaluator.
+        # Join/leave events between epochs only re-derive this mask (via
+        # the re-begun plan's active list); the batch and its states
+        # persist.
+        self.fusable = self.engine.route_cache is not None and fusable(
+            self.engine.policy, self.engine.k, len(self.plan.active_list) - 1
         )
 
     def _rebuild_dense(self) -> None:
@@ -298,7 +278,7 @@ class _LockstepState:
         sources = np.arange(self.engine.n)
         if self.apsp is None:
             telemetry.count("batch.prefill.swept")
-            self.apsp = _batched_route_matrices(
+            self.apsp = batched_route_matrices(
                 self.dense[None], maximize=False, block_nodes=_ENGINE_BLOCK_NODES
             )[0]
         elif self.apsp_stale:
@@ -353,30 +333,21 @@ class _LockstepState:
                     row[v] = w
             if self.apsp is not None:
                 self.apsp_stale.add(node)
-        settled = True
         if rewired:
-            settled = self._settle_pending(node)
-        if (rewired and not settled) or (
-            version_changed and self.plan.announced.maximize
-        ):
-            # A dropped speculative chain starts over; for bandwidth even
-            # an in-place weight refresh resets (its prefill does not
-            # speculate, and a wasted wave member costs a full n^3
-            # closure).  An additive re-wire whose pending entries were
-            # all *repaired* keeps its streak — the chain is back on the
-            # real wiring, so the planned-ahead sweeps stay consumable —
-            # but under the shallow repair-mode cap.
+            self._settle_pending(node)
+        if rewired or (version_changed and self.plan.announced.maximize):
+            # Under sustained re-wiring a planned-ahead entry is usually
+            # falsified (and at best repaired, at worst recomputed)
+            # before it is consumed, so a re-wire sends the chain back to
+            # single-step lookahead until a quiet streak re-earns the
+            # deeper pipeline.  For bandwidth even an in-place weight
+            # refresh resets: its prefill does not speculate, and a
+            # wasted wave member costs a full n^3 closure.
             self.wave = 1
-        elif rewired:
-            # Not min(wave + 1, cap): with the cap at 1 this is a plain
-            # reset-to-cap; raise _REPAIR_WAVE_CAP to let repaired chains
-            # keep a deeper lookahead through sustained re-wiring.
-            self.wave = _REPAIR_WAVE_CAP
         else:
-            cap = 8 if self.plan.announced.maximize else 16
-            self.wave = min(self.wave + 1, cap)
+            self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))
 
-    def _settle_pending(self, rewired_node: int) -> bool:
+    def _settle_pending(self, rewired_node: int) -> None:
         """Repair (or drop) the speculative entries a re-wire falsified.
 
         The speculative chain assumed ``rewired_node`` would refresh its
@@ -389,30 +360,23 @@ class _LockstepState:
         it up to date bit-exactly instead of throwing the sweep away.
         Entries that also baked in not-yet-materialised future refreshes
         (drifting metrics) are dropped as before.
-
-        Returns True when every pending entry was repaired onto the
-        current wiring (so the speculative streak may continue), False
-        when any had to be dropped.
         """
         cache = self.engine.route_cache
         if cache is None or not self.pending:
-            dropped = bool(self.pending)
             self.pending.clear()
-            return not dropped
+            return
         plan = self.plan
         position = plan.pos - 1  # the re-wired node's slot in the epoch order
         cache.set_token(self.token())
         maximize = plan.announced.maximize
-        all_repaired = True
         for other, (_token, applied) in self.pending.items():
-            repaired = None
             if all(q <= position for q in applied):
                 # One shared table of the whole overlay serves every
                 # residual repair of this settle; each call masks out
                 # its own node's out-links via ``exclude``.  Entries the
                 # screen refuses (most of the matrix suspect) are
                 # dropped and return to the stacked fresh path.
-                repaired = cache.repair(
+                cache.repair(
                     other,
                     (rewired_node,),
                     None,
@@ -423,10 +387,7 @@ class _LockstepState:
                 )
             else:
                 cache.drop(other)
-            if repaired is None:
-                all_repaired = False
         self.pending.clear()
-        return all_repaired
 
     def repair_tables(self):
         """Shared repair tables over the current dense wiring (cached).
@@ -506,19 +467,6 @@ class EngineBatch:
         for _ in range(int(epochs)):
             self.step_epoch()
         return [engine.history for engine in self.engines]
-
-    def cache_stats(self) -> Dict[str, float]:
-        """Aggregated :meth:`ResidualRouteCache.stats` over all engines.
-
-        Summed counters plus the pooled hit rate — what the churn bench
-        gate and ``ExperimentResult.metadata["cache"]`` report.
-
-        Deprecation shim: the aggregation lives in
-        :func:`repro.telemetry.diagnostics.pooled_cache_stats` (and,
-        live, in the metrics registry's ``cache.*`` snapshot); this
-        method remains for the dict shape existing callers expect.
-        """
-        return pooled_cache_stats(engine.route_cache for engine in self.engines)
 
     def run_epoch(self) -> List[EpochRecord]:
         """Advance every deployment by one wiring epoch, in lockstep.
@@ -601,7 +549,7 @@ class EngineBatch:
         distance_of: Dict[int, np.ndarray] = {}
         if additive:
             stack = np.stack([st.dense for st in additive])
-            matrices = _batched_route_matrices(
+            matrices = batched_route_matrices(
                 stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
             )
             for st, matrix in zip(additive, matrices):
@@ -610,7 +558,7 @@ class EngineBatch:
         closure_of: Dict[int, np.ndarray] = {}
         if bandwidth:
             stack = np.stack([st.dense for st in bandwidth])
-            matrices = _batched_route_matrices(
+            matrices = batched_route_matrices(
                 stack, maximize=True, block_nodes=_ENGINE_BLOCK_NODES
             )
             for st, matrix in zip(bandwidth, matrices):
@@ -679,7 +627,15 @@ class EngineBatch:
                     if cache.get(node, st.hops_of(node)) is None:
                         missing.append(node)
                 if missing:
-                    self._prefill_bandwidth(st, missing)
+                    # Past the closure cutoff nothing is prefilled: the
+                    # engine's own auto-mode sweep (bitwise identical) runs.
+                    fill_bandwidth_residuals(
+                        cache,
+                        st.dense,
+                        missing,
+                        plan.active_list,
+                        lambda node: (st.hops_of(node), st.hops_rows[node]),
+                    )
                 continue
             # Replan only when the speculative chain ran dry (or broke):
             # while the next node's entry is valid — possibly because the
@@ -710,7 +666,7 @@ class EngineBatch:
         if not jobs:
             return
         stack = np.stack([dense for (_st, _node, _token, _applied, dense) in jobs])
-        matrices = _batched_route_matrices(
+        matrices = batched_route_matrices(
             stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
         )
         for (st, node, token, applied, _dense), matrix in zip(jobs, matrices):
@@ -791,281 +747,53 @@ class EngineBatch:
     def _fused_engine_steps(
         self, group: Sequence[Tuple[_LockstepState, np.ndarray]]
     ) -> None:
-        """One re-wiring opportunity per engine, in shared broadcasts.
+        """One re-wiring opportunity per engine, through the shared kernel.
 
         ``group`` pairs each engine's lockstep state with the cached
         residual route-value matrix of its next node (fetched once by the
-        grouping pass in :meth:`run_epoch`).
-
-        The engine analogue of
-        :meth:`repro.core.deployment_batch.DeploymentBatch._fused_rewire_steps`:
-        all engines in ``group`` share the objective direction, so their
-        ``(hops x destinations)`` via matrices stack into one
-        ``(engines x hops x destinations)`` tensor and every kernel of the
-        sequential step — scoring the node's current wiring, each
-        greedy-seed pass, and each local-search swap pass — becomes a
-        single broadcast over it.  Membership may differ per engine: a
-        churned-down engine occupies the compact prefix of ``h = |active|
-        - 1`` hop rows and destination columns (in its evaluator's sorted
-        candidate order), the rest padded with reduction identities; its
-        padded hop lanes are pre-masked like already-taken candidates,
-        and every preference-weighted destination sum reduces over the
-        engine's own compact prefix only, so objective values — computed
-        over exactly the arrays the per-engine evaluator would reduce —
-        stay bitwise identical.  The adoption rule is the engine's
+        grouping pass in :meth:`run_epoch`).  Each becomes a
+        :class:`~repro.core.lockstep.Member`;
+        :func:`~repro.core.lockstep.fused_best_response` scores the whole
+        group.  The adoption rule is the engine's
         (:meth:`~repro.core.node.EgoistNode.consider_rewiring`): BR(ε)
         with the *node's* epsilon, empty-wiring nodes adopting any
         different wiring, followed by the weight re-install and the
-        link-state broadcast of :meth:`EgoistEngine.step_node`.  Values
-        resolve through the same argmin/argsort lanes as the
-        per-engine evaluator path, so decisions — and with them the epoch
-        histories — are bitwise identical.
+        link-state broadcast of :meth:`EgoistEngine.step_node`.
         """
-        D = len(group)
-        metric0 = group[0][0].plan.announced
-        maximize = bool(metric0.maximize)
-        unreachable = metric0.unreachable_value
-        combine = np.maximum if maximize else np.minimum
-        identity = -np.inf if maximize else np.inf
-        sentinel = identity
-
-        # Largest budgets first: the engines still seeding at greedy step s
-        # then form a prefix, so per-pass kernels slice views instead of
-        # masking lanes.  Order inside the group is free — engines are
-        # independent and draw from their own streams.
-        pairs = sorted(
-            group,
-            key=lambda pair: -min(
-                int(pair[0].engine.k), len(pair[0].plan.active_list) - 1
-            ),
-        )
-        group = [st for st, _resid in pairs]
-        nodes = [st.plan.order[st.plan.pos] for st in group]
-        h_arr = np.array([len(st.plan.active_list) - 1 for st in group], dtype=int)
-        H = int(h_arr.max())
-        uniform_width = bool((h_arr == H).all())
-        via = np.full((D, H + 1, H), identity)
-        # Padded destination columns carry 0, not the reduction identity:
-        # they are never summed (every destination reduction stops at the
-        # engine's compact prefix), but they do flow through the
-        # preference multiplies, where identity-valued (infinite) cells
-        # would turn the zero preferences into NaNs and noisy warnings.
-        for d, h in enumerate(h_arr):
-            via[d, :, h:] = 0.0
-        prefs = np.zeros((D, H))
-        directs = np.zeros((D, H))
-        ks = np.empty(D, dtype=int)
-        hop_ids: List[np.ndarray] = []
-        for d, ((st, resid), node) in enumerate(zip(pairs, nodes)):
-            h = int(h_arr[d])
-            hops_rows = st.hops_rows[node]
-            hop_ids.append(hops_rows)
-            direct = st.plan.announced.link_weight_row(node)[hops_rows]
-            directs[d, :h] = direct
-            prefs[d, :h] = st.engine.preferences[node, hops_rows]
-            if maximize:
-                np.minimum(direct[:, None], resid[:, hops_rows], out=via[d, :h, :h])
-            else:
-                np.add(direct[:, None], resid[:, hops_rows], out=via[d, :h, :h])
-            ks[d] = min(int(st.engine.k), h)
-        d_idx = np.arange(D)
-        # Mirrors WiringEvaluator._via_clean per engine (over its compact
-        # block): when every via value is reachable the clamp is an
-        # identity and the kernels skip it.  A mixed group clamps for
-        # everyone — a no-op on the clean members' blocks, so still
-        # bitwise identical.
-        if maximize:
-            via_clean = all(
-                bool(
-                    np.all(
-                        np.isfinite(via[d, :h, :h]) & (via[d, :h, :h] > 0)
-                    )
-                )
-                for d, h in enumerate(h_arr)
-            )
-        else:
-            via_clean = all(
-                bool(np.all(np.isfinite(via[d, :h, :h])))
-                for d, h in enumerate(h_arr)
-            )
-
-        def dest_sums(values: np.ndarray) -> np.ndarray:
-            """Per-engine destination sums over the compact prefixes.
-
-            ``values`` has destinations on the last axis (padded to the
-            group width); engine ``d`` sums its first ``h_arr[d]``
-            columns — the very same contiguous value runs its evaluator
-            would reduce, so the pairwise summations agree bit for bit
-            (a fused sum over the zero-padded width would regroup the
-            additions).
-            """
-            if uniform_width:
-                # Every engine's compact prefix is the full width: one
-                # fused reduction, row-wise identical to the per-slice
-                # sums below.
-                return values.sum(axis=-1)
-            out = np.empty(values.shape[:-1])
-            for d in range(values.shape[0]):  # a prefix of the sorted group
-                out[d] = values[d, ..., : h_arr[d]].sum(axis=-1)
-            return out
-
-        def objective(rows: np.ndarray) -> np.ndarray:
-            """Objective of one padded wiring per engine (rows (D, R))."""
-            vals = via[d_idx[:, None], rows]
-            best = vals.max(axis=1) if maximize else vals.min(axis=1)
-            if maximize:
-                best = np.where(
-                    np.isfinite(best) & (best > 0), best, unreachable
-                )
-            else:
-                best = np.where(np.isfinite(best), best, unreachable)
-            return dest_sums(prefs * best)
-
-        def clamp_(values: np.ndarray) -> np.ndarray:
-            if via_clean:
-                return values
-            if maximize:
-                bad = ~(np.isfinite(values) & (values > 0))
-            else:
-                bad = ~np.isfinite(values)
-            values[bad] = unreachable
-            return values
-
-        # --- score each node's current wiring ------------------------- #
-        neighbor_rows = []
-        for d, (st, node) in enumerate(zip(group, nodes)):
+        metric = group[0][0].plan.announced
+        members = []
+        for st, resid in group:
+            node = st.plan.order[st.plan.pos]
+            ids = st.hops_rows[node]
             wiring = st.engine.nodes[node].wiring
-            neighbors = wiring.neighbors if wiring is not None else frozenset()
-            ids = hop_ids[d]
-            if neighbors:
-                rows = np.searchsorted(ids, sorted(neighbors))
-                neighbor_rows.append([int(r) for r in rows])
-            else:
-                neighbor_rows.append([])
-        width = max(1, max(len(rows) for rows in neighbor_rows))
-        existing = np.full((D, width), H, dtype=int)
-        for d, rows in enumerate(neighbor_rows):
-            existing[d, : len(rows)] = rows
-        existing_cost = objective(existing)
-        for d, rows in enumerate(neighbor_rows):
-            if not rows:
-                # consider_rewiring charges an unwired node the evaluator's
-                # empty cost, which multiplies the *summed* preferences by
-                # the disconnection value — not bitwise the same as the
-                # padded reduction above.
-                existing_cost[d] = float(
-                    np.sum(prefs[d, : h_arr[d]]) * unreachable
+            members.append(
+                Member(
+                    resid,
+                    ids,
+                    st.plan.announced.link_weight_row(node)[ids],
+                    st.engine.preferences[node, ids],
+                    st.engine.k,
+                    wiring.neighbors if wiring is not None else (),
+                    st.engine.policy.max_iterations,
                 )
-
-        # --- greedy marginal-gain seeding ----------------------------- #
-        k_max = int(ks.max())
-        running = np.full((D, H), identity)
-        taken = np.zeros((D, H), dtype=bool)
-        # Padded hop lanes behave like already-taken candidates: their
-        # scores read as the sentinel, so the argmin/argmax lanes resolve
-        # over each engine's real candidates exactly as its evaluator's.
-        taken[np.arange(H)[None, :] >= h_arr[:, None]] = True
-        chosen = np.full((D, k_max), H, dtype=int)
-        for step in range(k_max):
-            live = int(np.count_nonzero(step < ks))  # a prefix: ks sorted desc
-            trial = combine(running[:live, None, :], via[:live, :H, :])
-            clamp_(trial)
-            trial *= prefs[:live, None, :]
-            costs = dest_sums(trial)
-            costs[taken[:live]] = sentinel
-            pos = costs.argmax(axis=1) if maximize else costs.argmin(axis=1)
-            sel = d_idx[:live]
-            chosen[sel, step] = pos
-            taken[sel, pos] = True
-            running[:live] = combine(running[:live], via[sel, pos])
-        current_cost = objective(chosen)
-
-        # --- single-swap local search --------------------------------- #
-        # Engines converge at different speeds, so each pass gathers the
-        # still-active lanes into compact tensors: per-engine values are
-        # untouched by the compression (every kernel below is engine-wise
-        # independent), so decisions stay bitwise identical while late
-        # passes stop paying for the engines that already stopped.
-        current_rows = chosen
-        occupied = taken
-        caps = np.array([int(st.engine.policy.max_iterations) for st in group])
-        active = caps > 0
-        slot_range = np.arange(k_max)
-        iteration = 0
-        while active.any():
-            act = np.flatnonzero(active)
-            A = len(act)
-            a_idx = np.arange(A)
-            via_a = via[act]
-            prefs_a = prefs[act]
-            rows_a = current_rows[act]
-            cur_vals = via_a[a_idx[:, None], rows_a]
-            if k_max == 1:
-                loo = np.full((A, 1, H), identity)
-            else:
-                order = np.argsort(cur_vals, axis=1)
-                ext_slot = order[:, -1, :] if maximize else order[:, 0, :]
-                second_slot = order[:, -2, :] if maximize else order[:, 1, :]
-                ext = np.take_along_axis(
-                    cur_vals, ext_slot[:, None, :], axis=1
-                )[:, 0, :]
-                second = np.take_along_axis(
-                    cur_vals, second_slot[:, None, :], axis=1
-                )[:, 0, :]
-                loo = np.where(
-                    slot_range[None, :, None] == ext_slot[:, None, :],
-                    second[:, None, :],
-                    ext[:, None, :],
-                )
-            trial = combine(loo[:, :, None, :], via_a[:, None, :H, :])
-            clamp_(trial)
-            trial *= prefs_a[:, None, None, :]
-            swap = np.empty((A, k_max, H))
-            if uniform_width:
-                np.sum(trial, axis=3, out=swap)
-            else:
-                for a, d in enumerate(act):
-                    swap[a] = trial[a, :, :, : h_arr[d]].sum(axis=-1)
-            swap = np.where(occupied[act][:, None, :], sentinel, swap)
-            if k_max > 1:
-                swap = np.where(
-                    slot_range[None, :, None] >= ks[act][:, None, None],
-                    sentinel,
-                    swap,
-                )
-            flat = swap.reshape(A, k_max * H)
-            pos = flat.argmax(axis=1) if maximize else flat.argmin(axis=1)
-            val = flat[a_idx, pos]
-            improved = (val > current_cost[act]) if maximize else (val < current_cost[act])
-            sel = act[improved]
-            if len(sel):
-                out_slot = pos[improved] // H
-                in_pos = pos[improved] % H
-                occupied[sel, current_rows[sel, out_slot]] = False
-                occupied[sel, in_pos] = True
-                current_rows[sel, out_slot] = in_pos
-                current_cost[sel] = val[improved]
-            iteration += 1
-            active[:] = False
-            active[sel] = iteration < caps[sel]
-
-        # --- adopt per engine (consider_rewiring semantics) ------------ #
-        for d, (st, node) in enumerate(zip(group, nodes)):
-            engine = st.engine
-            eng_node = engine.nodes[node]
-            metric = st.plan.announced
-            ids = hop_ids[d]
-            rows = [int(r) for r in current_rows[d, : ks[d]]]
-            new_neighbors = frozenset(int(ids[r]) for r in rows)
-            old = eng_node.wiring
-            old_neighbors = (
-                frozenset(old.neighbors) if old is not None else frozenset()
             )
+        existing_cost, chosen, candidate_cost = fused_best_response(
+            members,
+            maximize=bool(metric.maximize),
+            unreachable=metric.unreachable_value,
+        )
+        for d, ((st, _resid), member) in enumerate(zip(group, members)):
+            engine = st.engine
+            plan = st.plan
+            node = plan.order[plan.pos]
+            eng_node = engine.nodes[node]
+            new_neighbors = frozenset(chosen[d])
+            old_neighbors = frozenset(member.incumbent)
             if old_neighbors:
                 adopt = should_rewire(
-                    metric,
+                    plan.announced,
                     float(existing_cost[d]),
-                    float(current_cost[d]),
+                    float(candidate_cost[d]),
                     eng_node.epsilon,
                 )
             else:
@@ -1074,14 +802,12 @@ class EngineBatch:
             if rewired:
                 eng_node.wiring = Wiring.of(node, new_neighbors)
                 eng_node.rewire_count += 1
-            plan = st.plan
             plan.pos += 1
             if eng_node.wiring is not None:
-                direct = directs[d]
                 neighbors = sorted(eng_node.wiring.neighbors)
-                positions = np.searchsorted(ids, neighbors)
+                positions = np.searchsorted(member.hop_ids, neighbors)
                 weights = {
-                    int(v): float(direct[p])
+                    int(v): float(member.direct[p])
                     for v, p in zip(neighbors, positions)
                 }
                 engine.wiring.set_wiring(eng_node.wiring, weights)
@@ -1094,33 +820,3 @@ class EngineBatch:
             if rewired:
                 plan.rewirings += 1
             st.after_step(node, rewired)
-
-    def _prefill_bandwidth(self, st: _LockstepState, missing: Sequence[int]) -> None:
-        """Residual bottleneck matrices for one bandwidth deployment.
-
-        Mirrors the deployment batch: small waves close each node's
-        residual adjacency directly; a quiet streak long enough to ask
-        for :data:`_AVOID_ONE_MIN_WAVE` nodes switches to one
-        divide-and-conquer pass serving every node of the overlay
-        version.  Past :data:`CLOSURE_MAX_NODES` nothing is prefilled
-        and the engine's own auto-mode sweep (bitwise identical) runs.
-        """
-        n = self.n
-        if n > CLOSURE_MAX_NODES:
-            return
-        cache = st.engine.route_cache
-        adjacency = np.where(np.isnan(st.dense), 0.0, st.dense)
-        np.fill_diagonal(adjacency, np.inf)
-        if len(missing) >= _AVOID_ONE_MIN_WAVE:
-            tensor = bottleneck_avoid_one(adjacency)
-            for node in st.plan.active_list:
-                hops = st.hops_of(node)
-                if hops:
-                    cache.put(node, hops, tensor[node][st.hops_rows[node], :])
-            return
-        for node in missing:
-            residual = adjacency.copy()
-            residual[node, :] = 0.0
-            residual[node, node] = np.inf
-            closure = bottleneck_closure_fw(residual)
-            cache.put(node, st.hops_of(node), closure[st.hops_rows[node], :])

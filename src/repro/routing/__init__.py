@@ -33,20 +33,8 @@ from repro.routing.widest_path import (
     widest_path_bandwidths_from,
 )
 from repro.routing.disjoint import count_disjoint_paths, disjoint_paths
-from repro.routing.forwarding import (
-    DeliveryReport,
-    DeliveryStatus,
-    ForwardingTable,
-    OverlayForwarder,
-    RoutingObjective,
-)
 
 __all__ = [
-    "DeliveryReport",
-    "DeliveryStatus",
-    "ForwardingTable",
-    "OverlayForwarder",
-    "RoutingObjective",
     "OverlayGraph",
     "LinkStateAnnouncement",
     "announcement_size_bits",

@@ -42,7 +42,7 @@ from repro.netsim.load import NodeLoadModel
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario import registry
 from repro.scenario.spec import ScenarioSpec, parse_policy, policy_label
-from repro.telemetry.diagnostics import merge_cache_stats
+from repro.telemetry.diagnostics import merge_cache_stats, pooled_cache_stats
 from repro.util.rng import SeedLike, as_generator, spawn_generators
 from repro.util.validation import ValidationError
 
@@ -84,26 +84,16 @@ class SimulationSession:
         definition = registry.resolve(self.spec.experiment)
         result = definition.runner(self)
         result.metadata["scenario"] = self.spec.to_dict()
-        cache_stats = self.cache_stats()
-        if cache_stats is not None:
+        if self._engine_batches:
             # One schema for every consumer of the diagnostics dict —
             # stored sweep cells, --verbose, and the serve stream.
-            result.metadata["cache"] = cache_stats_to_json(cache_stats)
+            result.metadata["cache"] = cache_stats_to_json(
+                merge_cache_stats(
+                    pooled_cache_stats(engine.route_cache for engine in batch.engines)
+                    for batch in self._engine_batches
+                )
+            )
         return result
-
-    def cache_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregated route-cache counters of the engine batches run so
-        far (None when the scenario dispatched no epoch loops).
-
-        Deprecation shim over
-        :func:`repro.telemetry.diagnostics.merge_cache_stats` — the
-        registry's ``cache.*`` snapshot is the forward-looking surface.
-        """
-        if not self._engine_batches:
-            return None
-        return merge_cache_stats(
-            batch.cache_stats() for batch in self._engine_batches
-        )
 
     # ------------------------------------------------------------------ #
     # Facade: substrate + configuration builders

@@ -97,6 +97,7 @@ from repro.serve.oplog import (
     segment_path,
 )
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.validation import ValidationError
 
 #: Idempotency keys remembered for mutation dedupe (FIFO window).
@@ -358,7 +359,9 @@ class OverlayService:
                 label: epoch_record_to_json(record)
                 for label, record in zip(self.session.labels, records)
             },
-            "cache": cache_stats_to_json(self.session.batch.cache_stats()),
+            "cache": cache_stats_to_json(
+                pooled_cache_stats(e.route_cache for e in self.session.batch.engines)
+            ),
         }
         for notify in list(self._subscribers):
             notify(payload)
@@ -1077,7 +1080,9 @@ class OverlayService:
         self._check_open()
         return {
             "counters": dict(self.counters),
-            "cache": cache_stats_to_json(self.session.batch.cache_stats()),
+            "cache": cache_stats_to_json(
+                pooled_cache_stats(e.route_cache for e in self.session.batch.engines)
+            ),
             "epochs_completed": self.session.epochs_completed,
             "dedupe": {
                 "window": self.dedupe_window,

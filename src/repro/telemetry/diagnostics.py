@@ -4,10 +4,9 @@ Two jobs live here:
 
 * **One implementation of pooled route-cache stats.**
   :func:`pooled_cache_stats` sums per-cache counters and recomputes the
-  pooled hit rate; :meth:`EngineBatch.cache_stats` and
-  :meth:`SimulationSession.cache_stats` are now thin deprecation shims
-  over it (their dict shape is unchanged), and the same numbers appear
-  in a live :class:`~repro.telemetry.registry.MetricsRegistry` snapshot
+  pooled hit rate (callers hand it a batch's engines' caches directly;
+  :func:`merge_cache_stats` pools across batches), and the same numbers
+  appear in a live :class:`~repro.telemetry.registry.MetricsRegistry` snapshot
   under ``cache.*`` — the registry is the forward-looking surface, the
   ``metadata["cache"]`` block the compatibility one.
 

@@ -37,13 +37,14 @@ from repro.core.providers import (
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
+from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.rng import spawn_generators
 from repro.util.validation import ValidationError
 
 # ``repro.routing`` re-exports a function named ``shortest_path``, which
 # shadows the submodule attribute of the same name.
 shortest_path_module = importlib.import_module("repro.routing.shortest_path")
-deployment_batch_module = importlib.import_module("repro.core.deployment_batch")
+lockstep_module = importlib.import_module("repro.core.lockstep")
 
 
 def assert_records_identical(a: EpochRecord, b: EpochRecord) -> None:
@@ -343,8 +344,12 @@ class TestMaskedFusedChurnPath:
         batched_batch.run(4)
         sequential_batch = self._churned_batch(batched=False)
         sequential_batch.run(4)
-        assert batched_batch.cache_stats()["hit_rate"] > 0.4
-        assert sequential_batch.cache_stats()["hit_rate"] < 0.2
+        batched_stats, sequential_stats = (
+            pooled_cache_stats(engine.route_cache for engine in batch.engines)
+            for batch in (batched_batch, sequential_batch)
+        )
+        assert batched_stats["hit_rate"] > 0.4
+        assert sequential_stats["hit_rate"] < 0.2
 
 
 class TestMaintainedAllPairs:
@@ -385,7 +390,7 @@ class TestMaintainedAllPairs:
 
             return dijkstra
 
-        for module in (shortest_path_module, deployment_batch_module):
+        for module in (shortest_path_module, lockstep_module):
             monkeypatch.setattr(
                 module, "_csgraph_dijkstra", counting(module._csgraph_dijkstra)
             )
