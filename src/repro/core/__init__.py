@@ -21,24 +21,17 @@ This subpackage implements the paper's primary contribution:
 
 Performance
 -----------
-The best-response hot path ships two implementations selected by the
-``vectorized`` flag on :func:`best_response` and friends (and carried by
-:class:`BestResponsePolicy` / :class:`HybridBRPolicy`):
-
-* **Vectorized (default).**  Candidate wirings are scored as broadcast
-  reductions over a precomputed ``(hops x destinations)`` route-value
-  matrix: exhaustive enumeration batches whole blocks of k-subsets
-  (:meth:`WiringEvaluator.evaluate_batch`), and each local-search pass
-  scores all ``k * (m - k)`` single-swap neighbours in one kernel call
-  (:meth:`WiringEvaluator.swap_costs`, a leave-one-out top-2 reduction).
-* **Scalar (``vectorized=False``).**  The interpreted per-wiring
-  reference path, kept for parity testing and debugging.
-
-Both paths share the same exact elementwise reductions (min/max, multiply
-then pairwise sum), so objective values are bitwise identical and ties
-break identically — seeded runs produce byte-identical wirings either
-way; only the wall-clock differs (see
-``benchmarks/test_bench_vectorized_kernels.py``).
+The best-response hot path scores candidate wirings as broadcast
+reductions over a precomputed ``(hops x destinations)`` route-value
+matrix: exhaustive enumeration batches whole blocks of k-subsets
+(:meth:`WiringEvaluator.evaluate_batch`), and each local-search pass
+scores all ``k * (m - k)`` single-swap neighbours in one kernel call
+(:meth:`WiringEvaluator.swap_costs`, a leave-one-out top-2 reduction).
+The kernels use the same exact elementwise reductions as scoring one
+wiring at a time (min/max, multiply then pairwise sum), so objective
+values are bitwise identical and ties break identically; the interpreted
+loops they replaced live on only as the test oracle
+``tests/reference/scalar_best_response.py``.
 
 On top of the kernels, :class:`EgoistEngine` shares the expensive
 multi-source residual route-value sweeps through a

@@ -20,12 +20,12 @@ so each candidate wiring is a row reduction over a precomputed
 candidate wirings are a single broadcast reduction over a
 ``(candidates x hops x destinations)`` view of the same matrix.  The
 batched kernels (:meth:`WiringEvaluator.evaluate_batch`,
-:meth:`WiringEvaluator.swap_costs`) are what the vectorised local search
-and exact enumeration are built on; the interpreted per-wiring path is
-kept behind ``vectorized=False`` so parity is testable.  Both paths share
-the same elementwise reductions (exact min/max, multiply then pairwise
-sum), so their objective values — and therefore the selected wirings —
-are bitwise identical.
+:meth:`WiringEvaluator.swap_costs`) are what the local search and exact
+enumeration are built on.  They use the same elementwise reductions as
+the one-wiring :meth:`WiringEvaluator.evaluate` (exact min/max, multiply
+then pairwise sum), so objective values are bitwise identical to scoring
+each wiring on its own; ``tests/reference/scalar_best_response.py`` is
+the interpreted oracle the parity tests hold them to.
 """
 
 from __future__ import annotations
@@ -187,31 +187,9 @@ class WiringEvaluator:
     # ------------------------------------------------------------------ #
     # Objective evaluation
     # ------------------------------------------------------------------ #
-    def value_for_destination(self, neighbors: Iterable[int], j: int) -> float:
-        """Routing value from ``node`` to ``j`` given first hops ``neighbors``.
-
-        Delay/load: ``min_w (d_iw + D_resid[w, j])``; when ``w == j`` the
-        residual term is zero (the direct link reaches the destination).
-        Bandwidth: ``max_w min(bw_iw, B_resid[w, j])``; when ``w == j`` the
-        value is just the direct link's bandwidth.
-        """
-        rows = [self._hop_index[w] for w in neighbors if w in self._hop_index]
-        if not rows:
-            return self.metric.unreachable_value
-        column = self._via[rows, j]
-        if self.metric.maximize:
-            best = float(np.max(column))
-            if best <= 0 or not np.isfinite(best):
-                return self.metric.unreachable_value
-            return best
-        best = float(np.min(column))
-        if not np.isfinite(best):
-            return self.metric.unreachable_value
-        return best
-
     def _clamp(self, best: np.ndarray) -> np.ndarray:
         """Replace unreachable per-destination values by the metric's
-        disconnection value (shared by the scalar and batched paths)."""
+        disconnection value."""
         if self.metric.maximize:
             return np.where(
                 np.isfinite(best) & (best > 0), best, self.metric.unreachable_value
@@ -222,7 +200,7 @@ class WiringEvaluator:
         """In-place variant of :meth:`_clamp` for the batched kernels.
 
         Fills the same positions with the same disconnection value, so
-        results stay bitwise identical to the scalar path; it is skipped
+        results stay bitwise identical to :meth:`evaluate`; it is skipped
         entirely when the via matrix is clean (see ``_via_clean``).
         """
         if self._via_clean:
@@ -386,18 +364,13 @@ class BestResponseResult:
         return Wiring.of(self.node, self.neighbors, donated)
 
 
-def best_response_exact(
-    evaluator: WiringEvaluator, k: int, *, vectorized: bool = True
-) -> BestResponseResult:
+def best_response_exact(evaluator: WiringEvaluator, k: int) -> BestResponseResult:
     """Exact best response by exhaustive enumeration of all k-subsets.
 
     Exponential in ``k`` — only use for small instances (tests, ablation
     A1).  ``k`` counts only the selfish links; any ``required`` links of
-    the evaluator come on top.  With ``vectorized=True`` (the default)
-    subsets are scored in batched broadcasts; ``vectorized=False`` keeps
-    the per-subset reference path.  Both pick the same wiring: scores are
-    bitwise identical and ties fall to the first subset in enumeration
-    order either way.
+    the evaluator come on top.  Subsets are scored in batched broadcasts;
+    ties fall to the first subset in enumeration order.
     """
     candidates = [c for c in evaluator.candidates if c not in evaluator.required]
     k = min(k, len(candidates))
@@ -406,26 +379,18 @@ def best_response_exact(
     best_set: Optional[Tuple[int, ...]] = None
     best_cost: Optional[float] = None
     evaluations = 0
-    if vectorized:
-        maximize = evaluator.metric.maximize
-        combos = itertools.combinations(candidates, k)
-        while True:
-            batch = list(itertools.islice(combos, 2048))
-            if not batch:
-                break
-            costs = evaluator.evaluate_batch(batch)
-            pos = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
-            evaluations += len(batch)
-            if best_cost is None or evaluator.better(float(costs[pos]), best_cost):
-                best_cost = float(costs[pos])
-                best_set = batch[pos]
-    else:
-        for combo in itertools.combinations(candidates, k):
-            cost = evaluator.evaluate(combo)
-            evaluations += 1
-            if best_cost is None or evaluator.better(cost, best_cost):
-                best_cost = cost
-                best_set = combo
+    maximize = evaluator.metric.maximize
+    combos = itertools.combinations(candidates, k)
+    while True:
+        batch = list(itertools.islice(combos, 2048))
+        if not batch:
+            break
+        costs = evaluator.evaluate_batch(batch)
+        pos = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
+        evaluations += len(batch)
+        if best_cost is None or evaluator.better(float(costs[pos]), best_cost):
+            best_cost = float(costs[pos])
+            best_set = batch[pos]
     if best_set is None:
         best_set = ()
         best_cost = evaluator.evaluate(())
@@ -439,37 +404,18 @@ def best_response_exact(
     )
 
 
-def _greedy_seed(
-    evaluator: WiringEvaluator, k: int, *, vectorized: bool = True
-) -> List[int]:
+def _greedy_seed(evaluator: WiringEvaluator, k: int) -> List[int]:
     """Greedy marginal-gain seeding for the local search.
 
-    The vectorised path scores every remaining candidate's marginal gain
-    in one kernel call per step, maintaining the running per-destination
-    reduction of the chosen set; ties resolve to the first candidate in
-    order, exactly like the reference loop.
+    Every remaining candidate's marginal gain is scored in one kernel
+    call per step, maintaining the running per-destination reduction of
+    the chosen set; ties resolve to the first candidate in order.
     """
     candidates = [c for c in evaluator.candidates if c not in evaluator.required]
     target = min(k, len(candidates))
     chosen: List[int] = []
     if target <= 0:
         return chosen
-    if not vectorized:
-        while len(chosen) < target:
-            best_candidate = None
-            best_cost = None
-            for c in candidates:
-                if c in chosen:
-                    continue
-                cost = evaluator.evaluate(chosen + [c])
-                if best_cost is None or evaluator.better(cost, best_cost):
-                    best_cost = cost
-                    best_candidate = c
-            if best_candidate is None:
-                break
-            chosen.append(best_candidate)
-        return chosen
-
     maximize = evaluator.metric.maximize
     combine = np.maximum if maximize else np.minimum
     identity = -np.inf if maximize else np.inf
@@ -509,7 +455,6 @@ def best_response_local_search(
     max_iterations: int = 100,
     seed_wiring: Optional[Iterable[int]] = None,
     greedy_seed: bool = True,
-    vectorized: bool = True,
 ) -> BestResponseResult:
     """Approximate best response via single-swap local search.
 
@@ -520,12 +465,9 @@ def best_response_local_search(
     version based on local search" the paper deploys (verified there to be
     within ~5% of optimal).
 
-    With ``vectorized=True`` every pass scores all ``k * (m - k)``
-    single-swap neighbours in one :meth:`WiringEvaluator.swap_costs`
-    broadcast; ``vectorized=False`` keeps the per-trial reference loop.
-    The two paths draw the same RNG values, produce bitwise-identical
-    objective values, and break ties identically (first swap in
-    out-neighbour-major order), so they return the same wiring.
+    Every pass scores all ``k * (m - k)`` single-swap neighbours in one
+    :meth:`WiringEvaluator.swap_costs` broadcast; ties go to the first
+    swap in out-neighbour-major order.
     """
     rng = as_generator(rng)
     candidates = [c for c in evaluator.candidates if c not in evaluator.required]
@@ -533,7 +475,12 @@ def best_response_local_search(
     evaluations = 0
 
     if seed_wiring is not None:
-        current = [c for c in seed_wiring if c in set(candidates)][:k]
+        # Duplicates dropped in first-occurrence order: swap_costs needs a
+        # duplicate-free incumbent.
+        allowed = set(candidates)
+        current = [
+            c for c in _ordered_unique(seed_wiring, evaluator.node) if c in allowed
+        ][:k]
         # Top up with random candidates if the seed is short.
         missing = k - len(current)
         if missing > 0:
@@ -541,7 +488,7 @@ def best_response_local_search(
             extra = rng.choice(len(pool), size=missing, replace=False) if pool else []
             current += [pool[i] for i in np.atleast_1d(extra)]
     elif greedy_seed:
-        current = _greedy_seed(evaluator, k, vectorized=vectorized)
+        current = _greedy_seed(evaluator, k)
         evaluations += k * max(1, len(candidates))
     else:
         idx = rng.choice(len(candidates), size=k, replace=False) if candidates else []
@@ -549,53 +496,27 @@ def best_response_local_search(
 
     current_cost = evaluator.evaluate(current)
     evaluations += 1
-    # The batched swap kernel assumes a duplicate-free incumbent (always
-    # true for greedy/random seeds; a pathological seed_wiring may not be).
-    use_batched = vectorized and len(set(current)) == len(current)
+    maximize = evaluator.metric.maximize
+    sentinel = -np.inf if maximize else np.inf
 
     for _ in range(int(max_iterations)):
         if not current or not candidates:
             break
-        if use_batched:
-            chosen_set = set(current)
-            costs = evaluator.swap_costs(current, candidates)
-            sentinel = -np.inf if evaluator.metric.maximize else np.inf
-            mask = np.fromiter(
-                (c in chosen_set for c in candidates), dtype=bool, count=len(candidates)
-            )
-            costs[:, mask] = sentinel
-            evaluations += len(current) * int(np.count_nonzero(~mask))
-            flat = costs.ravel()
-            pos = (
-                int(np.argmax(flat))
-                if evaluator.metric.maximize
-                else int(np.argmin(flat))
-            )
-            if not evaluator.better(float(flat[pos]), current_cost):
-                break
-            out_node = current[pos // len(candidates)]
-            in_node = candidates[pos % len(candidates)]
-            current = [in_node if c == out_node else c for c in current]
-            current_cost = float(flat[pos])
-        else:
-            best_swap = None
-            best_cost = current_cost
-            chosen_set = set(current)
-            for out_node in current:
-                for in_node in candidates:
-                    if in_node in chosen_set:
-                        continue
-                    trial = [in_node if c == out_node else c for c in current]
-                    cost = evaluator.evaluate(trial)
-                    evaluations += 1
-                    if evaluator.better(cost, best_cost):
-                        best_cost = cost
-                        best_swap = (out_node, in_node)
-            if best_swap is None:
-                break
-            out_node, in_node = best_swap
-            current = [in_node if c == out_node else c for c in current]
-            current_cost = best_cost
+        chosen_set = set(current)
+        costs = evaluator.swap_costs(current, candidates)
+        mask = np.fromiter(
+            (c in chosen_set for c in candidates), dtype=bool, count=len(candidates)
+        )
+        costs[:, mask] = sentinel
+        evaluations += len(current) * int(np.count_nonzero(~mask))
+        flat = costs.ravel()
+        pos = int(np.argmax(flat)) if maximize else int(np.argmin(flat))
+        if not evaluator.better(float(flat[pos]), current_cost):
+            break
+        out_node = current[pos // len(candidates)]
+        in_node = candidates[pos % len(candidates)]
+        current = [in_node if c == out_node else c for c in current]
+        current_cost = float(flat[pos])
 
     return BestResponseResult(
         node=evaluator.node,
@@ -613,15 +534,12 @@ def best_response(
     exact_threshold: int = 12,
     rng: SeedLike = None,
     max_iterations: int = 100,
-    vectorized: bool = True,
 ) -> BestResponseResult:
     """Compute a best response, choosing exact vs local search automatically.
 
     Exhaustive enumeration is used when the number of k-subsets of the
     candidate pool is small (at most ``C(exact_threshold, k)``-ish work);
-    otherwise the local-search approximation is used.  ``vectorized``
-    selects the batched kernels (default) or the interpreted reference
-    path; both produce the same wiring.
+    otherwise the local-search approximation is used.
     """
     candidates = [c for c in evaluator.candidates if c not in evaluator.required]
     n_candidates = len(candidates)
@@ -633,9 +551,9 @@ def best_response(
         if subsets > 5000:
             break
     if n_candidates <= exact_threshold and subsets <= 5000:
-        return best_response_exact(evaluator, k, vectorized=vectorized)
+        return best_response_exact(evaluator, k)
     return best_response_local_search(
-        evaluator, k, rng=rng, max_iterations=max_iterations, vectorized=vectorized
+        evaluator, k, rng=rng, max_iterations=max_iterations
     )
 
 

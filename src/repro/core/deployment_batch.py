@@ -36,13 +36,12 @@ stacks the per-deployment work instead:
   underlay) share one tensor slice.
 
 Both phases are bitwise identical to the sequential reference path:
-``batched=False`` preserves the pre-batching implementation verbatim
-(per-deployment builds with per-node residual graph construction and
-per-source heap widest-path sweeps, then one ``all_node_costs`` per
-deployment) as the parity anchor and benchmark baseline, the same way
-the best-response kernels keep their interpreted path behind
-``vectorized=False``.  Each deployment consumes its own spawned RNG
-stream in the same sequence either way.
+``batched=False`` is the plain code with no stacking — one
+:func:`repro.core.policies.build_overlay` per deployment (a fresh
+residual sweep per re-wiring opportunity), then one ``all_node_costs``
+per deployment — and is what the parity tests compare against.  Each
+deployment consumes its own spawned RNG stream in the same sequence
+either way.
 """
 
 from __future__ import annotations
@@ -64,12 +63,9 @@ from repro.core.lockstep import (
 )
 from repro.core.policies import (
     BestResponsePolicy,
-    FullMeshPolicy,
-    KRandomPolicy,
     NeighborSelectionPolicy,
     best_response_rewire_step,
     build_overlay,
-    enforce_connectivity_cycle,
     seed_random_overlay,
 )
 from repro.core.route_cache import (
@@ -78,11 +74,7 @@ from repro.core.route_cache import (
     metric_fingerprint,
 )
 from repro.core.wiring import GlobalWiring, Wiring
-from repro.routing.widest_path import (
-    CLOSURE_MAX_NODES,
-    reference_kernels,
-    widest_path_bandwidths_multi,
-)
+from repro.routing.widest_path import CLOSURE_MAX_NODES, widest_path_bandwidths_multi
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
 
@@ -254,13 +246,13 @@ def _graph_dense(graph) -> np.ndarray:
     return dense
 
 
-def _structural_overlay(spec: DeploymentSpec) -> GlobalWiring:
-    """Build a structural (non-BR) deployment on the batched path.
+def _sequential_overlay(spec: DeploymentSpec) -> GlobalWiring:
+    """Build one deployment on its own with :func:`build_overlay`.
 
-    Structural policies select from ids and direct link weights alone, so
-    there is nothing to stack — this is one pass of per-node selections
-    plus the connectivity cycle, sharing the deployment's RNG stream with
-    the reference path.
+    The whole of the ``batched=False`` build, and the batched build of
+    structural (non-BR) policies: those select from ids and direct link
+    weights alone, so there is nothing to stack.  Consumes the
+    deployment's RNG stream exactly like the lockstep build.
     """
     return build_overlay(
         spec.policy,
@@ -273,82 +265,6 @@ def _structural_overlay(spec: DeploymentSpec) -> GlobalWiring:
     )
 
 
-def _reference_build_overlay(spec: DeploymentSpec) -> GlobalWiring:
-    """The pre-batching overlay construction, preserved as the baseline.
-
-    This is the sequential implementation the batch subsystem replaced,
-    kept verbatim so ``batched=False`` measures it: a residual graph is
-    rebuilt per node even for structural policies, the best-response seed
-    phase rebuilds the growing overlay graph per node, and every
-    re-wiring opportunity runs its own multi-source residual sweep
-    (per-source heap widest paths under :func:`reference_kernels`).  It
-    consumes the deployment's RNG stream exactly like the batched build,
-    so the two return bit-identical wirings — parity tests pin this.
-    """
-    rng = as_generator(spec.rng)
-    metric = spec.announced
-    n = metric.size
-    node_list = list(range(n))
-    candidates_of = {
-        node: [c for c in node_list if c != node] for node in node_list
-    }
-    wiring = GlobalWiring(n)
-
-    if not isinstance(spec.policy, BestResponsePolicy):
-        for node in node_list:
-            residual = wiring.to_graph(active=node_list)
-            chosen = spec.policy.select(
-                node,
-                spec.k,
-                metric,
-                residual,
-                candidates=candidates_of[node],
-                rng=rng,
-                preferences=spec.preferences,
-                destinations=candidates_of[node],
-            )
-            weights = {v: metric.link_weight(node, v) for v in chosen}
-            wiring.set_wiring(Wiring.of(node, chosen), weights)
-        if spec.ensure_connected and not isinstance(spec.policy, FullMeshPolicy):
-            enforce_connectivity_cycle(wiring, metric, nodes=node_list)
-        return wiring
-
-    seed_policy = KRandomPolicy()
-    for node in node_list:
-        chosen = seed_policy.select(
-            node,
-            spec.k,
-            metric,
-            wiring.to_graph(active=node_list),
-            candidates=candidates_of[node],
-            rng=rng,
-        )
-        weights = {v: metric.link_weight(node, v) for v in chosen}
-        wiring.set_wiring(Wiring.of(node, chosen), weights)
-
-    order = list(node_list)
-    for _round in range(int(spec.br_rounds)):
-        rng.shuffle(order)
-        changed = 0
-        for node in order:
-            residual = wiring.residual_graph(node, active=node_list)
-            evaluator = WiringEvaluator(
-                node=node,
-                metric=metric,
-                residual_graph=residual,
-                candidates=candidates_of[node],
-                preferences=spec.preferences,
-                destinations=candidates_of[node],
-            )
-            if best_response_rewire_step(
-                spec.policy, metric, spec.k, node, wiring, evaluator, rng
-            ):
-                changed += 1
-        if changed == 0:
-            break
-    return wiring
-
-
 class DeploymentBatch:
     """A sweep of independent deployments over one shared underlay.
 
@@ -359,13 +275,9 @@ class DeploymentBatch:
         families are allowed (the kernels group by objective direction).
     batched:
         ``True`` (default) uses the stacked kernels; ``False`` is the
-        sequential reference path — the pre-batching implementation
-        preserved verbatim (:func:`_reference_build_overlay` per
-        deployment, then ``Metric.all_node_costs`` with per-source
-        widest-path sweeps) — kept for parity testing and as the
-        benchmark baseline, exactly as the best-response kernels keep
-        their interpreted path behind ``vectorized=False``.  Both
-        produce bit-identical results.
+        sequential reference path — :func:`build_overlay` per
+        deployment, then ``Metric.all_node_costs`` per deployment —
+        kept for parity testing.  Both produce bit-identical results.
     """
 
     def __init__(self, specs: Sequence[DeploymentSpec], *, batched: bool = True):
@@ -403,15 +315,14 @@ class DeploymentBatch:
     def build(self) -> List[GlobalWiring]:
         """Build every deployment's overlay (order-independent per spec)."""
         if not self.batched:
-            with reference_kernels():
-                return [_reference_build_overlay(spec) for spec in self.specs]
+            return [_sequential_overlay(spec) for spec in self.specs]
         wirings: List[Optional[GlobalWiring]] = [None] * len(self.specs)
         lockstep: List[Tuple[int, DeploymentSpec]] = []
         for i, spec in enumerate(self.specs):
             if isinstance(spec.policy, BestResponsePolicy):
                 lockstep.append((i, spec))
             else:
-                wirings[i] = _structural_overlay(spec)
+                wirings[i] = _sequential_overlay(spec)
         if lockstep:
             for (i, _spec), wiring in zip(lockstep, self._build_lockstep(lockstep)):
                 wirings[i] = wiring
@@ -511,9 +422,8 @@ class DeploymentBatch:
         """One re-wiring opportunity through a cache-fed evaluator.
 
         Fallback for deployments the fused kernels do not cover (small
-        candidate pools that take the exact-enumeration branch, k = 0,
-        or interpreted-kernel policies): same step semantics, one
-        deployment at a time.
+        candidate pools that take the exact-enumeration branch, or
+        k = 0): same step semantics, one deployment at a time.
         """
         spec = st.spec
         node = st.order[st.pos]
@@ -657,10 +567,9 @@ class DeploymentBatch:
         graphs = [wiring.to_graph() for wiring in wirings]
         if not self.batched:
             means = np.empty(len(graphs))
-            with reference_kernels():
-                for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
-                    costs = spec.truth.all_node_costs(graph, spec.preferences)
-                    means[i] = float(np.mean(list(costs.values())))
+            for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
+                costs = spec.truth.all_node_costs(graph, spec.preferences)
+                means[i] = float(np.mean(list(costs.values())))
             return means
         values = self.route_value_tensor(graphs)
         n = self.n

@@ -36,9 +36,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         BR(ε) re-wiring threshold applied to the selfish links.
     exact_threshold, max_iterations:
         Passed through to the underlying best-response computation.
-    vectorized:
-        Use the batched best-response kernels (default); ``False`` selects
-        the interpreted reference path.
     """
 
     name = "hybrid-br"
@@ -50,7 +47,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         epsilon: float = 0.0,
         exact_threshold: int = 12,
         max_iterations: int = 100,
-        vectorized: bool = True,
     ):
         if k2 < 0 or k2 % 2 != 0:
             raise ValidationError("k2 must be a non-negative even integer")
@@ -58,12 +54,10 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         self.epsilon = float(epsilon)
         self.exact_threshold = int(exact_threshold)
         self.max_iterations = int(max_iterations)
-        self.vectorized = bool(vectorized)
         self._br = BestResponsePolicy(
             epsilon=epsilon,
             exact_threshold=exact_threshold,
             max_iterations=max_iterations,
-            vectorized=vectorized,
         )
 
     def donated_links_for(
@@ -116,7 +110,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
             exact_threshold=self.exact_threshold,
             rng=rng,
             max_iterations=self.max_iterations,
-            vectorized=self.vectorized,
         )
         return set(result.neighbors)
 

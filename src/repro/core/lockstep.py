@@ -75,13 +75,12 @@ def fusable(policy: NeighborSelectionPolicy, k: int, hops: int) -> bool:
 
     The kernel is best_response's greedy-seeded local search; a
     deployment that would take another branch — exact enumeration on a
-    small candidate pool of ``hops`` nodes, k = 0, the interpreted
-    kernels, or a policy that is not plain best response (HybridBR) —
-    steps through its own evaluator instead.
+    small candidate pool of ``hops`` nodes, k = 0, or a policy that is
+    not plain best response (HybridBR) — steps through its own evaluator
+    instead.
     """
     return (
         isinstance(policy, BestResponsePolicy)
-        and policy.vectorized
         and int(k) >= 1
         and hops > int(policy.exact_threshold)
     )

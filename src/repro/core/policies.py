@@ -247,10 +247,6 @@ class BestResponsePolicy(NeighborSelectionPolicy):
         Candidate-pool size below which exhaustive enumeration is used.
     max_iterations:
         Local-search iteration budget.
-    vectorized:
-        Use the batched NumPy kernels (default).  ``False`` selects the
-        interpreted per-wiring reference path, which returns the same
-        wirings (seeded parity is tested) but far slower.
     """
 
     name = "best-response"
@@ -261,14 +257,12 @@ class BestResponsePolicy(NeighborSelectionPolicy):
         *,
         exact_threshold: int = 12,
         max_iterations: int = 100,
-        vectorized: bool = True,
     ):
         if epsilon < 0:
             raise ValidationError("epsilon must be non-negative")
         self.epsilon = float(epsilon)
         self.exact_threshold = int(exact_threshold)
         self.max_iterations = int(max_iterations)
-        self.vectorized = bool(vectorized)
         if self.epsilon > 0:
             self.name = f"best-response(eps={self.epsilon:g})"
 
@@ -309,7 +303,6 @@ class BestResponsePolicy(NeighborSelectionPolicy):
             exact_threshold=self.exact_threshold,
             rng=rng,
             max_iterations=self.max_iterations,
-            vectorized=self.vectorized,
         )
 
     def select(
@@ -518,7 +511,6 @@ def best_response_rewire_step(
         exact_threshold=policy.exact_threshold,
         rng=rng,
         max_iterations=policy.max_iterations,
-        vectorized=policy.vectorized,
     )
     adopt = current is None or should_rewire(
         metric, current_cost, result.cost, policy.epsilon

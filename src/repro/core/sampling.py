@@ -166,7 +166,6 @@ def sampled_best_response(
     preferences: Optional[np.ndarray] = None,
     rng: SeedLike = None,
     max_iterations: int = 100,
-    vectorized: bool = True,
 ) -> SampledJoinResult:
     """Compute a newcomer's BR restricted to the sampled nodes.
 
@@ -186,9 +185,7 @@ def sampled_best_response(
         preferences=preferences,
         destinations=sample,
     )
-    result = best_response(
-        evaluator, k, rng=rng, max_iterations=max_iterations, vectorized=vectorized
-    )
+    result = best_response(evaluator, k, rng=rng, max_iterations=max_iterations)
     return SampledJoinResult(
         newcomer=newcomer,
         sample=tuple(sample),

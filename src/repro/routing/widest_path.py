@@ -9,8 +9,8 @@ Dijkstra's algorithm (Section 4.1).
 Two implementations coexist, mirroring the additive metrics:
 
 * a heap-based per-source search (:func:`widest_path_bandwidths_from`),
-  used for single-source queries and path extraction, and kept as the
-  reference path behind ``batched=False``;
+  used for single-source queries, path extraction, and graphs past
+  ``CLOSURE_MAX_NODES``;
 * batched dense max-min closures under the ``(max, min)`` semiring.
   Bottleneck values are pure selections of edge weights — no
   floating-point arithmetic is performed on them — so every closure
@@ -19,18 +19,21 @@ Two implementations coexist, mirroring the additive metrics:
   NumPy broadcasts.  :func:`bottleneck_closure` is the definitional
   repeated-squaring form (kept as the independent cross-check the
   parity tests pin the others against); :func:`bottleneck_closure_fw`
-  (Floyd-Warshall pivoting) is the fast single-graph form behind
-  ``batched=True``; and :func:`bottleneck_avoid_one` closes the
-  residual graphs of *every* node of one overlay at once, which is what
-  the multi-deployment sweep kernels in
-  :mod:`repro.core.deployment_batch` build on.
+  (Floyd-Warshall pivoting) is the fast single-graph form; and
+  :func:`bottleneck_avoid_one` closes the residual graphs of *every*
+  node of one overlay at once, which is what the lockstep bandwidth
+  fill in :mod:`repro.core.lockstep` builds on.
+
+:func:`widest_path_bandwidths_multi` picks between the two from the
+source count and graph size alone; its ``batched=`` argument forces one
+side, which is how ``tests/routing/test_widest_path_batched.py`` holds
+them bitwise equal.
 """
 
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,31 +52,6 @@ _CLOSURE_MIN_SOURCES = 8
 
 #: Soft cap on temporary cells per closure squaring chunk (~64 MB float64).
 _CLOSURE_CHUNK_CELLS = 8_000_000
-
-#: When set, auto mode always picks the per-source reference loop.
-_REFERENCE_ONLY = False
-
-
-@contextmanager
-def reference_kernels() -> Iterator[None]:
-    """Make auto-mode widest-path queries use the per-source loop.
-
-    The sequential reference path of the multi-deployment sweep
-    (``DeploymentBatch(batched=False)``) represents the pre-batching
-    implementation end to end, so inside this context
-    :func:`widest_path_bandwidths_multi` resolves ``batched=None`` to the
-    heap loop.  Explicit ``batched=True``/``False`` arguments are
-    unaffected, and both implementations are bitwise identical — the
-    switch only moves wall-clock between the benchmark's two sides.
-    """
-    global _REFERENCE_ONLY
-    previous = _REFERENCE_ONLY
-    _REFERENCE_ONLY = True
-    try:
-        yield
-    finally:
-        _REFERENCE_ONLY = previous
-
 
 def widest_path_bandwidths_from(graph: OverlayGraph, src: int) -> np.ndarray:
     """Maximum bottleneck bandwidth from ``src`` to every node.
@@ -360,9 +338,7 @@ def widest_path_bandwidths_multi(
         check_index(src, graph.n, "src")
     if batched is None:
         batched = (
-            not _REFERENCE_ONLY
-            and len(sources) >= _CLOSURE_MIN_SOURCES
-            and graph.n <= CLOSURE_MAX_NODES
+            len(sources) >= _CLOSURE_MIN_SOURCES and graph.n <= CLOSURE_MAX_NODES
         )
     if not batched:
         return np.vstack(

@@ -114,7 +114,7 @@ class Mutation:
                     nodes=tuple(int(v) for v in entry.get("nodes", ())),
                     links=tuple((int(u), int(v)) for u, v in entry.get("links", ())),
                 )
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, TypeError, ValueError, OverflowError) as error:
                 raise ValidationError(f"malformed mutation event: {error}")
         try:
             mutation = cls(
@@ -124,7 +124,7 @@ class Mutation:
                 event=event,
                 engines=tuple(str(label) for label in data.get("engines", ())),
             )
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ValidationError(f"malformed mutation: {error}")
         return mutation.validate()
 

@@ -1049,7 +1049,10 @@ class OverlayService:
         ):
             data = dict(data)
             data["event"] = {**data["event"], "epoch": self.session.epochs_completed}
-        mutation = Mutation.from_dict(data)
+        try:
+            mutation = Mutation.from_dict(data)
+        except ValidationError as error:
+            raise ServeError("bad-request", str(error))
         applied_epoch = self.session.mutate(mutation)
         self.counters["mutations"] += 1
         entry: Dict[str, object] = {

@@ -14,6 +14,7 @@ from repro.core.best_response import (
 from repro.core.cost import BandwidthMetric, DelayMetric
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError
+from tests.reference.scalar_best_response import value_for_destination
 
 
 def ring_residual(metric, exclude):
@@ -39,16 +40,16 @@ class TestWiringEvaluator:
         residual = ring_residual(small_delay_metric, 0)
         evaluator = WiringEvaluator(0, small_delay_metric, residual)
         # Wiring only to node 1: cost to 1 is the direct delay.
-        assert evaluator.value_for_destination({1}, 1) == pytest.approx(
+        assert value_for_destination(evaluator, {1}, 1) == pytest.approx(
             small_delay_metric.link_weight(0, 1)
         )
 
     def test_value_uses_min_over_hops(self, small_delay_metric):
         residual = ring_residual(small_delay_metric, 0)
         evaluator = WiringEvaluator(0, small_delay_metric, residual)
-        via1 = evaluator.value_for_destination({1}, 3)
-        via3 = evaluator.value_for_destination({3}, 3)
-        both = evaluator.value_for_destination({1, 3}, 3)
+        via1 = value_for_destination(evaluator, {1}, 3)
+        via3 = value_for_destination(evaluator, {3}, 3)
+        both = value_for_destination(evaluator, {1, 3}, 3)
         assert both == pytest.approx(min(via1, via3))
 
     def test_evaluate_matches_graph_cost(self, small_delay_metric):
@@ -83,7 +84,7 @@ class TestWiringEvaluator:
     def test_bandwidth_evaluator_maximin(self, bandwidth_metric_small):
         residual = ring_residual(bandwidth_metric_small, 0)
         evaluator = WiringEvaluator(0, bandwidth_metric_small, residual)
-        value = evaluator.value_for_destination({1}, 1)
+        value = value_for_destination(evaluator, {1}, 1)
         assert value == pytest.approx(bandwidth_metric_small.link_weight(0, 1))
 
 
@@ -151,6 +152,12 @@ class TestLocalSearch:
             evaluator, 3, rng=0, seed_wiring=[1, 2, 3]
         )
         assert len(seeded.neighbors) == 3
+        # A duplicate-carrying seed is de-duplicated in first-occurrence
+        # order before truncation, so it starts from the same incumbent.
+        doubled = best_response_local_search(
+            evaluator, 3, rng=0, seed_wiring=[1, 1, 2, 2, 3, 1]
+        )
+        assert doubled == seeded
 
     def test_improves_over_random_seed(self, planetlab20_metric):
         residual = ring_residual(planetlab20_metric, 0)

@@ -1,10 +1,12 @@
-"""Parity and property tests for the vectorised best-response kernels.
+"""Parity and property tests for the batched best-response kernels.
 
-The vectorised path (``vectorized=True``, the default) must be an exact
-drop-in for the interpreted reference path: bitwise-identical objective
-values, identical tie-breaking, identical selected wirings, identical
-evaluation counts — on randomized instances across all three metrics,
-with and without required (donated) links.
+The kernels of :mod:`repro.core.best_response` must be an exact drop-in
+for the interpreted oracle in ``tests/reference/scalar_best_response.py``:
+bitwise-identical objective values, identical tie-breaking, identical
+selected wirings, identical evaluation counts — on randomized instances
+across all three metrics, with and without required (donated) links.
+The chain is oracle == per-node kernels (here) == ``fused_best_response``
+(``tests/core/test_lockstep.py``).
 
 On top of parity, the classic approximation property is pinned: the
 local-search best response is never *better* than the exact enumeration
@@ -26,7 +28,17 @@ from repro.core.best_response import (
     best_response_local_search,
 )
 from repro.core.cost import BandwidthMetric, DelayMetric, NodeLoadMetric
+from repro.core.engine import EgoistEngine
+from repro.core.policies import BestResponsePolicy
+from repro.core.providers import DelayMetricProvider
+from repro.netsim.delayspace import DelaySpace
 from repro.routing.graph import OverlayGraph
+from tests.reference.scalar_best_response import (
+    ScalarBestResponsePolicy,
+    scalar_best_response_exact,
+    scalar_best_response_local_search,
+    scalar_greedy_seed,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -95,16 +107,14 @@ class TestKernelParity:
         for seed in range(10):
             evaluator = make_evaluator(seed, kind, 6 + seed % 5, with_required)
             for k in (1, 2, 3):
-                assert _greedy_seed(evaluator, k, vectorized=True) == _greedy_seed(
-                    evaluator, k, vectorized=False
-                )
+                assert _greedy_seed(evaluator, k) == scalar_greedy_seed(evaluator, k)
 
     def test_exact_enumeration_parity(self, kind, with_required):
         for seed in range(10):
             evaluator = make_evaluator(seed, kind, 6 + seed % 4, with_required)
             for k in (0, 1, 2):
-                fast = best_response_exact(evaluator, k, vectorized=True)
-                slow = best_response_exact(evaluator, k, vectorized=False)
+                fast = best_response_exact(evaluator, k)
+                slow = scalar_best_response_exact(evaluator, k)
                 assert fast.neighbors == slow.neighbors
                 assert fast.cost == slow.cost
                 assert fast.evaluations == slow.evaluations
@@ -113,12 +123,8 @@ class TestKernelParity:
         for seed in range(10):
             evaluator = make_evaluator(seed, kind, 8 + seed % 4, with_required)
             for k in (1, 2, 3):
-                fast = best_response_local_search(
-                    evaluator, k, rng=seed, vectorized=True
-                )
-                slow = best_response_local_search(
-                    evaluator, k, rng=seed, vectorized=False
-                )
+                fast = best_response_local_search(evaluator, k, rng=seed)
+                slow = scalar_best_response_local_search(evaluator, k, rng=seed)
                 assert fast.neighbors == slow.neighbors
                 assert fast.cost == slow.cost
                 assert fast.evaluations == slow.evaluations
@@ -128,10 +134,10 @@ class TestKernelParity:
         for seed in range(6):
             evaluator = make_evaluator(seed, kind, 9, with_required)
             fast = best_response_local_search(
-                evaluator, 3, rng=seed, greedy_seed=False, vectorized=True
+                evaluator, 3, rng=seed, greedy_seed=False
             )
-            slow = best_response_local_search(
-                evaluator, 3, rng=seed, greedy_seed=False, vectorized=False
+            slow = scalar_best_response_local_search(
+                evaluator, 3, rng=seed, greedy_seed=False
             )
             assert fast.neighbors == slow.neighbors
             assert fast.cost == slow.cost
@@ -155,8 +161,8 @@ class TestParityProperties:
         seed, kind, n, k = case
         metric, graph = random_instance(seed, kind, n)
         evaluator = WiringEvaluator(0, metric, graph)
-        fast = best_response_local_search(evaluator, k, rng=seed, vectorized=True)
-        slow = best_response_local_search(evaluator, k, rng=seed, vectorized=False)
+        fast = best_response_local_search(evaluator, k, rng=seed)
+        slow = scalar_best_response_local_search(evaluator, k, rng=seed)
         assert fast.neighbors == slow.neighbors
         assert fast.cost == slow.cost
 
@@ -180,10 +186,42 @@ class TestParityProperties:
         seed, kind, n, k = case
         metric, graph = random_instance(seed, kind, n)
         evaluator = WiringEvaluator(0, metric, graph)
-        fast = best_response_exact(evaluator, k, vectorized=True)
-        slow = best_response_exact(evaluator, k, vectorized=False)
+        fast = best_response_exact(evaluator, k)
+        slow = scalar_best_response_exact(evaluator, k)
         assert fast.neighbors == slow.neighbors
         assert fast.cost == slow.cost
+
+
+def test_engine_epochs_match_oracle_policy():
+    """Sequential engine epochs are byte-identical whether nodes compute
+    through the kernels or the oracle (n = 24 > exact_threshold, so the
+    local-search branch runs; untimed)."""
+    n, k, epochs = 24, 3, 3
+    matrix = np.random.default_rng(99).uniform(5.0, 150.0, size=(n, n))
+    np.fill_diagonal(matrix, 0.0)
+
+    def run(policy):
+        provider = DelayMetricProvider(
+            DelaySpace(matrix, jitter_std=0.0), estimator="true"
+        )
+        engine = EgoistEngine(provider, policy, k=k, seed=7)
+        records = [engine.run_epoch() for _ in range(epochs)]
+        wirings = [
+            engine.nodes[i].wiring.neighbors if engine.nodes[i].wiring else None
+            for i in range(n)
+        ]
+        keys = [
+            (r.epoch, r.rewirings, r.mean_cost.hex(), r.social_cost.hex(),
+             r.linkstate_bits)
+            for r in records
+        ]
+        return keys, wirings
+
+    fast_keys, fast_wirings = run(BestResponsePolicy())
+    slow_keys, slow_wirings = run(ScalarBestResponsePolicy())
+    assert fast_keys[0][1] > 0, "the case must exercise re-wiring"
+    assert fast_keys == slow_keys
+    assert fast_wirings == slow_wirings
 
 
 class TestEvaluatorNormalization:

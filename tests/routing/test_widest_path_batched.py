@@ -19,7 +19,6 @@ from repro.routing.widest_path import (
     bottleneck_avoid_one,
     bottleneck_closure,
     bottleneck_closure_fw,
-    reference_kernels,
     widest_path_bandwidths_multi,
 )
 
@@ -101,35 +100,3 @@ def test_source_subsets(graph, data):
     batched = widest_path_bandwidths_multi(graph, sources, batched=True)
     assert np.array_equal(batched, reference)
     assert batched.shape == (len(sources), graph.n)
-
-
-def test_reference_kernels_pins_auto_mode():
-    rng = np.random.default_rng(0)
-    graph = OverlayGraph(12)
-    for u in range(12):
-        for v in rng.choice([x for x in range(12) if x != u], size=3, replace=False):
-            graph.add_edge(u, int(v), float(rng.uniform(1, 10)))
-    sources = list(range(12))
-    # repro.routing re-exports a *function* named widest_path, shadowing
-    # the submodule attribute, so fetch the module from sys.modules.
-    import sys
-
-    wp = sys.modules["repro.routing.widest_path"]
-
-    calls = {"heap": 0}
-    original = wp.widest_path_bandwidths_from
-
-    def counting(graph_, src):
-        calls["heap"] += 1
-        return original(graph_, src)
-
-    wp.widest_path_bandwidths_from = counting
-    try:
-        with reference_kernels():
-            wp.widest_path_bandwidths_multi(graph, sources)
-        assert calls["heap"] == len(sources)
-        calls["heap"] = 0
-        wp.widest_path_bandwidths_multi(graph, sources)
-        assert calls["heap"] == 0  # auto mode picks the closure again
-    finally:
-        wp.widest_path_bandwidths_from = original

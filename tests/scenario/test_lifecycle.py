@@ -47,6 +47,19 @@ class TestMutation:
         with pytest.raises(ValidationError):
             Mutation.from_dict({"kind": "join", "nodes": [1], "bogus": True})
 
+    def test_non_finite_ints_rejected(self):
+        # int(float("inf")) raises OverflowError, not ValueError.
+        for data in (
+            {"kind": "leave", "nodes": [float("inf")]},
+            {"kind": "drift", "steps": float("inf")},
+            {
+                "kind": "failure",
+                "event": {"epoch": float("inf"), "action": "node-down", "nodes": [1]},
+            },
+        ):
+            with pytest.raises(ValidationError, match="malformed mutation"):
+                Mutation.from_dict(data)
+
     def test_kind_requirements(self):
         with pytest.raises(ValidationError):
             Mutation(kind="join").validate()  # no nodes

@@ -142,13 +142,14 @@ class TestWorkerSurvives:
             b'{"op": "lookup", "src": 1e999, "dst": 2, "id": 1}\n'
             b'{"op": "lookup_batch", "pairs": [[0, 1], [Infinity, 2]], "id": 2}\n'
             b'{"op": "step", "expect": 1e999, "id": 3}\n'
-            b'{"op": "lookup", "src": 0, "dst": 5, "id": 4}\n'
+            b'{"op": "mutate", "mutation": {"kind": "leave", "nodes": [1e999]}, "id": 4}\n'
+            b'{"op": "lookup", "src": 0, "dst": 5, "id": 5}\n'
         )
-        replies = self._raw_lines(endpoint, poisoned, 4)
-        assert [reply["id"] for reply in replies] == [1, 2, 3, 4]
-        for reply in replies[:3]:
+        replies = self._raw_lines(endpoint, poisoned, 5)
+        assert [reply["id"] for reply in replies] == [1, 2, 3, 4, 5]
+        for reply in replies[:4]:
             assert (reply["ok"], reply["error"]) == (False, "bad-request")
-        assert replies[3]["ok"] is True
+        assert replies[4]["ok"] is True
         # ... and a second connection is served too.
         with ServeClient(socket_path=endpoint, timeout=10) as client:
             assert client.lookup(0, 5)["ok"] is True

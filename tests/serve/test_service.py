@@ -220,6 +220,22 @@ class TestMalformedFrames:
         assert err.value.code == "bad-request"
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            # int(inf) raises OverflowError, not ValueError.
+            {"kind": "leave", "nodes": [float("inf")]},
+            {"kind": "drift", "steps": float("inf")},
+            {"kind": "failure", "event": {"action": "node-down", "nodes": [float("inf")]}},
+            {"kind": "leave", "nodes": ["x"]},
+        ],
+    )
+    def test_malformed_mutation_is_a_bad_request(self, service, mutation):
+        service.tick()
+        with pytest.raises(ServeError) as err:
+            service.mutate(mutation)
+        assert err.value.code == "bad-request"
+
     def test_ids_int_accepts_are_still_served(self, service):
         service.tick()
         clean = service.lookup_batch([[0, 5], [1, 7], [2, 3]])

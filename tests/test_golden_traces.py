@@ -38,6 +38,7 @@ from repro.core import (
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
+from tests.reference.scalar_best_response import ScalarBestResponsePolicy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -164,12 +165,10 @@ def test_golden_traces_are_deterministic():
 
 
 def test_golden_trace_vectorization_invariance():
-    """Golden digests must not depend on the vectorized flag: the scalar
-    reference path reproduces the stored trace of the default path."""
+    """Golden digests must not depend on the batched kernels: the
+    interpreted oracle policy reproduces the stored trace."""
     provider = DelayMetricProvider(_delay_space(10, seed=11), estimator="true")
-    engine = EgoistEngine(
-        provider, BestResponsePolicy(vectorized=False), k=2, seed=101
-    )
+    engine = EgoistEngine(provider, ScalarBestResponsePolicy(), k=2, seed=101)
     rows = _digest(engine, 6)
     path = GOLDEN_DIR / "delay_true.json"
     if not path.exists():
