@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument(
                 "--sequential",
                 action="store_true",
-                help="use the bit-identical sequential reference kernels",
+                help="run the plain sequential code (bit-identical to the lockstep batches)",
             )
             command.add_argument(
                 "--trace",
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--sequential",
         action="store_true",
-        help="use the bit-identical sequential reference kernels in every cell",
+        help="run the plain sequential code (bit-identical) in every cell",
     )
     sweep_cmd.add_argument(
         "--telemetry",
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument(
         "--sequential",
         action="store_true",
-        help="use the bit-identical sequential reference kernels in every cell",
+        help="run the plain sequential code (bit-identical) in every cell",
     )
 
     serve_cmd = sub.add_parser(
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--sequential",
         action="store_true",
-        help="use the bit-identical sequential reference kernels",
+        help="run the plain sequential code (bit-identical to the lockstep batches)",
     )
     serve_cmd.add_argument(
         "--metrics-port",
@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd.add_argument(
         "--sequential",
         action="store_true",
-        help="run both sides on the sequential reference kernels",
+        help="run both sides on the plain sequential code",
     )
 
     load_cmd = sub.add_parser(
@@ -531,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sequential",
         action="store_true",
         help=(
-            "replay on the sequential reference kernels regardless of what "
-            "the serving process used (a cross-kernel parity check)"
+            "replay on the plain sequential code regardless of what the "
+            "serving process used (a cross-tier parity check)"
         ),
     )
     replay_cmd.add_argument(

@@ -48,12 +48,23 @@ One level higher, :class:`DeploymentBatch`
 engines) advance many *independent* deployments in lockstep.  What they
 share is described once, in :mod:`repro.core.lockstep`: the fused
 best-response kernel that scores a whole group of re-wiring
-opportunities in broadcasts, the stacked route-value sweeps, and the
-bandwidth residual fill.  Each batch adds only its planner and its
-adoption rule, and each is bit-identical to running its deployments one
-by one (``batched=False``), gated by
+opportunities in broadcasts (the unreachable clamp and the preference
+weights folded into its via tensor once, not per pass), the stacked
+route-value sweeps, and the bandwidth residual fill.  Each batch adds
+only its planner and its adoption rule, and each is bit-identical to
+running its deployments one by one (``batched=False``), gated by
 ``benchmarks/test_bench_deployment_batch.py`` and
 ``benchmarks/test_bench_engine_batch.py``.
+
+The engine batch keeps a verdict, not a matrix, where it can.  From 64
+active nodes up an additive engine derives each residual from one
+maintained all-pairs matrix and streams it into the fused step — its
+working set is O(n^2), its route cache stays empty — and any fused
+engine stamps a node that did not re-wire with the token its step ended
+under: while that token stands the node's best response is known to be
+"stay" and the opportunity costs neither a residual nor a kernel call
+(``batch.steps.skipped``), so a converged epoch on a static substrate is
+n adoption tails.
 """
 
 from repro.core.wiring import GlobalWiring, Wiring

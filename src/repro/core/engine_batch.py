@@ -8,25 +8,40 @@ idle: every re-wiring opportunity pays its own residual graph
 construction and its own multi-source sweep.
 
 :class:`EngineBatch` advances the deployments epoch by epoch in lockstep
-and *prefills* each engine's
-:class:`~repro.core.route_cache.ResidualRouteCache` with the residual
-route-value matrices its upcoming re-wiring opportunities will ask for:
+and *prefills* the residual route-value matrices the upcoming re-wiring
+opportunities will ask for:
 
 * additive metrics (delay, load) on small overlays stack the ``(engine,
   node)`` residual weight matrices of all engines' next waves into one
   block-diagonal CSR Dijkstra call
-  (:func:`repro.core.lockstep.batched_route_matrices`);
+  (:func:`repro.core.lockstep.batched_route_matrices`) and park the
+  results in each engine's
+  :class:`~repro.core.route_cache.ResidualRouteCache`;
 * additive metrics from :data:`_MAINTAIN_MIN_ACTIVE` active nodes up
   keep **one all-pairs matrix of the current overlay per engine**: a
   node's residual graph differs from the overlay in its own out-links
   only and one re-wire changes one node's out-links, so both the
   residual rows and the matrix update after a re-wire are sparse exact
   repairs (:func:`repro.routing.shortest_path.repair_shortest_rows`)
-  instead of n-source sweeps;
+  instead of n-source sweeps.  The derived residual is *streamed*: it
+  lives in one slot of the lockstep state until this round's fused step
+  has read it, and never enters the route cache — n cached residuals
+  are n all-pairs matrices (O(n^3) floats), every one dead at the next
+  re-wire, while matrix + repair tables + one residual are O(n^2);
 * the bandwidth metric goes through
   :func:`repro.core.lockstep.fill_bandwidth_residuals` (per-node
   closures, or one avoid-one pass once a quiet streak makes whole-round
-  speculation worthwhile).
+  speculation worthwhile), again into the cache.
+
+What a cached residual bought in a quiet epoch — a node whose inputs
+did not move need not recompute anything — is kept as what it was a
+proxy for: a *settled stamp* per node, the cache-validity token its
+last fused step ended under when that step did not re-wire.  While the
+live token equals the stamp the node's best response is known to be
+"stay", so the round skips its prefill and its kernel call and runs
+only the adoption tail (:meth:`_LockstepState.is_settled`; counted
+``batch.steps.skipped``).  At equilibrium nobody re-wires, so a steady
+epoch of any fusable engine costs n adoption tails and no kernel.
 
 Wave sizes adapt per engine exactly like the deployment batch: they grow
 while nothing re-wires (:func:`repro.core.lockstep.wave_cap`) and fall
@@ -38,7 +53,8 @@ The re-wiring opportunities themselves run through the one fused kernel,
 pads churned-down engines to the group's widest member); only the
 adoption rule — the node's BR(ε) plus the link-state broadcast — lives
 here.  Join/leave events between epochs re-derive the active mask
-instead of rebuilding the batch, and the engines' residual route caches
+instead of rebuilding the batch, and below the maintained planner's
+floor the engines' residual route caches
 are kept warm through the *incremental repair* kernels
 (:func:`repro.routing.shortest_path.repair_shortest_rows` /
 :func:`repro.routing.widest_path.repair_widest_rows`) — a re-wire or a
@@ -53,7 +69,9 @@ The engines themselves are untouched: every step runs
 applies the same decision rules whether its evaluator's matrices come from
 the cache or from a fresh sweep — and the injected matrices are bitwise
 identical to the sweeps they replace (selections and block-separated
-Dijkstra runs, no arithmetic reordering).  ``batched=False`` does not
+Dijkstra runs, no arithmetic reordering).  A settled node's skipped
+step is exact for the same reason a cache hit is: the token covers
+every input of the verdict.  ``batched=False`` does not
 prefill at all: it runs each engine's ``run(epochs)`` sequentially, i.e.
 today's engine byte-for-byte, which is the parity anchor and the
 benchmark baseline (``benchmarks/test_bench_engine_batch.py``).
@@ -179,6 +197,8 @@ class _LockstepState:
         "maintained",
         "apsp",
         "apsp_stale",
+        "streamed",
+        "settled",
         "_tables",
         "_tables_version",
     )
@@ -205,6 +225,15 @@ class _LockstepState:
         #: not built, or invalidated).
         self.apsp: Optional[np.ndarray] = None
         self.apsp_stale: set = set()
+        #: The maintained planner's one live residual: the next node's
+        #: rows, derived in this round's prefill and consumed by this
+        #: round's fused step — never stored in the route cache.
+        self.streamed: Optional[np.ndarray] = None
+        #: node -> the token its last fused step ended under, if that
+        #: step did not re-wire.  While the live token still equals the
+        #: stamp, every input of the node's best response is unchanged
+        #: and so is the verdict ("stay"): see :meth:`is_settled`.
+        self.settled: Dict[int, Tuple] = {}
         #: Shared repair tables over the current dense wiring, keyed by
         #: the wiring version they were built at.
         self._tables = None
@@ -216,6 +245,7 @@ class _LockstepState:
         self.hops_key.clear()
         self.hops_rows.clear()
         self.pending.clear()
+        self.streamed = None
         # Membership (and with it the dense matrix) can change without a
         # version bump, so the shared tables never survive an epoch.
         self._tables = None
@@ -318,6 +348,53 @@ class _LockstepState:
         node = self.plan.order[self.plan.pos]
         rewired = self.engine.step_node(self.plan)
         self.after_step(node, rewired)
+
+    def is_settled(self) -> bool:
+        """Whether the next node's best response is already known: "stay".
+
+        A fused step's verdict is a pure function of the node's residual
+        rows, its announced direct row, its preferences, k, its incumbent
+        wiring and the search cap — all of which stand while the token
+        the engine trusts for cache validity does (the node's own weight
+        refresh lies outside its residual, and the stamp is read after
+        it).  So a node that stayed put under a token and meets the same
+        token again stays put again, without a residual or a kernel call:
+        the read-set check of a version-stamped result, kept per node in
+        place of the residual matrix that used to stand in for it.
+        """
+        plan = self.plan
+        return self.fusable and self.settled.get(plan.order[plan.pos]) == self.token()
+
+    def adopt(self, rewired: bool) -> None:
+        """The adoption tail of a fused (or settled) step.
+
+        What :meth:`EgoistEngine.step_node` does after the node decided:
+        re-install the wiring at the announced weights, broadcast the
+        link state, then the lockstep bookkeeping — and, if the node
+        stayed put, the stamp :meth:`is_settled` checks.  (Stamps of
+        re-wired nodes need no removal: versions only grow, so a stale
+        stamp never matches again.)
+        """
+        engine = self.engine
+        plan = self.plan
+        node = plan.order[plan.pos]
+        plan.pos += 1
+        wiring = engine.nodes[node].wiring
+        if wiring is not None:
+            row = plan.announced.link_weight_row(node)
+            weights = {int(v): float(row[v]) for v in sorted(wiring.neighbors)}
+            engine.wiring.set_wiring(wiring, weights)
+            engine.protocol.broadcast(
+                node,
+                engine.wiring.weights_of(node),
+                active=plan.active_list,
+                timestamp=engine.clock.now,
+            )
+        if rewired:
+            plan.rewirings += 1
+        self.after_step(node, rewired)
+        if not rewired:
+            self.settled[node] = self.token()
 
     def after_step(self, node: int, rewired: bool) -> None:
         """Dense/wave/speculation bookkeeping after ``node``'s step ran."""
@@ -484,37 +561,50 @@ class EngineBatch:
                 st.begin_epoch()
         live = [st for st in states if not st.plan.done]
         while live:
+            # Engines whose next node is settled need neither a residual
+            # nor the kernel this round, only the adoption tail.
+            settled: List[_LockstepState] = []
+            stepping: List[_LockstepState] = []
+            for st in live:
+                (settled if st.is_settled() else stepping).append(st)
             with telemetry.span("batch.prefill"):
-                self._prefill(live)
+                self._prefill(stepping)
             # Fused groups must share the full objective convention —
             # direction AND disconnection value — since the broadcast
             # clamps use one value for the whole group; a fusable engine
             # whose matrix is somehow uncached falls back to its own step.
-            # The matrix fetched here is handed to the fused step, so the
-            # cache sees exactly one lookup per opportunity (its hit/miss
-            # stats stay comparable with the sequential path).
+            # A maintained engine's residual was streamed by the prefill
+            # and never touches its cache; any other fusable engine's is
+            # fetched here and handed to the fused step, so its cache
+            # sees exactly one lookup per opportunity (hit/miss stats
+            # stay comparable with the sequential path).
             groups: Dict[Tuple[bool, float], List[Tuple[_LockstepState, np.ndarray]]] = {}
             fallback: List[_LockstepState] = []
-            for st in live:
+            for st in stepping:
                 node = st.plan.order[st.plan.pos]
-                resid = (
-                    st.engine.route_cache.get(node, st.hops_of(node))
-                    if st.fusable
-                    else None
-                )
+                if not st.fusable:
+                    resid = None
+                elif st.maintained:
+                    resid = st.streamed
+                else:
+                    resid = st.engine.route_cache.get(node, st.hops_of(node))
                 if resid is not None:
                     metric = st.plan.announced
                     key = (bool(metric.maximize), float(metric.unreachable_value))
                     groups.setdefault(key, []).append((st, resid))
                 else:
                     fallback.append(st)
-            # The fused-vs-sequential ledger: opportunities served by the
-            # broadcast kernels vs engines stepping their own path.
+            # The step ledger: opportunities served by the broadcast
+            # kernels, by engines stepping their own path, or by no
+            # computation at all.
             telemetry.count(
                 "batch.steps.fused", sum(len(members) for members in groups.values())
             )
             telemetry.count("batch.steps.sequential", len(fallback))
+            telemetry.count("batch.steps.skipped", len(settled))
             with telemetry.span("batch.steps"):
+                for st in settled:
+                    st.adopt(rewired=False)
                 for group in groups.values():
                     self._fused_engine_steps(group)
                 for st in fallback:
@@ -596,9 +686,12 @@ class EngineBatch:
         under.  A re-wire falsifies the chain; :meth:`_LockstepState.after_step`
         then drops the not-yet-consumed entries before any step could
         match one against a wrong wiring.  Engines on the maintained
-        planner do not speculate: their next node's rows are derived
-        from the all-pairs matrix (:meth:`_LockstepState.derive_residual`)
-        and stamped with the current token.
+        planner do not speculate, and the fused ones among them do not
+        touch the cache at all: their next node's rows are derived from
+        the all-pairs matrix (:meth:`_LockstepState.derive_residual`)
+        and left in :attr:`_LockstepState.streamed` for this round's
+        step.  ``live`` holds only the engines that step this round;
+        settled ones were taken out by :meth:`run_epoch`.
         """
         jobs: List[Tuple[_LockstepState, int, Tuple, Tuple[int, ...], np.ndarray]] = []
         for st in live:
@@ -647,10 +740,16 @@ class EngineBatch:
             if not next_hops:
                 continue
             if st.maintained:
-                # The node's own entry is an epoch old; the all-pairs
-                # matrix is at most one re-wire behind, which no
-                # changelog walk over that entry can beat.
-                if cache.get(next_node, next_hops) is None:
+                # The all-pairs matrix is at most one re-wire behind,
+                # which no changelog walk over an epoch-old entry can
+                # beat.  A fused step is the residual's only reader, so
+                # it is streamed to it (n cached residuals would be n
+                # all-pairs matrices, dead at the next re-wire; the
+                # quiet-epoch reuse they bought is the settled stamp).
+                # An engine on its own stepping path reads the cache.
+                if st.fusable:
+                    st.streamed = st.derive_residual(next_node)
+                elif cache.get(next_node, next_hops) is None:
                     cache.put(next_node, next_hops, st.derive_residual(next_node))
                 continue
             st.engine.repair_route_entry(
@@ -749,16 +848,16 @@ class EngineBatch:
     ) -> None:
         """One re-wiring opportunity per engine, through the shared kernel.
 
-        ``group`` pairs each engine's lockstep state with the cached
-        residual route-value matrix of its next node (fetched once by the
-        grouping pass in :meth:`run_epoch`).  Each becomes a
+        ``group`` pairs each engine's lockstep state with the residual
+        route-value matrix of its next node (streamed by the maintained
+        planner, or fetched once from the route cache by the grouping
+        pass in :meth:`run_epoch`).  Each becomes a
         :class:`~repro.core.lockstep.Member`;
         :func:`~repro.core.lockstep.fused_best_response` scores the whole
         group.  The adoption rule is the engine's
         (:meth:`~repro.core.node.EgoistNode.consider_rewiring`): BR(ε)
         with the *node's* epsilon, empty-wiring nodes adopting any
-        different wiring, followed by the weight re-install and the
-        link-state broadcast of :meth:`EgoistEngine.step_node`.
+        different wiring, followed by :meth:`_LockstepState.adopt`.
         """
         metric = group[0][0].plan.announced
         members = []
@@ -783,10 +882,9 @@ class EngineBatch:
             unreachable=metric.unreachable_value,
         )
         for d, ((st, _resid), member) in enumerate(zip(group, members)):
-            engine = st.engine
             plan = st.plan
             node = plan.order[plan.pos]
-            eng_node = engine.nodes[node]
+            eng_node = st.engine.nodes[node]
             new_neighbors = frozenset(chosen[d])
             old_neighbors = frozenset(member.incumbent)
             if old_neighbors:
@@ -802,21 +900,4 @@ class EngineBatch:
             if rewired:
                 eng_node.wiring = Wiring.of(node, new_neighbors)
                 eng_node.rewire_count += 1
-            plan.pos += 1
-            if eng_node.wiring is not None:
-                neighbors = sorted(eng_node.wiring.neighbors)
-                positions = np.searchsorted(member.hop_ids, neighbors)
-                weights = {
-                    int(v): float(member.direct[p])
-                    for v, p in zip(neighbors, positions)
-                }
-                engine.wiring.set_wiring(eng_node.wiring, weights)
-                engine.protocol.broadcast(
-                    node,
-                    engine.wiring.weights_of(node),
-                    active=plan.active_list,
-                    timestamp=engine.clock.now,
-                )
-            if rewired:
-                plan.rewirings += 1
-            st.after_step(node, rewired)
+            st.adopt(rewired)

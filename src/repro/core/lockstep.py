@@ -8,9 +8,10 @@ a time.  Everything they do identically lives here, once:
 
 * :func:`fused_best_response` — **the** re-wiring kernel: current-wiring
   score, greedy seed and single-swap local search of a whole group of
-  opportunities as broadcasts over one padded via tensor.  Callers
-  gather the per-member inputs, call it, and apply their own adoption
-  rule to what it returns.
+  opportunities as broadcasts over one padded via tensor, with the
+  unreachable clamp and the preference weights folded into that tensor
+  once.  Callers gather the per-member inputs, call it, and apply their
+  own adoption rule to what it returns.
 * :func:`batched_route_matrices` — all-sources route values of stacked
   overlays: one block-diagonal CSR Dijkstra for additive metrics, max-min
   closures for bandwidth.
@@ -239,6 +240,43 @@ class Member(NamedTuple):
     max_iterations: int
 
 
+def _fold_is_exact(
+    via: np.ndarray,
+    clamped: np.ndarray,
+    prefs: np.ndarray,
+    *,
+    maximize: bool,
+    unreachable: float,
+) -> bool:
+    """Whether clamping and weighting ``via`` *before* the kernel's
+    selections gives the bits that doing so after each of them would.
+
+    Every pass of the kernel selects per destination over hop rows
+    (min/max), clamps unreachable values to ``unreachable``, multiplies
+    by the preference and sums.  A selection commutes with a monotone
+    map — ``fl(p * clamp(min(a, b))) == min(fl(p * clamp(a)), fl(p *
+    clamp(b)))``, the very same float product, since min/max pick one of
+    their arguments and ``x -> fl(p * x)`` is monotone for ``p >= 0`` —
+    so the question is whether the clamp is monotone, i.e. whether the
+    disconnection value is no better than any reachable one:
+
+    * minimising: every finite via is ``<= unreachable``;
+    * maximising: no via is ``+inf`` (the clamp sends it *down* to
+      ``unreachable``) and ``unreachable <=`` every positive finite via.
+
+    That is not a given.  A failed link is *announced* at the
+    disconnection cost — a finite weight — so routes over it sum past
+    it, and an infinite direct bandwidth makes a via ``+inf``.
+    ``clamped`` is ``via`` with the clamp applied, which turns the check
+    into one reduction.
+    """
+    if maximize:
+        monotone = clamped.min() >= unreachable and via.max() < np.inf
+    else:
+        monotone = clamped.max() <= unreachable
+    return bool(monotone and prefs.min() >= 0)
+
+
 def fused_best_response(
     members: Sequence[Member], *, maximize: bool, unreachable: float
 ) -> Tuple[np.ndarray, List[List[int]], np.ndarray]:
@@ -264,6 +302,16 @@ def fused_best_response(
     would reduce, and resolve through the same argmin/argsort lanes, so
     costs and tie-breaks are bitwise those of
     :func:`~repro.core.best_response.best_response_local_search`.
+
+    The evaluator clamps and preference-weights after every selection;
+    the kernel does both to the tensor once, ``W[c, j] = fl(p_j *
+    clamp(via[c, j]))``, and runs each pass as a selection plus a
+    destination sum over ``W`` — two array passes instead of three or
+    four.  That is the same float product per cell whenever the clamp is
+    monotone and ``p >= 0`` (selections commute with monotone maps);
+    :func:`_fold_is_exact` checks exactly that, and a group failing it
+    (a link announced at the disconnection cost, an infinite direct
+    bandwidth) clamps and weights per pass, as the evaluator does.
     """
     D = len(members)
     combine = np.maximum if maximize else np.minimum
@@ -304,13 +352,24 @@ def fused_best_response(
         finite = np.isfinite(values)
         return finite & (values > 0) if maximize else finite
 
-    # Mirrors WiringEvaluator._via_clean per member (over its compact
-    # block): when every via value is reachable the clamp is an identity
-    # and the kernels skip it.  A mixed group clamps for everyone — a
-    # no-op on the clean members' blocks, so still bitwise identical.
-    via_clean = all(
-        bool(reachable(via[d, :h, :h]).all()) for d, h in enumerate(h_arr)
+    # --- fold clamp + preferences into the tensor, once ---------------- #
+    # weighted[c, j] = fl(p_j * clamp(via[c, j])): clamp first, then
+    # multiply — a zero preference over an unreachable cell is 0, not
+    # ``0 * inf``.  When the fold is exact (see :func:`_fold_is_exact`)
+    # every pass below selects over ``weighted`` directly and skips its
+    # own clamp and multiply; a group failing the check keeps the raw
+    # tensor and clamps and weights per pass.
+    weighted = np.where(reachable(via), via, unreachable)
+    folded = _fold_is_exact(
+        via, weighted, prefs, maximize=maximize, unreachable=unreachable
     )
+    if folded:
+        weighted *= prefs[:, None, :]
+        via = weighted
+        # p * clamp(identity): what a reduction over no row at all reads.
+        start = prefs * unreachable
+    else:
+        start = np.full((D, H), identity)
 
     def dest_sums(values: np.ndarray) -> np.ndarray:
         """Per-member destination sums over the compact prefixes.
@@ -330,15 +389,19 @@ def fused_best_response(
             out[d] = values[d, ..., : h_arr[d]].sum(axis=-1)
         return out
 
+    def weigh_(values: np.ndarray, weights: np.ndarray) -> None:
+        """Clamp and preference-weight selected values, in place — unless
+        the fold already did both to the tensor they were selected from."""
+        if not folded:
+            values[~reachable(values)] = unreachable
+            values *= weights
+
     def objective(rows: np.ndarray) -> np.ndarray:
         """Objective of one padded wiring per member (rows (D, R))."""
         vals = via[d_idx[:, None], rows]
         best = vals.max(axis=1) if maximize else vals.min(axis=1)
-        return dest_sums(prefs * np.where(reachable(best), best, unreachable))
-
-    def clamp_(values: np.ndarray) -> None:
-        if not via_clean:
-            values[~reachable(values)] = unreachable
+        weigh_(best, prefs)
+        return dest_sums(best)
 
     # --- score each member's current wiring --------------------------- #
     incumbent_rows = [np.searchsorted(m.hop_ids, sorted(m.incumbent)) for m in group]
@@ -356,7 +419,7 @@ def fused_best_response(
 
     # --- greedy marginal-gain seeding --------------------------------- #
     k_max = int(ks.max())
-    running = np.full((D, H), identity)
+    running = start.copy()
     # Padded hop lanes start out taken: their scores read as the
     # sentinel, so the argmin/argmax lanes resolve over each member's
     # real candidates exactly as its evaluator's.
@@ -365,8 +428,7 @@ def fused_best_response(
     for step in range(k_max):
         live = int(np.count_nonzero(step < ks))  # a prefix: ks sorted desc
         trial = combine(running[:live, None, :], via[:live, :H, :])
-        clamp_(trial)
-        trial *= prefs[:live, None, :]
+        weigh_(trial, prefs[:live, None, :])
         costs = dest_sums(trial)
         costs[taken[:live]] = sentinel
         pos = costs.argmax(axis=1) if maximize else costs.argmin(axis=1)
@@ -395,7 +457,7 @@ def fused_best_response(
         via_a = via[act]
         cur_vals = via_a[a_idx[:, None], current_rows[act]]
         if k_max == 1:
-            loo = np.full((A, 1, H), identity)
+            loo = start[act][:, None, :]
         else:
             # Leave-one-out reduction via the top-2 trick: dropping slot o
             # changes the column reduction only where o was the extreme.
@@ -412,8 +474,7 @@ def fused_best_response(
                 ext[:, None, :],
             )
         trial = combine(loo[:, :, None, :], via_a[:, None, :H, :])
-        clamp_(trial)
-        trial *= prefs[act][:, None, None, :]
+        weigh_(trial, prefs[act][:, None, None, :])
         swap = np.empty((A, k_max, H))
         if uniform_width:
             np.sum(trial, axis=3, out=swap)

@@ -21,6 +21,20 @@ announced-metric fingerprint, active membership).  Evaluator construction
 consults the cache; an entry is valid only if its token matches the
 cache's current token, so a single re-wiring anywhere (which bumps the
 wiring version) invalidates every stale entry implicitly.
+
+Who uses it.  The sequential engine (every opportunity), the lockstep
+batch's stacked-sweep and bandwidth planners, and the build-time
+deployment batch.  The lockstep batch's *maintained* planner (additive
+engines from 64 active nodes up) does not: it derives each residual
+from one all-pairs matrix and streams it straight into the fused step,
+so such an engine's cache stays empty for life and its counters read 0.
+The quiet-epoch reuse of the second bullet is served there by what the
+cached matrix was a proxy for — a per-node stamp of the very token
+described above, kept by the batch
+(:meth:`repro.core.engine_batch._LockstepState.is_settled`) — because a
+deployment-sized cache is n entries of ``(n - 1) x n`` floats: n
+all-pairs matrices, 64 MB at n = 200 and 1 GB at n = 500, all of it
+dead the moment anyone re-wires.
 """
 
 from __future__ import annotations
@@ -65,8 +79,9 @@ class ResidualRouteCache:
     max_entries:
         Maximum number of node entries kept (each entry is a dense
         ``hops x n`` matrix, so memory is roughly ``max_entries * n**2``
-        floats).  Must be positive; use ``None`` on the engine side to
-        size the cache to the deployment.
+        floats — a deployment-sized cache, one entry per node, is
+        ``n * n**2``).  Must be positive; use ``None`` on the engine side
+        to size the cache to the deployment.
 
     Notes
     -----

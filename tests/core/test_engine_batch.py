@@ -22,6 +22,7 @@ from repro.core.codec import history_digest
 from repro.core.cost import DelayMetric
 from repro.core.engine import EgoistEngine, EpochRecord
 from repro.core.engine_batch import _MAINTAIN_MIN_ACTIVE, EngineBatch, EngineSpec
+from repro.core.failures import FailureEvent
 from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import (
     BestResponsePolicy,
@@ -45,6 +46,7 @@ from repro.util.validation import ValidationError
 # shadows the submodule attribute of the same name.
 shortest_path_module = importlib.import_module("repro.routing.shortest_path")
 lockstep_module = importlib.import_module("repro.core.lockstep")
+engine_batch_module = importlib.import_module("repro.core.engine_batch")
 
 
 def assert_records_identical(a: EpochRecord, b: EpochRecord) -> None:
@@ -378,9 +380,10 @@ class TestMaintainedAllPairs:
         )
 
     @staticmethod
-    def _run_counting(batch, epochs, monkeypatch):
+    def _run_counting(batch, epochs, monkeypatch, also=()):
         """Run epoch by epoch; returns the Dijkstra rows and the planner
-        counter increments of each epoch."""
+        counter increments of each epoch (plus those of the fully named
+        counters in ``also``)."""
         rows = [0]
 
         def counting(original):
@@ -407,6 +410,7 @@ class TestMaintainedAllPairs:
                     key: counters.get(f"batch.prefill.{key}", 0)
                     for key in ("derived", "updated", "refused", "swept")
                 }
+                now.update({name: counters.get(name, 0) for name in also})
                 per_epoch_counts.append(
                     {key: now[key] - seen.get(key, 0) for key in now}
                 )
@@ -418,7 +422,9 @@ class TestMaintainedAllPairs:
     def test_steady_epochs_are_served_from_the_maintained_matrix(self, monkeypatch):
         n = self.N
         batch = EngineBatch(self._specs(), batched=True)
-        rows, counts = self._run_counting(batch, 3, monkeypatch)
+        rows, counts = self._run_counting(
+            batch, 3, monkeypatch, also=("batch.steps.skipped",)
+        )
         (engine,) = batch.engines
         sequential = EngineBatch(self._specs(), batched=False).run(3)
         assert self._digest([engine.history]) == self._digest(sequential)
@@ -435,10 +441,15 @@ class TestMaintainedAllPairs:
         # maintained one the n scoring rows plus one row per update.
         assert rows[-1] <= 2 * n + counts[-1]["updated"]
         assert rows[-1] * 10 < n * n
-        # One miss (the planner's probe) and one hit (the fused step)
-        # per opportunity, exactly as on the stacked-sweep path.
+        # Each derived residual is streamed into its fused step and
+        # dropped: the cache is never written or read, and every
+        # opportunity was either derived or skipped as settled.
         stats = engine.route_cache.stats()
-        assert stats["hits"] == stats["misses"] == 3 * n
+        assert len(engine.route_cache) == 0
+        assert stats["hits"] == stats["misses"] == 0
+        assert all(
+            c["derived"] + c["batch.steps.skipped"] == n for c in counts
+        )
 
     def test_parity_under_a_drifting_announced_metric(self, monkeypatch):
         # Ping estimates move every epoch, so every step re-installs its
@@ -509,3 +520,186 @@ class TestMaintainedAllPairs:
         batch = EngineBatch(self._specs(n=n), batched=True)
         _rows, counts = self._run_counting(batch, 2, monkeypatch)
         assert all(value == 0 for c in counts for value in c.values())
+
+
+def _reachable_array_bytes(obj, seen=None):
+    """Bytes of every ndarray reachable from ``obj`` through containers,
+    ``__slots__``/``__dict__`` objects and sparse matrices."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or obj is None or isinstance(obj, (int, float, str, bool)):
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        base = obj.base if isinstance(obj.base, np.ndarray) else None
+        return obj.nbytes if base is None else _reachable_array_bytes(base, seen)
+    if isinstance(obj, dict):
+        children = list(obj.keys()) + list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    else:
+        children = [getattr(obj, slot, None) for slot in getattr(obj, "__slots__", ())]
+        children += list(getattr(obj, "__dict__", {}).values())
+    return sum(_reachable_array_bytes(child, seen) for child in children)
+
+
+def _reset_wiring(batch):
+    batch.engines[0].reset_wiring([3])
+
+
+def _leave(batch):
+    batch.engines[0].request_leave([5])
+
+
+def _leave_then_rejoin(batch):
+    batch.engines[0].request_leave([5])
+    batch.step_epoch()
+    batch.engines[0].request_join([5])
+
+
+def _link_down(batch):
+    (engine,) = batch.engines
+    neighbor = min(engine.wiring.weights_of(0))
+    engine.inject_failure(
+        FailureEvent(epoch=engine.clock.epoch, action="link-down", links=((0, neighbor),))
+    )
+
+
+def _ping_drift(batch):
+    # One epoch measured by noisy pings, then back to the oracle.
+    batch.engines[0].provider.estimator = "ping"
+    batch.step_epoch()
+    batch.engines[0].provider.estimator = "true"
+
+
+class TestSettledNodes:
+    """A node that stayed put under a token and meets the same token again
+    stays put again: the batch keeps that verdict (a stamp per node), not
+    the residual matrix it was computed from, and a maintained engine
+    streams each residual into its step instead of caching it."""
+
+    @staticmethod
+    def _specs(n, k_values, *, seed=21):
+        return _delay_specs(
+            n,
+            seed,
+            estimator="true",
+            policies={"best-response": BestResponsePolicy()},
+            k_values=k_values,
+            epsilon=0.1,
+        )
+
+    @classmethod
+    def _converged_pair(cls, n, k_values):
+        """A lockstep and a sequential batch, both stepped to the first
+        epoch in which no engine re-wires."""
+        batched = EngineBatch(cls._specs(n, k_values), batched=True)
+        sequential = EngineBatch(cls._specs(n, k_values), batched=False)
+        for _ in range(20):
+            records = batched.step_epoch()
+            sequential.step_epoch()
+            if all(record.rewirings == 0 for record in records):
+                return batched, sequential
+        raise AssertionError("best-response dynamics did not converge")
+
+    @staticmethod
+    def _epoch_counting(batch, monkeypatch):
+        """Step one epoch; returns (kernel calls, telemetry counters)."""
+        calls = [0]
+        original = engine_batch_module.fused_best_response
+
+        def spy(members, **kwargs):
+            calls[0] += 1
+            return original(members, **kwargs)
+
+        monkeypatch.setattr(engine_batch_module, "fused_best_response", spy)
+        registry = telemetry.enable()
+        try:
+            batch.step_epoch()
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        return calls[0], counters
+
+    @pytest.mark.parametrize(
+        "n, k_values",
+        [(72, (4,)), (24, (2, 3))],
+        ids=["maintained-n72", "stacked-n24-width2"],
+    )
+    def test_a_converged_epoch_runs_no_kernel(self, n, k_values, monkeypatch):
+        batched, sequential = self._converged_pair(n, k_values)
+        calls, counters = self._epoch_counting(batched, monkeypatch)
+        sequential.step_epoch()
+        assert counters.get("batch.steps.skipped", 0) == n * len(k_values)
+        assert counters.get("batch.steps.fused", 0) == 0
+        assert counters.get("batch.steps.sequential", 0) == 0
+        assert calls == 0
+        assert counters.get("kernel.shortest.repair.calls", 0) == 0
+        assert counters.get("batch.prefill.derived", 0) == 0
+        assert_histories_identical(
+            [engine.history for engine in batched.engines],
+            [engine.history for engine in sequential.engines],
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_reset_wiring, _leave, _leave_then_rejoin, _link_down, _ping_drift],
+        ids=["reset-wiring", "leave", "leave-then-rejoin", "link-down", "ping-drift"],
+    )
+    def test_a_change_unsettles_the_stamps(self, mutate, monkeypatch):
+        """Every way the inputs of a best response can move between two
+        opportunities moves the token, so the kernel runs again."""
+        batched, sequential = self._converged_pair(72, (4,))
+        mutate(batched)
+        mutate(sequential)
+        calls, counters = self._epoch_counting(batched, monkeypatch)
+        sequential.step_epoch()
+        assert calls > 0
+        assert counters.get("batch.steps.fused", 0) == calls
+        batched.run(2)
+        sequential.run(2)
+        assert_histories_identical(
+            [engine.history for engine in batched.engines],
+            [engine.history for engine in sequential.engines],
+        )
+
+    def test_a_maintained_engine_holds_one_residual_not_n(self):
+        n = 96
+        batch = EngineBatch(self._specs(n, (4,)), batched=True)
+        batch.run(2)
+        (state,) = batch._states
+        (engine,) = batch.engines
+        assert state.maintained and len(engine.route_cache) == 0
+        held = _reachable_array_bytes(
+            [
+                getattr(state, slot)
+                for slot in type(state).__slots__
+                if slot not in ("engine", "plan")
+            ]
+            + [engine.route_cache._store]
+        )
+        # apsp + dense + repair tables + one residual + the hop index
+        # rows, each about n^2 floats; a cached residual per node alone
+        # would be n * n^2.
+        assert n * n * 8 < held <= 12 * n * n * 8
+
+    def test_a_restored_batch_re_derives_its_stamps(self):
+        batched, sequential = self._converged_pair(72, (4,))
+        assert batched._states[0].settled
+        restored = pickle.loads(pickle.dumps(batched))
+        assert restored._states is None
+        registry = telemetry.enable()
+        try:
+            restored.run(3)
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        sequential.run(3)
+        # The first epoch back re-derives every verdict through the
+        # kernel (nobody re-wires) and stamps it; the next two skip.
+        assert counters["batch.steps.fused"] == 72
+        assert counters["batch.steps.skipped"] == 2 * 72
+        assert len(restored._states[0].settled) == 72
+        assert_histories_identical(
+            [engine.history for engine in restored.engines],
+            [engine.history for engine in sequential.engines],
+        )

@@ -143,28 +143,53 @@ class TestConcurrentClaiming:
         assert stored.pid == winners[0].pid
 
     def test_racing_reclaimers_yield_exactly_one_winner(self, backend):
-        """The rename-based takeover admits a single reclaimer."""
-        dead = ClaimStore(backend, lease_seconds=1e-9, host="dead-host", pid=1)
-        assert dead.try_claim(KEY) is not None
-        winners = []
-        barrier = threading.Barrier(8)
+        """Racing reclaimers end with exactly one *holder*.
 
-        def reclaimer(pid: int) -> None:
-            claims = ClaimStore(backend, lease_seconds=60.0, host="reclaimer", pid=pid)
-            barrier.wait()
-            record = claims.try_claim(KEY)
-            if record is not None:
-                winners.append(record)
+        ``try_claim`` itself can hand a record to more than one of them:
+        the ABA window it documents — reclaimer B renames away A's fresh
+        claim, and a third racer's plain create lands in the empty slot
+        before B hands A's text back — makes A and the third both
+        "winners" for a moment (about one trial in three on a 2-vCPU
+        box).  What the protocol guarantees is that the slot settles on
+        one of them and every other winner finds out at its next renew;
+        double execution in between is harmless because cells are
+        write-once and byte-deterministic (``docs/sweep_distributed.md``).
+        """
+        for trial in range(50):
+            key = f"{trial:032x}"
+            dead = ClaimStore(backend, lease_seconds=1e-9, host="dead-host", pid=1)
+            assert dead.try_claim(key) is not None
+            winners = []
+            barrier = threading.Barrier(8)
 
-        threads = [threading.Thread(target=reclaimer, args=(pid,)) for pid in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(winners) == 1
-        assert winners[0].reclaimed is True
-        stored = ClaimStore(backend, lease_seconds=60.0).read(KEY)
-        assert stored.pid == winners[0].pid
+            def reclaimer(pid: int) -> None:
+                claims = ClaimStore(
+                    backend, lease_seconds=60.0, host="reclaimer", pid=pid
+                )
+                barrier.wait()
+                record = claims.try_claim(key)
+                if record is not None:
+                    winners.append(record)
+
+            threads = [
+                threading.Thread(target=reclaimer, args=(pid,)) for pid in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert len(winners) >= 1
+            claims = ClaimStore(backend, lease_seconds=60.0)
+            holders = []
+            for record in winners:
+                try:
+                    claims.renew(record)
+                except ClaimLost:
+                    continue
+                holders.append(record)
+            assert len(holders) == 1
+            assert claims.read(key).pid == holders[0].pid
 
     def test_racing_claims_across_many_keys_partition_cleanly(self, backend):
         keys = [f"{index:032x}" for index in range(10)]
