@@ -16,10 +16,11 @@ What the fused path exercises here, unlike the static engine-batch gate
   tensors with per-engine compact reductions;
 * join/leave events re-derive each engine's active mask between epochs
   (the lockstep states persist across the whole run);
-* the residual route caches stay warm through the incremental repair
-  kernels and the speculative prefills, where the sequential engines
-  miss on every single opportunity (their token — wiring version,
-  metric fingerprint, membership — changes under them every epoch).
+* the residual route caches stay warm through the speculative stacked
+  prefills (a stale entry is recomputed by the next one, never patched),
+  where the sequential engines miss on every single opportunity (their
+  token — wiring version, metric fingerprint, membership — changes
+  under them every epoch).
 
 Three hard gates:
 
@@ -27,7 +28,7 @@ Three hard gates:
   best-of-two interleaved rounds per path so load drift hits both sides
   equally and a single spike cannot decide the gate);
 * **byte-identical EpochRecord digests** between the two paths — the
-  fused masked broadcasts and every repaired matrix must not change a
+  fused masked broadcasts and every prefilled matrix must not change a
   single decision (digests cover every record field at full float
   precision via ``float.hex``);
 * **cache hit-rate > 50 %** under churn (assert via
@@ -143,7 +144,7 @@ def test_churned_engine_batch_speedup(benchmark, report):
     benchmark.pedantic(_run, kwargs={"batched": True}, rounds=1, iterations=1)
 
     # Byte-identical epoch records: the masked fused broadcasts and the
-    # incremental cache repairs must not change a single decision.
+    # speculative prefills must not change a single decision.
     sequential_digest = _record_digest(sequential_batch)
     batched_digest = _record_digest(batched_batch)
     assert batched_digest == sequential_digest, (
@@ -152,8 +153,8 @@ def test_churned_engine_batch_speedup(benchmark, report):
     )
 
     # The dynamic-membership cache story: sequential engines cannot reuse
-    # anything across churned epochs; the lockstep prefills + incremental
-    # repairs keep the caches serving most lookups.
+    # anything across churned epochs; the lockstep prefills keep the
+    # caches serving most lookups (repairs reads 0: nothing is patched).
     sequential_stats, batched_stats = (
         pooled_cache_stats(engine.route_cache for engine in batch.engines)
         for batch in (sequential_batch, batched_batch)

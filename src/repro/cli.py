@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help=(
                     "print execution diagnostics after the series (route-cache "
-                    "hits/misses/repairs and hit rate for epoch-loop scenarios)"
+                    "hits/misses and hit rate for epoch-loop scenarios; no engine "
+                    "path patches entries, so repairs/restamps read 0)"
                 ),
             )
             command.add_argument(

@@ -54,6 +54,17 @@ def uniform_preferences(n: int) -> np.ndarray:
     return prefs
 
 
+def check_preferences(preferences: np.ndarray, n: int) -> np.ndarray:
+    """A caller-supplied preference matrix, checked once: ``(n, n)``,
+    finite, non-negative (the weighted-cost reductions assume all three)."""
+    prefs = np.asarray(preferences, dtype=float)
+    if prefs.shape != (n, n):
+        raise ValidationError(f"preferences must be {n} x {n}, got {prefs.shape}")
+    if not np.isfinite(prefs).all() or (prefs < 0).any():
+        raise ValidationError("preferences must be finite and non-negative")
+    return prefs
+
+
 def normalize_preferences(raw: np.ndarray) -> np.ndarray:
     """Normalise an arbitrary non-negative preference matrix row-wise.
 

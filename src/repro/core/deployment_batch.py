@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.best_response import WiringEvaluator, should_rewire
-from repro.core.cost import Metric, uniform_preferences
+from repro.core.cost import Metric, check_preferences, uniform_preferences
 from repro.core.lockstep import (
     Member,
     batched_route_matrices,
@@ -138,6 +138,10 @@ class DeploymentSpec:
     preferences: Optional[np.ndarray] = None
     ensure_connected: bool = True
     rng: SeedLike = None
+
+    def __post_init__(self):
+        if self.preferences is not None:
+            self.preferences = check_preferences(self.preferences, self.announced.size)
 
 
 class _BRBuildState:

@@ -28,7 +28,12 @@ from repro.churn.models import ChurnSchedule
 from repro.core.best_response import WiringEvaluator
 from repro.core.bootstrap import BootstrapServer
 from repro.core.cheating import CheatingModel
-from repro.core.cost import DISCONNECTION_COST, Metric, uniform_preferences
+from repro.core.cost import (
+    DISCONNECTION_COST,
+    Metric,
+    check_preferences,
+    uniform_preferences,
+)
 from repro.core.failures import FailureSpec, FailureState, mask_metric
 from repro.core.node import EgoistNode, RewireMode
 from repro.core.policies import NeighborSelectionPolicy
@@ -41,20 +46,6 @@ from repro.telemetry import runtime as telemetry
 from repro.util.rng import SeedLike, as_generator, spawn_generators
 from repro.util.simclock import SimClock
 from repro.util.validation import ValidationError
-
-#: Sanity bound on how many accumulated re-wires a single repair may
-#: span.  The kernels stay exact (and internally fall back to one
-#: C-level sweep of the shared tables once the suspect region grows),
-#: so the cap only exists to skip hopeless changelog walks.
-_REPAIR_CHANGED_CAP = 256
-
-#: Repair-vs-recompute bound for a sequential re-wiring opportunity:
-#: past this suspect fraction the incremental rounds cost about as much
-#: as the fresh sweep the evaluator would run anyway, so the entry is
-#: dropped and the sweep keeps its job.  Small-delta staleness — the
-#: quiet-epoch re-wired case — stays far below the bound.
-_STEP_REPAIR_MAX_SUSPECT = 0.25
-
 
 class _LazyResidualGraph:
     """Residual graph built on first attribute access.
@@ -233,9 +224,10 @@ class EgoistEngine:
         Optional failure-injection schedule (see
         :class:`~repro.core.failures.FailureSpec`).  Applied at the start
         of each epoch: down nodes leave the active set, down links are
-        dropped from the wiring (through the ordinary changelog/repair
-        path) and masked to the disconnection value in both metrics, and
-        announcement loss is routed through the link-state protocol.
+        dropped from the wiring (an ordinary version bump, so cached
+        residuals stop matching) and masked to the disconnection value
+        in both metrics, and announcement loss is routed through the
+        link-state protocol.
     epsilon:
         BR(ε) threshold applied by every node.
     rewire_mode:
@@ -284,7 +276,9 @@ class EgoistEngine:
         self.churn = churn
         self.cheating = cheating
         self.preferences = (
-            preferences if preferences is not None else uniform_preferences(self.n)
+            check_preferences(preferences, self.n)
+            if preferences is not None
+            else uniform_preferences(self.n)
         )
         self.compute_efficiency = bool(compute_efficiency)
         self.clock = SimClock(epoch_length=epoch_length)
@@ -398,7 +392,7 @@ class EgoistEngine:
         Mirrors the survivor-drop path of membership changes: each
         endpoint forgets the dead neighbour and its global wiring entry
         is rewritten through :meth:`GlobalWiring.set_wiring`, so the
-        removal lands in the changelog and the dynamic-SSSP repair path
+        removal bumps the wiring version (and lands in the changelog)
         exactly like a churn departure.  Re-applied every epoch because a
         structural policy (k-random) may re-adopt a masked link mid-epoch
         — the adoption costs the disconnection value and is dropped again
@@ -463,8 +457,8 @@ class EgoistEngine:
 
         The nodes stay online but forget their wiring, so each rebuilds
         from scratch at its next re-wiring opportunity.  The removals go
-        through :meth:`GlobalWiring.remove_wiring`, feeding the changelog
-        and the dynamic-SSSP repair path like any ordinary re-wire.
+        through :meth:`GlobalWiring.remove_wiring`: a version bump and a
+        changelog entry, like any ordinary re-wire.
         """
         for node_id in sorted(self._check_node_ids(nodes)):
             node = self.nodes[node_id]
@@ -534,129 +528,13 @@ class EgoistEngine:
             metric_fp=metric_fp,
         )
 
-    def repair_route_entry(
-        self,
-        plan: EpochPlan,
-        node_id: int,
-        hops: Optional[Tuple[int, ...]] = None,
-        *,
-        tables=None,
-        max_fraction: Optional[float] = None,
-    ) -> bool:
-        """Try to bring ``node_id``'s cached residual matrix up to date.
-
-        The route cache's *re-wired* case: an entry stamped with an older
-        wiring version — but the same announced metric and membership —
-        can be repaired through the incremental dynamic-SSSP kernels when
-        the :class:`GlobalWiring` changelog still covers the re-wires in
-        between, instead of being recomputed by a fresh sweep.  Repaired
-        matrices are bit-identical to the fresh sweep, so decisions never
-        change; only wall-clock does.
-
-        ``tables`` optionally supplies shared repair tables over the full
-        active wiring (or a zero-argument factory for them — they are
-        only materialised once a repairable entry is actually found), in
-        which case the kernels exclude ``node_id``'s out-links
-        themselves; without it the engine builds the node's dense
-        residual directly.  ``max_fraction`` forwards the repair-vs-
-        recompute bound of :meth:`ResidualRouteCache.repair`: every
-        caller has *some* fresh path (the batch's stacked sweeps, the
-        evaluator's own sweep) that wins once most of the matrix is
-        suspect anyway.
-
-        Returns True when the cache holds a currently-valid entry for the
-        node after the call (whether it was already valid, re-stamped, or
-        repaired).
-        """
-        cache = self.route_cache
-        if cache is None or plan.metric_fp is None:
-            return False
-        repaired = self._repair_route_entry(
-            plan, node_id, hops, tables=tables, max_fraction=max_fraction
-        )
-        # The repair-vs-sweep decision ledger: a False here means the
-        # caller takes its fresh-sweep path for this node.  The cache's
-        # own repairs/restamps/drops counters say *how* a hit was kept.
-        telemetry.count("engine.repair.hit" if repaired else "engine.repair.sweep")
-        return repaired
-
-    def _repair_route_entry(
-        self,
-        plan: EpochPlan,
-        node_id: int,
-        hops: Optional[Tuple[int, ...]] = None,
-        *,
-        tables=None,
-        max_fraction: Optional[float] = None,
-    ) -> bool:
-        cache = self.route_cache
-        if hops is None:
-            hops = tuple(c for c in plan.active_list if c != node_id)
-        token = (self.wiring.version, plan.metric_fp, plan.active_key)
-        info = cache.entry_info(node_id)
-        if info is None:
-            return False
-        entry_token, entry_hops = info
-        if entry_token == token and entry_hops == hops:
-            return True
-        if not (isinstance(entry_token, tuple) and len(entry_token) == 3):
-            return False
-        old_version, old_fp, _old_key = entry_token
-        if old_fp != plan.metric_fp or not isinstance(old_version, int):
-            return False
-        if self.wiring.version - old_version > self.n:
-            # More bumps than nodes since the entry was stored: close to
-            # everything re-wired at least once, so the suspect screen
-            # would refuse anyway — skip the changelog walk entirely.
-            return False
-        # A membership change needs no special case: the departures'
-        # link removals (and the survivors' dropped links) all went
-        # through set_wiring/remove_wiring, so the changelog *is* the
-        # delta, and the cache re-slices the rows to the new hop tuple.
-        changed = self.wiring.changed_since(old_version)
-        if changed is None:
-            return False
-        changed.discard(node_id)
-        if len(changed) > _REPAIR_CHANGED_CAP:
-            return False
-        if max_fraction is not None and len(changed) > max(3, max_fraction * self.n):
-            # With this many distinct re-wired nodes the suspect screen
-            # is all but certain to refuse; skip straight to the fresh
-            # path without paying for the screen.
-            return False
-        cache.set_token(token)
-        adjacency = None
-        exclude = None
-        if changed:
-            if tables is not None:
-                exclude = node_id
-            else:
-                # Deferred like the shared tables: only a repair that
-                # survives the refusal screen pays for the dense build.
-                adjacency = lambda: self.wiring.dense_residual(  # noqa: E731
-                    node_id, plan.active_list
-                )
-        return (
-            cache.repair(
-                node_id,
-                changed,
-                adjacency,
-                maximize=plan.announced.maximize,
-                exclude=exclude,
-                tables=tables if changed else None,
-                max_fraction=max_fraction,
-                new_hops=hops,
-            )
-            is not None
-        )
-
     def step_node(self, plan: EpochPlan) -> bool:
         """Run the next node's re-wiring opportunity of ``plan``.
 
         Returns whether the node actually re-wired.  The residual graph is
-        lazy: on a route-cache hit (quiescent epochs, matrices injected by
-        :class:`~repro.core.engine_batch.EngineBatch`, or a stale entry
-        repaired via :meth:`repair_route_entry`) it is never built.
+        lazy: on a route-cache hit (quiescent epochs, or matrices injected
+        by :class:`~repro.core.engine_batch.EngineBatch`) it is never
+        built; a stale entry is a miss and the evaluator sweeps afresh.
         """
         node_id = plan.order[plan.pos]
         plan.pos += 1
@@ -666,12 +544,6 @@ class EgoistEngine:
         if self.route_cache is not None:
             self.route_cache.set_token(
                 (self.wiring.version, plan.metric_fp, plan.active_key)
-            )
-            self.repair_route_entry(
-                plan,
-                node_id,
-                hops=tuple(candidates),
-                max_fraction=_STEP_REPAIR_MAX_SUSPECT,
             )
         evaluator = WiringEvaluator(
             node=node_id,

@@ -53,14 +53,10 @@ The re-wiring opportunities themselves run through the one fused kernel,
 pads churned-down engines to the group's widest member); only the
 adoption rule — the node's BR(ε) plus the link-state broadcast — lives
 here.  Join/leave events between epochs re-derive the active mask
-instead of rebuilding the batch, and below the maintained planner's
-floor the engines' residual route caches
-are kept warm through the *incremental repair* kernels
-(:func:`repro.routing.shortest_path.repair_shortest_rows` /
-:func:`repro.routing.widest_path.repair_widest_rows`) — a re-wire or a
-membership delta becomes a masked update of the cached matrices (exact,
-see the kernels) instead of a full invalidation, with the
-:meth:`GlobalWiring.changed_since` changelog supplying the deltas.
+instead of rebuilding the batch.  Below the maintained planner's floor
+a cached residual is valid under the cache's current token or the next
+stacked sweep recomputes it; nothing patches a stale matrix (measured:
+at most 1.3% of lookups, 0.19% of Dijkstra rows).
 
 Byte identity
 -------------
@@ -106,7 +102,6 @@ from repro.routing.shortest_path import (
     screen_shortest_repair,
     shortest_inbound_tables,
 )
-from repro.routing.widest_path import widest_inbound_tables
 from repro.telemetry import runtime as telemetry
 from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
@@ -116,13 +111,6 @@ from repro.util.validation import ValidationError
 #: ``(blocks*n)^2`` distance output — not the Dijkstra itself — dominates;
 #: a tighter cap than the deployment sweep's keeps that output near 8 MB.
 _ENGINE_BLOCK_NODES = 1024
-
-#: Repair-vs-recompute bound for the batch: the lockstep prefills
-#: amortise fresh sweeps across engines in C-level stacked calls, so an
-#: incremental repair only pays while the suspect region stays small.
-#: (The sequential engine applies its own, independently tuned bound —
-#: see ``repro.core.engine._STEP_REPAIR_MAX_SUSPECT``.)
-_REPAIR_MAX_SUSPECT = 0.35
 
 #: Active-membership floor of the maintained all-pairs planner.  From
 #: here up, deriving a residual from the engine's all-pairs matrix (and
@@ -212,10 +200,9 @@ class _LockstepState:
         self.hops_rows: Dict[int, np.ndarray] = {}
         self.version = -1
         self.fusable = False
-        #: Speculative cache entries not yet consumed:
-        #: node -> (entry token, epoch-order positions of the predicted
-        #: weight refreshes baked into the entry's residual baseline).
-        self.pending: Dict[int, Tuple[Tuple, Tuple[int, ...]]] = {}
+        #: Speculative cache entries not yet consumed: node -> the
+        #: predicted token the entry was stamped with.
+        self.pending: Dict[int, Tuple] = {}
         self.active_set: frozenset = frozenset()
         #: Whether this epoch's residuals come from :attr:`apsp` (the
         #: maintained planner) rather than stacked speculative sweeps.
@@ -411,74 +398,40 @@ class _LockstepState:
             if self.apsp is not None:
                 self.apsp_stale.add(node)
         if rewired:
-            self._settle_pending(node)
+            self._drop_pending()
         if rewired or (version_changed and self.plan.announced.maximize):
             # Under sustained re-wiring a planned-ahead entry is usually
-            # falsified (and at best repaired, at worst recomputed)
-            # before it is consumed, so a re-wire sends the chain back to
-            # single-step lookahead until a quiet streak re-earns the
-            # deeper pipeline.  For bandwidth even an in-place weight
+            # falsified (dropped, then recomputed by the next stacked
+            # sweep) before it is consumed, so a re-wire sends the chain
+            # back to single-step lookahead until a quiet streak re-earns
+            # the deeper pipeline.  For bandwidth even an in-place weight
             # refresh resets: its prefill does not speculate, and a
             # wasted wave member costs a full n^3 closure.
             self.wave = 1
         else:
             self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))
 
-    def _settle_pending(self, rewired_node: int) -> None:
-        """Repair (or drop) the speculative entries a re-wire falsified.
+    def _drop_pending(self) -> None:
+        """Drop the speculative entries a re-wire falsified: all of them.
 
-        The speculative chain assumed ``rewired_node`` would refresh its
-        weights in place; every pending entry was computed from that
-        now-wrong wiring (and, since the wiring version still advanced by
-        one, its predicted token WILL match), so none may survive as is.
-        But an entry whose predicted weight refreshes have all actually
-        happened by now differs from the *current* wiring in exactly the
-        re-wired node's out-links — the incremental repair kernels bring
-        it up to date bit-exactly instead of throwing the sweep away.
-        Entries that also baked in not-yet-materialised future refreshes
-        (drifting metrics) are dropped as before.
+        Each was computed assuming the node would refresh its weights in
+        place, and the re-wire bumped the version by the same one step,
+        so its predicted token WILL match the live one: none may stay.
         """
         cache = self.engine.route_cache
-        if cache is None or not self.pending:
-            self.pending.clear()
-            return
-        plan = self.plan
-        position = plan.pos - 1  # the re-wired node's slot in the epoch order
-        cache.set_token(self.token())
-        maximize = plan.announced.maximize
-        for other, (_token, applied) in self.pending.items():
-            if all(q <= position for q in applied):
-                # One shared table of the whole overlay serves every
-                # residual repair of this settle; each call masks out
-                # its own node's out-links via ``exclude``.  Entries the
-                # screen refuses (most of the matrix suspect) are
-                # dropped and return to the stacked fresh path.
-                cache.repair(
-                    other,
-                    (rewired_node,),
-                    None,
-                    maximize=maximize,
-                    exclude=other,
-                    tables=self.repair_tables(),
-                    max_fraction=_REPAIR_MAX_SUSPECT,
-                )
-            else:
-                cache.drop(other)
+        for other in self.pending:
+            cache.drop(other)
         self.pending.clear()
 
     def repair_tables(self):
         """Shared repair tables over the current dense wiring (cached).
 
-        Rebuilt whenever the wiring version moves; built with each
-        metric family's edge conventions (the additive zero-nudge
-        matching ``_to_csr``; raw bandwidths for max-min).
+        The maintained planner's (additive) tables, rebuilt whenever
+        the wiring version moves.
         """
         version = self.engine.wiring.version
         if self._tables is None or self._tables_version != version:
-            if self.plan.announced.maximize:
-                self._tables = widest_inbound_tables(self.dense)
-            else:
-                self._tables = shortest_inbound_tables(self.dense)
+            self._tables = shortest_inbound_tables(self.dense)
             self._tables_version = version
         return self._tables
 
@@ -685,15 +638,16 @@ class EngineBatch:
         stamps each entry with the token of the state it will be valid
         under.  A re-wire falsifies the chain; :meth:`_LockstepState.after_step`
         then drops the not-yet-consumed entries before any step could
-        match one against a wrong wiring.  Engines on the maintained
-        planner do not speculate, and the fused ones among them do not
-        touch the cache at all: their next node's rows are derived from
-        the all-pairs matrix (:meth:`_LockstepState.derive_residual`)
-        and left in :attr:`_LockstepState.streamed` for this round's
-        step.  ``live`` holds only the engines that step this round;
-        settled ones were taken out by :meth:`run_epoch`.
+        match one against a wrong wiring, and the next round's stacked
+        sweep recomputes them.  Engines on the maintained planner do not
+        speculate, and the fused ones among them do not touch the cache
+        at all: their next node's rows are derived from the all-pairs
+        matrix (:meth:`_LockstepState.derive_residual`) and left in
+        :attr:`_LockstepState.streamed` for this round's step.  ``live``
+        holds only the engines that step this round; settled ones were
+        taken out by :meth:`run_epoch`.
         """
-        jobs: List[Tuple[_LockstepState, int, Tuple, Tuple[int, ...], np.ndarray]] = []
+        jobs: List[Tuple[_LockstepState, int, Tuple, np.ndarray]] = []
         for st in live:
             cache = st.engine.route_cache
             if cache is None:
@@ -701,24 +655,11 @@ class EngineBatch:
             cache.set_token(st.token())
             plan = st.plan
             if plan.announced.maximize:
-                # A stale-but-repairable entry (a re-wire bumped the
-                # version under an unchanged metric and membership) is
-                # brought up to date by the incremental kernel instead of
-                # joining the closure wave; the lookup that follows then
-                # finds it like any other live entry.
-                missing = []
-                for node in plan.order[plan.pos : plan.pos + st.wave]:
-                    if not st.hops_of(node):
-                        continue
-                    st.engine.repair_route_entry(
-                        plan,
-                        node,
-                        hops=st.hops_key[node],
-                        tables=st.repair_tables,
-                        max_fraction=_REPAIR_MAX_SUSPECT,
-                    )
-                    if cache.get(node, st.hops_of(node)) is None:
-                        missing.append(node)
+                missing = [
+                    node
+                    for node in plan.order[plan.pos : plan.pos + st.wave]
+                    if (hops := st.hops_of(node)) and cache.get(node, hops) is None
+                ]
                 if missing:
                     # Past the closure cutoff nothing is prefilled: the
                     # engine's own auto-mode sweep (bitwise identical) runs.
@@ -731,8 +672,7 @@ class EngineBatch:
                     )
                 continue
             # Replan only when the speculative chain ran dry (or broke):
-            # while the next node's entry is valid — possibly because the
-            # incremental repair just mended it — the earlier plan
+            # while the next node's entry is valid the earlier plan
             # already covers this round and the walk would be pure
             # overhead.
             next_node = plan.order[plan.pos]
@@ -740,9 +680,8 @@ class EngineBatch:
             if not next_hops:
                 continue
             if st.maintained:
-                # The all-pairs matrix is at most one re-wire behind,
-                # which no changelog walk over an epoch-old entry can
-                # beat.  A fused step is the residual's only reader, so
+                # The all-pairs matrix is at most one re-wire behind.
+                # A fused step is the residual's only reader, so
                 # it is streamed to it (n cached residuals would be n
                 # all-pairs matrices, dead at the next re-wire; the
                 # quiet-epoch reuse they bought is the settled stamp).
@@ -752,31 +691,24 @@ class EngineBatch:
                 elif cache.get(next_node, next_hops) is None:
                     cache.put(next_node, next_hops, st.derive_residual(next_node))
                 continue
-            st.engine.repair_route_entry(
-                plan,
-                next_node,
-                hops=st.hops_key[next_node],
-                tables=st.repair_tables,
-                max_fraction=_REPAIR_MAX_SUSPECT,
-            )
             if cache.get(next_node, next_hops) is not None:
                 continue
             jobs.extend(self._plan_speculative_jobs(st))
         if not jobs:
             return
-        stack = np.stack([dense for (_st, _node, _token, _applied, dense) in jobs])
+        stack = np.stack([dense for (_st, _node, _token, dense) in jobs])
         matrices = batched_route_matrices(
             stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
         )
-        for (st, node, token, applied, _dense), matrix in zip(jobs, matrices):
+        for (st, node, token, _dense), matrix in zip(jobs, matrices):
             st.engine.route_cache.put(
                 node, st.hops_of(node), matrix[st.hops_rows[node], :], token=token
             )
-            st.pending[node] = (token, applied)
+            st.pending[node] = token
 
     def _plan_speculative_jobs(
         self, st: _LockstepState
-    ) -> List[Tuple[_LockstepState, int, Tuple, Tuple[int, ...], np.ndarray]]:
+    ) -> List[Tuple[_LockstepState, int, Tuple, np.ndarray]]:
         """Residual jobs for ``st``'s next wave under predicted refreshes.
 
         Walks the upcoming nodes simulating each step's weight re-install
@@ -784,13 +716,10 @@ class EngineBatch:
         exactly when the refreshed weights differ (the same dict
         comparison :meth:`GlobalWiring.set_wiring` performs), and the
         predicted dense matrix tracks the refreshed rows.  Each returned
-        job carries the dense snapshot, the cache token of its position
-        in the chain, and the epoch-order positions of the predicted
-        refreshes it baked in (which is what lets
-        :meth:`_LockstepState._settle_pending` repair — rather than drop
-        — the entry when a re-wire later falsifies the chain).  A
-        stale-but-repairable entry at the head of the chain is repaired
-        in place instead of becoming a job.
+        job carries the dense snapshot and the cache token of its
+        position in the chain.  A wave member whose entry is already
+        valid — still pending under this very token, or cached under the
+        live one — is not swept again.
         """
         engine = st.engine
         plan = st.plan
@@ -799,33 +728,24 @@ class EngineBatch:
         key = plan.active_key
         pred_version = engine.wiring.version
         pred_dense: Optional[np.ndarray] = None
-        applied: List[int] = []
-        jobs: List[Tuple[_LockstepState, int, Tuple, Tuple[int, ...], np.ndarray]] = []
+        jobs: List[Tuple[_LockstepState, int, Tuple, np.ndarray]] = []
         for offset, node in enumerate(plan.order[plan.pos : plan.pos + st.wave]):
             hops = st.hops_of(node)
             if hops:
                 token = (pred_version, fp, key)
                 if offset == 0:
-                    # The caller's replan check just missed (and failed to
-                    # repair) this very node — re-probing would only skew
-                    # the hit/miss statistics.
+                    # The caller's replan check just missed this very
+                    # node — re-probing would only skew the hit/miss
+                    # statistics.
                     have = False
                 else:
-                    pend = st.pending.get(node)
-                    have = pend is not None and pend[0] == token
+                    have = st.pending.get(node) == token
                     if not have and pred_version == engine.wiring.version:
-                        engine.repair_route_entry(
-                            plan,
-                            node,
-                            hops=st.hops_key[node],
-                            tables=st.repair_tables,
-                            max_fraction=_REPAIR_MAX_SUSPECT,
-                        )
                         have = cache.get(node, hops) is not None
                 if not have:
                     dense = (pred_dense if pred_dense is not None else st.dense).copy()
                     dense[node, :] = np.nan
-                    jobs.append((st, node, token, tuple(applied), dense))
+                    jobs.append((st, node, token, dense))
             # Simulate the node's in-place weight refresh (step_node
             # re-installs the current neighbours at announced weights).
             weights = engine.wiring.weights_of(node)
@@ -834,7 +754,6 @@ class EngineBatch:
                 new_weights = {v: float(row_weights[v]) for v in weights}
                 if new_weights != weights:
                     pred_version += 1
-                    applied.append(plan.pos + offset)
                     if pred_dense is None:
                         pred_dense = st.dense.copy()
                     row = pred_dense[node]

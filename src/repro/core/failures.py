@@ -20,8 +20,8 @@ partitions.  This module adds a declarative failure schedule executed by
   heuristics that never consult the wiring — off dead links.
 
 Failed links become masked link removals: the engine drops them from the
-:class:`~repro.core.wiring.GlobalWiring` (feeding the changelog and the
-dynamic-SSSP repair path exactly like a churn departure), and the mask
+:class:`~repro.core.wiring.GlobalWiring` (a version bump, exactly like a
+churn departure, so every cached residual stops matching), and the mask
 keeps re-adopting policies away.  Because both the drops and the mask are
 applied inside ``begin_epoch``, the fused and sequential engines stay
 byte-identical under any schedule by construction.

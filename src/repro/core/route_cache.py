@@ -20,7 +20,10 @@ of everything the residual matrices depend on (global-wiring version,
 announced-metric fingerprint, active membership).  Evaluator construction
 consults the cache; an entry is valid only if its token matches the
 cache's current token, so a single re-wiring anywhere (which bumps the
-wiring version) invalidates every stale entry implicitly.
+wiring version) invalidates every stale entry implicitly.  That is the
+cache's only staleness rule: a stale entry is recomputed by its reader's
+ordinary fresh path (the evaluator's or the batch's stacked sweep),
+never patched — measured, patching served at most 1.3% of lookups.
 
 Who uses it.  The sequential engine (every opportunity), the lockstep
 batch's stacked-sweep and bandwidth planners, and the build-time
@@ -45,6 +48,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+from repro.routing.shortest_path import repair_shortest_rows
 from repro.telemetry import runtime as telemetry
 from repro.util.validation import ValidationError
 
@@ -149,8 +153,7 @@ class ResidualRouteCache:
         entry is returned as ``(matrix, token)`` regardless of the
         cache's current token, and the caller screens the entry's token
         against the live :class:`~repro.core.wiring.GlobalWiring`
-        changelog before trusting the rows (the same screen
-        :meth:`Engine.repair_route_entry` applies between epochs).
+        changelog before trusting the rows.
         Whether the read ultimately served is only known caller-side, so
         no hit/miss is accounted here — the serve layer keeps its own
         ``rows_from_cache``/``rows_from_sweep`` counters instead.
@@ -189,23 +192,8 @@ class ResidualRouteCache:
             self.drops += 1
 
     # ------------------------------------------------------------------ #
-    # Incremental repair
+    # Additive repair primitive (benchmark probe only)
     # ------------------------------------------------------------------ #
-    def entry_info(self, node: int) -> Optional[Tuple[Hashable, Tuple[int, ...]]]:
-        """The stored entry's ``(token, hops)``, or None without one.
-
-        Unlike :meth:`get` this neither counts hit/miss statistics nor
-        touches the LRU order, and it does not require the hop tuple to
-        match — it lets the cache's owner decide whether a *stale* entry
-        is repairable (same metric, a known chain of re-wires between
-        the tokens, possibly a membership change that moved the hops)
-        before spending any work on it.
-        """
-        entry = self._store.get(node)
-        if entry is None:
-            return None
-        return entry[0], entry[1]
-
     def repair(
         self,
         node: int,
@@ -213,115 +201,36 @@ class ResidualRouteCache:
         adjacency: Optional[np.ndarray],
         *,
         maximize: bool,
-        exclude: Optional[int] = None,
-        tables=None,
-        max_fraction: Optional[float] = None,
-        new_hops: Optional[Tuple[int, ...]] = None,
     ) -> Optional[np.ndarray]:
-        """Repair ``node``'s stale entry onto the cache's current token.
+        """Patch ``node``'s additive entry onto the current token.
 
-        ``changed_links`` is the set of nodes whose out-links changed
-        between the entry's token and the current one, as established by
-        the owner (``node`` itself is ignored: its own links are outside
-        its residual graph).  ``adjacency`` is the dense ``NaN``-absent
-        announced-weight matrix of ``node``'s *current* residual graph
-        (may be None when ``changed_links`` is empty); alternatively the
-        owner passes the full overlay matrix with ``exclude=node`` (and
-        optionally precomputed in-edge ``tables``) to share one matrix
-        across many nodes' repairs.  The entry's rows
-        are repaired through the incremental dynamic-SSSP kernels
-        (:func:`repro.routing.shortest_path.repair_shortest_rows` /
-        :func:`repro.routing.widest_path.repair_widest_rows`) — bit
-        identical to the fresh sweeps they replace — and re-stamped with
-        the current token.  An empty ``changed_links`` means the
-        residual graph is unchanged and only the stamp moves.
+        No engine path calls this (a stale entry is recomputed, never
+        patched); it remains because the frozen benchmark harness times
+        it (``bench/probes.py``) and goes with that probe (ROADMAP [1]).
 
-        ``max_fraction`` bounds how much of the matrix may be suspect
-        (by the kernels' coarse through-a-changed-node screen) for a
-        repair to be worth it; a stale entry beyond the bound is
-        *dropped* — it must not linger, a later token could collide —
-        and the caller recomputes through its (amortised) fresh path.
-
-        ``new_hops`` extends the repair across a *membership* change:
-        the entry's rows are re-sliced to the new hop tuple before the
-        link-delta pass — surviving hops keep their rows, joined hops
-        get the exact row of a not-yet-wired node (unreachable
-        everywhere but themselves; a joiner that has already re-wired is
-        in ``changed_links`` and is recomputed outright) — so a join or
-        leave is a masked, incremental update rather than a rebuild.
-        The caller must include every node whose out-links changed since
-        the entry's epoch (departures included) in ``changed_links``.
-
-        Returns the (repaired) matrix; None when there is no entry or
-        the repair was refused.
+        ``changed_links`` names the nodes whose out-links changed since
+        the entry was computed (``node``'s own are outside its residual
+        graph) and ``adjacency`` is the dense ``NaN``-absent matrix of
+        that residual graph now.  The rows go through
+        :func:`~repro.routing.shortest_path.repair_shortest_rows` and
+        are re-stamped; an empty delta only moves the stamp; a max-min
+        entry with a delta is dropped.  Returns the matrix kept, or None.
         """
         entry = self._store.get(node)
         if entry is None:
             return None
         _token, hops, matrix = entry
-        # No early return on a matching token: a *speculative* entry's
-        # predicted token can collide with the real current token (a
-        # re-wire bumps the version by one exactly like the predicted
-        # refresh it displaced) while its matrix describes a wiring that
-        # never materialised.  The caller asserts the delta; the repair
-        # always runs against it.
         changed = {int(c) for c in changed_links} - {int(node)}
-        remapped_rows = False
-        if new_hops is not None and tuple(new_hops) != hops:
-            remapped_rows = True
-            new_hops = tuple(new_hops)
-            n = matrix.shape[1]
-            row_of = {h: i for i, h in enumerate(hops)}
-            remapped = np.empty((len(new_hops), n))
-            for i, h in enumerate(new_hops):
-                j = row_of.get(h)
-                if j is not None:
-                    remapped[i] = matrix[j]
-                elif maximize:
-                    remapped[i] = 0.0
-                    remapped[i, h] = np.inf
-                else:
-                    remapped[i] = np.inf
-                    remapped[i, h] = 0.0
-            hops, matrix = new_hops, remapped
-        if changed and max_fraction is not None:
-            cols = matrix[:, sorted(changed)]
-            if maximize:
-                suspect = matrix <= cols.max(axis=1)[:, None]
-            else:
-                suspect = matrix >= cols.min(axis=1)[:, None]
-            if suspect.mean() > max_fraction:
-                self._store.pop(node, None)
-                self.drops += 1
-                return None
-        if changed:
-            # Resolved only past the refusal screen: shared tables and
-            # dense matrices are lazily built, so screened-out entries
-            # cost nothing beyond the screen itself.
-            if callable(tables):
-                tables = tables()
-            if callable(adjacency):
-                adjacency = adjacency()
-            sources = np.asarray(hops, dtype=int)
-            if maximize:
-                from repro.routing.widest_path import repair_widest_rows
-
-                matrix = repair_widest_rows(
-                    matrix, sources, changed, adjacency,
-                    exclude=exclude, tables=tables,
-                )
-            else:
-                from repro.routing.shortest_path import repair_shortest_rows
-
-                matrix = repair_shortest_rows(
-                    matrix, sources, changed, adjacency,
-                    exclude=exclude, tables=tables,
-                )
-            self.repairs += 1
-        elif remapped_rows:
-            self.repairs += 1
-        else:
+        if not changed:
             self.restamps += 1
+        elif maximize:
+            self.drop(node)
+            return None
+        else:
+            matrix = repair_shortest_rows(
+                matrix, np.asarray(hops, dtype=int), changed, adjacency
+            )
+            self.repairs += 1
         self._store[node] = (self.token, hops, matrix)
         self._store.move_to_end(node)
         return matrix

@@ -13,8 +13,6 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError, check_index
 
@@ -102,10 +100,11 @@ class GlobalWiring:
         self._weights: Dict[int, Dict[int, float]] = {}
         self._version = 0
         # One entry per version bump: (version after the change, node whose
-        # out-links changed), version-ascending.  Bounded: the residual
-        # route cache only ever repairs across a few epochs' worth of
-        # re-wires; older deltas age out and repair falls back to a fresh
-        # sweep.  Kept as a list so :meth:`changed_since` can bisect to
+        # out-links changed), version-ascending.  Its one reader is the
+        # serve layer's row screen (``OverlayService._cache_row``), which
+        # only ever looks back across an epoch or two of re-wires, so the
+        # log is bounded; older deltas age out and the reader sweeps
+        # afresh.  Kept as a list so :meth:`changed_since` can bisect to
         # the queried tail instead of walking the whole window.
         self._changelog: List[Tuple[int, int]] = []
         self._changelog_limit = max(64, 4 * self.n)
@@ -169,11 +168,11 @@ class GlobalWiring:
         """Nodes whose out-links changed after ``version``, if known.
 
         Returns the set of nodes behind every version bump in
-        ``(version, current]`` — exactly what the residual route cache's
-        incremental repair needs — or ``None`` when the bounded changelog
-        no longer reaches back that far (or ``version`` is from the
-        future), in which case the caller must fall back to a fresh
-        sweep.
+        ``(version, current]`` — what a reader holding rows computed at
+        ``version`` needs to decide whether they still describe the live
+        overlay — or ``None`` when the bounded changelog no longer
+        reaches back that far (or ``version`` is from the future), in
+        which case the caller must fall back to a fresh sweep.
         """
         if version == self._version:
             return set()
@@ -260,22 +259,6 @@ class GlobalWiring:
         opportunity in the engine's epoch loop.
         """
         return OverlayGraph.from_weight_maps(self.n, self._weight_rows(active, node))
-
-    def dense_residual(
-        self, node: int, active: Optional[Iterable[int]] = None
-    ) -> np.ndarray:
-        """Dense ``NaN``-absent weight matrix of ``S_{-node}``.
-
-        The matrix form of :meth:`residual_graph`, feeding the
-        incremental repair kernels of the residual route cache (which
-        relax over dense in-edge tables rather than an
-        :class:`OverlayGraph`).
-        """
-        dense = np.full((self.n, self.n), np.nan)
-        for other, weights in self._weight_rows(active, node):
-            for v, w in weights.items():
-                dense[other, v] = w
-        return dense
 
     def announcements(self) -> Dict[int, Dict[int, float]]:
         """Per-node link announcements (node -> {neighbor: cost})."""

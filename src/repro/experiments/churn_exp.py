@@ -13,10 +13,10 @@ re-wiring scoring across deployments; ``batched=False`` preserves the
 sequential engine byte-for-byte).  Dynamic membership rides the same
 fused path: churned-down engines take the masked (padded) re-wiring
 broadcasts, join/leave events between epochs only re-derive each
-engine's active mask, and the per-engine route caches absorb re-wires
-and membership deltas through the incremental repair kernels instead of
-full invalidations — the results' ``metadata["cache"]`` records the
-aggregate hit/miss/repair counters (``repro run --verbose`` prints
+engine's active mask, and the per-engine route caches are filled ahead
+of the steps by speculative stacked sweeps (a stale entry is recomputed
+by the next one, never patched) — the results' ``metadata["cache"]``
+records the aggregate hit/miss counters (``repro run --verbose`` prints
 them), which is how cache effectiveness under churn is tracked.
 """
 

@@ -19,7 +19,8 @@ Unreachable destinations get cost ``disconnection_cost`` — the paper's
 re-connect partitions.
 
 A third entry point, :func:`repair_shortest_rows`, is the dynamic-SSSP
-kernel behind the residual route cache's churn-time repairs: given
+kernel behind the lockstep batch's maintained all-pairs planner
+(:meth:`repro.core.engine_batch._LockstepState.derive_residual`): given
 distance rows computed on an *earlier* version of the graph and the set
 of nodes whose out-links changed since (one re-wire changes exactly one
 node's out-links), it recomputes only the destinations whose values can
@@ -109,29 +110,6 @@ def shortest_path_costs_multi(
     if not np.isinf(disconnection_cost):
         dist[np.isinf(dist)] = disconnection_cost
     return dist
-
-
-def _inbound_tables(
-    weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Destination-grouped in-edge arrays of a dense NaN-absent matrix.
-
-    Returns ``(src, w, starts, dests)``: the edge list sorted by
-    destination (``src[e] -> dests-segment containing e`` with weight
-    ``w[e]``), plus the ``reduceat`` segment starts and the distinct
-    destinations that have in-edges at all.  One relaxation round is
-    then a gather + segmented reduction — no padding to the maximum
-    in-degree.  The diagonal is never an edge (the overlay has no
-    self-loops).  Callers repairing many residual variants of one
-    overlay build the tables once and mask per variant (see the
-    ``exclude`` parameter of :func:`repair_shortest_rows`).
-    """
-    present = ~np.isnan(weights)
-    np.fill_diagonal(present, False)
-    dst, src = np.nonzero(present.T)  # destination-major edge order
-    w = weights[src, dst]
-    dests, starts = np.unique(dst, return_index=True)
-    return src, w, starts, dests
 
 
 class ShortestRepairTables:

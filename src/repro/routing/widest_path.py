@@ -33,7 +33,7 @@ them bitwise equal.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -198,119 +198,6 @@ def bottleneck_avoid_one(adjacency: np.ndarray) -> np.ndarray:
 
     recurse(list(range(n)), base)
     return out
-
-
-class WidestRepairTables:
-    """Shared lazily-built in-edge arrays for one overlay version.
-
-    The max-min analogue of
-    :class:`repro.routing.shortest_path.ShortestRepairTables`;
-    bandwidths are used raw (a zero-bandwidth edge can never improve a
-    bottleneck, exactly as in the heap search).
-    """
-
-    __slots__ = ("weights", "_edges")
-
-    def __init__(self, adjacency: np.ndarray):
-        self.weights = np.asarray(adjacency, dtype=float)
-        self._edges = None
-
-    @property
-    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._edges is None:
-            from repro.routing.shortest_path import _inbound_tables
-
-            self._edges = _inbound_tables(self.weights)
-        return self._edges
-
-
-def widest_inbound_tables(adjacency: np.ndarray) -> WidestRepairTables:
-    """Shareable ``tables`` argument for :func:`repair_widest_rows`."""
-    return WidestRepairTables(adjacency)
-
-
-def repair_widest_rows(
-    old: np.ndarray,
-    sources: np.ndarray,
-    changed: Iterable[int],
-    adjacency: np.ndarray,
-    *,
-    exclude: Optional[int] = None,
-    tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
-    """Repair stale widest-path rows after a set of nodes re-wired.
-
-    The max-min analogue of
-    :func:`repro.routing.shortest_path.repair_shortest_rows`: ``old``
-    holds ``(rows, n)`` bottleneck-bandwidth rows (0 for unreachable,
-    ``+inf`` at each row's own source) valid for an earlier graph
-    version, ``changed`` names the nodes whose out-links changed since,
-    and ``adjacency`` is the dense ``NaN``-absent announced-bandwidth
-    matrix of the **new** graph.  Returns rows bit-identical to a fresh
-    :func:`widest_path_bandwidths_multi` sweep.
-
-    Bottleneck values are pure selections of edge weights, so exactness
-    is immediate; the suspect rule mirrors the additive one with the
-    objective flipped: any path through a changed link first reaches a
-    changed node ``r`` over unchanged edges (its in-links are untouched)
-    and path bottlenecks never increase along a path, so its bottleneck
-    is at most ``min(old[h, r], bw(r, j))`` — with ``r``'s own row (old
-    for vanished paths, freshly recomputed for new ones) supplying the
-    second bound.  Destinations strictly wider than those bounds keep
-    their bits; everything else is reset to 0 and re-relaxed (``max``
-    over ``min(value[u], w)``) from the proven-final boundary until
-    fixpoint.  ``exclude``/``tables`` share one dense overlay matrix and
-    one in-edge table across many residual repairs, exactly as in the
-    additive kernel.
-    """
-    old = np.asarray(old, dtype=float)
-    rows, n = old.shape
-    changed = sorted({int(c) for c in changed})
-    repaired = old.copy()
-    if rows == 0 or not changed:
-        return repaired
-    telemetry.kernel_call("widest.repair", rows)
-    if tables is None:
-        tables = widest_inbound_tables(adjacency)
-
-    def bellman(values: np.ndarray) -> np.ndarray:
-        src, w, starts, dests = tables.edges
-        if not len(src):
-            return values
-        if exclude is not None:
-            w = np.where(src == int(exclude), 0.0, w)
-        while True:
-            cand = np.minimum(values[:, src], w[None, :])
-            seg = np.maximum.reduceat(cand, starts, axis=1)
-            updated = values.copy()
-            updated[:, dests] = np.maximum(values[:, dests], seg)
-            if np.array_equal(updated, values):
-                return values
-            values = updated
-
-    sources = np.asarray(sources, dtype=int)
-    row_of = {int(s): i for i, s in enumerate(sources)}
-    changed_rows = [row_of[r] for r in changed if r in row_of]
-    if changed_rows:
-        sub = np.zeros((len(changed_rows), n))
-        sub[np.arange(len(changed_rows)), sources[changed_rows]] = old[
-            changed_rows, sources[changed_rows]
-        ]
-        repaired[changed_rows] = bellman(sub)
-    suspect = np.zeros((rows, n), dtype=bool)
-    for r in changed:
-        i = row_of.get(r)
-        candidate = old <= old[:, [r]]
-        if i is not None:
-            bound = np.maximum(old[i], repaired[i])[None, :]
-            candidate &= old <= bound
-        suspect |= candidate
-    if changed_rows:
-        suspect[changed_rows, :] = False
-    suspect[np.arange(rows), sources] = False
-    if suspect.any():
-        repaired = bellman(np.where(suspect, 0.0, repaired))
-    return repaired
 
 
 def widest_path_bandwidths_multi(

@@ -73,7 +73,7 @@ class SimulationSession:
         """Run the scenario's registered experiment and stamp provenance.
 
         Epoch-loop scenarios also carry their aggregated residual
-        route-cache statistics (hits, misses, repairs, hit rate — summed
+        route-cache statistics (hits, misses, hit rate — summed
         over every engine batch the run dispatched) as
         ``metadata["cache"]``, so cache effectiveness under churn is
         observable from any stored result (and printed by

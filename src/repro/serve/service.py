@@ -783,15 +783,18 @@ class OverlayService:
     def _cache_row(self, engine, view, src: int) -> Optional[np.ndarray]:
         """``src``'s route-value row from the residual cache, or None.
 
-        A version-stamped read, mirroring the validity screen
-        :meth:`Engine.repair_route_entry` applies between epochs: the
+        A version-stamped read — the one remaining reader of the
+        :class:`~repro.core.wiring.GlobalWiring` changelog: the
         entry must carry the live metric fingerprint and membership key,
         and the wiring changelog since its stamped version may name no
         node but ``src`` itself — ``src``'s residual matrix excludes its
         own out-links, so its own re-wire (and the per-epoch announced
         weight refresh that trails the stamp by one bump) cannot stale
         it.  Anything else falls back to the sweep path, counted under
-        the ``cache_row_miss.<reason>`` that turned it away.
+        the ``cache_row_miss.<reason>`` that turned it away.  The row is
+        ``min(link + residual_row)``, the sum associated from the far
+        end, so it matches the sweep's left-associated value to 1e-9
+        relative rather than bitwise (``docs/serve_protocol.md``).
         """
         cache = engine.route_cache
         if cache is None or view.metric_fp is None:

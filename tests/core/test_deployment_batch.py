@@ -261,3 +261,24 @@ class TestValidation:
         ]
         with pytest.raises(ValidationError):
             DeploymentBatch(specs)
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [
+            np.ones((8, 7)),
+            np.where(np.eye(8, dtype=bool), np.nan, 1.0),
+            np.where(np.eye(8, dtype=bool), -1.0, 1.0),
+        ],
+        ids=["wrong-shape", "not-finite", "negative"],
+    )
+    def test_invalid_preferences_rejected_at_construction(self, preferences):
+        provider = _delay_provider(8)
+        with pytest.raises(ValidationError):
+            DeploymentSpec(
+                label="a",
+                policy=KRandomPolicy(),
+                k=2,
+                announced=provider.announced_metric(),
+                truth=provider.true_metric(),
+                preferences=preferences,
+            )

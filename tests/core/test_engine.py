@@ -11,6 +11,7 @@ from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import BestResponsePolicy, KClosestPolicy, KRandomPolicy
 from repro.core.providers import DelayMetricProvider
 from repro.netsim.planetlab import synthetic_planetlab
+from repro.util.validation import ValidationError
 
 
 @pytest.fixture
@@ -66,6 +67,26 @@ class TestEngineBasics:
         costs = engine.node_costs()
         assert set(costs) == set(range(12))
         assert all(v > 0 for v in costs.values())
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [
+            np.ones((12, 11)),
+            np.ones((11, 11)),
+            np.where(np.eye(12, dtype=bool), np.nan, 1.0),
+            np.where(np.eye(12, dtype=bool), np.inf, 1.0),
+            np.where(np.eye(12, dtype=bool), -0.5, 1.0),
+        ],
+        ids=["not-square", "wrong-size", "nan", "inf", "negative"],
+    )
+    def test_invalid_preferences_rejected_at_construction(self, provider12, preferences):
+        with pytest.raises(ValidationError):
+            EgoistEngine(provider12, BestResponsePolicy(), 3, preferences=preferences)
+
+    def test_valid_preferences_are_kept_as_given(self, provider12):
+        preferences = np.full((12, 12), 0.5)
+        engine = EgoistEngine(provider12, BestResponsePolicy(), 3, preferences=preferences)
+        assert engine.preferences is preferences
 
 
 class TestEngineChurn:
@@ -191,8 +212,6 @@ class TestStepSpan:
         assert plan.done
 
     def test_negative_span_rejected(self):
-        from repro.util.validation import ValidationError
-
         engine = self._engine()
         plan = engine.begin_epoch()
         with pytest.raises(ValidationError):

@@ -21,7 +21,12 @@ from repro.core.cheating import CheatingModel
 from repro.core.codec import history_digest
 from repro.core.cost import DelayMetric
 from repro.core.engine import EgoistEngine, EpochRecord
-from repro.core.engine_batch import _MAINTAIN_MIN_ACTIVE, EngineBatch, EngineSpec
+from repro.core.engine_batch import (
+    _MAINTAIN_MIN_ACTIVE,
+    EngineBatch,
+    EngineSpec,
+    _LockstepState,
+)
 from repro.core.failures import FailureEvent
 from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import (
@@ -352,6 +357,50 @@ class TestMaskedFusedChurnPath:
         )
         assert batched_stats["hit_rate"] > 0.4
         assert sequential_stats["hit_rate"] < 0.2
+
+    def test_stale_residuals_are_recomputed_never_patched(self):
+        """Below the maintained floor a cached residual is valid under
+        its token or the stacked sweep recomputes it: no repair kernel
+        runs, no repair ledger exists, and the recompute path's Dijkstra
+        budget is pinned so it cannot silently get more expensive."""
+        batch = self._churned_batch(batched=True)
+        registry = telemetry.enable()
+        try:
+            batch.run(4)
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert counters.get("kernel.shortest.repair.calls", 0) == 0
+        assert counters.get("kernel.widest.repair.calls", 0) == 0
+        assert not [name for name in counters if name.startswith("engine.repair.")]
+        for engine in batch.engines:
+            assert engine.route_cache.repairs == engine.route_cache.restamps == 0
+        assert counters["batch.steps.fused"] == 200
+        assert counters["kernel.batched_route_matrices.dijkstra.calls"] == 54
+        assert counters["kernel.batched_route_matrices.dijkstra.rows"] == 3276
+
+    def test_a_rewire_drops_every_pending_speculative_entry(self, monkeypatch):
+        """A re-wire bumps the wiring version by one — exactly the bump
+        the speculative chain predicted for that node's in-place weight
+        refresh — so every pending entry's predicted token now equals
+        the live one while its matrix describes a wiring that never
+        happened.  None may stay in the cache."""
+        original = _LockstepState.after_step
+        falsified = []
+
+        def spy(state, node, rewired):
+            pending = set(state.pending) - {node}
+            original(state, node, rewired)
+            if rewired and pending:
+                cache = state.engine.route_cache
+                assert not state.pending
+                for other in pending:
+                    assert cache.versioned_get(other, state.hops_of(other)) is None
+                falsified.append(len(pending))
+
+        monkeypatch.setattr(_LockstepState, "after_step", spy)
+        self._churned_batch(batched=True).run(4)
+        assert falsified, "no re-wire ever met a pending speculative entry"
 
 
 class TestMaintainedAllPairs:

@@ -147,20 +147,3 @@ class TestChangelog:
         assert wiring.changed_since(0) is None
         recent = wiring.version - 2
         assert wiring.changed_since(recent) == {0}
-
-    def test_dense_residual_matches_residual_graph(self):
-        import numpy as np
-
-        wiring = GlobalWiring(5)
-        wiring.set_wiring(Wiring.of(0, [1, 2]), {1: 1.0, 2: 2.0})
-        wiring.set_wiring(Wiring.of(1, [3]), {3: 0.5})
-        wiring.set_wiring(Wiring.of(3, [0]), {0: 4.0})
-        active = [0, 1, 3]  # 2 is off: links to it disappear
-        dense = wiring.dense_residual(1, active)
-        graph = wiring.residual_graph(1, active=active)
-        expect = np.full((5, 5), np.nan)
-        for u, v, w in graph.edges():
-            expect[u, v] = w
-        assert np.array_equal(np.isnan(dense), np.isnan(expect))
-        mask = ~np.isnan(expect)
-        assert np.array_equal(dense[mask], expect[mask])

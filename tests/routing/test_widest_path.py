@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.routing.graph import OverlayGraph
 from repro.routing.widest_path import (
     all_pairs_widest_bandwidth,
-    repair_widest_rows,
-    widest_inbound_tables,
     widest_path_bandwidths_multi,
     path_bottleneck,
     widest_path,
@@ -94,95 +92,3 @@ class TestWidestPath:
         via2 = min(5.0, 5.0)
         assert widest_path_bandwidths_from(graph, 0)[3] == max(via1, via2)
 
-
-def _dense_of(graph):
-    dense = np.full((graph.n, graph.n), np.nan)
-    for u, v, w in graph.edges():
-        dense[u, v] = w
-    return dense
-
-
-def _graph_of(dense):
-    graph = OverlayGraph(dense.shape[0])
-    for u in range(dense.shape[0]):
-        for v in range(dense.shape[0]):
-            if not np.isnan(dense[u, v]):
-                graph.add_edge(u, v, float(dense[u, v]))
-    return graph
-
-
-def _random_bandwidth_overlay(n, k, seed):
-    rng = np.random.default_rng(seed)
-    graph = OverlayGraph(n)
-    for i in range(n):
-        graph.add_edge(i, (i + 1) % n, float(rng.uniform(1, 100)))
-        for j in rng.choice([x for x in range(n) if x != i], size=k, replace=False):
-            graph.add_edge(i, int(j), float(rng.uniform(1, 100)))
-    return graph
-
-
-def _rewire(dense, node, rng):
-    n = dense.shape[0]
-    new = dense.copy()
-    new[node, :] = np.nan
-    degree = int(rng.integers(0, min(n - 1, 4) + 1))
-    if degree:
-        targets = rng.choice([x for x in range(n) if x != node], size=degree, replace=False)
-        for v in targets:
-            new[node, int(v)] = float(rng.uniform(1, 100))
-    return new
-
-
-class TestRepairWidestRows:
-    """The incremental max-min repair kernel vs fresh widest sweeps."""
-
-    def test_single_rewire_bit_identical(self):
-        rng = np.random.default_rng(3)
-        graph = _random_bandwidth_overlay(12, 2, seed=5)
-        sources = list(range(12))
-        old = widest_path_bandwidths_multi(graph, sources, batched=False)
-        new_dense = _rewire(_dense_of(graph), 7, rng)
-        fresh = widest_path_bandwidths_multi(_graph_of(new_dense), sources, batched=False)
-        repaired = repair_widest_rows(old, np.array(sources), [7], new_dense)
-        assert np.array_equal(repaired, fresh)
-
-    def test_shared_tables_and_exclude_match_residual_repair(self):
-        rng = np.random.default_rng(17)
-        graph = _random_bandwidth_overlay(10, 2, seed=11)
-        dense = _dense_of(graph)
-        excluded = 4
-        residual = dense.copy()
-        residual[excluded, :] = np.nan
-        sources = [i for i in range(10) if i != excluded]
-        old = widest_path_bandwidths_multi(_graph_of(residual), sources, batched=False)
-        new_dense = _rewire(dense, 2, rng)
-        new_residual = new_dense.copy()
-        new_residual[excluded, :] = np.nan
-        fresh = widest_path_bandwidths_multi(
-            _graph_of(new_residual), sources, batched=False
-        )
-        tables = widest_inbound_tables(new_dense)
-        shared = repair_widest_rows(
-            old, np.array(sources), [2], None, exclude=excluded, tables=tables
-        )
-        assert np.array_equal(shared, fresh)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(4, 14),
-        st.integers(1, 3),
-        st.integers(0, 10_000),
-        st.integers(1, 3),
-    )
-    def test_randomized_multi_rewire_parity(self, n, k, seed, changes):
-        rng = np.random.default_rng(seed)
-        graph = _random_bandwidth_overlay(n, min(k, n - 2), seed=seed)
-        sources = list(range(n))
-        old = widest_path_bandwidths_multi(graph, sources, batched=False)
-        dense = _dense_of(graph)
-        changed = rng.choice(n, size=min(changes, n), replace=False)
-        for node in changed:
-            dense = _rewire(dense, int(node), rng)
-        fresh = widest_path_bandwidths_multi(_graph_of(dense), sources, batched=False)
-        repaired = repair_widest_rows(old, np.array(sources), changed, dense)
-        assert np.array_equal(repaired, fresh)
