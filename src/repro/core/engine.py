@@ -92,6 +92,8 @@ class EpochPlan:
     epoch: int
     active_list: List[int]
     active_key: Tuple[int, ...]
+    #: ``active_list`` as an index array (flood recipients, row gathers).
+    active_rows: np.ndarray
     announced: Metric
     truth: Metric
     order: List[int]
@@ -413,15 +415,6 @@ class EgoistEngine:
                     weights.pop(gone, None)
                     self.wiring.set_wiring(node.wiring, weights)
 
-    def _install_wiring(self, node_id: int, metric: Metric) -> None:
-        node = self.nodes[node_id]
-        if node.wiring is None:
-            return
-        weights = {
-            v: metric.link_weight(node_id, v) for v in node.wiring.neighbors
-        }
-        self.wiring.set_wiring(node.wiring, weights)
-
     # ------------------------------------------------------------------ #
     # Session-control mutations (the `repro serve` API)
     # ------------------------------------------------------------------ #
@@ -521,6 +514,7 @@ class EgoistEngine:
             epoch=epoch,
             active_list=active_list,
             active_key=tuple(active_list),
+            active_rows=np.array(active_list, dtype=np.intp),
             announced=announced,
             truth=truth,
             order=order,
@@ -561,17 +555,27 @@ class EgoistEngine:
             preferences=self.preferences,
             evaluator=evaluator,
         )
-        if node.wiring is not None:
-            self._install_wiring(node_id, plan.announced)
-            self.protocol.broadcast(
-                node_id,
-                self.wiring.weights_of(node_id),
-                active=plan.active_list,
-                timestamp=self.clock.now,
-            )
+        self.announce(plan, node_id)
         if decision.rewired:
             plan.rewirings += 1
         return decision.rewired
+
+    def announce(self, plan: EpochPlan, node_id: int) -> None:
+        """The adoption tail of a re-wiring opportunity, decided anyhow.
+
+        Re-install ``node_id``'s wiring at this epoch's announced weights
+        (a version bump only if a weight or the wiring moved) and flood
+        it to the active nodes.  A node without a wiring stays silent.
+        """
+        wiring = self.nodes[node_id].wiring
+        if wiring is None:
+            return
+        row = plan.announced.link_weight_row(node_id)
+        weights = {v: float(row[v]) for v in wiring.neighbors}
+        self.wiring.set_wiring(wiring, weights)
+        self.protocol.broadcast(
+            node_id, weights, active=plan.active_rows, timestamp=self.clock.now
+        )
 
     def finish_epoch(
         self,
@@ -605,7 +609,7 @@ class EgoistEngine:
                 # the efficiency reduction.
                 distances = all_pairs_shortest_costs(graph)
                 if route_values is None:
-                    route_values = distances[np.asarray(plan.active_list, dtype=int)]
+                    route_values = distances[plan.active_rows]
             if route_values is None:
                 route_values = plan.truth.route_values_rows(graph, plan.active_list)
             costs = plan.truth.all_node_costs(
@@ -664,8 +668,7 @@ class EgoistEngine:
         """
         if route_values is None or len(plan.active_list) < 2:
             return 0
-        cols = np.asarray(plan.active_list, dtype=int)
-        values = np.asarray(route_values)[:, cols]
+        values = np.asarray(route_values)[:, plan.active_rows]
         offdiag = np.ones(values.shape, dtype=bool)
         np.fill_diagonal(offdiag, False)
         if plan.truth.maximize:

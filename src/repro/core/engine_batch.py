@@ -355,28 +355,16 @@ class _LockstepState:
     def adopt(self, rewired: bool) -> None:
         """The adoption tail of a fused (or settled) step.
 
-        What :meth:`EgoistEngine.step_node` does after the node decided:
-        re-install the wiring at the announced weights, broadcast the
-        link state, then the lockstep bookkeeping — and, if the node
-        stayed put, the stamp :meth:`is_settled` checks.  (Stamps of
-        re-wired nodes need no removal: versions only grow, so a stale
-        stamp never matches again.)
+        What :meth:`EgoistEngine.step_node` does after the node decided
+        (:meth:`EgoistEngine.announce`), then the lockstep bookkeeping —
+        and, if the node stayed put, the stamp :meth:`is_settled` checks.
+        (Stamps of re-wired nodes need no removal: versions only grow, so
+        a stale stamp never matches again.)
         """
-        engine = self.engine
         plan = self.plan
         node = plan.order[plan.pos]
         plan.pos += 1
-        wiring = engine.nodes[node].wiring
-        if wiring is not None:
-            row = plan.announced.link_weight_row(node)
-            weights = {int(v): float(row[v]) for v in sorted(wiring.neighbors)}
-            engine.wiring.set_wiring(wiring, weights)
-            engine.protocol.broadcast(
-                node,
-                engine.wiring.weights_of(node),
-                active=plan.active_list,
-                timestamp=engine.clock.now,
-            )
+        self.engine.announce(plan, node)
         if rewired:
             plan.rewirings += 1
         self.after_step(node, rewired)
@@ -608,7 +596,7 @@ class EngineBatch:
                 closure_of[id(st)] = matrix
         records = []
         for st in states:
-            active_rows = np.asarray(st.plan.active_list, dtype=int)
+            active_rows = st.plan.active_rows
             if st.plan.truth.maximize:
                 route_values = closure_of[id(st)][active_rows]
             else:

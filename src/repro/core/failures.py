@@ -126,6 +126,9 @@ class FailureSpec:
         Probability in ``[0, 1)`` that any single recipient of a flooded
         link-state announcement drops it (the origin always keeps its
         own); see :meth:`repro.routing.linkstate.LinkStateProtocol.configure_loss`.
+        Loss changes what each node *holds* and the ``announcements_lost``
+        counter, never a decision: nodes best-respond on the shared
+        :class:`~repro.core.wiring.GlobalWiring` (perfect information).
     """
 
     events: Tuple[FailureEvent, ...] = ()

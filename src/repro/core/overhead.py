@@ -14,7 +14,7 @@ The paper quantifies three overheads and argues they are all small:
 
 The functions here implement those formulas so benchmarks can compare the
 analytic expectations against the traffic actually accounted by the
-simulated probers and the link-state protocol.
+simulated link-state protocol.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.netsim.probing import (
+from repro.routing.messages import (
     COORDINATE_QUERY_BASE_BITS,
     COORDINATE_QUERY_PER_NODE_BITS,
     ICMP_MESSAGE_BITS,
+    announcement_size_bits,
 )
-from repro.routing.messages import announcement_size_bits
 from repro.util.validation import ValidationError, check_positive
 
 

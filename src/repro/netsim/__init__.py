@@ -7,8 +7,6 @@ the testbed with a simulator that provides the same observable quantities:
   :mod:`repro.netsim.planetlab`, :mod:`repro.netsim.topology`),
 * per-link available bandwidth (:mod:`repro.netsim.bandwidth`),
 * per-node CPU load (:mod:`repro.netsim.load`),
-* active measurement via ping and pathChirp-like probing
-  (:mod:`repro.netsim.probing`),
 * passive delay estimation via a Vivaldi/pyxida-style virtual coordinate
   system (:mod:`repro.netsim.coordinates`), and
 * an autonomous-system / multihoming model used by the multipath transfer
@@ -30,7 +28,6 @@ from repro.netsim.topology import (
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.load import NodeLoadModel
 from repro.netsim.coordinates import VivaldiCoordinateSystem
-from repro.netsim.probing import ChirpProber, PingProber
 from repro.netsim.autonomous_systems import ASTopology, PeeringLink
 
 __all__ = [
@@ -45,8 +42,6 @@ __all__ = [
     "BandwidthModel",
     "NodeLoadModel",
     "VivaldiCoordinateSystem",
-    "ChirpProber",
-    "PingProber",
     "ASTopology",
     "PeeringLink",
 ]

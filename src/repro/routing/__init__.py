@@ -8,8 +8,8 @@ metric) routes are computed over that graph.
 
 * :mod:`repro.routing.messages` — link-state announcement wire format and
   size accounting (Section 4.3).
-* :mod:`repro.routing.linkstate` — the flooding protocol and per-node
-  topology databases.
+* :mod:`repro.routing.linkstate` — the flooding protocol and the table of
+  what every node heard.
 * :mod:`repro.routing.shortest_path` — Dijkstra / all-pairs shortest paths
   with additive costs (delay, node load).
 * :mod:`repro.routing.widest_path` — maximum-bottleneck-bandwidth routing
@@ -20,7 +20,7 @@ metric) routes are computed over that graph.
 
 from repro.routing.graph import OverlayGraph
 from repro.routing.messages import LinkStateAnnouncement, announcement_size_bits
-from repro.routing.linkstate import LinkStateProtocol, TopologyDatabase
+from repro.routing.linkstate import LinkStateProtocol
 from repro.routing.shortest_path import (
     all_pairs_shortest_costs,
     shortest_path,
@@ -39,7 +39,6 @@ __all__ = [
     "LinkStateAnnouncement",
     "announcement_size_bits",
     "LinkStateProtocol",
-    "TopologyDatabase",
     "all_pairs_shortest_costs",
     "shortest_path",
     "shortest_path_costs_from",

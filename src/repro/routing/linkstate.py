@@ -1,88 +1,32 @@
 """Overlay link-state routing protocol.
 
 Every EGOIST node floods a :class:`LinkStateAnnouncement` describing its
-established links and their costs.  Each node keeps a
-:class:`TopologyDatabase` of the freshest announcement per origin, from
-which it reconstructs the overlay graph (the residual graph ``G_{-i}`` it
-needs for best-response computation is obtained by dropping its own entry).
+established links and their costs, and every node remembers the freshest
+announcement it received from each origin (Section 3.1).
 
-The :class:`LinkStateProtocol` class simulates the flooding at epoch
-granularity: announcements issued by ON nodes are delivered to all other ON
-nodes that are reachable in the overlay (a newcomer that has connected to
-at least one bootstrap neighbour will therefore obtain the full residual
-graph, as described in Section 3.1), and protocol traffic is accounted for
-the Section 4.3 overhead analysis.
+:class:`LinkStateProtocol` simulates the flooding at epoch granularity
+and keeps what every node heard in one ``(n, n)`` table,
+``held[recipient, origin]``.  The table is *state and accounting*, not an
+input to any decision: the engines best-respond on the shared
+:class:`~repro.core.wiring.GlobalWiring` (perfect information), so
+announcement loss moves the protocol's counters and the rows of this
+table, and nothing else.  A row is the local view a node would decide
+from — lagging entries included, since a recipient that lost the newest
+flood still holds the previous announcement — and :meth:`view_of`
+rebuilds it as a graph.  Protocol traffic is accounted for the Section
+4.3 overhead analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.routing.graph import OverlayGraph
-from repro.routing.messages import (
-    LinkStateAnnouncement,
-    announcement_size_bits,
-    delivery_outcomes,
-)
+from repro.routing.messages import LinkStateAnnouncement, delivery_outcomes
 from repro.util.validation import ValidationError, check_index, check_positive
-
-
-class TopologyDatabase:
-    """Per-node store of the freshest link-state announcement per origin."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
-        self.n = int(n)
-        self._announcements: Dict[int, LinkStateAnnouncement] = {}
-
-    def insert(self, announcement: LinkStateAnnouncement) -> bool:
-        """Insert ``announcement`` if it is fresher than what we hold.
-
-        Returns True if the database changed.
-        """
-        current = self._announcements.get(announcement.origin)
-        if current is not None and current.sequence >= announcement.sequence:
-            return False
-        self._announcements[announcement.origin] = announcement
-        return True
-
-    def remove_origin(self, origin: int) -> None:
-        """Forget the announcement of ``origin`` (e.g. node timed out)."""
-        self._announcements.pop(origin, None)
-
-    def known_origins(self) -> Set[int]:
-        """Origins for which we hold an announcement."""
-        return set(self._announcements)
-
-    def announcement(self, origin: int) -> Optional[LinkStateAnnouncement]:
-        """The stored announcement of ``origin`` (or None)."""
-        return self._announcements.get(origin)
-
-    def build_graph(self, exclude_origin: Optional[int] = None) -> OverlayGraph:
-        """Reconstruct the overlay graph from stored announcements.
-
-        Parameters
-        ----------
-        exclude_origin:
-            If given, that origin's announcement is skipped — yielding the
-            residual graph ``G_{-i}`` used for best-response computation.
-        """
-        graph = OverlayGraph(self.n)
-        for origin, ann in self._announcements.items():
-            if origin == exclude_origin:
-                continue
-            for neighbor, cost in ann.links:
-                if neighbor == origin:
-                    continue
-                graph.add_edge(origin, neighbor, cost)
-        return graph
-
-    def __len__(self) -> int:
-        return len(self._announcements)
 
 
 @dataclass
@@ -93,13 +37,6 @@ class ProtocolStats:
     announcement_bits: int = 0
     flood_deliveries: int = 0
     announcements_lost: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.announcements_sent = 0
-        self.announcement_bits = 0
-        self.flood_deliveries = 0
-        self.announcements_lost = 0
 
 
 class LinkStateProtocol:
@@ -121,8 +58,11 @@ class LinkStateProtocol:
         self.announce_interval_s = check_positive(
             announce_interval_s, "announce_interval_s"
         )
-        self.databases: List[TopologyDatabase] = [TopologyDatabase(n) for _ in range(n)]
-        self._sequence: List[int] = [0] * n
+        #: ``held[recipient, origin]``: the freshest announcement of
+        #: ``origin`` that reached ``recipient`` (None: never heard, or
+        #: purged).  One flood stores one shared reference per recipient.
+        self.held = np.full((self.n, self.n), None, dtype=object)
+        self._sequence = [0] * self.n
         self.stats = ProtocolStats()
         self._loss_probability = 0.0
         self._loss_rng: Optional[np.random.Generator] = None
@@ -133,8 +73,9 @@ class LinkStateProtocol:
         Each non-origin recipient of every broadcast independently drops
         the announcement with ``probability`` (the origin always keeps
         its own state).  Per broadcast, one uniform is drawn per
-        recipient in sorted order, so the loss pattern is a deterministic
-        function of the broadcast schedule and ``rng``'s seed.
+        recipient in ascending id order, so the loss pattern is a
+        deterministic function of the broadcast schedule and ``rng``'s
+        seed.
         """
         probability = float(probability)
         if not 0.0 <= probability < 1.0:
@@ -142,18 +83,12 @@ class LinkStateProtocol:
         self._loss_probability = probability
         self._loss_rng = rng
 
-    def next_sequence(self, origin: int) -> int:
-        """Allocate the next LSA sequence number for ``origin``."""
-        check_index(origin, self.n, "origin")
-        self._sequence[origin] += 1
-        return self._sequence[origin]
-
     def broadcast(
         self,
         origin: int,
         links: Dict[int, float],
         *,
-        active: Optional[Iterable[int]] = None,
+        active: Optional[Sequence[int]] = None,
         timestamp: float = 0.0,
     ) -> LinkStateAnnouncement:
         """Issue and flood an announcement of ``origin``'s current links.
@@ -163,10 +98,12 @@ class LinkStateProtocol:
         origin:
             Announcing node.
         links:
-            Mapping of neighbour -> announced cost.
+            Mapping of neighbour -> announced cost (empty: the node
+            withdraws its links).
         active:
-            The set of nodes currently ON; only they receive the flood.
-            Defaults to all nodes.
+            The nodes currently ON, as distinct ids in ascending order
+            (an index array, e.g. ``EpochPlan.active_rows``); only they
+            receive the flood.  Defaults to all nodes.
         timestamp:
             Simulated time of the announcement.
 
@@ -176,43 +113,44 @@ class LinkStateProtocol:
             The announcement that was flooded.
         """
         check_index(origin, self.n, "origin")
+        self._sequence[origin] += 1
         announcement = LinkStateAnnouncement.from_dict(
-            origin, self.next_sequence(origin), links, timestamp
+            origin, self._sequence[origin], links, timestamp
         )
-        recipients = set(active) if active is not None else set(range(self.n))
-        recipients.add(origin)
+        rows = np.arange(self.n) if active is None else np.asarray(active, dtype=np.intp)
+        others = rows[rows != origin]
         if self._loss_rng is not None and self._loss_probability > 0.0:
-            others = sorted(recipients - {origin})
             delivered = delivery_outcomes(
                 self._loss_rng, len(others), self._loss_probability
             )
-            lost = [node for node, kept in zip(others, delivered) if not kept]
-            recipients.difference_update(lost)
-            self.stats.announcements_lost += len(lost)
-        for node in recipients:
-            if self.databases[node].insert(announcement):
-                self.stats.flood_deliveries += 1
+            self.stats.announcements_lost += len(others) - int(delivered.sum())
+            others = others[delivered]
+        self.held[others, origin] = announcement
+        self.held[origin, origin] = announcement
+        self.stats.flood_deliveries += len(others) + 1
         self.stats.announcements_sent += 1
         self.stats.announcement_bits += announcement.size_bits
         return announcement
 
-    def withdraw(self, origin: int, *, active: Optional[Iterable[int]] = None) -> None:
-        """Flood an empty announcement for ``origin`` (node left / links down)."""
-        self.broadcast(origin, {}, active=active)
-
     def purge(self, origin: int) -> None:
-        """Remove ``origin`` from every database without flooding.
+        """Forget ``origin`` at every node without flooding.
 
         Models the eventual timeout of a crashed node's state.
         """
-        for db in self.databases:
-            db.remove_origin(origin)
+        self.held[:, origin] = None
 
     def view_of(self, node: int, *, residual_for: Optional[int] = None) -> OverlayGraph:
-        """The overlay graph as seen by ``node``'s topology database."""
-        check_index(node, self.n, "node")
-        return self.databases[node].build_graph(exclude_origin=residual_for)
+        """The overlay graph ``node`` reconstructs from what it holds.
 
-    def traffic_rate_bps(self, k: int) -> float:
-        """Per-node protocol traffic rate for a node announcing ``k`` links."""
-        return announcement_size_bits(k) / self.announce_interval_s
+        With ``residual_for`` given, that origin's announcement is
+        skipped — the residual graph ``G_{-i}`` of Section 3.1.
+        """
+        check_index(node, self.n, "node")
+        graph = OverlayGraph(self.n)
+        for announcement in self.held[node]:
+            if announcement is None or announcement.origin == residual_for:
+                continue
+            for neighbor, cost in announcement.links:
+                if neighbor != announcement.origin:
+                    graph.add_edge(announcement.origin, neighbor, cost)
+        return graph

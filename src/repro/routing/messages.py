@@ -6,7 +6,7 @@ overhead analysis:
 * link-state announcements: 192 bits of header and padding plus 32 bits
   per announced neighbour, broadcast every ``T_announce`` (20 s in the
   paper's deployment);
-* ICMP ping messages: 320 bits each (see :mod:`repro.netsim.probing`);
+* ICMP ping messages: 320 bits each;
 * coordinate queries: 320 + 32 * n bits.
 
 The dataclasses here are the in-simulator representation; the size helpers
@@ -15,7 +15,7 @@ feed the overhead accounting of :mod:`repro.core.overhead`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -28,8 +28,13 @@ LSA_HEADER_BITS = 192
 #: Payload per announced neighbour (neighbour id + link cost), in bits.
 LSA_PER_NEIGHBOR_BITS = 32
 
-#: Heartbeat message size used on aggressively monitored backbone links.
-HEARTBEAT_BITS = 128
+#: Size of one ICMP ECHO request or reply (ping measurement).
+ICMP_MESSAGE_BITS = 320
+
+#: Size of a pyxida-style coordinate query: 320 bits of header plus 32 bits
+#: per node whose coordinate distance is returned.
+COORDINATE_QUERY_BASE_BITS = 320
+COORDINATE_QUERY_PER_NODE_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,6 @@ class LinkStateAnnouncement:
         ordered = tuple(sorted((int(v), float(c)) for v, c in links.items()))
         return cls(origin=int(origin), sequence=int(sequence), links=ordered, timestamp=float(timestamp))
 
-    def links_dict(self) -> Dict[int, float]:
-        """Announced links as a mutable dict."""
-        return {v: c for v, c in self.links}
-
     @property
     def size_bits(self) -> int:
         """Wire size of this announcement in bits (Section 4.3 formula)."""
@@ -83,16 +84,6 @@ def announcement_size_bits(num_neighbors: int) -> int:
     if num_neighbors < 0:
         raise ValidationError("num_neighbors must be non-negative")
     return LSA_HEADER_BITS + LSA_PER_NEIGHBOR_BITS * num_neighbors
-
-
-def linkstate_rate_bps(num_neighbors: int, announce_interval_s: float) -> float:
-    """Per-node link-state traffic rate in bits per second.
-
-    This is the paper's ``(192 + 32k) / T_announce`` expression.
-    """
-    if announce_interval_s <= 0:
-        raise ValidationError("announce_interval_s must be positive")
-    return announcement_size_bits(num_neighbors) / float(announce_interval_s)
 
 
 def delivery_outcomes(
@@ -112,17 +103,3 @@ def delivery_outcomes(
     if int(count) < 0:
         raise ValidationError("count must be non-negative")
     return rng.random(int(count)) >= loss
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """Keep-alive exchanged on aggressively monitored backbone links."""
-
-    src: int
-    dst: int
-    timestamp: float = 0.0
-
-    @property
-    def size_bits(self) -> int:
-        """Wire size of a heartbeat in bits."""
-        return HEARTBEAT_BITS

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.churn.metrics import cost_overshoot, time_to_reconverge
+from repro.churn.models import trace_driven_churn
 from repro.core.cost import DISCONNECTION_BANDWIDTH, DISCONNECTION_COST
 from repro.core.engine import EgoistEngine, EpochRecord
 from repro.core.engine_batch import EngineBatch, EngineSpec
@@ -24,7 +25,7 @@ from repro.core.failures import (
     FailureState,
     LinkMaskMetric,
 )
-from repro.core.policies import KClosestPolicy
+from repro.core.policies import BestResponsePolicy, KClosestPolicy
 from repro.core.providers import BandwidthMetricProvider, DelayMetricProvider
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
@@ -230,12 +231,10 @@ class TestResilienceMetrics:
         assert np.isnan(cost_overshoot(records, 0))
 
 
-def _four_node_cut_engine(failures, **kwargs):
-    """k=1 k-closest on a hand-checkable 4-node delay space.
+def _four_node_provider():
+    """A hand-checkable 4-node delay space.
 
     Delays: d(0,1)=1, d(2,3)=2, d(0,2)=5, d(0,3)=6, d(1,2)=7, d(1,3)=8.
-    Each node's closest neighbour is its pair partner, so the initial
-    overlay splits into the components {0, 1} and {2, 3}.
     """
     d = np.array(
         [
@@ -245,12 +244,33 @@ def _four_node_cut_engine(failures, **kwargs):
             [6.0, 8.0, 2.0, 0.0],
         ]
     )
-    provider = DelayMetricProvider(
+    return DelayMetricProvider(
         DelaySpace(d, jitter_std=0.0), estimator="true", seed=0
     )
+
+
+def _four_node_cut_engine(failures, **kwargs):
+    """k=1 k-closest on the 4-node delay space.
+
+    Each node's closest neighbour is its pair partner, so the initial
+    overlay splits into the components {0, 1} and {2, 3}.
+    """
     return EgoistEngine(
-        provider, KClosestPolicy(), 1, failures=failures, seed=0, **kwargs
+        _four_node_provider(), KClosestPolicy(), 1, failures=failures, seed=0, **kwargs
     )
+
+
+def _four_node_cut_batch(failures, batched):
+    """The same deployment as a one-engine :class:`EngineBatch`."""
+    spec = EngineSpec(
+        label="cut",
+        provider=_four_node_provider(),
+        policy=KClosestPolicy(),
+        k=1,
+        failures=failures,
+        seed=0,
+    )
+    return EngineBatch([spec], batched=batched)
 
 
 class TestSingleLinkCutPinned:
@@ -286,31 +306,8 @@ class TestSingleLinkCutPinned:
         assert wirings == {0: [2], 1: [2], 2: [3], 3: [2]}
 
     def test_batched_path_is_byte_identical(self):
-        def spec():
-            d = np.array(
-                [
-                    [0.0, 1.0, 5.0, 6.0],
-                    [1.0, 0.0, 7.0, 8.0],
-                    [5.0, 7.0, 0.0, 2.0],
-                    [6.0, 8.0, 2.0, 0.0],
-                ]
-            )
-            provider = DelayMetricProvider(
-                DelaySpace(d, jitter_std=0.0), estimator="true", seed=0
-            )
-            return [
-                EngineSpec(
-                    label="cut",
-                    provider=provider,
-                    policy=KClosestPolicy(),
-                    k=1,
-                    failures=self.FAILURES,
-                    seed=0,
-                )
-            ]
-
-        batched = EngineBatch(spec(), batched=True).run(5)
-        sequential = EngineBatch(spec(), batched=False).run(5)
+        batched = _four_node_cut_batch(self.FAILURES, batched=True).run(5)
+        sequential = _four_node_cut_batch(self.FAILURES, batched=False).run(5)
         for ra, rb in zip(batched[0].records, sequential[0].records):
             for field in dataclasses.fields(EpochRecord):
                 va, vb = getattr(ra, field.name), getattr(rb, field.name)
@@ -321,20 +318,22 @@ class TestSingleLinkCutPinned:
 
 
 class TestMessageLoss:
-    def _histories(self, message_loss):
-        failures = FailureSpec(
+    def _failures(self, message_loss):
+        return FailureSpec(
             events=(FailureEvent(epoch=1, action="link-down", links=((0, 1),)),),
             message_loss=message_loss,
         )
-        engine = _four_node_cut_engine(failures)
+
+    def _histories(self, message_loss):
+        engine = _four_node_cut_engine(self._failures(message_loss))
         history = engine.run(4)
         return history, engine
 
     def test_loss_counts_drops_without_changing_decisions(self):
         lossless, _ = self._histories(0.0)
         lossy, engine = self._histories(0.5)
-        # Engine decisions read the global wiring, not the flooded
-        # databases, so the records are identical — loss only shows up
+        # Engine decisions read the global wiring, not the link-state
+        # table, so the records are identical — loss only shows up
         # in the protocol counters.
         for ra, rb in zip(lossless.records, lossy.records):
             for field in dataclasses.fields(EpochRecord):
@@ -349,3 +348,49 @@ class TestMessageLoss:
         _, engine = self._histories(0.0)
         assert engine.protocol.stats.announcements_lost == 0
         assert engine.protocol._loss_rng is None
+
+    def test_loss_stream_is_pinned(self):
+        """One draw per non-origin recipient, ascending, per broadcast.
+
+        The counters below were computed with the per-node topology
+        databases this table replaced; the flood must keep consuming the
+        loss stream exactly as they did, on both execution tiers.
+        """
+        _, engine = self._histories(0.5)
+        engines = [engine]
+        for batched in (True, False):
+            batch = _four_node_cut_batch(self._failures(0.5), batched=batched)
+            batch.run(4)
+            engines.append(batch.engines[0])
+        for engine in engines:
+            stats = engine.protocol.stats
+            assert (stats.announcements_sent, stats.announcement_bits) == (16, 3584)
+            assert (stats.flood_deliveries, stats.announcements_lost) == (38, 26)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_loss_stream_is_pinned_under_churn(self, batched):
+        """Same pin with a varying active set (n=16, trace churn, loss 0.3)."""
+        n, epochs = 16, 5
+        base = np.random.default_rng(23)
+        delays = base.uniform(5.0, 120.0, size=(n, n))
+        np.fill_diagonal(delays, 0.0)
+        spec = EngineSpec(
+            label="lossy",
+            provider=DelayMetricProvider(
+                DelaySpace(delays, jitter_std=1.0), estimator="true", seed=1
+            ),
+            policy=BestResponsePolicy(exact_threshold=2),
+            k=3,
+            churn=trace_driven_churn(
+                n, epochs * 60.0, mean_on=200.0, mean_off=60.0, seed=base
+            ),
+            failures=FailureSpec(message_loss=0.3),
+            compute_efficiency=True,
+            seed=2,
+        )
+        batch = EngineBatch([spec], batched=batched)
+        history = batch.run(epochs)[0]
+        assert [r.active_nodes for r in history.records] == [16, 13, 14, 15, 11]
+        stats = batch.engines[0].protocol.stats
+        assert (stats.announcements_sent, stats.announcement_bits) == (69, 19840)
+        assert (stats.flood_deliveries, stats.announcements_lost) == (700, 267)

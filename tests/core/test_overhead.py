@@ -35,7 +35,15 @@ class TestFormulas:
         )
 
     def test_linkstate_rate(self):
+        # k = 5 neighbours announced every 20 s -> (192 + 32*5)/20 = 17.6 bps.
         assert linkstate_rate_bps(5, 20.0) == pytest.approx((192 + 32 * 5) / 20.0)
+
+    def test_linkstate_rate_scales_with_k(self):
+        assert linkstate_rate_bps(8, 20.0) > linkstate_rate_bps(2, 20.0)
+
+    def test_linkstate_rate_invalid_interval(self):
+        with pytest.raises(ValidationError):
+            linkstate_rate_bps(5, 0.0)
 
     def test_monitored_links(self):
         assert egoist_monitored_links(50, 5) == 250

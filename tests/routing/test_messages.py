@@ -3,12 +3,10 @@
 import pytest
 
 from repro.routing.messages import (
-    Heartbeat,
     LinkStateAnnouncement,
     LSA_HEADER_BITS,
     LSA_PER_NEIGHBOR_BITS,
     announcement_size_bits,
-    linkstate_rate_bps,
 )
 from repro.util.validation import ValidationError
 
@@ -18,7 +16,7 @@ class TestLinkStateAnnouncement:
         ann = LinkStateAnnouncement.from_dict(3, 7, {1: 5.0, 2: 9.0}, timestamp=12.0)
         assert ann.origin == 3
         assert ann.sequence == 7
-        assert ann.links_dict() == {1: 5.0, 2: 9.0}
+        assert dict(ann.links) == {1: 5.0, 2: 9.0}
         assert ann.timestamp == 12.0
 
     def test_size_formula(self):
@@ -48,20 +46,6 @@ class TestLinkStateAnnouncement:
 
 
 class TestRates:
-    def test_linkstate_rate_paper_settings(self):
-        # k = 5 neighbours announced every 20 s -> (192 + 32*5)/20 = 17.6 bps.
-        assert linkstate_rate_bps(5, 20.0) == pytest.approx(17.6)
-
-    def test_rate_scales_with_k(self):
-        assert linkstate_rate_bps(8, 20.0) > linkstate_rate_bps(2, 20.0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValidationError):
-            linkstate_rate_bps(5, 0.0)
-
     def test_negative_neighbors_rejected(self):
         with pytest.raises(ValidationError):
             announcement_size_bits(-1)
-
-    def test_heartbeat_size(self):
-        assert Heartbeat(0, 1).size_bits == 128

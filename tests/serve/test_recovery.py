@@ -9,6 +9,7 @@ prove the same protocol holds end-to-end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.failures import FailureSpec
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
 from repro.serve.replay import replay_log
@@ -118,6 +120,46 @@ class TestRecover:
             # ... and post-recovery epochs continue the same trajectory.
             resumed = _drive(service, _TOTAL_EPOCHS)
             assert resumed == {e: reference[e] for e in resumed}
+        finally:
+            service.close()
+
+    def test_loss_stream_continues_through_a_checkpoint(self, tmp_path):
+        """The link-state table and its loss RNG are checkpointed state.
+
+        Loss never shows in a digest (decisions do not read the table),
+        so this compares the protocol counters directly: epochs 5-6 run
+        from the epoch-4 checkpoint, not from a log replay of the whole
+        chain, and must draw the losses the uninterrupted run drew.
+        """
+        spec = _spec(failures=FailureSpec(message_loss=0.3))
+
+        def counters(service):
+            return [
+                dataclasses.astuple(engine.protocol.stats)
+                for engine in service.session.engines
+            ]
+
+        uninterrupted = OverlayService(spec)
+        try:
+            _drive(uninterrupted, _TOTAL_EPOCHS)
+            expected = counters(uninterrupted)
+        finally:
+            uninterrupted.close()
+        assert all(lost > 0 for *_, lost in expected)
+
+        log = str(tmp_path / "serve.jsonl")
+        ckpt = str(tmp_path / "checkpoints")
+        service = OverlayService(
+            spec, log_path=log, checkpoint_dir=ckpt, checkpoint_every=2
+        )
+        _drive(service, 4)
+        _crash(service)
+        service = OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2)
+        try:
+            assert service.last_recovery.checkpoint_epochs == 4
+            assert service.last_recovery.replayed_epochs == 0
+            _drive(service, _TOTAL_EPOCHS)
+            assert counters(service) == expected
         finally:
             service.close()
 
