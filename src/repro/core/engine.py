@@ -116,19 +116,21 @@ class EpochView:
     answer must be attributable to a specific overlay state (the S-Bus
     stale-read discipline).  The view pins that attribution: the epoch
     number, the :class:`GlobalWiring` version at scoring time, the
-    active membership, and the announced metric snapshot the epoch
-    wired under.  The engine refreshes it in :meth:`finish_epoch`; the
-    wiring is frozen between epochs (mutations only apply inside
-    ``begin_epoch``), so a view whose ``version`` still equals
-    ``engine.wiring.version`` describes the live overlay exactly.
+    active membership, the announced metric snapshot the epoch wired
+    under, and ``route_values`` — the all-sources routing values the
+    epoch was scored with, scattered to ``(n, n)`` (rows of inactive
+    sources read unreachable: ``inf`` additive, ``0.0`` bandwidth).  A
+    lookup is a read of that matrix, never a second computation.  The
+    engine refreshes the view in :meth:`finish_epoch`; the wiring is
+    frozen between epochs (mutations only apply inside ``begin_epoch``),
+    so the view describes the live overlay exactly.
     """
 
     epoch: int
     version: int
     active_list: List[int]
-    active_key: Tuple[int, ...]
     announced: Metric
-    metric_fp: Optional[str]
+    route_values: np.ndarray
 
 
 @dataclass
@@ -394,11 +396,11 @@ class EgoistEngine:
         Mirrors the survivor-drop path of membership changes: each
         endpoint forgets the dead neighbour and its global wiring entry
         is rewritten through :meth:`GlobalWiring.set_wiring`, so the
-        removal bumps the wiring version (and lands in the changelog)
-        exactly like a churn departure.  Re-applied every epoch because a
-        structural policy (k-random) may re-adopt a masked link mid-epoch
-        — the adoption costs the disconnection value and is dropped again
-        here at the next epoch boundary.
+        removal bumps the wiring version exactly like a churn departure.
+        Re-applied every epoch because a structural policy (k-random) may
+        re-adopt a masked link mid-epoch — the adoption costs the
+        disconnection value and is dropped again here at the next epoch
+        boundary.
         """
         state = self._failure_state
         if state is None or not state.down_links:
@@ -450,8 +452,8 @@ class EgoistEngine:
 
         The nodes stay online but forget their wiring, so each rebuilds
         from scratch at its next re-wiring opportunity.  The removals go
-        through :meth:`GlobalWiring.remove_wiring`: a version bump and a
-        changelog entry, like any ordinary re-wire.
+        through :meth:`GlobalWiring.remove_wiring`: a version bump, like
+        any ordinary re-wire.
         """
         for node_id in sorted(self._check_node_ids(nodes)):
             node = self.nodes[node_id]
@@ -639,13 +641,16 @@ class EgoistEngine:
                 routes_stuck=routes_stuck,
             )
             self.history.records.append(record)
+            served = np.full(
+                (self.n, self.n), 0.0 if plan.truth.maximize else np.inf
+            )
+            served[plan.active_rows] = route_values
             self.last_epoch_view = EpochView(
                 epoch=plan.epoch,
                 version=self.wiring.version,
                 active_list=list(plan.active_list),
-                active_key=plan.active_key,
                 announced=plan.announced,
-                metric_fp=plan.metric_fp,
+                route_values=served,
             )
             self.clock.advance(self.clock.epoch_length)
             self.provider.advance(1)

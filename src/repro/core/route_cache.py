@@ -27,7 +27,9 @@ never patched — measured, patching served at most 1.3% of lookups.
 
 Who uses it.  The sequential engine (every opportunity), the lockstep
 batch's stacked-sweep and bandwidth planners, and the build-time
-deployment batch.  The lockstep batch's *maintained* planner (additive
+deployment batch — re-wiring decisions only; ``repro serve`` answers
+lookups from :attr:`~repro.core.engine.EpochView.route_values` and never
+reads it.  The lockstep batch's *maintained* planner (additive
 engines from 64 active nodes up) does not: it derives each residual
 from one all-pairs matrix and streams it straight into the fused step,
 so such an engine's cache stays empty for life and its counters read 0.
@@ -140,28 +142,6 @@ class ResidualRouteCache:
             self.hits += 1
             return entry[2]
         self.misses += 1
-        return None
-
-    def versioned_get(
-        self, node: int, hops: Tuple[int, ...]
-    ) -> Optional[Tuple[np.ndarray, Hashable]]:
-        """A token-transparent read: the entry's matrix *and* its token.
-
-        The version-stamped read of the serve layer: a live lookup that
-        consumes a cached residual matrix must attribute its answer to
-        the overlay state the matrix was computed under, so a hop-matched
-        entry is returned as ``(matrix, token)`` regardless of the
-        cache's current token, and the caller screens the entry's token
-        against the live :class:`~repro.core.wiring.GlobalWiring`
-        changelog before trusting the rows.
-        Whether the read ultimately served is only known caller-side, so
-        no hit/miss is accounted here — the serve layer keeps its own
-        ``rows_from_cache``/``rows_from_sweep`` counters instead.
-        """
-        entry = self._store.get(node)
-        if entry is not None and entry[1] == hops:
-            self._store.move_to_end(node)
-            return entry[2], entry[0]
         return None
 
     def put(

@@ -9,9 +9,8 @@ that shortest-path routing operates on.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError, check_index
@@ -99,15 +98,6 @@ class GlobalWiring:
         self._wirings: Dict[int, Wiring] = {}
         self._weights: Dict[int, Dict[int, float]] = {}
         self._version = 0
-        # One entry per version bump: (version after the change, node whose
-        # out-links changed), version-ascending.  Its one reader is the
-        # serve layer's row screen (``OverlayService._cache_row``), which
-        # only ever looks back across an epoch or two of re-wires, so the
-        # log is bounded; older deltas age out and the reader sweeps
-        # afresh.  Kept as a list so :meth:`changed_since` can bisect to
-        # the queried tail instead of walking the whole window.
-        self._changelog: List[Tuple[int, int]] = []
-        self._changelog_limit = max(64, 4 * self.n)
 
     @property
     def version(self) -> int:
@@ -148,41 +138,13 @@ class GlobalWiring:
         self._wirings[wiring.node] = wiring
         self._weights[wiring.node] = new_weights
         self._version += 1
-        self._log_change(wiring.node)
-
-    def _log_change(self, node: int) -> None:
-        log = self._changelog
-        log.append((self._version, node))
-        if len(log) > 2 * self._changelog_limit:
-            del log[: len(log) - self._changelog_limit]
 
     def remove_wiring(self, node: int) -> None:
         """Remove ``node``'s wiring entirely (e.g. the node went OFF)."""
         if node in self._wirings:
             self._version += 1
-            self._log_change(node)
         self._wirings.pop(node, None)
         self._weights.pop(node, None)
-
-    def changed_since(self, version: int) -> Optional[Set[int]]:
-        """Nodes whose out-links changed after ``version``, if known.
-
-        Returns the set of nodes behind every version bump in
-        ``(version, current]`` — what a reader holding rows computed at
-        ``version`` needs to decide whether they still describe the live
-        overlay — or ``None`` when the bounded changelog no longer
-        reaches back that far (or ``version`` is from the future), in
-        which case the caller must fall back to a fresh sweep.
-        """
-        if version == self._version:
-            return set()
-        if version > self._version:
-            return None
-        log = self._changelog
-        if len(log) < self._version - max(version, 0):
-            return None
-        start = bisect.bisect_right(log, (version, self.n))
-        return {node for _v, node in log[start:]}
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -35,8 +35,10 @@ from typing import Dict, List, Optional
 from repro.sweep.dist.backend import SharedFSBackend
 from repro.util.validation import ValidationError
 
-#: Schema version of the checkpoint envelope.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Schema version of the checkpoint envelope.  2: the pickled engines'
+#: ``EpochView`` carries the served route matrix; a schema-1 payload has
+#: none, so it is skipped and recovery replays the log instead.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 _NAME = re.compile(r"^ckpt-(\d{8})-(\d{4})\.json$")
 

@@ -12,30 +12,18 @@ Lookup semantics
 ----------------
 A lookup answers "what does the best overlay route from ``src`` to
 ``dst`` cost (or carry) on the live overlay right now", on the announced
-metric the last committed epoch wired under.  The row of route values
-for ``src`` is produced one of two ways:
+metric the last committed epoch wired under.  The answer is read from
+the engine's :class:`~repro.core.engine.EpochView`: its ``route_values``
+is the all-sources matrix the epoch was scored with, so a lookup is a
+bounds-checked array read and a ``lookup_batch`` frame is one gather —
+the serve path computes no route value of its own, and every served
+value is bitwise the from-scratch route on the stamped version.  A frame
+is validated whole before anything is counted: a rejected request bumps
+no counter.
 
-* **cache** — ``src``'s residual matrix sits in the engine's shared
-  :class:`~repro.core.route_cache.ResidualRouteCache` under a token
-  whose wiring version matches the live overlay (a version-stamped
-  read); the full row is then one vectorised reduction over ``src``'s
-  wired first hops: ``min_v (w(src,v) + resid[v, :])`` for minimised
-  metrics, ``max_v min(w(src,v), resid[v, :])`` for bandwidth.  The
-  residual matrix excludes ``src``'s own out-links, so routes never
-  revisit the source.
-* **sweep** — a sweep over the live overlay graph; every source a
-  request still misses after the cache screen shares one multi-source
-  kernel call.
-
-Rows land in one ``n x n`` route table per engine, valid for exactly one
-:class:`GlobalWiring` version (:class:`_RouteTable`), so a warm lookup
-is an array read and a warm ``lookup_batch`` frame is one gather.  A
-frame is validated whole before any row is filled: a rejected request
-changes neither the table nor a counter.
-
-Either way the answer is stamped with ``(epoch, version)``: the epoch
-that committed the overlay and the :class:`GlobalWiring` version the row
-is valid under.  Mutations accepted but not yet committed never leak
+The answer is stamped with ``(epoch, version)``: the epoch that
+committed the overlay and the :class:`GlobalWiring` version the matrix
+was computed on.  Mutations accepted but not yet committed never leak
 into an answer — they only apply inside the next ``begin_epoch``.
 
 Crash safety
@@ -84,8 +72,8 @@ from repro.core.codec import (
     epoch_record_to_json,
 )
 from repro.core.cost import DISCONNECTION_COST
-from repro.routing.shortest_path import shortest_path, shortest_path_costs_multi
-from repro.routing.widest_path import widest_path, widest_path_bandwidths_multi
+from repro.routing.shortest_path import shortest_path
+from repro.routing.widest_path import widest_path
 from repro.scenario.lifecycle import Mutation, Session
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.checkpoint import CheckpointManager, CheckpointState
@@ -106,17 +94,6 @@ DEDUPE_WINDOW = 1024
 #: Recent epoch digests kept for idempotent ``step`` replies.
 EPOCH_DIGEST_WINDOW = 128
 
-#: Why :meth:`OverlayService._cache_row` declined to serve a row, each
-#: counted as ``cache_row_miss.<reason>``.
-CACHE_ROW_MISS_REASONS = (
-    "no_cache",  # the engine keeps no residual cache / no metric fingerprint
-    "never_filled",  # no version-stamped entry for this source and hop set
-    "metric_changed",  # entry computed under another announced metric
-    "membership_changed",  # entry computed under another active set
-    "changelog",  # a node other than the source re-wired since the stamp
-    "unwired",  # the source has no wired first hop to reduce over
-)
-
 
 class ServeError(ValidationError):
     """A request the service cannot serve, with a machine-readable code."""
@@ -128,24 +105,6 @@ class ServeError(ValidationError):
 
 class RecoveryError(ValidationError):
     """Recovery could not restore a state consistent with the log."""
-
-
-class _RouteTable:
-    """One engine's route values, valid for exactly one wiring version.
-
-    ``values[src]`` holds ``src``'s route-value row iff ``have[src]``;
-    ``cached[src]`` tags the row's ``source`` (residual cache, else
-    sweep).  The buffers outlive the version: a stale table is re-stamped
-    and its ``have`` mask cleared, never reallocated.
-    """
-
-    __slots__ = ("version", "values", "have", "cached")
-
-    def __init__(self, n: int):
-        self.version: Optional[int] = None
-        self.values = np.empty((n, n))
-        self.have = np.zeros(n, dtype=bool)
-        self.cached = np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -265,20 +224,19 @@ class OverlayService:
         self.dedupe_window = int(dedupe_window)
         self.closed = False
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
-        #: Per-label route tables, each valid at one wiring version.
-        self._rows: Dict[str, _RouteTable] = {}
-        #: Per-label overlay graphs valid at a wiring version.
-        self._graphs: Dict[str, Tuple[int, object]] = {}
+        #: Per-label overlay graphs of the committed epoch (``want_path``).
+        self._graphs: Dict[str, object] = {}
         #: Idempotency-key dedupe window: key -> applied_epoch (FIFO).
         self._dedupe: "OrderedDict[str, int]" = OrderedDict()
         #: Recent committed-epoch digests for idempotent ``step`` replies.
         self._epoch_digests: "OrderedDict[int, str]" = OrderedDict()
         self.counters: Dict[str, int] = {
             "lookups": 0,
+            # Vestigial (0, 0, == lookups): bench/serve_workloads.py indexes
+            # all three on every traced run; see ROADMAP [1].
             "rows_from_cache": 0,
             "rows_from_sweep": 0,
             "row_memo_hits": 0,
-            **{f"cache_row_miss.{reason}": 0 for reason in CACHE_ROW_MISS_REASONS},
             "mutations": 0,
             "epochs": 0,
             "checkpoints": 0,
@@ -340,10 +298,6 @@ class OverlayService:
         self._check_open()
         with telemetry.span("serve.tick", epoch=self.session.epochs_completed):
             records = self.session.step()
-        # An epoch may move the view (membership, announced metric) without
-        # a wiring bump, so the tables go stale with it, buffers kept.
-        for table in self._rows.values():
-            table.version = None
         self._graphs.clear()
         epoch = self.session.epochs_completed - 1
         digest = epoch_record_digest(records)
@@ -772,111 +726,12 @@ class OverlayService:
         return engine, view
 
     def _graph(self, label: str, engine, view):
-        version = engine.wiring.version
-        cached = self._graphs.get(label)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        graph = engine.wiring.to_graph(active=view.active_list)
-        self._graphs[label] = (version, graph)
+        graph = self._graphs.get(label)
+        if graph is None:
+            graph = self._graphs[label] = engine.wiring.to_graph(
+                active=view.active_list
+            )
         return graph
-
-    def _cache_row(self, engine, view, src: int) -> Optional[np.ndarray]:
-        """``src``'s route-value row from the residual cache, or None.
-
-        A version-stamped read — the one remaining reader of the
-        :class:`~repro.core.wiring.GlobalWiring` changelog: the
-        entry must carry the live metric fingerprint and membership key,
-        and the wiring changelog since its stamped version may name no
-        node but ``src`` itself — ``src``'s residual matrix excludes its
-        own out-links, so its own re-wire (and the per-epoch announced
-        weight refresh that trails the stamp by one bump) cannot stale
-        it.  Anything else falls back to the sweep path, counted under
-        the ``cache_row_miss.<reason>`` that turned it away.  The row is
-        ``min(link + residual_row)``, the sum associated from the far
-        end, so it matches the sweep's left-associated value to 1e-9
-        relative rather than bitwise (``docs/serve_protocol.md``).
-        """
-        cache = engine.route_cache
-        if cache is None or view.metric_fp is None:
-            return self._miss("no_cache")
-        hops = tuple(c for c in view.active_list if c != src)
-        if not hops:
-            return self._miss("unwired")
-        got = cache.versioned_get(src, hops)
-        if got is None:
-            return self._miss("never_filled")
-        matrix, token = got
-        if not (
-            isinstance(token, tuple) and len(token) == 3 and isinstance(token[0], int)
-        ):
-            return self._miss("never_filled")
-        version, metric_fp, active_key = token
-        if metric_fp != view.metric_fp:
-            return self._miss("metric_changed")
-        if active_key != view.active_key:
-            return self._miss("membership_changed")
-        changed = engine.wiring.changed_since(version)
-        if changed is None or not changed <= {src}:
-            return self._miss("changelog")
-        weights = engine.wiring.weights_of(src)
-        row_of = {hop: index for index, hop in enumerate(hops)}
-        neighbors = sorted(v for v in weights if v in row_of)
-        if not neighbors:
-            return self._miss("unwired")
-        first_hop_rows = matrix[[row_of[v] for v in neighbors], :]
-        link = np.array([weights[v] for v in neighbors])[:, None]
-        if view.announced.maximize:
-            row = np.max(np.minimum(link, first_hop_rows), axis=0)
-            row[src] = np.inf
-        else:
-            row = np.min(link + first_hop_rows, axis=0)
-            row[src] = 0.0
-        return row
-
-    def _miss(self, reason: str) -> None:
-        self.counters[f"cache_row_miss.{reason}"] += 1
-
-    def _table(self, label: str, engine) -> _RouteTable:
-        """``label``'s route table, stamped with the live wiring version."""
-        table = self._rows.get(label)
-        if table is None:
-            table = self._rows[label] = _RouteTable(self.spec.n)
-        version = engine.wiring.version
-        if table.version != version:
-            table.version = version
-            table.have[:] = False
-        return table
-
-    def _fill(
-        self, table: _RouteTable, engine, view, label: str, sources: List[int]
-    ) -> None:
-        """Fill the rows of ``sources`` (distinct, all missing).
-
-        The residual cache is asked first, source by source in the given
-        order (the read touches the cache's LRU order); whatever it
-        declines shares one multi-source sweep of the memoised graph.
-        """
-        swept: List[int] = []
-        for src in sources:
-            row = self._cache_row(engine, view, src)
-            if row is None:
-                swept.append(src)
-            else:
-                table.values[src] = row
-        if swept:
-            graph = self._graph(label, engine, view)
-            if view.announced.maximize:
-                rows = widest_path_bandwidths_multi(graph, swept)
-            else:
-                rows = shortest_path_costs_multi(
-                    graph, swept, disconnection_cost=float("inf")
-                )
-            table.values[swept] = rows
-        table.cached[sources] = True
-        table.cached[swept] = False
-        table.have[sources] = True
-        self.counters["rows_from_sweep"] += len(swept)
-        self.counters["rows_from_cache"] += len(sources) - len(swept)
 
     def _check_pair(self, src: int, dst: int) -> Tuple[int, int]:
         try:
@@ -940,17 +795,13 @@ class OverlayService:
         src, dst = self._check_pair(src, dst)
         eng, view = self._view(engine)
         label = engine if engine is not None else self.session.labels[0]
-        table = self._table(label, eng)
-        if table.have[src]:
-            self.counters["row_memo_hits"] += 1
-        else:
-            self._fill(table, eng, view, label, [src])
-        value = float(table.values[src, dst])
+        value = float(view.route_values[src, dst])
         if view.announced.maximize:
             reachable = math.isfinite(value) and value > 0.0
         else:
             reachable = math.isfinite(value) and value < DISCONNECTION_COST
         self.counters["lookups"] += 1
+        self.counters["row_memo_hits"] += 1
         result: Dict[str, object] = {
             "src": src,
             "dst": dst,
@@ -958,8 +809,7 @@ class OverlayService:
             "reachable": reachable,
             "engine": label,
             "epoch": view.epoch,
-            "version": table.version,
-            "source": "cache" if table.cached[src] else "sweep",
+            "version": view.version,
         }
         if want_path:
             graph = self._graph(label, eng, view)
@@ -973,26 +823,18 @@ class OverlayService:
     ) -> Dict[str, object]:
         """Route values for many ``(src, dst)`` pairs in one call.
 
-        The workload generator's hot path: the frame is validated whole,
-        its distinct missing sources are filled together, and the answer
-        is one gather from the route table.  ``values`` holds one entry
-        per pair (None when unreachable), in pair order.
+        The workload generator's hot path: the frame is validated whole
+        and the answer is one gather from the epoch's route matrix.
+        ``values`` holds one entry per pair (None when unreachable), in
+        pair order.
         """
         self._check_open()
         if not isinstance(pairs, (list, tuple)):
             raise ServeError("bad-request", "pairs must be a list of [src, dst] pairs")
-        eng, view = self._view(engine)
+        _, view = self._view(engine)
         label = engine if engine is not None else self.session.labels[0]
         srcs, dsts = self._check_frame(pairs)
-        table = self._table(label, eng)
-        have = table.have[srcs]
-        filled = 0
-        if not have.all():
-            # Distinct, in first-occurrence order.
-            missing = list(dict.fromkeys(srcs[~have].tolist()))
-            self._fill(table, eng, view, label, missing)
-            filled = len(missing)
-        got = table.values[srcs, dsts]
+        got = view.route_values[srcs, dsts]
         if view.announced.maximize:
             reachable = np.isfinite(got) & (got > 0.0)
         else:
@@ -1001,12 +843,12 @@ class OverlayService:
         for index in np.flatnonzero(~reachable).tolist():
             values[index] = None
         self.counters["lookups"] += len(values)
-        self.counters["row_memo_hits"] += len(values) - filled
+        self.counters["row_memo_hits"] += len(values)
         return {
             "values": values,
             "engine": label,
             "epoch": view.epoch,
-            "version": table.version,
+            "version": view.version,
         }
 
     # ------------------------------------------------------------------ #
@@ -1142,7 +984,6 @@ class OverlayService:
 
 
 __all__ = [
-    "CACHE_ROW_MISS_REASONS",
     "DEDUPE_WINDOW",
     "EPOCH_DIGEST_WINDOW",
     "LOG_SCHEMA_VERSION",

@@ -7,9 +7,12 @@ from repro.churn.models import trace_driven_churn
 from repro.core.cheating import CheatingModel
 from repro.core.cost import DelayMetric
 from repro.core.engine import EgoistEngine
+from repro.core.engine_batch import EngineBatch, EngineSpec
+from repro.core.failures import FailureEvent, FailureSpec
 from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import BestResponsePolicy, KClosestPolicy, KRandomPolicy
-from repro.core.providers import DelayMetricProvider
+from repro.core.providers import BandwidthMetricProvider, DelayMetricProvider
+from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.util.validation import ValidationError
 
@@ -216,3 +219,64 @@ class TestStepSpan:
         plan = engine.begin_epoch()
         with pytest.raises(ValidationError):
             engine.step_span(plan, -1)
+
+
+class TestEpochViewRouteMatrix:
+    """``last_epoch_view.route_values`` — the object ``repro serve``
+    reads — is the from-scratch all-sources sweep of the committed
+    overlay, on both execution tiers, for both metric families."""
+
+    N = 12
+
+    def _batch(self, family: str, efficiency: bool, batched: bool) -> EngineBatch:
+        if family == "bandwidth":
+            provider = BandwidthMetricProvider(BandwidthModel(self.N, seed=3), seed=4)
+        else:
+            space, _nodes = synthetic_planetlab(self.N, seed=2)
+            provider = DelayMetricProvider(space, estimator="ping", seed=4)
+        spec = EngineSpec(
+            label=family,
+            provider=provider,
+            policy=BestResponsePolicy(exact_threshold=2),
+            k=3,
+            churn=trace_driven_churn(
+                self.N, 6 * 60.0, mean_on=200.0, mean_off=150.0, seed=1,
+                initial_on_probability=0.7,
+            ),
+            failures=FailureSpec(
+                events=(FailureEvent(epoch=2, action="link-down", links=((0, 1),)),)
+            ),
+            # With efficiency on, an additive epoch scores from the
+            # all-pairs sweep; without, from the multi-source one.
+            compute_efficiency=efficiency,
+            seed=9,
+        )
+        return EngineBatch([spec], batched=batched)
+
+    @pytest.mark.parametrize(
+        "family, efficiency", [("delay", True), ("delay", False), ("bandwidth", True)]
+    )
+    def test_matrix_is_the_from_scratch_sweep_on_both_tiers(self, family, efficiency):
+        fused = self._batch(family, efficiency, True)
+        plain = self._batch(family, efficiency, False)
+        saw_inactive = False
+        for _ in range(5):
+            fused.run(1)
+            plain.run(1)
+            engine = fused.engines[0]
+            view = engine.last_epoch_view
+            active = view.active_list
+            graph = engine.wiring.to_graph(active=active)
+            assert view.version == engine.wiring.version
+            assert np.array_equal(
+                view.route_values[active],
+                view.announced.route_values_rows(graph, active),
+            )
+            inactive = sorted(set(range(self.N)) - set(active))
+            saw_inactive |= bool(inactive)
+            unreachable = 0.0 if view.announced.maximize else np.inf
+            assert (view.route_values[inactive] == unreachable).all()
+            assert np.array_equal(
+                view.route_values, plain.engines[0].last_epoch_view.route_values
+            )
+        assert saw_inactive

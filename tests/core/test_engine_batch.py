@@ -389,13 +389,17 @@ class TestMaskedFusedChurnPath:
         falsified = []
 
         def spy(state, node, rewired):
-            pending = set(state.pending) - {node}
+            pending = dict(state.pending)
+            pending.pop(node, None)
             original(state, node, rewired)
             if rewired and pending:
                 cache = state.engine.route_cache
                 assert not state.pending
-                for other in pending:
-                    assert cache.versioned_get(other, state.hops_of(other)) is None
+                live = cache.token
+                for other, predicted in pending.items():
+                    cache.set_token(predicted)
+                    assert cache.get(other, state.hops_of(other)) is None
+                cache.set_token(live)
                 falsified.append(len(pending))
 
         monkeypatch.setattr(_LockstepState, "after_step", spy)

@@ -104,46 +104,20 @@ class TestGlobalWiring:
         assert gw.weights_of(0) == {3: 9.0}
         assert gw.degree_of(0) == 1
 
-
-class TestChangelog:
-    """The version changelog feeding incremental route-cache repairs."""
-
-    def test_changed_since_tracks_rewires(self):
-        wiring = GlobalWiring(4)
-        v0 = wiring.version
-        wiring.set_wiring(Wiring.of(0, [1]), {1: 1.0})
-        wiring.set_wiring(Wiring.of(2, [3]), {3: 2.0})
-        assert wiring.changed_since(v0) == {0, 2}
-        assert wiring.changed_since(wiring.version) == set()
-
-    def test_unchanged_reinstall_logs_nothing(self):
+    def test_unchanged_reinstall_keeps_the_version(self):
         wiring = GlobalWiring(3)
         wiring.set_wiring(Wiring.of(0, [1]), {1: 1.0})
         version = wiring.version
         wiring.set_wiring(Wiring.of(0, [1]), {1: 1.0})  # identical: no bump
         assert wiring.version == version
-        assert wiring.changed_since(version) == set()
+        wiring.set_wiring(Wiring.of(0, [1]), {1: 2.0})
+        assert wiring.version == version + 1
 
-    def test_remove_wiring_is_a_logged_change(self):
+    def test_remove_wiring_bumps_the_version(self):
         wiring = GlobalWiring(3)
         wiring.set_wiring(Wiring.of(1, [2]), {2: 1.0})
         version = wiring.version
         wiring.remove_wiring(1)
-        assert wiring.changed_since(version) == {1}
-        # Removing an unwired node is a no-op (no bump, no log entry).
-        version = wiring.version
-        wiring.remove_wiring(0)
-        assert wiring.version == version
-        assert wiring.changed_since(version) == set()
-
-    def test_future_and_out_of_window_versions_return_none(self):
-        wiring = GlobalWiring(2)
-        assert wiring.changed_since(wiring.version + 1) is None
-        # Age the log far past its bound: the oldest deltas are gone, so
-        # a query from before the window must refuse rather than return
-        # a partial set.
-        for i in range(3 * wiring._changelog_limit):
-            wiring.set_wiring(Wiring.of(0, [1]), {1: float(i + 1)})
-        assert wiring.changed_since(0) is None
-        recent = wiring.version - 2
-        assert wiring.changed_since(recent) == {0}
+        assert wiring.version == version + 1
+        wiring.remove_wiring(0)  # unwired: a no-op
+        assert wiring.version == version + 1

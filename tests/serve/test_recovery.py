@@ -163,6 +163,52 @@ class TestRecover:
         finally:
             service.close()
 
+    def test_lookups_straight_after_checkpoint_recovery(self, tmp_path):
+        """The served matrix is checkpointed state: a service restored
+        from a checkpoint answers before any new tick, with the
+        uninterrupted run's values under the same stamp."""
+        pairs = [[src, dst] for src in range(16) for dst in range(16) if src != dst]
+        uninterrupted = OverlayService(_spec())
+        try:
+            _drive(uninterrupted, 4)
+            expected = uninterrupted.lookup_batch(pairs)
+        finally:
+            uninterrupted.close()
+        log, ckpt, _digests = _crashed_service(tmp_path, epochs=4)
+        service = OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2)
+        try:
+            assert service.last_recovery.checkpoint_epochs == 4
+            assert service.last_recovery.replayed_epochs == 0
+            assert service.lookup_batch(pairs) == expected
+        finally:
+            service.close()
+
+    def test_schema_1_checkpoint_is_skipped_and_the_log_replayed(
+        self, tmp_path, reference
+    ):
+        """A checkpoint written before the view carried the route matrix
+        unpickles but could not answer a lookup; the schema bump routes
+        it through the ordinary skip-and-replay path."""
+        log, ckpt, _digests = _crashed_service(tmp_path, epochs=5)
+        for name in os.listdir(ckpt):
+            path = os.path.join(ckpt, name)
+            with open(path) as handle:
+                envelope = json.load(handle)
+            envelope["schema"] = 1
+            with open(path, "w") as handle:
+                json.dump(envelope, handle)
+        service = OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2)
+        try:
+            report = service.last_recovery
+            assert report.checkpoint is None
+            assert any("schema 1" in reason for reason in report.skipped_checkpoints)
+            assert service.session.epochs_completed == 5
+            assert service.lookup(0, 5)["epoch"] == 4
+            resumed = _drive(service, _TOTAL_EPOCHS)
+            assert resumed == {e: reference[e] for e in resumed}
+        finally:
+            service.close()
+
     def test_recovery_without_checkpoints_replays_the_chain(self, tmp_path, reference):
         log = str(tmp_path / "serve.jsonl")
         service = OverlayService(_spec(), log_path=log)

@@ -8,7 +8,7 @@ from repro.core.cost import DISCONNECTION_COST
 from repro.routing.shortest_path import shortest_path_costs_from
 from repro.routing.widest_path import widest_path_bandwidths_from
 from repro.scenario.spec import ScenarioSpec
-from repro.serve.service import CACHE_ROW_MISS_REASONS, OverlayService, ServeError
+from repro.serve.service import OverlayService, ServeError
 from repro.telemetry import runtime as telemetry
 
 
@@ -47,7 +47,6 @@ class TestLookup:
         assert result["value"] > 0
         assert result["epoch"] == 0
         assert result["version"] == service.session.engine().wiring.version
-        assert result["source"] in ("cache", "sweep")
 
     def test_lookup_matches_fresh_sweep(self, service):
         service.tick()
@@ -82,9 +81,11 @@ class TestLookup:
         service.tick()
         service.mutate({"kind": "leave", "nodes": [5]})
         service.tick()
-        result = service.lookup(0, 5)
-        assert result["value"] is None
-        assert result["reachable"] is False
+        for src, dst in ((0, 5), (5, 0)):
+            result = service.lookup(src, dst)
+            assert result["value"] is None
+            assert result["reachable"] is False
+        assert service.lookup_batch([[0, 5], [5, 0]])["values"] == [None, None]
 
     def test_bad_pairs_rejected(self, service):
         service.tick()
@@ -114,42 +115,22 @@ class TestLookupBatch:
         with pytest.raises(ServeError):
             service.lookup_batch("not-pairs")
 
-    def test_rows_are_memoized_within_a_version(self, service):
-        service.tick()
-        service.lookup_batch([[0, d] for d in range(1, 10)])
-        sweeps_before = service.counters["rows_from_sweep"]
-        cache_before = service.counters["rows_from_cache"]
-        service.lookup_batch([[0, d] for d in range(1, 10)])
-        assert service.counters["rows_from_sweep"] == sweeps_before
-        assert service.counters["rows_from_cache"] == cache_before
-
-    def test_memo_cleared_on_tick(self, service):
-        service.tick()
-        service.lookup(0, 5)
-        rows_before = (
-            service.counters["rows_from_sweep"] + service.counters["rows_from_cache"]
-        )
-        service.tick()
-        service.lookup(0, 5)
-        assert (
-            service.counters["rows_from_sweep"] + service.counters["rows_from_cache"]
-            == rows_before + 1
-        )
-
-
-    def test_cold_frame_fills_with_one_multi_source_call(self, service):
+    def test_cold_frame_calls_no_routing_kernel(self, service):
         service.tick()
         pairs = [[src, (src + 1) % 16] for src in range(16)] * 4
         telemetry.enable()
         try:
-            service.tick()  # version bump: every row is cold again
+            service.tick()  # a fresh epoch: nothing has been read from it yet
             before = telemetry.metrics().snapshot()["counters"]
             reply = service.lookup_batch(pairs)
             after = telemetry.metrics().snapshot()["counters"]
         finally:
             telemetry.disable()
-        calls = "kernel.shortest.multi.calls"
-        assert after.get(calls, 0) - before.get(calls, 0) <= 1
+        kernels = {name for name in after if name.startswith("kernel.")}
+        assert kernels  # the tick's own sweeps were counted: the ledger is live
+        assert {name: after[name] for name in kernels} == {
+            name: before.get(name, 0) for name in kernels
+        }
         assert len(reply["values"]) == 64
         assert reply["version"] == service.session.engine().wiring.version
 
@@ -248,67 +229,14 @@ class TestMalformedFrames:
             assert service.lookup_batch(frame)["values"] == clean["values"]
         assert service.lookup_batch([])["values"] == []
 
-    def test_rejected_frame_fills_no_row_and_bumps_no_counter(self, service):
+    def test_rejected_frame_bumps_no_counter(self, service):
         service.tick()
-        service.lookup(0, 5)  # stamps the table; row 0 is the only one held
-        table = service._rows[service.session.labels[0]]
+        service.lookup(0, 5)
         counters = dict(service.counters)
-        have = table.have.copy()
         for frame in ([[1, 2], [3, 4], [5, 5]], [[1, 2], [3, "x"]], [[1, 2], [3]]):
             with pytest.raises(ServeError):
                 service.lookup_batch(frame)
         assert service.counters == counters
-        assert (table.have == have).all()
-
-
-class TestResidualCachePath:
-    def test_cache_row_matches_sweep_when_valid(self):
-        service = OverlayService(_spec(n=20))
-        for _ in range(6):
-            service.tick()
-        engine = service.session.engine()
-        view = engine.last_epoch_view
-        graph = engine.wiring.to_graph(active=view.active_list)
-        served_from_cache = 0
-        for src in view.active_list:
-            row = service._cache_row(engine, view, src)
-            if row is None:
-                continue
-            served_from_cache += 1
-            sweep = shortest_path_costs_from(
-                graph, src, disconnection_cost=float("inf")
-            )
-            finite = np.isfinite(sweep)
-            assert np.allclose(row[finite], sweep[finite], rtol=1e-12)
-        # The changelog screen accepts at least the last-stepped node's
-        # entry (its own trailing install cannot stale its residual).
-        assert served_from_cache >= 1
-        service.close()
-
-
-    def test_every_cache_miss_is_counted_under_one_reason(self):
-        service = OverlayService(_spec(n=20))
-        for _ in range(3):
-            service.tick()
-            service.lookup_batch([[src, (src + 1) % 20] for src in range(20)])
-        counters = service.stats()["counters"]
-        misses = {
-            reason: counters[f"cache_row_miss.{reason}"]
-            for reason in CACHE_ROW_MISS_REASONS
-        }
-        assert sum(misses.values()) == counters["rows_from_sweep"]
-        assert counters["rows_from_sweep"] + counters["rows_from_cache"] == 60
-        # Between epochs every node re-announces, so the changelog screen
-        # is what turns a filled, same-metric entry away.
-        assert misses["changelog"] > 0
-        service.close()
-
-    def test_engine_without_a_route_cache_counts_no_cache(self, service):
-        service.tick()
-        engine = service.session.engine()
-        engine.route_cache = None
-        assert service._cache_row(engine, engine.last_epoch_view, 0) is None
-        assert service.counters["cache_row_miss.no_cache"] == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -338,21 +266,17 @@ def _from_scratch(service, src: int) -> np.ndarray:
     return shortest_path_costs_from(graph, src, disconnection_cost=float("inf"))
 
 
-def _assert_served(service, src: int, dst: int, value, source: str) -> None:
+def _assert_served(service, src: int, dst: int, value) -> None:
     fresh = float(_from_scratch(service, src)[dst])
     if service.session.engine().last_epoch_view.announced.maximize:
         reachable = np.isfinite(fresh) and fresh > 0.0
     else:
         reachable = np.isfinite(fresh) and fresh < DISCONNECTION_COST
-    if not reachable:
-        assert value is None
-    elif source == "sweep":
-        assert value == fresh  # same kernel, same graph: bitwise
-    else:
-        assert value == pytest.approx(fresh, rel=1e-9)
+    assert value == (fresh if reachable else None)  # bitwise, every value
 
 
 class TestServedValuesProperty:
+    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("metric", ["delay-ping", "bandwidth"])
     @settings(
         max_examples=25,
@@ -360,8 +284,10 @@ class TestServedValuesProperty:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(operations=st.lists(_operation, min_size=1, max_size=14))
-    def test_any_interleaving_serves_the_stamped_version(self, metric, operations):
-        service = OverlayService(_spec(n=_N, metric=metric))
+    def test_any_interleaving_serves_the_stamped_version(
+        self, metric, batched, operations
+    ):
+        service = OverlayService(_spec(n=_N, metric=metric), batched=batched)
         try:
             service.tick()
             for kind, argument in operations:
@@ -369,9 +295,7 @@ class TestServedValuesProperty:
                 if kind == "lookup":
                     reply = service.lookup(*argument)
                     assert reply["version"] == live.version
-                    _assert_served(
-                        service, *argument, reply["value"], reply["source"]
-                    )
+                    _assert_served(service, *argument, reply["value"])
                 elif kind == "batch":
                     reply = service.lookup_batch(argument)
                     assert reply["version"] == live.version
@@ -381,7 +305,7 @@ class TestServedValuesProperty:
                         argument, reply["values"], singles
                     ):
                         assert one["version"] == reply["version"]
-                        _assert_served(service, src, dst, value, one["source"])
+                        _assert_served(service, src, dst, value)
                 elif kind == "tick":
                     service.tick()
                 elif kind == "drift":
