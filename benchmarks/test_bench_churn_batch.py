@@ -16,11 +16,11 @@ What the fused path exercises here, unlike the static engine-batch gate
   tensors with per-engine compact reductions;
 * join/leave events re-derive each engine's active mask between epochs
   (the lockstep states persist across the whole run);
-* the residual route caches stay warm through the speculative stacked
-  prefills (a stale entry is recomputed by the next one, never patched),
-  where the sequential engines miss on every single opportunity (their
-  token — wiring version, metric fingerprint, membership — changes
-  under them every epoch).
+* every opportunity is served by the fused kernel (or skipped as
+  settled): the speculative stacked prefills hand each one its residual,
+  where the sequential engines sweep afresh at every single opportunity
+  (their memo's token — wiring version, metric fingerprint, membership —
+  changes under them every epoch).
 
 Three hard gates:
 
@@ -31,22 +31,24 @@ Three hard gates:
   fused masked broadcasts and every prefilled matrix must not change a
   single decision (digests cover every record field at full float
   precision via ``float.hex``);
-* **cache hit-rate > 50 %** under churn (assert via
-  :meth:`ResidualRouteCache.stats` aggregated over the batch), against
-  ~0 % for the sequential engines.
+* **exact step counts** from the telemetry registry on one more
+  (untimed) batched run: no opportunity falls back to an engine's own
+  path (``batch.steps.sequential == 0``) and ``batch.steps.fused +
+  batch.steps.skipped`` equals the opportunities (active nodes summed
+  over every record).
 """
 
 from __future__ import annotations
 
 import time
 
+from repro import telemetry
 from repro.core.codec import history_digest
 from repro.core.engine_batch import EngineBatch, EngineSpec
 from repro.core.policies import BestResponsePolicy
 from repro.core.providers import DelayMetricProvider
 from repro.churn.models import trace_driven_churn
 from repro.netsim.planetlab import synthetic_planetlab
-from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.rng import as_generator, spawn_generators
 
 N = 24
@@ -56,7 +58,6 @@ SEED = 2008
 MEAN_ON = 1500.0
 MEAN_OFF = 300.0
 REQUIRED_SPEEDUP = 2.0
-REQUIRED_HIT_RATE = 0.5
 
 
 def _build_specs():
@@ -152,29 +153,32 @@ def test_churned_engine_batch_speedup(benchmark, report):
         f"({batched_digest} != {sequential_digest})"
     )
 
-    # The dynamic-membership cache story: sequential engines cannot reuse
-    # anything across churned epochs; the lockstep prefills keep the
-    # caches serving most lookups (repairs reads 0: nothing is patched).
-    sequential_stats, batched_stats = (
-        pooled_cache_stats(engine.route_cache for engine in batch.engines)
-        for batch in (sequential_batch, batched_batch)
+    # Every churned opportunity goes through the fused kernel or is
+    # skipped as settled — counted exactly, on one more (untimed) run.
+    registry = telemetry.enable()
+    try:
+        counted_batch = _run(batched=True)
+        counters = registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    opportunities = sum(
+        record.active_nodes
+        for engine in counted_batch.engines
+        for record in engine.history.records
     )
+    fused = counters.get("batch.steps.fused", 0)
+    skipped = counters.get("batch.steps.skipped", 0)
+    sequential_steps = counters.get("batch.steps.sequential", 0)
     print(
         f"\n=== churned epoch sweep (n={N}, {2 * len(K_VALUES)} deployments, "
         f"{EPOCHS} epochs): sequential {sequential_seconds:.2f}s / "
         f"batched {batched_seconds:.2f}s = "
-        f"{sequential_seconds / batched_seconds:.2f}x | cache hit-rate "
-        f"{sequential_stats['hit_rate']:.3f} -> {batched_stats['hit_rate']:.3f} "
-        f"(repairs={batched_stats['repairs']:.0f}) ==="
+        f"{sequential_seconds / batched_seconds:.2f}x | {opportunities} "
+        f"opportunities: {fused} fused, {skipped} skipped, "
+        f"{sequential_steps} on an engine's own path ==="
     )
-    assert sequential_stats["hit_rate"] < 0.05, (
-        "sequential churn baseline unexpectedly reuses the route cache; "
-        "the scenario no longer represents the dynamic-membership gap"
-    )
-    assert batched_stats["hit_rate"] > REQUIRED_HIT_RATE, (
-        f"churned cache hit-rate only {batched_stats['hit_rate']:.3f} "
-        f"(required > {REQUIRED_HIT_RATE})"
-    )
+    assert sequential_steps == 0, "a churned BR engine left the fused kernel"
+    assert fused + skipped == opportunities
 
     speedup = sequential_seconds / batched_seconds
     assert speedup >= REQUIRED_SPEEDUP, (

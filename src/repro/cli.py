@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help=(
                     "print execution diagnostics after the series (route-cache "
-                    "hits/misses and hit rate for epoch-loop scenarios; no engine "
-                    "path patches entries, so repairs/restamps read 0)"
+                    "hits/misses and hit rate for epoch-loop scenarios: the "
+                    "sequential tier's memo, so all 0 unless --sequential; "
+                    "nothing patches entries, so repairs/restamps read 0)"
                 ),
             )
             command.add_argument(

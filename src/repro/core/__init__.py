@@ -33,14 +33,16 @@ values are bitwise identical and ties break identically; the interpreted
 loops they replaced live on only as the test oracle
 ``tests/reference/scalar_best_response.py``.
 
-On top of the kernels, :class:`EgoistEngine` shares the expensive
-multi-source residual route-value sweeps through a
+On top of the kernels, a sequential :class:`EgoistEngine` memoises the
+expensive multi-source residual route-value sweeps in a
 :class:`ResidualRouteCache`: within one re-wiring opportunity the node's
 current-cost evaluation and its best-response computation reuse a single
 sweep, and across quiescent epochs (no re-wiring anywhere, announced
 metric and membership unchanged) each node's matrices are reused
 verbatim, so a converged deployment with a static substrate performs no
-routing sweeps at all during the re-wiring loop.
+routing sweeps at all during the re-wiring loop.  The lockstep batches
+below hand each residual they plan straight to the step that reads it
+and never touch the memo.
 
 One level higher, :class:`DeploymentBatch`
 (:mod:`repro.core.deployment_batch`, build-only k-sweeps) and
@@ -58,8 +60,8 @@ running its deployments one by one (``batched=False``), gated by
 
 The engine batch keeps a verdict, not a matrix, where it can.  From 64
 active nodes up an additive engine derives each residual from one
-maintained all-pairs matrix and streams it into the fused step — its
-working set is O(n^2), its route cache stays empty — and any fused
+maintained all-pairs matrix and hands it to the step — its working set
+is O(n^2) — and any fused
 engine stamps a node that did not re-wire with the token its step ended
 under: while that token stands the node's best response is known to be
 "stay" and the opportunity costs neither a residual nor a kernel call
@@ -110,7 +112,7 @@ from repro.core.cheating import AuditFinding, CheatingModel, audit_announcements
 from repro.core.bootstrap import BootstrapServer
 from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
 from repro.core.route_cache import ResidualRouteCache, metric_fingerprint
-from repro.core.node import EgoistNode, RewireDecision, RewireMode
+from repro.core.node import EgoistNode, RewireDecision
 from repro.core.providers import (
     BandwidthMetricProvider,
     DelayMetricProvider,
@@ -173,7 +175,6 @@ __all__ = [
     "metric_fingerprint",
     "EgoistNode",
     "RewireDecision",
-    "RewireMode",
     "BandwidthMetricProvider",
     "DelayMetricProvider",
     "LoadMetricProvider",

@@ -37,7 +37,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from repro.core.cost import Metric, uniform_preferences
-from repro.core.route_cache import ResidualRouteCache
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
 from repro.util.rng import SeedLike, as_generator
@@ -73,7 +72,8 @@ class WiringEvaluator:
     metric:
         The cost metric in use.
     residual_graph:
-        The overlay graph *without* ``node``'s outgoing links.
+        The overlay graph *without* ``node``'s outgoing links (read only
+        when ``residual_values`` is not given).
     candidates:
         Nodes that may be chosen as neighbours (defaults to everyone else).
     preferences:
@@ -84,11 +84,13 @@ class WiringEvaluator:
     required:
         Neighbours that must be part of every evaluated wiring (the donated
         backbone links of HybridBR).
-    route_cache:
-        Optional :class:`~repro.core.route_cache.ResidualRouteCache`; when
-        supplied (and stamped with a current token by its owner), the
-        multi-source residual route-value sweep — the expensive part of
-        construction — is reused instead of recomputed.
+    residual_values:
+        The ``(hops x n)`` residual route values from each relevant first
+        hop (candidates and required links, ascending) when the caller
+        already has them — the multi-source sweep over ``residual_graph``
+        is the expensive part of construction.  Without them the
+        evaluator sweeps and keeps the result here, so the caller can
+        memoise or share it.
     """
 
     node: int
@@ -98,7 +100,7 @@ class WiringEvaluator:
     preferences: Optional[np.ndarray] = None
     destinations: Optional[Sequence[int]] = None
     required: FrozenSet[int] = frozenset()
-    route_cache: Optional[ResidualRouteCache] = None
+    residual_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = self.metric.size
@@ -121,7 +123,9 @@ class WiringEvaluator:
         self._relevant_hops = sorted(set(self.candidates) | self.required)
         self._hop_index = {w: idx for idx, w in enumerate(self._relevant_hops)}
         if self._relevant_hops:
-            resid = self._residual_route_values()
+            if self.residual_values is None:
+                self.residual_values = self._sweep_residual()
+            resid = self.residual_values
             direct = self.metric.link_weight_row(self.node)[
                 np.array(self._relevant_hops, dtype=int)
             ]
@@ -161,28 +165,19 @@ class WiringEvaluator:
         else:
             self._via_clean = bool(np.all(np.isfinite(self._via_dest)))
 
-    def _residual_route_values(self) -> np.ndarray:
-        """``(hops x n)`` residual route values, via the cache if possible."""
-        hops_key = tuple(self._relevant_hops)
-        if self.route_cache is not None:
-            cached = self.route_cache.get(self.node, hops_key)
-            if cached is not None:
-                return cached
+    def _sweep_residual(self) -> np.ndarray:
+        """``(hops x n)`` residual route values, swept from the graph."""
         if self.metric.maximize:
             from repro.routing.widest_path import widest_path_bandwidths_multi
 
-            resid = widest_path_bandwidths_multi(
+            return widest_path_bandwidths_multi(
                 self.residual_graph, list(self._relevant_hops)
             )
-        else:
-            from repro.routing.shortest_path import shortest_path_costs_multi
+        from repro.routing.shortest_path import shortest_path_costs_multi
 
-            resid = shortest_path_costs_multi(
-                self.residual_graph, list(self._relevant_hops)
-            )
-        if self.route_cache is not None:
-            self.route_cache.put(self.node, hops_key, resid)
-        return resid
+        return shortest_path_costs_multi(
+            self.residual_graph, list(self._relevant_hops)
+        )
 
     # ------------------------------------------------------------------ #
     # Objective evaluation

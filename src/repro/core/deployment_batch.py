@@ -13,14 +13,12 @@ stacks the per-deployment work instead:
   ``(deployment, node)`` opportunities in shared kernel calls
   (:func:`repro.core.lockstep.batched_route_matrices` for the additive
   metrics, :func:`~repro.core.lockstep.fill_bandwidth_residuals` for
-  bandwidth) and injects them through each deployment's
-  :class:`~repro.core.route_cache.ResidualRouteCache`.  Cache tokens are
-  the engine's ``(wiring version, metric fingerprint, membership)``
-  triples, with :func:`~repro.core.route_cache.metric_fingerprint`
-  computed once per distinct underlay snapshot and shared by every
-  deployment announcing the same matrix; a re-wire bumps the wiring
-  version, so stale wave entries stop matching without explicit
-  invalidation.  Wave sizes adapt per deployment (grow on a quiet run,
+  bandwidth) and keeps them in each deployment's *mailbox*
+  (``{node: matrix}``), where the node's opportunity reads it.  A
+  build's announced metric and membership are fixed, so the overlay —
+  and every residual — changes only when a node re-wires: a re-wire
+  empties the mailbox, and whatever survives one round is read again in
+  the next.  Wave sizes adapt per deployment (grow on a quiet run,
   reset on a re-wire) so quiescent rounds cost one kernel call while
   churning rounds waste almost no speculative work.  The re-wiring
   opportunities themselves go through the one fused kernel,
@@ -32,8 +30,8 @@ stacks the per-deployment work instead:
   block-diagonal Dijkstra, or max-min closures, per objective group —
   and every node cost of every deployment falls out of one
   preference-weighted broadcast.  Deployments whose graph and objective
-  fingerprints match (e.g. full-mesh overlays over a drift-free
-  underlay) share one tensor slice.
+  direction match byte for byte (e.g. full-mesh overlays over a
+  drift-free underlay) share one tensor slice.
 
 Both phases are bitwise identical to the sequential reference path:
 ``batched=False`` is the plain code with no stacking — one
@@ -68,35 +66,10 @@ from repro.core.policies import (
     build_overlay,
     seed_random_overlay,
 )
-from repro.core.route_cache import (
-    ResidualRouteCache,
-    array_fingerprint,
-    metric_fingerprint,
-)
 from repro.core.wiring import GlobalWiring, Wiring
 from repro.routing.widest_path import CLOSURE_MAX_NODES, widest_path_bandwidths_multi
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
-
-
-class _CacheOnlyResidual:
-    """Placeholder residual graph for cache-fed evaluators.
-
-    The batched build guarantees every :class:`WiringEvaluator` it
-    constructs finds its residual route-value matrix in the deployment's
-    route cache, so the residual graph is never consulted.  Touching it
-    anyway means the guarantee broke — fail loudly instead of silently
-    recomputing from a wrong graph.
-    """
-
-    def __getattr__(self, name: str):
-        raise ValidationError(
-            "batched sweep expected the residual route matrix to be cached; "
-            f"evaluator tried to read residual_graph.{name}"
-        )
-
-
-_CACHE_ONLY_RESIDUAL = _CacheOnlyResidual()
 
 
 @dataclass
@@ -153,15 +126,12 @@ class _BRBuildState:
         "rng",
         "node_list",
         "candidates",
-        "hops_key",
         "hops_rows",
-        "active_key",
-        "metric_fp",
         "preferences",
         "fusable",
         "wiring",
         "dense",
-        "cache",
+        "mailbox",
         "order",
         "pos",
         "changed",
@@ -169,20 +139,17 @@ class _BRBuildState:
         "wave",
     )
 
-    def __init__(self, index: int, spec: DeploymentSpec, metric_fp: str):
+    def __init__(self, index: int, spec: DeploymentSpec):
         self.index = index
         self.spec = spec
         self.rng = as_generator(spec.rng)
         n = spec.announced.size
         self.node_list = list(range(n))
-        self.active_key = tuple(self.node_list)
-        self.metric_fp = metric_fp
         # Per-node candidate/hop structures (full membership, so they are
         # the same "everyone else" lists the sequential builder passes).
         self.candidates = [
             [c for c in self.node_list if c != node] for node in self.node_list
         ]
-        self.hops_key = [tuple(c) for c in self.candidates]
         self.hops_rows = [np.array(c, dtype=int) for c in self.candidates]
         # Same values an evaluator would default to; resolved once so the
         # fused step can gather preference rows.
@@ -194,7 +161,8 @@ class _BRBuildState:
         self.fusable = fusable(spec.policy, spec.k, n - 1)
         self.wiring = seed_random_overlay(spec.announced, spec.k, self.node_list, self.rng)
         self.dense = _announced_dense(spec.announced, self.wiring, n)
-        self.cache = ResidualRouteCache(max_entries=n)
+        #: node -> its residual route values over the current wiring.
+        self.mailbox: Dict[int, np.ndarray] = {}
         self.order = list(self.node_list)
         self.pos = len(self.order)
         self.changed = 0
@@ -202,11 +170,6 @@ class _BRBuildState:
         self.wave = 1
 
     # ------------------------------------------------------------------ #
-    def refresh_token(self) -> None:
-        self.cache.set_token(
-            (self.wiring.version, self.metric_fp, self.active_key)
-        )
-
     def start_round(self) -> None:
         self.rng.shuffle(self.order)
         self.pos = 0
@@ -222,11 +185,13 @@ class _BRBuildState:
         )
 
     def note_rewired(self, node: int) -> None:
-        """Track a re-wire: refresh the dense row, reset the wave."""
+        """Track a re-wire: refresh the dense row, empty the mailbox (every
+        residual read the old row), reset the wave."""
         row = self.dense[node]
         row[:] = np.nan
         for v, w in self.wiring.weights_of(node).items():
             row[v] = w
+        self.mailbox.clear()
         self.wave = 1
 
     def grow_wave(self) -> None:
@@ -297,21 +262,6 @@ class DeploymentBatch:
         self.specs: List[DeploymentSpec] = specs
         self.batched = bool(batched)
         self.n = specs[0].announced.size
-        # "Underlay snapshot" fingerprints, shared across deployments that
-        # announce the same metric object.
-        self._metric_fps: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Fingerprints
-    # ------------------------------------------------------------------ #
-    def announced_fingerprint(self, metric: Metric) -> str:
-        """Cached :func:`metric_fingerprint` of an announced metric."""
-        key = id(metric)
-        fp = self._metric_fps.get(key)
-        if fp is None:
-            fp = metric_fingerprint(metric)
-            self._metric_fps[key] = fp
-        return fp
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -343,10 +293,7 @@ class DeploymentBatch:
         the opportunities themselves are scored for all fused deployments
         by the shared kernel (:meth:`_fused_rewire_steps`).
         """
-        states = [
-            _BRBuildState(i, spec, self.announced_fingerprint(spec.announced))
-            for i, spec in items
-        ]
+        states = [_BRBuildState(i, spec) for i, spec in items]
         # A zero-round deployment keeps its seed wiring (and, like the
         # sequential path, never draws a round shuffle).
         live = [st for st in states if int(st.spec.br_rounds) > 0]
@@ -382,31 +329,27 @@ class DeploymentBatch:
         """Precompute residual route matrices for each state's next wave."""
         additive: List[Tuple[_BRBuildState, int]] = []
         for st in live:
-            st.refresh_token()
             missing = [
                 node
                 for node in st.order[st.pos : st.pos + st.wave]
-                if st.hops_key[node]
-                and st.cache.get(node, st.hops_key[node]) is None
+                if st.candidates[node] and node not in st.mailbox
             ]
             if not missing:
                 continue
             if st.spec.announced.maximize:
-                unfilled = fill_bandwidth_residuals(
-                    st.cache,
-                    st.dense,
-                    missing,
-                    st.node_list,
-                    lambda node: (st.hops_key[node], st.hops_rows[node]),
+                st.mailbox.update(
+                    fill_bandwidth_residuals(
+                        st.dense, missing, st.node_list, lambda node: st.hops_rows[node]
+                    )
                 )
                 # Past the dense-closure cutoff: the per-source heap
                 # search on each residual graph — bitwise identical.
-                for node in unfilled:
-                    residual = st.wiring.residual_graph(node, active=st.node_list)
-                    rows = widest_path_bandwidths_multi(
-                        residual, st.candidates[node], batched=False
-                    )
-                    st.cache.put(node, st.hops_key[node], rows)
+                for node in missing:
+                    if node not in st.mailbox:
+                        residual = st.wiring.residual_graph(node, active=st.node_list)
+                        st.mailbox[node] = widest_path_bandwidths_multi(
+                            residual, st.candidates[node], batched=False
+                        )
             else:
                 additive.extend((st, node) for node in missing)
         if not additive:
@@ -418,28 +361,27 @@ class DeploymentBatch:
             stack[j, node, :] = np.nan
         matrices = batched_route_matrices(stack, maximize=False)
         for j, (st, node) in enumerate(additive):
-            st.cache.put(
-                node, st.hops_key[node], matrices[j][st.hops_rows[node], :]
-            )
+            st.mailbox[node] = matrices[j][st.hops_rows[node], :]
 
     def _evaluator_rewire_step(self, st: _BRBuildState) -> None:
-        """One re-wiring opportunity through a cache-fed evaluator.
+        """One re-wiring opportunity through an evaluator fed its residual.
 
         Fallback for deployments the fused kernels do not cover (small
         candidate pools that take the exact-enumeration branch, or
-        k = 0): same step semantics, one deployment at a time.
+        k = 0): same step semantics, one deployment at a time.  The
+        residual comes from the mailbox, so the evaluator has no graph
+        to sweep.
         """
         spec = st.spec
         node = st.order[st.pos]
-        st.refresh_token()
         evaluator = WiringEvaluator(
             node=node,
             metric=spec.announced,
-            residual_graph=_CACHE_ONLY_RESIDUAL,
+            residual_graph=None,
             candidates=st.candidates[node],
             preferences=spec.preferences,
             destinations=st.candidates[node],
-            route_cache=st.cache,
+            residual_values=st.mailbox.get(node),
         )
         rewired = best_response_rewire_step(
             spec.policy, spec.announced, spec.k, node, st.wiring, evaluator, st.rng
@@ -465,11 +407,7 @@ class DeploymentBatch:
         members = []
         for st in group:
             node = st.order[st.pos]
-            resid = st.cache.get(node, st.hops_key[node])
-            if resid is None:  # pragma: no cover - refill guarantees this
-                raise ValidationError(
-                    "fused step expected the residual route matrix to be cached"
-                )
+            resid = st.mailbox[node]
             hops = st.hops_rows[node]
             current = st.wiring.wiring_of(node)
             members.append(
@@ -520,18 +458,18 @@ class DeploymentBatch:
         Stacks each deployment graph's all-sources route-value matrix
         (shortest-path costs, or bottleneck bandwidths for maximising
         metrics) into one tensor, deduplicating members whose dense
-        weight matrix and objective direction fingerprint-match.
+        weight matrix (byte for byte) and objective direction match.
         """
         if len(graphs) != len(self.specs):
             raise ValidationError("one graph per deployment expected")
         n = self.n
         tensor = np.empty((len(graphs), n, n))
-        slots: Dict[Tuple[bool, str], List[int]] = {}
-        denses: Dict[Tuple[bool, str], np.ndarray] = {}
-        representatives: Dict[Tuple[bool, str], object] = {}
+        slots: Dict[Tuple[bool, bytes], List[int]] = {}
+        denses: Dict[Tuple[bool, bytes], np.ndarray] = {}
+        representatives: Dict[Tuple[bool, bytes], object] = {}
         for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
             dense = _graph_dense(graph)
-            key = (bool(spec.truth.maximize), array_fingerprint(dense))
+            key = (bool(spec.truth.maximize), dense.tobytes())
             slots.setdefault(key, []).append(i)
             denses.setdefault(key, dense)
             representatives.setdefault(key, graph)

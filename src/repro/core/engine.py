@@ -35,7 +35,7 @@ from repro.core.cost import (
     uniform_preferences,
 )
 from repro.core.failures import FailureSpec, FailureState, mask_metric
-from repro.core.node import EgoistNode, RewireMode
+from repro.core.node import EgoistNode
 from repro.core.policies import NeighborSelectionPolicy
 from repro.core.providers import MetricProvider
 from repro.core.route_cache import ResidualRouteCache, metric_fingerprint
@@ -50,13 +50,13 @@ from repro.util.validation import ValidationError
 class _LazyResidualGraph:
     """Residual graph built on first attribute access.
 
-    A re-wiring opportunity needs the node's residual graph only when its
-    route-value matrix misses the residual route cache; building the
-    :class:`~repro.routing.graph.OverlayGraph` eagerly would waste the
-    dominant share of a cache-hit step.  The proxy materialises the graph
-    via :meth:`GlobalWiring.residual_graph` on first use and delegates
-    every attribute to it, so consumers see exactly the graph the eager
-    construction would have produced.
+    A re-wiring opportunity needs the node's residual graph only when it
+    has no route-value matrix yet (none handed in, and a memo miss);
+    building the :class:`~repro.routing.graph.OverlayGraph` eagerly would
+    waste the dominant share of a step that has one.  The proxy
+    materialises the graph via :meth:`GlobalWiring.residual_graph` on
+    first use and delegates every attribute to it, so consumers see
+    exactly the graph the eager construction would have produced.
     """
 
     __slots__ = ("_wiring", "_node", "_active", "_graph")
@@ -98,7 +98,7 @@ class EpochPlan:
     truth: Metric
     order: List[int]
     bits_before: int
-    metric_fp: Optional[str]
+    metric_fp: str
     pos: int = 0
     rewirings: int = 0
 
@@ -228,29 +228,29 @@ class EgoistEngine:
         Optional failure-injection schedule (see
         :class:`~repro.core.failures.FailureSpec`).  Applied at the start
         of each epoch: down nodes leave the active set, down links are
-        dropped from the wiring (an ordinary version bump, so cached
+        dropped from the wiring (an ordinary version bump, so memoised
         residuals stop matching) and masked to the disconnection value
         in both metrics, and announcement loss is routed through the
         link-state protocol.
     epsilon:
         BR(ε) threshold applied by every node.
-    rewire_mode:
-        Immediate or delayed reaction to dropped links.
     preferences:
         Preference matrix (uniform by default).
     compute_efficiency:
         Whether to compute the efficiency metric each epoch (slightly
         expensive; mainly needed for churn experiments).
-    route_cache_size:
-        Entry budget for the residual route-value cache shared by every
-        re-wiring opportunity: within an opportunity the node's cost
-        evaluation and its best-response computation reuse one sweep, and
-        across quiescent epochs (no re-wiring, unchanged announced metric
-        and membership) a node's matrices are reused verbatim.  ``None``
-        (default) sizes the cache to the deployment (one entry per node);
-        ``0`` disables caching entirely.
     seed:
         Master seed.
+
+    Attributes
+    ----------
+    route_cache:
+        The sequential path's residual route-value memo, one entry per
+        node: within an opportunity the node's cost evaluation and its
+        best-response computation share one sweep, and across quiescent
+        epochs (no re-wiring, unchanged announced metric and membership)
+        a node's matrix is reused verbatim.  Opportunities stepped by a
+        lockstep batch are handed their residuals and never touch it.
     """
 
     def __init__(
@@ -265,10 +265,8 @@ class EgoistEngine:
         cheating: Optional[CheatingModel] = None,
         failures: Optional[FailureSpec] = None,
         epsilon: float = 0.0,
-        rewire_mode: RewireMode = RewireMode.DELAYED,
         preferences: Optional[np.ndarray] = None,
         compute_efficiency: bool = False,
-        route_cache_size: Optional[int] = None,
         seed: SeedLike = None,
     ):
         self.provider = provider
@@ -302,14 +300,7 @@ class EgoistEngine:
                 failures.message_loss, spawn_generators(self._rng, 1)[0]
             )
         self.nodes: List[EgoistNode] = [
-            EgoistNode(
-                i,
-                policy,
-                k,
-                epsilon=epsilon,
-                rewire_mode=rewire_mode,
-                seed=node_rngs[i],
-            )
+            EgoistNode(i, policy, k, epsilon=epsilon, seed=node_rngs[i])
             for i in range(self.n)
         ]
         self.wiring = GlobalWiring(self.n)
@@ -325,13 +316,7 @@ class EgoistEngine:
         #: Live view of the last committed epoch (see :class:`EpochView`);
         #: None until the first epoch finishes.
         self.last_epoch_view: Optional[EpochView] = None
-        if route_cache_size is None:
-            route_cache_size = self.n
-        self.route_cache: Optional[ResidualRouteCache] = (
-            ResidualRouteCache(max_entries=int(route_cache_size))
-            if route_cache_size
-            else None
-        )
+        self.route_cache = ResidualRouteCache(max_entries=self.n)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -508,10 +493,8 @@ class EgoistEngine:
             bits_before = self.protocol.stats.announcement_bits
             # Residual route values depend on the announced metric, the global
             # wiring, and the active membership; a token of the three keeps
-            # cache entries valid exactly as long as nothing re-wires.
-            metric_fp = (
-                metric_fingerprint(announced) if self.route_cache is not None else None
-            )
+            # memo entries valid exactly as long as nothing re-wires.
+            metric_fp = metric_fingerprint(announced)
         return EpochPlan(
             epoch=epoch,
             active_list=active_list,
@@ -524,35 +507,45 @@ class EgoistEngine:
             metric_fp=metric_fp,
         )
 
-    def step_node(self, plan: EpochPlan) -> bool:
+    def step_node(
+        self, plan: EpochPlan, residual: Optional[np.ndarray] = None
+    ) -> bool:
         """Run the next node's re-wiring opportunity of ``plan``.
 
-        Returns whether the node actually re-wired.  The residual graph is
-        lazy: on a route-cache hit (quiescent epochs, or matrices injected
-        by :class:`~repro.core.engine_batch.EngineBatch`) it is never
-        built; a stale entry is a miss and the evaluator sweeps afresh.
+        Returns whether the node actually re-wired.  ``residual`` is the
+        node's ``(hops x n)`` residual route values, hops being the other
+        active nodes in ascending order, when the caller computed them
+        (the lockstep batch's planners hand each one to the step that
+        reads it).  Without it the step consults :attr:`route_cache`,
+        and on a miss the evaluator sweeps the residual graph — built
+        lazily, so a hit never builds it — and the result is memoised.
         """
         node_id = plan.order[plan.pos]
         plan.pos += 1
         node = self.nodes[node_id]
-        residual = _LazyResidualGraph(self.wiring, node_id, plan.active_list)
+        graph = _LazyResidualGraph(self.wiring, node_id, plan.active_list)
         candidates = [c for c in plan.active_list if c != node_id]
-        if self.route_cache is not None:
+        hops = tuple(candidates)
+        memoised = residual is None and bool(hops)
+        if memoised:
             self.route_cache.set_token(
                 (self.wiring.version, plan.metric_fp, plan.active_key)
             )
+            residual = self.route_cache.get(node_id, hops)
         evaluator = WiringEvaluator(
             node=node_id,
             metric=plan.announced,
-            residual_graph=residual,
+            residual_graph=graph,
             candidates=candidates,
             preferences=self.preferences,
             destinations=candidates,
-            route_cache=self.route_cache,
+            residual_values=residual,
         )
+        if memoised and residual is None:
+            self.route_cache.put(node_id, hops, evaluator.residual_values)
         decision = node.consider_rewiring(
             plan.announced,
-            residual,
+            graph,
             plan.active_list,
             preferences=self.preferences,
             evaluator=evaluator,

@@ -8,34 +8,40 @@ idle: every re-wiring opportunity pays its own residual graph
 construction and its own multi-source sweep.
 
 :class:`EngineBatch` advances the deployments epoch by epoch in lockstep
-and *prefills* the residual route-value matrices the upcoming re-wiring
-opportunities will ask for:
+and *plans* the residual route-value matrices the upcoming re-wiring
+opportunities will read.  Each planned matrix goes into its engine's
+*mailbox* (:attr:`_LockstepState.mailbox`, ``{node: matrix}``) and is
+popped by that node's opportunity — a fused step, an engine stepping its
+own path (:meth:`EgoistEngine.step_node` with ``residual=``), or a
+settled skip that needs none.  Three planners fill it:
 
 * additive metrics (delay, load) on small overlays stack the ``(engine,
   node)`` residual weight matrices of all engines' next waves into one
   block-diagonal CSR Dijkstra call
-  (:func:`repro.core.lockstep.batched_route_matrices`) and park the
-  results in each engine's
-  :class:`~repro.core.route_cache.ResidualRouteCache`;
+  (:func:`repro.core.lockstep.batched_route_matrices`);
 * additive metrics from :data:`_MAINTAIN_MIN_ACTIVE` active nodes up
   keep **one all-pairs matrix of the current overlay per engine**: a
   node's residual graph differs from the overlay in its own out-links
   only and one re-wire changes one node's out-links, so both the
   residual rows and the matrix update after a re-wire are sparse exact
   repairs (:func:`repro.routing.shortest_path.repair_shortest_rows`)
-  instead of n-source sweeps.  The derived residual is *streamed*: it
-  lives in one slot of the lockstep state until this round's fused step
-  has read it, and never enters the route cache — n cached residuals
-  are n all-pairs matrices (O(n^3) floats), every one dead at the next
-  re-wire, while matrix + repair tables + one residual are O(n^2);
+  instead of n-source sweeps.  Only the next node's residual is derived
+  each round, so the mailbox holds one matrix: matrix + repair tables +
+  one residual are O(n^2), where n residuals would be O(n^3);
 * the bandwidth metric goes through
   :func:`repro.core.lockstep.fill_bandwidth_residuals` (per-node
   closures, or one avoid-one pass once a quiet streak makes whole-round
-  speculation worthwhile), again into the cache.
+  speculation worthwhile).
 
-What a cached residual bought in a quiet epoch — a node whose inputs
+A planned matrix is valid until something in its read set changes, and
+the batch sees every such change happen: a re-wire (or, under
+bandwidth, any wiring-version change) empties the mailbox, and so does
+the epoch boundary.  The engines' own route caches are the sequential
+tier's memo; nothing here reads or writes them.
+
+What a memoised residual bought in a quiet epoch — a node whose inputs
 did not move need not recompute anything — is kept as what it was a
-proxy for: a *settled stamp* per node, the cache-validity token its
+proxy for: a *settled stamp* per node, the residual-state token its
 last fused step ended under when that step did not re-wire.  While the
 live token equals the stamp the node's best response is known to be
 "stay", so the round skips its prefill and its kernel call and runs
@@ -53,24 +59,21 @@ The re-wiring opportunities themselves run through the one fused kernel,
 pads churned-down engines to the group's widest member); only the
 adoption rule — the node's BR(ε) plus the link-state broadcast — lives
 here.  Join/leave events between epochs re-derive the active mask
-instead of rebuilding the batch.  Below the maintained planner's floor
-a cached residual is valid under the cache's current token or the next
-stacked sweep recomputes it; nothing patches a stale matrix (measured:
-at most 1.3% of lookups, 0.19% of Dijkstra rows).
+instead of rebuilding the batch.
 
 Byte identity
 -------------
 The engines themselves are untouched: every step runs
-:meth:`EgoistEngine.step_node`, which consumes the same RNG streams and
-applies the same decision rules whether its evaluator's matrices come from
-the cache or from a fresh sweep — and the injected matrices are bitwise
+:meth:`EgoistEngine.step_node` or its adoption tail, which consume the
+same RNG streams and apply the same decision rules whether a residual
+was handed in or swept — and the planned matrices are bitwise
 identical to the sweeps they replace (selections and block-separated
 Dijkstra runs, no arithmetic reordering).  A settled node's skipped
-step is exact for the same reason a cache hit is: the token covers
-every input of the verdict.  ``batched=False`` does not
-prefill at all: it runs each engine's ``run(epochs)`` sequentially, i.e.
-today's engine byte-for-byte, which is the parity anchor and the
-benchmark baseline (``benchmarks/test_bench_engine_batch.py``).
+step is exact because the token covers every input of the verdict.
+``batched=False`` does not plan at all: it runs each engine's
+``run(epochs)`` sequentially, i.e. today's engine byte-for-byte, which
+is the parity anchor and the benchmark baseline
+(``benchmarks/test_bench_engine_batch.py``).
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ from repro.core.lockstep import (
     fused_best_response,
     wave_cap,
 )
-from repro.core.node import RewireMode
 from repro.core.policies import NeighborSelectionPolicy
 from repro.core.providers import MetricProvider
 from repro.core.wiring import Wiring
@@ -142,10 +144,8 @@ class EngineSpec:
     cheating: Optional[CheatingModel] = None
     failures: Optional[FailureSpec] = None
     epsilon: float = 0.0
-    rewire_mode: RewireMode = RewireMode.DELAYED
     preferences: Optional[np.ndarray] = None
     compute_efficiency: bool = False
-    route_cache_size: Optional[int] = None
     seed: SeedLike = None
 
     def build_engine(self) -> EgoistEngine:
@@ -160,10 +160,8 @@ class EngineSpec:
             cheating=self.cheating,
             failures=self.failures,
             epsilon=self.epsilon,
-            rewire_mode=self.rewire_mode,
             preferences=self.preferences,
             compute_efficiency=self.compute_efficiency,
-            route_cache_size=self.route_cache_size,
             seed=self.seed,
         )
 
@@ -176,16 +174,14 @@ class _LockstepState:
         "plan",
         "wave",
         "dense",
-        "hops_key",
-        "hops_rows",
+        "_hop_rows",
         "version",
         "fusable",
-        "pending",
+        "mailbox",
         "active_set",
         "maintained",
         "apsp",
         "apsp_stale",
-        "streamed",
         "settled",
         "_tables",
         "_tables_version",
@@ -196,13 +192,15 @@ class _LockstepState:
         self.plan: Optional[EpochPlan] = None
         self.wave = 1
         self.dense: Optional[np.ndarray] = None
-        self.hops_key: Dict[int, Tuple[int, ...]] = {}
-        self.hops_rows: Dict[int, np.ndarray] = {}
+        self._hop_rows: Dict[int, np.ndarray] = {}
         self.version = -1
         self.fusable = False
-        #: Speculative cache entries not yet consumed: node -> the
-        #: predicted token the entry was stamped with.
-        self.pending: Dict[int, Tuple] = {}
+        #: Planned residuals not yet read: node -> its ``(hops x n)``
+        #: route values for the overlay its opportunity will meet.
+        #: Popped by that opportunity; emptied by anything that changes
+        #: an entry's read set (see :meth:`after_step`) and by
+        #: :meth:`begin_epoch`.
+        self.mailbox: Dict[int, np.ndarray] = {}
         self.active_set: frozenset = frozenset()
         #: Whether this epoch's residuals come from :attr:`apsp` (the
         #: maintained planner) rather than stacked speculative sweeps.
@@ -212,10 +210,6 @@ class _LockstepState:
         #: not built, or invalidated).
         self.apsp: Optional[np.ndarray] = None
         self.apsp_stale: set = set()
-        #: The maintained planner's one live residual: the next node's
-        #: rows, derived in this round's prefill and consumed by this
-        #: round's fused step — never stored in the route cache.
-        self.streamed: Optional[np.ndarray] = None
         #: node -> the token its last fused step ended under, if that
         #: step did not re-wire.  While the live token still equals the
         #: stamp, every input of the node's best response is unchanged
@@ -229,10 +223,8 @@ class _LockstepState:
     # ------------------------------------------------------------------ #
     def begin_epoch(self) -> None:
         self.plan = self.engine.begin_epoch()
-        self.hops_key.clear()
-        self.hops_rows.clear()
-        self.pending.clear()
-        self.streamed = None
+        self._hop_rows.clear()
+        self.mailbox.clear()
         # Membership (and with it the dense matrix) can change without a
         # version bump, so the shared tables never survive an epoch.
         self._tables = None
@@ -244,7 +236,6 @@ class _LockstepState:
         self.wave = 1
         self.maintained = (
             not self.plan.announced.maximize
-            and self.engine.route_cache is not None
             and len(self.plan.active_list) >= _MAINTAIN_MIN_ACTIVE
         )
         # The all-pairs matrix is a function of the dense overlay alone,
@@ -257,12 +248,12 @@ class _LockstepState:
         ):
             self.apsp = None
             self.apsp_stale.clear()
-        # Engines the kernel does not replicate (see lockstep.fusable), or
-        # with a disabled route cache, step through their own evaluator.
+        # Engines the kernel does not replicate (see lockstep.fusable)
+        # step through their own evaluator, handed the same residuals.
         # Join/leave events between epochs only re-derive this mask (via
         # the re-begun plan's active list); the batch and its states
         # persist.
-        self.fusable = self.engine.route_cache is not None and fusable(
+        self.fusable = fusable(
             self.engine.policy, self.engine.k, len(self.plan.active_list) - 1
         )
 
@@ -314,26 +305,25 @@ class _LockstepState:
         rows = repair_shortest_rows(
             self.apsp, sources, (node,), None, exclude=node, tables=tables
         )
-        return rows[self.hops_rows[node]]
+        return rows[self.hop_rows(node)]
 
-    def hops_of(self, node: int) -> Tuple[int, ...]:
+    def hop_rows(self, node: int) -> np.ndarray:
         """The node's candidate first hops, in evaluator (sorted) order."""
-        key = self.hops_key.get(node)
-        if key is None:
-            hops = [c for c in self.plan.active_list if c != node]
-            key = tuple(hops)
-            self.hops_key[node] = key
-            self.hops_rows[node] = np.array(hops, dtype=int)
-        return key
+        rows = self._hop_rows.get(node)
+        if rows is None:
+            rows = np.array([c for c in self.plan.active_list if c != node], dtype=int)
+            self._hop_rows[node] = rows
+        return rows
 
     def token(self) -> Tuple:
-        """The cache token :meth:`EgoistEngine.step_node` will stamp."""
+        """Everything a residual (and so a verdict) depends on, right now:
+        wiring version, announced-metric fingerprint, membership."""
         return (self.engine.wiring.version, self.plan.metric_fp, self.plan.active_key)
 
-    def step(self) -> None:
-        """Advance one re-wiring opportunity; adapt the wave to the outcome."""
+    def step(self, residual: Optional[np.ndarray]) -> None:
+        """Advance one re-wiring opportunity on the engine's own path."""
         node = self.plan.order[self.plan.pos]
-        rewired = self.engine.step_node(self.plan)
+        rewired = self.engine.step_node(self.plan, residual=residual)
         self.after_step(node, rewired)
 
     def is_settled(self) -> bool:
@@ -341,13 +331,13 @@ class _LockstepState:
 
         A fused step's verdict is a pure function of the node's residual
         rows, its announced direct row, its preferences, k, its incumbent
-        wiring and the search cap — all of which stand while the token
-        the engine trusts for cache validity does (the node's own weight
-        refresh lies outside its residual, and the stamp is read after
-        it).  So a node that stayed put under a token and meets the same
-        token again stays put again, without a residual or a kernel call:
-        the read-set check of a version-stamped result, kept per node in
-        place of the residual matrix that used to stand in for it.
+        wiring and the search cap — all of which stand while
+        :meth:`token` does (the node's own weight refresh lies outside its
+        residual, and the stamp is read after it).  So a node that stayed
+        put under a token and meets the same token again stays put again,
+        without a residual or a kernel call: the read-set check of a
+        version-stamped result, kept per node in place of the residual
+        matrix that used to stand in for it.
         """
         plan = self.plan
         return self.fusable and self.settled.get(plan.order[plan.pos]) == self.token()
@@ -372,8 +362,8 @@ class _LockstepState:
             self.settled[node] = self.token()
 
     def after_step(self, node: int, rewired: bool) -> None:
-        """Dense/wave/speculation bookkeeping after ``node``'s step ran."""
-        self.pending.pop(node, None)
+        """Dense/wave/mailbox bookkeeping after ``node``'s step ran."""
+        self.mailbox.pop(node, None)
         version_changed = self.engine.wiring.version != self.version
         if version_changed:
             self.version = self.engine.wiring.version
@@ -385,31 +375,18 @@ class _LockstepState:
                     row[v] = w
             if self.apsp is not None:
                 self.apsp_stale.add(node)
-        if rewired:
-            self._drop_pending()
         if rewired or (version_changed and self.plan.announced.maximize):
-            # Under sustained re-wiring a planned-ahead entry is usually
-            # falsified (dropped, then recomputed by the next stacked
-            # sweep) before it is consumed, so a re-wire sends the chain
-            # back to single-step lookahead until a quiet streak re-earns
-            # the deeper pipeline.  For bandwidth even an in-place weight
-            # refresh resets: its prefill does not speculate, and a
-            # wasted wave member costs a full n^3 closure.
+            # What the mailbox holds was planned for a wiring that no
+            # longer stands: an additive plan predicts the in-place
+            # weight refreshes of the nodes ahead, never a re-wire, and
+            # a bandwidth plan predicts nothing.  All of it goes, and the
+            # chain falls back to single-step lookahead until a quiet
+            # streak re-earns the deeper pipeline (a wasted bandwidth
+            # member costs a full n^3 closure).
+            self.mailbox.clear()
             self.wave = 1
         else:
             self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))
-
-    def _drop_pending(self) -> None:
-        """Drop the speculative entries a re-wire falsified: all of them.
-
-        Each was computed assuming the node would refresh its weights in
-        place, and the re-wire bumped the version by the same one step,
-        so its predicted token WILL match the live one: none may stay.
-        """
-        cache = self.engine.route_cache
-        for other in self.pending:
-            cache.drop(other)
-        self.pending.clear()
 
     def repair_tables(self):
         """Shared repair tables over the current dense wiring (cached).
@@ -512,29 +489,21 @@ class EngineBatch:
                 self._prefill(stepping)
             # Fused groups must share the full objective convention —
             # direction AND disconnection value — since the broadcast
-            # clamps use one value for the whole group; a fusable engine
-            # whose matrix is somehow uncached falls back to its own step.
-            # A maintained engine's residual was streamed by the prefill
-            # and never touches its cache; any other fusable engine's is
-            # fetched here and handed to the fused step, so its cache
-            # sees exactly one lookup per opportunity (hit/miss stats
-            # stay comparable with the sequential path).
+            # clamps use one value for the whole group.  The prefill put
+            # every stepping engine's next residual in its mailbox, bar
+            # what it leaves to the engine's own sweep (a lone node, a
+            # bandwidth overlay past the closure cutoff); an engine the
+            # kernel does not replicate is handed its residual instead.
             groups: Dict[Tuple[bool, float], List[Tuple[_LockstepState, np.ndarray]]] = {}
-            fallback: List[_LockstepState] = []
+            fallback: List[Tuple[_LockstepState, Optional[np.ndarray]]] = []
             for st in stepping:
-                node = st.plan.order[st.plan.pos]
-                if not st.fusable:
-                    resid = None
-                elif st.maintained:
-                    resid = st.streamed
-                else:
-                    resid = st.engine.route_cache.get(node, st.hops_of(node))
-                if resid is not None:
+                resid = st.mailbox.get(st.plan.order[st.plan.pos])
+                if st.fusable and resid is not None:
                     metric = st.plan.announced
                     key = (bool(metric.maximize), float(metric.unreachable_value))
                     groups.setdefault(key, []).append((st, resid))
                 else:
-                    fallback.append(st)
+                    fallback.append((st, resid))
             # The step ledger: opportunities served by the broadcast
             # kernels, by engines stepping their own path, or by no
             # computation at all.
@@ -548,8 +517,8 @@ class EngineBatch:
                     st.adopt(rewired=False)
                 for group in groups.values():
                     self._fused_engine_steps(group)
-                for st in fallback:
-                    st.step()
+                for st, resid in fallback:
+                    st.step(resid)
             live = [st for st in live if not st.plan.done]
         with telemetry.span("batch.finish"):
             return self._finish_epochs(states)
@@ -613,127 +582,87 @@ class EngineBatch:
     # Residual route-value prefills
     # ------------------------------------------------------------------ #
     def _prefill(self, live: Sequence[_LockstepState]) -> None:
-        """Inject residual matrices for each engine's next wave of nodes.
+        """Plan residual matrices for each engine's next wave of nodes.
 
-        Bandwidth entries are computed from the engine's *current* wiring
-        and stamped with the current token, so a mid-wave wiring change
-        simply stops later entries from matching and the engine falls
-        back to its own (bitwise-identical) sweep.  Additive entries are
-        *speculative*: within an epoch the announced metric is fixed, so
-        the in-place weight refresh each step performs is predictable as
-        long as the node does not re-wire — the planner simulates those
-        refreshes (including the wiring-version bumps they cause) and
-        stamps each entry with the token of the state it will be valid
-        under.  A re-wire falsifies the chain; :meth:`_LockstepState.after_step`
-        then drops the not-yet-consumed entries before any step could
-        match one against a wrong wiring, and the next round's stacked
-        sweep recomputes them.  Engines on the maintained planner do not
-        speculate, and the fused ones among them do not touch the cache
-        at all: their next node's rows are derived from the all-pairs
-        matrix (:meth:`_LockstepState.derive_residual`) and left in
-        :attr:`_LockstepState.streamed` for this round's step.  ``live``
-        holds only the engines that step this round; settled ones were
-        taken out by :meth:`run_epoch`.
+        Bandwidth entries are computed from the engine's *current* wiring;
+        any wiring change empties the mailbox before a later member could
+        read one.  Additive entries are *speculative*: within an epoch
+        the announced metric is fixed, so the in-place weight refresh
+        each step performs is predictable as long as the node does not
+        re-wire — the planner simulates those refreshes and computes each
+        entry for the overlay its opportunity will meet.  A re-wire
+        falsifies the chain; :meth:`_LockstepState.after_step` then
+        empties the mailbox, and the next round's stacked sweep
+        recomputes what is still needed.  Engines on the maintained
+        planner do not speculate: their next node's rows are derived
+        from the all-pairs matrix (:meth:`_LockstepState.derive_residual`)
+        and read in this very round.  ``live`` holds only the engines
+        that step this round; settled ones were taken out by
+        :meth:`run_epoch`.
         """
-        jobs: List[Tuple[_LockstepState, int, Tuple, np.ndarray]] = []
+        jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
         for st in live:
-            cache = st.engine.route_cache
-            if cache is None:
-                continue
-            cache.set_token(st.token())
             plan = st.plan
             if plan.announced.maximize:
                 missing = [
                     node
                     for node in plan.order[plan.pos : plan.pos + st.wave]
-                    if (hops := st.hops_of(node)) and cache.get(node, hops) is None
+                    if len(st.hop_rows(node)) and node not in st.mailbox
                 ]
                 if missing:
-                    # Past the closure cutoff nothing is prefilled: the
+                    # Past the closure cutoff nothing is planned: the
                     # engine's own auto-mode sweep (bitwise identical) runs.
-                    fill_bandwidth_residuals(
-                        cache,
-                        st.dense,
-                        missing,
-                        plan.active_list,
-                        lambda node: (st.hops_of(node), st.hops_rows[node]),
+                    st.mailbox.update(
+                        fill_bandwidth_residuals(
+                            st.dense, missing, plan.order[plan.pos :], st.hop_rows
+                        )
                     )
                 continue
             # Replan only when the speculative chain ran dry (or broke):
-            # while the next node's entry is valid the earlier plan
-            # already covers this round and the walk would be pure
-            # overhead.
+            # while the next node's entry stands the earlier plan already
+            # covers this round and the walk would be pure overhead.
             next_node = plan.order[plan.pos]
-            next_hops = st.hops_of(next_node)
-            if not next_hops:
+            if not len(st.hop_rows(next_node)) or next_node in st.mailbox:
                 continue
             if st.maintained:
-                # The all-pairs matrix is at most one re-wire behind.
-                # A fused step is the residual's only reader, so
-                # it is streamed to it (n cached residuals would be n
-                # all-pairs matrices, dead at the next re-wire; the
+                # The all-pairs matrix is at most one re-wire behind; one
+                # residual is derived per round (n planned ones would be
+                # n all-pairs matrices, dead at the next re-wire — the
                 # quiet-epoch reuse they bought is the settled stamp).
-                # An engine on its own stepping path reads the cache.
-                if st.fusable:
-                    st.streamed = st.derive_residual(next_node)
-                elif cache.get(next_node, next_hops) is None:
-                    cache.put(next_node, next_hops, st.derive_residual(next_node))
-                continue
-            if cache.get(next_node, next_hops) is not None:
+                st.mailbox[next_node] = st.derive_residual(next_node)
                 continue
             jobs.extend(self._plan_speculative_jobs(st))
         if not jobs:
             return
-        stack = np.stack([dense for (_st, _node, _token, dense) in jobs])
+        stack = np.stack([dense for (_st, _node, dense) in jobs])
         matrices = batched_route_matrices(
             stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
         )
-        for (st, node, token, _dense), matrix in zip(jobs, matrices):
-            st.engine.route_cache.put(
-                node, st.hops_of(node), matrix[st.hops_rows[node], :], token=token
-            )
-            st.pending[node] = token
+        for (st, node, _dense), matrix in zip(jobs, matrices):
+            st.mailbox[node] = matrix[st.hop_rows(node), :]
 
     def _plan_speculative_jobs(
         self, st: _LockstepState
-    ) -> List[Tuple[_LockstepState, int, Tuple, np.ndarray]]:
+    ) -> List[Tuple[_LockstepState, int, np.ndarray]]:
         """Residual jobs for ``st``'s next wave under predicted refreshes.
 
         Walks the upcoming nodes simulating each step's weight re-install
-        against the epoch's announced metric: the wiring version advances
-        exactly when the refreshed weights differ (the same dict
-        comparison :meth:`GlobalWiring.set_wiring` performs), and the
-        predicted dense matrix tracks the refreshed rows.  Each returned
-        job carries the dense snapshot and the cache token of its
-        position in the chain.  A wave member whose entry is already
-        valid — still pending under this very token, or cached under the
-        live one — is not swept again.
+        against the epoch's announced metric, and tracks the refreshed
+        rows in a predicted dense matrix (the same dict comparison
+        :meth:`GlobalWiring.set_wiring` performs decides whether a row
+        moved).  Each returned job carries the dense snapshot of its
+        position in the chain.  A wave member already in the mailbox is
+        not swept again.
         """
         engine = st.engine
         plan = st.plan
-        cache = engine.route_cache
-        fp = plan.metric_fp
-        key = plan.active_key
-        pred_version = engine.wiring.version
         pred_dense: Optional[np.ndarray] = None
-        jobs: List[Tuple[_LockstepState, int, Tuple, np.ndarray]] = []
-        for offset, node in enumerate(plan.order[plan.pos : plan.pos + st.wave]):
-            hops = st.hops_of(node)
-            if hops:
-                token = (pred_version, fp, key)
-                if offset == 0:
-                    # The caller's replan check just missed this very
-                    # node — re-probing would only skew the hit/miss
-                    # statistics.
-                    have = False
-                else:
-                    have = st.pending.get(node) == token
-                    if not have and pred_version == engine.wiring.version:
-                        have = cache.get(node, hops) is not None
-                if not have:
-                    dense = (pred_dense if pred_dense is not None else st.dense).copy()
-                    dense[node, :] = np.nan
-                    jobs.append((st, node, token, dense))
+        jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
+        for node in plan.order[plan.pos : plan.pos + st.wave]:
+            if len(st.hop_rows(node)) and node not in st.mailbox:
+                dense = (pred_dense if pred_dense is not None else st.dense).copy()
+                dense[node, :] = np.nan
+                jobs.append((st, node, dense))
             # Simulate the node's in-place weight refresh (step_node
             # re-installs the current neighbours at announced weights).
             weights = engine.wiring.weights_of(node)
@@ -741,7 +670,6 @@ class EngineBatch:
                 row_weights = plan.announced.link_weight_row(node)
                 new_weights = {v: float(row_weights[v]) for v in weights}
                 if new_weights != weights:
-                    pred_version += 1
                     if pred_dense is None:
                         pred_dense = st.dense.copy()
                     row = pred_dense[node]
@@ -756,9 +684,8 @@ class EngineBatch:
         """One re-wiring opportunity per engine, through the shared kernel.
 
         ``group`` pairs each engine's lockstep state with the residual
-        route-value matrix of its next node (streamed by the maintained
-        planner, or fetched once from the route cache by the grouping
-        pass in :meth:`run_epoch`).  Each becomes a
+        route-value matrix of its next node, taken from its mailbox by
+        the grouping pass in :meth:`run_epoch`.  Each becomes a
         :class:`~repro.core.lockstep.Member`;
         :func:`~repro.core.lockstep.fused_best_response` scores the whole
         group.  The adoption rule is the engine's
@@ -770,7 +697,7 @@ class EngineBatch:
         members = []
         for st, resid in group:
             node = st.plan.order[st.plan.pos]
-            ids = st.hops_rows[node]
+            ids = st.hop_rows(node)
             wiring = st.engine.nodes[node].wiring
             members.append(
                 Member(

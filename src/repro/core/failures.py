@@ -334,8 +334,8 @@ class LinkMaskMetric(Metric):
     kernels).  Everything else — objective direction, disconnection
     value, routing semantics — delegates to the base metric, so fused
     grouping keys and :func:`~repro.core.route_cache.metric_fingerprint`
-    tokens (which hash the *masked* weight matrix, auto-invalidating
-    cache entries across mask changes) behave exactly like any other
+    tokens (which hash the *masked* weight matrix, retiring memo entries
+    and settled stamps across mask changes) behave exactly like any other
     announced-metric change.
     """
 

@@ -90,10 +90,10 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         donated = set(sorted(donated)[: min(len(donated), k)])
         k1 = max(0, k - len(donated))
         # A caller-supplied evaluator lacks the donated links as `required`,
-        # so it cannot be reused directly — but its route cache can: the
-        # hop set (candidates + donated) is identical, so the residual
-        # sweep computed for the node's cost evaluation is shared.
-        route_cache = evaluator.route_cache if evaluator is not None else None
+        # so it cannot be reused directly — but its residual matrix can:
+        # the hop set (candidates + donated) is identical, so the sweep
+        # computed for the node's cost evaluation is shared.
+        residual_values = evaluator.residual_values if evaluator is not None else None
         hybrid_evaluator = WiringEvaluator(
             node=node,
             metric=metric,
@@ -102,7 +102,7 @@ class HybridBRPolicy(NeighborSelectionPolicy):
             preferences=preferences,
             destinations=destinations,
             required=frozenset(donated),
-            route_cache=route_cache,
+            residual_values=residual_values,
         )
         result = best_response(
             hybrid_evaluator,

@@ -20,7 +20,9 @@ a time.  Everything they do identically lives here, once:
 * :func:`fusable` and :func:`wave_cap` — which policies the kernel
   replicates, and how far ahead a quiet deployment may speculate.
 
-Every function is bitwise identical to the per-deployment code it
+None of them keeps state: what they compute goes back to the batch that
+asked, which hands each residual to the one step that reads it.  Every
+function is bitwise identical to the per-deployment code it
 stands in for (selections, block-separated Dijkstra runs and the same
 elementwise operations over the same contiguous value runs — no
 arithmetic reordering), which is what keeps ``batched=True`` and
@@ -31,14 +33,13 @@ directly.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
-from repro.core.route_cache import ResidualRouteCache
 from repro.routing.graph import OverlayGraph
 from repro.routing.widest_path import (
     CLOSURE_MAX_NODES,
@@ -174,48 +175,49 @@ def batched_route_matrices(
 
 
 def fill_bandwidth_residuals(
-    cache: ResidualRouteCache,
     dense: np.ndarray,
     missing: Sequence[int],
     nodes: Sequence[int],
-    hops_of: Callable[[int], Tuple[Tuple[int, ...], np.ndarray]],
-) -> Sequence[int]:
-    """Residual bottleneck matrices of one bandwidth overlay, into ``cache``.
+    hops_of: Callable[[int], np.ndarray],
+) -> Dict[int, np.ndarray]:
+    """Residual bottleneck matrices of one bandwidth overlay.
 
     ``dense`` is the overlay's announced-bandwidth matrix (NaN absent)
-    and ``hops_of(node)`` the node's ``(cache key, row index array)``
-    pair of candidate first hops.  Small waves close each ``missing``
-    node's residual adjacency directly (Floyd-Warshall pivoting); once
-    the wave says the overlay is quiet (:data:`_AVOID_ONE_MIN_WAVE`
-    requests), one divide-and-conquer :func:`bottleneck_avoid_one` pass
-    yields the residual matrices of *every* member of ``nodes`` at once,
-    so the whole round is served from the cache until the next re-wire.
-    Both produce bitwise-identical slices (max-min values are
-    selections, not arithmetic).
+    and ``hops_of(node)`` the node's candidate first hops, ascending (the
+    rows of its matrix).  Small waves close each ``missing`` node's
+    residual adjacency directly (Floyd-Warshall pivoting); once the wave
+    says the overlay is quiet (:data:`_AVOID_ONE_MIN_WAVE` requests), one
+    divide-and-conquer :func:`bottleneck_avoid_one` pass yields the
+    residual matrices of *every* member of ``nodes`` at once, so the
+    caller holds the whole round until the next wiring change.  Both
+    produce bitwise-identical slices (max-min values are selections, not
+    arithmetic).
 
-    Returns the nodes it did not fill: past :data:`CLOSURE_MAX_NODES`
-    dense closures (and the ``(n, n, n)`` avoid-one tensor) are O(n^3)
-    in time and memory, so all of ``missing`` comes back and each caller
-    runs its own bit-identical per-source fallback.
+    Returns ``{node: (hops x n) matrix}`` — every ``missing`` node, or
+    every member of ``nodes`` with a candidate hop.  Past
+    :data:`CLOSURE_MAX_NODES` dense closures (and the ``(n, n, n)``
+    avoid-one tensor) are O(n^3) in time and memory, so it returns
+    nothing and each caller runs its own bit-identical per-source
+    fallback.
     """
     if dense.shape[0] > CLOSURE_MAX_NODES:
-        return missing
+        return {}
     adjacency = np.where(np.isnan(dense), 0.0, dense)
     np.fill_diagonal(adjacency, np.inf)
     if len(missing) >= _AVOID_ONE_MIN_WAVE:
         tensor = bottleneck_avoid_one(adjacency)
-        for node in nodes:
-            key, rows = hops_of(node)
-            if key:
-                cache.put(node, key, tensor[node][rows, :])
-        return ()
+        return {
+            node: tensor[node][rows, :]
+            for node in nodes
+            if len(rows := hops_of(node))
+        }
+    filled = {}
     for node in missing:
         residual = adjacency.copy()
         residual[node, :] = 0.0
         residual[node, node] = np.inf
-        key, rows = hops_of(node)
-        cache.put(node, key, bottleneck_closure_fw(residual)[rows, :])
-    return ()
+        filled[node] = bottleneck_closure_fw(residual)[hops_of(node), :]
+    return filled
 
 
 # ---------------------------------------------------------------------- #

@@ -1,16 +1,14 @@
 """Per-node state and re-wiring behaviour.
 
-An :class:`EgoistNode` owns one overlay node's neighbour-selection policy,
-its current wiring, and its re-wiring mode.  The engine drives nodes by
-offering them a chance to re-wire once per wiring epoch (delayed mode) or
-immediately upon detecting a dropped link (immediate mode), and the node
-decides — per its policy and its BR(ε) threshold — whether to adopt a new
-wiring.
+An :class:`EgoistNode` owns one overlay node's neighbour-selection policy
+and its current wiring.  The engine drives nodes by offering them a
+chance to re-wire once per wiring epoch (the paper's delayed reaction to
+a dropped link), and the node decides — per its policy and its BR(ε)
+threshold — whether to adopt a new wiring.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Set
 
@@ -23,15 +21,6 @@ from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
 from repro.util.rng import SeedLike, as_generator
-
-
-class RewireMode(enum.Enum):
-    """When a node reacts to a dropped link (Section 3.3)."""
-
-    #: Re-wire as soon as the drop is detected.
-    IMMEDIATE = "immediate"
-    #: Re-wire only at the preset wiring epoch (the paper's default).
-    DELAYED = "delayed"
 
 
 @dataclass
@@ -60,8 +49,6 @@ class EgoistNode:
     epsilon:
         BR(ε) threshold for adopting a new wiring (0 = adopt any strict
         improvement; only meaningful for cost-driven policies).
-    rewire_mode:
-        Immediate or delayed reaction to dropped links.
     seed:
         Per-node randomness.
     """
@@ -73,14 +60,12 @@ class EgoistNode:
         k: int,
         *,
         epsilon: float = 0.0,
-        rewire_mode: RewireMode = RewireMode.DELAYED,
         seed: SeedLike = None,
     ):
         self.node_id = int(node_id)
         self.policy = policy
         self.k = int(k)
         self.epsilon = float(epsilon)
-        self.rewire_mode = rewire_mode
         self.rng = as_generator(seed)
         self.wiring: Optional[Wiring] = None
         self.online: bool = True
@@ -101,8 +86,9 @@ class EgoistNode:
     def drop_neighbors(self, departed: Set[int]) -> bool:
         """Remove departed nodes from the current wiring.
 
-        Returns True if the wiring lost at least one link (which, in
-        immediate mode, triggers a re-wire at the engine level).
+        Returns True if the wiring lost at least one link (the engine then
+        re-installs the survivors; the node re-wires at its next
+        opportunity).
         """
         if self.wiring is None:
             return False
@@ -136,7 +122,7 @@ class EgoistNode:
         ``evaluator`` optionally supplies a pre-built
         :class:`WiringEvaluator` over ``residual_graph`` with candidates
         and destinations equal to the other active nodes (the engine
-        builds one, route-cache-backed, per re-wiring opportunity); the
+        builds one per re-wiring opportunity); the
         same evaluator then scores the current wiring *and* drives the
         policy's best-response computation, so the residual route-value
         sweep runs at most once per opportunity.

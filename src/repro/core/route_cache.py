@@ -1,45 +1,32 @@
-"""Per-node residual route-value caching for the wiring epoch hot path.
+"""The sequential engine's residual route-value memo.
 
 Building a :class:`~repro.core.best_response.WiringEvaluator` requires the
 routing values of the *residual* graph from every candidate first hop — a
 multi-source Dijkstra (or widest-path) sweep that dominates the cost of a
 re-wiring opportunity once candidate evaluation itself is vectorised.
+Once best-response dynamics have converged nobody re-wires, so with a
+static announced metric a node's residual graph — and its matrix — is
+the same from one epoch to the next.
 
-Within (and across) wiring epochs this work is highly redundant:
+:class:`ResidualRouteCache` keeps those matrices for one user:
+:meth:`repro.core.engine.EgoistEngine.step_node` running sequentially.
+The engine stamps it with an opaque *token* — a fingerprint of
+everything a residual depends on (global-wiring version,
+announced-metric fingerprint, active membership) — and an entry is
+valid only while its token equals the current one, so a single
+re-wiring anywhere (which bumps the wiring version) retires every
+entry implicitly.  A stale entry is recomputed by the evaluator, never
+patched.
 
-* a node's re-wiring opportunity evaluates its current wiring *and* runs a
-  best-response computation — both need the same residual matrix;
-* once best-response dynamics have converged, no node re-wires, so the
-  global wiring (and with it every node's residual graph) is unchanged
-  from one epoch to the next; with a static announced metric the matrices
-  can be reused verbatim.
-
-:class:`ResidualRouteCache` makes both kinds of sharing explicit.  The
-engine owns one cache and stamps it with an opaque *token* — a fingerprint
-of everything the residual matrices depend on (global-wiring version,
-announced-metric fingerprint, active membership).  Evaluator construction
-consults the cache; an entry is valid only if its token matches the
-cache's current token, so a single re-wiring anywhere (which bumps the
-wiring version) invalidates every stale entry implicitly.  That is the
-cache's only staleness rule: a stale entry is recomputed by its reader's
-ordinary fresh path (the evaluator's or the batch's stacked sweep),
-never patched — measured, patching served at most 1.3% of lookups.
-
-Who uses it.  The sequential engine (every opportunity), the lockstep
-batch's stacked-sweep and bandwidth planners, and the build-time
-deployment batch — re-wiring decisions only; ``repro serve`` answers
-lookups from :attr:`~repro.core.engine.EpochView.route_values` and never
-reads it.  The lockstep batch's *maintained* planner (additive
-engines from 64 active nodes up) does not: it derives each residual
-from one all-pairs matrix and streams it straight into the fused step,
-so such an engine's cache stays empty for life and its counters read 0.
-The quiet-epoch reuse of the second bullet is served there by what the
-cached matrix was a proxy for — a per-node stamp of the very token
-described above, kept by the batch
-(:meth:`repro.core.engine_batch._LockstepState.is_settled`) — because a
-deployment-sized cache is n entries of ``(n - 1) x n`` floats: n
-all-pairs matrices, 64 MB at n = 200 and 1 GB at n = 500, all of it
-dead the moment anyone re-wires.
+The lockstep batches do not use it.  Their planners compute each
+residual for a known upcoming opportunity and hand it to the step that
+reads it (:class:`~repro.core.engine_batch.EngineBatch`,
+:class:`~repro.core.deployment_batch.DeploymentBatch`), and they know
+from their own events — a re-wire, a version change under bandwidth,
+an epoch boundary — when what they computed stops describing the
+overlay.  A batched engine's memo therefore reads 0 hits, 0 misses and
+0 entries for life.  ``repro serve`` answers lookups from
+:attr:`~repro.core.engine.EpochView.route_values` and never reads it.
 """
 
 from __future__ import annotations
@@ -55,26 +42,18 @@ from repro.telemetry import runtime as telemetry
 from repro.util.validation import ValidationError
 
 
-def array_fingerprint(array: np.ndarray) -> str:
-    """Content digest of a dense array (weight matrices, graphs).
-
-    blake2b, not md5: a non-cryptographic fingerprint that also works on
-    FIPS-restricted Python builds.  Shared by every fingerprint in the
-    cache/batch machinery so the digest convention cannot drift between
-    call sites.
-    """
-    return hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
-
-
 def metric_fingerprint(metric) -> str:
-    """Fingerprint of a metric's announced link-weight matrix.
+    """Content digest of a metric's announced link-weight matrix.
 
-    The token the engine (and the multi-deployment batch kernels) stamp
-    residual route caches with includes this digest, so that two
-    deployments sharing one underlay snapshot — the same announced metric
-    object or an identical matrix — also share cache validity.
+    Part of the engine's residual-state token (the memo's validity and
+    the lockstep batch's settled stamps), so that two metrics with an
+    identical matrix fingerprint alike.  blake2b, not md5: a
+    non-cryptographic digest that also works on FIPS-restricted Python
+    builds.
     """
-    return array_fingerprint(metric.link_weight_matrix())
+    return hashlib.blake2b(
+        metric.link_weight_matrix().tobytes(), digest_size=16
+    ).hexdigest()
 
 
 class ResidualRouteCache:
@@ -85,9 +64,8 @@ class ResidualRouteCache:
     max_entries:
         Maximum number of node entries kept (each entry is a dense
         ``hops x n`` matrix, so memory is roughly ``max_entries * n**2``
-        floats — a deployment-sized cache, one entry per node, is
-        ``n * n**2``).  Must be positive; use ``None`` on the engine side
-        to size the cache to the deployment.
+        floats — the engine's, one entry per node, is ``n * n**2``).
+        Must be positive.
 
     Notes
     -----
@@ -122,10 +100,6 @@ class ResidualRouteCache:
         """Stamp the cache with the current residual-state fingerprint."""
         self.token = token
 
-    def invalidate(self) -> None:
-        """Drop every entry (e.g. when the substrate changed wholesale)."""
-        self._store.clear()
-
     # ------------------------------------------------------------------ #
     # Lookup / insertion
     # ------------------------------------------------------------------ #
@@ -154,21 +128,14 @@ class ResidualRouteCache:
     ) -> None:
         """Store ``matrix`` (``len(hops) x n``) for ``node`` under the token.
 
-        ``token`` overrides the cache's current token for this entry —
-        speculative producers (the lockstep engine batch) stamp entries
-        with the *predicted* residual-state fingerprint they will be
-        valid under, so the entry only ever matches once that state
-        materialises.
+        ``token`` overrides the cache's current token for this entry, so
+        it only ever matches once that state is current (the benchmark
+        probe plants a stale entry this way).
         """
         self._store[node] = (self.token if token is None else token, tuple(hops), matrix)
         self._store.move_to_end(node)
         while len(self._store) > self.max_entries:
             self._store.popitem(last=False)
-            self.drops += 1
-
-    def drop(self, node: int) -> None:
-        """Remove ``node``'s entry (mispredicted speculative state)."""
-        if self._store.pop(node, None) is not None:
             self.drops += 1
 
     # ------------------------------------------------------------------ #
@@ -204,7 +171,8 @@ class ResidualRouteCache:
         if not changed:
             self.restamps += 1
         elif maximize:
-            self.drop(node)
+            del self._store[node]
+            self.drops += 1
             return None
         else:
             matrix = repair_shortest_rows(

@@ -13,11 +13,11 @@ re-wiring scoring across deployments; ``batched=False`` preserves the
 sequential engine byte-for-byte).  Dynamic membership rides the same
 fused path: churned-down engines take the masked (padded) re-wiring
 broadcasts, join/leave events between epochs only re-derive each
-engine's active mask, and the per-engine route caches are filled ahead
-of the steps by speculative stacked sweeps (a stale entry is recomputed
-by the next one, never patched) — the results' ``metadata["cache"]``
-records the aggregate hit/miss counters (``repro run --verbose`` prints
-them), which is how cache effectiveness under churn is tracked.
+engine's active mask, and the residuals are planned ahead of the steps
+by speculative stacked sweeps (a re-wire throws the plan away) — the
+results' ``metadata["cache"]`` records the sequential engines' memo
+counters (``repro run --verbose`` prints them; all 0 on the batched
+path).
 """
 
 from __future__ import annotations

@@ -75,9 +75,9 @@ class SimulationSession:
         Epoch-loop scenarios also carry their aggregated residual
         route-cache statistics (hits, misses, hit rate — summed
         over every engine batch the run dispatched) as
-        ``metadata["cache"]``, so cache effectiveness under churn is
-        observable from any stored result (and printed by
-        ``repro run --verbose``).
+        ``metadata["cache"]``, printed by ``repro run --verbose``.  The
+        cache is the sequential engine's memo: a batched run hands every
+        residual to its step and reads 0 throughout.
         """
         from repro.core.codec import cache_stats_to_json
 

@@ -194,8 +194,9 @@ class OverlayService:
         Retain only the newest N checkpoints and compact away log
         segments older than the oldest retained one; 0 keeps everything
         (so ``serve-replay`` can always replay the full history).
-    dedupe_window:
-        Idempotency keys remembered for exactly-once mutation retries.
+
+    Idempotency keys for exactly-once mutation retries are remembered in
+    a FIFO window of :data:`DEDUPE_WINDOW` keys.
     """
 
     def __init__(
@@ -207,7 +208,6 @@ class OverlayService:
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 0,
-        dedupe_window: int = DEDUPE_WINDOW,
         _restore: Optional[Dict[str, object]] = None,
     ):
         if checkpoint_dir is not None and log_path is None:
@@ -215,13 +215,10 @@ class OverlayService:
                 "checkpoint_dir requires log_path: checkpoints anchor log "
                 "segments, there is nothing to anchor without a log"
             )
-        if int(dedupe_window) < 1:
-            raise ValidationError("dedupe_window must be at least 1")
         self.spec = spec
         self.batched = bool(batched)
         self.checkpoint_every = max(0, int(checkpoint_every))
         self.keep_checkpoints = max(0, int(keep_checkpoints))
-        self.dedupe_window = int(dedupe_window)
         self.closed = False
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
         #: Per-label overlay graphs of the committed epoch (``want_path``).
@@ -462,7 +459,6 @@ class OverlayService:
         batched: Optional[bool] = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 0,
-        dedupe_window: int = DEDUPE_WINDOW,
     ) -> "OverlayService":
         """Restore a service from its mutation log (and checkpoints).
 
@@ -493,7 +489,6 @@ class OverlayService:
                 batched=batched,
                 checkpoint_every=checkpoint_every,
                 keep_checkpoints=keep_checkpoints,
-                dedupe_window=dedupe_window,
             )
 
     @classmethod
@@ -505,7 +500,6 @@ class OverlayService:
         batched: Optional[bool],
         checkpoint_every: int,
         keep_checkpoints: int,
-        dedupe_window: int,
     ) -> "OverlayService":
         read = read_segment(log_path, repair=True)
         entries = read.entries
@@ -587,7 +581,7 @@ class OverlayService:
             else:
                 raise RecoveryError(f"unknown log entry kind {kind!r}")
 
-        while len(dedupe) > int(dedupe_window):
+        while len(dedupe) > DEDUPE_WINDOW:
             dedupe.popitem(last=False)
         while len(digests) > EPOCH_DIGEST_WINDOW:
             digests.popitem(last=False)
@@ -638,7 +632,6 @@ class OverlayService:
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             keep_checkpoints=keep_checkpoints,
-            dedupe_window=dedupe_window,
             _restore={
                 "session": session,
                 "log": log,
@@ -908,7 +901,7 @@ class OverlayService:
         if idem is not None:
             entry["idem"] = idem
             self._dedupe[idem] = applied_epoch
-            while len(self._dedupe) > self.dedupe_window:
+            while len(self._dedupe) > DEDUPE_WINDOW:
                 self._dedupe.popitem(last=False)
         self._log_entry(entry)
         return {"applied_epoch": applied_epoch}
@@ -924,7 +917,8 @@ class OverlayService:
         return snapshot
 
     def stats(self) -> Dict[str, object]:
-        """Service counters plus the pooled route-cache diagnostics."""
+        """Service counters plus the pooled route-cache diagnostics (the
+        sequential tier's memo; all zeros for a batched session)."""
         self._check_open()
         return {
             "counters": dict(self.counters),
@@ -933,7 +927,7 @@ class OverlayService:
             ),
             "epochs_completed": self.session.epochs_completed,
             "dedupe": {
-                "window": self.dedupe_window,
+                "window": DEDUPE_WINDOW,
                 "size": len(self._dedupe),
             },
             "recovery": (

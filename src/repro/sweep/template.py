@@ -64,7 +64,7 @@ def spec_key(spec: ScenarioSpec) -> str:
     """Content address of a scenario spec: hash of its canonical JSON.
 
     blake2b with the same digest size as
-    :func:`repro.core.route_cache.array_fingerprint`, so one digest
+    :func:`repro.core.route_cache.metric_fingerprint`, so one digest
     convention covers all content addressing in the repo.
     """
     payload = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -17,6 +17,7 @@ from repro.core import (
     KClosestPolicy,
     KRandomPolicy,
     KRegularPolicy,
+    ResidualRouteCache,
     metric_fingerprint,
 )
 from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
@@ -199,34 +200,41 @@ class TestRouteValueTensor:
             batch.route_value_tensor([])
 
 
-class TestFingerprintSharing:
-    def test_announced_fingerprint_computed_once_per_snapshot(self):
-        provider = _delay_provider(12)
-        announced = provider.announced_metric()
-        truth = provider.true_metric()
-        specs = [
-            DeploymentSpec(
-                label=f"k={k}",
-                policy=BestResponsePolicy(),
-                k=k,
-                announced=announced,
-                truth=truth,
-                br_rounds=1,
-            )
-            for k in (2, 3, 4)
-        ]
-        for spec, stream in zip(
-            specs, spawn_generators(np.random.default_rng(0), len(specs))
-        ):
-            spec.rng = stream
-        batch = DeploymentBatch(specs)
-        fp_first = batch.announced_fingerprint(announced)
-        assert batch.announced_fingerprint(announced) is fp_first
-        assert fp_first == metric_fingerprint(announced)
-        batch.build()
-        # Still the single shared snapshot entry.
-        assert list(batch._metric_fps.values()) == [fp_first]
+class TestMailbox:
+    @pytest.mark.parametrize(
+        "provider_factory,n",
+        [
+            (_delay_provider, 18),
+            (_bandwidth_provider, 18),
+            (_delay_provider, 12),
+            (_bandwidth_provider, 12),
+        ],
+    )
+    def test_a_batched_build_constructs_no_route_cache(
+        self, provider_factory, n, monkeypatch
+    ):
+        """Each deployment keeps its planned residuals in a mailbox that a
+        re-wire empties — fused steps and the exact-enumeration fallback
+        alike read from it — so no ResidualRouteCache is ever built."""
+        constructed = []
+        original = ResidualRouteCache.__init__
 
+        def spy(cache, *args, **kwargs):
+            constructed.append(cache)
+            original(cache, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualRouteCache, "__init__", spy)
+        batched = DeploymentBatch(
+            _sweep_specs(provider_factory(n), (1, 2, 3), 42), batched=True
+        ).run()
+        assert constructed == []
+        sequential = DeploymentBatch(
+            _sweep_specs(provider_factory(n), (1, 2, 3), 42), batched=False
+        ).run()
+        assert np.array_equal(batched, sequential)
+
+
+class TestFingerprintSharing:
     def test_identical_matrices_share_fingerprint_value(self):
         provider = _delay_provider(10, jitter=0.0)
         a = provider.true_metric()

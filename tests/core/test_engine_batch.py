@@ -19,7 +19,7 @@ from repro import telemetry
 from repro.churn.models import parametrized_churn, trace_driven_churn
 from repro.core.cheating import CheatingModel
 from repro.core.codec import history_digest
-from repro.core.cost import DelayMetric
+from repro.core.cost import BandwidthMetric, DelayMetric
 from repro.core.engine import EgoistEngine, EpochRecord
 from repro.core.engine_batch import (
     _MAINTAIN_MIN_ACTIVE,
@@ -39,6 +39,7 @@ from repro.core.providers import (
     BandwidthMetricProvider,
     DelayMetricProvider,
     LoadMetricProvider,
+    MetricProvider,
 )
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
@@ -272,15 +273,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             EngineBatch(specs)
 
-    def test_disabled_route_cache_still_runs(self):
-        specs = _delay_specs(
-            12, 3, policies={"best-response": BestResponsePolicy()}, k_values=(2,)
-        )
-        for spec in specs:
-            spec.route_cache_size = 0
-        histories = EngineBatch(specs, batched=True).run(2)
-        assert len(histories[0].records) == 2
-
 
 class TestMaskedFusedChurnPath:
     """The Fig. 2 tentpole: churned engines take the fused branch."""
@@ -319,10 +311,10 @@ class TestMaskedFusedChurnPath:
 
         original_step = EgoistEngine.step_node
 
-        def step_spy(engine, plan):
+        def step_spy(engine, plan, **kwargs):
             nonlocal fallback
             fallback += 1
-            return original_step(engine, plan)
+            return original_step(engine, plan, **kwargs)
 
         EngineBatch._fused_engine_steps = spy
         EgoistEngine.step_node = step_spy
@@ -343,26 +335,12 @@ class TestMaskedFusedChurnPath:
         sequential = self._churned_batch(batched=False).run(4)
         assert_histories_identical(histories, sequential)
 
-    def test_churned_cache_outperforms_sequential(self):
-        """The dynamic-membership cache story in miniature: the batch
-        serves most lookups from the cache while the sequential engines
-        miss on effectively all of them."""
-        batched_batch = self._churned_batch(batched=True)
-        batched_batch.run(4)
-        sequential_batch = self._churned_batch(batched=False)
-        sequential_batch.run(4)
-        batched_stats, sequential_stats = (
-            pooled_cache_stats(engine.route_cache for engine in batch.engines)
-            for batch in (batched_batch, sequential_batch)
-        )
-        assert batched_stats["hit_rate"] > 0.4
-        assert sequential_stats["hit_rate"] < 0.2
-
     def test_stale_residuals_are_recomputed_never_patched(self):
-        """Below the maintained floor a cached residual is valid under
-        its token or the stacked sweep recomputes it: no repair kernel
-        runs, no repair ledger exists, and the recompute path's Dijkstra
-        budget is pinned so it cannot silently get more expensive."""
+        """Below the maintained floor a planned residual is read as
+        planned or thrown away and recomputed by the next stacked sweep:
+        no repair kernel runs, no repair ledger exists, and the
+        recompute path's Dijkstra budget is pinned so it cannot silently
+        get more expensive."""
         batch = self._churned_batch(batched=True)
         registry = telemetry.enable()
         try:
@@ -380,31 +358,194 @@ class TestMaskedFusedChurnPath:
         assert counters["kernel.batched_route_matrices.dijkstra.rows"] == 3276
 
     def test_a_rewire_drops_every_pending_speculative_entry(self, monkeypatch):
-        """A re-wire bumps the wiring version by one — exactly the bump
-        the speculative chain predicted for that node's in-place weight
-        refresh — so every pending entry's predicted token now equals
-        the live one while its matrix describes a wiring that never
-        happened.  None may stay in the cache."""
+        """Every planned entry still in the mailbox was computed for a
+        wiring in which the re-wiring node only refreshed its weights in
+        place; after the re-wire that wiring never happens, so none may
+        stay to be read."""
         original = _LockstepState.after_step
         falsified = []
 
         def spy(state, node, rewired):
-            pending = dict(state.pending)
-            pending.pop(node, None)
+            others = set(state.mailbox) - {node}
             original(state, node, rewired)
-            if rewired and pending:
-                cache = state.engine.route_cache
-                assert not state.pending
-                live = cache.token
-                for other, predicted in pending.items():
-                    cache.set_token(predicted)
-                    assert cache.get(other, state.hops_of(other)) is None
-                cache.set_token(live)
-                falsified.append(len(pending))
+            if rewired and others:
+                assert not state.mailbox
+                falsified.append(len(others))
 
         monkeypatch.setattr(_LockstepState, "after_step", spy)
         self._churned_batch(batched=True).run(4)
         assert falsified, "no re-wire ever met a pending speculative entry"
+
+
+def _churned_stacked_specs():
+    churn = trace_driven_churn(14, 4 * 60.0, mean_on=400.0, mean_off=80.0, seed=5)
+    return _delay_specs(14, 11, churn=churn, compute_efficiency=True)
+
+
+def _settling_stacked_specs():
+    return _delay_specs(
+        24,
+        21,
+        estimator="true",
+        policies={"best-response": BestResponsePolicy()},
+        k_values=(2, 3),
+        epsilon=0.1,
+    )
+
+
+def _mixed_maintained_specs():
+    policies = {
+        "best-response": BestResponsePolicy(),
+        "hybrid-br": HybridBRPolicy(k2=2),
+        "k-closest": KClosestPolicy(),
+    }
+    return _delay_specs(72, 21, estimator="true", policies=policies, k_values=(4,))
+
+
+class _StaticProvider(MetricProvider):
+    """One fixed metric, announced and true, for every epoch."""
+
+    def __init__(self, metric):
+        self._metric = metric
+
+    @property
+    def size(self):
+        return self._metric.size
+
+    def announced_metric(self):
+        return self._metric
+
+    def true_metric(self):
+        return self._metric
+
+
+def _static_bandwidth_specs():
+    # Two best-response engines and a k-closest one on a fixed bandwidth
+    # matrix: a node still settled from the previous epoch skips without
+    # planning, so a run of settled skips leaves the wave ahead of the
+    # mailbox and the next unsettled node's prefill takes the avoid-one
+    # pass (seed 5 does, in its sixth epoch).
+    metric = BandwidthMetric(BandwidthModel(24, seed=5).matrix())
+    policies = [(BestResponsePolicy(), 2), (BestResponsePolicy(), 3), (KClosestPolicy(), 3)]
+    streams = spawn_generators(np.random.default_rng(6), len(policies))
+    return [
+        EngineSpec(
+            label=f"{policy.name}@k={k}",
+            provider=_StaticProvider(metric),
+            policy=policy,
+            k=k,
+            seed=stream,
+        )
+        for (policy, k), stream in zip(policies, streams)
+    ]
+
+
+#: One scenario per planner branch: (specs, epochs, the planner's entry
+#: point, which must run).
+_PLANNER_BRANCHES = {
+    "stacked-churned": (_churned_stacked_specs, 4, "_plan_speculative_jobs"),
+    "stacked-settling": (_settling_stacked_specs, 5, "_plan_speculative_jobs"),
+    "maintained-mixed": (_mixed_maintained_specs, 3, "derive_residual"),
+    "bandwidth-avoid-one": (_static_bandwidth_specs, 6, "bottleneck_avoid_one"),
+}
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of a planner entry point (see ``_PLANNER_BRANCHES``)."""
+    owner = next(
+        owner
+        for owner in (EngineBatch, _LockstepState, lockstep_module)
+        if hasattr(owner, name)
+    )
+    calls = [0]
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestMailbox:
+    """A planned residual goes to the one step that reads it.
+
+    Each state's mailbox holds the residuals its planner computed for
+    upcoming opportunities; the engines' route caches are the sequential
+    tier's memo, which the batch never reads or writes."""
+
+    @pytest.mark.parametrize("branch", sorted(_PLANNER_BRANCHES))
+    def test_batched_run_never_touches_the_memo(self, branch, monkeypatch):
+        specs, epochs, planner = _PLANNER_BRANCHES[branch]
+        planned = _count_calls(monkeypatch, planner)
+        batched = EngineBatch(specs(), batched=True)
+        registry = telemetry.enable()
+        try:
+            batched.run(epochs)
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        sequential = EngineBatch(specs(), batched=False)
+        sequential.run(epochs)
+        assert planned[0] > 0, f"the {branch} planner never ran"
+        for engine in batched.engines:
+            stats = engine.route_cache.stats()
+            assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+        # The sequential path reads its memo at every opportunity.
+        memo = pooled_cache_stats(engine.route_cache for engine in sequential.engines)
+        assert memo["hits"] + memo["misses"] > 0
+        if branch != "stacked-settling":
+            # Engines the fused kernel does not replicate were handed
+            # their residuals too.
+            assert counters["batch.steps.sequential"] > 0
+        assert_histories_identical(
+            [engine.history for engine in batched.engines],
+            [engine.history for engine in sequential.engines],
+        )
+
+    @pytest.mark.parametrize("branch", sorted(_PLANNER_BRANCHES))
+    def test_mailbox_invariants(self, branch, monkeypatch):
+        """After a re-wire the mailbox is empty; every opportunity —
+        fused, on the engine's own path, or a settled skip — pops its
+        node's entry; and after each prefill the mailbox holds only
+        upcoming opportunities of the wave (of the rest of the round,
+        once a bandwidth avoid-one pass filled it)."""
+        specs, epochs, _planner = _PLANNER_BRANCHES[branch]
+        seen = {"rewires": 0, "settled_with_entry": 0, "prefills": 0}
+        original_after = _LockstepState.after_step
+        original_adopt = _LockstepState.adopt
+        original_prefill = EngineBatch._prefill
+
+        def after_spy(state, node, rewired):
+            original_after(state, node, rewired)
+            assert node not in state.mailbox
+            if rewired:
+                assert not state.mailbox
+                seen["rewires"] += 1
+
+        def adopt_spy(state, rewired):
+            node = state.plan.order[state.plan.pos]
+            if state.is_settled() and node in state.mailbox:
+                seen["settled_with_entry"] += 1
+            original_adopt(state, rewired)
+
+        def prefill_spy(batch, live):
+            original_prefill(batch, live)
+            seen["prefills"] += 1
+            for st in batch._states:
+                upcoming = st.plan.order[st.plan.pos :]
+                if not st.plan.announced.maximize:
+                    upcoming = upcoming[: st.wave]
+                assert set(st.mailbox) <= set(upcoming)
+
+        monkeypatch.setattr(_LockstepState, "after_step", after_spy)
+        monkeypatch.setattr(_LockstepState, "adopt", adopt_spy)
+        monkeypatch.setattr(EngineBatch, "_prefill", prefill_spy)
+        EngineBatch(specs(), batched=True).run(epochs)
+        assert seen["rewires"] > 0 and seen["prefills"] > 0
+        if branch == "stacked-settling":
+            assert seen["settled_with_entry"] > 0, "no settled skip met an entry"
 
 
 class TestMaintainedAllPairs:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cost import DelayMetric
 from repro.core.hybrid import HybridBRPolicy
-from repro.core.node import EgoistNode, RewireMode
+from repro.core.node import EgoistNode
 from repro.core.policies import BestResponsePolicy, KRandomPolicy
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
@@ -36,7 +36,6 @@ class TestLifecycle:
         assert node.online
         assert node.wiring is None
         assert node.rewire_count == 0
-        assert node.rewire_mode is RewireMode.DELAYED
 
     def test_offline_drops_wiring(self):
         node = EgoistNode(0, BestResponsePolicy(), 3, seed=0)

@@ -1,4 +1,4 @@
-"""Tests for the residual route-value cache and its engine integration."""
+"""Tests for the residual route-value cache: the sequential engine's memo."""
 
 from __future__ import annotations
 
@@ -11,9 +11,12 @@ from repro.core import (
     BestResponsePolicy,
     DelayMetricProvider,
     EgoistEngine,
+    HybridBRPolicy,
     ResidualRouteCache,
 )
+from repro.core.codec import history_digest
 from repro.netsim.delayspace import DelaySpace
+from repro.routing.shortest_path import shortest_path_costs_multi
 from repro.util.validation import ValidationError
 
 
@@ -39,14 +42,6 @@ class TestResidualRouteCache:
         assert cache.get(0, (1,)) is None  # evicted as oldest
         assert cache.get(2, (1,)) is not None
 
-    def test_invalidate_clears_entries(self):
-        cache = ResidualRouteCache()
-        cache.set_token("t")
-        cache.put(0, (1,), np.zeros((1, 1)))
-        cache.invalidate()
-        assert len(cache) == 0
-        assert cache.get(0, (1,)) is None
-
     def test_stats_and_hit_rate(self):
         cache = ResidualRouteCache()
         assert cache.hit_rate == 0.0
@@ -64,7 +59,7 @@ class TestResidualRouteCache:
             ResidualRouteCache(max_entries=0)
 
 
-def make_engine(route_cache_size, *, n=12, seed=9):
+def make_engine(*, n=12, seed=9):
     rng = np.random.default_rng(77)
     matrix = rng.uniform(5.0, 120.0, size=(n, n))
     np.fill_diagonal(matrix, 0.0)
@@ -74,46 +69,53 @@ def make_engine(route_cache_size, *, n=12, seed=9):
         BestResponsePolicy(),
         k=2,
         seed=seed,
-        route_cache_size=route_cache_size,
-    )
-
-
-def record_key(record):
-    return tuple(
-        None if isinstance(v, float) and math.isnan(v) else v
-        for v in (
-            record.epoch,
-            record.time,
-            record.active_nodes,
-            record.rewirings,
-            record.mean_cost,
-            record.mean_efficiency,
-            record.social_cost,
-            record.linkstate_bits,
-        )
     )
 
 
 class TestEngineIntegration:
-    def test_cache_disabled_with_size_zero(self):
-        engine = make_engine(0)
-        assert engine.route_cache is None
-        engine.run(2)  # still runs fine without the cache
-
     def test_cache_defaults_to_deployment_size(self):
-        engine = make_engine(None)
-        assert engine.route_cache is not None
+        engine = make_engine()
         assert engine.route_cache.max_entries == engine.n
 
     def test_cached_and_uncached_runs_are_identical(self):
-        cached = make_engine(None).run(4).records
-        uncached = make_engine(0).run(4).records
-        assert [record_key(r) for r in cached] == [record_key(r) for r in uncached]
+        """An engine whose every step is handed a freshly swept residual
+        (``step_node(plan, residual=...)``) never touches its memo and
+        records exactly what the memo-reading run records."""
+        cached = make_engine()
+        cached.run(4)
+        uncached = make_engine()
+        for _ in range(4):
+            plan = uncached.begin_epoch()
+            while not plan.done:
+                node = plan.order[plan.pos]
+                hops = [c for c in plan.active_list if c != node]
+                residual = shortest_path_costs_multi(
+                    uncached.wiring.residual_graph(node, active=plan.active_list), hops
+                )
+                uncached.step_node(plan, residual=residual)
+            uncached.finish_epoch(plan)
+        memo = cached.route_cache.stats()
+        assert memo["hits"] + memo["misses"] == 4 * cached.n
+        stats = uncached.route_cache.stats()
+        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+        assert history_digest(uncached.history.records) == history_digest(
+            cached.history.records
+        )
+
+    def test_one_memo_lookup_per_opportunity(self):
+        """HybridBR's own evaluator (donated links required) shares the
+        matrix of the engine's evaluator instead of looking it up again."""
+        engine = EgoistEngine(
+            make_engine().provider, HybridBRPolicy(k2=2), k=4, seed=9
+        )
+        engine.run(3)
+        stats = engine.route_cache.stats()
+        assert stats["hits"] + stats["misses"] == 3 * engine.n
 
     def test_quiescent_epochs_hit_the_cache(self):
         """Once best-response dynamics converge with a static announced
         metric, a whole epoch's residual sweeps come from the cache."""
-        engine = make_engine(None)
+        engine = make_engine()
         engine.run(6)  # long enough to converge at this scale
         before = engine.route_cache.hits
         misses_before = engine.route_cache.misses
@@ -123,10 +125,9 @@ class TestEngineIntegration:
 
 
 class TestSpeculativeTokens:
-    """The engine batch's speculative weight-refresh chains stamp entries
-    with *predicted* tokens (``put(token=...)``) and revoke mispredictions
-    with ``drop``; these exercise that path directly (it landed with only
-    indirect parity coverage)."""
+    """``put(token=...)`` stamps an entry with a token other than the
+    current one, so it matches only once that state is current (the
+    benchmark probe plants a stale entry this way)."""
 
     def test_put_with_explicit_token_matches_only_once_state_materialises(self):
         cache = ResidualRouteCache(max_entries=4)
@@ -155,22 +156,9 @@ class TestSpeculativeTokens:
         # The re-wire: state jumps to version-8 with a fresh fingerprint.
         cache.set_token(("version-8", "fp3", (0, 1)))
         assert cache.get(3, (0, 1)) is None
-        # The engine batch drops the pending entry; a later put under the
-        # real token repopulates cleanly.
-        cache.drop(3)
-        assert len(cache) == 0
+        # A later put under the real token replaces it cleanly.
         cache.put(3, (0, 1), np.full((2, 2), 8.0))
         assert float(cache.get(3, (0, 1))[0, 0]) == 8.0
-
-    def test_drop_is_per_node_and_tolerates_absent_nodes(self):
-        cache = ResidualRouteCache(max_entries=4)
-        cache.set_token("t")
-        cache.put(0, (1,), np.zeros((1, 1)))
-        cache.put(1, (0,), np.zeros((1, 1)))
-        cache.drop(0)
-        cache.drop(42)  # never stored: a no-op, not an error
-        assert cache.get(0, (1,)) is None
-        assert cache.get(1, (0,)) is not None
 
     def test_churn_epoch_membership_change_invalidates_speculative_entries(self):
         """Tokens embed the active membership: a churn-driven join/leave
@@ -333,15 +321,6 @@ class TestDropsCounter:
             cache.put(node, (1,), np.zeros((1, 1)))
         assert cache.drops == 2
         assert cache.stats()["drops"] == 2.0
-
-    def test_explicit_drop_counts_once(self):
-        cache = ResidualRouteCache(max_entries=4)
-        cache.set_token("t")
-        cache.put(0, (1,), np.zeros((1, 1)))
-        cache.drop(0)
-        cache.drop(0)  # absent: not a drop
-        cache.drop(99)  # never present: not a drop
-        assert cache.drops == 1
 
     def test_fresh_cache_reports_zero_drops(self):
         stats = ResidualRouteCache().stats()

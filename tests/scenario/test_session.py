@@ -118,15 +118,19 @@ class TestReproducibility:
         assert fast.as_dict() == slow.as_dict()
 
     def test_epoch_scenarios_carry_cache_stats(self):
+        """``metadata["cache"]`` is the sequential engines' memo; the
+        batched path hands every residual to its step and reads 0."""
         spec = default_spec("fig3-rewirings").override(
             n=10, k_grid=(2,), epochs=2, seed=4
         )
-        result = run_spec(spec)
+        result = run_spec(spec, batched=False)
         cache = result.metadata["cache"]
         for key in ("hits", "misses", "repairs", "restamps", "hit_rate"):
             assert key in cache
         assert cache["hits"] + cache["misses"] > 0
         assert 0.0 <= cache["hit_rate"] <= 1.0
+        batched = run_spec(spec, batched=True).metadata["cache"]
+        assert batched["hits"] == batched["misses"] == batched["entries"] == 0
 
     def test_build_only_scenarios_have_no_cache_stats(self):
         spec = default_spec("fig1-node-load").override(
