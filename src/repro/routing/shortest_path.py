@@ -20,18 +20,25 @@ re-connect partitions.
 
 A third entry point, :func:`repair_shortest_rows`, is the dynamic-SSSP
 kernel behind the lockstep batch's maintained all-pairs planner
-(:meth:`repro.core.engine_batch._LockstepState.derive_residual`): given
+(:meth:`repro.core.engine_batch.EngineBatch._derive_residuals`): given
 distance rows computed on an *earlier* version of the graph and the set
 of nodes whose out-links changed since (one re-wire changes exactly one
 node's out-links), it recomputes only the destinations whose values can
 pass through changed links and returns rows bit-identical to a fresh
-sweep of the new graph.
+sweep of the new graph.  The kernel is *stacked*: ``old`` may carry a
+leading member axis ``(M, rows, n)`` — one independent overlay per
+member, each with its own change set and excluded node — and one call
+then screens every member, sweeps every member's changed rows in one
+block-diagonal Dijkstra (split only past :data:`_SWEEP_MAX_CELLS` output
+cells), re-sweeps the members the screen refuses in another, and relaxes
+the rest in one set of array passes.  A 2-D call is the ``M = 1`` case
+of the same code.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -113,72 +120,83 @@ def shortest_path_costs_multi(
 
 
 class ShortestRepairTables:
-    """Shared, lazily-built relaxation structures for one overlay version.
+    """Shared, lazily-built repair structures for a stack of overlays.
 
-    Stores the effective-weight matrix once (the :func:`_to_csr`
-    zero-nudge applied — which is what keeps repaired sums bit-identical
-    to the fresh sweep) and materialises the destination-major in-edge
-    lists (cell relaxation) and the source-major CSR (direct C-level
+    Stores the ``(M, n, n)`` effective-weight stack once (the
+    :func:`_to_csr` zero-nudge applied — which is what keeps repaired
+    sums bit-identical to the fresh sweep) and materialises the block
+    in-edge lists (cell relaxation) and the block-diagonal CSR (C-level
     sweeps) only when a repair actually takes that strategy, so sharing
     the tables across many small repairs never pays for the structures
-    they skip.
+    they skip.  Both index member ``m``'s node ``j`` as ``m*n + j``.
     """
 
     __slots__ = ("weights", "_present", "_edges", "_csr")
 
-    def __init__(self, adjacency: np.ndarray):
-        weights = np.array(adjacency, dtype=float, copy=True)
+    def __init__(self, adjacency):
+        weights = np.array(adjacency, dtype=float)
+        if weights.ndim == 2:
+            weights = weights[None]
         present = ~np.isnan(weights)
         weights[present & (weights <= 0)] = 1e-12
-        np.fill_diagonal(present, False)
+        diagonal = np.arange(weights.shape[1])
+        present[:, diagonal, diagonal] = False
         self.weights = weights
         self._present = present
         self._edges = None
         self._csr = None
 
     @property
-    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """In-edges as ``(indptr, src, w)``: node ``j``'s in-edges are
-        ``src[indptr[j]:indptr[j + 1]]`` with weights ``w[...]``."""
+    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """In-edges as ``(indptr, src, w, member)``: member ``m``'s node
+        ``j`` has in-edges from its nodes ``src[indptr[m*n + j]:indptr[m*n
+        + j + 1]]`` with weights ``w[...]`` (and ``member[...] == m``)."""
         if self._edges is None:
-            n = self.weights.shape[0]
-            dst, src = np.nonzero(self._present.T)  # destination-major
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
-            self._edges = (indptr, src, self.weights[src, dst])
+            members, n, _ = self.weights.shape
+            flat = np.flatnonzero(self._present.transpose(0, 2, 1))  # (m, dst, src)
+            key, src = flat // n, flat % n
+            indptr = np.zeros(members * n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key, minlength=members * n), out=indptr[1:])
+            # Weight (m, src, dst) sits at flat index m*n*n + src*n + dst.
+            w = self.weights.reshape(-1)[flat + (src - key % n) * (n - 1)]
+            self._edges = (indptr, src, w, key // n)
         return self._edges
 
     @property
     def csr(self) -> csr_matrix:
+        """Out-edges of the whole stack as one block-diagonal CSR."""
         if self._csr is None:
-            n = self.weights.shape[0]
-            out_src, out_dst = np.nonzero(self._present)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(out_src, minlength=n), out=indptr[1:])
+            members, n, _ = self.weights.shape
+            flat = np.flatnonzero(self._present)  # (m, u, v) row-major
+            indptr = np.zeros(members * n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat // n, minlength=members * n), out=indptr[1:])
             self._csr = csr_matrix(
-                (
-                    self.weights[out_src, out_dst],
-                    out_dst.astype(np.int64),
-                    indptr,
-                ),
-                shape=(n, n),
+                (self.weights.reshape(-1)[flat], flat // (n * n) * n + flat % n, indptr),
+                shape=(members * n, members * n),
             )
         return self._csr
 
 
-def shortest_inbound_tables(adjacency: np.ndarray) -> ShortestRepairTables:
-    """Shareable ``tables`` argument for :func:`repair_shortest_rows`."""
+def shortest_inbound_tables(adjacency) -> ShortestRepairTables:
+    """Shareable ``tables`` argument for :func:`repair_shortest_rows`:
+    an ``(n, n)`` overlay, or an ``(M, n, n)`` stack (or list) of them."""
     return ShortestRepairTables(adjacency)
 
 
 #: Suspect share above which :func:`repair_shortest_rows` stops
-#: relaxing cells and re-sweeps the unchanged rows in one C-level call
-#: (measured crossover: 0.3 of the matrix at n = 200, 0.5 at n = 100).
+#: relaxing a member's cells and re-sweeps its unchanged rows in one
+#: C-level call (measured crossover: 0.3 of the matrix at n = 200, 0.5
+#: at n = 100).
 _SWEEP_ABOVE_SUSPECT = 0.35
 
 #: ``c`` of the screen's ``1 - c*n*eps`` slack factor (see
 #: :func:`repair_shortest_rows` for why ``c = 4`` is rigorous).
 _SCREEN_SLACK = 4.0
+
+#: Cell cap of one sweep call's dense ``rows x M*n`` output (8 MB).
+_SWEEP_MAX_CELLS = 1 << 20
+
+_EPS = float(np.finfo(float).eps)
 
 
 class ShortestRepairScreen(NamedTuple):
@@ -187,56 +205,88 @@ class ShortestRepairScreen(NamedTuple):
     ``rows`` is the stale matrix with the changed nodes' own rows
     already recomputed; ``suspect`` flags the remaining cells whose
     value may pass through a changed node.  Every other cell of ``rows``
-    already holds its final bits.
+    already holds its final bits.  Both are ``(M, rows, n)`` for a
+    stacked screen and ``(rows, n)`` for a 2-D one.
     """
 
     rows: np.ndarray
     suspect: np.ndarray
 
     @property
-    def share(self) -> float:
-        """Suspect fraction of the matrix."""
-        return np.count_nonzero(self.suspect) / max(1, self.suspect.size)
+    def sweeps(self) -> np.ndarray:
+        """Per member, whether :func:`repair_shortest_rows` will re-sweep
+        its unchanged rows rather than relax this many suspects (a
+        0-d array for a 2-D screen)."""
+        shape = self.suspect.shape
+        cells = max(1, shape[-2] * shape[-1])
+        members = self.suspect.reshape(-1, *shape[-2:])
+        sweeps = [np.count_nonzero(one) / cells > _SWEEP_ABOVE_SUSPECT for one in members]
+        return np.array(sweeps).reshape(shape[:-2])
 
-    @property
-    def sweeps(self) -> bool:
-        """Whether :func:`repair_shortest_rows` will re-sweep the
-        unchanged rows rather than relax this many suspects."""
-        return self.share > _SWEEP_ABOVE_SUSPECT
+
+def _stacked(old, changed, exclude) -> Tuple[np.ndarray, List[List[int]], np.ndarray]:
+    """``(old, changed, exclude)`` of a stacked call in canonical form:
+    a float ``(M, rows, n)`` array, each member's sorted change set, and
+    each member's excluded node (``-1``: none)."""
+    old = np.asarray(old, dtype=float)
+    changed = [sorted({int(c) for c in nodes}) for nodes in changed]
+    if exclude is None:
+        excluded = np.full(old.shape[0], -1, dtype=np.int64)
+    elif isinstance(exclude, np.ndarray):
+        excluded = exclude  # already canonical
+    else:
+        excluded = np.array([-1 if x is None else int(x) for x in exclude], dtype=np.int64)
+    return old, changed, excluded
 
 
 def _sweep_rows(
-    tables: ShortestRepairTables, indices: np.ndarray, exclude: Optional[int]
+    tables: ShortestRepairTables,
+    member: np.ndarray,
+    source: np.ndarray,
+    excluded: np.ndarray,
 ) -> np.ndarray:
-    """Fresh Dijkstra rows over the tables' CSR (``exclude`` masked out)."""
-    if exclude is not None and len(indices) == 1 and int(indices[0]) == int(exclude):
-        # The excluded node has no out-links: it reaches only itself.
-        unit = np.full((1, tables.weights.shape[0]), np.inf)
-        unit[0, int(exclude)] = 0.0
-        return unit
+    """Fresh Dijkstra rows: row ``i`` from node ``source[i]`` of member
+    ``member[i]``, that member's excluded node's out-edges removed.
+
+    Every row comes from csgraph calls over the tables' block-diagonal
+    CSR (as few as :data:`_SWEEP_MAX_CELLS` allows); blocks are
+    disconnected, so each row is exactly its member's own sweep.
+    """
+    members, n, _ = tables.weights.shape
+    out = np.full((len(member), n), np.inf)
+    # The excluded node has no out-links: it reaches only itself.
+    lone = source == excluded[member]
+    out[lone, source[lone]] = 0.0
+    if lone.all():
+        return out
+    todo = np.flatnonzero(~lone)
     csr = tables.csr
-    if exclude is not None:
-        lo = int(csr.indptr[int(exclude)])
-        hi = int(csr.indptr[int(exclude) + 1])
-        if hi > lo:
-            # An inf-weight edge is unusable for any finite distance,
-            # so masking the excluded node's out-edges this way
-            # yields the very same distances as removing them.
-            data = csr.data.copy()
-            data[lo:hi] = np.inf
-            csr = csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-    telemetry.kernel_call("shortest.repair.sweep", len(indices))
-    dist = _csgraph_dijkstra(csr, directed=True, indices=indices)
-    return np.atleast_2d(np.asarray(dist, dtype=float))
+    cut = [m * n + int(excluded[m]) for m in set(member[todo].tolist()) if excluded[m] >= 0]
+    if cut:
+        # An inf-weight edge is unusable for any finite distance, so
+        # masking the excluded nodes' out-edges this way yields the
+        # very same distances as removing them.
+        data = csr.data.copy()
+        for key in cut:
+            data[csr.indptr[key] : csr.indptr[key + 1]] = np.inf
+        csr = csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+    step = max(1, _SWEEP_MAX_CELLS // (members * n))
+    for start in range(0, len(todo), step):
+        rows = todo[start : start + step]
+        telemetry.kernel_call("shortest.repair.sweep", len(rows))
+        dist = _csgraph_dijkstra(csr, directed=True, indices=member[rows] * n + source[rows])
+        dist = np.asarray(dist, dtype=float).reshape(len(rows), members, n)
+        out[rows] = dist[np.arange(len(rows)), member[rows]]
+    return out
 
 
 def screen_shortest_repair(
     old: np.ndarray,
     sources: np.ndarray,
-    changed: Iterable[int],
+    changed: Iterable,
     tables: ShortestRepairTables,
     *,
-    exclude: Optional[int] = None,
+    exclude=None,
 ) -> ShortestRepairScreen:
     """Phase 1 of :func:`repair_shortest_rows`: new changed rows + suspects.
 
@@ -244,40 +294,56 @@ def screen_shortest_repair(
     node starts on a changed out-link) and flags, by the triangle test
     derived in :func:`repair_shortest_rows`, every other cell a changed
     node could affect.  A caller that wants to look at the outcome
-    first (:attr:`~ShortestRepairScreen.share`,
-    :attr:`~ShortestRepairScreen.sweeps`) hands the screen back to
-    :func:`repair_shortest_rows` (``screen=``) so it is computed once.
+    first (:attr:`~ShortestRepairScreen.sweeps`) hands the screen back
+    to :func:`repair_shortest_rows` (``screen=``) so it is computed once.
+    The arguments are :func:`repair_shortest_rows`'s, stacked or 2-D.
     """
-    old = np.asarray(old, dtype=float)
-    rows, n = old.shape
+    if np.ndim(old) == 2:
+        rows, suspect = screen_shortest_repair(
+            np.asarray(old)[None], sources, [changed], tables, exclude=[exclude]
+        )
+        return ShortestRepairScreen(rows[0], suspect[0])
+    old, changed, excluded = _stacked(old, changed, exclude)
+    members, rows, n = old.shape
     sources = np.asarray(sources, dtype=int)
-    changed = sorted({int(c) for c in changed})
     repaired = old.copy()
-    if rows == 0 or not changed:
+    if rows == 0 or not any(changed):
         return ShortestRepairScreen(repaired, np.zeros(old.shape, dtype=bool))
-    rows_of = [np.flatnonzero(sources == r) for r in changed]
-    changed_rows = np.concatenate(rows_of)
-    if len(changed_rows):
-        repaired[changed_rows] = _sweep_rows(tables, sources[changed_rows], exclude)
-    slack = 1.0 - _SCREEN_SLACK * n * np.finfo(float).eps
+    # One entry per (member, changed node) pair, member-major; ``rank``
+    # is the pair's place in its member's change set.
+    pm = np.array([m for m, nodes in enumerate(changed) for _ in nodes])
+    pr = np.array([r for nodes in changed for r in nodes])
+    rank = [t for nodes in changed for t in range(len(nodes))]
+    row_of = np.full(n, -1)
+    row_of[sources] = np.arange(rows)
+    prow = row_of[pr]
+    own = prow >= 0
+    at = (pm[own], prow[own])
+    repaired[at] = _sweep_rows(tables, at[0], pr[own], excluded)
+    slack = 1.0 - _SCREEN_SLACK * n * _EPS
+    # NaN marks "no path this way": it survives the additions and
+    # compares False below, which is what exempts unreachable heads and
+    # tails, and column r itself.
+    head = old[pm, :, pr] * slack
+    head[np.isinf(head)] = np.nan
+    tail = np.zeros((len(pm), n))  # only the prefix bound is known
+    tail[own] = np.minimum(old[at], repaired[at]) * slack
+    tail[np.isinf(tail)] = np.nan
+    tail[np.arange(len(pm)), pr] = np.nan
     bound = None
-    for r, at in zip(changed, rows_of):
-        # NaN marks "no path this way": it survives the additions and
-        # compares False below, which is what exempts unreachable heads
-        # and tails, and column r itself.
-        head = old[:, r] * slack
-        head[np.isinf(head)] = np.nan
-        if len(at):
-            tail = np.minimum(old[at[0]], repaired[at[0]]) * slack
-            tail[np.isinf(tail)] = np.nan
-        else:
-            tail = np.zeros(n)  # only the prefix bound is known
-        tail[r] = np.nan
-        through = head[:, None] + tail[None, :]
-        bound = through if bound is None else np.fmin(bound, through, out=bound)
+    for t in range(max(rank) + 1):
+        # The t-th changed node of every member that has one.
+        nth = [i for i, k in enumerate(rank) if k == t]
+        through = head[nth, :, None] + tail[nth, None, :]
+        if len(nth) == members:
+            bound = through if bound is None else np.fmin(bound, through, out=bound)
+            continue
+        if bound is None:
+            bound = np.full(old.shape, np.nan)
+        bound[pm[nth]] = np.fmin(through, bound[pm[nth]], out=through)
     suspect = bound <= old
-    suspect[changed_rows] = False
-    suspect[np.arange(rows), sources] = False
+    suspect[at] = False
+    suspect[:, np.arange(rows), sources] = False
     return ShortestRepairScreen(repaired, suspect)
 
 
@@ -285,34 +351,38 @@ def _relax_cells(
     values: np.ndarray,
     suspect: np.ndarray,
     tables: ShortestRepairTables,
-    exclude: Optional[int],
+    excluded: np.ndarray,
 ) -> np.ndarray:
     """Bellman fixpoint of the ``suspect`` cells of ``values``, in place.
 
-    Each suspect cell ``(h, j)`` restarts from ``inf`` and is relaxed
-    over ``j``'s in-edges only — ``min_u values[h, u] + w(u, j)``, one
-    ragged gather plus a segmented minimum per round — until a round
-    changes nothing.  Every other cell is read, never written.
+    Each suspect cell ``(m, h, j)`` restarts from ``inf`` and is relaxed
+    over member ``m``'s in-edges of ``j`` only — ``min_u values[m, h, u]
+    + w(u, j)``, one ragged gather plus a segmented minimum per round
+    over every member at once — until a round changes nothing.  Every
+    other cell is read, never written.
     """
-    n = values.shape[1]
-    indptr, src, w = tables.edges
-    if exclude is not None:
-        w = np.where(src == int(exclude), np.inf, w)
+    members, rows, n = values.shape
+    indptr, src, w, owner = tables.edges
+    if excluded.max() >= 0:
+        # The excluded node's out-edges are absent from its member.
+        w = np.where(src == excluded[owner], np.inf, w)
     flat = values.reshape(-1)
     cell = np.flatnonzero(suspect)
     flat[cell] = np.inf
     col = cell % n
-    degree = indptr[col + 1] - indptr[col]
+    key = col if members == 1 else cell // (rows * n) * n + col
+    degree = indptr[key + 1] - indptr[key]
     fed = degree > 0  # cells with no in-edge stay unreachable
-    cell, col, degree = cell[fed], col[fed], degree[fed]
+    if not fed.all():
+        cell, col, key, degree = cell[fed], col[fed], key[fed], degree[fed]
     telemetry.kernel_call("shortest.repair.relax", len(cell))
     if not len(cell):
         return values
     starts = np.zeros(len(cell), dtype=np.int64)
     np.cumsum(degree[:-1], out=starts[1:])
-    # Ragged expansion: cell c owns edges indptr[col[c]] .. +degree[c].
+    # Ragged expansion: cell c owns edges indptr[key[c]] .. +degree[c].
     edge = np.arange(int(starts[-1] + degree[-1])) + np.repeat(
-        indptr[col] - starts, degree
+        indptr[key] - starts, degree
     )
     feeder = np.repeat(cell - col, degree) + src[edge]
     w = w[edge]
@@ -329,10 +399,10 @@ def _relax_cells(
 def repair_shortest_rows(
     old: np.ndarray,
     sources: np.ndarray,
-    changed: Iterable[int],
+    changed: Iterable,
     adjacency: Optional[np.ndarray],
     *,
-    exclude: Optional[int] = None,
+    exclude=None,
     tables: Optional[ShortestRepairTables] = None,
     screen: Optional[ShortestRepairScreen] = None,
 ) -> np.ndarray:
@@ -343,16 +413,20 @@ def repair_shortest_rows(
     old:
         ``(rows, n)`` distance rows, each valid for an earlier version of
         the graph (``inf`` for unreachable — the
-        :func:`shortest_path_costs_multi` default convention).
+        :func:`shortest_path_costs_multi` default convention) — or an
+        ``(M, rows, n)`` stack of such rows, one independent overlay per
+        member, which the kernel repairs in one call.
     sources:
-        The source node of each row.
+        The (distinct) source node of each row, shared by every member.
     changed:
         Nodes whose *out-links* changed between the old graph and
         ``adjacency`` (a re-wire changes exactly one node's out-links;
         membership-preserving epochs accumulate one entry per re-wire).
+        Stacked: one such collection per member.
     adjacency:
-        Dense ``n x n`` announced-weight matrix of the **new** graph,
-        ``NaN`` marking absent edges (unused when ``tables`` is given).
+        Dense ``n x n`` (stacked: ``M x n x n``) announced-weight matrix
+        of the **new** graph, ``NaN`` marking absent edges (unused when
+        ``tables`` is given).
     exclude:
         Optionally a node whose out-edges are treated as absent even if
         present in ``adjacency`` — the residual-graph convention, letting
@@ -360,7 +434,8 @@ def repair_shortest_rows(
         ``tables``) across every node's residual repair instead of
         materialising per-node copies.  Deriving node ``i``'s residual
         rows from the all-pairs matrix of the full overlay is the call
-        ``changed={i}, exclude=i``.
+        ``changed={i}, exclude=i``.  Stacked: one node (or None) per
+        member.
     tables:
         Optional precomputed :func:`shortest_inbound_tables` result for
         that sharing.
@@ -369,7 +444,11 @@ def repair_shortest_rows(
         arguments, from a caller that already screened.
 
     Returns rows bit-identical to a fresh
-    :func:`shortest_path_costs_multi` sweep of the new graph.
+    :func:`shortest_path_costs_multi` sweep of the new graph (of each
+    member's new graph, stacked).  Members are independent throughout:
+    one block-diagonal Dijkstra sweeps every member's changed rows, the
+    members whose screen says *sweep* are re-swept together, and the
+    rest relax together; no value of one member ever reads another's.
 
     Why an incremental update can be exact
     --------------------------------------
@@ -422,24 +501,36 @@ def repair_shortest_rows(
     suspect the rounds cannot beat one C-level multi-source sweep, which
     computes the same function and is equally bit-exact.
     """
-    old = np.asarray(old, dtype=float)
+    if np.ndim(old) == 2:
+        if screen is not None:
+            screen = ShortestRepairScreen(screen.rows[None], screen.suspect[None])
+        return repair_shortest_rows(
+            np.asarray(old)[None], sources, [changed], adjacency,
+            exclude=[exclude], tables=tables, screen=screen,
+        )[0]
+    old, changed, excluded = _stacked(old, changed, exclude)
+    members, rows, _n = old.shape
     sources = np.asarray(sources, dtype=int)
-    rows = old.shape[0]
-    changed = sorted({int(c) for c in changed})
-    if rows == 0 or not changed:
+    if rows == 0 or not any(changed):
         return old.copy()
-    telemetry.kernel_call("shortest.repair", rows)
+    telemetry.kernel_call("shortest.repair", members * rows)
     if tables is None:
         tables = shortest_inbound_tables(adjacency)
     if screen is None:
-        screen = screen_shortest_repair(old, sources, changed, tables, exclude=exclude)
+        screen = screen_shortest_repair(old, sources, changed, tables, exclude=excluded)
     repaired, suspect = screen
-    if screen.sweeps:
-        untouched = np.flatnonzero(~np.isin(sources, changed))
-        if len(untouched):
-            repaired[untouched] = _sweep_rows(tables, sources[untouched], exclude)
-        return repaired
-    return _relax_cells(repaired, suspect, tables, exclude)
+    refused = np.flatnonzero(screen.sweeps)
+    if len(refused):
+        # Every row of a refused member whose source did not change.
+        untouched = [np.flatnonzero(~np.isin(sources, changed[m])) for m in refused]
+        member = np.repeat(refused, [len(at) for at in untouched])
+        at = np.concatenate(untouched)
+        repaired[member, at] = _sweep_rows(tables, member, sources[at], excluded)
+        if len(refused) == members:
+            return repaired
+        suspect = suspect.copy()
+        suspect[refused] = False
+    return _relax_cells(repaired, suspect, tables, excluded)
 
 
 def shortest_path_tree(

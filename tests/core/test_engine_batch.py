@@ -11,6 +11,7 @@ without churn, cheating, and BR(eps).
 import dataclasses
 import importlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -44,8 +45,9 @@ from repro.core.providers import (
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
+from repro.netsim.planetlab import synthetic_planetlab
 from repro.telemetry.diagnostics import pooled_cache_stats
-from repro.util.rng import spawn_generators
+from repro.util.rng import as_generator, spawn_generators
 from repro.util.validation import ValidationError
 
 # ``repro.routing`` re-exports a function named ``shortest_path``, which
@@ -377,9 +379,20 @@ class TestMaskedFusedChurnPath:
         assert falsified, "no re-wire ever met a pending speculative entry"
 
 
-def _churned_stacked_specs():
+def _churned_specs(k_values):
     churn = trace_driven_churn(14, 4 * 60.0, mean_on=400.0, mean_off=80.0, seed=5)
-    return _delay_specs(14, 11, churn=churn, compute_efficiency=True)
+    return _delay_specs(14, 11, churn=churn, compute_efficiency=True, k_values=k_values)
+
+
+def _churned_stacked_specs():
+    # Four engines of 14 nodes: below the floor even fully active.
+    return _churned_specs((2,))
+
+
+def _churned_maintained_specs():
+    # Eight engines of 14 nodes: the group's stacked membership crosses
+    # the floor although no single engine comes near it.
+    return _churned_specs((2, 3))
 
 
 def _settling_stacked_specs():
@@ -445,7 +458,8 @@ def _static_bandwidth_specs():
 _PLANNER_BRANCHES = {
     "stacked-churned": (_churned_stacked_specs, 4, "_plan_speculative_jobs"),
     "stacked-settling": (_settling_stacked_specs, 5, "_plan_speculative_jobs"),
-    "maintained-mixed": (_mixed_maintained_specs, 3, "derive_residual"),
+    "maintained-churned": (_churned_maintained_specs, 4, "_derive_residuals"),
+    "maintained-mixed": (_mixed_maintained_specs, 3, "_derive_residuals"),
     "bandwidth-avoid-one": (_static_bandwidth_specs, 6, "bottleneck_avoid_one"),
 }
 
@@ -715,6 +729,51 @@ class TestMaintainedAllPairs:
         _rows, counts = self._run_counting(batch, 2, monkeypatch)
         assert all(value == 0 for c in counts for value in c.values())
 
+    def test_the_floor_counts_the_group_and_one_build_serves_it(self, monkeypatch):
+        # Two engines of 40 nodes: neither reaches the floor alone, the
+        # group does.  Both matrices come from one stacked build, and
+        # every round derives both engines' residuals in one repair.
+        def specs():
+            return _delay_specs(
+                40,
+                21,
+                estimator="true",
+                policies={"best-response": BestResponsePolicy()},
+                k_values=(3, 4),
+            )
+
+        assert 40 < _MAINTAIN_MIN_ACTIVE <= 80
+        rounds = _count_calls(monkeypatch, "_prefill")
+        builds = [0]
+        original = engine_batch_module.batched_route_matrices
+
+        def build_spy(stack, *args, **kwargs):
+            builds[0] += 1
+            return original(stack, *args, **kwargs)
+
+        monkeypatch.setattr(engine_batch_module, "batched_route_matrices", build_spy)
+        batch = EngineBatch(specs(), batched=True)
+        _rows, counts = self._run_counting(
+            batch,
+            3,
+            monkeypatch,
+            also=("kernel.shortest.repair.calls", "batch.steps.skipped"),
+        )
+        assert self._digest([e.history for e in batch.engines]) == self._digest(
+            EngineBatch(specs(), batched=False).run(3)
+        )
+        assert [c["swept"] for c in counts] == [2, 0, 0]
+        # One stacked build, then one scoring sweep per epoch.
+        assert builds[0] == 1 + 3
+        assert all(c["refused"] == 0 for c in counts)
+        # Every opportunity of both engines is derived (or settled), yet
+        # a round runs at most two repairs, however wide the group.
+        assert all(c["derived"] + c["batch.steps.skipped"] == 2 * 40 for c in counts)
+        assert sum(c["kernel.shortest.repair.calls"] for c in counts) <= 2 * rounds[0]
+        alone = EngineBatch(specs()[:1], batched=True)
+        _rows, counts = self._run_counting(alone, 1, monkeypatch)
+        assert counts == [{"derived": 0, "updated": 0, "refused": 0, "swept": 0}]
+
 
 def _reachable_array_bytes(obj, seen=None):
     """Bytes of every ndarray reachable from ``obj`` through containers,
@@ -897,3 +956,91 @@ class TestSettledNodes:
             [engine.history for engine in restored.engines],
             [engine.history for engine in sequential.engines],
         )
+
+
+class TestChurnedGroupBudget:
+    """The Fig. 2 path as an exact count budget: 12 churned engines (BR
+    and BR(0.1) over k = 3..8, one trace-driven schedule, efficiency
+    scoring) run as one maintained group.  Every count below is a
+    property of the planner, not of the machine."""
+
+    N = 24
+    K_VALUES = (3, 4, 5, 6, 7, 8)
+    EPOCHS = 10
+    SEED = 2008
+
+    def _specs(self):
+        rng = as_generator(self.SEED)
+        space, _nodes = synthetic_planetlab(self.N, seed=rng)
+        churn = trace_driven_churn(
+            self.N, self.EPOCHS * 60.0, mean_on=1500.0, mean_off=300.0, seed=rng
+        )
+        cells = [(k, eps) for eps in (0.0, 0.1) for k in self.K_VALUES]
+        return [
+            EngineSpec(
+                label=f"br(eps={eps:g})@k={k}",
+                provider=DelayMetricProvider(space, estimator="true", seed=stream),
+                policy=BestResponsePolicy(epsilon=eps),
+                k=k,
+                churn=churn,
+                epsilon=eps,
+                compute_efficiency=True,
+                seed=stream,
+            )
+            for (k, eps), stream in zip(cells, spawn_generators(rng, len(cells)))
+        ]
+
+    def test_two_repairs_per_round_and_no_stray_sweep(self, monkeypatch):
+        rounds = _count_calls(monkeypatch, "_prefill")
+        callers = []
+        original = engine_batch_module.batched_route_matrices
+
+        def sweep_spy(stack, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(stack, *args, **kwargs)
+
+        monkeypatch.setattr(engine_batch_module, "batched_route_matrices", sweep_spy)
+        batch = EngineBatch(self._specs(), batched=True)
+        registry = telemetry.enable()
+        try:
+            batch.run(self.EPOCHS)
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        records = [r for engine in batch.engines for r in engine.history.records]
+        assert history_digest(records) == history_digest(
+            r
+            for history in EngineBatch(self._specs(), batched=False).run(self.EPOCHS)
+            for r in history.records
+        )
+        # The maintained group: at most one matrix update and one residual
+        # derivation per lockstep round, whatever the group's width.
+        assert counters["kernel.shortest.repair.calls"] <= 2 * rounds[0]
+        # Dijkstra sweeps only score epochs and build the group's matrices.
+        assert set(callers) == {"_finish_epochs", "_derive_residuals"}
+        assert callers.count("_finish_epochs") == self.EPOCHS
+        swept = counters["batch.prefill.swept"]
+        assert counters["kernel.batched_route_matrices.dijkstra.rows"] == self.N * (
+            self.EPOCHS * len(batch.engines) + swept
+        )
+        # Every opportunity is fused or skipped as settled.
+        opportunities = sum(r.active_nodes for r in records)
+        assert counters.get("batch.steps.sequential", 0) == 0
+        assert counters["batch.steps.fused"] + counters.get("batch.steps.skipped", 0) == (
+            opportunities
+        )
+
+    def test_a_pickled_group_restores_and_continues_identically(self):
+        batch = EngineBatch(self._specs(), batched=True)
+        batch.run(3)
+        assert all(st.maintained for st in batch._states)
+        data = pickle.dumps(batch)
+        # Checkpoints store no lockstep state: restore re-derives it.
+        assert b"_LockstepState" not in data and b"ShortestRepairTables" not in data
+        restored = pickle.loads(data)
+        assert restored._states is None and restored._tables is None
+        restored.run(3)
+        uninterrupted = EngineBatch(self._specs(), batched=True).run(6)
+        assert history_digest(
+            r for engine in restored.engines for r in engine.history.records
+        ) == history_digest(r for history in uninterrupted for r in history.records)

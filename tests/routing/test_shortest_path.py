@@ -400,3 +400,99 @@ class TestRepairOnTieRichGraphs:
         assert np.array_equal(
             repair_shortest_rows(old, sources, [1], cut), _fresh(cut, sources)
         )
+
+
+def _masked_member(n, rng):
+    """A tie-rich overlay whose inactive nodes (about one in six) have
+    neither in- nor out-links — the lockstep batch's churned engines."""
+    active = np.flatnonzero(rng.random(n) >= 1 / 6)
+    if len(active) < 2:
+        active = np.arange(n)
+    dense = np.full((n, n), np.nan)
+    dense[np.ix_(active, active)] = _tie_rich_dense(len(active), rng)
+    return dense, active
+
+
+def _hub_member(n):
+    """Every node's only out-link goes to node 0, which links to all:
+    every route passes through the hub, so re-wiring it is refused."""
+    dense = np.full((n, n), np.nan)
+    dense[1:, 0] = 1.0
+    dense[0, 1:] = 1.0
+    new = dense.copy()
+    new[0, 1:] = 2.0
+    return _fresh(dense, np.arange(n)), new, [0], None
+
+
+class TestStackedRepair:
+    """The stacked kernel: members are independent overlays with their own
+    change sets and excluded nodes, repaired in one call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 30),
+        st.integers(0, 100_000),
+        st.lists(st.sampled_from(["update", "derive", "bystander"]), min_size=6, max_size=6),
+    )
+    def test_stacked_repair_equals_fresh_sweeps_per_member(self, members, n, seed, modes):
+        rng = np.random.default_rng(seed)
+        sources = np.arange(n)
+        cases = []
+        for mode in modes[:members]:
+            dense, active = _masked_member(n, rng)
+            if mode == "derive":
+                # Residual rows out of all-pairs rows of the same overlay.
+                node = int(rng.choice(active))
+                cases.append((_fresh(dense, sources), dense, [node], node))
+                continue
+            count = int(rng.integers(1, min(3, len(active)) + 1))
+            changed = [int(c) for c in rng.choice(active, size=count, replace=False)]
+            sub = dense[np.ix_(active, active)]
+            for node in changed:
+                _tie_rich_rewire(sub, int(np.flatnonzero(active == node)[0]), rng)
+            new = dense.copy()
+            new[np.ix_(active, active)] = sub
+            idle = [int(x) for x in active if x not in changed]
+            exclude = int(rng.choice(idle)) if mode == "bystander" and idle else None
+            cases.append((_fresh(dense, sources, exclude), new, changed, exclude))
+        mixed = n >= 5
+        if mixed:
+            # One call must hold a refused member and a relaxed one.
+            cases.append(_hub_member(n))
+            quiet, _active = _masked_member(n, rng)
+            leaf = n - 1
+            quiet[:, leaf] = np.nan  # nobody routes through the leaf
+            re_wired = quiet.copy()
+            re_wired[leaf, :] = np.nan
+            re_wired[leaf, 0] = 1.0
+            cases.append((_fresh(quiet, sources), re_wired, [leaf], None))
+        old = np.stack([stale for stale, _new, _c, _x in cases])
+        changed = [c for _old, _new, c, _x in cases]
+        exclude = [x for _old, _new, _c, x in cases]
+        adjacency = np.stack([new for _old, new, _c, _x in cases])
+        tables = shortest_inbound_tables(adjacency)
+        screen = screen_shortest_repair(old, sources, changed, tables, exclude=exclude)
+        if mixed:
+            assert screen.sweeps[-2] and not screen.sweeps[-1]
+        repaired = repair_shortest_rows(old, sources, changed, adjacency, exclude=exclude)
+        handed = repair_shortest_rows(
+            old, sources, changed, None, exclude=exclude, tables=tables, screen=screen
+        )
+        for m, (_old, new, _c, x) in enumerate(cases):
+            fresh = _fresh(new, sources, x)
+            assert np.array_equal(repaired[m], fresh), f"member {m}"
+            assert np.array_equal(handed[m], fresh), f"member {m}"
+
+    def test_a_2d_call_is_the_one_member_stack(self):
+        rng = np.random.default_rng(3)
+        dense = _tie_rich_dense(12, rng)
+        new = dense.copy()
+        _tie_rich_rewire(new, 4, rng)
+        sources = np.arange(12)
+        old = _fresh(dense, sources, 7)
+        flat = repair_shortest_rows(old, sources, [4], new, exclude=7)
+        stacked = repair_shortest_rows(old[None], sources, [[4]], new[None], exclude=[7])
+        assert stacked.shape == (1, 12, 12)
+        assert np.array_equal(flat, stacked[0])
+        assert np.array_equal(flat, _fresh(new, sources, 7))
