@@ -42,7 +42,6 @@ setup(
     extras_require={
         "test": [
             "pytest",
-            "pytest-benchmark",
             "hypothesis",
         ],
     },

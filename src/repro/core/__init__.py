@@ -54,9 +54,10 @@ opportunities in broadcasts (the unreachable clamp and the preference
 weights folded into its via tensor once, not per pass), the stacked
 route-value sweeps, and the bandwidth residual fill.  Each batch adds
 only its planner and its adoption rule, and each is bit-identical to
-running its deployments one by one (``batched=False``), gated by
-``benchmarks/test_bench_deployment_batch.py`` and
-``benchmarks/test_bench_engine_batch.py``.
+running its deployments one by one (``batched=False``), with exact
+kernel-call and Dijkstra-row budgets in ``tests/core/test_deployment_batch.py``
+(``test_four_panel_sweep_batched_call_budget``) and
+``tests/core/test_engine_batch.py`` (``TestEpochSweepBudget``).
 
 The engine batch keeps a verdict, not a matrix, where it can.  From 64
 active nodes up an additive engine derives each residual from one

@@ -78,8 +78,9 @@ Dijkstra runs, no arithmetic reordering).  A settled node's skipped
 step is exact because the token covers every input of the verdict.
 ``batched=False`` does not plan at all: it runs each engine's
 ``run(epochs)`` sequentially, i.e. today's engine byte-for-byte, which
-is the parity anchor and the benchmark baseline
-(``benchmarks/test_bench_engine_batch.py``).
+is the parity anchor and the count baseline
+(``tests/core/test_engine_batch.py::TestEpochSweepBudget``: 56 020
+sequential Dijkstra rows against the lockstep sweep's 5 886).
 """
 
 from __future__ import annotations

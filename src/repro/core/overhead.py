@@ -12,9 +12,9 @@ The paper quantifies three overheads and argues they are all small:
   quickly as the overlay reaches steady state and can be reduced further
   with BR(ε).
 
-The functions here implement those formulas so benchmarks can compare the
-analytic expectations against the traffic actually accounted by the
-simulated link-state protocol.
+The functions here implement those formulas so the ``overheads`` experiment
+can compare the analytic expectations against the traffic actually
+accounted by the simulated link-state protocol.
 """
 
 from __future__ import annotations

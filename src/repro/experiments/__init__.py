@@ -2,9 +2,11 @@
 
 Every figure of the paper's evaluation has a driver here that generates
 the workload, runs the relevant policies, and returns the series the
-figure plots.  The benchmark harness (``benchmarks/``) and the examples
-(``examples/``) are thin wrappers around these drivers, so the numbers in
-EXPERIMENTS.md can be regenerated from a single place.
+figure plots.  The paper-scale shape checks
+(``tests/experiments/test_drivers.py``, the ``test_paper_scale_*``
+tests) and the examples (``examples/``) are thin wrappers around these
+drivers, so the numbers in EXPERIMENTS.md can be regenerated from a
+single place.
 """
 
 from repro.experiments.harness import ExperimentResult, Series

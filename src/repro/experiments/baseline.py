@@ -36,8 +36,8 @@ batch through :class:`~repro.core.deployment_batch.DeploymentBatch`
 ``batched=False`` preserves the sequential reference path (one
 :func:`~repro.core.policies.build_overlay` plus one ``all_node_costs``
 per deployment).  Both paths are bitwise identical series-for-series —
-parity is tested, and the wall-clock gate lives in
-``benchmarks/test_bench_deployment_batch.py``.
+parity is tested, and the paper-scale kernel-call budget is
+``tests/core/test_deployment_batch.py::TestFig1SweepParity::test_four_panel_sweep_batched_call_budget``.
 """
 
 from __future__ import annotations

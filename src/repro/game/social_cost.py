@@ -3,7 +3,7 @@
 The SNS literature cited by the paper shows that, for uniform preferences
 and link weights, pure Nash equilibria exist and their social cost is
 within a constant factor of the social optimum.  These helpers let the
-library's tests and ablation benchmarks quantify that gap empirically:
+library's tests quantify that gap empirically:
 the social cost of a wiring, a greedy approximation of the social optimum
 (exhaustive search is exponential), and the resulting empirical
 price-of-anarchy style ratio.

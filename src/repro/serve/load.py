@@ -198,7 +198,7 @@ def format_summary(report: LoadReport) -> str:
 
 
 def write_report(report: LoadReport, path: str) -> None:
-    """Persist the report as JSON (for BENCH-style tracking)."""
+    """Persist the report as JSON (for tracking across runs)."""
     with open(path, "w") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")

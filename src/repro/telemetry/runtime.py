@@ -6,8 +6,9 @@ here (:func:`span`, :func:`event`, :func:`count`, :func:`observe`,
 the default — every helper is one global read plus a ``None`` check and
 returns a module-level singleton where a value is needed, so the
 instrumented hot paths stay within noise of un-instrumented code
-(``benchmarks/test_bench_telemetry_overhead.py`` gates this at <2% of
-an epoch's wall-clock) and allocate nothing that survives the call.
+(``tests/telemetry/test_off_cost.py`` gates this at <2% of an epoch's
+wall-clock, on both engine planners) and allocate nothing that survives
+the call.
 
 Enabling is explicit and process-local::
 

@@ -6,10 +6,51 @@ import numpy as np
 import pytest
 
 from repro.core.cost import BandwidthMetric, DelayMetric, NodeLoadMetric
+from repro.experiments import (
+    fig1_bandwidth,
+    fig1_delay_ping,
+    fig1_delay_pyxida,
+    fig1_node_load,
+)
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
 from repro.netsim.planetlab import synthetic_planetlab
+from repro.telemetry import runtime as telemetry
+
+
+def _fig1_four_panel(batched: bool):
+    """The four Fig. 1 panels at paper scale (n = 50, k = 2..8, seed 2008,
+    three BR rounds, full mesh on the ping panel), run with telemetry on:
+    ``((ping, pyxida, node load, bandwidth), counters)``."""
+    kwargs = dict(
+        n=50, k_values=(2, 3, 4, 5, 6, 7, 8), seed=2008, br_rounds=3, batched=batched
+    )
+    registry = telemetry.enable()
+    try:
+        results = (
+            fig1_delay_ping(include_full_mesh=True, **kwargs),
+            fig1_delay_pyxida(**kwargs),
+            fig1_node_load(**kwargs),
+            fig1_bandwidth(**kwargs),
+        )
+        return results, registry.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+
+
+@pytest.fixture(scope="session")
+def fig1_paper_scale():
+    """The batched paper-scale Fig. 1 sweep, computed once per session:
+    the panel-shape checks (tests/experiments) and the kernel-call budget
+    (tests/core) read the same run."""
+    return _fig1_four_panel(batched=True)
+
+
+@pytest.fixture
+def fig1_paper_scale_sequential():
+    """The same sweep on the sequential tier (``batched=False``)."""
+    return _fig1_four_panel(batched=False)
 
 
 @pytest.fixture

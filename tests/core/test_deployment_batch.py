@@ -152,6 +152,16 @@ class TestBatchedSequentialParity:
 class TestFig1SweepParity:
     """Seeded Fig. 1 panels are byte-identical under both paths."""
 
+    #: ``kernel.batched_route_matrices.dijkstra.calls`` of the batched
+    #: paper-scale four-panel sweep (140 deployments, seed 2008).
+    DIJKSTRA_CALL_BUDGET = 453
+    #: ``kernel.widest.avoid_one.calls``; only the bandwidth panel reaches
+    #: the widest-path kernels, so the four-panel total is that panel's.
+    AVOID_ONE_CALL_BUDGET = 1
+    #: The sequential side's ``kernel.shortest.multi.calls`` (3241 here) must
+    #: exceed the batched Dijkstra calls by at least this factor.
+    REQUIRED_CALL_RATIO = 5
+
     @pytest.mark.parametrize(
         "driver,kwargs",
         [
@@ -166,6 +176,27 @@ class TestFig1SweepParity:
             n=20, k_values=(2, 4), seed=11, br_rounds=2, batched=False, **kwargs
         )
         assert batched.as_dict() == sequential.as_dict()
+
+    def test_four_panel_sweep_batched_call_budget(
+        self, fig1_paper_scale, fig1_paper_scale_sequential
+    ):
+        """What stacking buys, as exact kernel-call counts: the batched
+        sweep's stacked Dijkstra calls stay within the budget pinned at
+        seed 2008, far below the one sweep per opportunity the sequential
+        side pays, and the bandwidth panel closes every residual graph of
+        an overlay version in one avoid-one pass."""
+        batched_results, batched_counters = fig1_paper_scale
+        scalar_results, scalar_counters = fig1_paper_scale_sequential
+        for batched_result, scalar_result in zip(batched_results, scalar_results):
+            assert batched_result.as_dict() == scalar_result.as_dict(), (
+                f"{batched_result.figure}: batched and sequential series diverged"
+            )
+        dijkstra_calls = batched_counters["kernel.batched_route_matrices.dijkstra.calls"]
+        avoid_one_calls = batched_counters["kernel.widest.avoid_one.calls"]
+        sequential_calls = scalar_counters["kernel.shortest.multi.calls"]
+        assert 0 < dijkstra_calls <= self.DIJKSTRA_CALL_BUDGET
+        assert 0 < avoid_one_calls <= self.AVOID_ONE_CALL_BUDGET
+        assert sequential_calls >= self.REQUIRED_CALL_RATIO * dijkstra_calls
 
 
 class TestRouteValueTensor:

@@ -42,11 +42,12 @@ from repro.core.providers import (
     LoadMetricProvider,
     MetricProvider,
 )
+from repro.experiments import fig3_epsilon_comparison
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
-from repro.netsim.planetlab import synthetic_planetlab
-from repro.telemetry.diagnostics import pooled_cache_stats
+from repro.netsim.planetlab import synthetic_planetlab, uniform_delay_space
+from repro.telemetry.diagnostics import pooled_cache_stats, strip_diagnostics
 from repro.util.rng import as_generator, spawn_generators
 from repro.util.validation import ValidationError
 
@@ -464,6 +465,21 @@ _PLANNER_BRANCHES = {
 }
 
 
+#: Every kernel that runs Dijkstra rows: the stacked block sweeps (the
+#: epoch's scoring, the planner's matrix build), the plain multi-source
+#: sweep, and the sweeps inside the repair kernel (changed rows,
+#: refusals).
+DIJKSTRA_KERNELS = (
+    "batched_route_matrices.dijkstra",
+    "shortest.multi",
+    "shortest.repair.sweep",
+)
+
+
+def _dijkstra_rows(counters) -> int:
+    return sum(counters.get(f"kernel.{name}.rows", 0) for name in DIJKSTRA_KERNELS)
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of a planner entry point (see ``_PLANNER_BRANCHES``)."""
     owner = next(
@@ -774,6 +790,36 @@ class TestMaintainedAllPairs:
         _rows, counts = self._run_counting(alone, 1, monkeypatch)
         assert counts == [{"derived": 0, "updated": 0, "refused": 0, "swept": 0}]
 
+    def test_maintained_matrix_dijkstra_row_budget(self):
+        """A static n=128 BR engine serves its third epoch from the
+        maintained matrix: the scoring sweep (n rows) plus one changed row
+        per version bump (at most n), with room for one full re-sweep
+        after a refusal.  A fresh sweep per opportunity is n * (n - 1)
+        = 16 256 rows."""
+        n, k, epochs = 128, 6, 3
+        rng = as_generator(np.random.SeedSequence([2008, n]))
+        space = uniform_delay_space(n, seed=rng)
+        (stream,) = spawn_generators(rng, 1)
+        spec = EngineSpec(
+            label="br",
+            provider=DelayMetricProvider(space, estimator="true", seed=stream),
+            policy=BestResponsePolicy(),
+            k=k,
+            seed=stream,
+        )
+        batch = EngineBatch([spec], batched=True)
+        registry = telemetry.enable()
+        try:
+            for _ in range(epochs - 1):
+                batch.step_epoch()
+            before = _dijkstra_rows(registry.snapshot()["counters"])
+            (record,) = batch.step_epoch()
+            rows = _dijkstra_rows(registry.snapshot()["counters"]) - before
+        finally:
+            telemetry.disable()
+        assert record.rewirings > 0, "the gate must measure a re-wiring epoch"
+        assert rows <= 3 * n
+
 
 def _reachable_array_bytes(obj, seen=None):
     """Bytes of every ndarray reachable from ``obj`` through containers,
@@ -1044,3 +1090,57 @@ class TestChurnedGroupBudget:
         assert history_digest(
             r for engine in restored.engines for r in engine.history.records
         ) == history_digest(r for history in uninterrupted for r in history.records)
+
+
+class TestEpochSweepBudget:
+    """The Fig. 3 BR vs BR(0.1) drift sweep (14 engines, n = 20, k = 2..8,
+    10 epochs, drift 0.01, seed 2008) through the Scenario API, as exact
+    counts pinned at seed 2008.  The group's 280 active nodes put it on
+    the maintained planner, and the ping estimates move every epoch, so
+    each opportunity repairs its engine's matrix once."""
+
+    OPPORTUNITIES = 2 * 7 * 20 * 10
+    ROUNDS = 20 * 10
+
+    @staticmethod
+    def _sweep(batched):
+        registry = telemetry.enable()
+        try:
+            result = fig3_epsilon_comparison(
+                n=20,
+                k_values=(2, 3, 4, 5, 6, 7, 8),
+                epochs=10,
+                drift_relative_std=0.01,
+                seed=2008,
+                batched=batched,
+            )
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        document = result.as_dict()
+        strip_diagnostics(document)
+        return document, counters
+
+    def test_counts_pinned_at_seed_2008(self, monkeypatch):
+        rounds = _count_calls(monkeypatch, "_prefill")
+        batched, counters = self._sweep(batched=True)
+        sequential, sequential_counters = self._sweep(batched=False)
+        assert batched == sequential
+        # Every opportunity is one fused step.
+        assert counters["batch.steps.fused"] == self.OPPORTUNITIES
+        assert counters.get("batch.steps.sequential", 0) == 0
+        assert counters.get("batch.steps.skipped", 0) == 0
+        # 10 scorings + 1 build of 14 x 20 rows, the full-mesh reference,
+        # and one changed row per matrix update: about a tenth of the
+        # sequential tier's one n-source sweep per opportunity.
+        assert {
+            name: counters.get(f"kernel.{name}.rows", 0) for name in DIJKSTRA_KERNELS
+        } == {
+            "batched_route_matrices.dijkstra": 3_080,
+            "shortest.multi": 20,
+            "shortest.repair.sweep": 2_786,
+        }
+        assert _dijkstra_rows(sequential_counters) == 56_020
+        # At most one matrix update and one derivation per lockstep round.
+        assert rounds[0] == self.ROUNDS
+        assert counters["kernel.shortest.repair.calls"] == 399

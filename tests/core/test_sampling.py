@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.best_response import WiringEvaluator
 from repro.core.cost import DelayMetric
 from repro.core.policies import BestResponsePolicy, build_overlay
 from repro.core.sampling import (
@@ -13,6 +14,8 @@ from repro.core.sampling import (
     sampling_message_cost,
     topology_biased_sample,
 )
+from repro.experiments.sampling_exp import incremental_overlay
+from repro.netsim.planetlab import synthetic_planetlab_trace
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError
 
@@ -107,6 +110,49 @@ class TestTopologyBiasedSample:
         )
         assert rank(biased) >= rank(uniform) * 0.9
 
+    def test_sampling_radius_ablation(self):
+        """Ablation: the paper fixes the neighbourhood radius r = 2.  Sweep
+        r in {1, 2, 3} and the oversampling factor in {1, 3} for a newcomer
+        joining a 99-node BR overlay from m = 10 candidates; its cost is
+        normalised by BR without sampling."""
+        n, k, m, trials = 100, 3, 10, 4
+        rng = np.random.default_rng(2008)
+        metric = DelayMetric(synthetic_planetlab_trace(n, seed=rng).matrix)
+        newcomer = n - 1
+        existing = list(range(newcomer))
+        base = incremental_overlay(metric, k, "best-response", nodes=existing, rng=rng)
+        residual = base.to_graph(active=existing)
+        evaluator = WiringEvaluator(
+            newcomer, metric, residual, candidates=existing, destinations=existing
+        )
+        reference = sampled_best_response(newcomer, metric, residual, k, existing, rng=rng)
+        reference_cost = evaluator.evaluate(reference.neighbors)
+        ratio = {}
+        for radius in (1, 2, 3):
+            for oversample in (1, 3):
+                costs = []
+                for _ in range(trials):
+                    sample = topology_biased_sample(
+                        newcomer,
+                        metric,
+                        residual,
+                        m,
+                        oversample=oversample,
+                        radius=radius,
+                        candidates=existing,
+                        rng=rng,
+                    )
+                    join = sampled_best_response(
+                        newcomer, metric, residual, k, sample, rng=rng
+                    )
+                    costs.append(evaluator.evaluate(join.neighbors))
+                ratio[radius, oversample] = float(np.mean(costs)) / reference_cost
+        assert all(value < 2.0 for value in ratio.values())
+        # Oversampling (m' = 3m) never hurts materially at r = 2 ...
+        assert ratio[2, 3] <= ratio[2, 1] * 1.15
+        # ... and the paper's r = 2 is no worse than r = 1 with it.
+        assert ratio[2, 3] <= ratio[1, 3] * 1.15
+
 
 class TestSampledBestResponse:
     def test_neighbors_within_sample(self, base_overlay):
@@ -123,7 +169,7 @@ class TestSampledBestResponse:
 
     def test_full_sample_matches_unsampled_br(self, base_overlay):
         metric, graph, existing = base_overlay
-        from repro.core.best_response import WiringEvaluator, best_response
+        from repro.core.best_response import best_response
 
         full = sampled_best_response(19, metric, graph, 3, existing, rng=0)
         evaluator = WiringEvaluator(

@@ -1,8 +1,12 @@
 """Integration tests for the figure-level experiment drivers.
 
-These run each driver at a reduced scale and check the *shape* of the
-result the paper reports (who wins, monotone trends, normalisation), not
-absolute values.
+These run each driver and check the *shape* of the result the paper
+reports (who wins, monotone trends, normalisation), not absolute values:
+once at a reduced scale, and once at (or near) the paper's scale in the
+``test_paper_scale_*`` tests — n = 50 as on PlanetLab for Figs. 1, 3, 4,
+10 and 11; n = 24 for the churn sweeps of Fig. 2 and n = 120 (the paper
+has 295) for the sampling Figs. 5-8, so the suite stays fast.  The
+drivers take the paper-scale parameters directly for the full run.
 """
 
 import numpy as np
@@ -105,6 +109,53 @@ class TestFig1:
         for label in ("k-random", "k-regular", "k-closest"):
             assert all(v <= 1.1 for v in result.series[label].y), label
 
+    # The four panels at paper scale share one sweep (``fig1_paper_scale``
+    # in tests/conftest.py: n = 50, k = 2..8, seed 2008, three BR rounds).
+
+    def test_paper_scale_delay_ping(self, fig1_paper_scale):
+        """Top-left: heuristics ~1.5-4x of BR at k = 2, converging as k
+        grows; the full mesh at or below 1 (~0.7 at k = 2, ~1 by k = 4-5)."""
+        (result, _pyxida, _load, _bandwidth), _counters = fig1_paper_scale
+        assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
+        for label in ("k-random", "k-regular", "k-closest"):
+            assert all(v >= 0.99 for v in result.series[label].y), label
+        # The BR advantage is most pronounced at the smallest k.
+        assert np.mean(
+            [result.series[l].y[0] for l in ("k-random", "k-regular", "k-closest")]
+        ) > 1.15
+        mesh = result.series["full-mesh"].y
+        assert all(v <= 1.02 for v in mesh)
+        assert mesh[-1] >= 0.75
+
+    def test_paper_scale_delay_pyxida(self, fig1_paper_scale):
+        """Top-right: the ping panel's ordering, noisier because coordinate
+        estimates are less accurate than ping."""
+        (_ping, result, _load, _bandwidth), _counters = fig1_paper_scale
+        assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
+        for label in ("k-random", "k-regular"):
+            assert np.mean(result.series[label].y) > 1.05, label
+        # k-Closest may tie BR under estimation noise but never dominates it.
+        assert np.mean(result.series["k-closest"].y) > 0.95
+
+    def test_paper_scale_node_load(self, fig1_paper_scale):
+        """Bottom-left: BR best at every k, k-Closest no better than k-Random
+        (it cannot predict past the immediate neighbour)."""
+        (_ping, _pyxida, result, _bandwidth), _counters = fig1_paper_scale
+        assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
+        mean = lambda label: np.mean(result.series[label].y)
+        for label in ("k-random", "k-regular", "k-closest"):
+            assert mean(label) > 1.0, label
+        assert mean("k-closest") >= mean("k-random") * 0.9
+
+    def test_paper_scale_bandwidth(self, fig1_paper_scale):
+        """Bottom-right: every heuristic's bandwidth / BR's sits below 1."""
+        (_ping, _pyxida, _load, result), _counters = fig1_paper_scale
+        assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
+        for label in ("k-random", "k-regular", "k-closest"):
+            series = result.series[label].y
+            assert all(v <= 1.05 for v in series), label
+            assert np.mean(series) < 1.0, label
+
 
 class TestFig2:
     def test_efficiency_vs_k_shapes(self):
@@ -121,6 +172,36 @@ class TestFig2:
         )
         assert "hybrid-br" in result.series
         assert len(result.series["hybrid-br"].y) == 2
+
+    def test_paper_scale_efficiency_vs_k(self):
+        """Left panel: BR best, HybridBR approaching BR as k grows, the
+        structured policies above the unstructured ones."""
+        result = fig2_efficiency_vs_k(
+            n=24, k_values=(3, 5, 7), seed=2008, epochs=10, horizon=10 * 60.0
+        )
+        assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
+        mean = lambda label: np.mean(result.series[label].y)
+        for label in ("k-random", "k-regular", "k-closest", "hybrid-br"):
+            assert mean(label) <= 1.1, label
+        assert mean("hybrid-br") >= mean("k-random")
+        assert mean("k-closest") >= mean("k-regular") * 0.9
+        hybrid = result.series["hybrid-br"].y
+        assert hybrid[-1] >= hybrid[0] * 0.9
+
+    def test_paper_scale_churn_rate_sweep(self):
+        """Right panel (k = 5): at the highest churn rate HybridBR holds up
+        at least as well as k-Random and stays competitive with BR."""
+        result = fig2_churn_rate_sweep(
+            n=24,
+            churn_rates=(1e-4, 1e-2, 1e-1),
+            k=5,
+            seed=2008,
+            epochs=10,
+            horizon=10 * 60.0,
+        )
+        hybrid = result.series["hybrid-br"].y
+        assert hybrid[-1] >= result.series["k-random"].y[-1] * 0.9
+        assert hybrid[-1] >= 0.5
 
 
 class TestFig3:
@@ -140,6 +221,33 @@ class TestFig3:
         # Cost stays within a reasonable factor of the full mesh.
         assert result.series["BR(0.1) cost/full mesh"].y[0] < 3.0
 
+    def test_paper_scale_rewirings_over_time(self):
+        """Left panel: the start-up epoch wires everyone, the rate drops as
+        EGOIST settles, and larger k keeps re-wiring more."""
+        result = fig3_rewirings_over_time(n=50, k_values=(2, 5, 8), epochs=12, seed=2008)
+        for k in (2, 5, 8):
+            series = result.series[f"k={k}"].y
+            assert series[0] == 50
+            assert np.mean(series[-4:]) < series[0]
+        steady = lambda k: np.mean(result.series[f"k={k}"].y[-4:])
+        assert steady(8) >= steady(2)
+
+    def test_paper_scale_epsilon_comparison(self):
+        """Centre and right panels: BR(0.1) re-wires much less than BR while
+        its cost relative to the full mesh stays within a few percent."""
+        result = fig3_epsilon_comparison(
+            n=50, k_values=(2, 4, 6, 8), epsilon=0.1, epochs=8, seed=2008
+        )
+        br_rewires = np.array(result.series["BR re-wirings"].y)
+        eps_rewires = np.array(result.series["BR(0.1) re-wirings"].y)
+        assert np.all(eps_rewires <= br_rewires + 1e-9)
+        assert eps_rewires.sum() <= br_rewires.sum() * 0.8 + 1.0
+        br_cost = np.array(result.series["BR cost/full mesh"].y)
+        eps_cost = np.array(result.series["BR(0.1) cost/full mesh"].y)
+        assert np.all(br_cost >= 0.95)
+        assert np.all(br_cost < 2.5)
+        assert np.all(eps_cost <= br_cost * 1.25 + 0.05)
+
 
 class TestFig4:
     def test_one_free_rider_bounded_impact(self):
@@ -153,6 +261,29 @@ class TestFig4:
         )
         assert result.series["free riders"].y[0] == pytest.approx(1.0)
         assert all(0.6 <= v <= 1.6 for v in result.series["non free riders"].y)
+
+    def test_paper_scale_one_free_rider(self):
+        """Left panel: one rider announcing 2x-inflated costs moves both its
+        own and the honest nodes' costs by a few percent at most."""
+        result = fig4_one_free_rider(
+            n=50, k_values=(2, 3, 4, 5, 6, 7, 8), inflation=2.0, seed=2008, br_rounds=2
+        )
+        for label in ("free rider", "non free riders"):
+            assert all(0.75 <= v <= 1.35 for v in result.series[label].y), label
+        assert abs(np.mean(result.series["non free riders"].y) - 1.0) < 0.15
+
+    def test_paper_scale_many_free_riders(self):
+        """Right panel: up to a third of the nodes cheating at k = 2."""
+        result = fig4_many_free_riders(
+            n=50,
+            free_rider_counts=(0, 4, 8, 12, 16),
+            k=2,
+            inflation=2.0,
+            seed=2008,
+            br_rounds=2,
+        )
+        for label in ("free riders", "non free riders"):
+            assert all(0.7 <= v <= 1.45 for v in result.series[label].y), label
 
 
 class TestFig5to8:
@@ -175,6 +306,37 @@ class TestFig5to8:
             "k-random", n=40, k=3, sample_sizes=(8,), trials=1, seed=9
         )
         assert result.figure == "fig6"
+
+    @pytest.mark.parametrize(
+        "base_policy", ["best-response", "k-random", "k-regular", "k-closest"]
+    )
+    def test_paper_scale_sampling(self, base_policy):
+        """A newcomer joining a 120-node overlay from a sample of m = 6..20:
+        BR within the sample tracks BR without sampling and beats the
+        heuristics picking within the same samples."""
+        result = fig5_to_8_sampling(
+            base_policy,
+            n=120,
+            k=3,
+            radius=2,
+            sample_sizes=(6, 10, 14, 20),
+            trials=3,
+            seed=2008,
+        )
+        assert result.figure == {
+            "best-response": "fig5",
+            "k-random": "fig6",
+            "k-regular": "fig7",
+            "k-closest": "fig8",
+        }[base_policy]
+        mean = lambda label: np.mean(result.series[label].y)
+        assert mean("BR") < 1.6
+        assert mean("BRtp") < 1.6
+        worst_heuristic = max(mean(l) for l in ("k-random", "k-regular"))
+        assert min(mean("BR"), mean("BRtp")) <= worst_heuristic + 1e-9
+        # The unsampled BR is the reference, so every ratio is >= ~1.
+        for label, series in result.series.items():
+            assert all(v > 0.8 for v in series.y), label
 
 
 class TestAppsAndOverhead:
@@ -203,3 +365,55 @@ class TestAppsAndOverhead:
             (192 + 32 * 5) / 20.0
         )
         assert result.series["scalability gain"].y[0] == pytest.approx(49 / 5)
+
+    def test_paper_scale_fig10_multipath_gain(self):
+        """Both curves grow with k, the multipath-redirection ceiling lies
+        above the parallel-connection gain, and both exceed one path."""
+        result = fig10_multipath_gain(
+            n=50, k_values=(2, 3, 4, 5, 6, 7, 8), seed=2008, br_rounds=2, pairs_per_k=80
+        )
+        parallel = result.series["source establ. parallel connections"].y
+        ceiling = result.series["peers allow multipath redirections"].y
+        assert all(c >= p * 0.95 for c, p in zip(ceiling, parallel))
+        assert parallel[-1] >= parallel[0] * 0.95
+        assert ceiling[-1] > ceiling[0]
+        assert ceiling[-1] > 1.5
+        assert parallel[-1] > 1.0
+
+    def test_paper_scale_fig11_disjoint_paths(self):
+        """Disjoint overlay paths grow roughly linearly with k."""
+        k_values = (2, 3, 4, 5, 6, 7, 8)
+        result = fig11_disjoint_paths(
+            n=50, k_values=k_values, seed=2008, br_rounds=2, pairs_per_k=80
+        )
+        series = result.series["disjoint paths"].y
+        assert all(b >= a - 0.2 for a, b in zip(series, series[1:]))
+        assert series[-1] >= 2.0 * series[0]
+        assert np.corrcoef(k_values, series)[0, 1] > 0.9
+
+    def test_paper_scale_overheads(self):
+        """Section 4.3 at n = 50: every overhead well under a kilobit per
+        second per node, coordinates cheaper than ping, the n*k vs n*(n-1)
+        monitoring gain, and simulated link-state traffic of the same
+        order as the analytic figure."""
+        k_values = (2, 3, 4, 5, 6, 7, 8)
+        result = overhead_table(
+            n=50,
+            k_values=k_values,
+            epoch_length_s=60.0,
+            announce_interval_s=20.0,
+            validate_with_engine=True,
+            engine_epochs=2,
+            seed=2008,
+        )
+        ping = result.series["ping measurement (bps)"].y
+        coord = result.series["coordinate measurement (bps)"].y
+        assert max(ping) < 300.0
+        assert max(coord) < 50.0
+        assert max(result.series["link-state protocol (bps)"].y) < 30.0
+        assert all(c < p for c, p in zip(coord, ping))
+        gains = result.series["scalability gain"].y
+        assert gains[0] > gains[-1]
+        assert abs(gains[k_values.index(5)] - 49 / 5) < 1e-6
+        simulated = result.series["link-state measured (bps, simulated)"].y
+        assert all(s < 50.0 for s in simulated)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
+from repro.serve.load import run_load
 from repro.serve.server import start_background_server
 from repro.serve.service import OverlayService
 from repro.util.validation import ValidationError
@@ -200,6 +201,30 @@ class TestSubscribe:
             assert reply["ok"] is True
             # The pushed epoch event was buffered aside, not dropped.
             assert client.next_event()["event"] == "epoch"
+
+
+class TestLoadGenerator:
+    """``run_load``, the engine of ``repro serve-load``, end to end."""
+
+    LOOKUPS = 3_000
+
+    def test_multipath_load_spans_a_leave(self, endpoint):
+        report = run_load(
+            socket_path=endpoint,
+            model="multipath",
+            lookups=self.LOOKUPS,
+            batch_size=256,
+            seed=2008,
+            mutate={"kind": "leave", "nodes": [5]},
+        )
+        assert report.errors == 0
+        assert report.lookups == self.LOOKUPS
+        assert report.mutations == 1
+        # The leave committed with a step half-way: the last frames read
+        # the next epoch, where node 5 is unreachable.
+        assert report.epoch == 1
+        assert report.unreachable > 0
+        assert report.p50_ms <= report.p95_ms <= report.p99_ms
 
 
 class TestShutdown:
