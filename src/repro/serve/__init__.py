@@ -8,7 +8,8 @@ newline-delimited JSON protocol over a local socket:
 
 * :mod:`~repro.serve.protocol` — the wire format (ops, framing, errors);
 * :mod:`~repro.serve.service` — the synchronous core: version-stamped
-  route lookups off the shared residual cache, mutation queueing, the
+  route lookups read from the committed epoch's route matrix (each
+  served value's JSON token built once per epoch), mutation queueing, the
   replayable JSONL mutation log, idempotent mutation/step handling, and
   crash recovery (``OverlayService.recover``);
 * :mod:`~repro.serve.oplog` — segmented crash-tolerant log I/O

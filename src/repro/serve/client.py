@@ -32,7 +32,7 @@ import random
 import socket
 import time
 import uuid
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.util.validation import ValidationError
 
@@ -301,13 +301,14 @@ class ServeClient:
         return self.request("lookup", **fields)
 
     def lookup_batch(
-        self, pairs: Sequence[Tuple[int, int]], *, engine: Optional[str] = None
+        self, pairs: Iterable[Sequence[int]], *, engine: Optional[str] = None
     ) -> Dict[str, object]:
-        # JSON encodes tuples as arrays already; only a non-list sequence
-        # (a generator, an array) needs materialising.
-        fields: Dict[str, object] = {
-            "pairs": pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        }
+        # JSON encodes tuples as arrays already; any other iterable (a
+        # generator, a NumPy ``(k, 2)`` array) is materialised as nested
+        # Python ints, which JSON can encode and NumPy rows it cannot.
+        if not isinstance(pairs, (list, tuple)):
+            pairs = [[int(src), int(dst)] for src, dst in pairs]
+        fields: Dict[str, object] = {"pairs": pairs}
         if engine is not None:
             fields["engine"] = engine
         return self.request("lookup_batch", **fields)

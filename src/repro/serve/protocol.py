@@ -79,15 +79,41 @@ def parse_request(line: Union[str, bytes]) -> Dict[str, object]:
     return request
 
 
+#: The one JSON writer of response lines (``json.dumps``'s settings).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+class EncodedValues(list):
+    """A ``lookup_batch`` answer's values, carrying their own JSON text.
+
+    In process it is the plain list of floats (None when unreachable);
+    :attr:`json` is the same list as compact JSON, joined from the
+    per-epoch value tokens the service keeps, so :func:`encode` splices
+    it instead of formatting every float again.
+    """
+
+    __slots__ = ("json",)
+
+
 def encode(message: Dict[str, object]) -> bytes:
     """One response/event line: compact JSON plus the newline framing.
 
     Strict JSON (``allow_nan=False``): non-finite floats must have been
     mapped through :func:`repro.core.codec.encode_float` upstream, and a
     leak is a bug worth raising on rather than emitting unparseable
-    ``NaN`` tokens.
+    ``NaN`` tokens.  A message whose ``values`` are :class:`EncodedValues`
+    gets their text spliced in; the line is byte-identical to encoding
+    them as a plain list.
     """
-    return (json.dumps(message, separators=(",", ":"), allow_nan=False) + "\n").encode()
+    values = message.get("values")
+    if type(values) is not EncodedValues:
+        return (_ENCODER.encode(message) + "\n").encode()
+    fields = ",".join(
+        f"{_ENCODER.encode(key)}:"
+        + (values.json if key == "values" else _ENCODER.encode(value))
+        for key, value in message.items()
+    )
+    return ("{" + fields + "}\n").encode()
 
 
 def response(
@@ -112,6 +138,7 @@ def error_response(
 
 
 __all__ = [
+    "EncodedValues",
     "MAX_LINE_BYTES",
     "OPS",
     "PROTOCOL_VERSION",

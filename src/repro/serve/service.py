@@ -21,6 +21,14 @@ value is bitwise the from-scratch route on the stamped version.  A frame
 is validated whole before anything is counted: a rejected request bumps
 no counter.
 
+A served value's JSON token (``float.__repr__``, or ``null`` when
+unreachable) is a pure function of the view it was read from, so the
+service keeps one lazily filled token table per committed view and a
+``lookup_batch`` answer carries its values pre-joined
+(:class:`~repro.serve.protocol.EncodedValues`): each cell is formatted
+at most once per epoch however many frames read it.  The table lives on
+the service, never on the view, so it never reaches a checkpoint.
+
 The answer is stamped with ``(epoch, version)``: the epoch that
 committed the overlay and the :class:`GlobalWiring` version the matrix
 was computed on.  Mutations accepted but not yet committed never leak
@@ -84,6 +92,7 @@ from repro.serve.oplog import (
     read_segment,
     segment_path,
 )
+from repro.serve.protocol import EncodedValues
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.validation import ValidationError
@@ -223,6 +232,10 @@ class OverlayService:
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
         #: Per-label overlay graphs of the committed epoch (``want_path``).
         self._graphs: Dict[str, object] = {}
+        #: Per-label JSON value tokens of the committed view: the view
+        #: they were read from (checked by identity), the ``(n, n)``
+        #: token table and its filled mask (``lookup_batch``).
+        self._tokens: Dict[str, Tuple[object, np.ndarray, np.ndarray]] = {}
         #: Idempotency-key dedupe window: key -> applied_epoch (FIFO).
         self._dedupe: "OrderedDict[str, int]" = OrderedDict()
         #: Recent committed-epoch digests for idempotent ``step`` replies.
@@ -296,6 +309,7 @@ class OverlayService:
         with telemetry.span("serve.tick", epoch=self.session.epochs_completed):
             records = self.session.step()
         self._graphs.clear()
+        self._tokens.clear()
         epoch = self.session.epochs_completed - 1
         digest = epoch_record_digest(records)
         self.counters["epochs"] += 1
@@ -819,7 +833,8 @@ class OverlayService:
         The workload generator's hot path: the frame is validated whole
         and the answer is one gather from the epoch's route matrix.
         ``values`` holds one entry per pair (None when unreachable), in
-        pair order.
+        pair order, as :class:`EncodedValues` whose JSON text is joined
+        from the view's value tokens (:meth:`_values_json`).
         """
         self._check_open()
         if not isinstance(pairs, (list, tuple)):
@@ -832,9 +847,11 @@ class OverlayService:
             reachable = np.isfinite(got) & (got > 0.0)
         else:
             reachable = np.isfinite(got) & (got < DISCONNECTION_COST)
-        values: List[object] = got.tolist()
+        values = EncodedValues(got.tolist())
         for index in np.flatnonzero(~reachable).tolist():
             values[index] = None
+        cells = srcs * view.route_values.shape[1] + dsts
+        values.json = self._values_json(label, view, cells, values)
         self.counters["lookups"] += len(values)
         self.counters["row_memo_hits"] += len(values)
         return {
@@ -843,6 +860,35 @@ class OverlayService:
             "epoch": view.epoch,
             "version": view.version,
         }
+
+    def _values_json(
+        self, label: str, view, cells: np.ndarray, values: List[object]
+    ) -> str:
+        """``values`` (read at flat ``cells`` of ``view``) as compact JSON.
+
+        Each cell's token is built the first time a frame reads it from
+        this view — exactly the text the plain JSON encoder gives it — and
+        reused by every later frame until the view is replaced.
+        """
+        entry = self._tokens.get(label)
+        if entry is None or entry[0] is not view:
+            size = view.route_values.size
+            entry = self._tokens[label] = (
+                view,
+                np.empty(size, dtype=object),
+                np.zeros(size, dtype=bool),
+            )
+        _, tokens, filled = entry
+        missing = np.flatnonzero(~filled[cells])
+        if missing.size:
+            fresh, first = np.unique(cells[missing], return_index=True)
+            tokens[fresh] = [
+                "null" if values[index] is None else repr(values[index])
+                for index in missing[first].tolist()
+            ]
+            filled[fresh] = True
+            telemetry.count("serve.lookup_batch.encoded", len(fresh))
+        return "[" + ",".join(tokens[cells].tolist()) + "]"
 
     # ------------------------------------------------------------------ #
     # Mutations

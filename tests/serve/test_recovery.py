@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.failures import FailureSpec
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
+from repro.serve.protocol import encode, response
 from repro.serve.replay import replay_log
 from repro.serve.service import OverlayService, RecoveryError
 
@@ -182,6 +183,43 @@ class TestRecover:
             assert service.lookup_batch(pairs) == expected
         finally:
             service.close()
+
+    def test_value_tokens_never_reach_a_checkpoint(self, tmp_path):
+        """Serving frames fills the service's token table; a checkpoint
+        written after that has the bytes of one written without serving,
+        and the service recovered from it answers with the same line."""
+        pairs = [[src, dst] for src in range(16) for dst in range(16) if src != dst]
+        frames = [pairs, pairs[::3], pairs[::-1] + pairs[:9]]
+        files = []
+        for serve in (False, True):
+            directory = tmp_path / f"served-{serve}"
+            service = OverlayService(
+                _spec(),
+                log_path=str(directory / "serve.jsonl"),
+                checkpoint_dir=str(directory / "checkpoints"),
+            )
+            _drive(service, 3)
+            if serve:
+                lines = [
+                    encode(response(index, **service.lookup_batch(frame)))
+                    for index, frame in enumerate(frames)
+                ]
+            name = service.write_checkpoint()
+            files.append((directory / "checkpoints" / name).read_bytes())
+            _crash(service)
+        assert files[0] == files[1]
+        recovered = OverlayService.recover(
+            str(directory / "serve.jsonl"), checkpoint_dir=str(directory / "checkpoints")
+        )
+        try:
+            assert recovered.last_recovery.checkpoint == name
+            assert recovered.last_recovery.replayed_epochs == 0
+            assert [
+                encode(response(index, **recovered.lookup_batch(frame)))
+                for index, frame in enumerate(frames)
+            ] == lines
+        finally:
+            recovered.close()
 
     def test_schema_1_checkpoint_is_skipped_and_the_log_replayed(
         self, tmp_path, reference

@@ -5,6 +5,7 @@ import os
 import socket
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.scenario.spec import ScenarioSpec
@@ -67,6 +68,16 @@ class TestRequestResponse:
             assert len(reply["values"]) == 3
             stats = client.stats()
             assert stats["counters"]["lookups"] == 3
+
+    def test_lookup_batch_accepts_arrays_and_generators(self, endpoint):
+        pairs = [(0, 5), (1, 7), (2, 3), (0, 5), (11, 4)]
+        with ServeClient(socket_path=endpoint) as client:
+            expected = client.lookup_batch([list(pair) for pair in pairs])["values"]
+            array = np.array(pairs, dtype=np.int64)
+            assert array.shape == (len(pairs), 2)
+            assert client.lookup_batch(array)["values"] == expected
+            assert client.lookup_batch(pair for pair in pairs)["values"] == expected
+            assert client.lookup_batch(tuple(pairs))["values"] == expected
 
     def test_snapshot_names_the_deployments(self, endpoint):
         with ServeClient(socket_path=endpoint) as client:

@@ -1,5 +1,7 @@
 """The synchronous service core: lookups, mutations, the event stream."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,6 +10,7 @@ from repro.core.cost import DISCONNECTION_COST
 from repro.routing.shortest_path import shortest_path_costs_from
 from repro.routing.widest_path import widest_path_bandwidths_from
 from repro.scenario.spec import ScenarioSpec
+from repro.serve.protocol import EncodedValues, encode, response
 from repro.serve.service import OverlayService, ServeError
 from repro.telemetry import runtime as telemetry
 
@@ -275,6 +278,18 @@ def _assert_served(service, src: int, dst: int, value) -> None:
     assert value == (fresh if reachable else None)  # bitwise, every value
 
 
+def _assert_plain_line(reply, request_id=7) -> bytes:
+    """The spliced response line is the plain encoder's, byte for byte."""
+    assert type(reply["values"]) is EncodedValues  # the splice path runs
+    plain = dict(reply, values=list(reply["values"]))
+    expected = json.dumps(
+        response(request_id, **plain), separators=(",", ":"), allow_nan=False
+    )
+    line = encode(response(request_id, **reply))
+    assert line == (expected + "\n").encode()
+    return line
+
+
 class TestServedValuesProperty:
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("metric", ["delay-ping", "bandwidth"])
@@ -301,6 +316,7 @@ class TestServedValuesProperty:
                     assert reply["version"] == live.version
                     singles = [service.lookup(src, dst) for src, dst in argument]
                     assert reply["values"] == [one["value"] for one in singles]
+                    _assert_plain_line(reply)
                     for (src, dst), value, one in zip(
                         argument, reply["values"], singles
                     ):
@@ -314,6 +330,70 @@ class TestServedValuesProperty:
                     service.mutate({"kind": kind, "nodes": [argument]})
         finally:
             service.close()
+
+
+class TestEncodedValuesLine:
+    """``lookup_batch`` lines spliced from the view's tokens are the plain
+    encoder's bytes, and a token never outlives the view it was read from."""
+
+    _ALL = [[src, dst] for src in range(16) for dst in range(16) if src != dst]
+
+    def test_unreachable_duplicates_and_empty_frames(self, service):
+        service.tick()
+        service.mutate({"kind": "leave", "nodes": [5]})
+        service.tick()
+        reply = service.lookup_batch([[0, 5], [0, 7], [5, 0], [0, 7], [0, 7]])
+        assert reply["values"][0] is None and reply["values"][2] is None
+        assert b'"values":[null,' in _assert_plain_line(reply)
+        _assert_plain_line(service.lookup_batch([]))
+        _assert_plain_line(service.lookup_batch(self._ALL), request_id="frame-1")
+        _assert_plain_line(service.lookup_batch(self._ALL), request_id=None)
+
+    def test_int_accepted_id_frames(self, service):
+        service.tick()
+        clean = _assert_plain_line(service.lookup_batch([[0, 5], [1, 7], [2, 3]]))
+        for frame in (
+            [["0", 5], [1, "7"], [2, 3]],
+            [[0.0, 5.9], [1, 7], [2.2, 3]],
+            [[False, 5], [True, 7], [2, 3]],
+            ((0, 5), (1, 7), (2, 3)),
+        ):
+            assert _assert_plain_line(service.lookup_batch(frame)) == clean
+
+    def test_bandwidth_spec(self):
+        service = OverlayService(_spec(metric="bandwidth"))
+        try:
+            service.tick()
+            _assert_plain_line(service.lookup_batch(self._ALL))
+            service.mutate({"kind": "leave", "nodes": [2]})
+            service.tick()
+            reply = service.lookup_batch(self._ALL)
+            assert None in reply["values"]
+            _assert_plain_line(reply)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("advance", ["tick", "session-step"])
+    def test_changed_cell_gets_the_new_views_token(self, service, advance):
+        """Across a leave + epoch, every changed cell is re-encoded — also
+        when the view is replaced behind the service's back (no ``tick``
+        to clear the table), because tokens are keyed by the view object."""
+        service.tick()
+        before = service.lookup_batch(self._ALL)
+        service.mutate({"kind": "leave", "nodes": [3]})
+        if advance == "tick":
+            service.tick()
+        else:
+            service.session.step()
+        after = service.lookup_batch(self._ALL)
+        changed = [
+            i for i, (old, new) in enumerate(zip(before["values"], after["values"]))
+            if old != new
+        ]
+        assert len(changed) >= 2 * 15  # node 3's own row and column, at least
+        assert after["epoch"] == before["epoch"] + 1
+        _assert_plain_line(after)
+        assert json.loads(after["values"].json) == after["values"]
 
 
 class TestMutateAndSubscribe:

@@ -104,6 +104,30 @@ class TestStatsAndMetricsOps:
         assert reply["ok"] is True
         assert reply["metrics"] is None
 
+    def test_encoded_counts_tokens_built_once_per_epoch(self):
+        telemetry.enable()
+        service = OverlayService(_spec())
+        try:
+            service.tick()
+            frame = [[0, 5], [1, 7], [0, 5], [2, 3]]  # three distinct cells
+
+            def encoded() -> float:
+                counters = telemetry.metrics().snapshot()["counters"]
+                return counters.get("serve.lookup_batch.encoded", 0)
+
+            service.lookup_batch(frame)
+            assert encoded() == 3
+            service.lookup_batch(frame)  # every token already built
+            service.lookup_batch([[1, 7], [4, 2]])  # one new cell
+            assert encoded() == 4
+            service.tick()  # a new view builds its own tokens
+            service.lookup_batch(frame)
+            assert encoded() == 7
+            # The reuse share: 1 - encoded / lookups.
+            assert service.counters["lookups"] == 14
+        finally:
+            service.close()
+
     def test_request_latency_histogram_per_op(self):
         telemetry.enable()
         server = OverlayServer(OverlayService(_spec()))
