@@ -38,6 +38,7 @@ setup(
         "numpy>=1.24",
         "scipy>=1.10",
         "networkx>=3.0",
+        "orjson>=3.8",
     ],
     extras_require={
         "test": [

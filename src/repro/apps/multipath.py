@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.wiring import GlobalWiring
@@ -150,6 +149,8 @@ class MultipathTransferApp:
         both its available bandwidth and the per-session limit at the
         source AS egress (for edges leaving the source).
         """
+        import networkx as nx
+
         flow_graph = nx.DiGraph()
         for u, v, w in self._capped_graph.edges():
             flow_graph.add_edge(u, v, capacity=w)

@@ -10,14 +10,16 @@ operates on (overlay link delay = underlay shortest-path delay).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.netsim.delayspace import DelaySpace
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def waxman_underlay(
@@ -40,6 +42,8 @@ def waxman_underlay(
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
+    import networkx as nx
+
     rng = as_generator(seed)
     positions = rng.uniform(0.0, domain_size, size=(n, 2))
     graph = nx.Graph()
@@ -73,6 +77,8 @@ def barabasi_albert_underlay(
         raise ValidationError(f"n must be >= 2, got {n}")
     if not 1 <= m < n:
         raise ValidationError(f"m must satisfy 1 <= m < n, got m={m}, n={n}")
+    import networkx as nx
+
     rng = as_generator(seed)
     graph = nx.barabasi_albert_graph(n, m, seed=int(rng.integers(0, 2**31 - 1)))
     for u, v in graph.edges:
@@ -86,6 +92,8 @@ def _connect_components(
     graph: nx.Graph, positions: np.ndarray, min_delay_ms: float
 ) -> None:
     """Stitch disconnected components together with nearest-pair edges."""
+    import networkx as nx
+
     components = [list(c) for c in nx.connected_components(graph)]
     while len(components) > 1:
         base = components[0]
@@ -125,6 +133,8 @@ def delay_matrix_from_underlay(
     jitter_std:
         Measurement jitter passed through to the resulting delay space.
     """
+    import networkx as nx
+
     if overlay_nodes is None:
         overlay_nodes = sorted(graph.nodes)
     index = {node: i for i, node in enumerate(overlay_nodes)}

@@ -15,18 +15,21 @@ a unit-capacity transformation.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError, check_index
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _unit_capacity_digraph(
     graph: OverlayGraph, vertex_disjoint: bool
 ) -> nx.DiGraph:
     """Build a unit-capacity digraph (with node splitting if vertex-disjoint)."""
+    import networkx as nx
+
     flow_graph = nx.DiGraph()
     if vertex_disjoint:
         # Split every node v into v_in -> v_out with capacity 1 so that at
@@ -71,6 +74,8 @@ def count_disjoint_paths(
     target = f"{dst}_in" if vertex_disjoint else dst
     if source not in flow_graph or target not in flow_graph:
         return 0
+    import networkx as nx
+
     value, _flow = nx.maximum_flow(flow_graph, source, target)
     value = int(value)
     if max_paths is not None:
@@ -99,6 +104,8 @@ def disjoint_paths(
     target = f"{dst}_in" if vertex_disjoint else dst
     if source not in flow_graph or target not in flow_graph:
         return []
+    import networkx as nx
+
     _value, flow = nx.maximum_flow(flow_graph, source, target)
 
     # Build the residual "used edge" adjacency from the flow assignment.

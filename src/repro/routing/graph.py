@@ -9,12 +9,14 @@ and debugging.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.util.validation import ValidationError, check_index
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class OverlayGraph:
@@ -185,6 +187,8 @@ class OverlayGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Convert to a :class:`networkx.DiGraph` with ``weight`` attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.n))
         for u, v, w in self.edges():

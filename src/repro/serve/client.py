@@ -3,7 +3,9 @@
 :class:`ServeClient` speaks the newline-delimited JSON protocol of
 :mod:`repro.serve.server` over a unix socket or TCP.  It is what the
 workload generator, the CI smoke job, and the tests use — a deliberately
-dependency-free socket client, not an SDK.
+small socket client, not an SDK.  Lines go through
+:func:`~repro.serve.protocol.encode_request` and
+:func:`~repro.serve.protocol.decode_reply`, the protocol module's codec.
 
 Pushed subscription events (lines carrying an ``event`` key, no ``id``)
 arriving while a request waits for its response are buffered into
@@ -26,7 +28,6 @@ connect/send-phase failures re-attempt it.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
@@ -34,6 +35,7 @@ import time
 import uuid
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.serve.protocol import decode_reply, encode_request
 from repro.util.validation import ValidationError
 
 #: Error codes the server sends that mean "back off and retry".
@@ -259,10 +261,7 @@ class ServeClient:
     def _exchange(self, op: str, fields: Dict[str, object]) -> Dict[str, object]:
         self._next_id += 1
         request_id = self._next_id
-        message = {"op": op, "id": request_id, **fields}
-        self._stream.write(
-            (json.dumps(message, separators=(",", ":")) + "\n").encode()
-        )
+        self._stream.write(encode_request({"op": op, "id": request_id, **fields}))
         self._stream.flush()
         while True:
             reply = self._read_message()
@@ -277,10 +276,7 @@ class ServeClient:
         line = self._stream.readline()
         if not line:
             raise ValidationError("server closed the connection")
-        reply = json.loads(line)
-        if not isinstance(reply, dict):
-            raise ValidationError("server sent a non-object line")
-        return reply
+        return decode_reply(line)
 
     # ------------------------------------------------------------------ #
     # Protocol helpers

@@ -36,7 +36,6 @@ at the next start.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import threading
@@ -51,6 +50,7 @@ from repro.serve.protocol import (
     encode,
     error_response,
     parse_request,
+    recover_request_id,
     response,
 )
 from repro.serve.service import OverlayService, ServeError
@@ -258,7 +258,8 @@ class OverlayServer:
         This is the only task answering requests, so nothing a request
         raises may end it: an exception :meth:`_handle_request` does not
         map to an error code is answered ``internal``, counted, and the
-        worker moves on to the next request.
+        worker moves on to the next request.  The fallback itself cannot
+        raise: :func:`recover_request_id` never does, whatever the line.
         """
         assert self._requests is not None
         try:
@@ -274,7 +275,7 @@ class OverlayServer:
                         traceback.print_exc()
                         result = (
                             error_response(
-                                _recover_request_id(line),
+                                recover_request_id(line),
                                 "internal",
                                 f"{type(error).__name__}: {error}",
                             ),
@@ -300,7 +301,7 @@ class OverlayServer:
             # time; counting it here too would double-report.
             self.service.counters["shed"] += 1
             return None, error_response(
-                _recover_request_id(line),
+                recover_request_id(line),
                 "busy",
                 f"request queue is full ({self.queue_limit} pending); retry "
                 "with backoff",
@@ -494,7 +495,7 @@ class OverlayServer:
             return op, response(request_id, shutting_down=True), False, True
         except ProtocolError as error:
             if request_id is None:
-                request_id = _recover_request_id(line)
+                request_id = recover_request_id(line)
             return (
                 op,
                 error_response(request_id, "bad-request", str(error)),
@@ -509,21 +510,6 @@ class OverlayServer:
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
-
-
-def _recover_request_id(line: bytes):
-    """Best-effort ``id`` of a request that failed protocol parsing.
-
-    A client pipelining by id deserves the echo even on an unknown op;
-    a line that is not a JSON object at all has no id to recover.
-    """
-    try:
-        request = json.loads(line)
-    except (UnicodeDecodeError, ValueError):
-        return None
-    if isinstance(request, dict) and isinstance(request.get("id"), (str, int)):
-        return request["id"]
-    return None
 
 
 def run_server(

@@ -14,6 +14,7 @@ import socket
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 
 from repro.serve.client import (
@@ -62,6 +63,7 @@ class _ScriptedServer:
     def __init__(self, actions):
         self.actions = list(actions)
         self.requests = []
+        self.lines = []
         directory = tempfile.mkdtemp(prefix="scripted-", dir="/tmp")
         self.path = os.path.join(directory, "s.sock")
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -97,6 +99,7 @@ class _ScriptedServer:
             if not line:
                 return
             request = json.loads(line)
+            self.lines.append(line)
             self.requests.append(request)
             action = self.actions.pop(0) if self.actions else "ok"
             if action == "drop":
@@ -220,3 +223,64 @@ class TestIdempotencyClassification:
             with pytest.raises(ValidationError):
                 client.shutdown()
         assert len(server.requests) == 1
+
+
+class TestRequestLines:
+    """The bytes the client writes are compact ``json.dumps`` output."""
+
+    def test_lines_are_byte_identical_to_the_stdlib_encoder(self, scripted):
+        server = scripted([])
+        with _client(server) as client:
+            client.lookup(3, 17)
+            client.lookup(3, 17, engine="best-response@k=3", path=True)
+            client.lookup_batch([[0, 1], [2, 3]])
+            client.lookup_batch(np.array([[4, 5], [6, 7]]))
+            client.step()
+            client.step(expect=4)
+            client.mutate({"kind": "leave", "nodes": [5]}, idem="bench-7-0")
+            client.mutate({"kind": "drift", "steps": 1}, idem="bench-7-2")
+        expected = [
+            {"op": "lookup", "id": 1, "src": 3, "dst": 17},
+            {
+                "op": "lookup",
+                "id": 2,
+                "src": 3,
+                "dst": 17,
+                "engine": "best-response@k=3",
+                "path": True,
+            },
+            {"op": "lookup_batch", "id": 3, "pairs": [[0, 1], [2, 3]]},
+            {"op": "lookup_batch", "id": 4, "pairs": [[4, 5], [6, 7]]},
+            {"op": "step", "id": 5},
+            {"op": "step", "id": 6, "expect": 4},
+            {
+                "op": "mutate",
+                "id": 7,
+                "mutation": {"kind": "leave", "nodes": [5]},
+                "idem": "bench-7-0",
+            },
+            {
+                "op": "mutate",
+                "id": 8,
+                "mutation": {"kind": "drift", "steps": 1},
+                "idem": "bench-7-2",
+            },
+        ]
+        assert server.lines == [
+            (json.dumps(message, separators=(",", ":")) + "\n").encode()
+            for message in expected
+        ]
+
+    def test_non_finite_floats_are_refused_before_sending(self, scripted):
+        # orjson would write null, which the server reads as an omitted field.
+        server = scripted([])
+        with _client(server) as client:
+            with pytest.raises(ValidationError, match="NaN"):
+                client.request(
+                    "mutate",
+                    mutation={"kind": "drift", "steps": 1},
+                    idem="x",
+                    epoch=float("nan"),
+                )
+            assert client.stats()["ok"] is True
+        assert [request["op"] for request in server.requests] == ["stats"]

@@ -189,6 +189,27 @@ class TestWorkerSurvives:
         assert "RuntimeError: injected" in capsys.readouterr().err
 
 
+class TestServingSurvivesDeepNesting:
+    """A deeply nested line is one bad request, not a dead server."""
+
+    def test_deep_lines_are_bad_requests_and_serving_continues(self, endpoint):
+        depth = 100_000
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10)
+            raw.connect(endpoint)
+            raw.sendall(b"[" * depth + b"\n")
+            raw.sendall(b"[" * depth + b"]" * depth + b"\n")
+            raw.sendall(b'{"op": "lookup", "src": 0, "dst": 5, "id": 9}\n')
+            reader = raw.makefile("rb")
+            replies = [json.loads(reader.readline()) for _ in range(3)]
+        for reply in replies[:2]:
+            assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert (replies[2]["ok"], replies[2]["id"]) == (True, 9)
+        with ServeClient(socket_path=endpoint, timeout=10) as client:
+            assert client.lookup(0, 5)["ok"] is True
+            assert client.stats()["counters"]["internal_errors"] == 0
+
+
 class TestSubscribe:
     def test_events_stream_to_subscribers(self, endpoint):
         with ServeClient(socket_path=endpoint) as subscriber, ServeClient(

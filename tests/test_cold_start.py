@@ -1,0 +1,31 @@
+"""What a fresh process pays to import the runtime.
+
+networkx is only needed by the underlay generators, the disjoint-path
+counts and the multipath max-flow ceiling, which import it when called;
+the CLI, the server, the engines and the sweep must not load it.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import repro
+
+RUNTIME_MODULES = ("repro.cli", "repro.serve.server", "repro.core.engine_batch", "repro.sweep")
+
+
+def test_runtime_import_path_does_not_load_networkx():
+    code = (
+        "import importlib, sys\n"
+        f"for name in {RUNTIME_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
