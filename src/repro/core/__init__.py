@@ -47,13 +47,14 @@ and never touch the memo.
 One level higher, :class:`DeploymentBatch`
 (:mod:`repro.core.deployment_batch`, build-only k-sweeps) and
 :class:`EngineBatch` (:mod:`repro.core.engine_batch`, epoch-driven
-engines) advance many *independent* deployments in lockstep.  What they
-share is described once, in :mod:`repro.core.lockstep`: the fused
-best-response kernel that scores a whole group of re-wiring
-opportunities in broadcasts (the unreachable clamp and the preference
-weights folded into its via tensor once, not per pass), the stacked
-route-value sweeps, and the bandwidth residual fill.  Each batch adds
-only its planner and its adoption rule, and each is bit-identical to
+engines) advance many *independent* deployments in lockstep, through
+one driver: a build's best-response round is an epoch of the engine
+batch's round loop.  Its stateless kernels live in
+:mod:`repro.core.lockstep`: the fused best-response kernel that scores
+a whole group of re-wiring opportunities in broadcasts (the unreachable
+clamp and the preference weights folded into its via tensor once, not
+per pass), the stacked route-value sweeps, and the bandwidth residual
+fill.  Each batch is bit-identical to
 running its deployments one by one (``batched=False``), with exact
 kernel-call and Dijkstra-row budgets in ``tests/core/test_deployment_batch.py``
 (``test_four_panel_sweep_batched_call_budget``) and

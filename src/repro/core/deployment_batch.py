@@ -1,29 +1,18 @@
-"""Batched multi-deployment sweep kernels.
+"""Batched multi-deployment sweeps: build every overlay, then score them all.
 
 The paper's k-sweeps (Fig. 1 and friends) compare many *independent*
 overlay deployments — one per (policy, k, metric) triple — that share one
 underlay.  Building and scoring them one after another leaves the
-vectorised best-response kernels idle between deployments; this module
-stacks the per-deployment work instead:
+vectorised kernels idle between deployments; this module stacks them:
 
-* **Construction.**  Best-response dynamics of all deployments run in
-  lockstep.  The expensive part of a re-wiring opportunity is the
-  multi-source sweep producing the node's residual route-value matrix;
-  the batch precomputes those matrices for *waves* of upcoming
-  ``(deployment, node)`` opportunities in shared kernel calls
-  (:func:`repro.core.lockstep.batched_route_matrices` for the additive
-  metrics, :func:`~repro.core.lockstep.fill_bandwidth_residuals` for
-  bandwidth) and keeps them in each deployment's *mailbox*
-  (``{node: matrix}``), where the node's opportunity reads it.  A
-  build's announced metric and membership are fixed, so the overlay —
-  and every residual — changes only when a node re-wires: a re-wire
-  empties the mailbox, and whatever survives one round is read again in
-  the next.  Wave sizes adapt per deployment (grow on a quiet run,
-  reset on a re-wire) so quiescent rounds cost one kernel call while
-  churning rounds waste almost no speculative work.  The re-wiring
-  opportunities themselves go through the one fused kernel,
-  :func:`repro.core.lockstep.fused_best_response`; only the adoption
-  rule (build-time BR(ε) with the *policy's* epsilon) lives here.
+* **Construction.**  Structural policies build directly
+  (:func:`~repro.core.policies.build_overlay`: they select from ids and
+  direct link weights, so there is nothing to stack).  Best-response
+  dynamics run through the repo's one lockstep driver, that of
+  :mod:`repro.core.engine_batch`: each deployment's dynamics are a small
+  owner that stands where an engine stands, and one round of them is one
+  lockstep epoch — residual planners, settled skips, the fused kernel
+  and the BR(ε) adoption rule are the epoch loop's own.
 
 * **Scoring.**  The built overlays' route-value matrices are stacked
   into a single ``(deployments x hops x destinations)`` tensor — one
@@ -35,11 +24,11 @@ stacks the per-deployment work instead:
 
 Both phases are bitwise identical to the sequential reference path:
 ``batched=False`` is the plain code with no stacking — one
-:func:`repro.core.policies.build_overlay` per deployment (a fresh
+:func:`~repro.core.policies.build_overlay` per deployment (a fresh
 residual sweep per re-wiring opportunity), then one ``all_node_costs``
 per deployment — and is what the parity tests compare against.  Each
-deployment consumes its own spawned RNG stream in the same sequence
-either way.
+deployment consumes its own RNG stream in the same sequence either way,
+so no two deployments may share one :class:`numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -49,16 +38,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.best_response import WiringEvaluator, should_rewire
+from repro.core.best_response import WiringEvaluator
 from repro.core.cost import Metric, check_preferences, uniform_preferences
-from repro.core.lockstep import (
-    Member,
-    batched_route_matrices,
-    fill_bandwidth_residuals,
-    fusable,
-    fused_best_response,
-    wave_cap,
-)
+from repro.core.engine import EpochPlan
+from repro.core.engine_batch import _LockstepDriver, _LockstepState
+from repro.core.lockstep import batched_route_matrices
+from repro.core.node import EgoistNode
 from repro.core.policies import (
     BestResponsePolicy,
     NeighborSelectionPolicy,
@@ -66,8 +51,7 @@ from repro.core.policies import (
     build_overlay,
     seed_random_overlay,
 )
-from repro.core.wiring import GlobalWiring, Wiring
-from repro.routing.widest_path import CLOSURE_MAX_NODES, widest_path_bandwidths_multi
+from repro.core.wiring import GlobalWiring
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
 
@@ -117,94 +101,82 @@ class DeploymentSpec:
             self.preferences = check_preferences(self.preferences, self.announced.size)
 
 
-class _BRBuildState:
-    """Lockstep best-response dynamics state of one deployment."""
+class _BuildOwner:
+    """One deployment's best-response dynamics, standing where an engine
+    stands for the lockstep driver: one round is one epoch.
 
-    __slots__ = (
-        "index",
-        "spec",
-        "rng",
-        "node_list",
-        "candidates",
-        "hops_rows",
-        "preferences",
-        "fusable",
-        "wiring",
-        "dense",
-        "mailbox",
-        "order",
-        "pos",
-        "changed",
-        "round",
-        "wave",
-    )
+    Draw for draw :func:`build_overlay`'s: the seed overlay, then one
+    in-place shuffle per round on the deployment's own stream (fused
+    steps draw nothing).  Its nodes carry the policy's epsilon.
+    """
 
-    def __init__(self, index: int, spec: DeploymentSpec):
-        self.index = index
+    def __init__(self, spec: DeploymentSpec):
         self.spec = spec
+        self.policy = spec.policy
+        self.k = int(spec.k)
+        self.n = n = spec.announced.size
         self.rng = as_generator(spec.rng)
-        n = spec.announced.size
-        self.node_list = list(range(n))
-        # Per-node candidate/hop structures (full membership, so they are
-        # the same "everyone else" lists the sequential builder passes).
-        self.candidates = [
-            [c for c in self.node_list if c != node] for node in self.node_list
-        ]
-        self.hops_rows = [np.array(c, dtype=int) for c in self.candidates]
-        # Same values an evaluator would default to; resolved once so the
-        # fused step can gather preference rows.
         self.preferences = (
-            spec.preferences
-            if spec.preferences is not None
-            else uniform_preferences(n)
+            spec.preferences if spec.preferences is not None else uniform_preferences(n)
         )
-        self.fusable = fusable(spec.policy, spec.k, n - 1)
-        self.wiring = seed_random_overlay(spec.announced, spec.k, self.node_list, self.rng)
-        self.dense = _announced_dense(spec.announced, self.wiring, n)
-        #: node -> its residual route values over the current wiring.
-        self.mailbox: Dict[int, np.ndarray] = {}
+        self.node_list = list(range(n))
+        self.active_key = tuple(self.node_list)
         self.order = list(self.node_list)
-        self.pos = len(self.order)
-        self.changed = 0
-        self.round = 0
-        self.wave = 1
+        self.wiring = seed_random_overlay(spec.announced, self.k, self.node_list, self.rng)
+        self.nodes = [
+            EgoistNode(v, spec.policy, self.k, epsilon=spec.policy.epsilon, seed=self.rng)
+            for v in self.node_list
+        ]
+        for v, node in enumerate(self.nodes):
+            node.wiring = self.wiring.wiring_of(v)
+        self.rounds = 0
 
-    # ------------------------------------------------------------------ #
-    def start_round(self) -> None:
+    def begin_epoch(self) -> EpochPlan:
+        self.rounds += 1
         self.rng.shuffle(self.order)
-        self.pos = 0
-        self.changed = 0
-        self.round += 1
-
-    def round_finished(self) -> bool:
-        return self.pos >= len(self.order)
-
-    def converged(self) -> bool:
-        return self.round >= int(self.spec.br_rounds) or (
-            self.round > 0 and self.changed == 0
+        return EpochPlan(
+            epoch=self.rounds,
+            active_list=self.node_list,
+            active_key=self.active_key,
+            active_rows=np.arange(self.n),
+            announced=self.spec.announced,
+            truth=self.spec.truth,
+            order=self.order,
+            bits_before=0,
+            # One metric for the whole build: a constant fingerprint.
+            metric_fp="",
         )
 
-    def note_rewired(self, node: int) -> None:
-        """Track a re-wire: refresh the dense row, empty the mailbox (every
-        residual read the old row), reset the wave."""
-        row = self.dense[node]
-        row[:] = np.nan
-        for v, w in self.wiring.weights_of(node).items():
-            row[v] = w
-        self.mailbox.clear()
-        self.wave = 1
+    def step_node(self, plan: EpochPlan, residual: Optional[np.ndarray] = None) -> bool:
+        """The next opportunity through an evaluator (which sweeps the
+        residual graph when nothing was planned: past the closure cutoff)."""
+        node = plan.order[plan.pos]
+        plan.pos += 1
+        candidates = [c for c in self.node_list if c != node]
+        graph = None if residual is not None else self.wiring.residual_graph(node)
+        evaluator = WiringEvaluator(
+            node=node,
+            metric=plan.announced,
+            residual_graph=graph,
+            candidates=candidates,
+            preferences=self.preferences,
+            destinations=candidates,
+            residual_values=residual,
+        )
+        rewired = best_response_rewire_step(
+            self.policy, plan.announced, self.k, node, self.wiring, evaluator, self.rng
+        )
+        if rewired:
+            self.nodes[node].wiring = self.wiring.wiring_of(node)
+            plan.rewirings += 1
+        return rewired
 
-    def grow_wave(self) -> None:
-        self.wave = min(self.wave + 1, wave_cap(self.spec.announced.maximize))
-
-
-def _announced_dense(metric: Metric, wiring: GlobalWiring, n: int) -> np.ndarray:
-    """Dense announced-weight matrix of ``wiring`` (NaN marks absent edges)."""
-    dense = np.full((n, n), np.nan)
-    for node in range(n):
-        for v, w in wiring.weights_of(node).items():
-            dense[node, v] = w
-    return dense
+    def announce(self, plan: EpochPlan, node: int) -> None:
+        """The adoption tail: install a new wiring at announced weights."""
+        wiring = self.nodes[node].wiring
+        if wiring is not self.wiring.wiring_of(node):
+            row = plan.announced.link_weight_row(node)
+            self.wiring.set_wiring(wiring, {v: float(row[v]) for v in wiring.neighbors})
 
 
 def _graph_dense(graph) -> np.ndarray:
@@ -259,195 +231,50 @@ class DeploymentBatch:
             raise ValidationError(
                 f"all deployments must share one overlay size, got {sorted(sizes)}"
             )
+        # One Generator drawn by two deployments would interleave their
+        # draws differently on the lockstep and the sequential path.
+        streams: Dict[int, int] = {}
+        for i, spec in enumerate(specs):
+            if isinstance(spec.rng, np.random.Generator):
+                first = streams.setdefault(id(spec.rng), i)
+                if first != i:
+                    raise ValidationError(
+                        f"deployments {specs[first].label!r} and {spec.label!r} share "
+                        "one Generator; give every spec its own stream"
+                    )
         self.specs: List[DeploymentSpec] = specs
         self.batched = bool(batched)
         self.n = specs[0].announced.size
 
     # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
     def build(self) -> List[GlobalWiring]:
-        """Build every deployment's overlay (order-independent per spec)."""
+        """Build every deployment's overlay (order-independent per spec).
+
+        Best-response dynamics step in lockstep until a round re-wires
+        nobody or the round limit passes (zero rounds keep the seed
+        wiring and, as sequentially, draw no shuffle).
+        """
         if not self.batched:
             return [_sequential_overlay(spec) for spec in self.specs]
-        wirings: List[Optional[GlobalWiring]] = [None] * len(self.specs)
-        lockstep: List[Tuple[int, DeploymentSpec]] = []
-        for i, spec in enumerate(self.specs):
-            if isinstance(spec.policy, BestResponsePolicy):
-                lockstep.append((i, spec))
-            else:
-                wirings[i] = _sequential_overlay(spec)
-        if lockstep:
-            for (i, _spec), wiring in zip(lockstep, self._build_lockstep(lockstep)):
-                wirings[i] = wiring
-        return [w for w in wirings if w is not None]
-
-    def _build_lockstep(
-        self, items: Sequence[Tuple[int, DeploymentSpec]]
-    ) -> List[GlobalWiring]:
-        """Best-response dynamics of many deployments, in lockstep.
-
-        Every loop iteration advances each live deployment by exactly one
-        re-wiring opportunity: residual matrices for the current nodes
-        (plus adaptive lookahead waves) come from one kernel call, and
-        the opportunities themselves are scored for all fused deployments
-        by the shared kernel (:meth:`_fused_rewire_steps`).
-        """
-        states = [_BRBuildState(i, spec) for i, spec in items]
-        # A zero-round deployment keeps its seed wiring (and, like the
-        # sequential path, never draws a round shuffle).
-        live = [st for st in states if int(st.spec.br_rounds) > 0]
-        for st in live:
-            st.start_round()
-        while live:
-            self._refill_waves(live)
-            # Fused groups share the full objective convention: direction
-            # AND disconnection value (one clamp value per kernel call).
-            groups: Dict[Tuple[bool, float], List[_BRBuildState]] = {}
-            for st in live:
-                if st.fusable:
-                    metric = st.spec.announced
-                    key = (bool(metric.maximize), float(metric.unreachable_value))
-                    groups.setdefault(key, []).append(st)
-            for group in groups.values():
-                self._fused_rewire_steps(group)
-            for st in live:
-                if not st.fusable:
-                    self._evaluator_rewire_step(st)
-            finished: List[_BRBuildState] = []
-            for st in live:
-                if st.round_finished():
-                    if st.converged():
-                        finished.append(st)
-                    else:
-                        st.start_round()
-            if finished:
-                live = [st for st in live if st not in finished]
-        return [st.wiring for st in states]
-
-    def _refill_waves(self, live: Sequence[_BRBuildState]) -> None:
-        """Precompute residual route matrices for each state's next wave."""
-        additive: List[Tuple[_BRBuildState, int]] = []
-        for st in live:
-            missing = [
-                node
-                for node in st.order[st.pos : st.pos + st.wave]
-                if st.candidates[node] and node not in st.mailbox
-            ]
-            if not missing:
+        wirings: List[GlobalWiring] = []
+        states: List[_LockstepState] = []
+        for spec in self.specs:
+            if not isinstance(spec.policy, BestResponsePolicy):
+                wirings.append(_sequential_overlay(spec))
                 continue
-            if st.spec.announced.maximize:
-                st.mailbox.update(
-                    fill_bandwidth_residuals(
-                        st.dense, missing, st.node_list, lambda node: st.hops_rows[node]
-                    )
-                )
-                # Past the dense-closure cutoff: the per-source heap
-                # search on each residual graph — bitwise identical.
-                for node in missing:
-                    if node not in st.mailbox:
-                        residual = st.wiring.residual_graph(node, active=st.node_list)
-                        st.mailbox[node] = widest_path_bandwidths_multi(
-                            residual, st.candidates[node], batched=False
-                        )
-            else:
-                additive.extend((st, node) for node in missing)
-        if not additive:
-            return
-        n = self.n
-        stack = np.empty((len(additive), n, n))
-        for j, (st, node) in enumerate(additive):
-            stack[j] = st.dense
-            stack[j, node, :] = np.nan
-        matrices = batched_route_matrices(stack, maximize=False)
-        for j, (st, node) in enumerate(additive):
-            st.mailbox[node] = matrices[j][st.hops_rows[node], :]
-
-    def _evaluator_rewire_step(self, st: _BRBuildState) -> None:
-        """One re-wiring opportunity through an evaluator fed its residual.
-
-        Fallback for deployments the fused kernels do not cover (small
-        candidate pools that take the exact-enumeration branch, or
-        k = 0): same step semantics, one deployment at a time.  The
-        residual comes from the mailbox, so the evaluator has no graph
-        to sweep.
-        """
-        spec = st.spec
-        node = st.order[st.pos]
-        evaluator = WiringEvaluator(
-            node=node,
-            metric=spec.announced,
-            residual_graph=None,
-            candidates=st.candidates[node],
-            preferences=spec.preferences,
-            destinations=st.candidates[node],
-            residual_values=st.mailbox.get(node),
-        )
-        rewired = best_response_rewire_step(
-            spec.policy, spec.announced, spec.k, node, st.wiring, evaluator, st.rng
-        )
-        st.pos += 1
-        if rewired:
-            st.changed += 1
-            st.note_rewired(node)
-        else:
-            st.grow_wave()
-
-    def _fused_rewire_steps(self, group: Sequence[_BRBuildState]) -> None:
-        """One re-wiring opportunity per deployment, through the shared kernel.
-
-        Gathers each deployment's next node into a
-        :class:`~repro.core.lockstep.Member`, lets
-        :func:`~repro.core.lockstep.fused_best_response` score the whole
-        group, and adopts per deployment under the build-time rule of
-        :func:`~repro.core.policies.best_response_rewire_step`: BR(ε)
-        with the policy's epsilon, an unwired node adopting anything.
-        """
-        metric = group[0].spec.announced
-        members = []
-        for st in group:
-            node = st.order[st.pos]
-            resid = st.mailbox[node]
-            hops = st.hops_rows[node]
-            current = st.wiring.wiring_of(node)
-            members.append(
-                Member(
-                    resid,
-                    hops,
-                    st.spec.announced.link_weight_row(node)[hops],
-                    st.preferences[node, hops],
-                    st.spec.k,
-                    current.neighbors if current is not None else (),
-                    st.spec.policy.max_iterations,
-                )
-            )
-        existing_cost, chosen, candidate_cost = fused_best_response(
-            members,
-            maximize=bool(metric.maximize),
-            unreachable=metric.unreachable_value,
-        )
-        for d, (st, member) in enumerate(zip(group, members)):
-            node = st.order[st.pos]
-            neighbors = frozenset(chosen[d])
-            current = st.wiring.wiring_of(node)
-            adopt = current is None or should_rewire(
-                st.spec.announced,
-                float(existing_cost[d]),
-                float(candidate_cost[d]),
-                st.spec.policy.epsilon,
-            )
-            rewired = adopt and (
-                current is None or neighbors != set(current.neighbors)
-            )
-            st.pos += 1
-            if rewired:
-                # Full membership: hop position of id v is v - (v > node).
-                weights = {v: float(member.direct[v - (v > node)]) for v in chosen[d]}
-                st.wiring.set_wiring(Wiring.of(node, neighbors), weights)
-                st.changed += 1
-                st.note_rewired(node)
-            else:
-                st.grow_wave()
+            owner = _BuildOwner(spec)
+            wirings.append(owner.wiring)
+            if int(spec.br_rounds) > 0:
+                states.append(_LockstepState(owner))
+        driver = _LockstepDriver()
+        while states:
+            driver._run_rounds(states)
+            states = [
+                st
+                for st in states
+                if st.plan.rewirings and st.plan.epoch < int(st.engine.spec.br_rounds)
+            ]
+        return wirings
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -466,30 +293,17 @@ class DeploymentBatch:
         tensor = np.empty((len(graphs), n, n))
         slots: Dict[Tuple[bool, bytes], List[int]] = {}
         denses: Dict[Tuple[bool, bytes], np.ndarray] = {}
-        representatives: Dict[Tuple[bool, bytes], object] = {}
         for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
             dense = _graph_dense(graph)
             key = (bool(spec.truth.maximize), dense.tobytes())
             slots.setdefault(key, []).append(i)
             denses.setdefault(key, dense)
-            representatives.setdefault(key, graph)
         for maximize in (False, True):
             keys = [key for key in slots if key[0] == maximize]
             if not keys:
                 continue
-            if maximize and n > CLOSURE_MAX_NODES:
-                # Past the dense-closure cutoff sweep the original
-                # graphs directly with the per-source search (bitwise
-                # identical) instead of round-tripping through dense.
-                matrices = [
-                    widest_path_bandwidths_multi(
-                        representatives[key], list(range(n)), batched=False
-                    )
-                    for key in keys
-                ]
-            else:
-                stack = np.stack([denses[key] for key in keys])
-                matrices = batched_route_matrices(stack, maximize)
+            stack = np.stack([denses[key] for key in keys])
+            matrices = batched_route_matrices(stack, maximize)
             for key, matrix in zip(keys, matrices):
                 for i in slots[key]:
                     tensor[i] = matrix

@@ -1,4 +1,4 @@
-"""Lockstep execution of several epoch-driven engine deployments.
+"""The lockstep driver, and the epoch-driven engine deployments it runs.
 
 The paper's epoch-loop experiments (Figures 2-4's engine runs) sweep many
 *independent* :class:`~repro.core.engine.EgoistEngine` deployments — one
@@ -7,9 +7,13 @@ one after another leaves the stacked kernels of :mod:`repro.core.lockstep`
 idle: every re-wiring opportunity pays its own residual graph
 construction and its own multi-source sweep.
 
-:class:`EngineBatch` advances the deployments epoch by epoch in lockstep
-and *plans* the residual route-value matrices the upcoming re-wiring
-opportunities will read.  Each planned matrix goes into its engine's
+The one lockstep driver (:class:`_LockstepDriver`) advances such
+deployments — :class:`EngineBatch`'s engines, and the best-response
+builds of :class:`~repro.core.deployment_batch.DeploymentBatch`, whose
+rounds are epochs of owners that stand where an engine stands — epoch by
+epoch in lockstep, and *plans* the residual route-value matrices the
+upcoming re-wiring opportunities will read.  Each planned matrix goes
+into its deployment's
 *mailbox* (:attr:`_LockstepState.mailbox`, ``{node: matrix}``) and is
 popped by that node's opportunity — a fused step, an engine stepping its
 own path (:meth:`EgoistEngine.step_node` with ``residual=``), or a
@@ -27,7 +31,7 @@ settled skip that needs none.  Three planners fill it:
   after a re-wire are sparse exact repairs
   (:func:`repro.routing.shortest_path.repair_shortest_rows`) instead of
   n-source sweeps.  The repairs are stacked across the round's group
-  (:meth:`EngineBatch._derive_residuals`): one build of the matrices
+  (:meth:`_LockstepDriver._derive_residuals`): one build of the matrices
   not yet swept, one repair bringing every stale matrix up to date, one
   repair deriving every stepping engine's next residual — at most two
   kernel calls per round, whatever the group's width.  Only the next
@@ -40,10 +44,12 @@ settled skip that needs none.  Three planners fill it:
   speculation worthwhile).
 
 A planned matrix is valid until something in its read set changes, and
-the batch sees every such change happen: a re-wire (or, under
+the driver sees every such change happen: a re-wire (or, under
 bandwidth, any wiring-version change) empties the mailbox, and so does
-the epoch boundary.  The engines' own route caches are the sequential
-tier's memo; nothing here reads or writes them.
+an epoch boundary that moves the residual-state token (wiring version,
+announced-metric fingerprint, membership).  The engines' own route
+caches are the sequential tier's memo; nothing here reads or writes
+them.
 
 What a memoised residual bought in a quiet epoch — a node whose inputs
 did not move need not recompute anything — is kept as what it was a
@@ -55,22 +61,22 @@ only the adoption tail (:meth:`_LockstepState.is_settled`; counted
 ``batch.steps.skipped``).  At equilibrium nobody re-wires, so a steady
 epoch of any fusable engine costs n adoption tails and no kernel.
 
-Wave sizes adapt per engine exactly like the deployment batch: they grow
-while nothing re-wires (:func:`repro.core.lockstep.wave_cap`) and fall
-back to single-step lookahead the moment a re-wire falsifies the
-speculative chain.
+Wave sizes adapt per deployment: they grow while nothing re-wires
+(:func:`repro.core.lockstep.wave_cap`) and fall back to single-step
+lookahead the moment a re-wire falsifies the speculative chain.
 
 The re-wiring opportunities themselves run through the one fused kernel,
 :func:`repro.core.lockstep.fused_best_response`, at any membership (it
 pads churned-down engines to the group's widest member); only the
-adoption rule — the node's BR(ε) plus the link-state broadcast — lives
-here.  Join/leave events between epochs re-derive the active mask
-instead of rebuilding the batch.
+adoption rule — the node's BR(ε), then its owner's adoption tail (an
+engine's weight re-install and link-state broadcast) — lives here.
+Join/leave events between epochs re-derive the active mask instead of
+rebuilding the batch.
 
 Byte identity
 -------------
-The engines themselves are untouched: every step runs
-:meth:`EgoistEngine.step_node` or its adoption tail, which consume the
+The owners themselves are untouched: every step runs their
+``step_node`` or their adoption tail, which consume the
 same RNG streams and apply the same decision rules whether a residual
 was handed in or swept — and the planned matrices are bitwise
 identical to the sweeps they replace (selections and block-separated
@@ -116,10 +122,10 @@ from repro.telemetry import runtime as telemetry
 from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
 
-#: Stacked-node cap per block-diagonal Dijkstra call.  The engine batch
+#: Stacked-node cap per block-diagonal Dijkstra call.  The lockstep driver
 #: stacks many *small* residual problems per round, where the call's dense
 #: ``(blocks*n)^2`` distance output — not the Dijkstra itself — dominates;
-#: a tighter cap than the deployment sweep's keeps that output near 8 MB.
+#: a tighter cap than the build sweep's scoring keeps that output near 8 MB.
 _ENGINE_BLOCK_NODES = 1024
 
 #: Floor of the maintained all-pairs planner, in active nodes stacked
@@ -180,7 +186,8 @@ class EngineSpec:
 
 
 class _LockstepState:
-    """Per-engine bookkeeping of one lockstep epoch."""
+    """Per-deployment bookkeeping of one lockstep epoch (``engine`` is the
+    owner: an :class:`EgoistEngine`, or a build standing where one stands)."""
 
     __slots__ = (
         "engine",
@@ -230,14 +237,18 @@ class _LockstepState:
 
     # ------------------------------------------------------------------ #
     def begin_epoch(self) -> None:
+        token = self.token() if self.plan is not None else None
         self.plan = self.engine.begin_epoch()
         self._hop_rows.clear()
-        self.mailbox.clear()
+        if self.token() != token:
+            # While the token stands (a build's next round), so do the
+            # mailbox and the quiet streak.
+            self.mailbox.clear()
+            self.wave = 1
         self.active_set = frozenset(self.plan.active_list)
         before = self.dense
         self._rebuild_dense()
         self.version = self.engine.wiring.version
-        self.wave = 1
         # The all-pairs matrix is a function of the dense overlay alone,
         # so it survives the epoch boundary exactly when that did: churn,
         # failure injection and wiring resets all show up as a different
@@ -349,88 +360,20 @@ class _LockstepState:
             self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))
 
 
-class EngineBatch:
-    """A sweep of independent epoch-driven deployments over one underlay.
+class _LockstepDriver:
+    """The round loop, its planners and the fused steps, over owners that
+    stand where an :class:`EgoistEngine` stands (``begin_epoch``,
+    ``step_node``, ``announce``, ``wiring``, ``nodes``, ``policy``,
+    ``k``, ``n``, ``preferences``)."""
 
-    Parameters
-    ----------
-    specs:
-        The deployments, all over providers of the same size.  Mixed
-        metric families are allowed (prefills group by objective
-        direction).
-    batched:
-        ``True`` (default) advances the engines in lockstep with shared
-        residual route-value prefills; ``False`` runs each engine's
-        ``run(epochs)`` sequentially — today's engine byte-for-byte.
-        Both produce bit-identical epoch histories.
-    """
-
-    def __init__(self, specs: Sequence[EngineSpec], *, batched: bool = True):
-        specs = list(specs)
-        if not specs:
-            raise ValidationError("an EngineBatch needs at least one spec")
-        sizes = {spec.provider.size for spec in specs}
-        if len(sizes) != 1:
-            raise ValidationError(
-                f"all deployments must share one overlay size, got {sorted(sizes)}"
-            )
-        self.specs: List[EngineSpec] = specs
-        self.batched = bool(batched)
-        self.n = specs[0].provider.size
-        self.engines: List[EgoistEngine] = [spec.build_engine() for spec in specs]
-        self._states: Optional[List[_LockstepState]] = None
+    def __init__(self):
         #: The maintained group's repair tables, keyed by the ``(state,
         #: wiring version)`` pairs of the group they were stacked for.
         self._tables: Optional[Tuple[Tuple, ShortestRepairTables]] = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Serve checkpoints pickle the batch between epochs.  The
-        # lockstep states and the group's repair tables hold nothing an
-        # epoch cannot re-derive (every begin_epoch resets them; the
-        # all-pairs matrices are caches), so they are not stored.
-        state = dict(self.__dict__)
-        state["_states"] = state["_tables"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Whatever a checkpoint carried (older code stored the states, or
-        # predates the tables), a restored batch re-derives both.
-        self.__dict__.update(state)
-        self._states = self._tables = None
-
-    # ------------------------------------------------------------------ #
-    def step_epoch(self) -> List[EpochRecord]:
-        """Advance every deployment by exactly one epoch.
-
-        The single execution planner both the batch ``run()`` loop and
-        the live serve scheduler step: batched, one lockstep epoch with
-        shared prefills; sequential, one ``run_epoch`` per engine.  The
-        deployments are mutually independent (own RNG streams, own
-        providers), so per-epoch interleaving of the sequential engines
-        is byte-identical to running each engine's epochs back to back.
-        Records come back in spec order.
-        """
-        if self.batched:
-            return self.run_epoch()
-        return [engine.run_epoch() for engine in self.engines]
-
-    def run(self, epochs: int) -> List[EngineHistory]:
-        """Simulate ``epochs`` wiring epochs per deployment."""
-        for _ in range(int(epochs)):
-            self.step_epoch()
-        return [engine.history for engine in self.engines]
-
-    def run_epoch(self) -> List[EpochRecord]:
-        """Advance every deployment by one wiring epoch, in lockstep.
-
-        The lockstep states persist across epochs: churn-driven join and
-        leave events between epochs re-derive each engine's active-node
-        mask (and with it the padded fused-kernel layout) inside
-        ``begin_epoch`` instead of rebuilding any batch structure.
-        """
-        if self._states is None:
-            self._states = [_LockstepState(engine) for engine in self.engines]
-        states = self._states
+    def _run_rounds(self, states: Sequence[_LockstepState]) -> None:
+        """One epoch of every owner: ``begin_epoch``, then lockstep rounds
+        until every plan is done."""
         with telemetry.span("batch.begin"):
             for st in states:
                 st.begin_epoch()
@@ -489,63 +432,6 @@ class EngineBatch:
                 for st, resid in fallback:
                     st.step(resid)
             live = [st for st in live if not st.plan.done]
-        with telemetry.span("batch.finish"):
-            return self._finish_epochs(states)
-
-    def _finish_epochs(self, states: Sequence[_LockstepState]) -> List[EpochRecord]:
-        """Score every deployment's finished epoch through stacked sweeps.
-
-        The epoch record needs each engine's routing values over its
-        *built* overlay (the true-metric cost objective) and, for churn
-        experiments, the all-pairs distance matrix behind the efficiency
-        metric.  Both are the same multi-source sweeps the re-wiring
-        prefills already stack, so one block-diagonal Dijkstra serves
-        every additive scoring (and every bandwidth deployment's
-        efficiency distances), and one closure pass per bandwidth
-        deployment serves its bottleneck values — handed to
-        :meth:`EgoistEngine.finish_epoch`, which consumes them exactly
-        where its own (bit-identical) sweeps would run.
-        """
-        # Engines needing an additive all-pairs matrix: every additive
-        # deployment (costs + possibly efficiency), plus bandwidth
-        # deployments that compute efficiency (defined over shortest
-        # distances whatever the metric family).
-        additive = [
-            st
-            for st in states
-            if not st.plan.truth.maximize or st.engine.compute_efficiency
-        ]
-        distance_of: Dict[int, np.ndarray] = {}
-        if additive:
-            stack = np.stack([st.dense for st in additive])
-            matrices = batched_route_matrices(
-                stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
-            )
-            for st, matrix in zip(additive, matrices):
-                distance_of[id(st)] = matrix
-        bandwidth = [st for st in states if st.plan.truth.maximize]
-        closure_of: Dict[int, np.ndarray] = {}
-        if bandwidth:
-            stack = np.stack([st.dense for st in bandwidth])
-            matrices = batched_route_matrices(
-                stack, maximize=True, block_nodes=_ENGINE_BLOCK_NODES
-            )
-            for st, matrix in zip(bandwidth, matrices):
-                closure_of[id(st)] = matrix
-        records = []
-        for st in states:
-            active_rows = st.plan.active_rows
-            if st.plan.truth.maximize:
-                route_values = closure_of[id(st)][active_rows]
-            else:
-                route_values = distance_of[id(st)][active_rows]
-            distances = distance_of.get(id(st)) if st.engine.compute_efficiency else None
-            records.append(
-                st.engine.finish_epoch(
-                    st.plan, route_values=route_values, distances=distances
-                )
-            )
-        return records
 
     # ------------------------------------------------------------------ #
     # Residual route-value prefills
@@ -567,25 +453,31 @@ class EngineBatch:
         from the all-pairs matrices, all of them in one stacked pass
         (:meth:`_derive_residuals`), and read in this very round.
         ``live`` holds only the engines that step this round; settled
-        ones were taken out by :meth:`run_epoch`.
+        ones were taken out by :meth:`_run_rounds`.
         """
         jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
         maintained: List[_LockstepState] = []
         for st in live:
             plan = st.plan
             if plan.announced.maximize:
+                # An entry is read under the token it was filled at (any
+                # version change empties a bandwidth mailbox), so settled
+                # nodes need none; an avoid-one pass serves every other
+                # node — next epoch too, if the token survives.
+                token = st.token()
                 missing = [
                     node
                     for node in plan.order[plan.pos : plan.pos + st.wave]
-                    if len(st.hop_rows(node)) and node not in st.mailbox
+                    if len(st.hop_rows(node))
+                    and node not in st.mailbox
+                    and st.settled.get(node) != token
                 ]
                 if missing:
                     # Past the closure cutoff nothing is planned: the
                     # engine's own auto-mode sweep (bitwise identical) runs.
+                    readers = [node for node in plan.order if st.settled.get(node) != token]
                     st.mailbox.update(
-                        fill_bandwidth_residuals(
-                            st.dense, missing, plan.order[plan.pos :], st.hop_rows
-                        )
+                        fill_bandwidth_residuals(st.dense, missing, readers, st.hop_rows)
                     )
                 continue
             # Replan only when the speculative chain ran dry (or broke):
@@ -646,7 +538,7 @@ class EngineBatch:
         if self._tables is None or self._tables[0] != key:
             self._tables = (key, shortest_inbound_tables([st.dense for st in group]))
         tables = self._tables[1]
-        sources = np.arange(self.n)
+        sources = np.arange(group[0].engine.n)
         # (The kernel copies what it writes, so a lone matrix is viewed.)
         apsp = group[0].apsp[None] if len(group) == 1 else np.stack([st.apsp for st in group])
         stale = [st.apsp_stale for st in group]
@@ -715,13 +607,13 @@ class EngineBatch:
 
         ``group`` pairs each engine's lockstep state with the residual
         route-value matrix of its next node, taken from its mailbox by
-        the grouping pass in :meth:`run_epoch`.  Each becomes a
+        the grouping pass in :meth:`_run_rounds`.  Each becomes a
         :class:`~repro.core.lockstep.Member`;
         :func:`~repro.core.lockstep.fused_best_response` scores the whole
-        group.  The adoption rule is the engine's
-        (:meth:`~repro.core.node.EgoistNode.consider_rewiring`): BR(ε)
-        with the *node's* epsilon, empty-wiring nodes adopting any
-        different wiring, followed by :meth:`_LockstepState.adopt`.
+        group.  The adoption rule is :meth:`EgoistNode.consider_rewiring`'s:
+        BR(ε) with the *node's* epsilon (a build's carry the policy's),
+        empty-wiring nodes adopting any different wiring; then
+        :meth:`_LockstepState.adopt`.
         """
         metric = group[0][0].plan.announced
         members = []
@@ -765,3 +657,142 @@ class EngineBatch:
                 eng_node.wiring = Wiring.of(node, new_neighbors)
                 eng_node.rewire_count += 1
             st.adopt(rewired)
+
+
+class EngineBatch(_LockstepDriver):
+    """A sweep of independent epoch-driven deployments over one underlay.
+
+    Parameters
+    ----------
+    specs:
+        The deployments, all over providers of the same size.  Mixed
+        metric families are allowed (prefills group by objective
+        direction).
+    batched:
+        ``True`` (default) advances the engines in lockstep with shared
+        residual route-value prefills; ``False`` runs each engine's
+        ``run(epochs)`` sequentially — today's engine byte-for-byte.
+        Both produce bit-identical epoch histories.
+    """
+
+    def __init__(self, specs: Sequence[EngineSpec], *, batched: bool = True):
+        specs = list(specs)
+        if not specs:
+            raise ValidationError("an EngineBatch needs at least one spec")
+        sizes = {spec.provider.size for spec in specs}
+        if len(sizes) != 1:
+            raise ValidationError(
+                f"all deployments must share one overlay size, got {sorted(sizes)}"
+            )
+        super().__init__()
+        self.specs: List[EngineSpec] = specs
+        self.batched = bool(batched)
+        self.n = specs[0].provider.size
+        self.engines: List[EgoistEngine] = [spec.build_engine() for spec in specs]
+        self._states: Optional[List[_LockstepState]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Serve checkpoints pickle the batch between epochs.  The
+        # lockstep states and the group's repair tables hold nothing an
+        # epoch cannot re-derive (every begin_epoch resets them; the
+        # all-pairs matrices are caches), so they are not stored.
+        state = dict(self.__dict__)
+        state["_states"] = state["_tables"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Whatever a checkpoint carried (older code stored the states, or
+        # predates the tables), a restored batch re-derives both.
+        self.__dict__.update(state)
+        self._states = self._tables = None
+
+    # ------------------------------------------------------------------ #
+    def step_epoch(self) -> List[EpochRecord]:
+        """Advance every deployment by exactly one epoch.
+
+        The single execution planner both the batch ``run()`` loop and
+        the live serve scheduler step: batched, one lockstep epoch with
+        shared prefills; sequential, one ``run_epoch`` per engine.  The
+        deployments are mutually independent (own RNG streams, own
+        providers), so per-epoch interleaving of the sequential engines
+        is byte-identical to running each engine's epochs back to back.
+        Records come back in spec order.
+        """
+        if self.batched:
+            return self.run_epoch()
+        return [engine.run_epoch() for engine in self.engines]
+
+    def run(self, epochs: int) -> List[EngineHistory]:
+        """Simulate ``epochs`` wiring epochs per deployment."""
+        for _ in range(int(epochs)):
+            self.step_epoch()
+        return [engine.history for engine in self.engines]
+
+    def run_epoch(self) -> List[EpochRecord]:
+        """Advance every deployment by one wiring epoch, in lockstep.
+
+        The lockstep states persist across epochs: churn-driven join and
+        leave events between epochs re-derive each engine's active-node
+        mask (and with it the padded fused-kernel layout) inside
+        ``begin_epoch`` instead of rebuilding any batch structure.
+        """
+        if self._states is None:
+            self._states = [_LockstepState(engine) for engine in self.engines]
+        self._run_rounds(self._states)
+        with telemetry.span("batch.finish"):
+            return self._finish_epochs(self._states)
+
+    def _finish_epochs(self, states: Sequence[_LockstepState]) -> List[EpochRecord]:
+        """Score every deployment's finished epoch through stacked sweeps.
+
+        The epoch record needs each engine's routing values over its
+        *built* overlay (the true-metric cost objective) and, for churn
+        experiments, the all-pairs distance matrix behind the efficiency
+        metric.  Both are the same multi-source sweeps the re-wiring
+        prefills already stack, so one block-diagonal Dijkstra serves
+        every additive scoring (and every bandwidth deployment's
+        efficiency distances), and one closure pass per bandwidth
+        deployment serves its bottleneck values — handed to
+        :meth:`EgoistEngine.finish_epoch`, which consumes them exactly
+        where its own (bit-identical) sweeps would run.
+        """
+        # Engines needing an additive all-pairs matrix: every additive
+        # deployment (costs + possibly efficiency), plus bandwidth
+        # deployments that compute efficiency (defined over shortest
+        # distances whatever the metric family).
+        additive = [
+            st
+            for st in states
+            if not st.plan.truth.maximize or st.engine.compute_efficiency
+        ]
+        distance_of: Dict[int, np.ndarray] = {}
+        if additive:
+            stack = np.stack([st.dense for st in additive])
+            matrices = batched_route_matrices(
+                stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
+            )
+            for st, matrix in zip(additive, matrices):
+                distance_of[id(st)] = matrix
+        bandwidth = [st for st in states if st.plan.truth.maximize]
+        closure_of: Dict[int, np.ndarray] = {}
+        if bandwidth:
+            stack = np.stack([st.dense for st in bandwidth])
+            matrices = batched_route_matrices(
+                stack, maximize=True, block_nodes=_ENGINE_BLOCK_NODES
+            )
+            for st, matrix in zip(bandwidth, matrices):
+                closure_of[id(st)] = matrix
+        records = []
+        for st in states:
+            active_rows = st.plan.active_rows
+            if st.plan.truth.maximize:
+                route_values = closure_of[id(st)][active_rows]
+            else:
+                route_values = distance_of[id(st)][active_rows]
+            distances = distance_of.get(id(st)) if st.engine.compute_efficiency else None
+            records.append(
+                st.engine.finish_epoch(
+                    st.plan, route_values=route_values, distances=distances
+                )
+            )
+        return records

@@ -1,27 +1,28 @@
-"""What the two lockstep batches share: one kernel, one sweep, one fill.
+"""The stateless kernels of the lockstep driver: one kernel, one sweep, one fill.
 
-:class:`~repro.core.deployment_batch.DeploymentBatch` (build-time
-best-response dynamics of a k-sweep) and
-:class:`~repro.core.engine_batch.EngineBatch` (epoch-driven engines)
-both advance many *independent* deployments one re-wiring opportunity at
-a time.  Everything they do identically lives here, once:
+The lockstep driver of :mod:`repro.core.engine_batch` advances many
+*independent* deployments one re-wiring opportunity at a time — the
+epoch-driven engines of :class:`~repro.core.engine_batch.EngineBatch`
+and the build-time best-response rounds of
+:class:`~repro.core.deployment_batch.DeploymentBatch` alike.  The
+kernels it calls live here:
 
 * :func:`fused_best_response` — **the** re-wiring kernel: current-wiring
   score, greedy seed and single-swap local search of a whole group of
   opportunities as broadcasts over one padded via tensor, with the
   unreachable clamp and the preference weights folded into that tensor
-  once.  Callers gather the per-member inputs, call it, and apply their
-  own adoption rule to what it returns.
+  once.  The driver gathers the per-member inputs, calls it, and applies
+  the BR(ε) adoption rule to what it returns.
 * :func:`batched_route_matrices` — all-sources route values of stacked
   overlays: one block-diagonal CSR Dijkstra for additive metrics, max-min
-  closures for bandwidth.
+  closures for bandwidth (also the build sweep's scoring tensor).
 * :func:`fill_bandwidth_residuals` — residual bottleneck matrices of one
   bandwidth overlay, by per-node closures or one avoid-one pass.
 * :func:`fusable` and :func:`wave_cap` — which policies the kernel
   replicates, and how far ahead a quiet deployment may speculate.
 
-None of them keeps state: what they compute goes back to the batch that
-asked, which hands each residual to the one step that reads it.  Every
+None of them keeps state: what they compute goes back to the driver,
+which hands each residual to the one step that reads it.  Every
 function is bitwise identical to the per-deployment code it
 stands in for (selections, block-separated Dijkstra runs and the same
 elementwise operations over the same contiguous value runs — no

@@ -498,10 +498,10 @@ def best_response_rewire_step(
 
     Scores the node's current wiring and its best response on the
     supplied evaluator, adopts the new wiring under the BR(ε) rule, and
-    returns whether the node actually re-wired.  This is the unit of work
-    both the sequential builder and the batched lockstep share — byte
-    identity between the two paths reduces to feeding this step the same
-    evaluator values and RNG state.
+    returns whether the node actually re-wired.  The sequential builder
+    steps every node with it, the lockstep build every node the fused
+    kernel does not replicate — byte identity between the two paths
+    reduces to feeding this step the same evaluator values and RNG state.
     """
     current = wiring.wiring_of(node)
     current_cost = evaluator.evaluate(current.neighbors if current else ())

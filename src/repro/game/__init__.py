@@ -3,17 +3,14 @@
 The SNS game [Laoutaris et al. 2007] underlies EGOIST: nodes are players,
 wirings are strategies, and the cost functions are the preference-weighted
 routing costs.  This subpackage provides the machinery the paper's
-background section relies on: best-response dynamics, (approximate) Nash
-equilibrium detection, social cost, and price-of-anarchy style ratios
-against the socially optimal wiring.
+background section relies on: (approximate) Nash equilibrium detection,
+social cost, and price-of-anarchy style ratios against the socially
+optimal wiring.  Best-response dynamics themselves are
+:func:`repro.core.policies.build_overlay` under a
+:class:`~repro.core.policies.BestResponsePolicy`.
 """
 
-from repro.game.sns_game import (
-    BestResponseDynamicsResult,
-    SNSGame,
-    best_response_dynamics,
-    is_nash_equilibrium,
-)
+from repro.game.sns_game import SNSGame, is_nash_equilibrium
 from repro.game.social_cost import (
     price_of_anarchy_bound,
     social_cost,
@@ -21,9 +18,7 @@ from repro.game.social_cost import (
 )
 
 __all__ = [
-    "BestResponseDynamicsResult",
     "SNSGame",
-    "best_response_dynamics",
     "is_nash_equilibrium",
     "price_of_anarchy_bound",
     "social_cost",

@@ -1,4 +1,4 @@
-"""The Selfish Neighbor Selection game: dynamics and equilibria.
+"""The Selfish Neighbor Selection game: instances and equilibria.
 
 Definitions follow Section 2.1 of the paper: a game instance is a node
 set, a link-weight (distance) function, per-node neighbour budgets ``k``,
@@ -9,8 +9,7 @@ re-wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -118,69 +117,3 @@ def is_nash_equilibrium(
             if result.cost < current_cost * (1.0 - tolerance) - tolerance:
                 return False
     return True
-
-
-@dataclass
-class BestResponseDynamicsResult:
-    """Outcome of running best-response dynamics."""
-
-    wiring: GlobalWiring
-    rounds: int
-    converged: bool
-    rewirings_per_round: List[int] = field(default_factory=list)
-    social_costs: List[float] = field(default_factory=list)
-
-    @property
-    def total_rewirings(self) -> int:
-        """Total unilateral re-wirings performed during the dynamics."""
-        return int(sum(self.rewirings_per_round))
-
-
-def best_response_dynamics(
-    game: SNSGame,
-    *,
-    initial: Optional[GlobalWiring] = None,
-    max_rounds: int = 20,
-    rng: SeedLike = None,
-) -> BestResponseDynamicsResult:
-    """Run round-robin best-response dynamics until convergence.
-
-    Each round every player (in random order) adopts its best response to
-    the current wiring of the others.  The dynamics stop when a full round
-    passes with no re-wiring — a pure Nash equilibrium of the (approximate)
-    best-response correspondence — or after ``max_rounds``.
-    """
-    rng = as_generator(rng)
-    wiring = initial.copy() if initial is not None else game.random_wiring(rng)
-    rewirings_per_round: List[int] = []
-    social_costs: List[float] = []
-    converged = False
-    order = list(range(game.n))
-    rounds_done = 0
-    for _round in range(int(max_rounds)):
-        rounds_done += 1
-        rng.shuffle(order)
-        changed = 0
-        for node in order:
-            evaluator, result = game.player_best_response(wiring, node, rng=rng)
-            current = wiring.wiring_of(node)
-            current_set = set(current.neighbors) if current is not None else set()
-            current_cost = evaluator.evaluate(current_set)
-            if game.metric.better(result.cost, current_cost) and set(result.neighbors) != current_set:
-                weights = {
-                    v: game.metric.link_weight(node, v) for v in result.neighbors
-                }
-                wiring.set_wiring(result.as_wiring(), weights)
-                changed += 1
-        rewirings_per_round.append(changed)
-        social_costs.append(game.metric.social_cost(wiring.to_graph(), game.preferences))
-        if changed == 0:
-            converged = True
-            break
-    return BestResponseDynamicsResult(
-        wiring=wiring,
-        rounds=rounds_done,
-        converged=converged,
-        rewirings_per_round=rewirings_per_round,
-        social_costs=social_costs,
-    )

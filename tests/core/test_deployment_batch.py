@@ -6,9 +6,12 @@ best-response dynamics, fused broadcasts) and ``batched=False`` (the
 preserved pre-batching sequential implementation).
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import (
     BandwidthMetricProvider,
     BestResponsePolicy,
@@ -17,15 +20,25 @@ from repro.core import (
     KClosestPolicy,
     KRandomPolicy,
     KRegularPolicy,
+    LoadMetricProvider,
     ResidualRouteCache,
     metric_fingerprint,
 )
+from repro.core.codec import history_digest
 from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
+from repro.core.engine_batch import EngineBatch, EngineSpec
 from repro.experiments import fig1_bandwidth, fig1_delay_ping, fig1_node_load
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
+from repro.netsim.load import NodeLoadModel
 from repro.util.rng import spawn_generators
 from repro.util.validation import ValidationError
+
+#: Every module that reads the dense-closure cutoff.
+CUTOFF_READERS = tuple(
+    importlib.import_module(name)
+    for name in ("repro.routing.widest_path", "repro.core.lockstep")
+)
 
 POLICY_FACTORIES = (
     ("k-random", KRandomPolicy),
@@ -47,6 +60,28 @@ def _delay_provider(n, *, jitter=1.0, seed=5):
 
 def _bandwidth_provider(n, *, seed=11):
     return BandwidthMetricProvider(BandwidthModel(n, seed=seed), seed=seed + 1)
+
+
+def _load_provider(n, *, seed=13):
+    return LoadMetricProvider(NodeLoadModel(n, seed=seed))
+
+
+class _MixedProvider:
+    """Delay and bandwidth metrics by turns, one family per k of the grid:
+    one batch then runs both planners and two fused groups every round."""
+
+    def __init__(self, n):
+        self._providers = [_delay_provider(n), _bandwidth_provider(n)]
+
+    def announced_metric(self):
+        return self._providers[0].announced_metric()
+
+    def true_metric(self):
+        return self._providers[0].true_metric()
+
+    def advance(self, epochs=1):
+        self._providers[0].advance(epochs)
+        self._providers.reverse()
 
 
 def _sweep_specs(provider, k_values, seed, *, br_rounds=3):
@@ -85,6 +120,8 @@ class TestBatchedSequentialParity:
             # n - 1 <= exact_threshold: the per-deployment exact fallback.
             (_delay_provider, 12),
             (_bandwidth_provider, 12),
+            (_load_provider, 18),
+            (_MixedProvider, 18),
         ],
     )
     def test_mean_costs_bitwise_equal(self, provider_factory, n):
@@ -148,6 +185,42 @@ class TestBatchedSequentialParity:
             DeploymentBatch(specs(3), batched=False).run(),
         )
 
+    @pytest.mark.parametrize("batch", ["build", "engine"])
+    def test_past_the_closure_cutoff(self, batch, monkeypatch):
+        """A bandwidth overlay past CLOSURE_MAX_NODES gets no planned
+        residual: every opportunity steps its owner's own evaluator, which
+        sweeps per source, exactly as the sequential path does."""
+        for module in CUTOFF_READERS:
+            monkeypatch.setattr(module, "CLOSURE_MAX_NODES", 8)
+
+        def run(batched):
+            if batch == "build":
+                specs = _sweep_specs(_bandwidth_provider(18), (2, 3), 42, br_rounds=2)
+                return DeploymentBatch(specs, batched=batched).run().tolist()
+            streams = spawn_generators(np.random.default_rng(5), 2)
+            specs = [
+                EngineSpec(
+                    label=f"br@k={k}",
+                    provider=_bandwidth_provider(18),
+                    policy=BestResponsePolicy(),
+                    k=k,
+                    seed=stream,
+                )
+                for k, stream in zip((2, 3), streams)
+            ]
+            histories = EngineBatch(specs, batched=batched).run(2)
+            return history_digest(r for history in histories for r in history.records)
+
+        registry = telemetry.enable()
+        try:
+            batched = run(True)
+            counters = registry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert batched == run(False)
+        assert counters.get("batch.steps.fused", 0) == 0
+        assert counters["batch.steps.sequential"] > 0
+
 
 class TestFig1SweepParity:
     """Seeded Fig. 1 panels are byte-identical under both paths."""
@@ -197,6 +270,19 @@ class TestFig1SweepParity:
         assert 0 < dijkstra_calls <= self.DIJKSTRA_CALL_BUDGET
         assert 0 < avoid_one_calls <= self.AVOID_ONE_CALL_BUDGET
         assert sequential_calls >= self.REQUIRED_CALL_RATIO * dijkstra_calls
+
+    def test_builds_report_the_step_ledger(self, fig1_paper_scale):
+        """Builds run on the epoch loop's driver, so its step ledger counts
+        every opportunity of the 28 best-response deployments (four panels
+        x k = 2..8, 50 nodes, three rounds each), and the additive panels'
+        stacked membership puts them on the maintained planner."""
+        _results, counters = fig1_paper_scale
+        steps = sum(
+            counters.get(f"batch.steps.{kind}", 0)
+            for kind in ("fused", "sequential", "skipped")
+        )
+        assert steps == 28 * 50 * 3
+        assert counters["batch.prefill.derived"] > 0
 
 
 class TestRouteValueTensor:
@@ -278,6 +364,33 @@ class TestValidation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             DeploymentBatch([])
+
+    def test_a_shared_generator_is_rejected(self):
+        """Two deployments drawing from one Generator interleave their draws
+        differently in lockstep than one after another."""
+        provider = _delay_provider(18)
+        announced, truth = provider.announced_metric(), provider.true_metric()
+
+        def specs(rng):
+            return [
+                DeploymentSpec(
+                    label=f"br@k={k}",
+                    policy=BestResponsePolicy(),
+                    k=k,
+                    announced=announced,
+                    truth=truth,
+                    rng=rng,
+                )
+                for k in (2, 3)
+            ]
+
+        with pytest.raises(ValidationError, match="'br@k=2' and 'br@k=3'"):
+            DeploymentBatch(specs(np.random.default_rng(99)))
+        # Seeds (and None) make a fresh stream per deployment.
+        assert np.array_equal(
+            DeploymentBatch(specs(99), batched=True).run(),
+            DeploymentBatch(specs(99), batched=False).run(),
+        )
 
     def test_mismatched_sizes_rejected(self):
         small = _delay_provider(8)

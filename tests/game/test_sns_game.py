@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cost import DelayMetric
-from repro.game.sns_game import SNSGame, best_response_dynamics, is_nash_equilibrium
+from repro.core.policies import BestResponsePolicy, build_overlay
+from repro.game.sns_game import SNSGame, is_nash_equilibrium
 from repro.util.validation import ValidationError
 
 
@@ -40,31 +41,38 @@ class TestGameBasics:
         assert result.cost <= current_cost + 1e-9
 
 
+def _dynamics(game, rounds, seed):
+    """Best-response dynamics from a random wiring, at most ``rounds`` rounds."""
+    return build_overlay(
+        BestResponsePolicy(), game.metric, game.k, rng=seed, br_rounds=rounds
+    )
+
+
 class TestDynamics:
     def test_dynamics_converge(self, game8):
-        result = best_response_dynamics(game8, max_rounds=15, rng=0)
-        assert result.converged
-        assert result.rewirings_per_round[-1] == 0
+        # A round that re-wires nobody ends the dynamics: more rounds allowed
+        # change nothing.
+        wiring = _dynamics(game8, 15, 0)
+        longer = _dynamics(game8, 50, 0)
+        for node in range(8):
+            assert wiring.wiring_of(node) == longer.wiring_of(node)
 
     def test_converged_wiring_is_nash(self, game8):
-        result = best_response_dynamics(game8, max_rounds=15, rng=0)
-        assert is_nash_equilibrium(game8, result.wiring, tolerance=1e-6, rng=0)
+        wiring = _dynamics(game8, 15, 0)
+        assert is_nash_equilibrium(game8, wiring, tolerance=1e-6, rng=0)
 
     def test_random_wiring_usually_not_nash(self, game8):
         wiring = game8.random_wiring(rng=3)
         assert not is_nash_equilibrium(game8, wiring, rng=0)
 
     def test_social_cost_non_increasing_trend(self, game8):
-        result = best_response_dynamics(game8, max_rounds=15, rng=1)
         # Selfish moves need not monotonically improve social cost, but the
-        # equilibrium should not be drastically worse than the start.
-        assert result.social_costs[-1] <= result.social_costs[0] * 1.5
+        # equilibrium should not be drastically worse than the start (zero
+        # rounds keep the random seed wiring).
+        start = _dynamics(game8, 0, 1).to_graph()
+        end = _dynamics(game8, 15, 1).to_graph()
+        assert game8.metric.social_cost(end) <= game8.metric.social_cost(start) * 1.5
 
     def test_dynamics_degrees_preserved(self, game8):
-        result = best_response_dynamics(game8, max_rounds=10, rng=2)
-        graph = result.wiring.to_graph()
+        graph = _dynamics(game8, 10, 2).to_graph()
         assert all(graph.out_degree(i) == 2 for i in range(8))
-
-    def test_total_rewirings_counted(self, game8):
-        result = best_response_dynamics(game8, max_rounds=10, rng=4)
-        assert result.total_rewirings == sum(result.rewirings_per_round)

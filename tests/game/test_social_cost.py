@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cost import DelayMetric
-from repro.game.sns_game import SNSGame, best_response_dynamics
+from repro.core.policies import BestResponsePolicy, build_overlay
+from repro.game.sns_game import SNSGame
 from repro.game.social_cost import (
     price_of_anarchy_bound,
     social_cost,
@@ -30,8 +31,7 @@ class TestSocialCost:
         )
 
     def test_greedy_optimum_no_worse_than_equilibrium(self, metric6):
-        game = SNSGame(metric6, k=2)
-        equilibrium = best_response_dynamics(game, max_rounds=10, rng=0).wiring
+        equilibrium = build_overlay(BestResponsePolicy(), metric6, 2, rng=0, br_rounds=10)
         optimum = social_optimum_greedy(metric6, 2, rng=0, rounds=2)
         assert social_cost(metric6, optimum) <= social_cost(metric6, equilibrium) * 1.001
 
@@ -41,16 +41,14 @@ class TestSocialCost:
         assert all(graph.out_degree(i) == 2 for i in range(6))
 
     def test_price_of_anarchy_at_least_one(self, metric6):
-        game = SNSGame(metric6, k=2)
-        equilibrium = best_response_dynamics(game, max_rounds=10, rng=1).wiring
+        equilibrium = build_overlay(BestResponsePolicy(), metric6, 2, rng=1, br_rounds=10)
         optimum = social_optimum_greedy(metric6, 2, rng=1, rounds=2)
         ratio = price_of_anarchy_bound(metric6, equilibrium, optimum)
         assert ratio >= 0.999
 
     def test_price_of_anarchy_small_for_sns(self, metric6):
         """The SNS literature shows equilibria within a constant factor of optimal."""
-        game = SNSGame(metric6, k=2)
-        equilibrium = best_response_dynamics(game, max_rounds=10, rng=2).wiring
+        equilibrium = build_overlay(BestResponsePolicy(), metric6, 2, rng=2, br_rounds=10)
         optimum = social_optimum_greedy(metric6, 2, rng=2, rounds=2)
         assert price_of_anarchy_bound(metric6, equilibrium, optimum) < 2.0
 
