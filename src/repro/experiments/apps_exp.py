@@ -29,8 +29,8 @@ from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
 
@@ -126,68 +126,19 @@ def _run_fig11(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _fig10_spec(
-    n: int, k_values: Sequence[int], seed: SeedLike, br_rounds: int, pairs_per_k: int
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig10-multipath",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="bandwidth",
-        br_rounds=int(br_rounds),
-        seed=coerce_seed(seed),
-        params={"pairs_per_k": int(pairs_per_k)},
-    )
-
-
-def fig10_multipath_gain(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 3,
-    pairs_per_k: int = 100,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 10: available-bandwidth gain of multipath transfer vs k."""
-    spec = _fig10_spec(n, k_values, seed, br_rounds, pairs_per_k)
-    return SimulationSession(spec, batched=batched).run()
-
-
-def _fig11_spec(
-    n: int, k_values: Sequence[int], seed: SeedLike, br_rounds: int, pairs_per_k: int
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig11-disjoint",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="delay-true",
-        br_rounds=int(br_rounds),
-        seed=coerce_seed(seed),
-        params={"pairs_per_k": int(pairs_per_k)},
-    )
-
-
-def fig11_disjoint_paths(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 3,
-    pairs_per_k: int = 100,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 11: number of disjoint overlay paths vs k (delay-based overlay)."""
-    spec = _fig11_spec(n, k_values, seed, br_rounds, pairs_per_k)
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "fig10-multipath",
     help="Fig. 10: multipath available-bandwidth gain vs k",
-    default_spec=lambda: _fig10_spec(50, DEFAULT_K_VALUES, 2008, 3, 100),
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig10-multipath",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=("best-response",),
+        metric="bandwidth",
+        br_rounds=3,
+        seed=2008,
+        params={"pairs_per_k": 100},
+    ),
     runner=_run_fig10,
     smoke_args=("--n", "12", "--k", "2,3", "--br-rounds", "1", "--param", "pairs_per_k=10"),
 )
@@ -195,7 +146,16 @@ register_scenario(
 register_scenario(
     "fig11-disjoint",
     help="Fig. 11: disjoint overlay paths vs k",
-    default_spec=lambda: _fig11_spec(50, DEFAULT_K_VALUES, 2008, 3, 100),
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig11-disjoint",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=("best-response",),
+        metric="delay-true",
+        br_rounds=3,
+        seed=2008,
+        params={"pairs_per_k": 100},
+    ),
     runner=_run_fig11,
     smoke_args=("--n", "12", "--k", "2,3", "--br-rounds", "1", "--param", "pairs_per_k=10"),
 )

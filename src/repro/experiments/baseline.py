@@ -10,18 +10,16 @@ budget ``k``:
 * bottom-right: available bandwidth (there, the ratio of aggregate
   bandwidth to BR's — larger is better, so the ratios sit below 1).
 
-Every panel is a declarative :class:`~repro.scenario.spec.ScenarioSpec`
-(experiment names ``fig1-*``) realised through
-:class:`~repro.scenario.session.SimulationSession`; the public
-``fig1_*`` functions below are thin spec constructions kept for direct
-Python use.
+Every panel is a registered :class:`~repro.scenario.spec.ScenarioSpec`
+(experiment names ``fig1-*``) run by :func:`_run_fig1`; from Python,
+``run_spec(default_spec("fig1-delay-ping").override(n=30))``.
 
 Performance
 -----------
 A k-sweep is a batch of independent deployments — one per (policy, k)
-pair — over one underlay, and :func:`policy_comparison` runs the whole
-batch through :class:`~repro.core.deployment_batch.DeploymentBatch`
-(``batched=True``, the default):
+pair — over one underlay, and :func:`_run_fig1` runs the whole batch
+through :class:`~repro.core.deployment_batch.DeploymentBatch` (the
+session's ``batched=True``, the default):
 
 * the per-k underlay snapshots (announced + true metrics) are taken up
   front, every deployment gets its own spawned RNG stream, and the
@@ -42,35 +40,19 @@ parity is tested, and the paper-scale kernel-call budget is
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
-from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
-from repro.core.policies import (
-    BestResponsePolicy,
-    FullMeshPolicy,
-    KClosestPolicy,
-    KRandomPolicy,
-    KRegularPolicy,
-    NeighborSelectionPolicy,
-)
-from repro.core.providers import MetricProvider
+from repro.core.deployment_batch import DeploymentSpec
+from repro.core.policies import FullMeshPolicy
 from repro.experiments.harness import ExperimentResult, add_normalized_sweep
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator, spawn_generators
-
-#: The policies compared in Fig. 1 (full mesh is added where the paper does).
-COMPARISON_POLICIES: Dict[str, NeighborSelectionPolicy] = {
-    "k-random": KRandomPolicy(),
-    "k-regular": KRegularPolicy(),
-    "k-closest": KClosestPolicy(),
-    "best-response": BestResponsePolicy(),
-}
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator, spawn_generators
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
 
-#: Per-panel presentation of the generic comparison result.
+#: Per-panel metric family, presentation and full-mesh default.
 _FIG1_PANELS = {
     "fig1-delay-ping": {
         "metric": "delay-ping",
@@ -100,60 +82,51 @@ _FIG1_PANELS = {
 }
 
 
-def policy_comparison(
-    provider: MetricProvider,
-    k_values: Sequence[int],
-    *,
-    include_full_mesh: bool = False,
-    seed: SeedLike = None,
-    br_rounds: int = 4,
-    policies: Optional[Dict[str, NeighborSelectionPolicy]] = None,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Generic Fig.-1-style comparison over one metric provider.
+def _run_fig1(session: SimulationSession) -> ExperimentResult:
+    """Registered runner shared by all four Fig. 1 panels.
 
     Wirings are chosen from the *announced* metric (what nodes measured)
-    and evaluated on the *true* metric, as in a real deployment.  The
-    whole (policy, k) grid is dispatched as one
-    :class:`~repro.core.deployment_batch.DeploymentBatch`; ``batched``
-    selects the stacked kernels or the bit-identical sequential
-    reference path (see the module docstring's Performance section).
+    and evaluated on the *true* metric, as in a real deployment; the
+    whole (k, policy) grid is one deployment batch.
     """
-    rng = as_generator(seed)
-    policies = dict(policies) if policies is not None else dict(COMPARISON_POLICIES)
-    if include_full_mesh:
+    spec = session.spec
+    panel = _FIG1_PANELS[spec.experiment]
+    rng = as_generator(spec.seed)
+    provider = session.make_provider(rng)
+    policies = session.policy_map()
+    if spec.param("include_full_mesh", False):
         policies["full-mesh"] = FullMeshPolicy()
     result = ExperimentResult(
-        figure="fig1",
-        description="Individual cost of neighbor selection policies normalized by BR",
+        figure=spec.experiment,
+        description=panel["description"],
         x_label="k",
-        y_label="individual cost / BR cost",
+        y_label=panel.get("y_label", "individual cost / BR cost"),
         metadata={"n": provider.size, "maximize": provider.true_metric().maximize},
     )
     # Snapshot the underlay for every k up front (advancing the provider
     # exactly as the sequential loop did), then give every deployment its
     # own RNG stream so batched and sequential builds draw identically.
-    specs: List[DeploymentSpec] = []
-    for k in k_values:
+    deployments: List[DeploymentSpec] = []
+    for k in spec.k_grid:
         announced = provider.announced_metric()
         truth = provider.true_metric()
         for name, policy in policies.items():
-            specs.append(
+            deployments.append(
                 DeploymentSpec(
                     label=name,
                     policy=policy,
                     k=int(k),
                     announced=announced,
                     truth=truth,
-                    br_rounds=br_rounds,
+                    br_rounds=spec.br_rounds,
                 )
             )
         provider.advance(1)
-    for spec, stream in zip(specs, spawn_generators(rng, len(specs))):
-        spec.rng = stream
-    means = DeploymentBatch(specs, batched=batched).run()
+    for deployment, stream in zip(deployments, spawn_generators(rng, len(deployments))):
+        deployment.rng = stream
+    means = session.deployment_means(deployments)
     labels = list(policies)
-    for index, k in enumerate(k_values):
+    for index, k in enumerate(spec.k_grid):
         base = index * len(labels)
         raw = {
             label: float(means[base + offset])
@@ -163,122 +136,26 @@ def policy_comparison(
     return result
 
 
-def _run_fig1(session: SimulationSession) -> ExperimentResult:
-    """Registered runner shared by all four Fig. 1 panels."""
-    spec = session.spec
-    panel = _FIG1_PANELS[spec.experiment]
-    rng = as_generator(spec.seed)
-    provider = session.make_provider(rng)
-    result = policy_comparison(
-        provider,
-        spec.k_grid,
-        include_full_mesh=bool(spec.param("include_full_mesh", False)),
-        seed=rng,
-        br_rounds=spec.br_rounds,
-        policies=session.policy_map(),
-        batched=session.batched,
-    )
-    result.figure = spec.experiment
-    result.description = panel["description"]
-    if "y_label" in panel:
-        result.y_label = panel["y_label"]
-    return result
-
-
-def _fig1_spec(
-    experiment: str,
-    n: int,
-    k_values: Sequence[int],
-    seed: SeedLike,
-    br_rounds: int,
-    **params,
-) -> ScenarioSpec:
+def _fig1_spec(experiment: str) -> ScenarioSpec:
+    """The registered default spec of one Fig. 1 panel."""
     panel = _FIG1_PANELS[experiment]
-    merged = {"include_full_mesh": panel["include_full_mesh"], **params}
     return ScenarioSpec(
         experiment=experiment,
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
         metric=panel["metric"],
-        br_rounds=int(br_rounds),
-        seed=coerce_seed(seed),
-        params=merged,
+        br_rounds=4,
+        seed=2008,
+        params={"include_full_mesh": panel["include_full_mesh"]},
     )
-
-
-def fig1_delay_ping(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 4,
-    include_full_mesh: bool = True,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 1 top-left: delay via ping, including the full-mesh bound."""
-    spec = _fig1_spec(
-        "fig1-delay-ping", n, k_values, seed, br_rounds,
-        include_full_mesh=bool(include_full_mesh),
-    )
-    return SimulationSession(spec, batched=batched).run()
-
-
-def fig1_delay_pyxida(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 4,
-    coordinate_rounds: int = 30,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 1 top-right: delay estimated by the virtual coordinate system."""
-    spec = _fig1_spec(
-        "fig1-delay-pyxida", n, k_values, seed, br_rounds,
-        coordinate_rounds=int(coordinate_rounds),
-    )
-    return SimulationSession(spec, batched=batched).run()
-
-
-def fig1_node_load(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 4,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 1 bottom-left: node (CPU) load as the cost metric."""
-    spec = _fig1_spec("fig1-node-load", n, k_values, seed, br_rounds)
-    return SimulationSession(spec, batched=batched).run()
-
-
-def fig1_bandwidth(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    br_rounds: int = 4,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 1 bottom-right: available bandwidth (larger is better).
-
-    The y-axis is the policy's aggregate available bandwidth divided by
-    BR's, so values sit in (0, 1] with BR at 1.
-    """
-    spec = _fig1_spec("fig1-bandwidth", n, k_values, seed, br_rounds)
-    return SimulationSession(spec, batched=batched).run()
 
 
 def _register() -> None:
     for name, panel in _FIG1_PANELS.items():
-        def default_spec(name=name):
-            return _fig1_spec(name, 50, DEFAULT_K_VALUES, 2008, 4)
-
         register_scenario(
             name,
             help=panel["help"],
-            default_spec=default_spec,
+            default_spec=lambda name=name: _fig1_spec(name),
             runner=_run_fig1,
             smoke_args=("--n", "12", "--k", "2,3", "--br-rounds", "1"),
         )

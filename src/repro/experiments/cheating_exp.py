@@ -23,12 +23,12 @@ from repro.core.cheating import CheatingModel
 from repro.core.cost import DelayMetric
 from repro.core.deployment_batch import DeploymentSpec
 from repro.core.policies import BestResponsePolicy
-from repro.experiments.harness import ExperimentResult, mean_finite
+from repro.experiments.harness import ExperimentResult, _param_list, mean_finite
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import CheatingSpec, ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import CheatingSpec, ScenarioSpec
+from repro.util.rng import as_generator
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_FREE_RIDER_COUNTS = (0, 2, 4, 6, 8, 10, 12, 14, 16)
@@ -112,7 +112,9 @@ def _run_fig4_many(session: SimulationSession) -> ExperimentResult:
     spec = session.spec
     inflation = spec.cheating.inflation if spec.cheating else 2.0
     k = int(spec.param("k", spec.k_grid[0]))
-    counts = [int(c) for c in spec.param("free_rider_counts", DEFAULT_FREE_RIDER_COUNTS)]
+    counts = [
+        int(c) for c in _param_list(spec, "free_rider_counts", DEFAULT_FREE_RIDER_COUNTS)
+    ]
     rng = as_generator(spec.seed)
     space, _nodes = synthetic_planetlab(spec.n, seed=rng)
     truth = DelayMetric(space.matrix)
@@ -147,84 +149,19 @@ def _run_fig4_many(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _fig4_one_spec(
-    n: int,
-    k_values: Sequence[int],
-    inflation: float,
-    seed: SeedLike,
-    br_rounds: int,
-    free_rider: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig4-one-freerider",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="delay-true",
-        br_rounds=int(br_rounds),
-        cheating=CheatingSpec(free_riders=(int(free_rider),), inflation=float(inflation)),
-        seed=coerce_seed(seed),
-    )
-
-
-def fig4_one_free_rider(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    inflation: float = 2.0,
-    seed: SeedLike = 0,
-    br_rounds: int = 3,
-    free_rider: int = 0,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 4 left: one free rider inflating its outgoing costs by 2x."""
-    spec = _fig4_one_spec(n, k_values, inflation, seed, br_rounds, free_rider)
-    return SimulationSession(spec, batched=batched).run()
-
-
-def _fig4_many_spec(
-    n: int,
-    free_rider_counts: Sequence[int],
-    k: int,
-    inflation: float,
-    seed: SeedLike,
-    br_rounds: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig4-many-freeriders",
-        n=int(n),
-        k_grid=(int(k),),
-        policies=("best-response",),
-        metric="delay-true",
-        br_rounds=int(br_rounds),
-        cheating=CheatingSpec(free_riders=(), inflation=float(inflation)),
-        seed=coerce_seed(seed),
-        params={
-            "free_rider_counts": [int(c) for c in free_rider_counts],
-            "k": int(k),
-        },
-    )
-
-
-def fig4_many_free_riders(
-    n: int = 50,
-    free_rider_counts: Sequence[int] = DEFAULT_FREE_RIDER_COUNTS,
-    *,
-    k: int = 2,
-    inflation: float = 2.0,
-    seed: SeedLike = 0,
-    br_rounds: int = 3,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 4 right: a growing population of free riders at k = 2."""
-    spec = _fig4_many_spec(n, free_rider_counts, k, inflation, seed, br_rounds)
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "fig4-one-freerider",
     help="Fig. 4 left: one free rider",
-    default_spec=lambda: _fig4_one_spec(50, DEFAULT_K_VALUES, 2.0, 2008, 3, 0),
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig4-one-freerider",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=("best-response",),
+        metric="delay-true",
+        br_rounds=3,
+        cheating=CheatingSpec(free_riders=(0,), inflation=2.0),
+        seed=2008,
+    ),
     runner=_run_fig4_one,
     smoke_args=("--n", "12", "--k", "2", "--br-rounds", "1"),
 )
@@ -232,7 +169,17 @@ register_scenario(
 register_scenario(
     "fig4-many-freeriders",
     help="Fig. 4 right: many free riders at k=2",
-    default_spec=lambda: _fig4_many_spec(50, DEFAULT_FREE_RIDER_COUNTS, 2, 2.0, 2008, 3),
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig4-many-freeriders",
+        n=50,
+        k_grid=(2,),
+        policies=("best-response",),
+        metric="delay-true",
+        br_rounds=3,
+        cheating=CheatingSpec(free_riders=(), inflation=2.0),
+        seed=2008,
+        params={"free_rider_counts": list(DEFAULT_FREE_RIDER_COUNTS), "k": 2},
+    ),
     runner=_run_fig4_many,
     smoke_args=("--n", "12", "--k", "2", "--br-rounds", "1", "--param", "free_rider_counts=0,2"),
 )

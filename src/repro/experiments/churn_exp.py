@@ -22,16 +22,16 @@ path).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from repro.core.engine_batch import EngineSpec
 from repro.core.providers import DelayMetricProvider
-from repro.experiments.harness import ExperimentResult, add_normalized_sweep
+from repro.experiments.harness import ExperimentResult, _param_list, add_normalized_sweep
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ChurnSpec, ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ChurnSpec, ScenarioSpec
+from repro.util.rng import as_generator
 from repro.util.validation import ValidationError
 
 DEFAULT_K_VALUES = (3, 4, 5, 6, 7, 8)
@@ -112,7 +112,7 @@ def _run_fig2_right(session: SimulationSession) -> ExperimentResult:
         y_label="node efficiency / BR efficiency",
         metadata={"n": spec.n, "k": k},
     )
-    rates = [float(rate) for rate in spec.param("churn_rates", DEFAULT_CHURN_RATES)]
+    rates = [float(rate) for rate in _param_list(spec, "churn_rates", DEFAULT_CHURN_RATES)]
     # Generate every schedule from the master stream first, then spawn the
     # per-deployment streams, so adding a policy never reshuffles churn.
     schedules = [session.churn_schedule(rng, rate=rate) for rate in rates]
@@ -154,101 +154,19 @@ def _run_fig2_right(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _fig2_left_spec(
-    n: int,
-    k_values: Sequence[int],
-    seed: SeedLike,
-    epochs: int,
-    horizon: float,
-    mean_on: float,
-    mean_off: float,
-    k2: int,
-) -> ScenarioSpec:
-    policies = tuple(
-        f"hybrid-br(k2={int(k2)})" if p.startswith("hybrid-br") else p
-        for p in _CHURN_POLICIES
-    )
-    return ScenarioSpec(
-        experiment="fig2-efficiency-vs-k",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=policies,
-        metric="delay-true",
-        epochs=int(epochs),
-        churn=ChurnSpec(
-            kind="trace", horizon=float(horizon), mean_on=float(mean_on),
-            mean_off=float(mean_off),
-        ),
-        compute_efficiency=True,
-        seed=coerce_seed(seed),
-    )
-
-
-def fig2_efficiency_vs_k(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    seed: SeedLike = 0,
-    epochs: int = 12,
-    horizon: float = 12 * 60.0,
-    mean_on: float = 1500.0,
-    mean_off: float = 300.0,
-    k2: int = 2,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 2 left: efficiency / BR efficiency vs k under trace-driven churn."""
-    spec = _fig2_left_spec(n, k_values, seed, epochs, horizon, mean_on, mean_off, k2)
-    return SimulationSession(spec, batched=batched).run()
-
-
-def _fig2_right_spec(
-    n: int,
-    churn_rates: Sequence[float],
-    k: int,
-    seed: SeedLike,
-    epochs: int,
-    horizon: float,
-    k2: int,
-) -> ScenarioSpec:
-    policies = tuple(
-        f"hybrid-br(k2={int(k2)})" if p.startswith("hybrid-br") else p
-        for p in _CHURN_POLICIES
-    )
-    return ScenarioSpec(
-        experiment="fig2-churn-rate",
-        n=int(n),
-        k_grid=(int(k),),
-        policies=policies,
-        metric="delay-true",
-        epochs=int(epochs),
-        churn=ChurnSpec(kind="parametrized", horizon=float(horizon)),
-        compute_efficiency=True,
-        seed=coerce_seed(seed),
-        params={"churn_rates": [float(rate) for rate in churn_rates], "k": int(k)},
-    )
-
-
-def fig2_churn_rate_sweep(
-    n: int = 50,
-    churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    *,
-    k: int = 5,
-    seed: SeedLike = 0,
-    epochs: int = 12,
-    horizon: float = 12 * 60.0,
-    k2: int = 2,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 2 right: efficiency vs churn rate at k = 5 (HybridBR crossover)."""
-    spec = _fig2_right_spec(n, churn_rates, k, seed, epochs, horizon, k2)
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "fig2-efficiency-vs-k",
     help="Fig. 2 left: efficiency under trace-driven churn vs k",
-    default_spec=lambda: _fig2_left_spec(
-        50, DEFAULT_K_VALUES, 2008, 10, 10 * 60.0, 1500.0, 300.0, 2
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig2-efficiency-vs-k",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=_CHURN_POLICIES,
+        metric="delay-true",
+        epochs=10,
+        churn=ChurnSpec(kind="trace", horizon=10 * 60.0, mean_on=1500.0, mean_off=300.0),
+        compute_efficiency=True,
+        seed=2008,
     ),
     runner=_run_fig2_left,
     smoke_args=("--n", "10", "--k", "3", "--epochs", "2"),
@@ -257,8 +175,17 @@ register_scenario(
 register_scenario(
     "fig2-churn-rate",
     help="Fig. 2 right: efficiency vs churn rate at fixed k",
-    default_spec=lambda: _fig2_right_spec(
-        50, DEFAULT_CHURN_RATES, 5, 2008, 10, 10 * 60.0, 2
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig2-churn-rate",
+        n=50,
+        k_grid=(5,),
+        policies=_CHURN_POLICIES,
+        metric="delay-true",
+        epochs=10,
+        churn=ChurnSpec(kind="parametrized", horizon=10 * 60.0),
+        compute_efficiency=True,
+        seed=2008,
+        params={"churn_rates": list(DEFAULT_CHURN_RATES), "k": 5},
     ),
     runner=_run_fig2_right,
     smoke_args=("--n", "10", "--k", "3", "--epochs", "2", "--churn-rates", "0.01"),

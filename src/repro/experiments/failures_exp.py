@@ -26,16 +26,14 @@ dropped by the configured message-loss rate across all deployments.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.churn.metrics import cost_overshoot, time_to_reconverge
 from repro.core.engine_batch import EngineSpec
 from repro.core.failures import FailureEvent, FailureSpec
 from repro.experiments.harness import ExperimentResult
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator
 from repro.util.validation import ValidationError
 
 _FAILURE_POLICIES = ("k-closest", "best-response")
@@ -108,18 +106,18 @@ def _run_failures(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _failures_spec(
-    n: int, k_values: Sequence[int], seed: SeedLike, epochs: int
-) -> ScenarioSpec:
-    # A single-link cut-and-restore on (0, 1): valid at any n >= 2, so CLI
-    # overrides (--n) never invalidate the default schedule.
-    return ScenarioSpec(
+# A single-link cut-and-restore on (0, 1): valid at any n >= 2, so CLI
+# overrides (--n) never invalidate the default schedule.
+register_scenario(
+    "failures-resilience",
+    help="Resilience under injected failures: reconvergence, stuck routes, overshoot",
+    default_spec=lambda: ScenarioSpec(
         experiment="failures-resilience",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
+        n=24,
+        k_grid=(3, 5),
         policies=_FAILURE_POLICIES,
         metric="delay-true",
-        epochs=int(epochs),
+        epochs=10,
         failures=FailureSpec(
             events=(
                 FailureEvent(epoch=2, action="link-down", links=((0, 1),)),
@@ -127,27 +125,8 @@ def _failures_spec(
             ),
             reannounce_delay=1,
         ),
-        seed=coerce_seed(seed),
-    )
-
-
-def failures_resilience(
-    n: int = 24,
-    k_values: Sequence[int] = (3, 5),
-    *,
-    seed: SeedLike = 2008,
-    epochs: int = 10,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Resilience to a mid-run link cut: reconvergence and stuck routes."""
-    spec = _failures_spec(n, k_values, seed, epochs)
-    return SimulationSession(spec, batched=batched).run()
-
-
-register_scenario(
-    "failures-resilience",
-    help="Resilience under injected failures: reconvergence, stuck routes, overshoot",
-    default_spec=lambda: _failures_spec(24, (3, 5), 2008, 10),
+        seed=2008,
+    ),
     runner=_run_failures,
     smoke_args=("--n", "8", "--k", "2", "--epochs", "3"),
 )

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
+
+from repro.util.validation import ValidationError
 
 
 @dataclass
@@ -126,3 +128,22 @@ def mean_finite(values: Sequence[float]) -> float:
     arr = np.asarray(list(values), dtype=float)
     arr = arr[np.isfinite(arr)]
     return float(arr.mean()) if arr.size else float("nan")
+
+
+def _param_list(spec, key: str, default: Sequence) -> list:
+    """``spec.param(key, default)`` read as a non-empty list.
+
+    ``--param key=value`` parses a single value as a scalar, so a scalar
+    reads as a one-element list; an empty value is a ValidationError
+    naming the experiment and the param.
+    """
+    value = spec.param(key, default)
+    if value is None or value == "":
+        values = []
+    elif isinstance(value, (list, tuple)):
+        values = list(value)
+    else:
+        values = [value]
+    if not values:
+        raise ValidationError(f"{spec.experiment}: param {key!r} must be non-empty")
+    return values

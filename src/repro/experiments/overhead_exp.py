@@ -10,8 +10,6 @@ through :class:`~repro.core.engine_batch.EngineBatch`).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.engine_batch import EngineSpec
@@ -22,8 +20,8 @@ from repro.experiments.harness import ExperimentResult
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
 
@@ -88,52 +86,20 @@ def _run_overheads(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _overhead_spec(
-    n: int,
-    k_values: Sequence[int],
-    epoch_length_s: float,
-    announce_interval_s: float,
-    validate_with_engine: bool,
-    engine_epochs: int,
-    seed: SeedLike,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="overheads",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="delay-true",
-        epochs=int(engine_epochs) if validate_with_engine else 0,
-        epoch_length=float(epoch_length_s),
-        announce_interval=float(announce_interval_s),
-        seed=coerce_seed(seed),
-        params={"validate_with_engine": bool(validate_with_engine)},
-    )
-
-
-def overhead_table(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    epoch_length_s: float = 60.0,
-    announce_interval_s: float = 20.0,
-    validate_with_engine: bool = False,
-    engine_epochs: int = 3,
-    seed: SeedLike = 0,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Per-node overhead (bps) and scalability gain for each k."""
-    spec = _overhead_spec(
-        n, k_values, epoch_length_s, announce_interval_s,
-        validate_with_engine, engine_epochs, seed,
-    )
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "overheads",
     help="Section 4.3: measurement and link-state overheads",
-    default_spec=lambda: _overhead_spec(50, DEFAULT_K_VALUES, 60.0, 20.0, False, 3, 2008),
+    default_spec=lambda: ScenarioSpec(
+        experiment="overheads",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=("best-response",),
+        metric="delay-true",
+        epoch_length=60.0,
+        announce_interval=20.0,
+        seed=2008,
+        params={"validate_with_engine": False},
+    ),
     runner=_run_overheads,
     smoke_args=("--n", "12", "--k", "2,3"),
 )

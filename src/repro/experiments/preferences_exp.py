@@ -15,16 +15,16 @@ exponent's Zipf preference matrix riding on its deployments.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.core.cost import DelayMetric, zipf_preferences
 from repro.core.deployment_batch import DeploymentSpec
-from repro.experiments.harness import ExperimentResult, normalize_against
+from repro.experiments.harness import ExperimentResult, _param_list, normalize_against
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator
 
 DEFAULT_EXPONENTS = (0.0, 0.5, 1.0, 1.5)
 
@@ -32,7 +32,7 @@ DEFAULT_EXPONENTS = (0.0, 0.5, 1.0, 1.5)
 def _run_preferences(session: SimulationSession) -> ExperimentResult:
     spec = session.spec
     k = int(spec.param("k", spec.k_grid[0]))
-    exponents = [float(e) for e in spec.param("exponents", DEFAULT_EXPONENTS)]
+    exponents = [float(e) for e in _param_list(spec, "exponents", DEFAULT_EXPONENTS)]
     rng = as_generator(spec.seed)
     space, _nodes = synthetic_planetlab(spec.n, seed=rng)
     metric = DelayMetric(space.matrix)
@@ -82,48 +82,19 @@ def _run_preferences(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _preferences_spec(
-    n: int,
-    exponents: Sequence[float],
-    k: int,
-    seed: SeedLike,
-    br_rounds: int,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="ablation-preferences",
-        n=int(n),
-        k_grid=(int(k),),
-        policies=("k-random", "k-regular", "k-closest", "best-response"),
-        metric="delay-true",
-        br_rounds=int(br_rounds),
-        seed=coerce_seed(seed),
-        params={"exponents": [float(e) for e in exponents], "k": int(k)},
-    )
-
-
-def preference_skew_ablation(
-    n: int = 40,
-    exponents: Sequence[float] = DEFAULT_EXPONENTS,
-    *,
-    k: int = 3,
-    seed: SeedLike = 0,
-    br_rounds: int = 3,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Cost of each policy (normalised by BR) as preference skew grows.
-
-    An exponent of 0 reproduces the paper's uniform-preference setting;
-    larger exponents concentrate each node's traffic on a few popular
-    destinations, which BR can exploit but the oblivious policies cannot.
-    """
-    spec = _preferences_spec(n, exponents, k, seed, br_rounds)
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "ablation-preferences",
     help="Ablation: BR's advantage under skewed routing preferences",
-    default_spec=lambda: _preferences_spec(40, DEFAULT_EXPONENTS, 3, 2008, 3),
+    default_spec=lambda: ScenarioSpec(
+        experiment="ablation-preferences",
+        n=40,
+        k_grid=(3,),
+        policies=("k-random", "k-regular", "k-closest", "best-response"),
+        metric="delay-true",
+        br_rounds=3,
+        seed=2008,
+        params={"exponents": list(DEFAULT_EXPONENTS), "k": 3},
+    ),
     runner=_run_preferences,
     smoke_args=("--n", "12", "--k", "3", "--br-rounds", "1", "--param", "exponents=0.0,1.0"),
 )

@@ -13,8 +13,6 @@ shared residual route-value sweeps and fused re-wiring scoring.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.cost import DelayMetric
@@ -25,8 +23,8 @@ from repro.experiments.harness import ExperimentResult
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec, coerce_seed
-from repro.util.rng import SeedLike, as_generator
+from repro.scenario.spec import ScenarioSpec
+from repro.util.rng import as_generator
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 8)
 
@@ -120,81 +118,19 @@ def _run_fig3_epsilon(session: SimulationSession) -> ExperimentResult:
     return result
 
 
-def _fig3_rewirings_spec(
-    n: int, k_values: Sequence[int], epochs: int, drift: float, seed: SeedLike
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig3-rewirings",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="delay-ping",
-        epochs=int(epochs),
-        drift_relative_std=float(drift),
-        seed=coerce_seed(seed),
-    )
-
-
-def fig3_rewirings_over_time(
-    n: int = 50,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    *,
-    epochs: int = 20,
-    drift_relative_std: float = 0.02,
-    seed: SeedLike = 0,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 3 left: total re-wirings per epoch over time, per k."""
-    spec = _fig3_rewirings_spec(n, k_values, epochs, drift_relative_std, seed)
-    return SimulationSession(spec, batched=batched).run()
-
-
-def _fig3_epsilon_spec(
-    n: int,
-    k_values: Sequence[int],
-    epsilon: float,
-    epochs: int,
-    drift: float,
-    seed: SeedLike,
-) -> ScenarioSpec:
-    return ScenarioSpec(
-        experiment="fig3-epsilon",
-        n=int(n),
-        k_grid=tuple(int(k) for k in k_values),
-        policies=("best-response",),
-        metric="delay-ping",
-        epochs=int(epochs),
-        epsilon=float(epsilon),
-        drift_relative_std=float(drift),
-        seed=coerce_seed(seed),
-    )
-
-
-def fig3_epsilon_comparison(
-    n: int = 50,
-    k_values: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    *,
-    epsilon: float = 0.1,
-    epochs: int = 10,
-    drift_relative_std: float = 0.02,
-    seed: SeedLike = 0,
-    batched: bool = True,
-) -> ExperimentResult:
-    """Fig. 3 center/right: cost vs full mesh and re-wiring rate, BR vs BR(ε).
-
-    Series produced (per k):
-
-    * ``BR cost / full mesh`` and ``BR re-wirings``
-    * ``BR(eps) cost / full mesh`` and ``BR(eps) re-wirings``
-    """
-    spec = _fig3_epsilon_spec(n, k_values, epsilon, epochs, drift_relative_std, seed)
-    return SimulationSession(spec, batched=batched).run()
-
-
 register_scenario(
     "fig3-rewirings",
     help="Fig. 3 left: re-wirings per epoch over time",
-    default_spec=lambda: _fig3_rewirings_spec(50, DEFAULT_K_VALUES, 10, 0.02, 2008),
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig3-rewirings",
+        n=50,
+        k_grid=DEFAULT_K_VALUES,
+        policies=("best-response",),
+        metric="delay-ping",
+        epochs=10,
+        drift_relative_std=0.02,
+        seed=2008,
+    ),
     runner=_run_fig3_rewirings,
     smoke_args=("--n", "10", "--k", "2", "--epochs", "2"),
 )
@@ -202,8 +138,16 @@ register_scenario(
 register_scenario(
     "fig3-epsilon",
     help="Fig. 3 center/right: BR vs BR(eps=0.1)",
-    default_spec=lambda: _fig3_epsilon_spec(
-        50, (2, 3, 4, 5, 6, 7, 8), 0.1, 10, 0.02, 2008
+    default_spec=lambda: ScenarioSpec(
+        experiment="fig3-epsilon",
+        n=50,
+        k_grid=(2, 3, 4, 5, 6, 7, 8),
+        policies=("best-response",),
+        metric="delay-ping",
+        epochs=10,
+        epsilon=0.1,
+        drift_relative_std=0.02,
+        seed=2008,
     ),
     runner=_run_fig3_epsilon,
     smoke_args=("--n", "10", "--k", "2", "--epochs", "2"),

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.core.best_response import WiringEvaluator, best_response
+from repro.core.best_response import WiringEvaluator
 from repro.core.cost import DelayMetric, Metric
 from repro.core.policies import (
     BestResponsePolicy,
@@ -31,9 +29,11 @@ from repro.core.sampling import (
     topology_biased_sample,
 )
 from repro.core.wiring import GlobalWiring, Wiring
-from repro.experiments.harness import ExperimentResult
+from repro.experiments.harness import ExperimentResult, _param_list
 from repro.netsim.planetlab import synthetic_planetlab_trace
 from repro.routing.graph import OverlayGraph
+from repro.scenario.registry import register_scenario
+from repro.scenario.spec import ScenarioSpec
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
 
@@ -117,48 +117,26 @@ def _newcomer_cost(
 
 
 def _run_sampling(session) -> ExperimentResult:
-    """Registered runner for the Figs. 5-8 sampling scenarios."""
-    spec = session.spec
-    return _sampling_experiment(
-        str(spec.param("base_policy", "best-response")),
-        n=spec.n,
-        k=int(spec.param("k", spec.k_grid[0])),
-        radius=int(spec.param("radius", 2)),
-        sample_sizes=tuple(
-            int(m) for m in spec.param("sample_sizes", DEFAULT_SAMPLE_SIZES)
-        ),
-        trials=int(spec.param("trials", 5)),
-        seed=spec.seed,
-        oversample=int(spec.param("oversample", 3)),
-    )
+    """Newcomer cost vs sample size on a base-policy graph (Figs. 5-8).
 
-
-def _sampling_experiment(
-    base_policy: str = "best-response",
-    *,
-    n: int = 295,
-    k: int = 3,
-    radius: int = 2,
-    sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
-    trials: int = 5,
-    seed: SeedLike = 0,
-    oversample: int = 3,
-) -> ExperimentResult:
-    """Newcomer cost vs sample size on a ``base_policy`` graph (Figs. 5-8).
-
-    Parameters
-    ----------
-    base_policy:
-        ``"best-response"`` (Fig. 5), ``"k-random"`` (Fig. 6),
-        ``"k-regular"`` (Fig. 7), or ``"k-closest"`` (Fig. 8).
-    n, k, radius:
-        Overlay size, degree, and BRtp neighbourhood radius (paper: 295, 3, 2).
-    sample_sizes:
-        The x-axis sweep of sample sizes ``m``.
-    trials:
-        Newcomers averaged per sample size.
+    The spec's params: ``base_policy`` (``"best-response"`` for Fig. 5,
+    ``"k-random"``, ``"k-regular"``, ``"k-closest"`` for Figs. 6-8),
+    ``k`` and ``radius`` (degree and BRtp neighbourhood radius; paper: 3
+    and 2, at n = 295), ``sample_sizes`` (the x-axis sweep of sample
+    sizes ``m``), ``trials`` (newcomers averaged per sample size) and
+    ``oversample``.
     """
-    rng = as_generator(seed)
+    spec = session.spec
+    n = spec.n
+    base_policy = str(spec.param("base_policy", "best-response"))
+    k = int(spec.param("k", spec.k_grid[0]))
+    radius = int(spec.param("radius", 2))
+    sample_sizes = [int(m) for m in _param_list(spec, "sample_sizes", DEFAULT_SAMPLE_SIZES)]
+    trials = int(spec.param("trials", 5))
+    if trials < 1:
+        raise ValidationError(f"{spec.experiment}: param 'trials' must be >= 1")
+    oversample = int(spec.param("oversample", 3))
+    rng = as_generator(spec.seed)
     space = synthetic_planetlab_trace(n, seed=rng)
     metric = DelayMetric(space.matrix)
     newcomer = n - 1
@@ -206,7 +184,7 @@ def _sampling_experiment(
 
     for m in sample_sizes:
         sums: Dict[str, float] = {label: 0.0 for label in list(heuristics) + ["BR", "BRtp"]}
-        for _trial in range(int(trials)):
+        for _trial in range(trials):
             sample = random_sample(existing, m, rng=rng)
             # Heuristics restricted to the random sample.
             for label, policy in heuristics.items():
@@ -260,74 +238,26 @@ _SAMPLING_EXPERIMENTS = {
 }
 
 
-def _sampling_spec(
-    experiment: str,
-    base_policy: str,
-    n: int,
-    k: int,
-    seed: SeedLike,
-    **params,
-) -> "ScenarioSpec":
-    from repro.scenario.spec import ScenarioSpec, coerce_seed
-
+def _sampling_spec(experiment: str) -> ScenarioSpec:
+    """The registered default spec of one sampling figure."""
+    base_policy = _SAMPLING_EXPERIMENTS[experiment][0]
     return ScenarioSpec(
         experiment=experiment,
-        n=int(n),
-        k_grid=(int(k),),
+        n=295,
+        k_grid=(3,),
         policies=(base_policy,),
         metric="delay-true",
-        seed=coerce_seed(seed),
-        params={"base_policy": base_policy, "k": int(k), **params},
+        seed=2008,
+        params={"base_policy": base_policy, "k": 3},
     )
-
-
-def fig5_to_8_sampling(
-    base_policy: str = "best-response",
-    *,
-    n: int = 295,
-    k: int = 3,
-    radius: int = 2,
-    sample_sizes: Sequence[int] = DEFAULT_SAMPLE_SIZES,
-    trials: int = 5,
-    seed: SeedLike = 0,
-    oversample: int = 3,
-) -> ExperimentResult:
-    """Thin scenario front door for the Figs. 5-8 sampling experiments.
-
-    See :func:`_sampling_experiment` for parameter semantics; this
-    constructs the matching :class:`~repro.scenario.spec.ScenarioSpec`
-    and runs it through a session.
-    """
-    from repro.scenario.session import SimulationSession
-
-    experiment = {
-        policy: name for name, (policy, _help) in _SAMPLING_EXPERIMENTS.items()
-    }.get(base_policy, "fig5-sampling-br")
-    spec = _sampling_spec(
-        experiment,
-        base_policy,
-        n,
-        k,
-        seed,
-        radius=int(radius),
-        sample_sizes=[int(m) for m in sample_sizes],
-        trials=int(trials),
-        oversample=int(oversample),
-    )
-    return SimulationSession(spec).run()
 
 
 def _register() -> None:
-    from repro.scenario.registry import register_scenario
-
-    for name, (policy, help_text) in _SAMPLING_EXPERIMENTS.items():
-        def default_spec(name=name, policy=policy):
-            return _sampling_spec(name, policy, 295, 3, 2008)
-
+    for name, (_policy, help_text) in _SAMPLING_EXPERIMENTS.items():
         register_scenario(
             name,
             help=help_text,
-            default_spec=default_spec,
+            default_spec=lambda name=name: _sampling_spec(name),
             runner=_run_sampling,
             smoke_args=(
                 "--n", "24", "--k", "2", "--trials", "1",

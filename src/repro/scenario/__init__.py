@@ -11,14 +11,14 @@ The three pieces:
   :class:`~repro.core.deployment_batch.DeploymentBatch` and epoch-loop
   scenarios to :class:`~repro.core.engine_batch.EngineBatch`;
 * the registry (:mod:`repro.scenario.registry`) — experiment names to
-  default specs and runners, shared by the CLI and the drivers.
+  default specs and runners, shared by the CLI, sweeps and Python callers.
 
 Quick use::
 
-    from repro.scenario import ScenarioSpec, SimulationSession
+    from repro.scenario import default_spec, run_spec
 
-    spec = ScenarioSpec(experiment="fig1-delay-ping", n=30, k_grid=(2, 4))
-    result = SimulationSession(spec).run()
+    spec = default_spec("fig1-delay-ping").override(n=30, k_grid=(2, 4))
+    result = run_spec(spec)            # batched=False: the sequential tier
     print(result.table())
 """
 

@@ -7,7 +7,8 @@ one shared catalogue:
 
 * ``repro list`` prints the registered names and help lines,
 * ``repro run <name>`` starts from the registered default spec and applies
-  command-line overrides,
+  command-line overrides — from Python,
+  ``run_spec(default_spec(name).override(...))``,
 * ``SimulationSession.run()`` resolves the spec's ``experiment`` field to
   the registered runner.
 """

@@ -7,8 +7,8 @@ the cheating model, the preference skew, the epoch count, and the seed.
 :class:`~repro.scenario.session.SimulationSession` plans its execution —
 build-only sweeps through :class:`~repro.core.deployment_batch.DeploymentBatch`,
 epoch-loop scenarios through :class:`~repro.core.engine_batch.EngineBatch`
-— and every experiment driver in :mod:`repro.experiments` is a thin
-construction of one of these specs.
+— and every experiment in :mod:`repro.experiments` registers a default
+spec that ``default_spec(name).override(...)`` starts from.
 
 The spec is *descriptive*, not executional: knobs that only change how a
 scenario is computed (the ``batched`` kernel switch) live on the session,
@@ -23,7 +23,6 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-import numpy as np
 
 from repro.core.failures import FailureSpec
 from repro.core.hybrid import HybridBRPolicy
@@ -108,24 +107,6 @@ def parse_policy(descriptor: str) -> NeighborSelectionPolicy:
 def policy_label(descriptor: str) -> str:
     """Series label of a policy descriptor (the part before ``(``)."""
     return descriptor.split("(", 1)[0].strip()
-
-
-def coerce_seed(seed) -> Optional[int]:
-    """Normalise a driver seed into spec form (int or None).
-
-    Scenario specs must serialise, so generator objects — accepted by the
-    lower-level library APIs — are rejected here with a pointer at the
-    reproducible alternative.
-    """
-    if seed is None:
-        return None
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise ValidationError(
-        "experiment drivers route through ScenarioSpec and need an integer "
-        "seed (or None); pass a seed instead of a Generator for a "
-        "reproducible, serialisable scenario"
-    )
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.cost import BandwidthMetric, DelayMetric, NodeLoadMetric
-from repro.experiments import (
-    fig1_bandwidth,
-    fig1_delay_ping,
-    fig1_delay_pyxida,
-    fig1_node_load,
-)
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
 from repro.netsim.planetlab import synthetic_planetlab
+from repro.scenario import default_spec, run_spec
 from repro.telemetry import runtime as telemetry
 
 
@@ -23,16 +18,17 @@ def _fig1_four_panel(batched: bool):
     """The four Fig. 1 panels at paper scale (n = 50, k = 2..8, seed 2008,
     three BR rounds, full mesh on the ping panel), run with telemetry on:
     ``((ping, pyxida, node load, bandwidth), counters)``."""
-    kwargs = dict(
-        n=50, k_values=(2, 3, 4, 5, 6, 7, 8), seed=2008, br_rounds=3, batched=batched
-    )
+    overrides = dict(n=50, k_grid=(2, 3, 4, 5, 6, 7, 8), seed=2008, br_rounds=3)
     registry = telemetry.enable()
     try:
-        results = (
-            fig1_delay_ping(include_full_mesh=True, **kwargs),
-            fig1_delay_pyxida(**kwargs),
-            fig1_node_load(**kwargs),
-            fig1_bandwidth(**kwargs),
+        results = tuple(
+            run_spec(default_spec(name).override(**overrides), batched=batched)
+            for name in (
+                "fig1-delay-ping",
+                "fig1-delay-pyxida",
+                "fig1-node-load",
+                "fig1-bandwidth",
+            )
         )
         return results, registry.snapshot()["counters"]
     finally:

@@ -27,10 +27,10 @@ from repro.core import (
 from repro.core.codec import history_digest
 from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
 from repro.core.engine_batch import EngineBatch, EngineSpec
-from repro.experiments import fig1_bandwidth, fig1_delay_ping, fig1_node_load
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
+from repro.scenario import default_spec, run_spec
 from repro.util.rng import spawn_generators
 from repro.util.validation import ValidationError
 
@@ -236,18 +236,18 @@ class TestFig1SweepParity:
     REQUIRED_CALL_RATIO = 5
 
     @pytest.mark.parametrize(
-        "driver,kwargs",
+        "experiment",
         [
-            (fig1_delay_ping, {"include_full_mesh": True}),
-            (fig1_node_load, {}),
-            (fig1_bandwidth, {}),
+            # Ids kept from when these cases were parametrized by function.
+            pytest.param("fig1-delay-ping", id="fig1_delay_ping-kwargs0"),
+            pytest.param("fig1-node-load", id="fig1_node_load-kwargs1"),
+            pytest.param("fig1-bandwidth", id="fig1_bandwidth-kwargs2"),
         ],
     )
-    def test_series_byte_identical(self, driver, kwargs):
-        batched = driver(n=20, k_values=(2, 4), seed=11, br_rounds=2, batched=True, **kwargs)
-        sequential = driver(
-            n=20, k_values=(2, 4), seed=11, br_rounds=2, batched=False, **kwargs
-        )
+    def test_series_byte_identical(self, experiment):
+        spec = default_spec(experiment).override(n=20, k_grid=(2, 4), seed=11, br_rounds=2)
+        batched = run_spec(spec, batched=True)
+        sequential = run_spec(spec, batched=False)
         assert batched.as_dict() == sequential.as_dict()
 
     def test_four_panel_sweep_batched_call_budget(

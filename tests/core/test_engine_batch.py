@@ -42,11 +42,11 @@ from repro.core.providers import (
     LoadMetricProvider,
     MetricProvider,
 )
-from repro.experiments import fig3_epsilon_comparison
 from repro.netsim.bandwidth import BandwidthModel
 from repro.netsim.delayspace import DelaySpace
 from repro.netsim.load import NodeLoadModel
 from repro.netsim.planetlab import synthetic_planetlab, uniform_delay_space
+from repro.scenario import default_spec, run_spec
 from repro.telemetry.diagnostics import pooled_cache_stats, strip_diagnostics
 from repro.util.rng import as_generator, spawn_generators
 from repro.util.validation import ValidationError
@@ -1106,12 +1106,14 @@ class TestEpochSweepBudget:
     def _sweep(batched):
         registry = telemetry.enable()
         try:
-            result = fig3_epsilon_comparison(
-                n=20,
-                k_values=(2, 3, 4, 5, 6, 7, 8),
-                epochs=10,
-                drift_relative_std=0.01,
-                seed=2008,
+            result = run_spec(
+                default_spec("fig3-epsilon").override(
+                    n=20,
+                    k_grid=(2, 3, 4, 5, 6, 7, 8),
+                    epochs=10,
+                    drift_relative_std=0.01,
+                    seed=2008,
+                ),
                 batched=batched,
             )
             counters = registry.snapshot()["counters"]

@@ -1,34 +1,22 @@
-"""Integration tests for the figure-level experiment drivers.
+"""Integration tests for the registered figure experiments.
 
-These run each driver and check the *shape* of the result the paper
-reports (who wins, monotone trends, normalisation), not absolute values:
-once at a reduced scale, and once at (or near) the paper's scale in the
-``test_paper_scale_*`` tests — n = 50 as on PlanetLab for Figs. 1, 3, 4,
-10 and 11; n = 24 for the churn sweeps of Fig. 2 and n = 120 (the paper
-has 295) for the sampling Figs. 5-8, so the suite stays fast.  The
-drivers take the paper-scale parameters directly for the full run.
+These run each experiment's registered spec and check the *shape* of
+the result the paper reports (who wins, monotone trends,
+normalisation), not absolute values: once at a reduced scale, and once
+at (or near) the paper's scale in the ``test_paper_scale_*`` tests —
+n = 50 as on PlanetLab for Figs. 1, 3, 4, 10 and 11; n = 24 for the
+churn sweeps of Fig. 2 and n = 120 (the paper has 295) for the sampling
+Figs. 5-8, so the suite stays fast.  Every run is
+``run_spec(default_spec(name).override(...))`` with the sizes, seed and
+parameters spelled out, so a change to a registered default moves no
+assertion here.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    fig1_bandwidth,
-    fig1_delay_ping,
-    fig1_delay_pyxida,
-    fig1_node_load,
-    fig2_churn_rate_sweep,
-    fig2_efficiency_vs_k,
-    fig3_epsilon_comparison,
-    fig3_rewirings_over_time,
-    fig4_many_free_riders,
-    fig4_one_free_rider,
-    fig5_to_8_sampling,
-    fig10_multipath_gain,
-    fig11_disjoint_paths,
-    overhead_table,
-)
 from repro.experiments.harness import ExperimentResult, Series, normalize_against
+from repro.scenario import CheatingSpec, ChurnSpec, default_spec, run_spec
 
 
 class TestHarness:
@@ -74,7 +62,9 @@ class TestHarness:
 class TestFig1:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig1_delay_ping(n=20, k_values=(2, 4), seed=11, br_rounds=2)
+        return run_spec(
+            default_spec("fig1-delay-ping").override(n=20, k_grid=(2, 4), seed=11, br_rounds=2)
+        )
 
     def test_br_normalised_to_one(self, result):
         assert all(v == pytest.approx(1.0) for v in result.series["best-response"].y)
@@ -94,18 +84,24 @@ class TestFig1:
         assert mean_at(0) >= mean_at(1) * 0.8
 
     def test_pyxida_variant_runs(self):
-        result = fig1_delay_pyxida(
-            n=16, k_values=(3,), seed=1, br_rounds=2, coordinate_rounds=15
+        result = run_spec(
+            default_spec("fig1-delay-pyxida").override(
+                n=16, k_grid=(3,), seed=1, br_rounds=2, params={"coordinate_rounds": 15}
+            )
         )
         assert all(v >= 0.9 for v in result.series["k-regular"].y)
 
     def test_node_load_variant(self):
-        result = fig1_node_load(n=16, k_values=(3,), seed=1, br_rounds=2)
+        result = run_spec(
+            default_spec("fig1-node-load").override(n=16, k_grid=(3,), seed=1, br_rounds=2)
+        )
         assert result.series["best-response"].y == [pytest.approx(1.0)]
         assert all(v >= 0.95 for v in result.series["k-closest"].y)
 
     def test_bandwidth_variant_ratios_below_one(self):
-        result = fig1_bandwidth(n=16, k_values=(3,), seed=1, br_rounds=2)
+        result = run_spec(
+            default_spec("fig1-bandwidth").override(n=16, k_grid=(3,), seed=1, br_rounds=2)
+        )
         for label in ("k-random", "k-regular", "k-closest"):
             assert all(v <= 1.1 for v in result.series[label].y), label
 
@@ -159,16 +155,29 @@ class TestFig1:
 
 class TestFig2:
     def test_efficiency_vs_k_shapes(self):
-        result = fig2_efficiency_vs_k(
-            n=14, k_values=(3, 5), seed=2, epochs=5, horizon=5 * 60.0
+        result = run_spec(
+            default_spec("fig2-efficiency-vs-k").override(
+                n=14,
+                k_grid=(3, 5),
+                seed=2,
+                epochs=5,
+                churn=ChurnSpec(kind="trace", horizon=5 * 60.0),
+            )
         )
         assert all(v == pytest.approx(1.0) for v in result.series["best-response"].y)
         for label in ("k-random", "k-regular", "k-closest", "hybrid-br"):
             assert all(0.0 <= v <= 1.5 for v in result.series[label].y), label
 
     def test_churn_rate_sweep_runs(self):
-        result = fig2_churn_rate_sweep(
-            n=12, churn_rates=(1e-3, 5e-2), k=4, seed=3, epochs=5, horizon=5 * 60.0
+        result = run_spec(
+            default_spec("fig2-churn-rate").override(
+                n=12,
+                k_grid=(4,),
+                seed=3,
+                epochs=5,
+                churn=ChurnSpec(kind="parametrized", horizon=5 * 60.0),
+                params={"churn_rates": [1e-3, 5e-2], "k": 4},
+            )
         )
         assert "hybrid-br" in result.series
         assert len(result.series["hybrid-br"].y) == 2
@@ -176,8 +185,14 @@ class TestFig2:
     def test_paper_scale_efficiency_vs_k(self):
         """Left panel: BR best, HybridBR approaching BR as k grows, the
         structured policies above the unstructured ones."""
-        result = fig2_efficiency_vs_k(
-            n=24, k_values=(3, 5, 7), seed=2008, epochs=10, horizon=10 * 60.0
+        result = run_spec(
+            default_spec("fig2-efficiency-vs-k").override(
+                n=24,
+                k_grid=(3, 5, 7),
+                seed=2008,
+                epochs=10,
+                churn=ChurnSpec(kind="trace", horizon=10 * 60.0),
+            )
         )
         assert all(abs(v - 1.0) < 1e-9 for v in result.series["best-response"].y)
         mean = lambda label: np.mean(result.series[label].y)
@@ -191,13 +206,15 @@ class TestFig2:
     def test_paper_scale_churn_rate_sweep(self):
         """Right panel (k = 5): at the highest churn rate HybridBR holds up
         at least as well as k-Random and stays competitive with BR."""
-        result = fig2_churn_rate_sweep(
-            n=24,
-            churn_rates=(1e-4, 1e-2, 1e-1),
-            k=5,
-            seed=2008,
-            epochs=10,
-            horizon=10 * 60.0,
+        result = run_spec(
+            default_spec("fig2-churn-rate").override(
+                n=24,
+                k_grid=(5,),
+                seed=2008,
+                epochs=10,
+                churn=ChurnSpec(kind="parametrized", horizon=10 * 60.0),
+                params={"churn_rates": [1e-4, 1e-2, 1e-1], "k": 5},
+            )
         )
         hybrid = result.series["hybrid-br"].y
         assert hybrid[-1] >= result.series["k-random"].y[-1] * 0.9
@@ -206,14 +223,18 @@ class TestFig2:
 
 class TestFig3:
     def test_rewirings_decline_from_start(self):
-        result = fig3_rewirings_over_time(n=16, k_values=(3,), epochs=6, seed=4)
+        result = run_spec(
+            default_spec("fig3-rewirings").override(n=16, k_grid=(3,), epochs=6, seed=4)
+        )
         series = result.series["k=3"].y
         assert series[0] == 16  # initial wiring epoch
         assert min(series[1:]) < series[0]
 
     def test_epsilon_reduces_rewirings(self):
-        result = fig3_epsilon_comparison(
-            n=14, k_values=(3,), epochs=5, seed=5, epsilon=0.1
+        result = run_spec(
+            default_spec("fig3-epsilon").override(
+                n=14, k_grid=(3,), epochs=5, seed=5, epsilon=0.1
+            )
         )
         br = result.series["BR re-wirings"].y[0]
         br_eps = result.series["BR(0.1) re-wirings"].y[0]
@@ -224,7 +245,11 @@ class TestFig3:
     def test_paper_scale_rewirings_over_time(self):
         """Left panel: the start-up epoch wires everyone, the rate drops as
         EGOIST settles, and larger k keeps re-wiring more."""
-        result = fig3_rewirings_over_time(n=50, k_values=(2, 5, 8), epochs=12, seed=2008)
+        result = run_spec(
+            default_spec("fig3-rewirings").override(
+                n=50, k_grid=(2, 5, 8), epochs=12, seed=2008
+            )
+        )
         for k in (2, 5, 8):
             series = result.series[f"k={k}"].y
             assert series[0] == 50
@@ -235,8 +260,10 @@ class TestFig3:
     def test_paper_scale_epsilon_comparison(self):
         """Centre and right panels: BR(0.1) re-wires much less than BR while
         its cost relative to the full mesh stays within a few percent."""
-        result = fig3_epsilon_comparison(
-            n=50, k_values=(2, 4, 6, 8), epsilon=0.1, epochs=8, seed=2008
+        result = run_spec(
+            default_spec("fig3-epsilon").override(
+                n=50, k_grid=(2, 4, 6, 8), epsilon=0.1, epochs=8, seed=2008
+            )
         )
         br_rewires = np.array(result.series["BR re-wirings"].y)
         eps_rewires = np.array(result.series["BR(0.1) re-wirings"].y)
@@ -251,13 +278,23 @@ class TestFig3:
 
 class TestFig4:
     def test_one_free_rider_bounded_impact(self):
-        result = fig4_one_free_rider(n=16, k_values=(2, 4), seed=6, br_rounds=2)
+        result = run_spec(
+            default_spec("fig4-one-freerider").override(
+                n=16, k_grid=(2, 4), seed=6, br_rounds=2
+            )
+        )
         for label in ("free rider", "non free riders"):
             assert all(0.7 <= v <= 1.4 for v in result.series[label].y), label
 
     def test_many_free_riders_bounded_impact(self):
-        result = fig4_many_free_riders(
-            n=16, free_rider_counts=(0, 4), k=2, seed=7, br_rounds=2
+        result = run_spec(
+            default_spec("fig4-many-freeriders").override(
+                n=16,
+                k_grid=(2,),
+                seed=7,
+                br_rounds=2,
+                params={"free_rider_counts": [0, 4], "k": 2},
+            )
         )
         assert result.series["free riders"].y[0] == pytest.approx(1.0)
         assert all(0.6 <= v <= 1.6 for v in result.series["non free riders"].y)
@@ -265,8 +302,14 @@ class TestFig4:
     def test_paper_scale_one_free_rider(self):
         """Left panel: one rider announcing 2x-inflated costs moves both its
         own and the honest nodes' costs by a few percent at most."""
-        result = fig4_one_free_rider(
-            n=50, k_values=(2, 3, 4, 5, 6, 7, 8), inflation=2.0, seed=2008, br_rounds=2
+        result = run_spec(
+            default_spec("fig4-one-freerider").override(
+                n=50,
+                k_grid=(2, 3, 4, 5, 6, 7, 8),
+                cheating=CheatingSpec(free_riders=(0,), inflation=2.0),
+                seed=2008,
+                br_rounds=2,
+            )
         )
         for label in ("free rider", "non free riders"):
             assert all(0.75 <= v <= 1.35 for v in result.series[label].y), label
@@ -274,13 +317,15 @@ class TestFig4:
 
     def test_paper_scale_many_free_riders(self):
         """Right panel: up to a third of the nodes cheating at k = 2."""
-        result = fig4_many_free_riders(
-            n=50,
-            free_rider_counts=(0, 4, 8, 12, 16),
-            k=2,
-            inflation=2.0,
-            seed=2008,
-            br_rounds=2,
+        result = run_spec(
+            default_spec("fig4-many-freeriders").override(
+                n=50,
+                k_grid=(2,),
+                cheating=CheatingSpec(inflation=2.0),
+                seed=2008,
+                br_rounds=2,
+                params={"free_rider_counts": [0, 4, 8, 12, 16], "k": 2},
+            )
         )
         for label in ("free riders", "non free riders"):
             assert all(0.7 <= v <= 1.45 for v in result.series[label].y), label
@@ -288,8 +333,13 @@ class TestFig4:
 
 class TestFig5to8:
     def test_sampling_curves(self):
-        result = fig5_to_8_sampling(
-            "best-response", n=50, k=3, sample_sizes=(6, 14), trials=2, seed=8
+        result = run_spec(
+            default_spec("fig5-sampling-br").override(
+                n=50,
+                k_grid=(3,),
+                seed=8,
+                params={"k": 3, "sample_sizes": [6, 14], "trials": 2},
+            )
         )
         for label in ("BR", "BRtp", "k-random", "k-regular", "k-closest"):
             assert label in result.series
@@ -302,8 +352,13 @@ class TestFig5to8:
         assert br_mean <= worst + 1e-9
 
     def test_other_base_graphs_run(self):
-        result = fig5_to_8_sampling(
-            "k-random", n=40, k=3, sample_sizes=(8,), trials=1, seed=9
+        result = run_spec(
+            default_spec("fig6-sampling-random").override(
+                n=40,
+                k_grid=(3,),
+                seed=9,
+                params={"k": 3, "sample_sizes": [8], "trials": 1},
+            )
         )
         assert result.figure == "fig6"
 
@@ -314,14 +369,19 @@ class TestFig5to8:
         """A newcomer joining a 120-node overlay from a sample of m = 6..20:
         BR within the sample tracks BR without sampling and beats the
         heuristics picking within the same samples."""
-        result = fig5_to_8_sampling(
-            base_policy,
-            n=120,
-            k=3,
-            radius=2,
-            sample_sizes=(6, 10, 14, 20),
-            trials=3,
-            seed=2008,
+        experiment = {
+            "best-response": "fig5-sampling-br",
+            "k-random": "fig6-sampling-random",
+            "k-regular": "fig7-sampling-regular",
+            "k-closest": "fig8-sampling-closest",
+        }[base_policy]
+        result = run_spec(
+            default_spec(experiment).override(
+                n=120,
+                k_grid=(3,),
+                seed=2008,
+                params={"k": 3, "radius": 2, "sample_sizes": [6, 10, 14, 20], "trials": 3},
+            )
         )
         assert result.figure == {
             "best-response": "fig5",
@@ -341,8 +401,10 @@ class TestFig5to8:
 
 class TestAppsAndOverhead:
     def test_fig10_gain_increases_with_k(self):
-        result = fig10_multipath_gain(
-            n=16, k_values=(2, 6), seed=10, br_rounds=2, pairs_per_k=30
+        result = run_spec(
+            default_spec("fig10-multipath").override(
+                n=16, k_grid=(2, 6), seed=10, br_rounds=2, params={"pairs_per_k": 30}
+            )
         )
         parallel = result.series["source establ. parallel connections"].y
         ceiling = result.series["peers allow multipath redirections"].y
@@ -350,14 +412,16 @@ class TestAppsAndOverhead:
         assert all(c >= p * 0.9 for c, p in zip(ceiling, parallel))
 
     def test_fig11_disjoint_paths_increase_with_k(self):
-        result = fig11_disjoint_paths(
-            n=16, k_values=(2, 6), seed=11, br_rounds=2, pairs_per_k=30
+        result = run_spec(
+            default_spec("fig11-disjoint").override(
+                n=16, k_grid=(2, 6), seed=11, br_rounds=2, params={"pairs_per_k": 30}
+            )
         )
         series = result.series["disjoint paths"].y
         assert series[1] > series[0]
 
     def test_overhead_table_matches_formulas(self):
-        result = overhead_table(n=50, k_values=(5,))
+        result = run_spec(default_spec("overheads").override(n=50, k_grid=(5,), seed=0))
         assert result.series["ping measurement (bps)"].y[0] == pytest.approx(
             (50 - 5 - 1) * 320 / 60.0
         )
@@ -369,8 +433,14 @@ class TestAppsAndOverhead:
     def test_paper_scale_fig10_multipath_gain(self):
         """Both curves grow with k, the multipath-redirection ceiling lies
         above the parallel-connection gain, and both exceed one path."""
-        result = fig10_multipath_gain(
-            n=50, k_values=(2, 3, 4, 5, 6, 7, 8), seed=2008, br_rounds=2, pairs_per_k=80
+        result = run_spec(
+            default_spec("fig10-multipath").override(
+                n=50,
+                k_grid=(2, 3, 4, 5, 6, 7, 8),
+                seed=2008,
+                br_rounds=2,
+                params={"pairs_per_k": 80},
+            )
         )
         parallel = result.series["source establ. parallel connections"].y
         ceiling = result.series["peers allow multipath redirections"].y
@@ -383,8 +453,10 @@ class TestAppsAndOverhead:
     def test_paper_scale_fig11_disjoint_paths(self):
         """Disjoint overlay paths grow roughly linearly with k."""
         k_values = (2, 3, 4, 5, 6, 7, 8)
-        result = fig11_disjoint_paths(
-            n=50, k_values=k_values, seed=2008, br_rounds=2, pairs_per_k=80
+        result = run_spec(
+            default_spec("fig11-disjoint").override(
+                n=50, k_grid=k_values, seed=2008, br_rounds=2, params={"pairs_per_k": 80}
+            )
         )
         series = result.series["disjoint paths"].y
         assert all(b >= a - 0.2 for a, b in zip(series, series[1:]))
@@ -397,14 +469,16 @@ class TestAppsAndOverhead:
         monitoring gain, and simulated link-state traffic of the same
         order as the analytic figure."""
         k_values = (2, 3, 4, 5, 6, 7, 8)
-        result = overhead_table(
-            n=50,
-            k_values=k_values,
-            epoch_length_s=60.0,
-            announce_interval_s=20.0,
-            validate_with_engine=True,
-            engine_epochs=2,
-            seed=2008,
+        result = run_spec(
+            default_spec("overheads").override(
+                n=50,
+                k_grid=k_values,
+                epoch_length=60.0,
+                announce_interval=20.0,
+                epochs=2,
+                seed=2008,
+                params={"validate_with_engine": True},
+            )
         )
         ping = result.series["ping measurement (bps)"].y
         coord = result.series["coordinate measurement (bps)"].y

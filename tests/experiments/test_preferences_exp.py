@@ -1,16 +1,22 @@
-"""Tests for the preference-skew ablation driver."""
+"""Tests for the preference-skew ablation (``ablation-preferences``)."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.preferences_exp import preference_skew_ablation
+from repro.scenario import default_spec, run_spec
 
 
 class TestPreferenceSkew:
     @pytest.fixture(scope="class")
     def result(self):
-        return preference_skew_ablation(
-            n=16, exponents=(0.0, 1.5), k=3, seed=5, br_rounds=2
+        return run_spec(
+            default_spec("ablation-preferences").override(
+                n=16,
+                k_grid=(3,),
+                seed=5,
+                br_rounds=2,
+                params={"exponents": [0.0, 1.5], "k": 3},
+            )
         )
 
     def test_br_normalised_to_one(self, result):

@@ -1,6 +1,5 @@
 """Tests for the declarative scenario spec layer."""
 
-import numpy as np
 import pytest
 
 from repro.core.hybrid import HybridBRPolicy
@@ -12,7 +11,6 @@ from repro.scenario import (
     parse_policy,
     policy_label,
 )
-from repro.scenario.spec import coerce_seed
 from repro.util.validation import ValidationError
 
 
@@ -75,13 +73,6 @@ class TestValidation:
     def test_params_must_be_json(self):
         with pytest.raises(ValidationError):
             self._spec(params={"fn": object()}).validate()
-
-    def test_coerce_seed(self):
-        assert coerce_seed(None) is None
-        assert coerce_seed(7) == 7
-        assert coerce_seed(np.int64(7)) == 7
-        with pytest.raises(ValidationError):
-            coerce_seed(np.random.default_rng(0))
 
 
 class TestRoundTrip:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.scenario import ScenarioSpec, default_spec, resolve, scenario_names
+from repro.scenario import ScenarioSpec, default_spec, resolve, run_spec, scenario_names
+from repro.telemetry.diagnostics import strip_diagnostics
 
 
 class TestParser:
@@ -136,6 +137,56 @@ class TestRun:
         assert main(args) == 0, name
         out = capsys.readouterr().out
         assert "\t" in out, name  # a table was printed
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig5-sampling-br", "--n", "24", "--k", "2", "--trials", "1",
+             "--param", "sample_sizes=40"],
+            ["fig2-churn-rate", "--n", "10", "--k", "2", "--epochs", "2",
+             "--param", "churn_rates=0.5"],
+        ],
+    )
+    def test_a_single_value_list_param_is_a_one_point_sweep(self, args, tmp_path, capsys):
+        """``--param key=value`` parses one value as a scalar; the runner
+        reads it as a one-element sweep."""
+        output = tmp_path / "result.json"
+        assert main(["run", *args, "--output", str(output)]) == 0
+        data = json.loads(output.read_text())
+        assert {len(series["x"]) for series in data["series"].values()} == {1}
+
+    @pytest.mark.parametrize(
+        "args,param",
+        [
+            (["fig5-sampling-br", "--n", "24", "--k", "2", "--trials", "0",
+              "--param", "sample_sizes=4,6"], "trials"),
+            (["fig2-churn-rate", "--n", "10", "--k", "2", "--epochs", "2",
+              "--param", "churn_rates="], "churn_rates"),
+            (["fig2-churn-rate", "--n", "10", "--k", "2", "--epochs", "2",
+              "--churn-rates", ""], "churn_rates"),
+        ],
+    )
+    def test_a_degenerate_sweep_param_is_exit_2_naming_it(self, args, param, capsys):
+        assert main(["run", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"'{param}'" in err and args[0] in err
+
+
+class TestBatchedSequentialParity:
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_registered_experiment_is_tier_identical(self, name, capsys):
+        """At its registered smoke sizes, every experiment's batched run
+        equals its sequential run (``batched=False``), diagnostics aside:
+        ``metadata["cache"]`` counts the sequential engines' memo, so it
+        reads 0 on the batched tier only."""
+        assert main(["spec", name, "--seed", "5", *resolve(name).smoke_args]) == 0
+        spec = ScenarioSpec.from_json(capsys.readouterr().out)
+        batched = run_spec(spec).as_dict()
+        sequential = run_spec(spec, batched=False).as_dict()
+        strip_diagnostics(batched)
+        strip_diagnostics(sequential)
+        assert sequential == batched
 
 
 class TestSpecRoundTrip:
