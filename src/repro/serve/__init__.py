@@ -23,8 +23,9 @@ newline-delimited JSON protocol over a local socket:
 * :mod:`~repro.serve.supervise` — the ``--supervise`` restart loop;
 * :mod:`~repro.serve.load` — the million-lookup workload generator
   (``repro serve-load``);
-* :mod:`~repro.serve.replay` — byte-identical log(-chain) replay
-  through the batch engine (``repro serve-replay``);
+* :mod:`~repro.serve.replay` — the log's one reader: byte-identical
+  log(-chain) replay through the batch engine (``repro serve-replay``),
+  whose fold recovery runs too;
 * :mod:`~repro.serve.chaos` — the ``repro chaos`` SIGKILL harness
   proving zero acknowledged loss and digest parity under crashes.
 

@@ -15,10 +15,10 @@ primitives: every checkpoint is written through
 fsynced before an atomic rename, directory fsynced after — so a reader
 never observes a half-written checkpoint and a SIGKILL never destroys
 the previous one.  The pickle payload additionally carries its own
-blake2b digest; :meth:`CheckpointManager.latest` skips (with a warning
-list) any file that fails schema, digest, or unpickling checks, falling
-back to the next-newest, so one corrupt file degrades recovery instead
-of blocking it.
+blake2b digest; :meth:`CheckpointManager.load` rejects any file that
+fails schema, digest, or unpickling checks, and recovery then replays
+the archived log chain instead, so one corrupt file degrades recovery
+instead of blocking it.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class CheckpointManager:
         # The shared-fs backend is reused purely for its durability
         # discipline (fsync file before atomic rename, directory after);
         # on a local disk the fsyncs are cheap and the semantics are the
-        # ones crash recovery needs.
+        # ones crash recovery needs.  The directory is created by the
+        # first write, so a read-only caller never creates one.
         self._backend = SharedFSBackend(self.directory)
-        self._backend.makedirs()
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -179,21 +179,6 @@ class CheckpointManager:
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ValidationError(f"checkpoint {name!r} envelope is malformed: {error}")
-
-    def latest(self) -> Optional[CheckpointState]:
-        """The newest checkpoint that passes validation, or None.
-
-        Invalid files (bad schema, failed digest, unpicklable payload)
-        are skipped newest-to-oldest; what was skipped is recorded in
-        :attr:`skipped` for the caller's warning line.
-        """
-        self.skipped: List[str] = []
-        for name in reversed(self.names()):
-            try:
-                return self.load(name)
-            except ValidationError as error:
-                self.skipped.append(f"{name}: {error}")
-        return None
 
     # ------------------------------------------------------------------ #
     # Retention

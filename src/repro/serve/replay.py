@@ -8,6 +8,12 @@ a fresh batch session must reproduce every served epoch byte-for-byte.
 :func:`replay_log` does exactly that and compares the codec digest of
 each replayed epoch against the digest the live service recorded.
 
+This module is the log's only reader.  :func:`replay_log` and
+:meth:`OverlayService.recover <repro.serve.service.OverlayService.recover>`
+are both compositions of :func:`check_header`, the one fold
+:func:`fold_segment`, the checkpoint-anchor loader :func:`load_anchor`
+and :func:`replay_chain`.
+
 Since the crash-safety work the log is *segmented*: checkpoints (and
 crash recoveries) seal the current segment into ``<path>.NNN`` archives
 and continue in a fresh file whose header names the state it resumes
@@ -28,11 +34,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.codec import epoch_record_digest
 from repro.scenario.lifecycle import Mutation, Session
 from repro.scenario.spec import ScenarioSpec
+from repro.serve.checkpoint import CheckpointManager, CheckpointState
 from repro.serve.oplog import LOG_SCHEMA_VERSION, list_segments, read_segment
 from repro.util.validation import ValidationError
 
@@ -51,6 +58,10 @@ class ReplayResult:
     checkpoint_epochs: int = 0
     #: Bytes of torn final line skipped (0 for a clean log).
     torn_tail_bytes: int = 0
+    #: Replayed epoch digests (epoch index -> digest), oldest first.
+    digests: Dict[int, str] = field(default_factory=dict)
+    #: Idempotency keys of replayed mutations (key -> applied_epoch).
+    dedupe: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -73,6 +84,18 @@ class ReplayResult:
         )
 
 
+def check_header(path: str, entries: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """The ``open`` header a segment's parsed entries start with."""
+    if not entries or entries[0].get("kind") != "open":
+        raise ValidationError(f"{path}: log does not start with an open entry")
+    schema = entries[0].get("schema")
+    if schema not in (1, LOG_SCHEMA_VERSION):
+        raise ValidationError(
+            f"{path}: log schema {schema!r} is not the supported {LOG_SCHEMA_VERSION}"
+        )
+    return entries[0]
+
+
 def read_log(path: str) -> List[Dict[str, object]]:
     """Parse one JSONL log segment, checking the header.
 
@@ -81,13 +104,7 @@ def read_log(path: str) -> List[Dict[str, object]]:
     tail, or ``repair=True`` there to truncate it away on disk.
     """
     entries = read_segment(path).entries
-    if not entries or entries[0].get("kind") != "open":
-        raise ValidationError(f"{path}: log does not start with an open entry")
-    schema = entries[0].get("schema")
-    if schema not in (1, LOG_SCHEMA_VERSION):
-        raise ValidationError(
-            f"{path}: log schema {schema!r} is not the supported {LOG_SCHEMA_VERSION}"
-        )
+    check_header(path, entries)
     return entries
 
 
@@ -101,21 +118,38 @@ def _chain_paths(path: str) -> List[str]:
     return paths
 
 
-def _apply_entries(
+def fold_segment(
     session: Session,
-    entries: List[Dict[str, object]],
+    entries: Sequence[Dict[str, object]],
     result: ReplayResult,
+    *,
+    strict: bool = False,
 ) -> None:
-    """Feed one segment's entries (header excluded) through a session."""
+    """Apply one segment's entries (header excluded) to ``session``.
+
+    Counts mutations and epochs into ``result`` and records each epoch's
+    digest and each keyed mutation's ``applied_epoch`` in its windows.
+    A replayed digest that differs from the logged one is recorded in
+    ``result.mismatches``, or with ``strict`` raises at the first one —
+    recovery must not serve a diverged state.
+    """
     for entry in entries:
         kind = entry.get("kind")
         if kind == "mutate":
             session.mutate(Mutation.from_dict(entry["mutation"]))
             result.mutations += 1
+            idem = entry.get("idem")
+            if isinstance(idem, str):
+                result.dedupe[idem] = int(entry.get("applied_epoch", 0))
         elif kind == "epoch":
-            records = session.step()
-            digest = epoch_record_digest(records)
+            digest = epoch_record_digest(session.step())
             if digest != entry.get("digest"):
+                if strict:
+                    raise ValidationError(
+                        f"recovered state diverged at epoch {entry.get('epoch')}: "
+                        f"log sealed {entry.get('digest')!r} but replay produced "
+                        f"{digest!r} — refusing to serve"
+                    )
                 result.mismatches.append(
                     {
                         "epoch": entry.get("epoch"),
@@ -123,13 +157,90 @@ def _apply_entries(
                         "replayed": digest,
                     }
                 )
+            result.digests[int(entry.get("epoch", 0))] = digest
             result.epochs += 1
-        elif kind == "checkpoint":
-            continue
         elif kind == "close":
             result.closed_cleanly = True
-        else:
+        elif kind != "checkpoint":
+            # A checkpoint entry seals a segment; the next header (or a
+            # recovery) anchors on it, so replay has nothing to do.
             raise ValidationError(f"unknown log entry kind {kind!r}")
+
+
+def load_anchor(
+    header: Dict[str, object],
+    checkpoint_dir: Optional[str],
+    *,
+    batched: Optional[bool] = None,
+) -> Optional[CheckpointState]:
+    """The checkpoint a segment header resumes from, or None.
+
+    None when there is no directory or the header names no checkpoint.
+    Raises when the named one fails to load or holds another epoch
+    count than the header's: the segment does not continue from it.
+    ``batched`` overrides the restored session's kernel path (both are
+    bit-identical); None keeps the header's.
+    """
+    resumed = header.get("resumed_from")
+    if checkpoint_dir is None or not isinstance(resumed, dict):
+        return None
+    name = resumed.get("checkpoint")
+    if not name:
+        return None
+    state = CheckpointManager(checkpoint_dir).load(str(name))
+    wanted = int(resumed.get("epochs_completed", 0))
+    if state.epochs_completed != wanted:
+        raise ValidationError(
+            f"{name}: epochs_completed {state.epochs_completed} != header's {wanted}"
+        )
+    state.session.batch.batched = bool(
+        header.get("batched", True) if batched is None else batched
+    )
+    return state
+
+
+def replay_chain(
+    paths: Sequence[str], *, batched: Optional[bool] = None, strict: bool = False
+) -> Tuple[Session, ReplayResult]:
+    """Replay log segments, oldest first from segment 0, through the fold.
+
+    Each file is parsed once.  Returns the **open** session (the caller
+    closes it) and the fold's result, which carries the epoch-digest
+    and dedupe windows.
+    """
+    result = ReplayResult(segments=len(paths))
+    session: Optional[Session] = None
+    try:
+        for segment_file in paths:
+            read = read_segment(segment_file)
+            header = check_header(segment_file, read.entries)
+            if session is None:
+                resumed = header.get("resumed_from")
+                if isinstance(resumed, dict) and int(
+                    resumed.get("epochs_completed", 0)
+                ):
+                    raise ValidationError(
+                        f"{segment_file}: the oldest surviving segment resumes "
+                        f"from {resumed.get('epochs_completed')} epochs — earlier "
+                        "segments were compacted away; replay with "
+                        "checkpoint_dir instead"
+                    )
+                if batched is None:
+                    batched = bool(header.get("batched", True))
+                spec = ScenarioSpec.from_dict(header["spec"])
+                session = Session.open(spec, batched=batched)
+            result.torn_tail_bytes += len(read.torn_tail or b"")
+            # A recovered segment's entries start exactly where the
+            # previous segment's replay left the session.
+            result.closed_cleanly = False
+            fold_segment(session, read.entries[1:], result, strict=strict)
+    except BaseException:
+        if session is not None:
+            session.close()
+        raise
+    if session is None:
+        raise ValidationError("no log segments to replay")
+    return session, result
 
 
 def replay_log(
@@ -155,138 +266,39 @@ def replay_log(
     checkpoint_dir:
         Start from the checkpoint the *current* segment's header names
         (loaded from this directory) instead of replaying the archived
-        chain — the bounded-recovery parity mode.  Falls back to the
-        full chain with a :class:`ValidationError` when the header names
-        no checkpoint.
+        chain — the bounded-recovery parity mode.  Raises
+        :class:`ValidationError` when the header names no checkpoint,
+        or one that is missing, invalid, or anchored at a different
+        epoch than the header says.
     """
-    if checkpoint_dir is not None:
-        return _replay_from_checkpoint(path, checkpoint_dir, batched)
-    paths = _chain_paths(path)
-    result = ReplayResult(segments=len(paths))
-    header = read_log(paths[0])[0]
-    spec = ScenarioSpec.from_dict(header["spec"])
-    if batched is None:
-        batched = bool(header.get("batched", True))
-    first_resume = header.get("resumed_from")
-    if isinstance(first_resume, dict) and int(
-        first_resume.get("epochs_completed", 0)
-    ):
-        raise ValidationError(
-            f"{paths[0]}: the oldest surviving segment resumes from "
-            f"{first_resume.get('epochs_completed')} epochs — earlier segments "
-            "were compacted away; replay with checkpoint_dir instead"
-        )
-    with Session.open(spec, batched=batched) as session:
-        for segment_file in paths:
-            entries = read_log(segment_file)
-            read = read_segment(segment_file)
-            if read.torn_tail is not None:
-                result.torn_tail_bytes += len(read.torn_tail)
-            result.closed_cleanly = False
-            # Replayed epochs count monotonically; a recovered segment's
-            # entries start exactly where the previous segment's replay
-            # left the session, so no epoch filtering is needed here.
-            _apply_entries(session, entries[1:], result)
-    return result
-
-
-def _replay_from_checkpoint(
-    path: str, checkpoint_dir: str, batched: Optional[bool]
-) -> ReplayResult:
-    from repro.serve.checkpoint import CheckpointManager
-
-    entries = read_log(path)
-    header = entries[0]
+    if checkpoint_dir is None:
+        session, result = replay_chain(_chain_paths(path), batched=batched)
+        session.close()
+        return result
     read = read_segment(path)
-    if batched is None:
-        batched = bool(header.get("batched", True))
-    resumed = header.get("resumed_from")
-    if not isinstance(resumed, dict) or not resumed.get("checkpoint"):
+    state = load_anchor(check_header(path, read.entries), checkpoint_dir, batched=batched)
+    if state is None:
         raise ValidationError(
             f"{path}: segment header names no checkpoint to resume from; "
             "drop checkpoint_dir to replay the full chain"
         )
-    state = CheckpointManager(checkpoint_dir).load(str(resumed["checkpoint"]))
-    session: Session = state.session
-    session.batch.batched = bool(batched)
     result = ReplayResult(
-        segments=1,
         checkpoint_epochs=state.epochs_completed,
         torn_tail_bytes=len(read.torn_tail or b""),
     )
     try:
-        _apply_entries(session, entries[1:], result)
+        fold_segment(state.session, read.entries[1:], result)
     finally:
-        session.close()
+        state.session.close()
     return result
-
-
-def session_from_segments(
-    path: str, *, through_segment: int, batched: bool
-) -> Session:
-    """Rebuild the session state by replaying archived segments 0..N.
-
-    The recovery fallback for a damaged checkpoint: replays every
-    archived segment up to and including ``through_segment`` and returns
-    the **open** session (caller owns closing it).  Digest mismatches
-    raise — a diverged rebuild is worse than no rebuild.
-    """
-    archives = {index: p for index, p in list_segments(path)}
-    expected = list(range(int(through_segment) + 1))
-    missing = [index for index in expected if index not in archives]
-    if missing:
-        raise ValidationError(
-            f"log chain for {path!r} is incomplete: missing archived "
-            f"segment(s) {missing} — cannot rebuild state by replay"
-        )
-    header = read_log(archives[0])[0]
-    spec = ScenarioSpec.from_dict(header["spec"])
-    session = Session.open(spec, batched=batched)
-    try:
-        for index in expected:
-            result = ReplayResult()
-            _apply_entries(session, read_log(archives[index])[1:], result)
-            if not result.ok:
-                raise ValidationError(
-                    f"segment {index} diverged during chain rebuild: "
-                    f"{result.mismatches[0]}"
-                )
-    except BaseException:
-        session.close()
-        raise
-    return session
-
-
-def collect_windows(
-    path: str, *, through_segment: int
-) -> Tuple[Dict[int, str], Dict[str, int]]:
-    """Epoch-digest and dedupe windows from archived segments 0..N.
-
-    Companion to :func:`session_from_segments`: rebuilds the soft state
-    a checkpoint would have carried (recent epoch digests for idempotent
-    ``step`` replies, idempotency keys for mutation dedupe) so recovery
-    through the chain-replay fallback loses neither.
-    """
-    digests: Dict[int, str] = {}
-    dedupe: Dict[str, int] = {}
-    archives = {index: p for index, p in list_segments(path)}
-    for index in range(int(through_segment) + 1):
-        segment_file = archives.get(index)
-        if segment_file is None:
-            continue
-        for entry in read_segment(segment_file).entries:
-            kind = entry.get("kind")
-            if kind == "epoch":
-                digests[int(entry.get("epoch", 0))] = str(entry.get("digest"))
-            elif kind == "mutate" and isinstance(entry.get("idem"), str):
-                dedupe[entry["idem"]] = int(entry.get("applied_epoch", 0))
-    return digests, dedupe
 
 
 __all__ = [
     "ReplayResult",
-    "collect_windows",
+    "check_header",
+    "fold_segment",
+    "load_anchor",
     "read_log",
+    "replay_chain",
     "replay_log",
-    "session_from_segments",
 ]

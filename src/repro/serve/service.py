@@ -61,7 +61,11 @@ second engine: ``tick`` is exactly one :meth:`Session.step`.  Replaying
 the mutation log through a fresh batch Session (``repro serve-replay``)
 therefore reproduces every served epoch byte-identically, which the log
 digests assert — and :meth:`recover` uses the same digests to verify a
-restored checkpoint before accepting connections.
+restored checkpoint before accepting connections.  The service writes
+the log; it never interprets it: :meth:`recover` reads it through
+:mod:`repro.serve.replay`'s one fold
+(:func:`~repro.serve.replay.fold_segment`), the same code
+``repro serve-replay`` runs.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from repro.routing.shortest_path import shortest_path
 from repro.routing.widest_path import widest_path
 from repro.scenario.lifecycle import Mutation, Session
 from repro.scenario.spec import ScenarioSpec
-from repro.serve.checkpoint import CheckpointManager, CheckpointState
+from repro.serve.checkpoint import CheckpointManager
 from repro.serve.oplog import (
     LOG_SCHEMA_VERSION,
     LogWriter,
@@ -93,6 +97,13 @@ from repro.serve.oplog import (
     segment_path,
 )
 from repro.serve.protocol import EncodedValues
+from repro.serve.replay import (
+    ReplayResult,
+    check_header,
+    fold_segment,
+    load_anchor,
+    replay_chain,
+)
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.validation import ValidationError
@@ -139,7 +150,8 @@ class RecoveryReport:
     segment: int
     #: The service's checkpoint interval (0 = checkpointing off).
     checkpoint_every: int
-    #: Checkpoint files skipped as invalid while hunting for a good one.
+    #: Why the checkpoint the log header names was unusable (the state
+    #: was then rebuilt from the archived chain).
     skipped_checkpoints: List[str] = field(default_factory=list)
     #: True when the crashed segment was sealed (clean-shutdown restart).
     was_sealed: bool = False
@@ -265,18 +277,22 @@ class OverlayService:
             # keeps bumping its plain-int counters and the registry reads
             # them (prefixed ``serve.``) whenever someone snapshots.
             registry.register_collector(self._collect_counters)
-        if _restore is not None:
+        segment, resumed_from = 0, None
+        if _restore is None:
+            self.session = Session.open(spec, batched=batched)
+        else:
+            # recover(): continue the rebuilt state in the next segment,
+            # anchored on a fresh checkpoint of it.
             self.session: Session = _restore["session"]
-            self._log: Optional[LogWriter] = _restore["log"]
             self._dedupe.update(_restore["dedupe"])
             self._epoch_digests.update(_restore["epoch_digests"])
             self.last_recovery = _restore["report"]
             self.counters["recoveries"] = 1
-            return
-        self.session = Session.open(spec, batched=batched)
-        self._log = LogWriter(log_path) if log_path else None
+            segment = self.last_recovery.segment
+            resumed_from = self._snapshot(segment)
+        self._log = LogWriter(log_path, segment=segment) if log_path else None
         if self._log is not None:
-            self._log.append(self._header(segment=0, resumed_from=None))
+            self._log.append(self._header(segment=segment, resumed_from=resumed_from))
 
     def _header(
         self, *, segment: int, resumed_from: Optional[Dict[str, object]]
@@ -421,15 +437,8 @@ class OverlayService:
             "serve.checkpoint", epochs=self.session.epochs_completed
         ):
             next_segment = self._log.segment + 1
-            name = self._checkpoints.write(
-                self.session,
-                spec=self.spec.to_dict(),
-                batched=self.batched,
-                epochs_completed=self.session.epochs_completed,
-                segment=next_segment,
-                epoch_digests=dict(self._epoch_digests),
-                dedupe=dict(self._dedupe),
-            )
+            resumed_from = self._snapshot(next_segment)
+            name = resumed_from["checkpoint"]
             self._log.append(
                 {
                     "kind": "checkpoint",
@@ -438,19 +447,32 @@ class OverlayService:
                 }
             )
             self._log.rotate(
-                self._header(
-                    segment=next_segment,
-                    resumed_from={
-                        "checkpoint": name,
-                        "epochs_completed": self.session.epochs_completed,
-                    },
-                )
+                self._header(segment=next_segment, resumed_from=resumed_from)
             )
             # Surfaced through the registry by the counter collector —
             # no telemetry.count here, which would double-report it.
             self.counters["checkpoints"] += 1
             self._compact()
         return name
+
+    def _snapshot(self, segment: int) -> Dict[str, object]:
+        """Checkpoint the session as the anchor of log ``segment``.
+
+        Returns the segment header's ``resumed_from`` (naming no
+        checkpoint when the service has no checkpoint manager).
+        """
+        name = None
+        if self._checkpoints is not None:
+            name = self._checkpoints.write(
+                self.session,
+                spec=self.spec.to_dict(),
+                batched=self.batched,
+                epochs_completed=self.session.epochs_completed,
+                segment=segment,
+                epoch_digests=dict(self._epoch_digests),
+                dedupe=dict(self._dedupe),
+            )
+        return {"checkpoint": name, "epochs_completed": self.session.epochs_completed}
 
     def _compact(self) -> None:
         """Apply the retention policy after a successful checkpoint."""
@@ -476,247 +498,105 @@ class OverlayService:
     ) -> "OverlayService":
         """Restore a service from its mutation log (and checkpoints).
 
-        The recovery protocol:
-
-        1. read the current log segment, repairing a torn final line
-           (the raw tail goes to a ``.corrupt`` sidecar);
-        2. restore the starting state — the checkpoint the segment's
-           header resumes from (digest-verified, falling back to older
-           checkpoints or a full archived-chain replay when it is
-           damaged), or a fresh session for a segment-0 log;
-        3. replay the segment's suffix through the engines, digest-
-           checking every replayed epoch against the log's sealed
-           digests — a mismatch aborts recovery rather than serving
-           diverged state;
-        4. rebuild the idempotency dedupe window (checkpointed base plus
-           suffix entries), archive the crashed segment, write a fresh
-           recovery checkpoint, and open a new segment anchored on it.
-
-        The returned service's :attr:`last_recovery` report says what
-        happened; its ``bounded`` flag asserts the replay never exceeded
-        one checkpoint interval.
+        Every log read goes through :mod:`repro.serve.replay`: the live
+        segment is read (a torn final line repaired into a ``.corrupt``
+        sidecar) and its header checked; the state it resumes from is
+        the checkpoint the header names (:func:`load_anchor`), or, when
+        that one is unusable, a replay of the archived chain
+        (:func:`replay_chain`); the segment's suffix then runs through
+        :func:`fold_segment`, and a digest mismatch aborts recovery
+        rather than serving diverged state.  The crashed segment is
+        archived and the service continues in the next one, anchored on
+        a fresh checkpoint.  :attr:`last_recovery` reports what happened;
+        its ``bounded`` flag asserts the replay never exceeded one
+        checkpoint interval.
         """
         with telemetry.span("serve.recovery"):
-            return cls._recover(
-                log_path,
-                checkpoint_dir=checkpoint_dir,
-                batched=batched,
-                checkpoint_every=checkpoint_every,
-                keep_checkpoints=keep_checkpoints,
-            )
-
-    @classmethod
-    def _recover(
-        cls,
-        log_path: str,
-        *,
-        checkpoint_dir: Optional[str],
-        batched: Optional[bool],
-        checkpoint_every: int,
-        keep_checkpoints: int,
-    ) -> "OverlayService":
-        read = read_segment(log_path, repair=True)
-        entries = read.entries
-        if not entries or entries[0].get("kind") != "open":
-            raise RecoveryError(
-                f"{log_path}: log does not start with an open header; "
-                "cannot recover"
-            )
-        header = entries[0]
-        if header.get("schema") not in (1, LOG_SCHEMA_VERSION):
-            raise RecoveryError(
-                f"{log_path}: unsupported log schema {header.get('schema')!r}"
-            )
-        spec = ScenarioSpec.from_dict(header["spec"])
-        if batched is None:
-            batched = bool(header.get("batched", True))
-        segment = int(header.get("segment", 0))
-        resumed = header.get("resumed_from")
-        manager = (
-            CheckpointManager(checkpoint_dir) if checkpoint_dir is not None else None
-        )
-
-        state: Optional[CheckpointState] = None
-        skipped: List[str] = []
-        if resumed is not None:
-            state, skipped = cls._restore_start_state(
-                log_path, resumed, segment, manager, batched
-            )
-        if state is not None:
-            session: Session = state.session
-            # The pickled batch carries its own kernel flag; honour an
-            # explicit override (both paths are bit-identical).
-            session.batch.batched = bool(batched)
-            checkpoint_name = state.name
-            checkpoint_epochs = state.epochs_completed
-            dedupe: "OrderedDict[str, int]" = OrderedDict(
-                sorted(state.dedupe.items(), key=lambda item: item[1])
-            )
-            digests: "OrderedDict[int, str]" = OrderedDict(
-                sorted(state.epoch_digests.items())
-            )
-        else:
-            session = Session.open(spec, batched=bool(batched))
-            checkpoint_name = None
-            checkpoint_epochs = 0
-            dedupe = OrderedDict()
-            digests = OrderedDict()
-
-        replayed_epochs = 0
-        replayed_mutations = 0
-        was_sealed = False
-        for entry in entries[1:]:
-            kind = entry.get("kind")
-            if kind == "mutate":
-                mutation = Mutation.from_dict(entry["mutation"])
-                session.mutate(mutation)
-                replayed_mutations += 1
-                idem = entry.get("idem")
-                if isinstance(idem, str):
-                    dedupe[idem] = int(entry.get("applied_epoch", 0))
-            elif kind == "epoch":
-                records = session.step()
-                digest = epoch_record_digest(records)
-                if digest != entry.get("digest"):
-                    raise RecoveryError(
-                        f"recovered state diverged at epoch {entry.get('epoch')}: "
-                        f"log sealed {entry.get('digest')!r} but replay produced "
-                        f"{digest!r} — refusing to serve"
-                    )
-                digests[int(entry.get("epoch", 0))] = digest
-                replayed_epochs += 1
-            elif kind == "checkpoint":
-                # Crash landed between the checkpoint entry and the
-                # rotation; the snapshot (if it survived) re-anchors on
-                # the next rotation anyway.
-                continue
-            elif kind == "close":
-                was_sealed = True
-            else:
-                raise RecoveryError(f"unknown log entry kind {kind!r}")
-
-        while len(dedupe) > DEDUPE_WINDOW:
-            dedupe.popitem(last=False)
-        while len(digests) > EPOCH_DIGEST_WINDOW:
-            digests.popitem(last=False)
-
-        # Archive the crashed segment and resume writing into a fresh
-        # one, anchored on a checkpoint of the just-recovered state.
-        new_segment = segment + 1
-        os.replace(log_path, segment_path(log_path, segment))
-        resumed_from: Optional[Dict[str, object]] = None
-        if manager is not None:
-            name = manager.write(
-                session,
-                spec=spec.to_dict(),
-                batched=bool(batched),
-                epochs_completed=session.epochs_completed,
-                segment=new_segment,
-                epoch_digests=dict(digests),
-                dedupe=dict(dedupe),
-            )
-            resumed_from = {
-                "checkpoint": name,
-                "epochs_completed": session.epochs_completed,
-            }
-        else:
-            resumed_from = {
-                "checkpoint": None,
-                "epochs_completed": session.epochs_completed,
-            }
-        log = LogWriter(log_path, segment=new_segment)
-
-        report = RecoveryReport(
-            checkpoint=checkpoint_name,
-            checkpoint_epochs=checkpoint_epochs,
-            replayed_epochs=replayed_epochs,
-            replayed_mutations=replayed_mutations,
-            torn_tail_bytes=len(read.torn_tail or b""),
-            sidecar=read.sidecar,
-            epochs_completed=session.epochs_completed,
-            segment=new_segment,
-            checkpoint_every=max(0, int(checkpoint_every)),
-            skipped_checkpoints=skipped,
-            was_sealed=was_sealed,
-        )
-        service = cls(
-            spec,
-            batched=bool(batched),
-            log_path=log_path,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            keep_checkpoints=keep_checkpoints,
-            _restore={
-                "session": session,
-                "log": log,
-                "dedupe": dedupe,
-                "epoch_digests": digests,
-                "report": report,
-            },
-        )
-        log.append(service._header(segment=new_segment, resumed_from=resumed_from))
-        return service
-
-    @classmethod
-    def _restore_start_state(
-        cls,
-        log_path: str,
-        resumed: Dict[str, object],
-        segment: int,
-        manager: Optional[CheckpointManager],
-        batched: bool,
-    ) -> Tuple[Optional[CheckpointState], List[str]]:
-        """The session state the current segment starts from.
-
-        Prefers the exact checkpoint the header names; a damaged or
-        missing checkpoint falls back to replaying the archived segment
-        chain from scratch (when it is complete), because a wrong
-        starting state would fail every digest check anyway.
-        """
-        skipped: List[str] = []
-        wanted_epochs = int(resumed.get("epochs_completed", 0))
-        if manager is not None and resumed.get("checkpoint"):
+            read = read_segment(log_path, repair=True)
             try:
-                state = manager.load(str(resumed["checkpoint"]))
-                if state.epochs_completed == wanted_epochs:
-                    return state, skipped
-                skipped.append(
-                    f"{resumed['checkpoint']}: epochs_completed "
-                    f"{state.epochs_completed} != header's {wanted_epochs}"
-                )
+                header = check_header(log_path, read.entries)
+            except ValidationError as error:
+                raise RecoveryError(f"{error}; cannot recover") from error
+            spec = ScenarioSpec.from_dict(header["spec"])
+            batched = bool(header.get("batched", True) if batched is None else batched)
+            segment = int(header.get("segment", 0))
+            resumed = header.get("resumed_from")
+            skipped: List[str] = []
+            anchor = None
+            try:
+                anchor = load_anchor(header, checkpoint_dir, batched=batched)
             except ValidationError as error:
                 skipped.append(str(error))
-        # Chain fallback: rebuild the anchor state by replaying every
-        # archived segment from the beginning.
-        from repro.serve.replay import collect_windows, session_from_segments
+            if anchor is not None:
+                session = anchor.session
+                dedupe, digests = anchor.dedupe, anchor.epoch_digests
+            elif resumed is not None:
+                # No usable checkpoint: rebuild the state the segment
+                # resumes from by replaying the archived chain.
+                archives = [segment_path(log_path, index) for index in range(segment)]
+                try:
+                    session, chain = replay_chain(archives, batched=batched, strict=True)
+                except ValidationError as error:
+                    raise RecoveryError(
+                        f"cannot restore the state segment {segment} resumes "
+                        f"from: checkpoint unusable "
+                        f"({'; '.join(skipped) or 'none named'}) and chain "
+                        f"replay failed ({error})"
+                    ) from error
+                wanted = int(resumed.get("epochs_completed", 0))
+                if session.epochs_completed != wanted:
+                    session.close()
+                    raise RecoveryError(
+                        f"chain replay reached {session.epochs_completed} epochs "
+                        f"but segment {segment} resumes from {wanted}"
+                    )
+                dedupe, digests = chain.dedupe, chain.digests
+            else:
+                session = Session.open(spec, batched=batched)
+                dedupe, digests = {}, {}
+            checkpoint_epochs = session.epochs_completed
+            suffix = ReplayResult(
+                dedupe=OrderedDict(sorted(dedupe.items(), key=lambda item: item[1])),
+                digests=OrderedDict(sorted(digests.items())),
+            )
+            try:
+                fold_segment(session, read.entries[1:], suffix, strict=True)
+            except ValidationError as error:
+                raise RecoveryError(str(error)) from error
+            while len(suffix.dedupe) > DEDUPE_WINDOW:
+                suffix.dedupe.popitem(last=False)
+            while len(suffix.digests) > EPOCH_DIGEST_WINDOW:
+                suffix.digests.popitem(last=False)
 
-        try:
-            session = session_from_segments(
-                log_path, through_segment=segment - 1, batched=batched
+            # Archive the crashed segment; the service continues in the next.
+            os.replace(log_path, segment_path(log_path, segment))
+            report = RecoveryReport(
+                checkpoint=anchor.name if anchor is not None else None,
+                checkpoint_epochs=checkpoint_epochs,
+                replayed_epochs=suffix.epochs,
+                replayed_mutations=suffix.mutations,
+                torn_tail_bytes=len(read.torn_tail or b""),
+                sidecar=read.sidecar,
+                epochs_completed=session.epochs_completed,
+                segment=segment + 1,
+                checkpoint_every=max(0, int(checkpoint_every)),
+                skipped_checkpoints=skipped,
+                was_sealed=suffix.closed_cleanly,
             )
-        except ValidationError as error:
-            raise RecoveryError(
-                f"cannot restore the state segment {segment} resumes from: "
-                f"checkpoint unusable ({'; '.join(skipped) or 'none named'}) "
-                f"and chain replay failed ({error})"
+            return cls(
+                spec,
+                batched=batched,
+                log_path=log_path,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=checkpoint_every,
+                keep_checkpoints=keep_checkpoints,
+                _restore={
+                    "session": session,
+                    "dedupe": suffix.dedupe,
+                    "epoch_digests": suffix.digests,
+                    "report": report,
+                },
             )
-        if session.epochs_completed != wanted_epochs:
-            raise RecoveryError(
-                f"chain replay reached {session.epochs_completed} epochs but "
-                f"segment {segment} resumes from {wanted_epochs}"
-            )
-        digests, dedupe = collect_windows(log_path, through_segment=segment - 1)
-        state = CheckpointState(
-            name=None,  # the report shows a from-scratch chain replay
-            session=session,
-            spec={},
-            batched=batched,
-            epochs_completed=session.epochs_completed,
-            segment=segment,
-            epoch_digests=digests,
-            dedupe=dedupe,
-        )
-        return state, skipped
 
     # ------------------------------------------------------------------ #
     # Lookups

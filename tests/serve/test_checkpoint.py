@@ -89,23 +89,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="integrity digest"):
             manager.load(name)
 
-    def test_latest_skips_corrupt_and_falls_back(self, tmp_path):
+    def test_truncated_checkpoint_raises(self, tmp_path):
+        """A half-written file fails to load; recovery then replays the
+        archived chain instead of trusting it."""
         manager = CheckpointManager(str(tmp_path))
-        _write(manager, epochs=3, segment=1, session={"epoch": 3})
-        newest = _write(manager, epochs=6, segment=2, session={"epoch": 6})
-        with open(os.path.join(str(tmp_path), newest), "w") as handle:
+        name = _write(manager)
+        with open(os.path.join(str(tmp_path), name), "w") as handle:
             handle.write("{ truncated half-written checkpoi")
-        state = manager.latest()
-        assert state is not None
-        assert state.epochs_completed == 3
-        assert state.session == {"epoch": 3}
-        assert len(manager.skipped) == 1
-        assert newest in manager.skipped[0]
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            manager.load(name)
 
-    def test_latest_returns_none_when_empty(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path))
-        assert manager.latest() is None
-        assert manager.skipped == []
+
+class TestMissingDirectory:
+    """Reading never creates the checkpoint directory (the first write does)."""
+
+    def test_reads_on_a_missing_directory_create_nothing(self, tmp_path):
+        directory = tmp_path / "absent" / "ckpts"
+        manager = CheckpointManager(str(directory))
+        assert manager.names() == []
+        assert manager.prune(1) == []
+        assert manager.oldest_segment() is None
+        with pytest.raises(ValidationError, match="not found"):
+            manager.load(checkpoint_name(1, 1))
+        assert not (tmp_path / "absent").exists()
 
 
 class TestRetention:

@@ -103,6 +103,17 @@ def _crashed_service(tmp_path, *, epochs: int, checkpoint_every: int = 2):
     return log, ckpt, digests
 
 
+#: Where recovery's starting state comes from: the checkpoint the log
+#: header names, or — every checkpoint file corrupted — the archived chain.
+_START_STATES = ["checkpoint", "chain-fallback"]
+
+
+def _corrupt_checkpoints(ckpt: str) -> None:
+    for name in os.listdir(ckpt):
+        with open(os.path.join(ckpt, name), "w") as handle:
+            handle.write("{ truncated half-written checkpoi")
+
+
 class TestRecover:
     def test_recovery_restores_epochs_and_digests(self, tmp_path, reference):
         log, ckpt, digests = _crashed_service(tmp_path, epochs=5)
@@ -275,10 +286,14 @@ class TestRecover:
         finally:
             service.close()
 
-    def test_acked_mutation_survives_and_stays_exactly_once(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", [False, True], ids=_START_STATES)
+    def test_acked_mutation_survives_and_stays_exactly_once(self, tmp_path, corrupt):
         log, ckpt, _digests = _crashed_service(tmp_path, epochs=5)
+        if corrupt:
+            _corrupt_checkpoints(ckpt)
         service = OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2)
         try:
+            assert (service.last_recovery.checkpoint is None) is corrupt
             for done, (mutation, idem) in _MUTATIONS.items():
                 ack = service.mutate(dict(mutation), idem=idem)
                 assert ack["deduplicated"] is True
@@ -287,10 +302,14 @@ class TestRecover:
         finally:
             service.close()
 
-    def test_step_retry_after_recovery_is_idempotent(self, tmp_path):
+    @pytest.mark.parametrize("corrupt", [False, True], ids=_START_STATES)
+    def test_step_retry_after_recovery_is_idempotent(self, tmp_path, corrupt):
         log, ckpt, _digests = _crashed_service(tmp_path, epochs=3)
+        if corrupt:
+            _corrupt_checkpoints(ckpt)
         service = OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2)
         try:
+            assert (service.last_recovery.checkpoint is None) is corrupt
             first = service.step(expect=3)
             again = service.step(expect=3)
             assert again["duplicate"] is True

@@ -2,10 +2,14 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.scenario.spec import ScenarioSpec
+from repro.serve import oplog, replay, service
+from repro.serve.checkpoint import checkpoint_name
 from repro.serve.replay import read_log, replay_log
 from repro.serve.service import OverlayService
 from repro.util.validation import ValidationError
@@ -172,6 +176,79 @@ class TestChainReplay:
         _serve_session(log)
         with pytest.raises(ValidationError, match="names no checkpoint"):
             replay_log(str(log), checkpoint_dir=str(tmp_path / "ckpt"))
+
+
+class TestCheckpointAnchor:
+    """``--checkpoints`` replay starts only from the checkpoint the header
+    names, at the epoch count the header names — recovery's rule too."""
+
+    def test_mis_anchored_checkpoint_is_rejected(self, tmp_path, capsys):
+        log = tmp_path / "serve.jsonl"
+        ckpt = tmp_path / "ckpt"
+        _serve_chain(log, ckpt)
+        # The header names the epoch-4 checkpoint; put epoch 2 under its name.
+        shutil.copyfile(
+            ckpt / checkpoint_name(2, 1), ckpt / checkpoint_name(4, 2)
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            replay_log(str(log), checkpoint_dir=str(ckpt))
+        message = str(excinfo.value)
+        assert checkpoint_name(4, 2) in message
+        assert "epochs_completed 2 != header's 4" in message
+        assert main(["serve-replay", str(log), "--checkpoints", str(ckpt)]) == 2
+        assert "REPLAY" not in capsys.readouterr().out
+
+    def test_missing_checkpoint_dir_is_not_created(self, tmp_path):
+        log = tmp_path / "serve.jsonl"
+        _serve_chain(log, tmp_path / "ckpt")
+        missing = tmp_path / "missing" / "ckpts"
+        with pytest.raises(ValidationError, match="not found"):
+            replay_log(str(log), checkpoint_dir=str(missing))
+        assert not (tmp_path / "missing").exists()
+
+
+class TestParseOnce:
+    """Every log file is parsed once per replay or recovery."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        paths = []
+
+        def counting(path, **kwargs):
+            paths.append(os.path.basename(path))
+            return oplog.read_segment(path, **kwargs)
+
+        monkeypatch.setattr(replay, "read_segment", counting)
+        monkeypatch.setattr(service, "read_segment", counting)
+        return paths
+
+    def test_chain_replay_parses_each_segment_once(self, tmp_path, parsed):
+        log = tmp_path / "serve.jsonl"
+        _serve_chain(log, tmp_path / "ckpt")
+        assert replay_log(str(log)).segments == 3
+        assert sorted(parsed) == ["serve.jsonl", "serve.jsonl.000", "serve.jsonl.001"]
+
+    def test_chain_fallback_recovery_parses_each_segment_once(
+        self, tmp_path, parsed
+    ):
+        log = tmp_path / "serve.jsonl"
+        ckpt = tmp_path / "ckpt"
+        live = OverlayService(
+            _spec(), log_path=str(log), checkpoint_dir=str(ckpt), checkpoint_every=2
+        )
+        for _ in range(5):
+            live.tick()
+        live._log.close()  # a crash: no close entry, no seal
+        live._log = None
+        live.closed = True
+        shutil.rmtree(ckpt)
+        recovered = OverlayService.recover(str(log), checkpoint_dir=str(ckpt))
+        try:
+            assert recovered.last_recovery.checkpoint is None
+            assert recovered.session.epochs_completed == 5
+        finally:
+            recovered.close()
+        assert sorted(parsed) == ["serve.jsonl", "serve.jsonl.000", "serve.jsonl.001"]
 
 
 class TestLogFormat:
