@@ -173,16 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if with_run_outputs:
             command.add_argument(
-                "--verbose",
-                action="store_true",
-                help=(
-                    "print execution diagnostics after the series (route-cache "
-                    "hits/misses and hit rate for epoch-loop scenarios: the "
-                    "sequential tier's memo, so all 0 unless --sequential; "
-                    "nothing patches entries, so repairs/restamps read 0)"
-                ),
-            )
-            command.add_argument(
                 "--spec",
                 type=str,
                 default=None,
@@ -190,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "run a ScenarioSpec JSON file instead of a named experiment "
                     "(other overrides still apply on top)"
                 ),
-            )
-            command.add_argument(
-                "--sequential",
-                action="store_true",
-                help="run the plain sequential code (bit-identical to the lockstep batches)",
             )
             command.add_argument(
                 "--trace",
@@ -276,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the aggregated per-experiment result JSON files",
     )
     sweep_cmd.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run the plain sequential code (bit-identical) in every cell",
-    )
-    sweep_cmd.add_argument(
         "--telemetry",
         action="store_true",
         help=(
@@ -344,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-attempt cells other workers marked failed (clears their records)",
     )
-    worker_cmd.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run the plain sequential code (bit-identical) in every cell",
-    )
 
     serve_cmd = sub.add_parser(
         "serve", help="hold a scenario's deployments live behind a local socket"
@@ -374,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="append the replayable mutation log (JSONL) to this path",
-    )
-    serve_cmd.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run the plain sequential code (bit-identical to the lockstep batches)",
     )
     serve_cmd.add_argument(
         "--metrics-port",
@@ -477,11 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
             "child output (default: a fresh chaos-<name> directory)"
         ),
     )
-    chaos_cmd.add_argument(
-        "--sequential",
-        action="store_true",
-        help="run both sides on the plain sequential code",
-    )
 
     load_cmd = sub.add_parser(
         "serve-load", help="measure a running server with a traffic-model workload"
@@ -529,14 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run a serve mutation log and digest-check every served epoch",
     )
     replay_cmd.add_argument("log", help="mutation log (JSONL) written by 'serve --log'")
-    replay_cmd.add_argument(
-        "--sequential",
-        action="store_true",
-        help=(
-            "replay on the plain sequential code regardless of what the "
-            "serving process used (a cross-tier parity check)"
-        ),
-    )
     replay_cmd.add_argument(
         "--checkpoints",
         type=str,
@@ -615,8 +572,9 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         params["trials"] = args.trials
     if args.churn_rates is not None:
         params["churn_rates"] = list(args.churn_rates)
-    if args.k is not None and "k" in spec.params:
-        # Fixed-k experiments read params["k"]; keep it in sync with --k.
+    if args.k and "k" in spec.params:
+        # Fixed-k experiments read params["k"]; keep it in sync with --k
+        # (an empty --k is left to the k_grid check below).
         params["k"] = int(args.k[0])
     for item in args.param:
         if "=" not in item:
@@ -735,7 +693,6 @@ def _sweep(args: argparse.Namespace) -> int:
             cells,
             store,
             workers=args.workers,
-            batched=not args.sequential,
             resume=args.resume,
             on_cell=lambda cell: print(
                 f"# cell {cell.key[:12]} done: {cell.spec.experiment} ({cell.describe()})"
@@ -839,7 +796,6 @@ def _sweep_worker(args: argparse.Namespace) -> int:
         cells,
         store,
         poll_seconds=args.poll,
-        batched=not args.sequential,
         max_cells=args.max_cells,
         retry_failed=args.retry_failed,
         wait_timeout=args.timeout,
@@ -897,6 +853,7 @@ def _supervised_serve(args: argparse.Namespace) -> int:
 
 def _serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: warm up (or recover), bind, serve."""
+    from repro.serve.replay import read_log
     from repro.serve.server import run_server
     from repro.serve.service import OverlayService
 
@@ -905,6 +862,21 @@ def _serve(args: argparse.Namespace) -> int:
     if (args.port is None) == (args.socket is None):
         raise ValidationError("pass exactly one of --port or --socket")
     spec = _load_spec(args.spec)
+    # A populated log means a predecessor served here: recover its state
+    # (checkpoint + bounded suffix replay) instead of starting over — and
+    # skip the warmup, those epochs already happened.  Recovery serves
+    # the log's scenario, so --spec must name that one.
+    recovering = bool(
+        args.log and os.path.exists(args.log) and os.path.getsize(args.log) > 0
+    )
+    if recovering:
+        logged = ScenarioSpec.from_dict(read_log(args.log)[0]["spec"])
+        if logged.to_dict() != spec.to_dict():
+            raise ValidationError(
+                f"--log {args.log!r} was opened with another scenario than "
+                f"--spec {args.spec!r}; pass the spec the log was opened with, "
+                "or a fresh --log"
+            )
     # The serve process always runs with a live metrics registry, so the
     # 'metrics' op and --metrics-port have something to report; tracing
     # stays off (serving is open-ended — there is no file to seal).
@@ -914,20 +886,14 @@ def _serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         keep_checkpoints=args.keep_checkpoints,
     )
-    if args.log and os.path.exists(args.log) and os.path.getsize(args.log) > 0:
-        # A populated log means a predecessor served here: recover its
-        # state (checkpoint + bounded suffix replay) instead of starting
-        # over — and skip the warmup, those epochs already happened.
-        service = OverlayService.recover(
-            args.log, batched=not args.sequential, **crash_safety
-        )
+    if recovering:
+        service = OverlayService.recover(args.log, **crash_safety)
         print(service.last_recovery.summary(), flush=True)
     else:
-        service = OverlayService(
-            spec, batched=not args.sequential, log_path=args.log, **crash_safety
-        )
+        service = OverlayService(spec, log_path=args.log, **crash_safety)
         for _ in range(max(0, args.warmup_epochs)):
             service.tick()
+    spec = service.spec
     print(
         f"# serving {spec.experiment} (n={spec.n}, "
         f"{len(service.session.labels)} deployments, "
@@ -968,7 +934,7 @@ def _chaos(args: argparse.Namespace) -> int:
         f"# chaos: {scenario.epochs} epochs, {scenario.kills} SIGKILLs, "
         f"checkpoint every {scenario.checkpoint_every}; artifacts in {workdir}"
     )
-    report = run_chaos(scenario, workdir, batched=not args.sequential)
+    report = run_chaos(scenario, workdir)
     for line in report.recovery_lines:
         print(f"# {line}")
     print(report.summary())
@@ -1039,11 +1005,7 @@ def _serve_replay(args: argparse.Namespace) -> int:
     """The ``serve-replay`` subcommand: digest-check a mutation log."""
     from repro.serve.replay import replay_log
 
-    result = replay_log(
-        args.log,
-        batched=False if args.sequential else None,
-        checkpoint_dir=args.checkpoints,
-    )
+    result = replay_log(args.log, checkpoint_dir=args.checkpoints)
     print(result.summary())
     if not result.ok:
         for mismatch in result.mismatches:
@@ -1129,9 +1091,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             telemetry.enable(trace=trace_to)
         telemetry_line = None
         try:
-            session = SimulationSession(
-                spec, batched=not getattr(args, "sequential", False)
-            )
+            session = SimulationSession(spec)
             with telemetry.span("run", experiment=spec.experiment):
                 result = session.run()
         finally:
@@ -1146,18 +1106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(result.table())
     if telemetry_line is not None:
         print(f"# {telemetry_line}")
-    if getattr(args, "verbose", False):
-        cache = result.metadata.get("cache")
-        if cache is None:
-            print("# cache: n/a (no epoch-loop engine batches in this scenario)")
-        else:
-            line = (
-                "# cache: hits={hits:.0f} misses={misses:.0f} repairs={repairs:.0f} "
-                "restamps={restamps:.0f} hit_rate={hit_rate:.3f}".format(**cache)
-            )
-            if "drops" in cache:
-                line += " drops={drops:.0f}".format(**cache)
-            print(line)
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result.as_dict(), handle, indent=2)

@@ -1,9 +1,9 @@
 """Versioned JSON codec for execution telemetry.
 
 :class:`~repro.core.engine.EpochRecord` and the residual route-cache
-diagnostics dict used to travel in three ad-hoc shapes — the sweep
-store's result metadata, ``repro run --verbose``'s cache line, and
-whatever a consumer pickled out of ``EngineHistory``.  This module is
+diagnostics dict used to travel in ad-hoc shapes — the sweep store's
+result metadata and whatever a consumer pickled out of
+``EngineHistory``.  This module is
 the single codec for both: every wire/disk form carries a ``schema``
 version so readers can reject (or migrate) payloads from a different
 era, and non-finite floats — legal in records (``mean_efficiency`` is
@@ -115,9 +115,8 @@ def cache_stats_to_json(stats: Dict[str, float]) -> Dict[str, object]:
     Accepts any dict holding (at least) :data:`CACHE_FIELDS` — both
     :meth:`ResidualRouteCache.stats` and the batch/session aggregates —
     and passes extra numeric keys through, so aggregate payloads stay
-    self-describing.  The plain counter keys stay top-level: existing
-    consumers (the ``--verbose`` format string, the fig2 CI smoke)
-    read them positionally by name.
+    self-describing.  The plain counter keys stay top-level: consumers
+    read them by name.
     """
     payload: Dict[str, object] = {"schema": CACHE_SCHEMA_VERSION}
     for name in CACHE_FIELDS:

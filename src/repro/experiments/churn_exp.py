@@ -16,8 +16,7 @@ broadcasts, join/leave events between epochs only re-derive each
 engine's active mask, and the residuals are planned ahead of the steps
 by speculative stacked sweeps (a re-wire throws the plan away) — the
 results' ``metadata["cache"]`` records the sequential engines' memo
-counters (``repro run --verbose`` prints them; all 0 on the batched
-path).
+counters (all 0 on the batched path).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ that later heals, a flapping link under announcement loss.  Every
 :class:`~repro.core.failures.FailureSpec` schedule; the whole grid
 advances in lockstep through
 :class:`~repro.core.engine_batch.EngineBatch`, exactly like the churn
-experiments (``--sequential`` preserves the reference engine
-byte-for-byte, failures included).
+experiments (the sequential reference, ``run_spec(spec,
+batched=False)``, matches it byte-for-byte, failures included).
 
 Per series, the result's ``metadata["resilience"]`` reports:
 

@@ -18,7 +18,7 @@ Quick use::
     from repro.scenario import default_spec, run_spec
 
     spec = default_spec("fig1-delay-ping").override(n=30, k_grid=(2, 4))
-    result = run_spec(spec)            # batched=False: the sequential tier
+    result = run_spec(spec)            # lockstep tier; batched=False runs the sequential reference
     print(result.table())
 """
 

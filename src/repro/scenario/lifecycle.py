@@ -135,7 +135,7 @@ def _engine_specs(sim) -> List[EngineSpec]:
     Follows the runners' RNG discipline: every master-stream draw
     (preferences, the shared churn schedule) happens before the per-cell
     streams are spawned, and each cell's provider and engine consume the
-    same stream — so the batched and sequential paths, and any replay,
+    same stream — so both execution tiers, and any replay,
     see identical draws per deployment.
     """
     spec = sim.spec
@@ -193,11 +193,16 @@ class Session:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def open(cls, spec: ScenarioSpec, *, batched: bool = True) -> "Session":
-        """Open ``spec`` as a live session (one engine per (policy, k))."""
+    def open(cls, spec: ScenarioSpec) -> "Session":
+        """Open ``spec`` as a live session (one engine per (policy, k)).
+
+        The session runs the lockstep tier; the tests' sequential
+        reference passes its own :class:`SimulationSession` to
+        :meth:`from_session` instead.
+        """
         from repro.scenario.session import SimulationSession
 
-        return cls.from_session(SimulationSession(spec, batched=batched))
+        return cls.from_session(SimulationSession(spec))
 
     @classmethod
     def from_session(cls, sim) -> "Session":

@@ -57,7 +57,9 @@ class SimulationSession:
     batched:
         Use the stacked kernels (default) or the bit-identical sequential
         reference paths — an execution detail, deliberately *not* part of
-        the spec.
+        the spec.  Every front door (the CLI, serve, sweeps) runs the
+        default; ``False`` is the reference the parity tests compare
+        against.
     """
 
     def __init__(self, spec: ScenarioSpec, *, batched: bool = True):
@@ -75,9 +77,9 @@ class SimulationSession:
         Epoch-loop scenarios also carry their aggregated residual
         route-cache statistics (hits, misses, hit rate — summed
         over every engine batch the run dispatched) as
-        ``metadata["cache"]``, printed by ``repro run --verbose``.  The
-        cache is the sequential engine's memo: a batched run hands every
-        residual to its step and reads 0 throughout.
+        ``metadata["cache"]``.  The cache is the sequential engine's
+        memo: a batched run hands every residual to its step and reads 0
+        throughout.
         """
         from repro.core.codec import cache_stats_to_json
 
@@ -86,7 +88,7 @@ class SimulationSession:
         result.metadata["scenario"] = self.spec.to_dict()
         if self._engine_batches:
             # One schema for every consumer of the diagnostics dict —
-            # stored sweep cells, --verbose, and the serve stream.
+            # stored sweep cells and saved results.
             result.metadata["cache"] = cache_stats_to_json(
                 merge_cache_stats(
                     pooled_cache_stats(engine.route_cache for engine in batch.engines)

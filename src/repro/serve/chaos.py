@@ -43,7 +43,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
@@ -228,10 +228,10 @@ def kill_points(scenario: ChaosScenario) -> List[int]:
 # Reference (uninterrupted) side
 # --------------------------------------------------------------------- #
 def run_reference(
-    scenario: ChaosScenario, *, batched: bool = True
+    scenario: ChaosScenario,
 ) -> Tuple[Dict[int, str], List[List[object]]]:
     """Digests and lookup values of the fault-free in-process run."""
-    service = OverlayService(scenario.spec, batched=batched)
+    service = OverlayService(scenario.spec)
     digests: Dict[int, str] = {}
     lookups: List[List[object]] = []
     try:
@@ -255,7 +255,6 @@ def run_chaos(
     scenario: ChaosScenario,
     workdir: str,
     *,
-    batched: bool = True,
     connect_timeout: float = 60.0,
 ) -> ChaosReport:
     """Run the full harness in ``workdir``; returns the verified report.
@@ -290,8 +289,6 @@ def run_chaos(
         "--warmup-epochs",
         "0",
     ]
-    if not batched:
-        command.append("--sequential")
 
     report = ChaosReport()
     current_child: List[subprocess.Popen] = []
@@ -307,7 +304,7 @@ def run_chaos(
     thread = threading.Thread(target=supervisor.run, daemon=True)
     thread.start()
 
-    reference_digests, reference_lookups = run_reference(scenario, batched=batched)
+    reference_digests, reference_lookups = run_reference(scenario)
     plan = build_plan(scenario)
     kills = set(kill_points(scenario))
 
@@ -356,7 +353,6 @@ def run_chaos(
         chaos_digests=chaos_digests,
         chaos_lookups=chaos_lookups,
         acked_idems=acked_idems,
-        batched=batched,
     )
     return report
 
@@ -405,7 +401,6 @@ def _verify(
     chaos_digests: Dict[int, str],
     chaos_lookups: List[List[object]],
     acked_idems: List[str],
-    batched: bool,
 ) -> None:
     """Fill the report's verification fields from the run's artifacts."""
     # Digest parity: every epoch either side committed, byte-identical.
@@ -458,7 +453,7 @@ def _verify(
 
     # Replay parity over the rotated chain (same check as serve-smoke).
     try:
-        report.replay_ok = replay_log(log_path, batched=batched).ok
+        report.replay_ok = replay_log(log_path).ok
     except ValidationError:
         report.replay_ok = False
 

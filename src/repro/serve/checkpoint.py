@@ -89,13 +89,17 @@ class CheckpointManager:
         session: object,
         *,
         spec: Dict[str, object],
-        batched: bool,
+        batched: bool = True,
         epochs_completed: int,
         segment: int,
         epoch_digests: Optional[Dict[int, str]] = None,
         dedupe: Optional[Dict[str, int]] = None,
     ) -> str:
-        """Atomically persist one checkpoint; returns its file name."""
+        """Atomically persist one checkpoint; returns its file name.
+
+        ``batched`` only fills the envelope field of the same name: serve
+        runs the batched tier alone, and no reader consults it.
+        """
         blob = pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)
         envelope = {
             "schema": CHECKPOINT_SCHEMA_VERSION,

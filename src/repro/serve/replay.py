@@ -170,16 +170,12 @@ def fold_segment(
 def load_anchor(
     header: Dict[str, object],
     checkpoint_dir: Optional[str],
-    *,
-    batched: Optional[bool] = None,
 ) -> Optional[CheckpointState]:
     """The checkpoint a segment header resumes from, or None.
 
     None when there is no directory or the header names no checkpoint.
     Raises when the named one fails to load or holds another epoch
     count than the header's: the segment does not continue from it.
-    ``batched`` overrides the restored session's kernel path (both are
-    bit-identical); None keeps the header's.
     """
     resumed = header.get("resumed_from")
     if checkpoint_dir is None or not isinstance(resumed, dict):
@@ -193,14 +189,11 @@ def load_anchor(
         raise ValidationError(
             f"{name}: epochs_completed {state.epochs_completed} != header's {wanted}"
         )
-    state.session.batch.batched = bool(
-        header.get("batched", True) if batched is None else batched
-    )
     return state
 
 
 def replay_chain(
-    paths: Sequence[str], *, batched: Optional[bool] = None, strict: bool = False
+    paths: Sequence[str], *, strict: bool = False
 ) -> Tuple[Session, ReplayResult]:
     """Replay log segments, oldest first from segment 0, through the fold.
 
@@ -225,10 +218,7 @@ def replay_chain(
                         "segments were compacted away; replay with "
                         "checkpoint_dir instead"
                     )
-                if batched is None:
-                    batched = bool(header.get("batched", True))
-                spec = ScenarioSpec.from_dict(header["spec"])
-                session = Session.open(spec, batched=batched)
+                session = Session.open(ScenarioSpec.from_dict(header["spec"]))
             result.torn_tail_bytes += len(read.torn_tail or b"")
             # A recovered segment's entries start exactly where the
             # previous segment's replay left the session.
@@ -246,7 +236,6 @@ def replay_chain(
 def replay_log(
     path: str,
     *,
-    batched: Optional[bool] = None,
     checkpoint_dir: Optional[str] = None,
 ) -> ReplayResult:
     """Re-run a mutation log (chain) and digest-check every epoch.
@@ -258,11 +247,6 @@ def replay_log(
         (``<path>.NNN`` siblings from checkpoints or recoveries) are
         replayed first, automatically, so the check always covers the
         full served history.
-    batched:
-        Kernel path for the replay engines; defaults to the path the
-        serving process used (either must match — that equivalence has
-        its own tests — so replaying a batched log sequentially is a
-        legitimate cross-check).
     checkpoint_dir:
         Start from the checkpoint the *current* segment's header names
         (loaded from this directory) instead of replaying the archived
@@ -272,11 +256,11 @@ def replay_log(
         epoch than the header says.
     """
     if checkpoint_dir is None:
-        session, result = replay_chain(_chain_paths(path), batched=batched)
+        session, result = replay_chain(_chain_paths(path))
         session.close()
         return result
     read = read_segment(path)
-    state = load_anchor(check_header(path, read.entries), checkpoint_dir, batched=batched)
+    state = load_anchor(check_header(path, read.entries), checkpoint_dir)
     if state is None:
         raise ValidationError(
             f"{path}: segment header names no checkpoint to resume from; "

@@ -78,11 +78,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.codec import (
-    cache_stats_to_json,
-    epoch_record_digest,
-    epoch_record_to_json,
-)
+from repro.core.codec import epoch_record_digest, epoch_record_to_json
 from repro.core.cost import DISCONNECTION_COST
 from repro.routing.shortest_path import shortest_path
 from repro.routing.widest_path import widest_path
@@ -105,7 +101,6 @@ from repro.serve.replay import (
     replay_chain,
 )
 from repro.telemetry import runtime as telemetry
-from repro.telemetry.diagnostics import pooled_cache_stats
 from repro.util.validation import ValidationError
 
 #: Idempotency keys remembered for mutation dedupe (FIFO window).
@@ -199,8 +194,6 @@ class OverlayService:
     ----------
     spec:
         The scenario to hold live (one engine per (policy, k) cell).
-    batched:
-        Kernel path for the underlying engines (results are identical).
     log_path:
         Optional mutation-log path (JSONL, append-only, fsynced per
         entry).  Without it the service keeps no log and cannot be
@@ -224,7 +217,6 @@ class OverlayService:
         self,
         spec: ScenarioSpec,
         *,
-        batched: bool = True,
         log_path: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 0,
@@ -237,7 +229,6 @@ class OverlayService:
                 "segments, there is nothing to anchor without a log"
             )
         self.spec = spec
-        self.batched = bool(batched)
         self.checkpoint_every = max(0, int(checkpoint_every))
         self.keep_checkpoints = max(0, int(keep_checkpoints))
         self.closed = False
@@ -279,7 +270,7 @@ class OverlayService:
             registry.register_collector(self._collect_counters)
         segment, resumed_from = 0, None
         if _restore is None:
-            self.session = Session.open(spec, batched=batched)
+            self.session = Session.open(spec)
         else:
             # recover(): continue the rebuilt state in the next segment,
             # anchored on a fresh checkpoint of it.
@@ -301,7 +292,6 @@ class OverlayService:
             "kind": "open",
             "schema": LOG_SCHEMA_VERSION,
             "spec": self.spec.to_dict(),
-            "batched": self.batched,
             "segment": int(segment),
         }
         if resumed_from is not None:
@@ -315,11 +305,10 @@ class OverlayService:
         """Advance one epoch and notify subscribers.
 
         The returned payload is the ``subscribe`` stream's event line:
-        the committed epoch's records (codec JSON) per deployment, the
-        pooled cache diagnostics, and the epoch digest that the mutation
-        log records for replay parity.  When the epoch lands on the
-        checkpoint cadence, the session is snapshotted and the log
-        rotated before the payload is returned.
+        the committed epoch's records (codec JSON) per deployment and the
+        epoch digest that the mutation log records for replay parity.
+        When the epoch lands on the checkpoint cadence, the session is
+        snapshotted and the log rotated before the payload is returned.
         """
         self._check_open()
         with telemetry.span("serve.tick", epoch=self.session.epochs_completed):
@@ -340,9 +329,6 @@ class OverlayService:
                 label: epoch_record_to_json(record)
                 for label, record in zip(self.session.labels, records)
             },
-            "cache": cache_stats_to_json(
-                pooled_cache_stats(e.route_cache for e in self.session.batch.engines)
-            ),
         }
         for notify in list(self._subscribers):
             notify(payload)
@@ -466,7 +452,6 @@ class OverlayService:
             name = self._checkpoints.write(
                 self.session,
                 spec=self.spec.to_dict(),
-                batched=self.batched,
                 epochs_completed=self.session.epochs_completed,
                 segment=segment,
                 epoch_digests=dict(self._epoch_digests),
@@ -492,7 +477,6 @@ class OverlayService:
         log_path: str,
         *,
         checkpoint_dir: Optional[str] = None,
-        batched: Optional[bool] = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 0,
     ) -> "OverlayService":
@@ -518,13 +502,12 @@ class OverlayService:
             except ValidationError as error:
                 raise RecoveryError(f"{error}; cannot recover") from error
             spec = ScenarioSpec.from_dict(header["spec"])
-            batched = bool(header.get("batched", True) if batched is None else batched)
             segment = int(header.get("segment", 0))
             resumed = header.get("resumed_from")
             skipped: List[str] = []
             anchor = None
             try:
-                anchor = load_anchor(header, checkpoint_dir, batched=batched)
+                anchor = load_anchor(header, checkpoint_dir)
             except ValidationError as error:
                 skipped.append(str(error))
             if anchor is not None:
@@ -535,7 +518,7 @@ class OverlayService:
                 # resumes from by replaying the archived chain.
                 archives = [segment_path(log_path, index) for index in range(segment)]
                 try:
-                    session, chain = replay_chain(archives, batched=batched, strict=True)
+                    session, chain = replay_chain(archives, strict=True)
                 except ValidationError as error:
                     raise RecoveryError(
                         f"cannot restore the state segment {segment} resumes "
@@ -552,7 +535,7 @@ class OverlayService:
                     )
                 dedupe, digests = chain.dedupe, chain.digests
             else:
-                session = Session.open(spec, batched=batched)
+                session = Session.open(spec)
                 dedupe, digests = {}, {}
             checkpoint_epochs = session.epochs_completed
             suffix = ReplayResult(
@@ -585,7 +568,6 @@ class OverlayService:
             )
             return cls(
                 spec,
-                batched=batched,
                 log_path=log_path,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=checkpoint_every,
@@ -836,21 +818,15 @@ class OverlayService:
     # Introspection / shutdown
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
-        """The live session snapshot plus service identity."""
+        """The live session snapshot."""
         self._check_open()
-        snapshot = self.session.snapshot()
-        snapshot["batched"] = self.batched
-        return snapshot
+        return self.session.snapshot()
 
     def stats(self) -> Dict[str, object]:
-        """Service counters plus the pooled route-cache diagnostics (the
-        sequential tier's memo; all zeros for a batched session)."""
+        """Service counters, epoch count, dedupe window and recovery."""
         self._check_open()
         return {
             "counters": dict(self.counters),
-            "cache": cache_stats_to_json(
-                pooled_cache_stats(e.route_cache for e in self.session.batch.engines)
-            ),
             "epochs_completed": self.session.epochs_completed,
             "dedupe": {
                 "window": DEDUPE_WINDOW,

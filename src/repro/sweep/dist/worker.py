@@ -111,7 +111,6 @@ def execute_cell_claimed(
     spec_dict: Dict[str, object],
     *,
     store_spec: str,
-    batched: bool = True,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     skip_done: bool = False,
     clear_failed: bool = True,
@@ -167,7 +166,7 @@ def execute_cell_claimed(
         with _Heartbeat(claims, claim) as heartbeat:
             try:
                 spec = ScenarioSpec.from_dict(spec_dict)
-                result = SimulationSession(spec, batched=batched).run()
+                result = SimulationSession(spec).run()
             except Exception as error:  # noqa: BLE001 - contained per cell by design
                 message = f"{type(error).__name__}: {error}"
                 trace = traceback_module.format_exc()
@@ -282,7 +281,6 @@ def run_worker(
     *,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_seconds: float = 0.5,
-    batched: bool = True,
     max_cells: Optional[int] = None,
     retry_failed: bool = False,
     wait_timeout: Optional[float] = None,
@@ -340,7 +338,6 @@ def run_worker(
                 emit,
                 lease_seconds=lease_seconds,
                 poll_seconds=poll_seconds,
-                batched=batched,
                 max_cells=max_cells,
                 retry_failed=retry_failed,
                 deadline=deadline,
@@ -365,7 +362,6 @@ def _drain(
     *,
     lease_seconds: float,
     poll_seconds: float,
-    batched: bool,
     max_cells: Optional[int],
     retry_failed: bool,
     deadline: Optional[float],
@@ -396,7 +392,6 @@ def _drain(
                 cell.key,
                 cell.spec.to_dict(),
                 store_spec=store.backend.describe(),
-                batched=batched,
                 lease_seconds=lease_seconds,
                 skip_done=True,
                 clear_failed=retry_failed,

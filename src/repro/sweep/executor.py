@@ -57,7 +57,6 @@ def _execute_cell(payload: Tuple[int, str, Dict[str, object], Dict[str, object]]
             key,
             spec_dict,
             store_spec=str(options["store_spec"]),
-            batched=bool(options["batched"]),
             lease_seconds=float(options["lease_seconds"]),
             skip_done=bool(options["skip_done"]),
             clear_failed=True,
@@ -111,7 +110,6 @@ def run_sweep(
     store: SweepStore,
     *,
     workers: int = 1,
-    batched: bool = True,
     resume: bool = False,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     on_cell: Optional[Callable[[SweepCell], None]] = None,
@@ -129,9 +127,6 @@ def run_sweep(
     workers:
         Pool size.  ``1`` runs inline in this process — no pool, same
         bytes.
-    batched:
-        Kernel-path choice forwarded to every cell's session (execution
-        detail, not part of any cell's identity).
     resume:
         Skip cells whose key is already in the store.  Without it every
         cell re-executes (and overwrites its content-identical file).
@@ -171,7 +166,6 @@ def run_sweep(
         by_index = dict(enumerate(pending))
         options = {
             "store_spec": store.backend.describe(),
-            "batched": bool(batched),
             "lease_seconds": float(lease_seconds),
             # Without --resume a re-run must re-execute even completed cells;
             # with it, skip_done also absorbs races with concurrent workers

@@ -69,6 +69,12 @@ class TestMutation:
             Mutation(kind="failure").validate()  # no event
 
 
+def _open(spec: ScenarioSpec, batched: bool) -> Session:
+    """A lifecycle session on either tier (``Session.open`` runs the
+    lockstep one; the sequential reference comes from its simulation)."""
+    return Session.from_session(SimulationSession(spec, batched=batched))
+
+
 class TestSessionParity:
     """The batch `run()` path and the lifecycle loop are the same loop."""
 
@@ -76,7 +82,7 @@ class TestSessionParity:
     def test_step_loop_matches_run(self, batched):
         spec = _spec(epochs=4)
         baseline = SimulationSession(spec, batched=True).run()
-        with Session.open(spec, batched=batched) as session:
+        with _open(spec, batched) as session:
             for _ in range(spec.epochs):
                 session.step()
             histories = session.close()
@@ -87,7 +93,7 @@ class TestSessionParity:
         spec = _spec(epochs=3)
         digests = {}
         for batched in (True, False):
-            with Session.open(spec, batched=batched) as session:
+            with _open(spec, batched) as session:
                 digests[batched] = [
                     epoch_record_digest(session.step()) for _ in range(spec.epochs)
                 ]

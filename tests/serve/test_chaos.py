@@ -146,19 +146,13 @@ class TestScenarioLoad:
 class TestReference:
     def test_reference_run_is_reproducible(self):
         scenario = _scenario(epochs=4, lookups_per_epoch=3)
-        first = run_reference(scenario, batched=True)
-        second = run_reference(scenario, batched=True)
+        first = run_reference(scenario)
+        second = run_reference(scenario)
         assert first == second
         digests, lookups = first
         assert sorted(digests) == list(range(4))
         assert len(lookups) == 4  # one batch per epoch ...
         assert all(len(batch) == 3 for batch in lookups)  # ... of 3 values
-
-    def test_reference_is_kernel_independent(self):
-        scenario = _scenario(epochs=3, lookups_per_epoch=2)
-        assert run_reference(scenario, batched=True) == run_reference(
-            scenario, batched=False
-        )
 
 
 class TestVerdict:

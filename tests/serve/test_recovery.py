@@ -273,6 +273,38 @@ class TestRecover:
         finally:
             recovered.close()
 
+    def test_log_from_a_sequential_server_recovers_on_the_lockstep_tier(
+        self, tmp_path, reference
+    ):
+        """Servers once took ``--sequential`` and wrote ``"batched": false``
+        into the log header.  Recovery ignores that key: it replays the
+        epochs digest-checked on the lockstep tier, and the segment it
+        opens carries no tier."""
+        log = str(tmp_path / "serve.jsonl")
+        service = OverlayService(_spec(), log_path=log)
+        digests = _drive(service, 3)
+        _crash(service)
+        with open(log) as handle:
+            lines = handle.read().splitlines()
+        header = json.loads(lines[0])
+        header["batched"] = False
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        with open(log, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        recovered = OverlayService.recover(log)
+        try:
+            assert recovered.last_recovery.replayed_epochs == 3
+            assert digests == {e: reference[e] for e in digests}
+            assert recovered.session.batch.batched is True
+            with open(log) as handle:
+                segment_header = json.loads(handle.readline())
+            assert segment_header["kind"] == "open"
+            assert "batched" not in segment_header
+            resumed = _drive(recovered, _TOTAL_EPOCHS)
+            assert resumed == {e: reference[e] for e in resumed}
+        finally:
+            recovered.close()
+
     def test_torn_tail_is_preserved_and_truncated(self, tmp_path):
         log, ckpt, _digests = _crashed_service(tmp_path, epochs=3)
         with open(log, "ab") as handle:

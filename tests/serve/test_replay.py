@@ -7,6 +7,8 @@ import shutil
 import pytest
 
 from repro.cli import main
+from repro.scenario.lifecycle import Session
+from repro.scenario.session import SimulationSession
 from repro.scenario.spec import ScenarioSpec
 from repro.serve import oplog, replay, service
 from repro.serve.checkpoint import checkpoint_name
@@ -57,10 +59,21 @@ class TestReplayParity:
         assert "ok" in result.summary()
 
     def test_replay_is_byte_identical_across_kernels(self, tmp_path):
-        """A batched serving run replays cleanly on the sequential kernels."""
+        """A batched serving run replays cleanly on the sequential kernels:
+        the served log folds, digest-checked, into a reference session."""
         log = tmp_path / "serve.jsonl"
         _serve_session(log)
-        assert replay_log(str(log), batched=False).ok
+        entries = read_log(str(log))
+        spec = ScenarioSpec.from_dict(entries[0]["spec"])
+        sequential = Session.from_session(SimulationSession(spec, batched=False))
+        result = replay.ReplayResult()
+        try:
+            assert sequential.batch.batched is False
+            replay.fold_segment(sequential, entries[1:], result, strict=True)
+        finally:
+            sequential.close()
+        assert result.ok
+        assert (result.epochs, result.mutations) == (4, 4)
 
     def test_tampered_log_is_detected(self, tmp_path):
         log = tmp_path / "serve.jsonl"

@@ -223,7 +223,6 @@ class TestSubscribe:
             assert "digest" in event
             (record,) = event["records"].values()
             assert record["schema"] == 1
-            assert "hit_rate" in event["cache"]
 
     def test_requests_still_answered_while_subscribed(self, endpoint):
         with ServeClient(socket_path=endpoint) as client:

@@ -291,7 +291,6 @@ def _assert_plain_line(reply, request_id=7) -> bytes:
 
 
 class TestServedValuesProperty:
-    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("metric", ["delay-ping", "bandwidth"])
     @settings(
         max_examples=25,
@@ -299,10 +298,8 @@ class TestServedValuesProperty:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(operations=st.lists(_operation, min_size=1, max_size=14))
-    def test_any_interleaving_serves_the_stamped_version(
-        self, metric, batched, operations
-    ):
-        service = OverlayService(_spec(n=_N, metric=metric), batched=batched)
+    def test_any_interleaving_serves_the_stamped_version(self, metric, operations):
+        service = OverlayService(_spec(n=_N, metric=metric))
         try:
             service.tick()
             for kind, argument in operations:
@@ -427,7 +424,7 @@ class TestMutateAndSubscribe:
         service.tick()
         assert [payload["epoch"] for payload in seen] == [0, 1]
         assert all(payload["event"] == "epoch" for payload in seen)
-        assert all("digest" in payload and "cache" in payload for payload in seen)
+        assert all("digest" in payload for payload in seen)
         service.unsubscribe(seen.append)
         service.tick()
         assert len(seen) == 2
@@ -439,11 +436,9 @@ class TestLifecycleAndStats:
         service.lookup(0, 1)
         snapshot = service.snapshot()
         assert snapshot["epochs_completed"] == 1
-        assert snapshot["batched"] is True
         stats = service.stats()
         assert stats["counters"]["lookups"] == 1
         assert stats["counters"]["epochs"] == 1
-        assert "hit_rate" in stats["cache"]
 
     def test_closed_service_refuses_requests(self, service):
         service.tick()

@@ -175,12 +175,3 @@ class TestExecution:
         rerun = run_sweep(cells, store, workers=1, resume=True)
         assert rerun.executed == [cells[0].key]
         assert store.has(cells[0].key)
-
-    def test_sequential_kernel_path_matches_batched(self, cells, tmp_path):
-        """batched is an execution detail: stored bytes are identical."""
-        batched_store = SweepStore(str(tmp_path / "batched"))
-        sequential_store = SweepStore(str(tmp_path / "seq"))
-        run_sweep(cells[:2], batched_store, workers=1, batched=True)
-        run_sweep(cells[:2], sequential_store, workers=1, batched=False)
-        for cell in cells[:2]:
-            assert batched_store.get(cell.key) == sequential_store.get(cell.key)

@@ -42,6 +42,35 @@ class TestParser:
         assert main(["run", "fig1-delay-ping", "--param", "oops"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["fig2-efficiency-vs-k", "fig2-churn-rate"])
+    def test_empty_k_list_rejected(self, experiment, capsys):
+        """An empty --k is a k_grid error, also for fixed-k experiments
+        (which read params["k"] from it)."""
+        assert main(["run", experiment, "--k", ","]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k_grid" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig3-rewirings", "--sequential"],
+            ["run", "fig3-rewirings", "--verbose"],
+            ["sweep", "t.json", "--sequential"],
+            ["sweep-worker", "t.json", "--sequential"],
+            ["serve", "--spec", "s.json", "--socket", "s.sock", "--sequential"],
+            ["chaos", "c.json", "--sequential"],
+            ["serve-replay", "log.jsonl", "--sequential"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-1]}",
+    )
+    def test_no_execution_tier_options(self, argv, capsys):
+        """Every front door runs the lockstep tier; the sequential one is
+        the library's reference (run_spec(spec, batched=False))."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestListJson:
     def test_list_json_is_a_machine_readable_registry_dump(self, capsys):
@@ -515,22 +544,79 @@ class TestSweepWorker:
         assert "failed=1" in captured.out
 
 
-class TestVerbose:
-    def test_verbose_prints_cache_stats_for_epoch_scenarios(self, capsys):
-        assert main(
-            ["run", "fig3-rewirings", "--n", "10", "--k", "2",
-             "--epochs", "2", "--seed", "4", "--verbose"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "# cache: hits=" in out
-        assert "hit_rate=" in out
+class TestServeRecovery:
+    """``serve`` on a populated --log serves the scenario the log holds."""
 
-    def test_verbose_on_build_only_scenarios_reports_na(self, capsys):
-        assert main(
-            ["run", "fig1-node-load", "--n", "12", "--k", "2",
-             "--br-rounds", "1", "--seed", "3", "--verbose"]
-        ) == 0
-        assert "# cache: n/a" in capsys.readouterr().out
+    @staticmethod
+    def _spec(n: int) -> ScenarioSpec:
+        return ScenarioSpec(
+            experiment="live-overlay",
+            n=n,
+            k_grid=(3,),
+            policies=("best-response",),
+            metric="delay-ping",
+            epochs=3,
+            seed=5,
+        )
+
+    @pytest.fixture
+    def served_log(self, tmp_path):
+        from repro.serve.service import OverlayService
+
+        spec_path = tmp_path / "a.json"
+        self._spec(12).save(str(spec_path))
+        log = tmp_path / "serve.jsonl"
+        service = OverlayService(self._spec(12), log_path=str(log))
+        service.tick()
+        service.close()
+        return spec_path, log
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Services handed to the server loop (which returns at once)."""
+        import repro.serve.server
+
+        services = []
+
+        def run_server(service, **_options):
+            services.append(service)
+            service.close()
+
+        monkeypatch.setattr(repro.serve.server, "run_server", run_server)
+        return services
+
+    @staticmethod
+    def _serve(spec_path, log, tmp_path) -> int:
+        return main(
+            ["serve", "--spec", str(spec_path), "--socket",
+             str(tmp_path / "ov.sock"), "--log", str(log)]
+        )
+
+    def test_banner_names_the_recovered_scenario(
+        self, served_log, served, tmp_path, capsys
+    ):
+        spec_path, log = served_log
+        assert self._serve(spec_path, log, tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "RECOVERY " in out
+        assert "# serving live-overlay (n=12, 1 deployments, 1 epochs committed)" in out
+        (service,) = served
+        assert service.spec.n == 12
+
+    def test_another_scenario_than_the_log_is_refused(
+        self, served_log, served, tmp_path, capsys
+    ):
+        from repro.serve.oplog import list_segments
+
+        _spec_path, log = served_log
+        other = tmp_path / "b.json"
+        self._spec(20).save(str(other))
+        assert self._serve(other, log, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(other) in err and str(log) in err
+        assert served == []
+        assert list_segments(str(log)) == []  # the log was left as it was
 
 
 class TestTelemetryCLI:
@@ -613,10 +699,3 @@ class TestTelemetryCLI:
         out = capsys.readouterr().out
         assert "# TELEMETRY spans=" in out
         assert trace.exists()
-
-    def test_verbose_cache_line_includes_drops(self, capsys):
-        assert main(
-            ["run", "fig3-rewirings", "--n", "10", "--k", "2",
-             "--epochs", "2", "--seed", "4", "--verbose"]
-        ) == 0
-        assert "drops=" in capsys.readouterr().out
