@@ -4,58 +4,33 @@ The package is organised around the systems the paper builds on:
 
 * :mod:`repro.core` — the EGOIST contribution: selfish (Best-Response)
   neighbour selection, the comparison policies, HybridBR, sampling,
-  cheating, and the epoch-driven overlay engine.
+  free riders, and the epoch-driven overlay engine.
 * :mod:`repro.netsim` — the substrate that replaces PlanetLab: synthetic
-  delay spaces, bandwidth and load models, virtual coordinates, probers,
-  and the AS/multihoming model.
+  delay spaces, bandwidth and load models, virtual coordinates, and the
+  AS/multihoming model.
 * :mod:`repro.routing` — the overlay routing layer: link-state protocol,
   shortest/widest/disjoint paths.
 * :mod:`repro.churn` — ON/OFF churn models and the efficiency metric.
-* :mod:`repro.game` — SNS game analysis: equilibria and social cost.
+* :mod:`repro.game` — the SNS game's equilibrium check, the oracle the
+  tests hold converged best-response overlays against.
 * :mod:`repro.apps` — the applications of Section 6: multipath transfer
   and real-time redirection.
-* :mod:`repro.experiments` — figure-level experiment drivers shared by the
-  examples and the benchmark harness.
+* :mod:`repro.scenario` — one way to run an experiment: its registered
+  :class:`~repro.scenario.ScenarioSpec`, through ``run_spec`` or a
+  :class:`~repro.scenario.SimulationSession`.
+* :mod:`repro.experiments` — the figure-level experiment code the
+  scenarios run.
+* :mod:`repro.sweep`, :mod:`repro.serve`, :mod:`repro.telemetry` — sweep
+  orchestration, the live overlay service, and tracing.
 
-Quickstart::
-
-    from repro import quick_overlay
-
-    result = quick_overlay(n=20, k=3, seed=1)
-    print(result["mean_cost_by_policy"])
+Every module is reached from a scenario, the benchmark or an example;
+``tests/test_no_test_only_code.py`` checks that, with an allowlist of the
+few oracles the tests compare live code against.  ``examples/quickstart.py``
+is the 60-second tour.
 """
 
 from repro.version import __version__
 
-
-def quick_overlay(n: int = 20, k: int = 3, seed=0):
-    """Build a small synthetic overlay under every standard policy.
-
-    Returns a dictionary with the generated delay space and the mean
-    routing cost achieved by each neighbour-selection policy — a one-call
-    demonstration of the paper's headline comparison.
-    """
-    from repro.core.cost import DelayMetric
-    from repro.core.policies import STANDARD_POLICIES, build_overlay
-    from repro.netsim.planetlab import synthetic_planetlab
-
-    space, _nodes = synthetic_planetlab(n, seed=seed)
-    metric = DelayMetric(space.matrix)
-    results = {}
-    for name, policy in STANDARD_POLICIES.items():
-        wiring = build_overlay(policy, metric, k, rng=seed)
-        graph = wiring.to_graph()
-        costs = metric.all_node_costs(graph)
-        results[name] = sum(costs.values()) / len(costs)
-    return {
-        "n": n,
-        "k": k,
-        "delay_space": space,
-        "mean_cost_by_policy": results,
-    }
-
-
 __all__ = [
     "__version__",
-    "quick_overlay",
 ]

@@ -11,7 +11,6 @@
 from repro.apps.multipath import (
     MultipathPlan,
     MultipathTransferApp,
-    available_bandwidth_gain,
 )
 from repro.apps.realtime import (
     RealTimeRedirectionApp,
@@ -22,7 +21,6 @@ from repro.apps.realtime import (
 __all__ = [
     "MultipathPlan",
     "MultipathTransferApp",
-    "available_bandwidth_gain",
     "RealTimeRedirectionApp",
     "StreamPlan",
     "disjoint_path_count",

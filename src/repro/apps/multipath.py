@@ -229,61 +229,6 @@ class MultipathTransferApp:
             maxflow_rate_mbps=self.maxflow_rate(source, target),
         )
 
-    def mean_gains(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> Tuple[float, float]:
-        """Mean (parallel-connection gain, max-flow gain) over ``pairs``."""
-        gains = []
-        ceilings = []
-        for source, target in pairs:
-            plan = self.plan(source, target)
-            if np.isfinite(plan.gain):
-                gains.append(plan.gain)
-            if np.isfinite(plan.maxflow_gain):
-                ceilings.append(plan.maxflow_gain)
-        mean_gain = float(np.mean(gains)) if gains else float("nan")
-        mean_ceiling = float(np.mean(ceilings)) if ceilings else float("nan")
-        return mean_gain, mean_ceiling
-
-
-def available_bandwidth_gain(
-    overlay: GlobalWiring,
-    bandwidth: BandwidthModel,
-    as_topology: ASTopology,
-    *,
-    pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    rng=None,
-    max_pairs: int = 200,
-) -> Dict[str, float]:
-    """Fig. 10 quantities: mean multipath gain and max-flow ceiling.
-
-    Parameters
-    ----------
-    overlay, bandwidth, as_topology:
-        The overlay and substrate models.
-    pairs:
-        Source-target pairs to evaluate; defaults to a random subset of all
-        ordered pairs (bounded by ``max_pairs`` for tractability).
-    """
-    from repro.util.rng import as_generator
-
-    app = MultipathTransferApp(overlay, bandwidth, as_topology)
-    n = overlay.n
-    if pairs is None:
-        rng = as_generator(rng)
-        all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        if len(all_pairs) > max_pairs:
-            idx = rng.choice(len(all_pairs), size=max_pairs, replace=False)
-            pairs = [all_pairs[i] for i in idx]
-        else:
-            pairs = all_pairs
-    gain, ceiling = app.mean_gains(pairs)
-    return {
-        "parallel_connection_gain": gain,
-        "multipath_redirection_gain": ceiling,
-        "pairs_evaluated": float(len(pairs)),
-    }
-
 
 def session_lookup_pairs(
     n: int,

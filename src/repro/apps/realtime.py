@@ -35,11 +35,6 @@ class StreamPlan:
         """Number of disjoint copies the stream is sent over."""
         return len(self.paths)
 
-    @property
-    def best_delay_ms(self) -> float:
-        """Delay of the fastest disjoint path (what a lucky packet sees)."""
-        return min(self.path_delays_ms) if self.path_delays_ms else float("inf")
-
     def loss_survival_probability(self, per_path_loss: float) -> float:
         """Probability that at least one copy survives independent path loss."""
         if not 0.0 <= per_path_loss <= 1.0:

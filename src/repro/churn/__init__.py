@@ -18,7 +18,6 @@ from repro.churn.models import (
 from repro.churn.metrics import (
     churn_rate,
     efficiency_matrix,
-    node_efficiency,
     overlay_efficiency,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "trace_driven_churn",
     "churn_rate",
     "efficiency_matrix",
-    "node_efficiency",
     "overlay_efficiency",
 ]

@@ -62,22 +62,6 @@ def efficiency_matrix(
     return eff
 
 
-def node_efficiency(
-    graph: OverlayGraph, node: int, *, active: Optional[Iterable[int]] = None
-) -> float:
-    """Efficiency of one node: mean of 1/d to all other *relevant* nodes.
-
-    The normalisation is by ``n - 1`` over the full node population (as in
-    the paper): destinations that are OFF or unreachable contribute zero,
-    so heavy churn directly depresses efficiency.
-    """
-    eff = efficiency_matrix(graph, active=active)
-    n = graph.n
-    if n < 2:
-        return 0.0
-    return float(eff[node].sum() / (n - 1))
-
-
 def overlay_efficiency(
     graph: Optional[OverlayGraph],
     *,

@@ -12,7 +12,6 @@ a target churn intensity, mirroring the paper's Fig. 2 (right) sweep.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -66,7 +65,6 @@ class ChurnSchedule:
             if not 0 <= session.node < self.n:
                 raise ValidationError(f"session node {session.node} out of range")
         self._events = self._build_events()
-        self._event_times = [e.time for e in self._events]
 
     def _build_events(self) -> List[ChurnEvent]:
         events: List[ChurnEvent] = []
@@ -94,23 +92,6 @@ class ChurnSchedule:
                 active.add(session.node)
         return active
 
-    def events_between(self, start: float, end: float) -> List[ChurnEvent]:
-        """Events with ``start < time <= end`` (epoch-aligned accounting)."""
-        lo = bisect.bisect_right(self._event_times, start)
-        hi = bisect.bisect_right(self._event_times, end)
-        return self._events[lo:hi]
-
-    def membership_series(self, times: Sequence[float]) -> List[Set[int]]:
-        """Active sets sampled at each time in ``times``."""
-        return [self.active_at(t) for t in times]
-
-    def mean_availability(self) -> float:
-        """Average fraction of time a node spends ON."""
-        total_on = sum(
-            min(s.end, self.horizon) - max(s.start, 0.0) for s in self.sessions
-        )
-        return total_on / (self.n * self.horizon)
-
     def churn_rate(self) -> float:
         """The paper's churn metric over the full horizon.
 
@@ -135,14 +116,6 @@ class ChurnSchedule:
 # ---------------------------------------------------------------------- #
 # Generators
 # ---------------------------------------------------------------------- #
-def _pareto_duration(rng: np.random.Generator, mean: float, shape: float) -> float:
-    """Sample a Pareto (lomax) duration with the given mean and tail shape."""
-    if shape <= 1.0:
-        raise ValidationError("pareto shape must be > 1 for a finite mean")
-    scale = mean * (shape - 1.0)
-    return float(scale * (rng.pareto(shape) + 1.0) / shape * shape / (shape))
-
-
 def _lomax_duration(rng: np.random.Generator, mean: float, shape: float) -> float:
     """Sample from a lomax distribution with the requested mean."""
     if shape <= 1.0:

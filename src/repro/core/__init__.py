@@ -12,7 +12,7 @@ This subpackage implements the paper's primary contribution:
   (:mod:`repro.core.hybrid`, :mod:`repro.core.backbone`),
 * scalability via random and topology-biased sampling
   (:mod:`repro.core.sampling`),
-* free riders and audits (:mod:`repro.core.cheating`),
+* free riders (:mod:`repro.core.cheating`),
 * the epoch-driven overlay engine, per-node behaviour, bootstrap service,
   metric providers, and overhead accounting
   (:mod:`repro.core.engine`, :mod:`repro.core.node`,
@@ -101,7 +101,7 @@ from repro.core.policies import (
     enforce_connectivity_cycle,
 )
 from repro.core.backbone import backbone_links, backbone_offsets, is_backbone_connected
-from repro.core.hybrid import HybridBRPolicy, build_hybrid_overlay
+from repro.core.hybrid import HybridBRPolicy
 from repro.core.sampling import (
     SampledJoinResult,
     bias_rank,
@@ -110,7 +110,7 @@ from repro.core.sampling import (
     sampled_best_response,
     topology_biased_sample,
 )
-from repro.core.cheating import AuditFinding, CheatingModel, audit_announcements
+from repro.core.cheating import CheatingModel
 from repro.core.bootstrap import BootstrapServer
 from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
 from repro.core.route_cache import ResidualRouteCache, metric_fingerprint
@@ -160,16 +160,13 @@ __all__ = [
     "backbone_offsets",
     "is_backbone_connected",
     "HybridBRPolicy",
-    "build_hybrid_overlay",
     "SampledJoinResult",
     "bias_rank",
     "neighborhood",
     "random_sample",
     "sampled_best_response",
     "topology_biased_sample",
-    "AuditFinding",
     "CheatingModel",
-    "audit_announcements",
     "BootstrapServer",
     "DeploymentBatch",
     "DeploymentSpec",

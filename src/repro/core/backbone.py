@@ -89,29 +89,6 @@ def backbone_links(
     return links
 
 
-def splice_newcomer(
-    links: Dict[int, Set[int]], newcomer: int, k2: int
-) -> Dict[int, Set[int]]:
-    """Return backbone links for the membership including ``newcomer``.
-
-    The paper describes the ``k2 = 2`` case explicitly (the predecessor on
-    the ring disconnects from its old successor and adopts the newcomer,
-    who closes the cycle); recomputing the ring wiring for the new
-    membership generalises this to any number of cycles and is what a
-    deployment's membership view would converge to.
-    """
-    members = set(links) | {int(newcomer)}
-    return backbone_links(sorted(members), k2)
-
-
-def heal_departure(
-    links: Dict[int, Set[int]], departed: int, k2: int
-) -> Dict[int, Set[int]]:
-    """Return backbone links after ``departed`` leaves the membership."""
-    members = set(links) - {int(departed)}
-    return backbone_links(sorted(members), k2)
-
-
 def is_backbone_connected(links: Dict[int, Set[int]]) -> bool:
     """True if the donated links alone strongly connect the membership."""
     members = sorted(links)

@@ -4,23 +4,21 @@ A newcomer joins EGOIST by querying a bootstrap node, which returns a list
 of potential overlay neighbours.  The newcomer connects to at least one of
 them, starts participating in the link-state protocol, and — once it has
 assembled the residual graph — computes its proper (possibly sampled) best
-response.
+response.  Here the server is the engine's registry of live members.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Set
 
-from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
 
 
 class BootstrapServer:
-    """Registry of overlay members handing candidate lists to newcomers."""
+    """Registry of live overlay members."""
 
-    def __init__(self, seed: SeedLike = None):
+    def __init__(self):
         self._members: Set[int] = set()
-        self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------ #
     # Membership maintenance
@@ -42,37 +40,3 @@ class BootstrapServer:
 
     def __len__(self) -> int:
         return len(self._members)
-
-    # ------------------------------------------------------------------ #
-    # Newcomer support
-    # ------------------------------------------------------------------ #
-    def candidates_for(
-        self,
-        newcomer: int,
-        *,
-        max_candidates: Optional[int] = None,
-    ) -> List[int]:
-        """Candidate neighbour list for ``newcomer``.
-
-        Returns all current members except the newcomer itself, optionally
-        truncated to a uniform random subset of ``max_candidates`` (large
-        deployments would not ship the full membership to every joiner).
-        """
-        pool = sorted(self._members - {int(newcomer)})
-        if max_candidates is None or max_candidates >= len(pool):
-            return pool
-        if max_candidates <= 0:
-            return []
-        idx = self._rng.choice(len(pool), size=max_candidates, replace=False)
-        return sorted(pool[i] for i in idx)
-
-    def initial_contact(self, newcomer: int) -> Optional[int]:
-        """A single member the newcomer should connect to first.
-
-        Connecting to one member is enough to start receiving link-state
-        announcements and learn the rest of the topology.
-        """
-        pool = sorted(self._members - {int(newcomer)})
-        if not pool:
-            return None
-        return int(pool[int(self._rng.integers(0, len(pool)))])

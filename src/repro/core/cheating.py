@@ -5,21 +5,14 @@ the link-state protocol, hoping to discourage other nodes from choosing it
 as an upstream neighbour (so it carries less transit traffic) while still
 enjoying the overlay for its own traffic.
 
-This module provides:
-
-* :class:`CheatingModel` — wraps a truthful :class:`~repro.core.cost.Metric`
-  and produces the *announced* view in which designated free riders inflate
-  (or deflate) the costs of their outgoing links by a factor;
-* audit helpers that reproduce the detection mechanisms sketched in the
-  paper (comparing announced link costs against an independent estimate
-  such as the virtual coordinate system, and flagging nodes whose
-  announcements deviate beyond a tolerance).
+:class:`CheatingModel` wraps a truthful :class:`~repro.core.cost.Metric`
+and produces the *announced* view in which designated free riders inflate
+(or deflate) the costs of their outgoing links by a factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Set
 
 import numpy as np
 
@@ -88,86 +81,3 @@ class CheatingModel:
         raise ValidationError(
             f"unsupported metric type {type(self.true_metric).__name__}"
         )
-
-    def is_free_rider(self, node: int) -> bool:
-        """True if ``node`` is one of the configured free riders."""
-        return int(node) in self.free_riders
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """Result of auditing one node's announcements."""
-
-    node: int
-    mean_relative_deviation: float
-    flagged: bool
-
-
-def audit_announcements(
-    announced: Metric,
-    reference: Metric,
-    *,
-    nodes: Optional[Iterable[int]] = None,
-    tolerance: float = 0.5,
-    samples_per_node: Optional[int] = None,
-    rng=None,
-) -> List[AuditFinding]:
-    """Audit announced link costs against an independent reference estimate.
-
-    For each audited node, the mean relative deviation between its
-    announced outgoing link costs and the reference estimates (e.g. virtual
-    coordinate distances or active-probe measurements) is computed; nodes
-    deviating by more than ``tolerance`` are flagged.
-
-    Parameters
-    ----------
-    announced:
-        Metric built from link-state announcements.
-    reference:
-        Independent estimate of the same quantity.
-    nodes:
-        Which nodes to audit (default: all).
-    tolerance:
-        Relative deviation above which a node is flagged.
-    samples_per_node:
-        If given, only this many random outgoing links per node are checked
-        (the paper suggests auditing random subsets to bound cost).
-    rng:
-        Randomness for the sampled audit.
-    """
-    from repro.util.rng import as_generator
-
-    if announced.size != reference.size:
-        raise ValidationError("announced and reference metrics differ in size")
-    rng = as_generator(rng)
-    node_list = list(nodes) if nodes is not None else list(range(announced.size))
-    findings: List[AuditFinding] = []
-    n = announced.size
-    for node in node_list:
-        targets = [j for j in range(n) if j != node]
-        if samples_per_node is not None and samples_per_node < len(targets):
-            idx = rng.choice(len(targets), size=samples_per_node, replace=False)
-            targets = [targets[i] for i in np.atleast_1d(idx)]
-        deviations = []
-        for j in targets:
-            announced_cost = announced.link_weight(node, j)
-            reference_cost = reference.link_weight(node, j)
-            if not np.isfinite(announced_cost) or not np.isfinite(reference_cost):
-                continue
-            if reference_cost <= 0:
-                continue
-            deviations.append(abs(announced_cost - reference_cost) / reference_cost)
-        mean_dev = float(np.mean(deviations)) if deviations else 0.0
-        findings.append(
-            AuditFinding(
-                node=int(node),
-                mean_relative_deviation=mean_dev,
-                flagged=mean_dev > tolerance,
-            )
-        )
-    return findings
-
-
-def detected_cheaters(findings: Sequence[AuditFinding]) -> Set[int]:
-    """Convenience: the set of flagged nodes from audit findings."""
-    return {f.node for f in findings if f.flagged}

@@ -187,7 +187,14 @@ class Metric(abc.ABC):
         n = self.size
         if preferences is None:
             preferences = uniform_preferences(n)
-        values = self.route_values_from(graph, node)
+        if self.maximize:
+            from repro.routing.widest_path import widest_path_bandwidths_from
+
+            values = widest_path_bandwidths_from(graph, node)
+        else:
+            from repro.routing.shortest_path import shortest_path_costs_from
+
+            values = shortest_path_costs_from(graph, node)
         return self._weighted_cost(node, values, preferences, destinations)
 
     def _weighted_cost(
@@ -216,16 +223,6 @@ class Metric(abc.ABC):
             reachable = np.isfinite(picked)
         picked = np.where(reachable, picked, self.unreachable_value)
         return float((preferences[node, dests] * picked).sum())
-
-    def route_values_from(self, graph: OverlayGraph, node: int) -> np.ndarray:
-        """Routing values from ``node`` to every destination over ``graph``."""
-        if self.maximize:
-            from repro.routing.widest_path import widest_path_bandwidths_from
-
-            return widest_path_bandwidths_from(graph, node)
-        from repro.routing.shortest_path import shortest_path_costs_from
-
-        return shortest_path_costs_from(graph, node)
 
     def route_values_rows(
         self, graph: OverlayGraph, sources: Iterable[int]

@@ -19,7 +19,7 @@ The engine ties everything together the way the PlanetLab prototype did:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -169,10 +169,6 @@ class EngineHistory:
         """Mean node cost per epoch."""
         return [r.mean_cost for r in self.records]
 
-    def mean_efficiencies(self) -> List[float]:
-        """Mean node efficiency per epoch (churn experiments)."""
-        return [r.mean_efficiency for r in self.records]
-
     def _steady_tail(self, warmup_fraction: float) -> List[EpochRecord]:
         """Post-warm-up records: at least the final record is always kept.
 
@@ -199,10 +195,6 @@ class EngineHistory:
         if not tail:
             return float("nan")
         return float(np.mean([r.mean_efficiency for r in tail]))
-
-    def total_rewirings(self) -> int:
-        """Total re-wirings over the whole run."""
-        return int(sum(r.rewirings for r in self.records))
 
 
 class EgoistEngine:
@@ -285,7 +277,7 @@ class EgoistEngine:
         self.compute_efficiency = bool(compute_efficiency)
         self.clock = SimClock(epoch_length=epoch_length)
         self.protocol = LinkStateProtocol(self.n, announce_interval_s=announce_interval)
-        self.bootstrap = BootstrapServer(seed=seed)
+        self.bootstrap = BootstrapServer()
         self._rng = as_generator(seed)
         node_rngs = spawn_generators(self._rng, self.n)
         self.failures = failures
@@ -712,20 +704,3 @@ class EgoistEngine:
         for _ in range(int(epochs)):
             self.run_epoch()
         return self.history
-
-    # ------------------------------------------------------------------ #
-    # Evaluation helpers
-    # ------------------------------------------------------------------ #
-    def current_graph(self, *, active_only: bool = True):
-        """The overlay graph induced by the current wiring."""
-        active = sorted(self._active_nodes()) if active_only else None
-        return self.wiring.to_graph(active=active)
-
-    def node_costs(self, *, use_true_metric: bool = True) -> Dict[int, float]:
-        """Per-node costs of the current overlay."""
-        metric = self._true_metric() if use_true_metric else self._announced_metric()
-        active = sorted(self._active_nodes())
-        graph = self.wiring.to_graph(active=active)
-        return metric.all_node_costs(
-            graph, self.preferences, nodes=active, destinations=active
-        )

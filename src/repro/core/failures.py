@@ -106,6 +106,17 @@ class FailureEvent:
             if int(u) == int(v):
                 raise ValidationError(f"failure link ({u}, {v}) is a self-loop")
 
+    def check_range(self, n: int) -> None:
+        """Check every named node and link endpoint is a node id below ``n``."""
+        for node in self.nodes:
+            if not 0 <= int(node) < n:
+                raise ValidationError(f"failure event node {node} out of range for n={n}")
+        for u, v in self.links:
+            if not (0 <= int(u) < n and 0 <= int(v) < n):
+                raise ValidationError(
+                    f"failure event link ({u}, {v}) out of range for n={n}"
+                )
+
 
 @dataclass(frozen=True)
 class FailureSpec:
@@ -240,16 +251,7 @@ class FailureState:
         it simply applies at the next boundary.
         """
         event.validate()
-        for node in event.nodes:
-            if not 0 <= int(node) < self.n:
-                raise ValidationError(
-                    f"failure event node {node} out of range for n={self.n}"
-                )
-        for u, v in event.links:
-            if not (0 <= int(u) < self.n and 0 <= int(v) < self.n):
-                raise ValidationError(
-                    f"failure event link ({u}, {v}) out of range for n={self.n}"
-                )
+        event.check_range(self.n)
         tail = self._events[self._applied :]
         tail.append(event)
         tail.sort(key=lambda pending: int(pending.epoch))
@@ -364,14 +366,6 @@ class LinkMaskMetric(Metric):
     def base(self) -> Metric:
         """The wrapped metric."""
         return self._base
-
-    def masked_links(self) -> Set[Tuple[int, int]]:
-        """The masked links, in canonical form."""
-        return {
-            canonical_link(src, dst)
-            for src, dsts in self._masked_of.items()
-            for dst in dsts
-        }
 
     def link_weight(self, src: int, dst: int) -> float:
         if dst in self._masked_of.get(src, ()):

@@ -18,7 +18,7 @@ from repro.core.backbone import backbone_links
 from repro.core.best_response import WiringEvaluator, best_response
 from repro.core.cost import Metric
 from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
-from repro.core.wiring import GlobalWiring, Wiring
+from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
@@ -147,57 +147,3 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         )
         return Wiring.of(node, chosen, donated & chosen)
 
-
-def build_hybrid_overlay(
-    metric: Metric,
-    k: int,
-    k2: int = 2,
-    *,
-    nodes: Optional[Sequence[int]] = None,
-    preferences: Optional[np.ndarray] = None,
-    rng: SeedLike = None,
-    rounds: int = 4,
-) -> GlobalWiring:
-    """Build a HybridBR overlay by best-response dynamics over the k1 links.
-
-    The donated backbone is installed first (it depends only on the
-    membership), then nodes iteratively best-respond with the remaining
-    budget.
-    """
-    rng = as_generator(rng)
-    n = metric.size
-    node_list = sorted(nodes) if nodes is not None else list(range(n))
-    policy = HybridBRPolicy(k2=k2)
-    wiring = GlobalWiring(n)
-
-    # Install the backbone plus a random selfish seed.
-    donated_map = backbone_links(node_list, k2)
-    for node in node_list:
-        donated = set(sorted(donated_map[node])[: min(k, len(donated_map[node]))])
-        weights = {v: metric.link_weight(node, v) for v in donated}
-        wiring.set_wiring(Wiring.of(node, donated, donated), weights)
-
-    order = list(node_list)
-    for _round in range(int(rounds)):
-        rng.shuffle(order)
-        changed = 0
-        for node in order:
-            residual = wiring.residual_graph(node, active=node_list)
-            new_wiring = policy.select_wiring(
-                node,
-                k,
-                metric,
-                residual,
-                candidates=[c for c in node_list if c != node],
-                rng=rng,
-                preferences=preferences,
-                destinations=[d for d in node_list if d != node],
-            )
-            current = wiring.wiring_of(node)
-            if current is None or set(current.neighbors) != set(new_wiring.neighbors):
-                weights = {v: metric.link_weight(node, v) for v in new_wiring.neighbors}
-                wiring.set_wiring(new_wiring, weights)
-                changed += 1
-        if changed == 0:
-            break
-    return wiring

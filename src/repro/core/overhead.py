@@ -65,11 +65,6 @@ def linkstate_rate_bps(k: int, announce_interval_s: float) -> float:
     return announcement_size_bits(k) / announce_interval_s
 
 
-def bandwidth_probe_fraction() -> float:
-    """Fraction of a path's available bandwidth consumed by chirp probing."""
-    return 0.02
-
-
 def fullmesh_monitored_links(n: int) -> int:
     """Links a full-mesh (RON-like) overlay must monitor: ``n * (n - 1)``."""
     if n < 1:
@@ -97,11 +92,6 @@ class OverheadReport:
     linkstate_bps: float
     monitored_links: int
     fullmesh_monitored_links: int
-
-    @property
-    def total_active_bps(self) -> float:
-        """Ping + link-state load (the paper's default configuration)."""
-        return self.ping_bps + self.linkstate_bps
 
     @property
     def scalability_gain(self) -> float:

@@ -10,7 +10,7 @@ that shortest-path routing operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional
 
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError, check_index
@@ -157,10 +157,6 @@ class GlobalWiring:
         """Link weights of ``node``'s established links (copy)."""
         return dict(self._weights.get(node, {}))
 
-    def wired_nodes(self) -> Set[int]:
-        """Nodes that currently have a wiring installed."""
-        return set(self._wirings)
-
     def degree_of(self, node: int) -> int:
         """Out-degree of ``node`` under the current wiring."""
         wiring = self._wirings.get(node)
@@ -225,10 +221,6 @@ class GlobalWiring:
     def announcements(self) -> Dict[int, Dict[int, float]]:
         """Per-node link announcements (node -> {neighbor: cost})."""
         return {node: dict(weights) for node, weights in self._weights.items()}
-
-    def total_links(self) -> int:
-        """Total number of established directed links."""
-        return sum(len(w) for w in self._weights.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GlobalWiring(n={self.n}, wired={len(self._wirings)})"

@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.core.best_response import WiringEvaluator, best_response
 from repro.core.cost import Metric, uniform_preferences
-from repro.core.policies import KRandomPolicy
-from repro.core.wiring import GlobalWiring, Wiring
-from repro.util.rng import SeedLike, as_generator
+from repro.core.wiring import GlobalWiring
+from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
 
 
@@ -52,14 +51,6 @@ class SNSGame:
             preferences if preferences is not None else uniform_preferences(self.n)
         )
 
-    # ------------------------------------------------------------------ #
-    # Per-player quantities
-    # ------------------------------------------------------------------ #
-    def player_cost(self, wiring: GlobalWiring, node: int) -> float:
-        """Cost of ``node`` under the global wiring."""
-        graph = wiring.to_graph()
-        return self.metric.node_cost(node, graph, self.preferences)
-
     def player_best_response(
         self,
         wiring: GlobalWiring,
@@ -76,19 +67,6 @@ class SNSGame:
             preferences=self.preferences,
         )
         return evaluator, best_response(evaluator, self.k, rng=rng)
-
-    def random_wiring(self, rng: SeedLike = None) -> GlobalWiring:
-        """A uniformly random feasible global wiring (initial condition)."""
-        rng = as_generator(rng)
-        wiring = GlobalWiring(self.n)
-        policy = KRandomPolicy()
-        for node in range(self.n):
-            chosen = policy.select(
-                node, self.k, self.metric, wiring.to_graph(), rng=rng
-            )
-            weights = {v: self.metric.link_weight(node, v) for v in chosen}
-            wiring.set_wiring(Wiring.of(node, chosen), weights)
-        return wiring
 
 
 def is_nash_equilibrium(

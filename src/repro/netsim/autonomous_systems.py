@@ -130,10 +130,6 @@ class ASTopology:
         """AS identifier of ``node``."""
         return int(self.node_as[node])
 
-    def nodes_in_as(self, as_id: int) -> List[int]:
-        """All overlay nodes hosted in AS ``as_id``."""
-        return [i for i in range(self.n) if self.node_as[i] == as_id]
-
     def multihoming_degree(self, as_id: int) -> int:
         """Number of upstream peering links of AS ``as_id``."""
         return len(self.peering_links[as_id])
@@ -157,16 +153,6 @@ class ASTopology:
     def session_rate_limit(self, src: int, dst: int) -> float:
         """Per-session rate cap (Mbps) on the direct IP path ``src -> dst``."""
         return self.egress_link(src, dst).session_rate_cap_mbps
-
-    def max_egress_rate(self, src: int) -> float:
-        """Aggregate rate achievable out of ``src`` using every peering link once.
-
-        This is the theoretical multiplicative benefit ceiling of multipath
-        redirection noted in the paper: one session per peering link of the
-        source AS.
-        """
-        links = self.peering_links[self.as_of(src)]
-        return float(sum(link.session_rate_cap_mbps for link in links))
 
     def describe(self) -> dict:
         """Summary statistics of the AS topology (for reports and tests)."""

@@ -159,13 +159,3 @@ class BandwidthModel:
         return LinkBandwidthSample(
             src=src, dst=dst, available_mbps=estimate, capacity_mbps=capacity
         )
-
-    def probe_cost_fraction(self) -> float:
-        """Fraction of a link's available bandwidth consumed by probing.
-
-        The paper reports that accurate probing consumed less than 2% of
-        the available bandwidth between two nodes; we expose the same
-        constant for the overhead accounting in
-        :mod:`repro.core.overhead`.
-        """
-        return 0.02

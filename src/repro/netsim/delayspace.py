@@ -87,10 +87,6 @@ class DelaySpace:
         """Ground-truth round-trip time between ``src`` and ``dst`` in ms."""
         return float(self._matrix[src, dst] + self._matrix[dst, src])
 
-    def is_symmetric(self, tolerance: float = 1e-9) -> bool:
-        """True if the delay matrix is symmetric within ``tolerance``."""
-        return bool(np.allclose(self._matrix, self._matrix.T, atol=tolerance))
-
     def mean_delay(self) -> float:
         """Mean off-diagonal delay (ms)."""
         n = self.size
@@ -126,13 +122,6 @@ class DelaySpace:
     # ------------------------------------------------------------------ #
     # Derivation / persistence
     # ------------------------------------------------------------------ #
-    def restrict(self, indices: Sequence[int]) -> "DelaySpace":
-        """Return the sub-delay-space induced by ``indices`` (in order)."""
-        idx = list(indices)
-        sub = self._matrix[np.ix_(idx, idx)]
-        labels = [self.labels[i] for i in idx]
-        return DelaySpace(sub, labels=labels, jitter_std=self.jitter_std)
-
     def perturbed(
         self, relative_std: float, rng: SeedLike = None
     ) -> "DelaySpace":

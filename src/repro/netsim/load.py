@@ -95,13 +95,3 @@ class NodeLoadModel:
             self._fluctuation += -self.reversion * self._fluctuation + noise
             for i in range(self.n):
                 self._ewmas[i].update(self.true_load(i))
-
-    def spike(self, node: int, magnitude: float) -> None:
-        """Inject a load spike on ``node`` (used in failure-injection tests)."""
-        if magnitude < 0:
-            raise ValidationError("magnitude must be non-negative")
-        self._fluctuation[node] += magnitude
-
-    def announcement_vector(self) -> np.ndarray:
-        """Loads as announced via the link-state protocol (measured loads)."""
-        return self.measured_loads()

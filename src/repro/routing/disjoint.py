@@ -138,16 +138,3 @@ def disjoint_paths(
                 collapsed.append(node)
         paths.append(collapsed)
     return paths
-
-
-def first_hop_disjoint_count(
-    graph: OverlayGraph, src: int, dst: int
-) -> int:
-    """Disjoint paths from ``src`` to ``dst`` that use distinct first hops.
-
-    This matches the application scenario: the source opens one session per
-    first-hop EGOIST neighbour, so the relevant count is bounded by the
-    out-degree of ``src`` and by the edge-disjoint path count.
-    """
-    total = count_disjoint_paths(graph, src, dst, vertex_disjoint=False)
-    return min(total, graph.out_degree(src))

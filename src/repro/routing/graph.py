@@ -60,25 +60,6 @@ class OverlayGraph:
             del self._succ[u][v]
             self._pred[v].discard(u)
 
-    def remove_node_edges(self, node: int) -> None:
-        """Remove every edge incident (in either direction) to ``node``.
-
-        Used when a node churns OFF: its links disappear from the overlay
-        but the node identifier remains valid.
-        """
-        check_index(node, self.n, "node")
-        for v in list(self._succ[node]):
-            self.remove_edge(node, v)
-        for u in list(self._pred[node]):
-            self.remove_edge(u, node)
-
-    def set_out_edges(self, u: int, edges: Dict[int, float]) -> None:
-        """Replace all outgoing edges of ``u`` with ``edges`` (dst -> weight)."""
-        for v in list(self._succ[u]):
-            self.remove_edge(u, v)
-        for v, w in edges.items():
-            self.add_edge(u, v, w)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -93,10 +74,6 @@ class OverlayGraph:
     def successors(self, u: int) -> Dict[int, float]:
         """Mapping of out-neighbours of ``u`` to edge weights (a copy)."""
         return dict(self._succ[u])
-
-    def predecessors(self, v: int) -> Set[int]:
-        """Set of nodes with an edge into ``v`` (a copy)."""
-        return set(self._pred[v])
 
     def out_degree(self, u: int) -> int:
         """Number of outgoing edges of ``u``."""
@@ -194,30 +171,6 @@ class OverlayGraph:
         for u, v, w in self.edges():
             graph.add_edge(u, v, weight=w)
         return graph
-
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph, weight: str = "weight") -> "OverlayGraph":
-        """Build from a :class:`networkx.DiGraph` with integer node labels."""
-        nodes = sorted(graph.nodes)
-        if nodes != list(range(len(nodes))):
-            raise ValidationError(
-                "from_networkx requires nodes labelled 0..n-1; relabel first"
-            )
-        overlay = cls(len(nodes))
-        for u, v, data in graph.edges(data=True):
-            overlay.add_edge(int(u), int(v), float(data.get(weight, 1.0)))
-        return overlay
-
-    @classmethod
-    def from_wirings(
-        cls, n: int, wirings: Dict[int, Dict[int, float]]
-    ) -> "OverlayGraph":
-        """Build from a mapping ``node -> {neighbor: weight}``."""
-        overlay = cls(n)
-        for u, out in wirings.items():
-            for v, w in out.items():
-                overlay.add_edge(u, v, w)
-        return overlay
 
     # ------------------------------------------------------------------ #
     # Connectivity helpers

@@ -625,27 +625,3 @@ def path_cost(graph: OverlayGraph, path: List[int]) -> float:
     for u, v in zip(path[:-1], path[1:]):
         total += graph.weight(u, v)
     return total
-
-
-def average_path_stretch(
-    graph: OverlayGraph, direct_costs: np.ndarray
-) -> float:
-    """Mean ratio of overlay routing cost to the direct (one-hop) cost.
-
-    ``direct_costs[i, j]`` is the cost of a hypothetical direct overlay
-    link; the stretch measures how much the degree-constrained overlay
-    inflates routing cost relative to a full mesh.  Pairs that are
-    unreachable in the overlay are skipped.
-    """
-    overlay_costs = all_pairs_shortest_costs(graph)
-    n = graph.n
-    ratios = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            direct = direct_costs[i, j]
-            routed = overlay_costs[i, j]
-            if direct > 0 and np.isfinite(routed):
-                ratios.append(routed / direct)
-    return float(np.mean(ratios)) if ratios else float("inf")

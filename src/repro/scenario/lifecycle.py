@@ -257,6 +257,8 @@ class Session:
                 raise ValidationError(
                     f"mutation node out of range for n={self.spec.n}"
                 )
+        if mutation.event is not None:
+            mutation.event.check_range(self.spec.n)
         self._pending.append(mutation)
         return self._epochs
 

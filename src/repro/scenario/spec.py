@@ -275,16 +275,7 @@ class ScenarioSpec:
             try:
                 self.failures.validate()
                 for event in self.failures.events:
-                    for node in event.nodes:
-                        if not 0 <= int(node) < self.n:
-                            errors.append(
-                                ("failures", f"event node {node} out of range")
-                            )
-                    for u, v in event.links:
-                        if not (0 <= int(u) < self.n and 0 <= int(v) < self.n):
-                            errors.append(
-                                ("failures", f"event link ({u}, {v}) out of range")
-                            )
+                    event.check_range(self.n)
             except ValidationError as error:
                 errors.append(("failures", str(error)))
             except (TypeError, ValueError):

@@ -15,7 +15,9 @@ use, so the measured overlay is pinned).
 
 Subscriptions: a ``subscribe`` request registers the connection for the
 event stream; every tick's payload is queued per subscriber and flushed
-by a writer task, so one slow consumer cannot stall the tick loop.
+by a writer task, so one slow consumer cannot stall the tick loop.  A
+closed connection is unsubscribed from the service, so it leaves the
+stream and is never charged another dropped event.
 
 Admission control: every request passes through one bounded FIFO queue
 drained by a single worker task.  When the queue is full the request is
@@ -36,12 +38,13 @@ at the next start.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import signal
 import threading
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -85,7 +88,8 @@ class OverlayServer:
         self._draining = False
         self._requests: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
-        self._subscriber_queues: Dict[int, asyncio.Queue] = {}
+        #: Per subscribed connection, the callback registered with the service.
+        self._subscribers: Dict[int, Callable] = {}
         self._next_connection = 0
         #: Drop-oldest backpressure ledger: events dropped in total, per
         #: subscriber connection, and the deepest queue ever observed —
@@ -233,7 +237,8 @@ class OverlayServer:
         if self._worker is not None:
             self._worker.cancel()
             self._worker = None
-        self._subscriber_queues.clear()
+        for connection in list(self._subscribers):
+            self._unsubscribe(connection)
         if not self.service.closed:
             self.service.close()
 
@@ -342,14 +347,11 @@ class OverlayServer:
                     await writer.drain()
                     continue
                 message, subscribe, shutdown = await future
-                if subscribe and connection not in self._subscriber_queues:
+                if subscribe and connection not in self._subscribers:
                     queue: asyncio.Queue = asyncio.Queue()
-                    self._subscriber_queues[connection] = queue
-                    self.service.subscribe(
-                        lambda payload, q=queue, c=connection: self._enqueue(
-                            c, q, payload
-                        )
-                    )
+                    notify = functools.partial(self._enqueue, connection, queue)
+                    self._subscribers[connection] = notify
+                    self.service.subscribe(notify)
                     writer_task = asyncio.get_running_loop().create_task(
                         self._drain_events(queue, writer)
                     )
@@ -363,12 +365,17 @@ class OverlayServer:
         finally:
             if writer_task is not None:
                 writer_task.cancel()
-            self._subscriber_queues.pop(connection, None)
+            self._unsubscribe(connection)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    def _unsubscribe(self, connection: int) -> None:
+        notify = self._subscribers.pop(connection, None)
+        if notify is not None:
+            self.service.unsubscribe(notify)
 
     def _enqueue(
         self, connection: int, queue: asyncio.Queue, payload: Dict[str, object]
@@ -392,7 +399,7 @@ class OverlayServer:
     def _subscriber_stats(self) -> Dict[str, object]:
         """The subscriber/backpressure block of ``stats`` and ``metrics``."""
         return {
-            "count": len(self._subscriber_queues),
+            "count": len(self._subscribers),
             "queue_limit": SUBSCRIBER_QUEUE_LIMIT,
             "dropped_events": self._dropped_events,
             "dropped_by_connection": {

@@ -795,11 +795,14 @@ class OverlayService:
         ):
             data = dict(data)
             data["event"] = {**data["event"], "epoch": self.session.epochs_completed}
+        # The session rejects what it could not apply (a node or link out
+        # of range, an unknown deployment) before anything is logged: an
+        # acked mutation must replay.
         try:
             mutation = Mutation.from_dict(data)
+            applied_epoch = self.session.mutate(mutation)
         except ValidationError as error:
             raise ServeError("bad-request", str(error))
-        applied_epoch = self.session.mutate(mutation)
         self.counters["mutations"] += 1
         entry: Dict[str, object] = {
             "kind": "mutate",

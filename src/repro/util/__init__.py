@@ -7,16 +7,13 @@ subpackage of :mod:`repro` builds on them.
 from repro.util.rng import SeedLike, as_generator, spawn_generators
 from repro.util.stats import (
     Ewma,
-    OnlineMeanVar,
     confidence_interval,
-    geometric_mean,
     mean_and_ci,
     percentile,
     summarize,
 )
 from repro.util.validation import (
     ValidationError,
-    check_in_range,
     check_matrix_square,
     check_non_negative,
     check_positive,
@@ -29,14 +26,11 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "Ewma",
-    "OnlineMeanVar",
     "confidence_interval",
-    "geometric_mean",
     "mean_and_ci",
     "percentile",
     "summarize",
     "ValidationError",
-    "check_in_range",
     "check_matrix_square",
     "check_non_negative",
     "check_positive",

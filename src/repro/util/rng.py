@@ -9,7 +9,7 @@ want correlated randomness.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -79,22 +79,3 @@ def spawn_seeds(seed: SeedLike, count: int) -> list:
     else:
         root = np.random.SeedSequence(seed)
     return [int(child.generate_state(2, np.uint64)[0]) for child in root.spawn(count)]
-
-
-def random_subset(
-    rng: np.random.Generator,
-    items: Sequence,
-    size: int,
-    exclude: Optional[set] = None,
-) -> list:
-    """Sample ``size`` distinct items from ``items`` (excluding ``exclude``).
-
-    Raises :class:`ValueError` if fewer than ``size`` eligible items exist.
-    """
-    pool = [x for x in items if exclude is None or x not in exclude]
-    if size > len(pool):
-        raise ValueError(
-            f"cannot sample {size} items from a pool of {len(pool)}"
-        )
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return [pool[i] for i in idx]

@@ -39,11 +39,6 @@ class SimClock:
         """Index of the current wiring epoch (0-based)."""
         return int(self._now // self.epoch_length)
 
-    @property
-    def time_in_epoch(self) -> float:
-        """Seconds elapsed since the start of the current epoch."""
-        return self._now - self.epoch * self.epoch_length
-
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time."""
         seconds = check_non_negative(seconds, "seconds")
@@ -59,10 +54,6 @@ class SimClock:
             )
         self._now = when
         return self._now
-
-    def next_epoch_start(self) -> float:
-        """Absolute time at which the next wiring epoch begins."""
-        return (self.epoch + 1) * self.epoch_length
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock (used between independent experiment runs)."""

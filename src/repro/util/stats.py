@@ -9,8 +9,7 @@ used for PlanetLab CPU load smoothing (Section 4.1 of the paper).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,39 +62,6 @@ class Ewma:
         self._count = 0
 
 
-@dataclass
-class OnlineMeanVar:
-    """Welford online mean/variance accumulator."""
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
-
-    def update(self, sample: float) -> None:
-        """Add one sample."""
-        self.count += 1
-        delta = sample - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (sample - self.mean)
-
-    def extend(self, samples: Iterable[float]) -> None:
-        """Add many samples."""
-        for s in samples:
-            self.update(s)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); zero if fewer than two samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-
 # Two-sided critical values for the normal approximation.
 _Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
 
@@ -140,16 +106,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
     return float(np.percentile(arr, q))
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    """Geometric mean of strictly positive samples."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("geometric_mean needs at least one sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric_mean requires strictly positive samples")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def summarize(samples: Sequence[float]) -> dict:

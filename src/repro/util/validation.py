@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -32,29 +30,6 @@ def check_probability(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_in_range(
-    value: float,
-    name: str,
-    low: Optional[float] = None,
-    high: Optional[float] = None,
-    low_inclusive: bool = True,
-    high_inclusive: bool = True,
-) -> float:
-    """Ensure ``value`` lies within the given (optionally open) range."""
-    value = float(value)
-    if low is not None:
-        ok = value >= low if low_inclusive else value > low
-        if not ok:
-            op = ">=" if low_inclusive else ">"
-            raise ValidationError(f"{name} must be {op} {low}, got {value}")
-    if high is not None:
-        ok = value <= high if high_inclusive else value < high
-        if not ok:
-            op = "<=" if high_inclusive else "<"
-            raise ValidationError(f"{name} must be {op} {high}, got {value}")
     return value
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.multipath import MultipathTransferApp, available_bandwidth_gain
+from repro.apps.multipath import MultipathTransferApp
 from repro.core.cost import BandwidthMetric
 from repro.core.policies import BestResponsePolicy, build_overlay
 from repro.netsim.autonomous_systems import ASTopology
@@ -90,15 +90,3 @@ class TestMultipathApp:
         with pytest.raises(ValidationError):
             MultipathTransferApp(overlay, bandwidth, ASTopology(5, seed=0))
 
-
-class TestGainSummary:
-    def test_summary_keys_and_ranges(self, multipath_setup):
-        overlay, bandwidth, topo = multipath_setup
-        summary = available_bandwidth_gain(
-            overlay, bandwidth, topo, rng=0, max_pairs=40
-        )
-        assert summary["pairs_evaluated"] == 40
-        assert summary["multipath_redirection_gain"] >= summary[
-            "parallel_connection_gain"
-        ] * 0.9
-        assert summary["parallel_connection_gain"] > 0

@@ -7,7 +7,6 @@ from repro.churn.metrics import (
     churn_rate,
     efficiency_matrix,
     expected_healing_time,
-    node_efficiency,
     overlay_efficiency,
 )
 from repro.routing.graph import OverlayGraph
@@ -33,17 +32,17 @@ class TestEfficiency:
     def test_disconnected_pairs_zero(self):
         graph = OverlayGraph(4)
         graph.add_edge(0, 1, 1.0)
-        assert node_efficiency(graph, 2) == 0.0
+        assert efficiency_matrix(graph)[2].sum() == 0.0
 
     def test_node_efficiency_normalised_by_population(self):
         graph = ring(4, weight=1.0)
-        # Node 0 reaches 1, 2, 3 at distances 1, 2, 3.
+        # Every node reaches the other three at distances 1, 2, 3.
         expected = (1.0 + 0.5 + 1.0 / 3.0) / 3.0
-        assert node_efficiency(graph, 0) == pytest.approx(expected)
+        assert overlay_efficiency(graph) == pytest.approx(expected)
 
     def test_overlay_efficiency_mean_over_active(self):
         graph = ring(4, weight=1.0)
-        assert overlay_efficiency(graph) == pytest.approx(node_efficiency(graph, 0))
+        assert overlay_efficiency(graph) == pytest.approx(efficiency_matrix(graph)[0].sum() / 3)
 
     def test_active_restriction_drops_off_nodes(self):
         graph = ring(4, weight=1.0)

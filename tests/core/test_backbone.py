@@ -3,13 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.backbone import (
-    backbone_links,
-    backbone_offsets,
-    heal_departure,
-    is_backbone_connected,
-    splice_newcomer,
-)
+from repro.core.backbone import backbone_links, backbone_offsets, is_backbone_connected
+from repro.core.hybrid import HybridBRPolicy
 from repro.util.validation import ValidationError
 
 
@@ -72,16 +67,20 @@ class TestBackboneLinks:
         assert is_backbone_connected(links)
 
 
+def _donated(members, k2=2):
+    """Every member's donated links under HybridBR for ``members``."""
+    policy = HybridBRPolicy(k2=k2)
+    return {node: policy.donated_links_for(node, members) for node in members}
+
+
 class TestMembershipChanges:
     def test_splice_newcomer_included(self):
-        links = backbone_links(range(5), 2)
-        updated = splice_newcomer(links, 5, 2)
-        assert 5 in updated
+        updated = _donated(range(6))  # node 5 joined a 5-node ring
+        assert any(5 in targets for targets in updated.values())
         assert is_backbone_connected(updated)
 
     def test_heal_departure_removes_node(self):
-        links = backbone_links(range(6), 2)
-        updated = heal_departure(links, 3, 2)
+        updated = _donated([0, 1, 2, 4, 5])  # node 3 left a 6-node ring
         assert 3 not in updated
         assert is_backbone_connected(updated)
         assert all(3 not in targets for targets in updated.values())

@@ -8,20 +8,20 @@ from repro.util.validation import ValidationError
 
 class TestBootstrapServer:
     def test_register_and_members(self):
-        server = BootstrapServer(seed=0)
+        server = BootstrapServer()
         server.register(3)
         server.register(5)
         assert server.members == {3, 5}
         assert len(server) == 2
 
     def test_register_idempotent(self):
-        server = BootstrapServer(seed=0)
+        server = BootstrapServer()
         server.register(1)
         server.register(1)
         assert len(server) == 1
 
     def test_deregister(self):
-        server = BootstrapServer(seed=0)
+        server = BootstrapServer()
         server.register(1)
         server.deregister(1)
         server.deregister(99)  # no-op
@@ -30,31 +30,3 @@ class TestBootstrapServer:
     def test_negative_id_rejected(self):
         with pytest.raises(ValidationError):
             BootstrapServer().register(-1)
-
-    def test_candidates_exclude_newcomer(self):
-        server = BootstrapServer(seed=0)
-        for node in range(5):
-            server.register(node)
-        candidates = server.candidates_for(3)
-        assert 3 not in candidates
-        assert set(candidates) == {0, 1, 2, 4}
-
-    def test_candidates_truncated(self):
-        server = BootstrapServer(seed=0)
-        for node in range(20):
-            server.register(node)
-        candidates = server.candidates_for(0, max_candidates=5)
-        assert len(candidates) == 5
-        assert all(c != 0 for c in candidates)
-
-    def test_candidates_zero_max(self):
-        server = BootstrapServer(seed=0)
-        server.register(1)
-        assert server.candidates_for(0, max_candidates=0) == []
-
-    def test_initial_contact(self):
-        server = BootstrapServer(seed=0)
-        assert server.initial_contact(0) is None
-        server.register(7)
-        assert server.initial_contact(0) == 7
-        assert server.initial_contact(7) is None

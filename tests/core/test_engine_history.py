@@ -40,17 +40,13 @@ class TestAccessors:
         history = EngineHistory()
         assert history.rewirings_per_epoch() == []
         assert history.mean_costs() == []
-        assert history.mean_efficiencies() == []
-        assert history.total_rewirings() == 0
         assert math.isnan(history.steady_state_mean_cost())
         assert math.isnan(history.steady_state_efficiency())
 
     def test_series_accessors(self):
         history = history_of(30.0, 20.0, 10.0)
         assert history.mean_costs() == [30.0, 20.0, 10.0]
-        assert history.mean_efficiencies() == [3.0, 2.0, 1.0]
         assert history.rewirings_per_epoch() == [0, 1, 2]
-        assert history.total_rewirings() == 3
 
 
 class TestSteadyState:

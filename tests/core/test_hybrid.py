@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.backbone import backbone_links
 from repro.core.cost import DelayMetric
-from repro.core.hybrid import HybridBRPolicy, build_hybrid_overlay
+from repro.core.hybrid import HybridBRPolicy
 from repro.core.policies import BestResponsePolicy, build_overlay
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError
@@ -57,14 +57,14 @@ class TestHybridBRPolicy:
 
 class TestBuildHybridOverlay:
     def test_overlay_connected_and_degrees(self, metric12):
-        wiring = build_hybrid_overlay(metric12, k=4, k2=2, rng=1, rounds=2)
+        wiring = build_overlay(HybridBRPolicy(k2=2), metric12, 4, rng=1)
         graph = wiring.to_graph()
         assert graph.is_strongly_connected()
         for node in range(12):
             assert graph.out_degree(node) <= 4
 
     def test_backbone_links_present(self, metric12):
-        wiring = build_hybrid_overlay(metric12, k=4, k2=2, rng=1, rounds=2)
+        wiring = build_overlay(HybridBRPolicy(k2=2), metric12, 4, rng=1)
         expected = backbone_links(list(range(12)), 2)
         graph = wiring.to_graph()
         for node, targets in expected.items():
@@ -73,16 +73,16 @@ class TestBuildHybridOverlay:
 
     def test_hybrid_cost_between_backbone_and_pure_br(self, metric12):
         """HybridBR sacrifices some cost vs pure BR but beats the bare ring."""
-        hybrid = build_hybrid_overlay(metric12, k=4, k2=2, rng=2, rounds=3)
+        hybrid = build_overlay(HybridBRPolicy(k2=2), metric12, 4, rng=2)
         pure = build_overlay(BestResponsePolicy(), metric12, 4, rng=2, br_rounds=3)
-        ring = build_hybrid_overlay(metric12, k=2, k2=2, rng=2, rounds=1)
+        ring = build_overlay(HybridBRPolicy(k2=2), metric12, 2, rng=2)
         cost = lambda w: np.mean(list(metric12.all_node_costs(w.to_graph()).values()))
         assert cost(pure) <= cost(hybrid) * 1.05
         assert cost(hybrid) <= cost(ring) + 1e-9
 
     def test_backbone_survives_any_single_departure(self, metric12):
         """With k2=2 the donated ring reconnects around any one failure."""
-        wiring = build_hybrid_overlay(metric12, k=4, k2=2, rng=3, rounds=2)
+        wiring = build_overlay(HybridBRPolicy(k2=2), metric12, 4, rng=3)
         graph = wiring.to_graph()
         for departed in range(12):
             survivors = [v for v in range(12) if v != departed]

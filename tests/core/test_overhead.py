@@ -63,9 +63,6 @@ class TestReport:
         report = overhead_report(50, 5)
         assert report.ping_bps > 0
         assert report.linkstate_bps > 0
-        assert report.total_active_bps == pytest.approx(
-            report.ping_bps + report.linkstate_bps
-        )
 
     def test_scalability_gain_scales_inversely_with_k(self):
         gain_k2 = overhead_report(50, 2).scalability_gain
@@ -76,4 +73,4 @@ class TestReport:
     def test_overheads_are_tiny(self):
         """The paper's point: total maintenance traffic is a few hundred bps."""
         report = overhead_report(50, 5)
-        assert report.total_active_bps < 1000.0
+        assert report.ping_bps + report.linkstate_bps < 1000.0

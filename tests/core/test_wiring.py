@@ -52,8 +52,8 @@ class TestGlobalWiring:
         gw = self.make()
         assert gw.degree_of(0) == 2
         assert gw.weights_of(0) == {1: 5.0, 2: 6.0}
-        assert gw.wired_nodes() == {0, 1}
-        assert gw.total_links() == 3
+        assert [gw.wiring_of(v) is not None for v in range(3)] == [True, True, False]
+        assert gw.to_graph().edge_count() == 3
 
     def test_missing_weight_rejected(self):
         gw = GlobalWiring(3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost import DelayMetric
-from repro.core.policies import BestResponsePolicy, build_overlay
+from repro.core.policies import BestResponsePolicy, KRandomPolicy, build_overlay
 from repro.game.sns_game import SNSGame, is_nash_equilibrium
 from repro.util.validation import ValidationError
 
@@ -25,20 +25,15 @@ class TestGameBasics:
         with pytest.raises(ValidationError):
             SNSGame(game8.metric, k=8)
 
-    def test_random_wiring_feasible(self, game8):
-        wiring = game8.random_wiring(rng=0)
-        for node in range(8):
-            assert wiring.degree_of(node) == 2
-
-    def test_player_cost_positive(self, game8):
-        wiring = game8.random_wiring(rng=0)
-        assert game8.player_cost(wiring, 0) > 0
-
     def test_player_best_response_no_worse(self, game8):
-        wiring = game8.random_wiring(rng=0)
+        wiring = _random_wiring(game8, 0)
         evaluator, result = game8.player_best_response(wiring, 0, rng=0)
         current_cost = evaluator.evaluate(wiring.wiring_of(0).neighbors)
         assert result.cost <= current_cost + 1e-9
+
+
+def _random_wiring(game, seed):
+    return build_overlay(KRandomPolicy(), game.metric, game.k, rng=seed)
 
 
 def _dynamics(game, rounds, seed):
@@ -62,7 +57,7 @@ class TestDynamics:
         assert is_nash_equilibrium(game8, wiring, tolerance=1e-6, rng=0)
 
     def test_random_wiring_usually_not_nash(self, game8):
-        wiring = game8.random_wiring(rng=3)
+        wiring = _random_wiring(game8, 3)
         assert not is_nash_equilibrium(game8, wiring, rng=0)
 
     def test_social_cost_non_increasing_trend(self, game8):

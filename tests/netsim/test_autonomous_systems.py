@@ -7,6 +7,10 @@ from repro.netsim.autonomous_systems import ASTopology
 from repro.util.validation import ValidationError
 
 
+def _nodes_in(topo, as_id):
+    return [i for i in range(topo.n) if topo.as_of(i) == as_id]
+
+
 class TestASTopology:
     def test_every_node_assigned(self):
         topo = ASTopology(30, n_ases=8, seed=0)
@@ -16,7 +20,7 @@ class TestASTopology:
     def test_every_as_nonempty(self):
         topo = ASTopology(30, n_ases=8, seed=1)
         for as_id in range(8):
-            assert len(topo.nodes_in_as(as_id)) >= 1
+            assert len(_nodes_in(topo, as_id)) >= 1
 
     def test_multihoming_degrees_within_choices(self):
         topo = ASTopology(40, seed=2)
@@ -25,31 +29,23 @@ class TestASTopology:
 
     def test_intra_as_uncapped(self):
         topo = ASTopology(20, n_ases=3, seed=3)
-        as0_nodes = topo.nodes_in_as(0)
+        as0_nodes = _nodes_in(topo, 0)
         if len(as0_nodes) >= 2:
             assert topo.session_rate_limit(as0_nodes[0], as0_nodes[1]) == float("inf")
 
     def test_inter_as_capped(self):
         topo = ASTopology(20, n_ases=5, seed=4)
-        src = topo.nodes_in_as(0)[0]
-        dst = topo.nodes_in_as(1)[0]
+        src = _nodes_in(topo, 0)[0]
+        dst = _nodes_in(topo, 1)[0]
         cap = topo.session_rate_limit(src, dst)
         assert np.isfinite(cap)
         assert cap > 0
 
     def test_egress_deterministic(self):
         topo = ASTopology(20, n_ases=5, seed=5)
-        src = topo.nodes_in_as(0)[0]
-        dst = topo.nodes_in_as(1)[0]
+        src = _nodes_in(topo, 0)[0]
+        dst = _nodes_in(topo, 1)[0]
         assert topo.egress_link(src, dst) == topo.egress_link(src, dst)
-
-    def test_max_egress_rate_sums_links(self):
-        topo = ASTopology(20, n_ases=4, seed=6)
-        src = topo.nodes_in_as(0)[0]
-        links = topo.peering_links[0]
-        assert topo.max_egress_rate(src) == pytest.approx(
-            sum(l.session_rate_cap_mbps for l in links)
-        )
 
     def test_describe_keys(self):
         topo = ASTopology(20, seed=7)

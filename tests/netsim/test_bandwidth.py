@@ -70,5 +70,3 @@ class TestBandwidthModel:
         with pytest.raises(ValidationError):
             BandwidthModel(5, capacity_tiers=((100.0, 0.5), (10.0, 0.2)))
 
-    def test_probe_cost_fraction(self, bandwidth_model8):
-        assert bandwidth_model8.probe_cost_fraction() == pytest.approx(0.02)

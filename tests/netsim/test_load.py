@@ -37,26 +37,12 @@ class TestNodeLoadModel:
             measured_series.append(model.measured_load(0))
         assert np.std(np.diff(measured_series)) < np.std(np.diff(true_series))
 
-    def test_spike_increases_load(self, load_model8):
-        before = load_model8.true_load(3)
-        load_model8.spike(3, 10.0)
-        assert load_model8.true_load(3) >= before + 9.99
-
-    def test_spike_negative_rejected(self, load_model8):
-        with pytest.raises(ValidationError):
-            load_model8.spike(0, -1.0)
-
     def test_deterministic_given_seed(self):
         a = NodeLoadModel(10, seed=3)
         b = NodeLoadModel(10, seed=3)
         a.advance(5)
         b.advance(5)
         assert np.allclose(a.true_loads(), b.true_loads())
-
-    def test_announcement_vector_matches_measured(self, load_model8):
-        assert np.allclose(
-            load_model8.announcement_vector(), load_model8.measured_loads()
-        )
 
     def test_invalid_n(self):
         with pytest.raises(ValidationError):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.routing.disjoint import (
-    count_disjoint_paths,
-    disjoint_paths,
-    first_hop_disjoint_count,
-)
+from repro.routing.disjoint import count_disjoint_paths, disjoint_paths
 from repro.routing.graph import OverlayGraph
 from repro.util.validation import ValidationError
 
@@ -76,12 +72,3 @@ class TestExtraction:
         graph.add_edge(1, 2, 1.0)
         assert disjoint_paths(graph, 0, 2) == []
 
-
-class TestFirstHop:
-    def test_bounded_by_out_degree(self):
-        graph = parallel_paths_graph()
-        graph.add_edge(1, 2, 1.0)  # extra capacity not usable from 0
-        assert first_hop_disjoint_count(graph, 0, 4) <= graph.out_degree(0)
-
-    def test_equals_paths_when_degree_suffices(self):
-        assert first_hop_disjoint_count(parallel_paths_graph(), 0, 4) == 3

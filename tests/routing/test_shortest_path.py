@@ -11,7 +11,6 @@ from repro.routing.shortest_path import (
     repair_shortest_rows,
     screen_shortest_repair,
     shortest_inbound_tables,
-    average_path_stretch,
     path_cost,
     shortest_path,
     shortest_path_costs_from,
@@ -136,22 +135,6 @@ class TestAllPairs:
         sparse_costs = all_pairs_shortest_costs(sparse, disconnection_cost=1e9)
         dense_costs = all_pairs_shortest_costs(dense, disconnection_cost=1e9)
         assert np.all(dense_costs <= sparse_costs + 1e-9)
-
-
-class TestStretch:
-    def test_full_mesh_stretch_is_one(self):
-        n = 6
-        rng = np.random.default_rng(0)
-        direct = rng.uniform(1, 10, size=(n, n))
-        direct = (direct + direct.T) / 2
-        np.fill_diagonal(direct, 0.0)
-        graph = OverlayGraph(n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    graph.add_edge(i, j, direct[i, j])
-        # Costs may be lower than direct (two-hop shortcuts), never higher.
-        assert average_path_stretch(graph, direct) <= 1.0 + 1e-9
 
 
 def _dense_of(graph):

@@ -27,7 +27,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
 from repro.serve.protocol import encode, response
 from repro.serve.replay import replay_log
-from repro.serve.service import OverlayService, RecoveryError
+from repro.serve.service import OverlayService, RecoveryError, ServeError
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -257,6 +257,37 @@ class TestRecover:
             assert resumed == {e: reference[e] for e in resumed}
         finally:
             service.close()
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"action": "node-down", "nodes": [99]},
+            {"action": "link-down", "links": [[0, 16]]},
+        ],
+    )
+    def test_out_of_range_failure_is_refused_before_the_log(
+        self, tmp_path, reference, event
+    ):
+        """An acked mutation must replay, so one the session cannot apply
+        is refused before it reaches the log."""
+        log = str(tmp_path / "serve.jsonl")
+        service = OverlayService(_spec(), log_path=log)
+        _drive(service, 1)
+        with pytest.raises(ServeError) as err:
+            service.mutate({"kind": "failure", "event": event})
+        assert err.value.code == "bad-request"
+        _drive(service, 2)
+        _crash(service)
+        with open(log) as handle:
+            logged = [json.loads(line) for line in handle]
+        assert [e["mutation"]["kind"] for e in logged if e["kind"] == "mutate"] == ["drift"]
+        recovered = OverlayService.recover(log)
+        try:
+            assert recovered.session.epochs_completed == 2
+            resumed = _drive(recovered, 3)
+            assert resumed == {e: reference[e] for e in resumed}
+        finally:
+            recovered.close()
 
     def test_recovery_without_checkpoints_replays_the_chain(self, tmp_path, reference):
         log = str(tmp_path / "serve.jsonl")

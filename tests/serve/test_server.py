@@ -4,6 +4,7 @@ import json
 import os
 import socket
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
 from repro.serve.load import run_load
-from repro.serve.server import start_background_server
+from repro.serve.server import SUBSCRIBER_QUEUE_LIMIT, start_background_server
 from repro.serve.service import OverlayService
 from repro.util.validation import ValidationError
 
@@ -232,6 +233,20 @@ class TestSubscribe:
             assert reply["ok"] is True
             # The pushed epoch event was buffered aside, not dropped.
             assert client.next_event()["event"] == "epoch"
+
+    def test_closed_subscriber_leaves_the_stream(self, served):
+        sock, service = served
+        with ServeClient(socket_path=sock) as subscriber:
+            subscriber.subscribe()
+        with ServeClient(socket_path=sock) as driver:
+            deadline = time.monotonic() + 10
+            while driver.stats()["subscribers"]["count"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for _ in range(SUBSCRIBER_QUEUE_LIMIT + 5):
+                driver.step()
+            subscribers = driver.stats()["subscribers"]
+        assert (subscribers["count"], subscribers["dropped_events"]) == (0, 0)
+        assert service._subscribers == []
 
 
 class TestLoadGenerator:

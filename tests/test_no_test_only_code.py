@@ -1,0 +1,236 @@
+"""No test-only code under ``src/``.
+
+A fixpoint scan over ``src/repro``: every top-level ``def``/``class`` and
+every method of a top-level class must be reached, meaning its name (as a
+whole word) appears in another ``src/``, ``bench/`` or ``examples/``
+module, or in its own module outside its own definition.  Package
+``__init__`` re-exports and ``__all__`` lists are not callers, and neither
+is any text inside a definition the scan has already found unreached, so a
+name that only dead code mentions is dead too.
+
+The few unreached definitions the repo keeps on purpose are on
+``ALLOWLIST``, each with its reason; what an allowlisted definition uses
+stays reached.  The list may only shrink: an entry that is now reached, or
+whose definition is gone, fails the scan too.
+
+Runs under pytest and stand-alone, with nothing but the standard library::
+
+    python tests/test_no_test_only_code.py
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+CALLER_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "examples")
+
+#: Unreached definitions kept on purpose: ``module:qualname`` (or a whole
+#: module) -> the reason.
+ALLOWLIST = {
+    "repro.core.cost:Metric.node_cost": (
+        "oracle: tests/test_properties.py checks the metrics' route costs against it"
+    ),
+    "repro.routing.graph:OverlayGraph.to_networkx": (
+        "oracle: the networkx Dijkstra check of the routing kernels"
+    ),
+    "repro.routing.graph:OverlayGraph.in_degree": (
+        "oracle: the in-degree checks of overlays and backbones"
+    ),
+    "repro.routing.graph:OverlayGraph.out_degree": (
+        "oracle: the out-degree <= k checks of built overlays"
+    ),
+    "repro.core.backbone:is_backbone_connected": (
+        "oracle: the HybridBR backbone checks (the ring reaches every node)"
+    ),
+    "repro.routing.widest_path:path_bottleneck": (
+        "oracle: the widest-path values are checked against a path's bottleneck"
+    ),
+    "repro.game.sns_game:is_nash_equilibrium": (
+        "oracle: converged exact BR is a Nash equilibrium; ROADMAP [9](a) wires it in"
+    ),
+    "repro.netsim.topology": (
+        "waits on ROADMAP [10]: the generated underlay of the n = 10^3 workload"
+    ),
+    "repro.serve.client:ServeClient.next_event": (
+        "protocol client: the client half of the subscribe op"
+    ),
+}
+
+_WORD = re.compile(r"\w+")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@dataclass(eq=False)
+class Definition:
+    """A top-level def/class of ``module``, or a method of one (``parent``)."""
+
+    module: str
+    qualname: str
+    path: Path
+    start: int
+    end: int
+    parent: Optional["Definition"] = None
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rsplit(".", 1)[-1]
+
+    @property
+    def key(self) -> str:
+        return f"{self.module}:{self.qualname}"
+
+    @property
+    def allowed(self) -> bool:
+        return any(
+            entry in (self.key, self.module)
+            or (self.parent is not None and entry == self.parent.key)
+            for entry in ALLOWLIST
+        )
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _definitions(path: Path, tree: ast.Module) -> list[Definition]:
+    module = _module_name(path)
+
+    def make(node, qualname, parent=None):
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        return Definition(module, qualname, path, start, node.end_lineno, parent)
+
+    found = []
+    for node in tree.body:
+        if isinstance(node, _DEFS + (ast.ClassDef,)):
+            top = make(node, node.name)
+            found.append(top)
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    make(child, f"{node.name}.{child.name}", top)
+                    for child in node.body
+                    if isinstance(child, _DEFS)
+                    and not (child.name.startswith("__") and child.name.endswith("__"))
+                ]
+    return found
+
+
+def _export_lines(path: Path, tree: ast.Module) -> set[int]:
+    """A package ``__init__``'s imports and ``__all__``: not callers."""
+    if path.name != "__init__.py":
+        return set()
+    lines = set()
+    for node in tree.body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
+        ):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def scan() -> tuple[list[Definition], dict[str, Definition]]:
+    """``(unreached definitions, every definition by key)`` at the fixpoint."""
+    definitions: list[Definition] = []
+    mentions: dict[str, list[tuple[Path, int]]] = {}  # word -> (path, line)s
+    for base in CALLER_DIRS:
+        for path in sorted(base.rglob("*.py")):
+            text = path.read_text()
+            skip: set[int] = set()
+            if PACKAGE in path.parents:
+                tree = ast.parse(text)
+                definitions += _definitions(path, tree)
+                skip = _export_lines(path, tree)
+            for number, line in enumerate(text.splitlines(), 1):
+                if number not in skip:
+                    for word in set(_WORD.findall(line)):
+                        mentions.setdefault(word, []).append((path, number))
+
+    dead: list[Definition] = []
+    # Text inside these spans reaches nothing: unreached, not allowlisted.
+    silent: list[tuple[Path, int, int]] = []
+
+    def reaches(definition: Definition, path: Path, number: int) -> bool:
+        if path == definition.path and definition.start <= number <= definition.end:
+            return False
+        return not any(p == path and s <= number <= e for p, s, e in silent)
+
+    changed = True
+    while changed:
+        changed = False
+        for definition in definitions:
+            if definition in dead:
+                continue
+            if (definition.parent is not None and definition.parent in dead) or not any(
+                reaches(definition, *hit) for hit in mentions.get(definition.name, ())
+            ):
+                dead.append(definition)
+                if not definition.allowed:
+                    silent.append((definition.path, definition.start, definition.end))
+                changed = True
+    return dead, {d.key: d for d in definitions}
+
+
+def unlisted(dead: list[Definition]) -> list[str]:
+    """Unreached definitions not on the allowlist (a dead class's methods
+    go with it)."""
+    return [
+        f"{d.key} ({d.end - d.start + 1} lines)"
+        for d in dead
+        if not d.allowed and (d.parent is None or d.parent not in dead)
+    ]
+
+
+def stale(dead: list[Definition], every: dict[str, Definition]) -> list[str]:
+    """Allowlist entries that are now reached or no longer exist."""
+    found = []
+    for entry in ALLOWLIST:
+        if ":" in entry and entry not in every:
+            found.append(f"{entry}: no such definition")
+        elif ":" not in entry and not any(d.module == entry for d in every.values()):
+            found.append(f"{entry}: no such module")
+        elif not any(entry in (d.key, d.module) for d in dead):
+            found.append(f"{entry}: now reached")
+    return found
+
+
+def malformed() -> list[str]:
+    """An allowlist over 15 entries, or an entry without a reason."""
+    found = [f"{entry}: no reason given" for entry, why in ALLOWLIST.items() if not why.strip()]
+    if len(ALLOWLIST) > 15:
+        found.append(f"the allowlist has {len(ALLOWLIST)} entries (at most 15)")
+    return found
+
+
+def test_nothing_unreached_outside_the_allowlist():
+    dead, _ = scan()
+    assert unlisted(dead) == []
+
+
+def test_no_stale_allowlist_entry():
+    dead, every = scan()
+    assert stale(dead, every) == []
+
+
+def test_allowlist_is_short_and_gives_reasons():
+    assert malformed() == []
+
+
+def main() -> int:
+    dead, every = scan()
+    problems = unlisted(dead) + stale(dead, every) + malformed()
+    for problem in problems:
+        print(problem)
+    print(f"NO-TEST-ONLY-CODE unreached={len(dead)} problems={len(problems)}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ from repro.core.policies import (
     enforce_connectivity_cycle,
 )
 from repro.core.wiring import GlobalWiring, Wiring
-from repro.churn.metrics import node_efficiency, overlay_efficiency
+from repro.churn.metrics import efficiency_matrix, overlay_efficiency
 from repro.routing.graph import OverlayGraph
 from repro.routing.shortest_path import all_pairs_shortest_costs
 
@@ -148,16 +148,16 @@ class TestEfficiencyInvariants:
         wiring = build_overlay(KRandomPolicy(), metric, 2, rng=seed)
         graph = wiring.to_graph()
         survivors = list(range(metric.size - 1))
+        full = efficiency_matrix(graph).sum(axis=1)
+        reduced = efficiency_matrix(graph, active=survivors).sum(axis=1)
         for node in survivors[:4]:
-            full = node_efficiency(graph, node)
-            reduced = node_efficiency(graph, node, active=survivors)
-            assert reduced <= full + 1e-9
+            assert reduced[node] <= full[node] + 1e-9
 
     @SETTINGS
     @given(delay_metrics(), st.integers(0, 500))
     def test_node_efficiency_zero_when_isolated(self, metric, seed):
         graph = OverlayGraph(metric.size)
-        assert node_efficiency(graph, 0) == 0.0
+        assert efficiency_matrix(graph)[0].sum() == 0.0
 
 
 class TestRoutingInvariants:

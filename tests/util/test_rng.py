@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_generator, random_subset, spawn_generators
+from repro.util.rng import as_generator, spawn_generators
 
 
 class TestAsGenerator:
@@ -57,22 +57,3 @@ class TestSpawnGenerators:
         gen = np.random.default_rng(3)
         children = spawn_generators(gen, 2)
         assert len(children) == 2
-
-
-class TestRandomSubset:
-    def test_size_and_membership(self):
-        rng = np.random.default_rng(0)
-        subset = random_subset(rng, list(range(20)), 5)
-        assert len(subset) == 5
-        assert len(set(subset)) == 5
-        assert all(0 <= x < 20 for x in subset)
-
-    def test_exclusion(self):
-        rng = np.random.default_rng(0)
-        subset = random_subset(rng, list(range(10)), 5, exclude={0, 1, 2, 3, 4})
-        assert set(subset) == {5, 6, 7, 8, 9}
-
-    def test_too_large_raises(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_subset(rng, [1, 2, 3], 4)

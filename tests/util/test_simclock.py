@@ -10,7 +10,6 @@ class TestSimClock:
         clock = SimClock(epoch_length=60.0)
         assert clock.now == 0.0
         assert clock.epoch == 0
-        assert clock.time_in_epoch == 0.0
 
     def test_advance(self):
         clock = SimClock(epoch_length=60.0)
@@ -19,7 +18,6 @@ class TestSimClock:
         assert clock.epoch == 0
         clock.advance(40.0)
         assert clock.epoch == 1
-        assert clock.time_in_epoch == pytest.approx(10.0)
 
     def test_advance_to(self):
         clock = SimClock(epoch_length=10.0)
@@ -36,11 +34,6 @@ class TestSimClock:
         clock = SimClock()
         with pytest.raises(Exception):
             clock.advance(-1.0)
-
-    def test_next_epoch_start(self):
-        clock = SimClock(epoch_length=60.0)
-        clock.advance(61.0)
-        assert clock.next_epoch_start() == pytest.approx(120.0)
 
     def test_reset(self):
         clock = SimClock()

@@ -1,16 +1,12 @@
 """Tests for statistics helpers."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.stats import (
     Ewma,
-    OnlineMeanVar,
     confidence_interval,
-    geometric_mean,
     mean_and_ci,
     percentile,
     summarize,
@@ -59,27 +55,6 @@ class TestEwma:
         assert min(samples) - 1e-9 <= ewma.value <= max(samples) + 1e-9
 
 
-class TestOnlineMeanVar:
-    def test_matches_numpy(self):
-        data = [1.0, 2.0, 4.0, 8.0, 16.0]
-        acc = OnlineMeanVar()
-        acc.extend(data)
-        assert acc.mean == pytest.approx(np.mean(data))
-        assert acc.variance == pytest.approx(np.var(data, ddof=1))
-        assert acc.std == pytest.approx(np.std(data, ddof=1))
-
-    def test_single_sample_zero_variance(self):
-        acc = OnlineMeanVar()
-        acc.update(3.0)
-        assert acc.variance == 0.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=100))
-    def test_online_equals_batch(self, data):
-        acc = OnlineMeanVar()
-        acc.extend(data)
-        assert acc.mean == pytest.approx(float(np.mean(data)), rel=1e-6, abs=1e-6)
-
-
 class TestConfidenceInterval:
     def test_contains_mean(self):
         data = [1, 2, 3, 4, 5]
@@ -120,13 +95,6 @@ class TestPercentileAndMeans:
         with pytest.raises(ValueError):
             percentile([1, 2], 150)
 
-    def test_geometric_mean_simple(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
     def test_summarize_keys(self):
         summary = summarize([1.0, 2.0, 3.0, 4.0])
         for key in ("count", "mean", "std", "min", "p50", "p95", "max", "ci95"):
@@ -134,7 +102,3 @@ class TestPercentileAndMeans:
         assert summary["count"] == 4
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
-
-    @given(st.lists(st.floats(1, 1e6), min_size=1, max_size=50))
-    def test_geometric_mean_le_arithmetic(self, data):
-        assert geometric_mean(data) <= float(np.mean(data)) + 1e-6

@@ -5,7 +5,6 @@ import pytest
 
 from repro.util.validation import (
     ValidationError,
-    check_in_range,
     check_index,
     check_matrix_square,
     check_non_negative,
@@ -38,25 +37,6 @@ class TestScalarChecks:
     def test_error_message_contains_name(self):
         with pytest.raises(ValidationError, match="epsilon"):
             check_positive(-2, "epsilon")
-
-
-class TestRangeCheck:
-    def test_inclusive_bounds(self):
-        assert check_in_range(5, "x", low=5, high=10) == 5.0
-        assert check_in_range(10, "x", low=5, high=10) == 10.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValidationError):
-            check_in_range(5, "x", low=5, high=10, low_inclusive=False)
-        with pytest.raises(ValidationError):
-            check_in_range(10, "x", low=5, high=10, high_inclusive=False)
-
-    def test_only_low(self):
-        assert check_in_range(100, "x", low=0) == 100.0
-
-    def test_only_high(self):
-        with pytest.raises(ValidationError):
-            check_in_range(100, "x", high=10)
 
 
 class TestMatrixAndIndex:
