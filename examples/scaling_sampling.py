@@ -47,21 +47,21 @@ def main(n: int = 150, k: int = 3, base_policy: str = "best-response", seed: int
     evaluator = WiringEvaluator(
         newcomer, metric, residual, candidates=existing, destinations=existing
     )
-    reference = sampled_best_response(newcomer, metric, residual, k, existing, rng=rng)
+    reference = sampled_best_response(newcomer, metric, residual, k, existing)
     reference_cost = evaluator.evaluate(reference.neighbors)
     print(f"Newcomer's BR cost with the full residual graph: {reference_cost:.1f} ms\n")
 
     print(f"{'sample size m':>14} {'BR random sampling':>20} {'BRtp (r=2)':>12} {'walk messages':>14}")
     for m in SAMPLE_SIZES:
         uniform = random_sample(existing, m, rng=rng)
-        br_uniform = sampled_best_response(newcomer, metric, residual, k, uniform, rng=rng)
+        br_uniform = sampled_best_response(newcomer, metric, residual, k, uniform)
         cost_uniform = evaluator.evaluate(br_uniform.neighbors) / reference_cost
 
         biased = topology_biased_sample(
             newcomer, metric, residual, m, oversample=3, radius=2,
             candidates=existing, rng=rng,
         )
-        br_biased = sampled_best_response(newcomer, metric, residual, k, biased, rng=rng)
+        br_biased = sampled_best_response(newcomer, metric, residual, k, biased)
         cost_biased = evaluator.evaluate(br_biased.neighbors) / reference_cost
 
         messages = sampling_message_cost(3 * m, n, k)

@@ -24,10 +24,11 @@ Performance
 The best-response hot path scores candidate wirings as broadcast
 reductions over a precomputed ``(hops x destinations)`` route-value
 matrix: exhaustive enumeration batches whole blocks of k-subsets
-(:meth:`WiringEvaluator.evaluate_batch`), and each local-search pass
-scores all ``k * (m - k)`` single-swap neighbours in one kernel call
-(:meth:`WiringEvaluator.swap_costs`, a leave-one-out top-2 reduction).
-The kernels use the same exact elementwise reductions as scoring one
+(:meth:`WiringEvaluator.evaluate_batch`), and the local search is one
+kernel, :func:`repro.core.best_response.fused_best_response`, whose
+every pass scores all ``k * (m - k)`` single-swap neighbours of a whole
+group of nodes in one broadcast (leave-one-out by prefix and suffix
+selections); a lone evaluator is a group of one.  The kernels use the same exact elementwise reductions as scoring one
 wiring at a time (min/max, multiply then pairwise sum), so objective
 values are bitwise identical and ties break identically; the interpreted
 loops they replaced live on only as the test oracle
@@ -49,12 +50,11 @@ One level higher, :class:`DeploymentBatch`
 :class:`EngineBatch` (:mod:`repro.core.engine_batch`, epoch-driven
 engines) advance many *independent* deployments in lockstep, through
 one driver: a build's best-response round is an epoch of the engine
-batch's round loop.  Its stateless kernels live in
-:mod:`repro.core.lockstep`: the fused best-response kernel that scores
-a whole group of re-wiring opportunities in broadcasts (the unreachable
-clamp and the preference weights folded into its via tensor once, not
-per pass), the stacked route-value sweeps, and the bandwidth residual
-fill.  Each batch is bit-identical to
+batch's round loop.  It scores each group of re-wiring opportunities
+with that fused kernel (the unreachable clamp and the preference
+weights folded into its via tensor once, not per pass); its stateless
+sweeps live in :mod:`repro.core.lockstep`: the stacked route-value
+sweeps and the bandwidth residual fill.  Each batch is bit-identical to
 running its deployments one by one (``batched=False``), with exact
 kernel-call and Dijkstra-row budgets in ``tests/core/test_deployment_batch.py``
 (``test_four_panel_sweep_batched_call_budget``) and

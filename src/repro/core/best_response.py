@@ -18,28 +18,33 @@ value a wiring ``s`` delivers for destination ``j`` is
 so each candidate wiring is a row reduction over a precomputed
 ``(hops x destinations)`` "via" matrix — and, crucially, *batches* of
 candidate wirings are a single broadcast reduction over a
-``(candidates x hops x destinations)`` view of the same matrix.  The
-batched kernels (:meth:`WiringEvaluator.evaluate_batch`,
-:meth:`WiringEvaluator.swap_costs`) are what the local search and exact
-enumeration are built on.  They use the same elementwise reductions as
-the one-wiring :meth:`WiringEvaluator.evaluate` (exact min/max, multiply
-then pairwise sum), so objective values are bitwise identical to scoring
-each wiring on its own; ``tests/reference/scalar_best_response.py`` is
-the interpreted oracle the parity tests hold them to.
+``(candidates x hops x destinations)`` view of the same matrix.  Exact
+enumeration scores whole blocks of k-subsets this way
+(:meth:`WiringEvaluator.evaluate_batch`).  The local search is one
+kernel, :func:`fused_best_response`, which runs a whole group of
+opportunities over one padded via tensor: the lockstep driver of
+:mod:`repro.core.engine_batch` calls it for a group,
+:func:`best_response_local_search` for one evaluator.  Both use the same
+elementwise reductions as the one-wiring :meth:`WiringEvaluator.evaluate`
+(exact min/max, multiply then pairwise sum), so objective values are
+bitwise identical to scoring each wiring on its own;
+``tests/reference/scalar_best_response.py`` is the interpreted oracle
+the parity tests hold them to.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from repro.core.cost import Metric, uniform_preferences
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError, check_index
 
 #: Soft cap on the number of (wiring x destination) value cells
@@ -276,69 +281,6 @@ class WiringEvaluator:
                 )
         return costs
 
-    def swap_costs(
-        self, current: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        """Objective values of every single-swap neighbour of ``current``.
-
-        Entry ``[o, c]`` is ``evaluate(current with current[o] replaced by
-        candidates[c])`` — the full neighbourhood the local search scans —
-        computed as one broadcast over the via matrix: a leave-one-out
-        reduction over the incumbent's rows (top-2 trick) combined with
-        every candidate's row.  Values are bitwise identical to the scalar
-        :meth:`evaluate` on each trial wiring.
-
-        ``current`` must not contain duplicates; ``candidates`` may
-        include members of ``current`` (callers mask those columns).
-        """
-        cur = [int(c) for c in current]
-        if len(set(cur)) != len(cur):
-            raise ValidationError("current wiring must not contain duplicates")
-        k = len(cur)
-        cand_rows = np.array(self._rows_of(candidates), dtype=int)
-        n_cand = len(cand_rows)
-        n_dest = len(self._dest_array)
-        if k == 0 or n_cand == 0:
-            return np.zeros((k, n_cand))
-        if n_dest == 0:
-            return np.zeros((k, n_cand))
-        maximize = self.metric.maximize
-        combine = np.maximum if maximize else np.minimum
-        identity = -np.inf if maximize else np.inf
-
-        cur_vals = self._via_dest[np.array(self._rows_of(cur), dtype=int)]  # (k, D)
-        if len(self._required_rows):
-            req_vals = self._via_dest[self._required_rows]
-            fixed = req_vals.max(axis=0) if maximize else req_vals.min(axis=0)
-        else:
-            fixed = np.full(n_dest, identity)
-        if k == 1:
-            loo = np.full((1, n_dest), identity)
-        else:
-            # Leave-one-out reduction via the top-2 trick: dropping row o
-            # changes the column reduction only where o was the extreme.
-            order = np.argsort(cur_vals, axis=0)
-            cols = np.arange(n_dest)
-            ext_row = order[-1] if maximize else order[0]
-            ext = cur_vals[ext_row, cols]
-            second = cur_vals[order[-2] if maximize else order[1], cols]
-            loo = np.where(
-                np.arange(k)[:, None] == ext_row[None, :],
-                second[None, :],
-                ext[None, :],
-            )
-        base = combine(loo, fixed[None, :])  # (k, D)
-
-        out = np.empty((k, n_cand))
-        chunk = max(1, _KERNEL_CHUNK_CELLS // max(1, k * n_dest))
-        for start in range(0, n_cand, chunk):
-            rows = cand_rows[start : start + chunk]
-            trial = combine(base[:, None, :], self._via_dest[rows][None, :, :])
-            self._clamp_inplace(trial)
-            trial *= self._dest_prefs
-            out[:, start : start + len(rows)] = trial.sum(axis=2)
-        return out
-
     def better(self, a: float, b: float) -> bool:
         """Delegate to the metric's objective direction."""
         return self.metric.better(a, b)
@@ -351,7 +293,6 @@ class BestResponseResult:
     node: int
     neighbors: FrozenSet[int]
     cost: float
-    evaluations: int
     method: str
 
     def as_wiring(self, donated: Iterable[int] = ()) -> Wiring:
@@ -373,7 +314,6 @@ def best_response_exact(evaluator: WiringEvaluator, k: int) -> BestResponseResul
         raise ValidationError("k must be non-negative")
     best_set: Optional[Tuple[int, ...]] = None
     best_cost: Optional[float] = None
-    evaluations = 0
     maximize = evaluator.metric.maximize
     combos = itertools.combinations(candidates, k)
     while True:
@@ -382,142 +322,335 @@ def best_response_exact(evaluator: WiringEvaluator, k: int) -> BestResponseResul
             break
         costs = evaluator.evaluate_batch(batch)
         pos = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
-        evaluations += len(batch)
         if best_cost is None or evaluator.better(float(costs[pos]), best_cost):
             best_cost = float(costs[pos])
             best_set = batch[pos]
     if best_set is None:
         best_set = ()
         best_cost = evaluator.evaluate(())
-        evaluations += 1
     return BestResponseResult(
         node=evaluator.node,
         neighbors=frozenset(best_set) | evaluator.required,
         cost=float(best_cost),
-        evaluations=evaluations,
         method="exact",
     )
 
 
-def _greedy_seed(evaluator: WiringEvaluator, k: int) -> List[int]:
-    """Greedy marginal-gain seeding for the local search.
+class Member(NamedTuple):
+    """One node's re-wiring opportunity, as :func:`fused_best_response` sees it."""
 
-    Every remaining candidate's marginal gain is scored in one kernel
-    call per step, maintaining the running per-destination reduction of
-    the chosen set; ties resolve to the first candidate in order.
+    #: ``(c, t)`` raw via values — routing to destination column ``t``
+    #: through candidate row ``c`` (direct link, then residual route) —
+    #: rows and columns in the caller's order.
+    via: np.ndarray
+    #: The ``c`` candidate ids, in ``via``'s row order.
+    hop_ids: np.ndarray
+    #: The node's preference weight for each destination column.
+    prefs: np.ndarray
+    #: Neighbour budget (clipped to ``c`` by the kernel).
+    k: int
+    #: Current neighbour ids, all in ``hop_ids`` (empty: unwired).
+    incumbent: Collection[int]
+    #: Local-search pass cap (``BestResponsePolicy.max_iterations``).
+    max_iterations: int
+    #: Per-destination reduction of the required (donated) links' via
+    #: rows, part of every wiring the kernel scores; ``None``: none.
+    fixed: Optional[np.ndarray] = None
+
+
+def _fold_is_exact(
+    via: np.ndarray,
+    clamped: np.ndarray,
+    prefs: np.ndarray,
+    *,
+    maximize: bool,
+    unreachable: float,
+) -> bool:
+    """Whether clamping and weighting ``via`` *before* the kernel's
+    selections gives the bits that doing so after each of them would.
+
+    Every pass of the kernel selects per destination over via rows
+    (min/max), clamps unreachable values to ``unreachable``, multiplies
+    by the preference and sums.  A selection commutes with a monotone
+    map — ``fl(p * clamp(min(a, b))) == min(fl(p * clamp(a)), fl(p *
+    clamp(b)))``, the very same float product, since min/max pick one of
+    their arguments and ``x -> fl(p * x)`` is monotone for ``p >= 0`` —
+    so the question is whether the clamp is monotone, i.e. whether the
+    disconnection value is no better than any reachable one:
+
+    * minimising: every finite via is ``<= unreachable``;
+    * maximising: no via is ``+inf`` (the clamp sends it *down* to
+      ``unreachable``) and ``unreachable <=`` every positive finite via.
+
+    That is not a given.  A failed link is *announced* at the
+    disconnection cost — a finite weight — so routes over it sum past
+    it, and an infinite direct bandwidth makes a via ``+inf``.
+    ``clamped`` is ``via`` with the clamp applied, which turns the check
+    into one reduction; ``via`` includes the fixed rows, and may have no
+    destination column at all.
     """
-    candidates = [c for c in evaluator.candidates if c not in evaluator.required]
-    target = min(k, len(candidates))
-    chosen: List[int] = []
-    if target <= 0:
-        return chosen
-    maximize = evaluator.metric.maximize
-    combine = np.maximum if maximize else np.minimum
-    identity = -np.inf if maximize else np.inf
-    sentinel = -np.inf if maximize else np.inf
-    pick = np.argmax if maximize else np.argmin
-    n_dest = len(evaluator._dest_array)
-    cand_rows = np.array(evaluator._rows_of(candidates), dtype=int)
-    # Running reduction over chosen + required rows (pre-clamp values).
-    if len(evaluator._required_rows):
-        req_vals = evaluator._via_dest[evaluator._required_rows]
-        running = req_vals.max(axis=0) if maximize else req_vals.min(axis=0)
+    if maximize:
+        monotone = (
+            clamped.min(initial=np.inf) >= unreachable
+            and via.max(initial=-np.inf) < np.inf
+        )
     else:
-        running = np.full(n_dest, identity)
-    taken = np.zeros(len(candidates), dtype=bool)
-    for _ in range(target):
-        if n_dest:
-            trial = combine(running[None, :], evaluator._via_dest[cand_rows])
-            evaluator._clamp_inplace(trial)
-            trial *= evaluator._dest_prefs
-            costs = trial.sum(axis=1)
+        monotone = clamped.max(initial=-np.inf) <= unreachable
+    return bool(monotone and prefs.min(initial=np.inf) >= 0)
+
+
+def fused_best_response(
+    members: Sequence[Member], *, maximize: bool, unreachable: float
+) -> Tuple[np.ndarray, List[List[int]], np.ndarray]:
+    """Greedy-seeded local-search best responses of a group, in broadcasts.
+
+    Returns ``(existing_cost, chosen, candidate_cost)`` in ``members``
+    order: the objective of each member's incumbent wiring, the neighbour
+    ids the search settled on (in slot order), and their objective.
+
+    The search is the one the paper deploys, its "fast approximate
+    version based on local search" (within ~5% of optimal): pick ``k``
+    neighbours greedily by marginal gain, then repeatedly take the best
+    improving single swap of one chosen neighbour for one unchosen
+    candidate, until none improves or ``max_iterations`` passes ran.
+    Ties go to the first candidate in the caller's order, and to the
+    first swap in slot-major order.
+
+    All members share the objective convention (``maximize`` and the
+    disconnection value ``unreachable``), so their via blocks stack into
+    one ``(members x candidates+1 x destinations)`` tensor and every pass
+    — scoring a wiring, each greedy step, each swap pass — is a single
+    broadcast over it.  Widths may differ per member (churned-down
+    engines, sampled joins): member ``d`` occupies the compact prefix of
+    its candidate rows and destination columns, its padded candidates
+    are pre-masked like already-taken ones, and every destination sum
+    reduces over the member's own prefix only.  The last row holds the
+    member's ``fixed`` reduction (the identity without one); short
+    wirings point at it, so every score includes the required links.
+    Costs and tie-breaks are therefore bitwise those of
+    ``tests/reference/scalar_best_response.py``, one ``evaluate`` per
+    trial wiring.
+
+    The evaluator clamps and preference-weights after every selection;
+    the kernel does both to the tensor once, ``W[c, j] = fl(p_j *
+    clamp(via[c, j]))``, and runs each pass as a selection plus a
+    destination sum over ``W``.  That is the same float product per cell
+    whenever the clamp is monotone and ``p >= 0``;
+    :func:`_fold_is_exact` checks exactly that, and a group failing it (a
+    link announced at the disconnection cost, an infinite direct
+    bandwidth) clamps and weights per pass instead.
+    """
+    D = len(members)
+    combine = np.maximum if maximize else np.minimum
+    pick = np.argmax if maximize else np.argmin
+    identity = -np.inf if maximize else np.inf
+
+    # Largest budgets first: the members still seeding at greedy step s
+    # then form a prefix, so per-pass kernels slice views instead of
+    # masking lanes.  Members are independent, so the order is free.
+    budgets = [max(0, min(int(m.k), len(m.hop_ids))) for m in members]
+    order = sorted(range(D), key=lambda i: -budgets[i])
+    group = [members[i] for i in order]
+    ks = np.array([budgets[i] for i in order], dtype=int)
+    hc = np.array([len(m.hop_ids) for m in group], dtype=int)
+    hd = np.array([m.via.shape[1] for m in group], dtype=int)
+    C, T = int(hc.max()), int(hd.max())
+    uniform_width = int(hd.min()) == T
+    # Everything outside a member's compact block is padding: never
+    # selected (pre-masked as taken below) nor summed, but it flows
+    # through the preference multiplies, so it carries 0 — infinite
+    # cells would turn the zero preferences into NaNs.
+    via = np.zeros((D, C + 1, T))
+    prefs = np.zeros((D, T))
+    for d, m in enumerate(group):
+        c, t = m.via.shape
+        via[d, :c, :t] = m.via
+        via[d, C, :t] = identity if m.fixed is None else m.fixed
+        prefs[d, :t] = m.prefs
+    k_max = int(ks.max())
+    d_idx = np.arange(D)
+
+    def reachable(values: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(values)
+        return finite & (values > 0) if maximize else finite
+
+    # --- fold clamp + preferences into the tensor, once ---------------- #
+    # Clamp first, then multiply: a zero preference over an unreachable
+    # cell is 0, not ``0 * inf``.
+    weighted = np.where(reachable(via), via, unreachable)
+    folded = _fold_is_exact(
+        via, weighted, prefs, maximize=maximize, unreachable=unreachable
+    )
+    if folded:
+        weighted *= prefs[:, None, :]
+        via = weighted
+    # What a reduction over no chosen row reads: the fixed links alone.
+    start = via[:, C, :]
+
+    def weigh_(values: np.ndarray, weights: np.ndarray) -> None:
+        """Clamp and preference-weight selected values, in place — unless
+        the fold already did both to the tensor they were selected from."""
+        if not folded:
+            values[~reachable(values)] = unreachable
+            values *= weights
+
+    def dest_sums(values: np.ndarray, lanes: Sequence[int]) -> np.ndarray:
+        """Per-member destination sums over the compact prefixes.
+
+        Row ``a`` of ``values`` belongs to sorted member ``lanes[a]`` and
+        sums its first ``hd`` columns — the very same contiguous value
+        runs its evaluator would reduce, so the pairwise summations agree
+        bit for bit (a fused sum over the zero-padded width would regroup
+        the additions).  With every prefix at full width one fused
+        reduction is row-wise identical.
+        """
+        if uniform_width:
+            return values.sum(axis=-1)
+        out = np.empty(values.shape[:-1])
+        for a, d in enumerate(lanes):
+            out[a] = values[a, ..., : hd[d]].sum(axis=-1)
+        return out
+
+    def wiring_costs(rows: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Objective of one wiring per row: ``rows[a]`` belongs to sorted
+        member ``lanes[a]``, ends in the fixed row ``C`` and pads short
+        wirings with it."""
+        vals = via[lanes[:, None], rows]
+        best = vals.max(axis=1) if maximize else vals.min(axis=1)
+        weigh_(best, prefs[lanes])
+        costs = dest_sums(best, lanes)
+        for a in np.nonzero(rows[:, 0] == C)[0]:
+            d = lanes[a]
+            if group[d].fixed is None:
+                # A node with no link at all is charged the evaluator's
+                # empty cost: the *summed* preferences times the
+                # disconnection value, not the padded reduction above.
+                costs[a] = np.sum(prefs[d, : hd[d]]) * unreachable
+        return costs
+
+    # --- greedy marginal-gain seeding --------------------------------- #
+    # One work tensor serves every greedy step and every swap pass.
+    work = np.empty(D * max(1, k_max) * C * T)
+    running = start.copy()
+    # Padded candidate lanes start out taken: their scores read as the
+    # worst value (the identity), so the argmin/argmax lanes resolve over
+    # each member's real candidates exactly as its evaluator's.
+    taken = np.arange(C)[None, :] >= hc[:, None]
+    # Slot k_max stays the fixed row: every wiring scored includes it.
+    current_rows = np.full((D, k_max + 1), C)
+    for step in range(k_max):
+        live = int(np.count_nonzero(step < ks))  # a prefix: ks sorted desc
+        trial = work[: live * C * T].reshape(live, C, T)
+        combine(running[:live, None, :], via[:live, :C, :], out=trial)
+        weigh_(trial, prefs[:live, None, :])
+        costs = dest_sums(trial, d_idx[:live])
+        costs[taken[:live]] = identity
+        pos = pick(costs, axis=1)
+        sel = d_idx[:live]
+        current_rows[sel, step] = pos
+        taken[sel, pos] = True
+        running[:live] = combine(running[:live], via[sel, pos])
+
+    # --- score the incumbents and the seeds, in one pass -------------- #
+    incumbent_rows = [
+        np.nonzero(np.fromiter(m.incumbent, int)[:, None] == m.hop_ids)[1]
+        for m in group
+    ]
+    width = max(k_max, max(map(len, incumbent_rows))) + 1
+    wirings = np.full((2 * D, width), C)
+    for d, rows in enumerate(incumbent_rows):
+        wirings[d, : len(rows)] = rows
+    wirings[D:, : k_max + 1] = current_rows
+    costs = wiring_costs(wirings, np.concatenate([d_idx, d_idx]))
+    existing_cost, current_cost = costs[:D], costs[D:]
+
+    # --- single-swap local search ------------------------------------- #
+    # Members converge at different speeds, so once some have stopped
+    # each pass gathers the still-active lanes into compact tensors:
+    # every kernel below is member-wise independent, so decisions stay
+    # bitwise identical while late passes stop paying for stopped lanes.
+    caps = np.array([int(m.max_iterations) for m in group])
+    active = (caps > 0) & (ks > 0)
+    beyond_budget = np.arange(k_max)[None, :, None] >= ks[:, None, None]
+    iteration = 0
+    while active.any():
+        act = np.nonzero(active)[0]
+        A = len(act)
+        a_idx = np.arange(A)
+        if A == D:
+            via_a, rows_a = via, current_rows
         else:
-            costs = np.zeros(len(candidates))
-        costs[taken] = sentinel
-        pos = int(pick(costs))
-        taken[pos] = True
-        chosen.append(candidates[pos])
-        if n_dest:
-            running = combine(running, evaluator._via_dest[cand_rows[pos]])
-    return chosen
+            via_a, rows_a = via[act], current_rows[act]
+        # (A, k_max + 1, T): the chosen slots, then the fixed row.
+        cur = via_a[a_idx[:, None], rows_a]
+        # Exact leave-one-out by prefix and suffix selections: slot o's
+        # complement is slots < o combined with slots > o and the fixed row.
+        loo = combine.accumulate(cur[:, :0:-1], axis=1)[:, ::-1].copy()
+        prefix = combine.accumulate(cur[:, : k_max - 1], axis=1)
+        combine(loo[:, 1:], prefix, out=loo[:, 1:])
+        trial = work[: A * k_max * C * T].reshape(A, k_max, C, T)
+        combine(loo[:, :, None, :], via_a[:, None, :C, :], out=trial)
+        weigh_(trial, prefs[act][:, None, None, :])
+        swap = dest_sums(trial, act)
+        np.copyto(swap, identity, where=taken[act][:, None, :])
+        np.copyto(swap, identity, where=beyond_budget[act])
+        flat = swap.reshape(A, k_max * C)
+        pos = pick(flat, axis=1)
+        val = flat[a_idx, pos]
+        improved = (val > current_cost[act]) if maximize else (val < current_cost[act])
+        sel = act[improved]
+        if len(sel):
+            out_slot = pos[improved] // C
+            in_pos = pos[improved] % C
+            taken[sel, current_rows[sel, out_slot]] = False
+            taken[sel, in_pos] = True
+            current_rows[sel, out_slot] = in_pos
+            current_cost[sel] = val[improved]
+        iteration += 1
+        active[:] = False
+        active[sel] = iteration < caps[sel]
+
+    # --- back to the caller's order ----------------------------------- #
+    inverse = np.argsort(order)
+    return (
+        existing_cost[inverse],
+        [group[d].hop_ids[current_rows[d, : ks[d]]].tolist() for d in inverse],
+        current_cost[inverse],
+    )
 
 
 def best_response_local_search(
-    evaluator: WiringEvaluator,
-    k: int,
-    *,
-    rng: SeedLike = None,
-    max_iterations: int = 100,
-    seed_wiring: Optional[Iterable[int]] = None,
-    greedy_seed: bool = True,
+    evaluator: WiringEvaluator, k: int, *, max_iterations: int = 100
 ) -> BestResponseResult:
-    """Approximate best response via single-swap local search.
+    """Approximate best response: :func:`fused_best_response` for one node.
 
-    Starting from a greedy (or supplied) wiring, repeatedly try replacing
-    one chosen neighbour with one unchosen candidate, accepting the best
-    improving swap, until no swap improves the objective or
-    ``max_iterations`` passes are exhausted.  This is the "fast approximate
-    version based on local search" the paper deploys (verified there to be
-    within ~5% of optimal).
-
-    Every pass scores all ``k * (m - k)`` single-swap neighbours in one
-    :meth:`WiringEvaluator.swap_costs` broadcast; ties go to the first
-    swap in out-neighbour-major order.
+    The evaluator's via rows of its non-required candidates and its
+    destination columns, both in the evaluator's order, form the one
+    :class:`Member`; the required links ride along as its ``fixed`` row.
     """
-    rng = as_generator(rng)
+    metric = evaluator.metric
     candidates = [c for c in evaluator.candidates if c not in evaluator.required]
-    k = min(k, len(candidates))
-    evaluations = 0
-
-    if seed_wiring is not None:
-        # Duplicates dropped in first-occurrence order: swap_costs needs a
-        # duplicate-free incumbent.
-        allowed = set(candidates)
-        current = [
-            c for c in _ordered_unique(seed_wiring, evaluator.node) if c in allowed
-        ][:k]
-        # Top up with random candidates if the seed is short.
-        missing = k - len(current)
-        if missing > 0:
-            pool = [c for c in candidates if c not in current]
-            extra = rng.choice(len(pool), size=missing, replace=False) if pool else []
-            current += [pool[i] for i in np.atleast_1d(extra)]
-    elif greedy_seed:
-        current = _greedy_seed(evaluator, k)
-        evaluations += k * max(1, len(candidates))
-    else:
-        idx = rng.choice(len(candidates), size=k, replace=False) if candidates else []
-        current = [candidates[i] for i in np.atleast_1d(idx)]
-
-    current_cost = evaluator.evaluate(current)
-    evaluations += 1
-    maximize = evaluator.metric.maximize
-    sentinel = -np.inf if maximize else np.inf
-
-    for _ in range(int(max_iterations)):
-        if not current or not candidates:
-            break
-        chosen_set = set(current)
-        costs = evaluator.swap_costs(current, candidates)
-        mask = np.fromiter(
-            (c in chosen_set for c in candidates), dtype=bool, count=len(candidates)
-        )
-        costs[:, mask] = sentinel
-        evaluations += len(current) * int(np.count_nonzero(~mask))
-        flat = costs.ravel()
-        pos = int(np.argmax(flat)) if maximize else int(np.argmin(flat))
-        if not evaluator.better(float(flat[pos]), current_cost):
-            break
-        out_node = current[pos // len(candidates)]
-        in_node = candidates[pos % len(candidates)]
-        current = [in_node if c == out_node else c for c in current]
-        current_cost = float(flat[pos])
-
+    via = evaluator._via_dest
+    fixed = None
+    if len(evaluator._required_rows):
+        required = via[evaluator._required_rows]
+        fixed = required.max(axis=0) if metric.maximize else required.min(axis=0)
+    member = Member(
+        via[evaluator._rows_of(candidates)],
+        np.array(candidates, dtype=int),
+        evaluator._dest_prefs,
+        k,
+        (),
+        max_iterations,
+        fixed,
+    )
+    _existing, chosen, cost = fused_best_response(
+        [member], maximize=metric.maximize, unreachable=metric.unreachable_value
+    )
     return BestResponseResult(
         node=evaluator.node,
-        neighbors=frozenset(current) | evaluator.required,
-        cost=float(current_cost),
-        evaluations=evaluations,
+        neighbors=frozenset(chosen[0]) | evaluator.required,
+        cost=float(cost[0]),
         method="local-search",
     )
 
@@ -527,7 +660,6 @@ def best_response(
     k: int,
     *,
     exact_threshold: int = 12,
-    rng: SeedLike = None,
     max_iterations: int = 100,
 ) -> BestResponseResult:
     """Compute a best response, choosing exact vs local search automatically.
@@ -547,9 +679,7 @@ def best_response(
             break
     if n_candidates <= exact_threshold and subsets <= 5000:
         return best_response_exact(evaluator, k)
-    return best_response_local_search(
-        evaluator, k, rng=rng, max_iterations=max_iterations
-    )
+    return best_response_local_search(evaluator, k, max_iterations=max_iterations)
 
 
 def should_rewire(

@@ -164,7 +164,7 @@ class _BuildOwner:
             residual_values=residual,
         )
         rewired = best_response_rewire_step(
-            self.policy, plan.announced, self.k, node, self.wiring, evaluator, self.rng
+            self.policy, plan.announced, self.k, node, self.wiring, evaluator
         )
         if rewired:
             self.nodes[node].wiring = self.wiring.wiring_of(node)

@@ -66,7 +66,7 @@ Wave sizes adapt per deployment: they grow while nothing re-wires
 lookahead the moment a re-wire falsifies the speculative chain.
 
 The re-wiring opportunities themselves run through the one fused kernel,
-:func:`repro.core.lockstep.fused_best_response`, at any membership (it
+:func:`repro.core.best_response.fused_best_response`, at any membership (it
 pads churned-down engines to the group's widest member); only the
 adoption rule — the node's BR(ε), then its owner's adoption tail (an
 engine's weight re-install and link-state broadcast) — lives here.
@@ -97,16 +97,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.churn.models import ChurnSchedule
-from repro.core.best_response import should_rewire
+from repro.core.best_response import Member, fused_best_response, should_rewire
 from repro.core.cheating import CheatingModel
 from repro.core.engine import EgoistEngine, EngineHistory, EpochPlan, EpochRecord
 from repro.core.failures import FailureSpec
 from repro.core.lockstep import (
-    Member,
     batched_route_matrices,
     fill_bandwidth_residuals,
     fusable,
-    fused_best_response,
     wave_cap,
 )
 from repro.core.policies import NeighborSelectionPolicy
@@ -608,8 +606,8 @@ class _LockstepDriver:
         ``group`` pairs each engine's lockstep state with the residual
         route-value matrix of its next node, taken from its mailbox by
         the grouping pass in :meth:`_run_rounds`.  Each becomes a
-        :class:`~repro.core.lockstep.Member`;
-        :func:`~repro.core.lockstep.fused_best_response` scores the whole
+        :class:`~repro.core.best_response.Member`;
+        :func:`~repro.core.best_response.fused_best_response` scores the whole
         group.  The adoption rule is :meth:`EgoistNode.consider_rewiring`'s:
         BR(ε) with the *node's* epsilon (a build's carry the policy's),
         empty-wiring nodes adopting any different wiring; then
@@ -621,11 +619,15 @@ class _LockstepDriver:
             node = st.plan.order[st.plan.pos]
             ids = st.hop_rows(node)
             wiring = st.engine.nodes[node].wiring
+            direct = st.plan.announced.link_weight_row(node)[ids][:, None]
+            if metric.maximize:
+                via = np.minimum(direct, resid[:, ids])
+            else:
+                via = direct + resid[:, ids]
             members.append(
                 Member(
-                    resid,
+                    via,
                     ids,
-                    st.plan.announced.link_weight_row(node)[ids],
                     st.engine.preferences[node, ids],
                     st.engine.k,
                     wiring.neighbors if wiring is not None else (),

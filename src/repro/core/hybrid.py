@@ -20,7 +20,7 @@ from repro.core.cost import Metric
 from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
 
 
@@ -80,7 +80,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         destinations: Optional[Sequence[int]] = None,
         evaluator: Optional[WiringEvaluator] = None,
     ) -> Set[int]:
-        rng = as_generator(rng)
         n = metric.size
         if candidates is None:
             candidates = [j for j in range(n) if j != node]
@@ -108,7 +107,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
             hybrid_evaluator,
             k1,
             exact_threshold=self.exact_threshold,
-            rng=rng,
             max_iterations=self.max_iterations,
         )
         return set(result.neighbors)
@@ -121,7 +119,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
         residual_graph: OverlayGraph,
         *,
         candidates: Optional[Sequence[int]] = None,
-        rng: SeedLike = None,
         preferences: Optional[np.ndarray] = None,
         destinations: Optional[Sequence[int]] = None,
         evaluator: Optional[WiringEvaluator] = None,
@@ -140,7 +137,6 @@ class HybridBRPolicy(NeighborSelectionPolicy):
             metric,
             residual_graph,
             candidates=candidates,
-            rng=rng,
             preferences=preferences,
             destinations=destinations,
             evaluator=evaluator,

@@ -150,7 +150,6 @@ class EgoistNode:
                 metric,
                 residual_graph,
                 candidates=candidates,
-                rng=self.rng,
                 preferences=preferences,
                 destinations=destinations,
                 evaluator=evaluator,

@@ -31,7 +31,6 @@ from repro.core.best_response import (
     BestResponseResult,
     WiringEvaluator,
     best_response,
-    best_response_local_search,
     should_rewire,
 )
 from repro.core.cost import Metric, uniform_preferences
@@ -286,6 +285,8 @@ class BestResponsePolicy(NeighborSelectionPolicy):
         candidate/destination/required sets) skips the multi-source
         route-value sweep of evaluator construction — the engine passes
         the one it already built to score the node's current wiring.
+        ``rng`` is accepted as :meth:`select` accepts it; the search
+        draws nothing.
         """
         if evaluator is None:
             evaluator = WiringEvaluator(
@@ -301,7 +302,6 @@ class BestResponsePolicy(NeighborSelectionPolicy):
             evaluator,
             k,
             exact_threshold=self.exact_threshold,
-            rng=rng,
             max_iterations=self.max_iterations,
         )
 
@@ -324,7 +324,6 @@ class BestResponsePolicy(NeighborSelectionPolicy):
             metric,
             residual_graph,
             candidates=candidates,
-            rng=rng,
             preferences=preferences,
             destinations=destinations,
             evaluator=evaluator,
@@ -492,7 +491,6 @@ def best_response_rewire_step(
     node: int,
     wiring: GlobalWiring,
     evaluator: WiringEvaluator,
-    rng: np.random.Generator,
 ) -> bool:
     """One re-wiring opportunity of best-response dynamics.
 
@@ -501,7 +499,7 @@ def best_response_rewire_step(
     returns whether the node actually re-wired.  The sequential builder
     steps every node with it, the lockstep build every node the fused
     kernel does not replicate — byte identity between the two paths
-    reduces to feeding this step the same evaluator values and RNG state.
+    reduces to feeding this step the same evaluator values.
     """
     current = wiring.wiring_of(node)
     current_cost = evaluator.evaluate(current.neighbors if current else ())
@@ -509,7 +507,6 @@ def best_response_rewire_step(
         evaluator,
         k,
         exact_threshold=policy.exact_threshold,
-        rng=rng,
         max_iterations=policy.max_iterations,
     )
     adopt = current is None or should_rewire(
@@ -548,9 +545,7 @@ def _build_best_response_overlay(
                 preferences=preferences,
                 destinations=[d for d in node_list if d != node],
             )
-            if best_response_rewire_step(
-                policy, metric, k, node, wiring, evaluator, rng
-            ):
+            if best_response_rewire_step(policy, metric, k, node, wiring, evaluator):
                 changed += 1
         if changed == 0:
             break

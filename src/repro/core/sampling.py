@@ -164,7 +164,6 @@ def sampled_best_response(
     sample: Sequence[int],
     *,
     preferences: Optional[np.ndarray] = None,
-    rng: SeedLike = None,
     max_iterations: int = 100,
 ) -> SampledJoinResult:
     """Compute a newcomer's BR restricted to the sampled nodes.
@@ -185,7 +184,7 @@ def sampled_best_response(
         preferences=preferences,
         destinations=sample,
     )
-    result = best_response(evaluator, k, rng=rng, max_iterations=max_iterations)
+    result = best_response(evaluator, k, max_iterations=max_iterations)
     return SampledJoinResult(
         newcomer=newcomer,
         sample=tuple(sample),

@@ -147,9 +147,7 @@ def _run_sampling(session) -> ExperimentResult:
     residual = base.to_graph(active=existing)
 
     # Reference: the newcomer's cost under BR with *no* sampling.
-    reference = sampled_best_response(
-        newcomer, metric, residual, k, existing, rng=rng
-    )
+    reference = sampled_best_response(newcomer, metric, residual, k, existing)
     reference_cost = _newcomer_cost(
         metric, residual, newcomer, sorted(reference.neighbors), existing
     )
@@ -201,9 +199,7 @@ def _run_sampling(session) -> ExperimentResult:
                     metric, residual, newcomer, sorted(chosen), existing
                 )
             # BR with random sampling.
-            br_random = sampled_best_response(
-                newcomer, metric, residual, k, sample, rng=rng
-            )
+            br_random = sampled_best_response(newcomer, metric, residual, k, sample)
             sums["BR"] += _newcomer_cost(
                 metric, residual, newcomer, sorted(br_random.neighbors), existing
             )
@@ -218,9 +214,7 @@ def _run_sampling(session) -> ExperimentResult:
                 candidates=existing,
                 rng=rng,
             )
-            br_biased = sampled_best_response(
-                newcomer, metric, residual, k, biased, rng=rng
-            )
+            br_biased = sampled_best_response(newcomer, metric, residual, k, biased)
             sums["BRtp"] += _newcomer_cost(
                 metric, residual, newcomer, sorted(br_biased.neighbors), existing
             )

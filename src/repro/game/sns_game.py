@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.best_response import WiringEvaluator, best_response
 from repro.core.cost import Metric, uniform_preferences
 from repro.core.wiring import GlobalWiring
-from repro.util.rng import SeedLike
 from repro.util.validation import ValidationError
 
 
@@ -51,13 +50,7 @@ class SNSGame:
             preferences if preferences is not None else uniform_preferences(self.n)
         )
 
-    def player_best_response(
-        self,
-        wiring: GlobalWiring,
-        node: int,
-        *,
-        rng: SeedLike = None,
-    ):
+    def player_best_response(self, wiring: GlobalWiring, node: int):
         """Best response of ``node`` to everyone else's wiring."""
         residual = wiring.residual_graph(node)
         evaluator = WiringEvaluator(
@@ -66,7 +59,7 @@ class SNSGame:
             residual_graph=residual,
             preferences=self.preferences,
         )
-        return evaluator, best_response(evaluator, self.k, rng=rng)
+        return evaluator, best_response(evaluator, self.k)
 
 
 def is_nash_equilibrium(
@@ -74,7 +67,6 @@ def is_nash_equilibrium(
     wiring: GlobalWiring,
     *,
     tolerance: float = 1e-9,
-    rng: SeedLike = None,
 ) -> bool:
     """True if no player can improve its cost by more than ``tolerance``.
 
@@ -83,7 +75,7 @@ def is_nash_equilibrium(
     instances it certifies an *approximate* equilibrium.
     """
     for node in range(game.n):
-        evaluator, result = game.player_best_response(wiring, node, rng=rng)
+        evaluator, result = game.player_best_response(wiring, node)
         current = wiring.wiring_of(node)
         current_cost = evaluator.evaluate(
             current.neighbors if current is not None else ()

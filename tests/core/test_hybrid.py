@@ -44,7 +44,7 @@ class TestHybridBRPolicy:
     def test_select_wiring_marks_donated(self, metric12):
         policy = HybridBRPolicy(k2=2)
         residual = OverlayGraph(12)
-        wiring = policy.select_wiring(0, 5, metric12, residual, rng=0)
+        wiring = policy.select_wiring(0, 5, metric12, residual)
         assert wiring.donated <= wiring.neighbors
         assert len(wiring.donated) == 2
 

@@ -125,7 +125,7 @@ class TestTopologyBiasedSample:
         evaluator = WiringEvaluator(
             newcomer, metric, residual, candidates=existing, destinations=existing
         )
-        reference = sampled_best_response(newcomer, metric, residual, k, existing, rng=rng)
+        reference = sampled_best_response(newcomer, metric, residual, k, existing)
         reference_cost = evaluator.evaluate(reference.neighbors)
         ratio = {}
         for radius in (1, 2, 3):
@@ -143,7 +143,7 @@ class TestTopologyBiasedSample:
                         rng=rng,
                     )
                     join = sampled_best_response(
-                        newcomer, metric, residual, k, sample, rng=rng
+                        newcomer, metric, residual, k, sample
                     )
                     costs.append(evaluator.evaluate(join.neighbors))
                 ratio[radius, oversample] = float(np.mean(costs)) / reference_cost
@@ -158,24 +158,24 @@ class TestSampledBestResponse:
     def test_neighbors_within_sample(self, base_overlay):
         metric, graph, existing = base_overlay
         sample = random_sample(existing, 8, rng=1)
-        result = sampled_best_response(19, metric, graph, 3, sample, rng=0)
+        result = sampled_best_response(19, metric, graph, 3, sample)
         assert result.neighbors <= set(sample)
         assert len(result.neighbors) == 3
 
     def test_empty_sample_rejected(self, base_overlay):
         metric, graph, _existing = base_overlay
         with pytest.raises(ValidationError):
-            sampled_best_response(19, metric, graph, 3, [], rng=0)
+            sampled_best_response(19, metric, graph, 3, [])
 
     def test_full_sample_matches_unsampled_br(self, base_overlay):
         metric, graph, existing = base_overlay
         from repro.core.best_response import best_response
 
-        full = sampled_best_response(19, metric, graph, 3, existing, rng=0)
+        full = sampled_best_response(19, metric, graph, 3, existing)
         evaluator = WiringEvaluator(
             19, metric, graph, candidates=existing, destinations=existing
         )
-        direct = best_response(evaluator, 3, rng=0)
+        direct = best_response(evaluator, 3)
         assert evaluator.evaluate(full.neighbors) == pytest.approx(
             direct.cost, rel=0.05
         )

@@ -27,7 +27,7 @@ class TestGameBasics:
 
     def test_player_best_response_no_worse(self, game8):
         wiring = _random_wiring(game8, 0)
-        evaluator, result = game8.player_best_response(wiring, 0, rng=0)
+        evaluator, result = game8.player_best_response(wiring, 0)
         current_cost = evaluator.evaluate(wiring.wiring_of(0).neighbors)
         assert result.cost <= current_cost + 1e-9
 
@@ -54,11 +54,11 @@ class TestDynamics:
 
     def test_converged_wiring_is_nash(self, game8):
         wiring = _dynamics(game8, 15, 0)
-        assert is_nash_equilibrium(game8, wiring, tolerance=1e-6, rng=0)
+        assert is_nash_equilibrium(game8, wiring, tolerance=1e-6)
 
     def test_random_wiring_usually_not_nash(self, game8):
         wiring = _random_wiring(game8, 3)
-        assert not is_nash_equilibrium(game8, wiring, rng=0)
+        assert not is_nash_equilibrium(game8, wiring)
 
     def test_social_cost_non_increasing_trend(self, game8):
         # Selfish moves need not monotonically improve social cost, but the

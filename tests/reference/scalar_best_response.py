@@ -3,11 +3,11 @@
 The plain per-wiring loops the batched kernels of
 :mod:`repro.core.best_response` replaced: one
 :meth:`WiringEvaluator.evaluate` call per trial wiring, no broadcasts.
-Production code has no such tier any more; it lives here so
-``tests/core/test_vectorized_parity.py`` can hold the kernels to it —
-bitwise-equal costs, identical wirings, tie-breaks and evaluation
-counts.  ``tests/core/test_lockstep.py`` pins the last link of the chain
-(per-node kernels == ``fused_best_response``).
+Production code has no such tier any more; it lives here so the tests
+can hold the kernels to it — bitwise-equal costs, identical wirings and
+tie-breaks: ``tests/core/test_vectorized_parity.py`` the evaluator's
+exact enumeration and local search, ``tests/core/test_lockstep.py`` the
+fused kernel on whole groups.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.best_response import BestResponseResult, WiringEvaluator
 from repro.core.policies import BestResponsePolicy
-from repro.util.rng import SeedLike, as_generator
 
 
 def value_for_destination(
@@ -59,11 +58,9 @@ def scalar_best_response_exact(evaluator: WiringEvaluator, k: int) -> BestRespon
     k = min(k, len(candidates))
     best_set: Tuple[int, ...] = ()
     best_cost: Optional[float] = None
-    evaluations = 0
     # k <= len(candidates), so there is always at least one subset.
     for combo in itertools.combinations(candidates, k):
         cost = evaluator.evaluate(combo)
-        evaluations += 1
         if best_cost is None or evaluator.better(cost, best_cost):
             best_cost = cost
             best_set = combo
@@ -71,7 +68,6 @@ def scalar_best_response_exact(evaluator: WiringEvaluator, k: int) -> BestRespon
         node=evaluator.node,
         neighbors=frozenset(best_set) | evaluator.required,
         cost=float(best_cost),
-        evaluations=evaluations,
         method="exact",
     )
 
@@ -97,32 +93,13 @@ def scalar_greedy_seed(evaluator: WiringEvaluator, k: int) -> List[int]:
 
 
 def scalar_best_response_local_search(
-    evaluator: WiringEvaluator,
-    k: int,
-    *,
-    rng: SeedLike = None,
-    max_iterations: int = 100,
-    greedy_seed: bool = True,
+    evaluator: WiringEvaluator, k: int, *, max_iterations: int = 100
 ) -> BestResponseResult:
-    """Single-swap local search, one ``evaluate`` per trial swap.
-
-    Draws the same RNG values as ``best_response_local_search`` and takes
-    the first best swap in out-neighbour-major order.
-    """
-    rng = as_generator(rng)
+    """Greedy-seeded single-swap local search, one ``evaluate`` per trial
+    swap; takes the first best swap in out-neighbour-major order."""
     candidates = _selfish_candidates(evaluator)
-    k = min(k, len(candidates))
-    evaluations = 0
-
-    if greedy_seed:
-        current = scalar_greedy_seed(evaluator, k)
-        evaluations += k * max(1, len(candidates))
-    else:
-        idx = rng.choice(len(candidates), size=k, replace=False) if candidates else []
-        current = [candidates[i] for i in np.atleast_1d(idx)]
-
+    current = scalar_greedy_seed(evaluator, k)
     current_cost = evaluator.evaluate(current)
-    evaluations += 1
 
     for _ in range(int(max_iterations)):
         if not current or not candidates:
@@ -136,7 +113,6 @@ def scalar_best_response_local_search(
                     continue
                 trial = [in_node if c == out_node else c for c in current]
                 cost = evaluator.evaluate(trial)
-                evaluations += 1
                 if evaluator.better(cost, best_cost):
                     best_cost = cost
                     best_swap = (out_node, in_node)
@@ -150,7 +126,6 @@ def scalar_best_response_local_search(
         node=evaluator.node,
         neighbors=frozenset(current) | evaluator.required,
         cost=float(current_cost),
-        evaluations=evaluations,
         method="local-search",
     )
 
@@ -160,7 +135,6 @@ def scalar_best_response(
     k: int,
     *,
     exact_threshold: int = 12,
-    rng: SeedLike = None,
     max_iterations: int = 100,
 ) -> BestResponseResult:
     """``best_response``'s exact-vs-local-search dispatch over the oracle."""
@@ -173,7 +147,7 @@ def scalar_best_response(
     if n_candidates <= exact_threshold and subsets <= 5000:
         return scalar_best_response_exact(evaluator, k)
     return scalar_best_response_local_search(
-        evaluator, k, rng=rng, max_iterations=max_iterations
+        evaluator, k, max_iterations=max_iterations
     )
 
 
@@ -186,7 +160,7 @@ class ScalarBestResponsePolicy(BestResponsePolicy):
     """
 
     def compute(
-        self, node, k, metric, residual_graph, *, evaluator, rng=None, **_sets
+        self, node, k, metric, residual_graph, *, evaluator, **_sets
     ) -> BestResponseResult:
         # Engine nodes always hand over the evaluator they scored the
         # current wiring on; the candidate/destination sets ride in it.
@@ -194,6 +168,5 @@ class ScalarBestResponsePolicy(BestResponsePolicy):
             evaluator,
             k,
             exact_threshold=self.exact_threshold,
-            rng=rng,
             max_iterations=self.max_iterations,
         )

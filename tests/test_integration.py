@@ -76,6 +76,6 @@ class TestProtocolIntegration:
         sample = topology_biased_sample(
             29, metric, residual, 10, candidates=existing, rng=4
         )
-        join = sampled_best_response(29, metric, residual, 3, sample, rng=4)
+        join = sampled_best_response(29, metric, residual, 3, sample)
         assert len(join.neighbors) == 3
         assert join.neighbors <= set(sample)

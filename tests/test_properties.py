@@ -64,7 +64,7 @@ class TestBestResponseInvariants:
     def test_best_response_never_worse_than_any_single_candidate(self, setup, k):
         metric, residual = setup
         evaluator = WiringEvaluator(0, metric, residual)
-        result = best_response(evaluator, k, rng=0)
+        result = best_response(evaluator, k)
         for candidate in evaluator.candidates[:5]:
             assert result.cost <= evaluator.evaluate({candidate}) + 1e-9
 
@@ -83,7 +83,7 @@ class TestBestResponseInvariants:
     def test_best_response_degree_at_most_k(self, setup, k):
         metric, residual = setup
         evaluator = WiringEvaluator(0, metric, residual)
-        result = best_response(evaluator, k, rng=0)
+        result = best_response(evaluator, k)
         assert len(result.neighbors) <= k
 
     @SETTINGS
