@@ -7,21 +7,3 @@
   stream are sent over disjoint overlay paths to beat delay jitter and
   loss (Fig. 11).
 """
-
-from repro.apps.multipath import (
-    MultipathPlan,
-    MultipathTransferApp,
-)
-from repro.apps.realtime import (
-    RealTimeRedirectionApp,
-    StreamPlan,
-    disjoint_path_count,
-)
-
-__all__ = [
-    "MultipathPlan",
-    "MultipathTransferApp",
-    "RealTimeRedirectionApp",
-    "StreamPlan",
-    "disjoint_path_count",
-]

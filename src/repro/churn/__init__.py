@@ -8,26 +8,8 @@ overlay, the paper switches from routing cost to the *Efficiency* metric
 rate as the time-normalised fraction of membership change per event.
 """
 
-from repro.churn.models import (
-    ChurnEvent,
-    ChurnSchedule,
-    OnOffSession,
-    parametrized_churn,
-    trace_driven_churn,
-)
-from repro.churn.metrics import (
-    churn_rate,
-    efficiency_matrix,
-    overlay_efficiency,
-)
+from repro.churn.metrics import churn_rate
 
 __all__ = [
-    "ChurnEvent",
-    "ChurnSchedule",
-    "OnOffSession",
-    "parametrized_churn",
-    "trace_driven_churn",
     "churn_rate",
-    "efficiency_matrix",
-    "overlay_efficiency",
 ]

@@ -71,122 +71,37 @@ under: while that token stands the node's best response is known to be
 n adoption tails.
 """
 
-from repro.core.wiring import GlobalWiring, Wiring
-from repro.core.cost import (
-    BandwidthMetric,
-    DelayMetric,
-    Metric,
-    NodeLoadMetric,
-    normalize_preferences,
-    uniform_preferences,
-    zipf_preferences,
-)
-from repro.core.best_response import (
-    BestResponseResult,
-    WiringEvaluator,
-    best_response,
-    best_response_exact,
-    best_response_local_search,
-    should_rewire,
-)
+from repro.core.best_response import best_response
 from repro.core.policies import (
     BestResponsePolicy,
     FullMeshPolicy,
     KClosestPolicy,
     KRandomPolicy,
     KRegularPolicy,
-    NeighborSelectionPolicy,
-    STANDARD_POLICIES,
-    build_overlay,
-    enforce_connectivity_cycle,
 )
-from repro.core.backbone import backbone_links, backbone_offsets, is_backbone_connected
 from repro.core.hybrid import HybridBRPolicy
-from repro.core.sampling import (
-    SampledJoinResult,
-    bias_rank,
-    neighborhood,
-    random_sample,
-    sampled_best_response,
-    topology_biased_sample,
-)
-from repro.core.cheating import CheatingModel
-from repro.core.bootstrap import BootstrapServer
-from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
 from repro.core.route_cache import ResidualRouteCache, metric_fingerprint
-from repro.core.node import EgoistNode, RewireDecision
 from repro.core.providers import (
     BandwidthMetricProvider,
     DelayMetricProvider,
     LoadMetricProvider,
-    MetricProvider,
 )
-from repro.core.engine import EgoistEngine, EngineHistory, EpochPlan, EpochRecord
-from repro.core.engine_batch import EngineBatch, EngineSpec
-from repro.core.overhead import (
-    OverheadReport,
-    coordinate_measurement_rate_bps,
-    linkstate_rate_bps,
-    overhead_report,
-    ping_measurement_rate_bps,
-)
+from repro.core.engine import EgoistEngine, EngineHistory, EpochRecord
 
 __all__ = [
-    "GlobalWiring",
-    "Wiring",
-    "BandwidthMetric",
-    "DelayMetric",
-    "Metric",
-    "NodeLoadMetric",
-    "normalize_preferences",
-    "uniform_preferences",
-    "zipf_preferences",
-    "BestResponseResult",
-    "WiringEvaluator",
     "best_response",
-    "best_response_exact",
-    "best_response_local_search",
-    "should_rewire",
     "BestResponsePolicy",
     "FullMeshPolicy",
     "KClosestPolicy",
     "KRandomPolicy",
     "KRegularPolicy",
-    "NeighborSelectionPolicy",
-    "STANDARD_POLICIES",
-    "build_overlay",
-    "enforce_connectivity_cycle",
-    "backbone_links",
-    "backbone_offsets",
-    "is_backbone_connected",
     "HybridBRPolicy",
-    "SampledJoinResult",
-    "bias_rank",
-    "neighborhood",
-    "random_sample",
-    "sampled_best_response",
-    "topology_biased_sample",
-    "CheatingModel",
-    "BootstrapServer",
-    "DeploymentBatch",
-    "DeploymentSpec",
     "ResidualRouteCache",
     "metric_fingerprint",
-    "EgoistNode",
-    "RewireDecision",
     "BandwidthMetricProvider",
     "DelayMetricProvider",
     "LoadMetricProvider",
-    "MetricProvider",
     "EgoistEngine",
-    "EngineBatch",
     "EngineHistory",
-    "EngineSpec",
-    "EpochPlan",
     "EpochRecord",
-    "OverheadReport",
-    "coordinate_measurement_rate_bps",
-    "linkstate_rate_bps",
-    "overhead_report",
-    "ping_measurement_rate_bps",
 ]

@@ -8,7 +8,3 @@ Best-response dynamics themselves are
 :func:`repro.core.policies.build_overlay` under a
 :class:`~repro.core.policies.BestResponsePolicy`.
 """
-
-from repro.game.sns_game import SNSGame, is_nash_equilibrium
-
-__all__ = ["SNSGame", "is_nash_equilibrium"]

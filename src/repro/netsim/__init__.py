@@ -12,36 +12,3 @@ the testbed with a simulator that provides the same observable quantities:
 * an autonomous-system / multihoming model used by the multipath transfer
   application (:mod:`repro.netsim.autonomous_systems`).
 """
-
-from repro.netsim.delayspace import DelaySpace
-from repro.netsim.planetlab import (
-    PlanetLabNode,
-    Region,
-    synthetic_planetlab,
-    synthetic_planetlab_trace,
-)
-from repro.netsim.topology import (
-    barabasi_albert_underlay,
-    delay_matrix_from_underlay,
-    waxman_underlay,
-)
-from repro.netsim.bandwidth import BandwidthModel
-from repro.netsim.load import NodeLoadModel
-from repro.netsim.coordinates import VivaldiCoordinateSystem
-from repro.netsim.autonomous_systems import ASTopology, PeeringLink
-
-__all__ = [
-    "DelaySpace",
-    "PlanetLabNode",
-    "Region",
-    "synthetic_planetlab",
-    "synthetic_planetlab_trace",
-    "barabasi_albert_underlay",
-    "delay_matrix_from_underlay",
-    "waxman_underlay",
-    "BandwidthModel",
-    "NodeLoadModel",
-    "VivaldiCoordinateSystem",
-    "ASTopology",
-    "PeeringLink",
-]

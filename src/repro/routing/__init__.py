@@ -18,34 +18,10 @@ metric) routes are computed over that graph.
   by the real-time application (Fig. 11).
 """
 
-from repro.routing.graph import OverlayGraph
-from repro.routing.messages import LinkStateAnnouncement, announcement_size_bits
-from repro.routing.linkstate import LinkStateProtocol
-from repro.routing.shortest_path import (
-    all_pairs_shortest_costs,
-    shortest_path,
-    shortest_path_costs_from,
-    shortest_path_tree,
-)
-from repro.routing.widest_path import (
-    all_pairs_widest_bandwidth,
-    widest_path,
-    widest_path_bandwidths_from,
-)
-from repro.routing.disjoint import count_disjoint_paths, disjoint_paths
+from repro.routing.shortest_path import shortest_path
+from repro.routing.widest_path import widest_path
 
 __all__ = [
-    "OverlayGraph",
-    "LinkStateAnnouncement",
-    "announcement_size_bits",
-    "LinkStateProtocol",
-    "all_pairs_shortest_costs",
     "shortest_path",
-    "shortest_path_costs_from",
-    "shortest_path_tree",
-    "all_pairs_widest_bandwidth",
     "widest_path",
-    "widest_path_bandwidths_from",
-    "count_disjoint_paths",
-    "disjoint_paths",
 ]

@@ -23,37 +23,29 @@ Quick use::
 """
 
 from repro.scenario.spec import (
-    METRIC_FAMILIES,
     CheatingSpec,
     ChurnSpec,
     ScenarioSpec,
     parse_policy,
     policy_label,
 )
-from repro.scenario.lifecycle import MUTATION_KINDS, Mutation, Session
+from repro.scenario.lifecycle import Session
 from repro.scenario.session import SimulationSession, run_spec
 from repro.scenario.registry import (
-    ScenarioDefinition,
     default_spec,
-    register_scenario,
     resolve,
     scenario_names,
 )
 
 __all__ = [
-    "METRIC_FAMILIES",
-    "MUTATION_KINDS",
     "CheatingSpec",
     "ChurnSpec",
-    "Mutation",
     "ScenarioSpec",
-    "ScenarioDefinition",
     "Session",
     "SimulationSession",
     "default_spec",
     "parse_policy",
     "policy_label",
-    "register_scenario",
     "resolve",
     "run_spec",
     "scenario_names",

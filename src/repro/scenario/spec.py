@@ -381,9 +381,21 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
-        """Read a spec from a JSON file."""
-        with open(path) as handle:
-            return cls.from_json(handle.read())
+        """Read a spec from a JSON file.
+
+        Every failure is a :class:`ValidationError` naming the file (and,
+        for an invalid spec, the field), so the CLI's exit-2 line says
+        what to fix where.
+        """
+        try:
+            with open(path) as handle:
+                return cls.from_json(handle.read())
+        except OSError as error:
+            raise ValidationError(f"cannot read spec file {path!r}: {error}")
+        except json.JSONDecodeError as error:
+            raise ValidationError(f"spec file {path!r} is not valid JSON: {error}")
+        except ValidationError as error:
+            raise ValidationError(f"spec file {path!r}: {error}")
 
     # ------------------------------------------------------------------ #
     # Convenience

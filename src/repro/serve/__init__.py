@@ -9,9 +9,12 @@ newline-delimited JSON protocol over a local socket:
 * :mod:`~repro.serve.protocol` — the wire format (ops, framing, errors);
 * :mod:`~repro.serve.service` — the synchronous core: version-stamped
   route lookups read from the committed epoch's route matrix (each
-  served value's JSON token built once per epoch), mutation queueing, the
-  replayable JSONL mutation log, idempotent mutation/step handling, and
-  crash recovery (``OverlayService.recover``);
+  served value's JSON token built once per epoch), mutation queueing,
+  and idempotent mutation/step handling;
+* :mod:`~repro.serve.durable` — the service's durable state: the
+  replayable JSONL mutation log and its segment headers, periodic
+  checkpoints and their retention, the dedupe and epoch-digest windows,
+  and crash recovery (``OverlayService.recover``);
 * :mod:`~repro.serve.oplog` — segmented crash-tolerant log I/O
   (fsynced appends, checkpoint-anchored rotation, torn-tail repair);
 * :mod:`~repro.serve.checkpoint` — atomic digest-verified session
@@ -27,57 +30,14 @@ newline-delimited JSON protocol over a local socket:
   log(-chain) replay through the batch engine (``repro serve-replay``),
   whose fold recovery runs too;
 * :mod:`~repro.serve.chaos` — the ``repro chaos`` SIGKILL harness
-  proving zero acknowledged loss and digest parity under crashes.
+  proving zero acknowledged loss and digest parity under crashes;
+* :mod:`~repro.serve.cli` — the ``serve``, ``chaos``, ``serve-load`` and
+  ``serve-replay`` verbs.
+
+The package re-exports nothing, so importing a submodule (the CLI loads
+:mod:`~repro.serve.cli`) does not load the asyncio/orjson stack.
 
 The service is a scheduler around the existing epoch kernels, never a
 second engine: everything it serves is reproducible offline from its
 mutation log.
 """
-
-from repro.serve.chaos import ChaosReport, ChaosScenario, run_chaos
-from repro.serve.checkpoint import CheckpointManager, CheckpointState
-from repro.serve.client import RetryBudgetExceeded, ServeClient
-from repro.serve.load import LoadReport, TRAFFIC_MODELS, format_summary, run_load
-from repro.serve.oplog import LogWriter, read_segment
-from repro.serve.protocol import OPS, PROTOCOL_VERSION, ProtocolError
-from repro.serve.replay import ReplayResult, replay_log
-from repro.serve.server import OverlayServer, run_server, start_background_server
-from repro.serve.service import (
-    LOG_SCHEMA_VERSION,
-    OverlayService,
-    RecoveryError,
-    RecoveryReport,
-    ServeError,
-)
-from repro.serve.supervise import Supervisor, SupervisorReport
-
-__all__ = [
-    "ChaosReport",
-    "ChaosScenario",
-    "CheckpointManager",
-    "CheckpointState",
-    "LOG_SCHEMA_VERSION",
-    "LoadReport",
-    "LogWriter",
-    "OPS",
-    "OverlayServer",
-    "OverlayService",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RecoveryError",
-    "RecoveryReport",
-    "ReplayResult",
-    "RetryBudgetExceeded",
-    "ServeClient",
-    "ServeError",
-    "Supervisor",
-    "SupervisorReport",
-    "TRAFFIC_MODELS",
-    "format_summary",
-    "read_segment",
-    "replay_log",
-    "run_chaos",
-    "run_load",
-    "run_server",
-    "start_background_server",
-]

@@ -121,13 +121,19 @@ def run_load(
     With ``mutate`` set, the mutation is enqueued roughly halfway through
     the run and (by default) committed with a ``step`` — so the workload
     spans a live overlay change, which is the point of the service.
+    A server that cannot be reached is a :class:`ValidationError`
+    naming the address.
     """
     if lookups < 1:
         raise ValidationError("lookups must be at least 1")
     if batch_size < 1:
         raise ValidationError("batch_size must be at least 1")
     rng = as_generator(seed)
-    client = ServeClient(host=host, port=port, socket_path=socket_path)
+    try:
+        client = ServeClient(host=host, port=port, socket_path=socket_path)
+    except OSError as error:
+        address = socket_path if socket_path is not None else f"{host}:{port}"
+        raise ValidationError(f"cannot connect to {address}: {error}") from error
     try:
         snapshot = client.snapshot()
         n = int(snapshot["scenario"]["n"])

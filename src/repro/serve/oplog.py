@@ -167,24 +167,16 @@ class LogWriter:
     Every :meth:`append` flushes and fsyncs before returning: an entry
     the caller acted on (acknowledged a mutation, served an epoch) is on
     disk, and the worst a SIGKILL can leave behind is a torn final line
-    that :func:`read_segment` repairs.  ``fsync=False`` turns the sync
-    off for tests that measure something else.
+    that :func:`read_segment` repairs.
     """
 
-    def __init__(self, path: str, *, segment: int = 0, fsync: bool = True):
+    def __init__(self, path: str, *, segment: int = 0):
         self.path = path
         self.segment = int(segment)
-        self._fsync = bool(fsync)
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._handle = open(path, "a")
-        #: Entries appended to the current segment by this writer.
-        self.appended = 0
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
 
     def append(self, entry: Dict[str, object]) -> None:
         """Durably append one entry (strict JSON, one line)."""
@@ -193,9 +185,7 @@ class LogWriter:
         json.dump(entry, self._handle, separators=(",", ":"), allow_nan=False)
         self._handle.write("\n")
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-        self.appended += 1
+        os.fsync(self._handle.fileno())
 
     def rotate(self, header: Dict[str, object]) -> str:
         """Archive the current segment and start the next one.
@@ -210,22 +200,19 @@ class LogWriter:
             raise ValidationError("the mutation log is closed")
         archived = segment_path(self.path, self.segment)
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self._handle.close()
         os.replace(self.path, archived)
         _fsync_dir(os.path.dirname(self.path) or ".")
         self.segment += 1
         self._handle = open(self.path, "a")
-        self.appended = 0
         self.append(header)
         return archived
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
 

@@ -9,7 +9,7 @@ a fresh batch session must reproduce every served epoch byte-for-byte.
 each replayed epoch against the digest the live service recorded.
 
 This module is the log's only reader.  :func:`replay_log` and
-:meth:`OverlayService.recover <repro.serve.service.OverlayService.recover>`
+:meth:`DurableState.recover <repro.serve.durable.DurableState.recover>`
 are both compositions of :func:`check_header`, the one fold
 :func:`fold_segment`, the checkpoint-anchor loader :func:`load_anchor`
 and :func:`replay_chain`.
@@ -25,7 +25,7 @@ from.  Replay handles both shapes:
   the current segment's header names instead, replaying only the
   suffix — the bounded-recovery parity check;
 * a torn final line (crash mid-append) is tolerated exactly the way
-  :meth:`OverlayService.recover` tolerates it: reported and skipped via
+  recovery tolerates it: reported and skipped via
   :func:`repro.serve.oplog.read_segment`, never a crash in
   ``json.loads``.
 """

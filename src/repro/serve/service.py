@@ -36,23 +36,9 @@ into an answer — they only apply inside the next ``begin_epoch``.
 
 Crash safety
 ------------
-Sessions are byte-deterministic, which makes recovery cheap:
-"checkpoint + bounded log-suffix replay, digest-verified".
-
-* Every log append is fsynced before the caller acts on it, so an
-  *acknowledged* mutation is on disk before its ack leaves the process.
-* With a :class:`~repro.serve.checkpoint.CheckpointManager` attached,
-  every ``checkpoint_every`` epochs the service atomically snapshots the
-  session (pickled engines — bit-exact RNG state), seals the current
-  log segment, and starts a fresh one anchored at that checkpoint — so
-  :meth:`recover` replays at most one checkpoint interval.
-* Mutations carry optional client **idempotency keys**; a bounded
-  server-side dedupe window (checkpointed, and rebuilt from the log
-  suffix on recovery) makes a retried mutation apply exactly once, even
-  across a crash between the ack and the retry.
-* :meth:`step` accepts the client's expected epoch count and answers a
-  duplicate request (a retry of a step whose ack was lost in a crash)
-  with the already-committed epoch's digest instead of advancing again.
+The log, checkpoints, the retry windows and crash recovery are
+:class:`~repro.serve.durable.DurableState`'s.  The service calls into it
+at each durable moment and acks a mutation only once its entry is fsynced.
 
 Replay parity
 -------------
@@ -61,19 +47,12 @@ second engine: ``tick`` is exactly one :meth:`Session.step`.  Replaying
 the mutation log through a fresh batch Session (``repro serve-replay``)
 therefore reproduces every served epoch byte-identically, which the log
 digests assert — and :meth:`recover` uses the same digests to verify a
-restored checkpoint before accepting connections.  The service writes
-the log; it never interprets it: :meth:`recover` reads it through
-:mod:`repro.serve.replay`'s one fold
-(:func:`~repro.serve.replay.fold_segment`), the same code
-``repro serve-replay`` runs.
+restored checkpoint before accepting connections.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,30 +63,10 @@ from repro.routing.shortest_path import shortest_path
 from repro.routing.widest_path import widest_path
 from repro.scenario.lifecycle import Mutation, Session
 from repro.scenario.spec import ScenarioSpec
-from repro.serve.checkpoint import CheckpointManager
-from repro.serve.oplog import (
-    LOG_SCHEMA_VERSION,
-    LogWriter,
-    compact_segments,
-    read_segment,
-    segment_path,
-)
+from repro.serve.durable import DEDUPE_WINDOW, DurableState, RecoveryReport
 from repro.serve.protocol import EncodedValues
-from repro.serve.replay import (
-    ReplayResult,
-    check_header,
-    fold_segment,
-    load_anchor,
-    replay_chain,
-)
 from repro.telemetry import runtime as telemetry
 from repro.util.validation import ValidationError
-
-#: Idempotency keys remembered for mutation dedupe (FIFO window).
-DEDUPE_WINDOW = 1024
-
-#: Recent epoch digests kept for idempotent ``step`` replies.
-EPOCH_DIGEST_WINDOW = 128
 
 
 class ServeError(ValidationError):
@@ -118,75 +77,6 @@ class ServeError(ValidationError):
         self.code = code
 
 
-class RecoveryError(ValidationError):
-    """Recovery could not restore a state consistent with the log."""
-
-
-@dataclass
-class RecoveryReport:
-    """What one :meth:`OverlayService.recover` run did."""
-
-    #: Checkpoint file the session was restored from (None = replayed
-    #: from scratch, either a fresh segment-0 log or the archived chain).
-    checkpoint: Optional[str]
-    #: Epochs already inside the restored starting state.
-    checkpoint_epochs: int
-    #: Epochs replayed from the crashed segment's suffix.
-    replayed_epochs: int
-    #: Mutations re-enqueued (committed ones replay inside their epochs).
-    replayed_mutations: int
-    #: Bytes of torn (crash-interrupted) final line truncated away.
-    torn_tail_bytes: int
-    #: Sidecar file preserving the torn tail, when one was written.
-    sidecar: Optional[str]
-    #: Epochs live after recovery.
-    epochs_completed: int
-    #: Log segment index recovery resumed writing into.
-    segment: int
-    #: The service's checkpoint interval (0 = checkpointing off).
-    checkpoint_every: int
-    #: Why the checkpoint the log header names was unusable (the state
-    #: was then rebuilt from the archived chain).
-    skipped_checkpoints: List[str] = field(default_factory=list)
-    #: True when the crashed segment was sealed (clean-shutdown restart).
-    was_sealed: bool = False
-
-    @property
-    def bounded(self) -> bool:
-        """Did recovery replay at most one checkpoint interval?"""
-        if self.checkpoint_every <= 0:
-            return self.checkpoint is None and self.segment <= 1
-        return self.replayed_epochs <= self.checkpoint_every
-
-    def summary(self) -> str:
-        """The machine-greppable recovery line CI latches onto."""
-        return (
-            f"RECOVERY checkpoint={self.checkpoint or 'none'} "
-            f"checkpoint_epochs={self.checkpoint_epochs} "
-            f"replayed_epochs={self.replayed_epochs} "
-            f"replayed_mutations={self.replayed_mutations} "
-            f"torn_tail={self.torn_tail_bytes} "
-            f"epochs={self.epochs_completed} segment={self.segment} "
-            f"bounded={'yes' if self.bounded else 'NO'}"
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "checkpoint": self.checkpoint,
-            "checkpoint_epochs": self.checkpoint_epochs,
-            "replayed_epochs": self.replayed_epochs,
-            "replayed_mutations": self.replayed_mutations,
-            "torn_tail_bytes": self.torn_tail_bytes,
-            "sidecar": self.sidecar,
-            "epochs_completed": self.epochs_completed,
-            "segment": self.segment,
-            "checkpoint_every": self.checkpoint_every,
-            "bounded": self.bounded,
-            "was_sealed": self.was_sealed,
-            "skipped_checkpoints": list(self.skipped_checkpoints),
-        }
-
-
 class OverlayService:
     """Serve lookups and session mutations over one live Session.
 
@@ -194,23 +84,9 @@ class OverlayService:
     ----------
     spec:
         The scenario to hold live (one engine per (policy, k) cell).
-    log_path:
-        Optional mutation-log path (JSONL, append-only, fsynced per
-        entry).  Without it the service keeps no log and cannot be
-        replayed or recovered.
-    checkpoint_dir:
-        Directory for atomic session checkpoints (requires
-        ``log_path``).  Enables bounded-replay recovery.
-    checkpoint_every:
-        Checkpoint (and rotate the log) every this many epochs; 0
-        disables periodic checkpoints even with a directory attached.
-    keep_checkpoints:
-        Retain only the newest N checkpoints and compact away log
-        segments older than the oldest retained one; 0 keeps everything
-        (so ``serve-replay`` can always replay the full history).
-
-    Idempotency keys for exactly-once mutation retries are remembered in
-    a FIFO window of :data:`DEDUPE_WINDOW` keys.
+    log_path, checkpoint_dir, checkpoint_every, keep_checkpoints:
+        The mutation log and checkpoint policy, handed to
+        :class:`~repro.serve.durable.DurableState` (see there).
     """
 
     def __init__(
@@ -221,16 +97,21 @@ class OverlayService:
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 0,
         keep_checkpoints: int = 0,
-        _restore: Optional[Dict[str, object]] = None,
     ):
-        if checkpoint_dir is not None and log_path is None:
-            raise ValidationError(
-                "checkpoint_dir requires log_path: checkpoints anchor log "
-                "segments, there is nothing to anchor without a log"
-            )
-        self.spec = spec
-        self.checkpoint_every = max(0, int(checkpoint_every))
-        self.keep_checkpoints = max(0, int(keep_checkpoints))
+        self.durable = DurableState(
+            spec,
+            log_path=log_path,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            keep_checkpoints=keep_checkpoints,
+        )
+        self._start(Session.open(spec))
+        self.durable.open(self.session)
+
+    def _start(self, session: Session) -> None:
+        """Hold ``session`` live (``self.durable`` is already set)."""
+        self.spec = self.durable.spec
+        self.session = session
         self.closed = False
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []
         #: Per-label overlay graphs of the committed epoch (``want_path``).
@@ -239,10 +120,6 @@ class OverlayService:
         #: they were read from (checked by identity), the ``(n, n)``
         #: token table and its filled mask (``lookup_batch``).
         self._tokens: Dict[str, Tuple[object, np.ndarray, np.ndarray]] = {}
-        #: Idempotency-key dedupe window: key -> applied_epoch (FIFO).
-        self._dedupe: "OrderedDict[str, int]" = OrderedDict()
-        #: Recent committed-epoch digests for idempotent ``step`` replies.
-        self._epoch_digests: "OrderedDict[int, str]" = OrderedDict()
         self.counters: Dict[str, int] = {
             "lookups": 0,
             # Vestigial (0, 0, == lookups): bench/serve_workloads.py indexes
@@ -253,50 +130,47 @@ class OverlayService:
             "mutations": 0,
             "epochs": 0,
             "checkpoints": 0,
-            "recoveries": 0,
+            "recoveries": 0 if self.last_recovery is None else 1,
             "retries": 0,
             "shed": 0,
             "internal_errors": 0,
         }
-        self.last_recovery: Optional[RecoveryReport] = None
-        self._checkpoints = (
-            CheckpointManager(checkpoint_dir) if checkpoint_dir is not None else None
-        )
         registry = telemetry.metrics()
         if registry is not None:
             # Snapshot-time folding, like the route caches: the service
             # keeps bumping its plain-int counters and the registry reads
             # them (prefixed ``serve.``) whenever someone snapshots.
             registry.register_collector(self._collect_counters)
-        segment, resumed_from = 0, None
-        if _restore is None:
-            self.session = Session.open(spec)
-        else:
-            # recover(): continue the rebuilt state in the next segment,
-            # anchored on a fresh checkpoint of it.
-            self.session: Session = _restore["session"]
-            self._dedupe.update(_restore["dedupe"])
-            self._epoch_digests.update(_restore["epoch_digests"])
-            self.last_recovery = _restore["report"]
-            self.counters["recoveries"] = 1
-            segment = self.last_recovery.segment
-            resumed_from = self._snapshot(segment)
-        self._log = LogWriter(log_path, segment=segment) if log_path else None
-        if self._log is not None:
-            self._log.append(self._header(segment=segment, resumed_from=resumed_from))
 
-    def _header(
-        self, *, segment: int, resumed_from: Optional[Dict[str, object]]
-    ) -> Dict[str, object]:
-        header: Dict[str, object] = {
-            "kind": "open",
-            "schema": LOG_SCHEMA_VERSION,
-            "spec": self.spec.to_dict(),
-            "segment": int(segment),
-        }
-        if resumed_from is not None:
-            header["resumed_from"] = resumed_from
-        return header
+    @property
+    def last_recovery(self) -> Optional[RecoveryReport]:
+        """What :meth:`recover` did (None for a fresh service)."""
+        return self.durable.last_recovery
+
+    @classmethod
+    def recover(
+        cls,
+        log_path: str,
+        *,
+        checkpoint_dir: Optional[str] = None,
+        checkpoint_every: int = 0,
+        keep_checkpoints: int = 0,
+    ) -> "OverlayService":
+        """Restore a service from its mutation log (and checkpoints).
+
+        See :meth:`repro.serve.durable.DurableState.recover`;
+        :attr:`last_recovery` reports what happened.
+        """
+        with telemetry.span("serve.recovery"):
+            service = cls.__new__(cls)
+            service.durable, session = DurableState.recover(
+                log_path,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=checkpoint_every,
+                keep_checkpoints=keep_checkpoints,
+            )
+            service._start(session)
+            return service
 
     # ------------------------------------------------------------------ #
     # Epoch scheduling
@@ -318,9 +192,9 @@ class OverlayService:
         epoch = self.session.epochs_completed - 1
         digest = epoch_record_digest(records)
         self.counters["epochs"] += 1
-        self._remember_digest(epoch, digest)
-        self._log_entry({"kind": "epoch", "epoch": epoch, "digest": digest})
-        self._maybe_checkpoint()
+        self.durable.commit_epoch(epoch, digest)
+        if self.durable.checkpoint_due(self.session.epochs_completed):
+            self.write_checkpoint()
         payload: Dict[str, object] = {
             "event": "epoch",
             "epoch": epoch,
@@ -358,7 +232,7 @@ class OverlayService:
         if expect == done:
             return self.tick()
         if expect == done - 1:
-            digest = self._epoch_digests.get(done - 1)
+            digest = self.durable.epoch_digests.get(done - 1)
             if digest is None:  # pragma: no cover - window exceeded
                 raise ServeError(
                     "epoch-mismatch",
@@ -389,196 +263,19 @@ class OverlayService:
         except ValueError:
             pass
 
-    # ------------------------------------------------------------------ #
-    # Checkpoints
-    # ------------------------------------------------------------------ #
-    def _remember_digest(self, epoch: int, digest: str) -> None:
-        self._epoch_digests[epoch] = digest
-        while len(self._epoch_digests) > EPOCH_DIGEST_WINDOW:
-            self._epoch_digests.popitem(last=False)
-
-    def _maybe_checkpoint(self) -> None:
-        if (
-            self._checkpoints is None
-            or self.checkpoint_every <= 0
-            or self.session.epochs_completed % self.checkpoint_every != 0
-        ):
-            return
-        self.write_checkpoint()
-
     def write_checkpoint(self) -> Optional[str]:
-        """Snapshot the session now and rotate the log onto it.
+        """Snapshot the session and rotate the log; the checkpoint's name.
 
-        The checkpoint anchors the *next* segment: its envelope records
-        the state at the segment boundary, the sealed segment ends with
-        a ``checkpoint`` entry naming it, and the fresh segment's header
-        resumes from it — so recovery of the fresh segment replays only
-        entries after this point.  Returns the checkpoint file name
-        (None when the service has no checkpoint manager).
+        None without a checkpoint directory (see
+        :meth:`repro.serve.durable.DurableState.write_checkpoint`).
         """
         self._check_open()
-        if self._checkpoints is None or self._log is None:
-            return None
-        with telemetry.span(
-            "serve.checkpoint", epochs=self.session.epochs_completed
-        ):
-            next_segment = self._log.segment + 1
-            resumed_from = self._snapshot(next_segment)
-            name = resumed_from["checkpoint"]
-            self._log.append(
-                {
-                    "kind": "checkpoint",
-                    "epochs_completed": self.session.epochs_completed,
-                    "file": name,
-                }
-            )
-            self._log.rotate(
-                self._header(segment=next_segment, resumed_from=resumed_from)
-            )
+        name = self.durable.write_checkpoint(self.session)
+        if name is not None:
             # Surfaced through the registry by the counter collector —
             # no telemetry.count here, which would double-report it.
             self.counters["checkpoints"] += 1
-            self._compact()
         return name
-
-    def _snapshot(self, segment: int) -> Dict[str, object]:
-        """Checkpoint the session as the anchor of log ``segment``.
-
-        Returns the segment header's ``resumed_from`` (naming no
-        checkpoint when the service has no checkpoint manager).
-        """
-        name = None
-        if self._checkpoints is not None:
-            name = self._checkpoints.write(
-                self.session,
-                spec=self.spec.to_dict(),
-                epochs_completed=self.session.epochs_completed,
-                segment=segment,
-                epoch_digests=dict(self._epoch_digests),
-                dedupe=dict(self._dedupe),
-            )
-        return {"checkpoint": name, "epochs_completed": self.session.epochs_completed}
-
-    def _compact(self) -> None:
-        """Apply the retention policy after a successful checkpoint."""
-        if self.keep_checkpoints <= 0 or self._checkpoints is None:
-            return
-        self._checkpoints.prune(self.keep_checkpoints)
-        oldest = self._checkpoints.oldest_segment()
-        if oldest is not None and self._log is not None:
-            compact_segments(self._log.path, keep_from=oldest - 1)
-
-    # ------------------------------------------------------------------ #
-    # Recovery
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def recover(
-        cls,
-        log_path: str,
-        *,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 0,
-        keep_checkpoints: int = 0,
-    ) -> "OverlayService":
-        """Restore a service from its mutation log (and checkpoints).
-
-        Every log read goes through :mod:`repro.serve.replay`: the live
-        segment is read (a torn final line repaired into a ``.corrupt``
-        sidecar) and its header checked; the state it resumes from is
-        the checkpoint the header names (:func:`load_anchor`), or, when
-        that one is unusable, a replay of the archived chain
-        (:func:`replay_chain`); the segment's suffix then runs through
-        :func:`fold_segment`, and a digest mismatch aborts recovery
-        rather than serving diverged state.  The crashed segment is
-        archived and the service continues in the next one, anchored on
-        a fresh checkpoint.  :attr:`last_recovery` reports what happened;
-        its ``bounded`` flag asserts the replay never exceeded one
-        checkpoint interval.
-        """
-        with telemetry.span("serve.recovery"):
-            read = read_segment(log_path, repair=True)
-            try:
-                header = check_header(log_path, read.entries)
-            except ValidationError as error:
-                raise RecoveryError(f"{error}; cannot recover") from error
-            spec = ScenarioSpec.from_dict(header["spec"])
-            segment = int(header.get("segment", 0))
-            resumed = header.get("resumed_from")
-            skipped: List[str] = []
-            anchor = None
-            try:
-                anchor = load_anchor(header, checkpoint_dir)
-            except ValidationError as error:
-                skipped.append(str(error))
-            if anchor is not None:
-                session = anchor.session
-                dedupe, digests = anchor.dedupe, anchor.epoch_digests
-            elif resumed is not None:
-                # No usable checkpoint: rebuild the state the segment
-                # resumes from by replaying the archived chain.
-                archives = [segment_path(log_path, index) for index in range(segment)]
-                try:
-                    session, chain = replay_chain(archives, strict=True)
-                except ValidationError as error:
-                    raise RecoveryError(
-                        f"cannot restore the state segment {segment} resumes "
-                        f"from: checkpoint unusable "
-                        f"({'; '.join(skipped) or 'none named'}) and chain "
-                        f"replay failed ({error})"
-                    ) from error
-                wanted = int(resumed.get("epochs_completed", 0))
-                if session.epochs_completed != wanted:
-                    session.close()
-                    raise RecoveryError(
-                        f"chain replay reached {session.epochs_completed} epochs "
-                        f"but segment {segment} resumes from {wanted}"
-                    )
-                dedupe, digests = chain.dedupe, chain.digests
-            else:
-                session = Session.open(spec)
-                dedupe, digests = {}, {}
-            checkpoint_epochs = session.epochs_completed
-            suffix = ReplayResult(
-                dedupe=OrderedDict(sorted(dedupe.items(), key=lambda item: item[1])),
-                digests=OrderedDict(sorted(digests.items())),
-            )
-            try:
-                fold_segment(session, read.entries[1:], suffix, strict=True)
-            except ValidationError as error:
-                raise RecoveryError(str(error)) from error
-            while len(suffix.dedupe) > DEDUPE_WINDOW:
-                suffix.dedupe.popitem(last=False)
-            while len(suffix.digests) > EPOCH_DIGEST_WINDOW:
-                suffix.digests.popitem(last=False)
-
-            # Archive the crashed segment; the service continues in the next.
-            os.replace(log_path, segment_path(log_path, segment))
-            report = RecoveryReport(
-                checkpoint=anchor.name if anchor is not None else None,
-                checkpoint_epochs=checkpoint_epochs,
-                replayed_epochs=suffix.epochs,
-                replayed_mutations=suffix.mutations,
-                torn_tail_bytes=len(read.torn_tail or b""),
-                sidecar=read.sidecar,
-                epochs_completed=session.epochs_completed,
-                segment=segment + 1,
-                checkpoint_every=max(0, int(checkpoint_every)),
-                skipped_checkpoints=skipped,
-                was_sealed=suffix.closed_cleanly,
-            )
-            return cls(
-                spec,
-                log_path=log_path,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                keep_checkpoints=keep_checkpoints,
-                _restore={
-                    "session": session,
-                    "dedupe": suffix.dedupe,
-                    "epoch_digests": suffix.digests,
-                    "report": report,
-                },
-            )
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -779,13 +476,11 @@ class OverlayService:
                     "bad-request",
                     "idem must be a non-empty string of at most 128 characters",
                 )
-            if idem in self._dedupe:
+            applied_epoch = self.durable.dedupe.get(idem)
+            if applied_epoch is not None:
                 self.counters["retries"] += 1
                 telemetry.count("serve.mutate.deduplicated")
-                return {
-                    "applied_epoch": self._dedupe[idem],
-                    "deduplicated": True,
-                }
+                return {"applied_epoch": applied_epoch, "deduplicated": True}
         if not isinstance(data, dict):
             raise ServeError("bad-request", "mutation must be a JSON object")
         if (
@@ -804,17 +499,7 @@ class OverlayService:
         except ValidationError as error:
             raise ServeError("bad-request", str(error))
         self.counters["mutations"] += 1
-        entry: Dict[str, object] = {
-            "kind": "mutate",
-            "applied_epoch": applied_epoch,
-            "mutation": mutation.to_dict(),
-        }
-        if idem is not None:
-            entry["idem"] = idem
-            self._dedupe[idem] = applied_epoch
-            while len(self._dedupe) > DEDUPE_WINDOW:
-                self._dedupe.popitem(last=False)
-        self._log_entry(entry)
+        self.durable.commit_mutation(applied_epoch, mutation.to_dict(), idem)
         return {"applied_epoch": applied_epoch}
 
     # ------------------------------------------------------------------ #
@@ -833,7 +518,7 @@ class OverlayService:
             "epochs_completed": self.session.epochs_completed,
             "dedupe": {
                 "window": DEDUPE_WINDOW,
-                "size": len(self._dedupe),
+                "size": len(self.durable.dedupe),
             },
             "recovery": (
                 self.last_recovery.to_dict()
@@ -867,27 +552,11 @@ class OverlayService:
         self.closed = True
         epochs = self.session.epochs_completed
         self.session.close()
-        self._log_entry({"kind": "close", "epochs": epochs})
-        if self._log is not None:
-            self._log.close()
-            self._log = None
+        self.durable.close(epochs)
 
     def _check_open(self) -> None:
         if self.closed:
             raise ServeError("closed", "the service is shut down")
 
-    def _log_entry(self, entry: Dict[str, object]) -> None:
-        if self._log is None:
-            return
-        self._log.append(entry)
 
-
-__all__ = [
-    "DEDUPE_WINDOW",
-    "EPOCH_DIGEST_WINDOW",
-    "LOG_SCHEMA_VERSION",
-    "OverlayService",
-    "RecoveryError",
-    "RecoveryReport",
-    "ServeError",
-]
+__all__ = ["OverlayService", "ServeError"]

@@ -26,25 +26,15 @@ turns such a grid into a first-class, resumable, parallel operation:
   claim-file protocol with lease-expiry reclamation, the
   ``repro sweep-worker`` drain loop, and the ``--status`` progress view.
 
-The CLI surface is ``repro sweep TEMPLATE.json --workers N [--resume]
-[--dry-run] [--status]`` plus ``repro sweep-worker TEMPLATE.json --store
-DIR``; the checked-in paper-scale corpus lives in ``scenarios/``.
+The ``repro sweep`` and ``repro sweep-worker`` verbs are
+:mod:`repro.sweep.cli`; the checked-in paper-scale corpus lives in
+``scenarios/``.
 """
 
 from repro.sweep.aggregate import aggregate_cells
-from repro.sweep.dist import (
-    CellFailure,
-    ClaimStore,
-    StoreBackend,
-    WorkerReport,
-    corpus_status,
-    parse_backend,
-    run_worker,
-)
-from repro.sweep.executor import SweepReport, run_sweep
+from repro.sweep.executor import run_sweep
 from repro.sweep.store import SweepStore
 from repro.sweep.template import (
-    SweepCell,
     SweepTemplate,
     expand_corpus,
     load_templates,
@@ -52,20 +42,11 @@ from repro.sweep.template import (
 )
 
 __all__ = [
-    "CellFailure",
-    "ClaimStore",
-    "StoreBackend",
-    "SweepCell",
-    "SweepReport",
     "SweepStore",
     "SweepTemplate",
-    "WorkerReport",
     "aggregate_cells",
-    "corpus_status",
     "expand_corpus",
     "load_templates",
-    "parse_backend",
     "run_sweep",
-    "run_worker",
     "spec_key",
 ]

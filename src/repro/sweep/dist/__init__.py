@@ -33,44 +33,34 @@ from repro.sweep.dist.backend import (
     parse_backend,
 )
 from repro.sweep.dist.claims import (
-    DEFAULT_LEASE_SECONDS,
     ClaimLost,
     ClaimRecord,
     ClaimStore,
     local_host,
 )
 from repro.sweep.dist.status import (
-    CellStatus,
     HostThroughput,
-    SweepStatus,
     corpus_status,
     format_status,
 )
 from repro.sweep.dist.worker import (
     CellFailure,
-    WorkerInterrupted,
     WorkerReport,
-    execute_cell_claimed,
     run_worker,
 )
 
 __all__ = [
     "BACKENDS",
     "CellFailure",
-    "CellStatus",
     "ClaimLost",
     "ClaimRecord",
     "ClaimStore",
-    "DEFAULT_LEASE_SECONDS",
     "HostThroughput",
     "LocalBackend",
     "SharedFSBackend",
     "StoreBackend",
-    "SweepStatus",
-    "WorkerInterrupted",
     "WorkerReport",
     "corpus_status",
-    "execute_cell_claimed",
     "format_status",
     "local_host",
     "parse_backend",

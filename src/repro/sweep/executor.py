@@ -29,7 +29,6 @@ so both methods can pickle it.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -73,8 +72,10 @@ def _execute_cell(payload: Tuple[int, str, Dict[str, object], Dict[str, object]]
     return index, outcome
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context():
     """The cheapest available start method (fork where the OS has it)."""
+    import multiprocessing  # here: a workers=1 sweep and CLI start-up skip it
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -147,6 +148,8 @@ def run_sweep(
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    if lease_seconds <= 0:
+        raise ValidationError(f"lease_seconds must be > 0, got {lease_seconds}")
     with telemetry.span("sweep.run", cells=len(cells), workers=int(workers)):
         # A sweep killed mid-write may have left .<key>.<host>.<pid>.tmp
         # orphans behind; every sweep start reclaims this host's dead ones.

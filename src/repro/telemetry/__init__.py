@@ -8,7 +8,8 @@ The repo-wide observability layer (see ``docs/observability.md``):
   with monotonic timings;
 * :mod:`repro.telemetry.runtime` — process-wide enable/disable and the
   zero-cost-when-off hot-path helpers re-exported here;
-* :mod:`repro.telemetry.summarize` — ``repro trace summarize``;
+* :mod:`repro.telemetry.summarize` — the per-phase summary behind
+  ``repro trace summarize`` (the verb is :mod:`repro.telemetry.cli`);
 * :mod:`repro.telemetry.diagnostics` — pooled cache stats and the
   one list of diagnostics keys parity asserts must pop.
 
@@ -28,15 +29,7 @@ byte-identical with telemetry on and off, and no wall-clock reading may
 enter a result-bearing path.
 """
 
-from repro.telemetry.registry import (
-    DEFAULT_LATENCY_EDGES,
-    NULL_SPAN,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullSpan,
-)
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.runtime import (
     count,
     disable,
@@ -54,18 +47,9 @@ from repro.telemetry.runtime import (
     trace_path,
     tracer,
 )
-from repro.telemetry.trace import TRACE_SCHEMA_VERSION, Tracer
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_EDGES",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NULL_SPAN",
-    "NullSpan",
-    "TRACE_SCHEMA_VERSION",
-    "Tracer",
     "count",
     "disable",
     "enable",

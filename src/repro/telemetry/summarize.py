@@ -29,8 +29,11 @@ def read_trace(source: Union[str, Iterable[str]]) -> Dict[str, object]:
     a malformed line or unknown schema is not.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except OSError as error:
+            raise ValidationError(f"cannot read trace {source!r}: {error}")
     else:
         lines = list(source)
     header = None

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from repro.core.failures import FailureSpec
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
+from repro.serve.durable import RecoveryError
 from repro.serve.protocol import encode, response
 from repro.serve.replay import replay_log
-from repro.serve.service import OverlayService, RecoveryError, ServeError
+from repro.serve.service import OverlayService, ServeError
 
 
 def _spec(**overrides) -> ScenarioSpec:
@@ -71,8 +72,8 @@ def _drive(service: OverlayService, until: int) -> dict:
 
 def _crash(service: OverlayService) -> None:
     """Abandon the service the way SIGKILL would: no close entry, no seal."""
-    service._log.close()
-    service._log = None
+    service.durable.log.close()
+    service.durable.log = None
     service.closed = True
 
 

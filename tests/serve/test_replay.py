@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.scenario.lifecycle import Session
 from repro.scenario.session import SimulationSession
 from repro.scenario.spec import ScenarioSpec
-from repro.serve import oplog, replay, service
+from repro.serve import durable, oplog, replay
 from repro.serve.checkpoint import checkpoint_name
 from repro.serve.replay import read_log, replay_log
 from repro.serve.service import OverlayService
@@ -232,7 +232,7 @@ class TestParseOnce:
             return oplog.read_segment(path, **kwargs)
 
         monkeypatch.setattr(replay, "read_segment", counting)
-        monkeypatch.setattr(service, "read_segment", counting)
+        monkeypatch.setattr(durable, "read_segment", counting)
         return paths
 
     def test_chain_replay_parses_each_segment_once(self, tmp_path, parsed):
@@ -251,8 +251,8 @@ class TestParseOnce:
         )
         for _ in range(5):
             live.tick()
-        live._log.close()  # a crash: no close entry, no seal
-        live._log = None
+        live.durable.log.close()  # a crash: no close entry, no seal
+        live.durable.log = None
         live.closed = True
         shutil.rmtree(ckpt)
         recovered = OverlayService.recover(str(log), checkpoint_dir=str(ckpt))

@@ -159,8 +159,8 @@ class TestCrashSafetyTelemetry:
         )
         for _ in range(epochs):
             service.tick()
-        service._log.close()
-        service._log = None
+        service.durable.log.close()
+        service.durable.log = None
         service.closed = True
         return log, ckpt
 

@@ -82,9 +82,21 @@ class TestExecution:
             == "SWEEP total=4 executed=0 skipped=4 failed=0 workers=2"
         )
 
-    def test_invalid_worker_count_rejected(self, cells, tmp_path):
-        with pytest.raises(ValidationError, match="workers"):
-            run_sweep(cells, SweepStore(str(tmp_path)), workers=0)
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"workers": 0}, "workers"),
+            ({"lease_seconds": 0}, "lease_seconds"),
+            ({"lease_seconds": -5}, "lease_seconds"),
+        ],
+        ids=["workers=0", "lease=0", "lease=-5"],
+    )
+    def test_invalid_worker_count_rejected(self, cells, tmp_path, options, match):
+        """Bad options fail up front: nothing purged, claimed or run."""
+        store_dir = tmp_path / "store"
+        with pytest.raises(ValidationError, match=match):
+            run_sweep(cells, SweepStore(str(store_dir)), **options)
+        assert not store_dir.exists() or not any(store_dir.rglob("*"))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cell_does_not_abort_the_sweep(self, tmp_path, workers):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -128,10 +129,13 @@ class TestFileRoundTrip:
         with pytest.raises(ValidationError, match="schema"):
             read_trace(lines)
 
-    def test_not_a_trace_rejected(self):
+    def test_not_a_trace_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown kind"):
             read_trace(["{}"])
         with pytest.raises(ValidationError, match="no begin record"):
             read_trace([])
         with pytest.raises(ValidationError, match="not valid JSON"):
             read_trace(["nope"])
+        missing = str(tmp_path / "missing.jsonl")
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read trace {missing!r}")):
+            read_trace(missing)

@@ -619,6 +619,29 @@ class TestServeRecovery:
         assert list_segments(str(log)) == []  # the log was left as it was
 
 
+class TestServeLoadUnreachable:
+    """No server at the address: one ``error:`` line and exit 2."""
+
+    @staticmethod
+    def _closed_port() -> int:
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
+    def test_missing_socket_and_refused_port_are_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.sock")
+        assert main(["serve-load", "--socket", missing, "--lookups", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot connect to {missing}: ")
+        assert "Traceback" not in err
+        port = self._closed_port()
+        assert main(["serve-load", "--port", str(port), "--lookups", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}: ")
+
+
 class TestTelemetryCLI:
     def test_run_trace_writes_trace_and_prints_summary_line(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

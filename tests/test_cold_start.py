@@ -29,3 +29,27 @@ def test_runtime_import_path_does_not_load_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_and_parser_stay_off_the_serve_stack():
+    """``import repro.cli`` alone loads no serve module, asyncio or orjson.
+
+    Building the parser loads each verb module; the serve verbs' module
+    must still leave asyncio and orjson to the handlers that need them.
+    """
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "def heavy():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('repro.serve')\n"
+        "                  or m.split('.')[0] in ('asyncio', 'orjson'))\n"
+        "print(heavy())\n"
+        "repro.cli.build_parser()\n"
+        "print(heavy())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == ["[]", "['repro.serve', 'repro.serve.cli']"]
