@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.cost import Metric, uniform_preferences
 from repro.core.wiring import Wiring
 from repro.routing.graph import OverlayGraph
+from repro.telemetry import runtime as telemetry
 from repro.util.validation import ValidationError, check_index
 
 #: Soft cap on the number of (wiring x destination) value cells
@@ -399,6 +400,80 @@ def _fold_is_exact(
     return bool(monotone and prefs.min(initial=np.inf) >= 0)
 
 
+#: Passes :func:`_no_improving_swap` makes over a lane's ``(C, T)``
+#: block — two minima, their difference, a sum and a matmul — against
+#: the ``k`` slot blocks an exact swap pass scores.  An attempt can pay
+#: only where ``k`` exceeds them: a failed one costs its passes on top
+#: of the exact pass.
+_CERTIFICATE_PASSES = 5
+
+
+def _no_improving_swap(
+    weighted: np.ndarray,
+    cur: np.ndarray,
+    loo: np.ndarray,
+    blocked_in: np.ndarray,
+    blocked_out: np.ndarray,
+    cost: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """Lanes that provably have no improving single swap (minimising).
+
+    ``weighted`` is the folded ``(A, C, T)`` candidate block ``W``,
+    ``cur`` the ``(A, k + 1, T)`` chosen rows (fixed row last) and
+    ``loo`` their ``(A, k, T)`` leave-one-out minima; ``blocked_in`` /
+    ``blocked_out`` mask the candidates (``(A, 1, C)``) and slots
+    (``(A, k, 1)``) a swap may not use, ``cost`` is each lane's current
+    cost and ``work`` scratch for two ``(A, C, T)`` planes.
+
+    Swapping slot ``o`` for candidate ``c`` scores ``Σ_j min(loo[o, j],
+    W[c, j])``.  With ``b1``/``b2`` the best and second-best chosen
+    values per destination, ``loo[o, j]`` is ``b2[j]`` where ``o`` is the
+    unique slot attaining ``b1[j]`` (``o`` *owns* ``j``) and ``b1[j]``
+    elsewhere, so every swap score splits into
+
+    * ``base[c] = Σ_j min(b1[j], W[c, j])`` — one ``C x T`` pass;
+    * ``delta[o, c] = Σ_{j owned by o} (min(b2[j], W[c, j]) - min(b1[j],
+      W[c, j]))`` — one more pass and a matmul against the owner one-hot.
+
+    Why the bound is rigorous
+    -------------------------
+    It is used on the folded additive branch only, where every ``W`` is
+    ``>= 0`` (checked by the caller), so every term below is ``>= 0``.
+    The mins are exact, so in real arithmetic ``S(o, c) = base + delta``
+    is exactly the sum of the terms the exact pass adds.  Let ``u =
+    eps/2`` and ``x = T*u``.  A float sum of ``T`` non-negative terms, in
+    *any* order (pairwise, prefix-only, BLAS), lies in ``[S(1 - γ_T), S(1
+    + γ_T)]``, ``γ_T = x / (1 - x)``.  So the exact pass computes ``v(o,
+    c) >= S (1 - 2x) / (1 - x)``.  Here each ``b2 - b1`` difference is
+    rounded once (``<= (1 + u)`` times its value), ``base`` and
+    ``delta`` are ``T``-term sums, their sum and the product by ``s =
+    fl(1 - 8x)`` round once each, and ``s <= (1 - 8x)(1 + u)``: the bound
+    is at most ``S (1 - 8x)(1 + u)^4 / (1 - x)``.  As ``(1 + u)^4 <= 1 +
+    5u`` and ``(1 - 8x)(1 + 5u) <= 1 - 2x`` whenever ``T >= 1``, bound
+    ``<=`` ``v(o, c)``.  A lane whose smallest allowed bound is ``>=``
+    its cost therefore has no swap scoring below it, which is exactly
+    when the exact pass would stop it.  A ``NaN`` anywhere (an infinite
+    disconnection value) compares false and certifies nothing.
+    """
+    A, C, T = weighted.shape
+    b1 = cur.min(axis=1)[:, None, :]
+    own = (loo != b1).astype(float)
+    low = np.minimum(b1, weighted, out=work[: A * C * T].reshape(A, C, T))
+    high = np.minimum(
+        loo.max(axis=1)[:, None, :],
+        weighted,
+        out=work[A * C * T : 2 * A * C * T].reshape(A, C, T),
+    )
+    high -= low
+    bound = own @ high.transpose(0, 2, 1)  # (A, k, C)
+    bound += low.sum(axis=-1)[:, None, :]
+    bound *= 1.0 - 4.0 * T * float(np.finfo(float).eps)
+    np.copyto(bound, np.inf, where=blocked_in)
+    np.copyto(bound, np.inf, where=blocked_out)
+    return bound.reshape(A, -1).min(axis=1, initial=np.inf) >= cost
+
+
 def fused_best_response(
     members: Sequence[Member], *, maximize: bool, unreachable: float
 ) -> Tuple[np.ndarray, List[List[int]], np.ndarray]:
@@ -439,6 +514,19 @@ def fused_best_response(
     :func:`_fold_is_exact` checks exactly that, and a group failing it (a
     link announced at the disconnection cost, an infinite direct
     bandwidth) clamps and weights per pass instead.
+
+    Most searches end on a pass that finds nothing: a greedy seed is
+    usually swap-optimal already.  On the folded additive branch (every
+    ``W >= 0``) each lane therefore first tries to *certify* that no swap
+    improves, from a float-rigorous lower bound on all ``k x C`` swap
+    scores that costs five passes over its ``C x T`` block
+    (:func:`_no_improving_swap`) where the exact pass scores ``k`` such
+    blocks.  A certified lane stops exactly as the exact pass would have
+    stopped it; the rest take the exact pass, so decisions and
+    tie-breaks are untouched.  The attempt is made only where ``k``
+    exceeds the certificate's passes (:data:`_CERTIFICATE_PASSES`).
+    Bandwidth takes the exact pass always: max-min ties leave such a
+    bound no margin.
     """
     D = len(members)
     combine = np.maximum if maximize else np.minimum
@@ -572,22 +660,50 @@ def fused_best_response(
     caps = np.array([int(m.max_iterations) for m in group])
     active = (caps > 0) & (ks > 0)
     beyond_budget = np.arange(k_max)[None, :, None] >= ks[:, None, None]
+    # Where an exact pass scores more blocks than the certificate makes
+    # passes, a lane first tries to prove it has nothing to gain (the
+    # proof needs every W >= 0).
+    certify = (
+        folded
+        and not maximize
+        and k_max > _CERTIFICATE_PASSES
+        and via.min(initial=np.inf) >= 0
+    )
     iteration = 0
     while active.any():
         act = np.nonzero(active)[0]
         A = len(act)
-        a_idx = np.arange(A)
         if A == D:
             via_a, rows_a = via, current_rows
         else:
             via_a, rows_a = via[act], current_rows[act]
         # (A, k_max + 1, T): the chosen slots, then the fixed row.
-        cur = via_a[a_idx[:, None], rows_a]
+        cur = via_a[np.arange(A)[:, None], rows_a]
         # Exact leave-one-out by prefix and suffix selections: slot o's
         # complement is slots < o combined with slots > o and the fixed row.
         loo = combine.accumulate(cur[:, :0:-1], axis=1)[:, ::-1].copy()
         prefix = combine.accumulate(cur[:, : k_max - 1], axis=1)
         combine(loo[:, 1:], prefix, out=loo[:, 1:])
+        if certify:
+            stays = _no_improving_swap(
+                via_a[:, :C],
+                cur,
+                loo,
+                taken[act][:, None, :],
+                beyond_budget[act],
+                current_cost[act],
+                work,
+            )
+            if stays.any():
+                # The exact pass would stop these lanes unchanged.
+                telemetry.count("best_response.certified", int(np.count_nonzero(stays)))
+                active[act[stays]] = False
+                if stays.all():
+                    break
+                keep = ~stays
+                act, via_a, loo = act[keep], via_a[keep], loo[keep]
+                A = len(act)
+        a_idx = np.arange(A)
         trial = work[: A * k_max * C * T].reshape(A, k_max, C, T)
         combine(loo[:, :, None, :], via_a[:, None, :C, :], out=trial)
         weigh_(trial, prefs[act][:, None, None, :])

@@ -34,7 +34,10 @@ settled skip that needs none.  Three planners fill it:
   (:meth:`_LockstepDriver._derive_residuals`): one build of the matrices
   not yet swept, one repair bringing every stale matrix up to date, one
   repair deriving every stepping engine's next residual — at most two
-  kernel calls per round, whatever the group's width.  Only the next
+  kernel calls per round, whatever the group's width.  The repairs read
+  the group's repair tables, built once per epoch from the dense
+  overlays and patched in the rows each round rewrote
+  (:meth:`_LockstepDriver._group_tables`).  Only the next
   node's residual is derived each round, so the mailbox holds one
   matrix: matrix + one residual are O(n^2) per engine, where n
   residuals would be O(n^3);
@@ -200,6 +203,8 @@ class _LockstepState:
         "maintained",
         "apsp",
         "apsp_stale",
+        "table_slot",
+        "tables_stale",
         "settled",
     )
 
@@ -227,6 +232,10 @@ class _LockstepState:
         #: not built, or invalidated).
         self.apsp: Optional[np.ndarray] = None
         self.apsp_stale: set = set()
+        #: This engine's block in the group's repair tables, and the
+        #: nodes whose dense rows moved since the tables last saw them.
+        self.table_slot = -1
+        self.tables_stale: set = set()
         #: node -> the token its last fused step ended under, if that
         #: step did not re-wire.  While the live token still equals the
         #: stamp, every input of the node's best response is unchanged
@@ -344,6 +353,8 @@ class _LockstepState:
                     row[v] = w
             if self.apsp is not None:
                 self.apsp_stale.add(node)
+            if self.maintained:
+                self.tables_stale.add(node)
         if rewired or (version_changed and self.plan.announced.maximize):
             # What the mailbox holds was planned for a wiring that no
             # longer stands: an additive plan predicts the in-place
@@ -365,9 +376,11 @@ class _LockstepDriver:
     ``k``, ``n``, ``preferences``)."""
 
     def __init__(self):
-        #: The maintained group's repair tables, keyed by the ``(state,
-        #: wiring version)`` pairs of the group they were stacked for.
-        self._tables: Optional[Tuple[Tuple, ShortestRepairTables]] = None
+        #: This epoch's maintained engines and, once a round derives,
+        #: their repair tables (one block each, in that order).
+        self._tables: Optional[
+            Tuple[List[_LockstepState], Optional[ShortestRepairTables]]
+        ] = None
 
     def _run_rounds(self, states: Sequence[_LockstepState]) -> None:
         """One epoch of every owner: ``begin_epoch``, then lockstep rounds
@@ -375,9 +388,6 @@ class _LockstepDriver:
         with telemetry.span("batch.begin"):
             for st in states:
                 st.begin_epoch()
-            # Membership (and with it a dense matrix) can change without
-            # a version bump, so the group's tables never survive an epoch.
-            self._tables = None
             additive = [st for st in states if not st.plan.announced.maximize]
             maintained = (
                 sum(len(st.plan.active_list) for st in additive) >= _MAINTAIN_MIN_ACTIVE
@@ -387,6 +397,10 @@ class _LockstepDriver:
                 if not maintained:
                     st.apsp = None
                     st.apsp_stale.clear()
+            # The tables describe the dense matrices begin_epoch just
+            # rebuilt, so they never survive an epoch; within one they
+            # follow every rewritten row.
+            self._tables = (additive, None) if maintained else None
         live = [st for st in states if not st.plan.done]
         while live:
             # Engines whose next node is settled need neither a residual
@@ -518,7 +532,9 @@ class _LockstepDriver:
         repair updates every stale matrix (the kernel re-sweeps a member
         whose update is too widespread to relax, counted as *refused*),
         and one stacked repair derives every residual — so the repair's
-        fixed cost is paid per round, not per engine.
+        fixed cost is paid per round, not per engine.  Both repairs read
+        the epoch's tables (:meth:`_group_tables`), whose upkeep is the
+        rows the group rewrote since its last round.
         """
         unbuilt = [st for st in group if st.apsp is None]
         if unbuilt:
@@ -531,11 +547,7 @@ class _LockstepDriver:
             for st, matrix in zip(unbuilt, built):
                 st.apsp = matrix
                 st.apsp_stale.clear()
-        # Within an epoch a dense matrix moves only with its version.
-        key = tuple((id(st), st.version) for st in group)
-        if self._tables is None or self._tables[0] != key:
-            self._tables = (key, shortest_inbound_tables([st.dense for st in group]))
-        tables = self._tables[1]
+        tables = self._group_tables(group)
         sources = np.arange(group[0].engine.n)
         # (The kernel copies what it writes, so a lone matrix is viewed.)
         apsp = group[0].apsp[None] if len(group) == 1 else np.stack([st.apsp for st in group])
@@ -560,6 +572,36 @@ class _LockstepDriver:
         )
         for st, node, resid in zip(group, nodes, rows):
             st.mailbox[node] = resid[st.hop_rows(node)]
+
+    def _group_tables(self, group: Sequence[_LockstepState]) -> ShortestRepairTables:
+        """The epoch's repair tables, current for ``group``, viewed in its
+        order.
+
+        Built once per epoch from every maintained engine's dense matrix
+        (the first derive's group may be any subset of them); after that
+        a round pays only for the rows its engines rewrote since the
+        tables last saw them — within an epoch a dense matrix moves only
+        in the rows :meth:`_LockstepState.after_step` rewrites.  An
+        engine outside the round keeps its stale rows until it is back:
+        no repair reads another member's block.
+        """
+        states, tables = self._tables
+        if tables is None:
+            tables = shortest_inbound_tables([st.dense for st in states])
+            self._tables = (states, tables)
+            for slot, st in enumerate(states):
+                st.table_slot = slot
+                st.tables_stale.clear()
+        stale = [(st, node) for st in group for node in st.tables_stale]
+        if stale:
+            tables.patch(
+                [st.table_slot for st, _node in stale],
+                [node for _st, node in stale],
+                [st.dense[node] for st, node in stale],
+            )
+            for st in group:
+                st.tables_stale.clear()
+        return tables.select([st.table_slot for st in group])
 
     def _plan_speculative_jobs(
         self, st: _LockstepState

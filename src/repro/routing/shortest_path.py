@@ -120,61 +120,154 @@ def shortest_path_costs_multi(
 
 
 class ShortestRepairTables:
-    """Shared, lazily-built repair structures for a stack of overlays.
+    """Repair structures for a stack of overlays, patchable row by row.
 
-    Stores the ``(M, n, n)`` effective-weight stack once (the
-    :func:`_to_csr` zero-nudge applied — which is what keeps repaired
-    sums bit-identical to the fresh sweep) and materialises the block
-    in-edge lists (cell relaxation) and the block-diagonal CSR (C-level
-    sweeps) only when a repair actually takes that strategy, so sharing
-    the tables across many small repairs never pays for the structures
-    they skip.  Both index member ``m``'s node ``j`` as ``m*n + j``.
+    Member ``m``'s node ``j`` is block key ``m*n + j`` in both structures,
+    which are slot tables of one width each (every key owns that many
+    consecutive slots):
+
+    * the out-edges, as one block-diagonal CSR for the C-level sweeps:
+      key ``m*n + u`` holds ``u``'s out-edges, padded by ``inf``-weight
+      self-loops (:attr:`out_dst` / :attr:`out_w` view its arrays);
+    * the in-edges, for cell relaxation: the first :attr:`in_count`
+      slots of key ``m*n + j`` in :attr:`in_src` list the nodes with an
+      edge into ``j`` and :attr:`in_w` their weights (``-1`` / ``inf``
+      pads after them).
+
+    An ``inf`` weight is unusable for any finite distance, so the pads
+    change no value.  Weights carry the :func:`_to_csr` zero-nudge, which
+    is what keeps repaired sums bit-identical to the fresh sweep.
+    :meth:`patch` rewrites whole rows in time proportional to their
+    edges and their targets' in-slots — a row outgrowing a width widens
+    it — so one set of tables can follow an overlay through many
+    re-wires; :meth:`select` views a
+    subset of the members, in a caller's order, as the repair kernel's
+    members ``0, 1, ...``.
     """
 
-    __slots__ = ("weights", "_present", "_edges", "_csr")
+    __slots__ = (
+        "n", "blocks", "members", "csr", "out_dst", "out_w", "in_src", "in_w", "in_count",
+    )
 
     def __init__(self, adjacency):
         weights = np.array(adjacency, dtype=float)
         if weights.ndim == 2:
             weights = weights[None]
+        blocks, n, _ = weights.shape
         present = ~np.isnan(weights)
         weights[present & (weights <= 0)] = 1e-12
-        diagonal = np.arange(weights.shape[1])
+        diagonal = np.arange(n)
         present[:, diagonal, diagonal] = False
-        self.weights = weights
-        self._present = present
-        self._edges = None
-        self._csr = None
+        self.n, self.blocks = n, blocks
+        self.members = np.arange(blocks)
+        flat = np.flatnonzero(present)  # (m, u, v) row-major: by out-key
+        key = flat // n
+        dst, rank = _slots(key, blocks * n, key // n * n + flat % n)
+        self._lay_out(dst)
+        self.out_w[key, rank] = weights.reshape(-1)[flat]
+        flat = np.flatnonzero(present.transpose(0, 2, 1))  # (m, v, u): by in-key
+        key, src = flat // n, flat % n
+        self.in_src, rank = _slots(key, blocks * n, src, -1)
+        self.in_count = np.bincount(key, minlength=blocks * n)
+        self.in_w = np.full(self.in_src.shape, np.inf)
+        # Weight (m, src, dst) sits at flat index m*n*n + src*n + dst.
+        self.in_w[key, rank] = weights.reshape(-1)[flat + (src - key % n) * (n - 1)]
 
-    @property
-    def edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """In-edges as ``(indptr, src, w, member)``: member ``m``'s node
-        ``j`` has in-edges from its nodes ``src[indptr[m*n + j]:indptr[m*n
-        + j + 1]]`` with weights ``w[...]`` (and ``member[...] == m``)."""
-        if self._edges is None:
-            members, n, _ = self.weights.shape
-            flat = np.flatnonzero(self._present.transpose(0, 2, 1))  # (m, dst, src)
-            key, src = flat // n, flat % n
-            indptr = np.zeros(members * n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(key, minlength=members * n), out=indptr[1:])
-            # Weight (m, src, dst) sits at flat index m*n*n + src*n + dst.
-            w = self.weights.reshape(-1)[flat + (src - key % n) * (n - 1)]
-            self._edges = (indptr, src, w, key // n)
-        return self._edges
+    def _lay_out(self, dst: np.ndarray) -> None:
+        """(Re)build the CSR around a ``(keys, width)`` out-slot table;
+        every weight starts as a pad."""
+        keys, width = dst.shape
+        self.csr = csr_matrix(
+            (
+                np.full(keys * width, np.inf),
+                dst.reshape(-1).astype(np.int32),
+                np.arange(keys + 1, dtype=np.int32) * width,
+            ),
+            shape=(keys, keys),
+        )
+        self.out_dst = self.csr.indices.reshape(keys, width)
+        self.out_w = self.csr.data.reshape(keys, width)
 
-    @property
-    def csr(self) -> csr_matrix:
-        """Out-edges of the whole stack as one block-diagonal CSR."""
-        if self._csr is None:
-            members, n, _ = self.weights.shape
-            flat = np.flatnonzero(self._present)  # (m, u, v) row-major
-            indptr = np.zeros(members * n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat // n, minlength=members * n), out=indptr[1:])
-            self._csr = csr_matrix(
-                (self.weights.reshape(-1)[flat], flat // (n * n) * n + flat % n, indptr),
-                shape=(members * n, members * n),
-            )
-        return self._csr
+    def select(self, members) -> "ShortestRepairTables":
+        """These tables with member ``i`` standing for block ``members[i]``
+        (valid until the next :meth:`patch`)."""
+        view = object.__new__(ShortestRepairTables)
+        for name in self.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.members = np.asarray(members, dtype=np.int64)
+        return view
+
+    def patch(self, blocks, nodes, rows) -> None:
+        """Rewrite node ``nodes[i]``'s out-links in block ``blocks[i]`` to
+        the dense row ``rows[i]`` (``NaN`` absent); the pairs are
+        distinct.  One set of array operations serves every row, over the
+        rows' old and new edges and the in-slots of their targets."""
+        n = self.n
+        nodes = np.asarray(nodes, dtype=np.int64)
+        keys = np.asarray(blocks, dtype=np.int64) * n + nodes
+        rows = np.array(rows, dtype=float)
+        rows[np.arange(len(keys)), nodes] = np.nan
+        r, v = np.nonzero(rows == rows)  # the new edges, row-major
+        w = rows[r, v]
+        w[w <= 0] = 1e-12
+        into = keys[r] - nodes[r] + v
+        # The rows' current out-edges leave their targets' in-slots, and
+        # each target's remaining in-edges close up (it may lose several).
+        old = self.out_dst[keys]
+        i, s = np.nonzero(old != keys[:, None])
+        if len(i):
+            gone = old[i, s].astype(np.int64)
+            slot = np.argmax(self.in_src[gone] == nodes[i, None], axis=1)
+            self.in_src[gone, slot] = -1
+            self.in_w[gone, slot] = np.inf
+            touched = np.unique(gone)
+            order = np.argsort(self.in_src[touched] < 0, axis=1, kind="stable")
+            self.in_src[touched] = self.in_src[touched[:, None], order]
+            self.in_w[touched] = self.in_w[touched[:, None], order]
+            np.subtract.at(self.in_count, gone, 1)
+        # ... the new ones fill the rows' out-slots ...
+        rank = _ranks(r)
+        width = self.out_dst.shape[1]
+        if len(r) and rank.max() >= width:
+            dst, weights = self.out_dst, self.out_w
+            self._lay_out(np.repeat(np.arange(len(dst))[:, None], rank.max() + 1, axis=1))
+            self.out_dst[:, :width] = dst
+            self.out_w[:, :width] = weights
+        self.out_dst[keys] = keys[:, None]
+        self.out_w[keys] = np.inf
+        self.out_dst[keys[r], rank] = into
+        self.out_w[keys[r], rank] = w
+        # ... and join their targets' in-edges, after the ones they keep.
+        order = np.argsort(into, kind="stable")
+        into, w = into[order], w[order]
+        slot = self.in_count[into] + _ranks(into)
+        grow = int(slot.max(initial=-1)) + 1 - self.in_src.shape[1]
+        if grow > 0:
+            self.in_src = np.pad(self.in_src, ((0, 0), (0, grow)), constant_values=-1)
+            self.in_w = np.pad(self.in_w, ((0, 0), (0, grow)), constant_values=np.inf)
+        self.in_src[into, slot] = nodes[r][order]
+        self.in_w[into, slot] = w
+        self.in_count[into] = slot + 1
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each entry's place among the equal entries before it (``keys``
+    sorted)."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
+
+
+def _slots(keys: np.ndarray, count: int, values, pad=None) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``(count, width)`` slot table holding ``values`` under their
+    (sorted) ``keys`` — padded by ``pad``, or by each key's own index —
+    and each value's slot; the width is the fullest key's."""
+    rank = _ranks(keys)
+    width = int(rank.max()) + 1 if len(keys) else 0
+    if pad is None:
+        table = np.repeat(np.arange(count)[:, None], width, axis=1)
+    else:
+        table = np.full((count, width), pad)
+    table[keys, rank] = values
+    return table, rank
 
 
 def shortest_inbound_tables(adjacency) -> ShortestRepairTables:
@@ -252,7 +345,7 @@ def _sweep_rows(
     CSR (as few as :data:`_SWEEP_MAX_CELLS` allows); blocks are
     disconnected, so each row is exactly its member's own sweep.
     """
-    members, n, _ = tables.weights.shape
+    n, blocks = tables.n, tables.blocks
     out = np.full((len(member), n), np.inf)
     # The excluded node has no out-links: it reaches only itself.
     lone = source == excluded[member]
@@ -260,23 +353,26 @@ def _sweep_rows(
     if lone.all():
         return out
     todo = np.flatnonzero(~lone)
-    csr = tables.csr
-    cut = [m * n + int(excluded[m]) for m in set(member[todo].tolist()) if excluded[m] >= 0]
-    if cut:
-        # An inf-weight edge is unusable for any finite distance, so
-        # masking the excluded nodes' out-edges this way yields the
-        # very same distances as removing them.
-        data = csr.data.copy()
-        for key in cut:
-            data[csr.indptr[key] : csr.indptr[key + 1]] = np.inf
-        csr = csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-    step = max(1, _SWEEP_MAX_CELLS // (members * n))
-    for start in range(0, len(todo), step):
-        rows = todo[start : start + step]
-        telemetry.kernel_call("shortest.repair.sweep", len(rows))
-        dist = _csgraph_dijkstra(csr, directed=True, indices=member[rows] * n + source[rows])
-        dist = np.asarray(dist, dtype=float).reshape(len(rows), members, n)
-        out[rows] = dist[np.arange(len(rows)), member[rows]]
+    block = tables.members[member]
+    cutting = todo[excluded[member[todo]] >= 0]
+    cut = np.unique(block[cutting] * n + excluded[member[cutting]])
+    # An inf-weight edge is unusable for any finite distance, so masking
+    # the excluded nodes' out-edges this way (in place, restored below)
+    # yields the very same distances as removing them.
+    kept = tables.out_w[cut]
+    tables.out_w[cut] = np.inf
+    try:
+        step = max(1, _SWEEP_MAX_CELLS // (blocks * n))
+        for start in range(0, len(todo), step):
+            rows = todo[start : start + step]
+            telemetry.kernel_call("shortest.repair.sweep", len(rows))
+            dist = _csgraph_dijkstra(
+                tables.csr, directed=True, indices=block[rows] * n + source[rows]
+            )
+            dist = np.asarray(dist, dtype=float).reshape(len(rows), blocks, n)
+            out[rows] = dist[np.arange(len(rows)), block[rows]]
+    finally:
+        tables.out_w[cut] = kept
     return out
 
 
@@ -362,30 +458,33 @@ def _relax_cells(
     other cell is read, never written.
     """
     members, rows, n = values.shape
-    indptr, src, w, owner = tables.edges
-    if excluded.max() >= 0:
-        # The excluded node's out-edges are absent from its member.
-        w = np.where(src == excluded[owner], np.inf, w)
     flat = values.reshape(-1)
     cell = np.flatnonzero(suspect)
     flat[cell] = np.inf
     col = cell % n
-    key = col if members == 1 else cell // (rows * n) * n + col
-    degree = indptr[key + 1] - indptr[key]
+    member = cell // (rows * n)
+    key = tables.members[member] * n + col
+    degree = tables.in_count[key]
     fed = degree > 0  # cells with no in-edge stay unreachable
     if not fed.all():
-        cell, col, key, degree = cell[fed], col[fed], key[fed], degree[fed]
+        cell, col, member, key, degree = (
+            cell[fed], col[fed], member[fed], key[fed], degree[fed]
+        )
     telemetry.kernel_call("shortest.repair.relax", len(cell))
     if not len(cell):
         return values
     starts = np.zeros(len(cell), dtype=np.int64)
     np.cumsum(degree[:-1], out=starts[1:])
-    # Ragged expansion: cell c owns edges indptr[key[c]] .. +degree[c].
+    # Ragged expansion: cell c owns the first degree[c] slots of its key.
     edge = np.arange(int(starts[-1] + degree[-1])) + np.repeat(
-        indptr[key] - starts, degree
+        key * tables.in_src.shape[1] - starts, degree
     )
-    feeder = np.repeat(cell - col, degree) + src[edge]
-    w = w[edge]
+    src = tables.in_src.reshape(-1)[edge]
+    w = tables.in_w.reshape(-1)[edge]
+    if excluded.max() >= 0:
+        # The excluded node's out-edges are absent from its member.
+        w[src == np.repeat(excluded[member], degree)] = np.inf
+    feeder = np.repeat(cell - col, degree) + src
     current = flat[cell]
     while True:
         # Cells start at inf and their feeders only ever decrease, so

@@ -480,6 +480,19 @@ def _dijkstra_rows(counters) -> int:
     return sum(counters.get(f"kernel.{name}.rows", 0) for name in DIJKSTRA_KERNELS)
 
 
+def _count_table_builds(monkeypatch):
+    """The engines covered by each repair-table build, one entry per build."""
+    built = []
+    original = engine_batch_module.shortest_inbound_tables
+
+    def spy(adjacency):
+        built.append(len(adjacency))
+        return original(adjacency)
+
+    monkeypatch.setattr(engine_batch_module, "shortest_inbound_tables", spy)
+    return built
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of a planner entry point (see ``_PLANNER_BRANCHES``)."""
     owner = next(
@@ -645,6 +658,7 @@ class TestMaintainedAllPairs:
 
     def test_steady_epochs_are_served_from_the_maintained_matrix(self, monkeypatch):
         n = self.N
+        built = _count_table_builds(monkeypatch)
         batch = EngineBatch(self._specs(), batched=True)
         rows, counts = self._run_counting(
             batch, 3, monkeypatch, also=("batch.steps.skipped",)
@@ -674,6 +688,9 @@ class TestMaintainedAllPairs:
         assert all(
             c["derived"] + c["batch.steps.skipped"] == n for c in counts
         )
+        # The repair tables are built once per epoch and then follow the
+        # re-wires row by row.
+        assert built == [1, 1, 1]
 
     def test_parity_under_a_drifting_announced_metric(self, monkeypatch):
         # Ping estimates move every epoch, so every step re-installs its
@@ -814,11 +831,17 @@ class TestMaintainedAllPairs:
                 batch.step_epoch()
             before = _dijkstra_rows(registry.snapshot()["counters"])
             (record,) = batch.step_epoch()
-            rows = _dijkstra_rows(registry.snapshot()["counters"]) - before
+            counters = registry.snapshot()["counters"]
+            rows = _dijkstra_rows(counters) - before
         finally:
             telemetry.disable()
         assert record.rewirings > 0, "the gate must measure a re-wiring epoch"
         assert rows <= 3 * n
+        # k = 6 is past the no-improving-swap certificate's five passes:
+        # all 384 searches end on a certified pass, none on a last swap
+        # tensor that finds nothing.
+        assert counters["batch.steps.fused"] == epochs * n
+        assert counters["best_response.certified"] == 384
 
 
 def _reachable_array_bytes(obj, seen=None):
@@ -1038,6 +1061,7 @@ class TestChurnedGroupBudget:
 
     def test_two_repairs_per_round_and_no_stray_sweep(self, monkeypatch):
         rounds = _count_calls(monkeypatch, "_prefill")
+        built = _count_table_builds(monkeypatch)
         callers = []
         original = engine_batch_module.batched_route_matrices
 
@@ -1062,6 +1086,10 @@ class TestChurnedGroupBudget:
         # The maintained group: at most one matrix update and one residual
         # derivation per lockstep round, whatever the group's width.
         assert counters["kernel.shortest.repair.calls"] <= 2 * rounds[0]
+        # At most one repair-table build per engine per epoch: the group's
+        # tables are patched, never rebuilt, while an epoch runs.
+        assert len(built) <= self.EPOCHS
+        assert sum(built) <= self.EPOCHS * len(batch.engines)
         # Dijkstra sweeps only score epochs and build the group's matrices.
         assert set(callers) == {"_finish_epochs", "_derive_residuals"}
         assert callers.count("_finish_epochs") == self.EPOCHS

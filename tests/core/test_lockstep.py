@@ -295,3 +295,164 @@ class TestFusedBestResponse:
             for group in self._hazard_groups(kind, "zero-pref"):
                 assert_kernel_matches_reference(group)
         assert decisions == [True, True]
+
+
+def _exact_swap_scores(weighted, loo):
+    """Every single-swap score as the kernel's exact pass computes it on
+    a full-width group: ``(A, k, C)``."""
+    trial = np.minimum(loo[:, :, None, :], weighted[:, None, :, :])
+    return trial.sum(axis=-1)
+
+
+class TestNoImprovingSwapCertificate:
+    """The certificate retires a lane only when its exact swap pass would
+    have found nothing; with it forced off every result is the same."""
+
+    @staticmethod
+    def _assert_same(on, off):
+        assert on[0].tobytes() == off[0].tobytes()
+        assert on[1] == off[1]
+        assert on[2].tobytes() == off[2].tobytes()
+
+    @staticmethod
+    def _run(members, *, certify):
+        """The kernel with the certificate tried at every budget it can
+        cover (k >= 3, past its pay-off rule) or never."""
+        with pytest.MonkeyPatch.context() as patch:
+            passes = 2 if certify else 10**9
+            patch.setattr(best_response_module, "_CERTIFICATE_PASSES", passes)
+            return fused_best_response(
+                members, maximize=False, unreachable=DISCONNECTION_COST
+            )
+
+    @SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.integers(3, N - 3),  # width h
+                st.integers(3, N + 2),  # k
+                st.sampled_from([1, 2, 100]),
+                st.integers(0, 4),
+                st.sampled_from([0.0, 0.15, 0.4, 1.0]),
+                st.sampled_from([None, None, "zero-pref", "breaker"]),
+                st.sampled_from([None, 3, 6]),  # own destinations (ragged)
+                st.integers(0, 2),  # required links: a fixed row
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_results_equal_the_certificate_forced_off(self, seed, params):
+        rng = np.random.default_rng(seed)
+        pairs = [
+            make_member(rng, ("delay", "load")[i % 2], h, k, cap, wired, density, hazard,
+                        t=t, required=required)
+            for i, (h, k, cap, wired, density, hazard, t, required) in enumerate(params)
+        ]
+        members = [member for _evaluator, member in pairs]
+        self._assert_same(
+            self._run(members, certify=True), self._run(members, certify=False)
+        )
+        assert_kernel_matches_reference(pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.integers(4, 24),  # candidates
+                st.integers(1, 24),  # destinations: ragged widths
+                st.integers(3, 9),  # k
+                st.sampled_from(["spread", "ties", "tenths"]),
+                st.booleans(),  # a fixed row
+                st.sampled_from([0.0, 0.3]),  # share of zero preferences
+                st.integers(0, 3),  # incumbent size
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_dense_blocks_equal_the_certificate_forced_off(self, seed, params):
+        """Dense via blocks, where most searches do end certified: with
+        near-ties (small integers, tenths) and zero preferences too."""
+        rng = np.random.default_rng(seed)
+        members = []
+        for c, t, k, values, fixed, zero, wired in params:
+            if values == "ties":
+                via = rng.integers(1, 4, size=(c + 1, t)).astype(float)
+            elif values == "tenths":
+                via = rng.integers(1, 5, size=(c + 1, t)) / 10.0
+            else:
+                via = rng.uniform(1.0, 100.0, size=(c + 1, t))
+            prefs = rng.uniform(0.1, 1.0, size=t)
+            prefs[rng.random(t) < zero] = 0.0
+            ids = rng.permutation(40)[:c]
+            incumbent = [int(v) for v in rng.choice(ids, size=min(wired, c), replace=False)]
+            members.append(
+                Member(via[:c], ids, prefs, k, incumbent, 100, via[c] if fixed else None)
+            )
+        self._assert_same(
+            self._run(members, certify=True), self._run(members, certify=False)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),  # lanes
+        st.integers(3, 6),  # k
+        st.integers(1, 40),  # destinations
+        st.sampled_from(["ties", "tenths", "spread"]),
+    )
+    def test_a_one_ulp_improving_swap_is_never_certified(self, seed, lanes, k, t, values):
+        """Plant the current cost one ulp above the best swap's exact
+        score: a swap improves, so the certificate must not hold."""
+        rng = np.random.default_rng(seed)
+        c = k + int(rng.integers(1, 8))
+        if values == "ties":  # equal costs everywhere, zero columns too
+            weighted = rng.integers(0, 3, size=(lanes, c + 1, t)).astype(float)
+        elif values == "tenths":  # sums that differ in the last bit
+            weighted = rng.integers(0, 4, size=(lanes, c + 1, t)) / 10.0
+        else:
+            weighted = rng.uniform(0.0, 1e3, size=(lanes, c + 1, t))
+        rows = np.full((lanes, k + 1), c)  # slot k: the fixed row
+        for a in range(lanes):
+            rows[a, :k] = rng.choice(c, size=k, replace=False)
+        cur = weighted[np.arange(lanes)[:, None], rows]
+        loo = np.stack([np.delete(cur, o, axis=1).min(axis=1) for o in range(k)], axis=1)
+        taken = np.zeros((lanes, c), dtype=bool)
+        taken[np.arange(lanes)[:, None], rows[:, :k]] = True
+        scores = _exact_swap_scores(weighted[:, :c], loo)
+        scores[np.broadcast_to(taken[:, None, :], scores.shape)] = np.inf
+        best = scores.reshape(lanes, -1).min(axis=1)
+        work = np.empty(2 * lanes * c * t)
+        args = (weighted[:, :c], cur, loo, taken[:, None, :], np.zeros((lanes, k, 1), bool))
+        improvable = np.nextafter(best, np.inf)
+        certified = best_response_module._no_improving_swap(*args, improvable, work)
+        assert not certified.any()
+        # Well below the best score nothing improves, and it must hold.
+        assert best_response_module._no_improving_swap(*args, best / 2, work)[best > 0].all()
+
+    def test_every_search_ends_certified_on_a_static_fixture(self):
+        """Each member's last pass is the certificate's, not the swap
+        tensor's, and forcing the certificate off changes no result (one
+        member improves once before it is certified)."""
+        rng = np.random.default_rng(5)
+        members = [
+            Member(rng.uniform(1.0, 100.0, (30, 25)), np.arange(30),
+                   rng.uniform(0.1, 1.0, 25), 6, (), 100)
+            for _ in range(3)
+        ]
+        certified = []
+        original = best_response_module._no_improving_swap
+
+        def recording(*args):
+            stays = original(*args)
+            certified.append(stays.tolist())
+            return stays
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(best_response_module, "_no_improving_swap", recording)
+            on = self._run(members, certify=True)
+        assert certified == [[True, False, True], [True]]
+        self._assert_same(on, self._run(members, certify=False))

@@ -479,3 +479,103 @@ class TestStackedRepair:
         assert stacked.shape == (1, 12, 12)
         assert np.array_equal(flat, stacked[0])
         assert np.array_equal(flat, _fresh(new, sources, 7))
+
+
+def _table_contents(tables):
+    """Every edge the tables hold, read back through both structures, plus
+    the layout invariants the kernel relies on: out-slots pad with
+    ``inf``-weight self-loops, in-slots fill a prefix of ``in_count``
+    and pad with ``-1`` / ``inf``, and the CSR views the out-slots."""
+    keys = np.arange(tables.blocks * tables.n)
+    assert np.array_equal(tables.csr.indices, tables.out_dst.reshape(-1))
+    assert np.array_equal(tables.csr.data, tables.out_w.reshape(-1))
+    assert np.array_equal(
+        tables.csr.indptr, np.arange(len(keys) + 1) * tables.out_dst.shape[1]
+    )
+    pad = tables.out_dst == keys[:, None]
+    assert np.isinf(tables.out_w[pad]).all()
+    out = {
+        (int(key), int(dst)): float(w)
+        for key, row, weights in zip(keys, tables.out_dst, tables.out_w)
+        for dst, w in zip(row, weights)
+        if dst != key
+    }
+    inside = np.arange(tables.in_src.shape[1])[None, :] < tables.in_count[:, None]
+    assert (tables.in_src[inside] >= 0).all()
+    assert (tables.in_src[~inside] == -1).all() and np.isinf(tables.in_w[~inside]).all()
+    into = {
+        (int(key), int(src)): float(w)
+        for key, row, weights, degree in zip(
+            keys, tables.in_src, tables.in_w, tables.in_count
+        )
+        for src, w in zip(row[:degree], weights[:degree])
+    }
+    # Both structures hold the same edge set: u -> v of block m is out-key
+    # m*n + u to m*n + v and in-key m*n + v from u.
+    n = tables.n
+    assert into == {(dst, key % n): w for (key, dst), w in out.items()}
+    return out
+
+
+class TestPatchedTables:
+    """Repair tables followed through row patches stay the tables a fresh
+    build of the patched overlays gives, and repairs read through them
+    stay bit-identical to fresh sweeps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(2, 14),
+        st.integers(0, 100_000),
+        st.integers(1, 4),
+    )
+    def test_patched_tables_equal_a_fresh_build(self, members, n, seed, rounds):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_masked_member(n, rng)[0] for _ in range(members)])
+        tables = shortest_inbound_tables(stack)
+        for _ in range(rounds):
+            old = stack.copy()
+            # Distinct (member, node) rows, each given a new out-link set:
+            # any degree up to n - 1 (widths grow), none at all (emptied
+            # rows), zero weights (nudged), ties.
+            picks = rng.choice(members * n, size=int(rng.integers(1, members * n + 1)),
+                               replace=False)
+            blocks, nodes = picks // n, picks % n
+            for block, node in zip(blocks, nodes):
+                _tie_rich_rewire(stack[block], int(node), rng,
+                                 degree=int(rng.integers(0, n)))
+            tables.patch(blocks, nodes, stack[blocks, nodes])
+            fresh = shortest_inbound_tables(stack)
+            assert _table_contents(tables) == _table_contents(fresh)
+            # Every member, in a shuffled order, with an excluded node each
+            # (a derive-style repair) or none (an update).
+            order = rng.permutation(members)
+            sources = np.arange(n)
+            exclude = [
+                int(rng.integers(n)) if rng.random() < 0.5 else None for _ in order
+            ]
+            changed = [[int(x) for x in nodes[blocks == m]] for m in order]
+            stale = np.stack([_fresh(old[m], sources, x) for m, x in zip(order, exclude)])
+            repaired = repair_shortest_rows(
+                stale, sources, changed, None, exclude=exclude,
+                tables=tables.select(order),
+            )
+            for i, (m, x) in enumerate(zip(order, exclude)):
+                assert np.array_equal(repaired[i], _fresh(stack[m], sources, x))
+
+    def test_an_empty_overlay_grows_its_tables(self):
+        # The first epoch of an engine starts with no link at all: both
+        # slot tables start zero wide and widen as rows fill in.
+        n = 6
+        dense = np.full((n, n), np.nan)
+        tables = shortest_inbound_tables(dense)
+        assert tables.out_dst.shape == (n, 0) and tables.in_src.shape == (n, 0)
+        rng = np.random.default_rng(4)
+        for node in range(n):
+            _tie_rich_rewire(dense, node, rng, degree=n - 1)
+            tables.patch([0], [node], dense[node][None])
+        assert _table_contents(tables) == _table_contents(shortest_inbound_tables(dense))
+        sources = np.arange(n)
+        empty = _fresh(np.full((n, n), np.nan), sources)
+        repaired = repair_shortest_rows(empty, sources, list(range(n)), None, tables=tables)
+        assert np.array_equal(repaired, _fresh(dense, sources))
