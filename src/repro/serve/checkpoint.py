@@ -9,12 +9,12 @@ the kernel path, the epoch/segment coordinates, the recent epoch digests
 (for idempotent ``step`` replies), and the mutation dedupe window (so a
 retried mutation stays exactly-once across a crash).
 
-Durability reuses the distributed sweep layer's hardened filesystem
-primitives: every checkpoint is written through
-:meth:`repro.sweep.dist.backend.SharedFSBackend.write_atomic` — content
-fsynced before an atomic rename, directory fsynced after — so a reader
-never observes a half-written checkpoint and a SIGKILL never destroys
-the previous one.  The pickle payload additionally carries its own
+Every checkpoint is written through
+:func:`repro.util.durable_io.write_atomic` — content fsynced before an
+atomic rename, directory fsynced after — so a reader never observes a
+half-written checkpoint and a SIGKILL never destroys the previous one;
+the temp file a killed writer leaves is removed by the next write.  The
+pickle payload additionally carries its own
 blake2b digest; :meth:`CheckpointManager.load` rejects any file that
 fails schema, digest, or unpickling checks, and recovery then replays
 the archived log chain instead, so one corrupt file degrades recovery
@@ -30,9 +30,10 @@ import os
 import pickle
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.sweep.dist.backend import SharedFSBackend
+from repro.util.durable_io import pid_alive, write_atomic
 from repro.util.validation import ValidationError
 
 #: Schema version of the checkpoint envelope.  2: the pickled engines'
@@ -41,6 +42,9 @@ from repro.util.validation import ValidationError
 CHECKPOINT_SCHEMA_VERSION = 2
 
 _NAME = re.compile(r"^ckpt-(\d{8})-(\d{4})\.json$")
+
+#: A write's temp file, named by the writer's pid: ``.<name>.<pid>.tmp``.
+_TMP = re.compile(r"^\.ckpt-\d{8}-\d{4}\.json\.(\d+)\.tmp$")
 
 
 def checkpoint_name(epochs: int, segment: int) -> str:
@@ -73,13 +77,9 @@ class CheckpointManager:
     """Write, enumerate, validate, load, and prune checkpoints in one dir."""
 
     def __init__(self, directory: str):
-        self.directory = str(directory)
-        # The shared-fs backend is reused purely for its durability
-        # discipline (fsync file before atomic rename, directory after);
-        # on a local disk the fsyncs are cheap and the semantics are the
-        # ones crash recovery needs.  The directory is created by the
-        # first write, so a read-only caller never creates one.
-        self._backend = SharedFSBackend(self.directory)
+        # The directory is created by the first write, so a read-only
+        # caller never creates one.
+        self.directory = Path(directory)
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -98,8 +98,15 @@ class CheckpointManager:
         """Atomically persist one checkpoint; returns its file name.
 
         ``batched`` only fills the envelope field of the same name: serve
-        runs the batched tier alone, and no reader consults it.
+        runs the batched tier alone, and no reader consults it.  Temp
+        files of writers that died mid-write (their pid is gone) are
+        removed first, so recovery, which anchors on a fresh checkpoint,
+        clears a crash's leftovers.
         """
+        for path in self.directory.glob(".ckpt-*.tmp"):
+            match = _TMP.match(path.name)
+            if match and not pid_alive(int(match.group(1))):
+                path.unlink(missing_ok=True)
         blob = pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)
         envelope = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
@@ -116,10 +123,10 @@ class CheckpointManager:
             "payload": base64.b64encode(blob).decode("ascii"),
         }
         name = checkpoint_name(epochs_completed, segment)
-        self._backend.write_atomic(
-            name,
+        write_atomic(
+            str(self.directory / name),
             json.dumps(envelope, separators=(",", ":"), sort_keys=True),
-            f".{name}.{os.getpid()}.tmp",
+            str(self.directory / f".{name}.{os.getpid()}.tmp"),
         )
         return name
 
@@ -128,16 +135,15 @@ class CheckpointManager:
     # ------------------------------------------------------------------ #
     def names(self) -> List[str]:
         """Checkpoint file names present, oldest first."""
-        return sorted(
-            name for name in self._backend.listdir() if _NAME.match(name)
-        )
+        return sorted(p.name for p in self.directory.glob("ckpt-*.json") if _NAME.match(p.name))
 
     def load(self, name: str) -> CheckpointState:
         """Validate and unpickle one checkpoint by file name."""
-        text = self._backend.read_text(name)
-        if text is None:
+        try:
+            text = (self.directory / name).read_text()
+        except FileNotFoundError:
             raise ValidationError(
-                f"checkpoint {name!r} not found in {self.directory!r}"
+                f"checkpoint {name!r} not found in {str(self.directory)!r}"
             )
         try:
             envelope = json.loads(text)
@@ -200,7 +206,7 @@ class CheckpointManager:
         names = self.names()
         removed = names[:-keep] if len(names) > keep else []
         for name in removed:
-            self._backend.unlink(name)
+            (self.directory / name).unlink(missing_ok=True)
         return removed
 
     def oldest_segment(self) -> Optional[int]:

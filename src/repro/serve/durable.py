@@ -23,7 +23,6 @@ through :mod:`repro.serve.replay`'s one fold
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -46,6 +45,7 @@ from repro.serve.replay import (
     replay_chain,
 )
 from repro.telemetry import runtime as telemetry
+from repro.util.durable_io import replace_durably
 from repro.util.validation import ValidationError
 
 #: Idempotency keys remembered for mutation dedupe (FIFO window).
@@ -388,7 +388,7 @@ class DurableState:
             suffix.digests.popitem(last=False)
 
         # Archive the crashed segment; writing continues in the next.
-        os.replace(log_path, segment_path(log_path, segment))
+        replace_durably(log_path, segment_path(log_path, segment))
         durable = cls(
             spec,
             log_path=log_path,

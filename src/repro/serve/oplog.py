@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.util.durable_io import fsync_dir, replace_durably
 from repro.util.validation import ValidationError
 
 #: Mutation-log schema version (segment ``open`` headers carry it).
@@ -199,11 +200,8 @@ class LogWriter:
         if self._handle is None:
             raise ValidationError("the mutation log is closed")
         archived = segment_path(self.path, self.segment)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
-        os.replace(self.path, archived)
-        _fsync_dir(os.path.dirname(self.path) or ".")
+        self.close()
+        replace_durably(self.path, archived)
         self.segment += 1
         self._handle = open(self.path, "a")
         self.append(header)
@@ -215,18 +213,6 @@ class LogWriter:
             os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
-
-
-def _fsync_dir(path: str) -> None:
-    """Make a directory mutation (rename, create) durable."""
-    try:
-        fd = os.open(path or ".", os.O_RDONLY)
-    except OSError:  # pragma: no cover - transient mount hiccup
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def compact_segments(path: str, *, keep_from: int) -> List[str]:
@@ -247,7 +233,7 @@ def compact_segments(path: str, *, keep_from: int) -> List[str]:
                 continue
             removed.append(archived)
     if removed:
-        _fsync_dir(os.path.dirname(path) or ".")
+        fsync_dir(os.path.dirname(path))
     return removed
 
 

@@ -27,6 +27,7 @@ import itertools
 import os
 from typing import Dict, List, Optional, Type
 
+from repro.util.durable_io import fsync_dir, write_atomic
 from repro.util.validation import ValidationError
 
 #: Per-process sequence making exclusive-create temp names unique even
@@ -50,13 +51,6 @@ class StoreBackend:
     def path(self, rel: str) -> str:
         """Absolute path of ``rel`` inside the store root."""
         return os.path.join(self.root, rel)
-
-    def makedirs(self, rel_dir: str = "") -> None:
-        """Ensure ``rel_dir`` (the root itself by default) exists."""
-        os.makedirs(self.path(rel_dir) if rel_dir else self.root, exist_ok=True)
-
-    def exists(self, rel: str) -> bool:
-        return os.path.exists(self.path(rel))
 
     def listdir(self, rel_dir: str = "") -> List[str]:
         """Entries of ``rel_dir``, sorted; empty when the dir is absent."""
@@ -90,9 +84,7 @@ class StoreBackend:
         os.makedirs(os.path.dirname(tmp) or self.root, exist_ok=True)
         with open(tmp, "w") as handle:
             handle.write(text)
-            self._sync_handle(handle)
         os.replace(tmp, self.path(rel))
-        self._sync_dir(os.path.dirname(self.path(rel)))
 
     def create_exclusive(self, rel: str, text: str) -> bool:
         """Atomically create ``rel`` with ``text``; False when it exists.
@@ -182,19 +174,15 @@ class SharedFSBackend(StoreBackend):
 
     name = "shared-fs"
 
+    def write_atomic(self, rel: str, text: str, tmp_rel: str) -> None:
+        write_atomic(self.path(rel), text, self.path(tmp_rel))
+
     def _sync_handle(self, handle) -> None:
         handle.flush()
         os.fsync(handle.fileno())
 
     def _sync_dir(self, path: str) -> None:
-        try:
-            fd = os.open(path or ".", os.O_RDONLY)
-        except OSError:  # pragma: no cover - transient mount hiccup
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_dir(path)
 
 
 BACKENDS: Dict[str, Type[StoreBackend]] = {

@@ -31,28 +31,13 @@ from typing import Dict, List, Optional
 
 from repro.sweep.dist.backend import StoreBackend, parse_backend
 from repro.sweep.dist.claims import local_host
+from repro.util.durable_io import pid_alive
 from repro.util.validation import ValidationError
 
 _KEY_PATTERN = re.compile(r"^[0-9a-f]{32}$")
 
 #: Host-and-pid-qualified temp names: ``.<key>.<host>.<pid>.tmp``.
 _TMP_PATTERN = re.compile(r"^\.([0-9a-f]{32})\.([A-Za-z0-9_-]+)\.(\d+)\.tmp$")
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (conservatively True on EPERM)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        # The process exists but belongs to someone else.
-        return True
-    except OSError:
-        return True
-    return True
 
 
 class SweepStore:
@@ -117,7 +102,6 @@ class SweepStore:
         """
         removed: List[str] = []
         own_host = local_host()
-        own_pid = os.getpid()
         for entry in self.backend.listdir():
             match = _TMP_PATTERN.match(entry)
             if match is None:
@@ -125,7 +109,7 @@ class SweepStore:
             host, pid = match.group(2), int(match.group(3))
             if host != own_host:
                 continue
-            if pid == own_pid or _pid_alive(pid):
+            if pid_alive(pid):
                 continue
             if self.backend.unlink(entry):
                 removed.append(entry)

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 from repro.core.failures import FailureSpec
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
+from repro.serve import durable as durable_module
+from repro.serve.checkpoint import checkpoint_name
 from repro.serve.durable import RecoveryError
 from repro.serve.protocol import encode, response
 from repro.serve.replay import replay_log
@@ -336,6 +338,67 @@ class TestRecover:
             assert resumed == {e: reference[e] for e in resumed}
         finally:
             recovered.close()
+
+    def test_archive_rename_is_durable_before_the_next_segment_opens(
+        self, tmp_path, monkeypatch
+    ):
+        """Recovery archives the crashed segment by a rename, as
+        ``LogWriter.rotate`` does: the log directory is fsynced after the
+        rename and before the next segment opens, so a crash right after
+        recovery cannot bring the old segment back under the live name."""
+        log = tmp_path / "log" / "serve.jsonl"
+        service = OverlayService(_spec(), log_path=str(log))
+        _drive(service, 2)
+        _crash(service)
+        log_dir = os.stat(log.parent)
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("rename", os.path.basename(dst)))
+
+        def fsync(fd):
+            found = os.fstat(fd)
+            if (found.st_dev, found.st_ino) == (log_dir.st_dev, log_dir.st_ino):
+                events.append(("fsync", "log dir"))
+            real_fsync(fd)
+
+        class OpenRecorder(durable_module.LogWriter):
+            def __init__(self, *args, **kwargs):
+                events.append(("open", "next segment"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(durable_module, "LogWriter", OpenRecorder)
+        OverlayService.recover(str(log)).close()
+        renamed = events.index(("rename", "serve.jsonl.000"))
+        opened = events.index(("open", "next segment"))
+        assert ("fsync", "log dir") in events[renamed:opened], events
+
+    def test_a_dead_writers_checkpoint_temp_file_is_removed(self, tmp_path):
+        """A serve killed inside ``CheckpointManager.write`` leaves its
+        ``.ckpt-*.<pid>.tmp``; recovery removes it once the pid is gone,
+        and leaves a live writer's temp file alone."""
+        log, ckpt, _digests = _crashed_service(tmp_path, epochs=3)
+        dead_pid = int(
+            subprocess.run(
+                [sys.executable, "-c", "import os; print(os.getpid())"],
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        name = checkpoint_name(9, 9)
+        dead = os.path.join(ckpt, f".{name}.{dead_pid}.tmp")
+        live = os.path.join(ckpt, f".{name}.{os.getpid()}.tmp")
+        for path in (dead, live):
+            with open(path, "w") as handle:
+                handle.write('{"schema": 2, "payl')
+        OverlayService.recover(log, checkpoint_dir=ckpt, checkpoint_every=2).close()
+        assert not os.path.exists(dead)
+        assert os.path.exists(live)
 
     def test_torn_tail_is_preserved_and_truncated(self, tmp_path):
         log, ckpt, _digests = _crashed_service(tmp_path, epochs=3)

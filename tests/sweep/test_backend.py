@@ -71,7 +71,7 @@ class TestBackendPrimitives:
         backend.create_exclusive("here.claim", "x")
         assert backend.rename("here.claim", "taken.claim") is True
         assert backend.read_text("taken.claim") == "x"
-        assert not backend.exists("here.claim")
+        assert backend.read_text("here.claim") is None
 
     def test_unlink_missing_is_false(self, tmp_path, backend_cls):
         backend = backend_cls(str(tmp_path))

@@ -16,6 +16,15 @@ import repro
 RUNTIME_MODULES = ("repro.cli", "repro.serve.server", "repro.core.engine_batch", "repro.sweep")
 
 
+def _run(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+
+
 def test_runtime_import_path_does_not_load_networkx():
     code = (
         "import importlib, sys\n"
@@ -23,11 +32,7 @@ def test_runtime_import_path_does_not_load_networkx():
         "    importlib.import_module(name)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _run(code)
     assert result.stdout.strip() == "[]"
 
 
@@ -47,9 +52,22 @@ def test_cli_import_and_parser_stay_off_the_serve_stack():
         "repro.cli.build_parser()\n"
         "print(heavy())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    result = _run(code)
     assert result.stdout.splitlines() == ["[]", "['repro.serve', 'repro.serve.cli']"]
+
+
+def test_serve_loads_no_sweep_and_no_experiment_module():
+    """A server process loads neither the sweep layer nor any experiment.
+
+    ``serve`` sits beside ``sweep`` in the layer order; its durable writes
+    come from ``repro.util.durable_io``, not from the sweep's shared-fs
+    backend (whose import once pulled the executor and all ten experiment
+    modules into every server).
+    """
+    code = (
+        "import sys\n"
+        "import repro.serve.server, repro.serve.service\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.sweep', 'repro.experiments'))))\n"
+    )
+    assert _run(code).stdout.strip() == "[]"
