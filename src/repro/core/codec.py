@@ -129,23 +129,6 @@ def cache_stats_to_json(stats: Dict[str, float]) -> Dict[str, object]:
     return payload
 
 
-def cache_stats_from_json(data: Dict[str, object]) -> Dict[str, float]:
-    """Inverse of :func:`cache_stats_to_json` (schema-checked)."""
-    _check_schema(data, CACHE_SCHEMA_VERSION, "cache diagnostics")
-    stats: Dict[str, float] = {}
-    try:
-        for name, value in data.items():
-            if name == "schema":
-                continue
-            stats[name] = decode_float(value)
-    except (TypeError, ValueError) as error:
-        raise ValidationError(f"malformed cache diagnostics payload: {error}")
-    missing = set(CACHE_FIELDS) - set(stats)
-    if missing:
-        raise ValidationError(f"cache diagnostics are missing counters {sorted(missing)}")
-    return stats
-
-
 def epoch_record_digest(records: Iterable[EpochRecord]) -> str:
     """Canonical digest of a sequence of records.
 
@@ -177,7 +160,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "RECORD_FIELDS",
     "RECORD_SCHEMA_VERSION",
-    "cache_stats_from_json",
     "cache_stats_to_json",
     "decode_float",
     "encode_float",

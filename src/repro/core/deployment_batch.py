@@ -14,13 +14,14 @@ vectorised kernels idle between deployments; this module stacks them:
   lockstep epoch — residual planners, settled skips, the fused kernel
   and the BR(ε) adoption rule are the epoch loop's own.
 
-* **Scoring.**  The built overlays' route-value matrices are stacked
-  into a single ``(deployments x hops x destinations)`` tensor — one
-  block-diagonal Dijkstra, or max-min closures, per objective group —
-  and every node cost of every deployment falls out of one
-  preference-weighted broadcast.  Deployments whose graph and objective
-  direction match byte for byte (e.g. full-mesh overlays over a
-  drift-free underlay) share one tensor slice.
+* **Scoring.**  The built overlays are scored a chunk of
+  :data:`_SCORE_BLOCK_NODES` stacked nodes at a time: the chunk's
+  route-value matrices are stacked into one ``(deployments x hops x
+  destinations)`` tensor — one block-diagonal Dijkstra, or one stack of
+  max-min closures, per objective group — and every node cost of the
+  chunk falls out of one preference-weighted broadcast.  Deployments of
+  a chunk whose graph and objective direction match byte for byte (e.g.
+  full-mesh overlays over a drift-free underlay) share one tensor slice.
 
 Both phases are bitwise identical to the sequential reference path:
 ``batched=False`` is the plain code with no stacking — one
@@ -54,6 +55,24 @@ from repro.core.policies import (
 from repro.core.wiring import GlobalWiring
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import ValidationError
+
+#: Stacked deployment nodes scored at a time.  One chunk's block-diagonal
+#: Dijkstra has a dense ``(blocks*n)^2`` distance output, and its graphs
+#: and tensors are the scoring working set: the default
+#: ``fig1-delay-ping`` sweep (35 deployments of 50 nodes) peaked at
+#: 32.6 MB traced in one 1 750-node call, and at 1.9 MB in chunks of this
+#: size (process max RSS 102.0 -> 73.3 MB).
+_SCORE_BLOCK_NODES = 256
+
+#: Stacked deployment nodes (deployments x n) up to which the cells of a
+#: sweep merge into one batch (:func:`repro.scenario.session.run_group`).
+#: A group's peak memory grows with its width (each quiet bandwidth build
+#: holds n^3 residual floats).  On ``build_12cell`` (12 cells of 4
+#: deployments x 48 nodes, seed 7, a 2-vCPU box) ``peak_rss_mb`` read
+#: 69.8 with cells run alone, and 71.3 / 72.0 / 72.6 / 73.3 / 76.6 at caps
+#: of 384 / 576 / 768 / 1152 / 2304 nodes (2 / 3 / 4 / 6 / 12 cells); this
+#: cap keeps the sweep within +5% on every seed tried.
+MERGE_MAX_NODES = 576
 
 
 @dataclass
@@ -206,8 +225,73 @@ def _sequential_overlay(spec: DeploymentSpec) -> GlobalWiring:
     )
 
 
+def _route_values(specs: Sequence[DeploymentSpec], graphs: Sequence, n: int) -> np.ndarray:
+    """``(deployments x hops x destinations)`` true route values.
+
+    Stacks each deployment graph's all-sources route-value matrix
+    (shortest-path costs, or bottleneck bandwidths for maximising
+    metrics) into one tensor, deduplicating members whose dense weight
+    matrix (byte for byte) and objective direction match.
+    """
+    tensor = np.empty((len(graphs), n, n))
+    slots: Dict[Tuple[bool, bytes], List[int]] = {}
+    denses: Dict[Tuple[bool, bytes], np.ndarray] = {}
+    for i, (spec, graph) in enumerate(zip(specs, graphs)):
+        dense = _graph_dense(graph)
+        key = (bool(spec.truth.maximize), dense.tobytes())
+        slots.setdefault(key, []).append(i)
+        denses.setdefault(key, dense)
+    for maximize in (False, True):
+        keys = [key for key in slots if key[0] == maximize]
+        if not keys:
+            continue
+        stack = np.stack([denses[key] for key in keys])
+        matrices = batched_route_matrices(stack, maximize, block_nodes=_SCORE_BLOCK_NODES)
+        for key, matrix in zip(keys, matrices):
+            for i in slots[key]:
+                tensor[i] = matrix
+    return tensor
+
+
+def _mean_costs(
+    specs: Sequence[DeploymentSpec], picked: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Mean node cost per deployment from its ``(n, n - 1)`` route values
+    to everyone else (``picked``), preference-weighted and clamped."""
+    n = picked.shape[1]
+    prefs = np.empty(picked.shape)
+    for i, spec in enumerate(specs):
+        matrix = spec.preferences if spec.preferences is not None else uniform_preferences(n)
+        prefs[i] = matrix[rows, cols]
+    costs = np.empty((len(specs), n))
+    # Group by the full objective convention (direction AND
+    # disconnection value), since the clamp applies one value per
+    # group; metrics overriding unreachable_value get their own.
+    groups: Dict[Tuple[bool, float], List[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (bool(spec.truth.maximize), float(spec.truth.unreachable_value))
+        groups.setdefault(key, []).append(i)
+    for (maximize, unreachable_value), members in groups.items():
+        block = picked[members]
+        if maximize:
+            reachable = np.isfinite(block) & (block > 0)
+        else:
+            reachable = np.isfinite(block)
+        block = np.where(reachable, block, unreachable_value)
+        costs[members] = (prefs[members] * block).sum(axis=2)
+    return costs.mean(axis=1)
+
+
 class DeploymentBatch:
-    """A sweep of independent deployments over one shared underlay.
+    """A sweep of independent deployments over metrics of one size.
+
+    The deployments usually share one underlay (one cell's grid); a
+    sweep's build-only cells of one ``n`` also merge into one batch
+    (:func:`repro.scenario.session.run_group`, up to
+    :data:`MERGE_MAX_NODES`), which gives the lockstep driver the width
+    its stacked planners and fused kernel share their per-call overhead
+    across.  Nothing couples the deployments: each one's results are the
+    same whatever else is in the batch.
 
     Parameters
     ----------
@@ -279,86 +363,39 @@ class DeploymentBatch:
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    def route_value_tensor(self, graphs: Sequence) -> np.ndarray:
-        """``(deployments x hops x destinations)`` true route values.
-
-        Stacks each deployment graph's all-sources route-value matrix
-        (shortest-path costs, or bottleneck bandwidths for maximising
-        metrics) into one tensor, deduplicating members whose dense
-        weight matrix (byte for byte) and objective direction match.
-        """
-        if len(graphs) != len(self.specs):
-            raise ValidationError("one graph per deployment expected")
-        n = self.n
-        tensor = np.empty((len(graphs), n, n))
-        slots: Dict[Tuple[bool, bytes], List[int]] = {}
-        denses: Dict[Tuple[bool, bytes], np.ndarray] = {}
-        for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
-            dense = _graph_dense(graph)
-            key = (bool(spec.truth.maximize), dense.tobytes())
-            slots.setdefault(key, []).append(i)
-            denses.setdefault(key, dense)
-        for maximize in (False, True):
-            keys = [key for key in slots if key[0] == maximize]
-            if not keys:
-                continue
-            stack = np.stack([denses[key] for key in keys])
-            matrices = batched_route_matrices(stack, maximize)
-            for key, matrix in zip(keys, matrices):
-                for i in slots[key]:
-                    tensor[i] = matrix
-        return tensor
-
     def mean_true_costs(self, wirings: Sequence[GlobalWiring]) -> np.ndarray:
         """Mean per-node cost of every deployment on its true metric.
 
-        The batched path computes the whole sweep in one
-        preference-weighted broadcast over :meth:`route_value_tensor`;
-        the sequential path is one ``all_node_costs`` call per
-        deployment.  Both are bitwise identical (same route values, same
-        elementwise clamp/multiply, same pairwise summation order).
+        The batched path scores :data:`_SCORE_BLOCK_NODES` stacked nodes'
+        worth of deployments at a time, each chunk one
+        preference-weighted broadcast over its route values, so the
+        working set is a chunk's, not the sweep's; the sequential path is
+        one ``all_node_costs`` call per deployment.  Both are bitwise
+        identical (same route values, same elementwise clamp/multiply,
+        same pairwise summation order per row).
         """
         if len(wirings) != len(self.specs):
             raise ValidationError("one wiring per deployment expected")
-        graphs = [wiring.to_graph() for wiring in wirings]
         if not self.batched:
-            means = np.empty(len(graphs))
-            for i, (spec, graph) in enumerate(zip(self.specs, graphs)):
-                costs = spec.truth.all_node_costs(graph, spec.preferences)
+            means = np.empty(len(wirings))
+            for i, (spec, wiring) in enumerate(zip(self.specs, wirings)):
+                costs = spec.truth.all_node_costs(wiring.to_graph(), spec.preferences)
                 means[i] = float(np.mean(list(costs.values())))
             return means
-        values = self.route_value_tensor(graphs)
         n = self.n
         rows = np.arange(n)[:, None]
         # Destination columns per node, in the ascending "everyone else"
         # order Metric._weighted_cost iterates.
         cols = np.array([[j for j in range(n) if j != i] for i in range(n)])
-        picked = values[:, rows, cols]  # (deployments, n, n - 1)
-        prefs = np.empty((len(self.specs), n, n - 1))
-        for i, spec in enumerate(self.specs):
-            matrix = (
-                spec.preferences
-                if spec.preferences is not None
-                else uniform_preferences(n)
-            )
-            prefs[i] = matrix[rows, cols]
-        costs = np.empty((len(self.specs), n))
-        # Group by the full objective convention (direction AND
-        # disconnection value), since the clamp applies one value per
-        # group; metrics overriding unreachable_value get their own.
-        groups: Dict[Tuple[bool, float], List[int]] = {}
-        for i, spec in enumerate(self.specs):
-            key = (bool(spec.truth.maximize), float(spec.truth.unreachable_value))
-            groups.setdefault(key, []).append(i)
-        for (maximize, unreachable_value), members in groups.items():
-            block = picked[members]
-            if maximize:
-                reachable = np.isfinite(block) & (block > 0)
-            else:
-                reachable = np.isfinite(block)
-            block = np.where(reachable, block, unreachable_value)
-            costs[members] = (prefs[members] * block).sum(axis=2)
-        return costs.mean(axis=1)
+        means = np.empty(len(self.specs))
+        step = max(1, _SCORE_BLOCK_NODES // n)
+        for start in range(0, len(self.specs), step):
+            chunk = slice(start, start + step)
+            specs = self.specs[chunk]
+            graphs = [wiring.to_graph() for wiring in wirings[chunk]]
+            picked = _route_values(specs, graphs, n)[:, rows, cols]  # (chunk, n, n - 1)
+            means[chunk] = _mean_costs(specs, picked, rows, cols)
+        return means
 
     # ------------------------------------------------------------------ #
     def run(self) -> np.ndarray:

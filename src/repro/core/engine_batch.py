@@ -42,8 +42,9 @@ settled skip that needs none.  Three planners fill it:
   matrix: matrix + one residual are O(n^2) per engine, where n
   residuals would be O(n^3);
 * the bandwidth metric goes through
-  :func:`repro.core.lockstep.fill_bandwidth_residuals` (per-node
-  closures, or one avoid-one pass once a quiet streak makes whole-round
+  :func:`repro.core.lockstep.fill_bandwidth_residuals`, once per round
+  for every bandwidth engine (per-node closures pivoted as one stack, or
+  one avoid-one pass per engine once a quiet streak makes whole-round
   speculation worthwhile).
 
 A planned matrix is valid until something in its read set changes, and
@@ -469,6 +470,7 @@ class _LockstepDriver:
         """
         jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
         maintained: List[_LockstepState] = []
+        bandwidth: List[Tuple[_LockstepState, List[int], List[int]]] = []
         for st in live:
             plan = st.plan
             if plan.announced.maximize:
@@ -485,12 +487,8 @@ class _LockstepDriver:
                     and st.settled.get(node) != token
                 ]
                 if missing:
-                    # Past the closure cutoff nothing is planned: the
-                    # engine's own auto-mode sweep (bitwise identical) runs.
                     readers = [node for node in plan.order if st.settled.get(node) != token]
-                    st.mailbox.update(
-                        fill_bandwidth_residuals(st.dense, missing, readers, st.hop_rows)
-                    )
+                    bandwidth.append((st, missing, readers))
                 continue
             # Replan only when the speculative chain ran dry (or broke):
             # while the next node's entry stands the earlier plan already
@@ -506,6 +504,15 @@ class _LockstepDriver:
                 maintained.append(st)
                 continue
             jobs.extend(self._plan_speculative_jobs(st))
+        if bandwidth:
+            # One stacked pass closes every engine's residuals; past the
+            # closure cutoff nothing is planned and the engine's own
+            # auto-mode sweep (bitwise identical) runs.
+            filled = fill_bandwidth_residuals(
+                [(st.dense, missing, readers, st.hop_rows) for st, missing, readers in bandwidth]
+            )
+            for (st, _missing, _readers), residuals in zip(bandwidth, filled):
+                st.mailbox.update(residuals)
         if maintained:
             self._derive_residuals(maintained)
         if not jobs:

@@ -12,8 +12,9 @@ imports the policies, which import that one).  The rest is here:
 * :func:`batched_route_matrices` — all-sources route values of stacked
   overlays: one block-diagonal CSR Dijkstra for additive metrics, max-min
   closures for bandwidth (also the build sweep's scoring tensor).
-* :func:`fill_bandwidth_residuals` — residual bottleneck matrices of one
-  bandwidth overlay, by per-node closures or one avoid-one pass.
+* :func:`fill_bandwidth_residuals` — residual bottleneck matrices of a
+  round's bandwidth overlays, by per-node closures pivoted as one stack
+  or one avoid-one pass per quiet overlay.
 * :func:`fusable` and :func:`wave_cap` — which policies the kernel
   replicates, and how far ahead a quiet deployment may speculate.
 
@@ -27,7 +28,7 @@ reordering), which is what keeps ``batched=True`` and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -159,8 +160,7 @@ def batched_route_matrices(
                     graph, list(range(n)), batched=False
                 )
         else:
-            for m in range(members):
-                out[m] = bottleneck_closure_fw(adjacency[m])
+            out[:] = bottleneck_closure_fw(adjacency)
     else:
         chunk = max(1, int(block_nodes) // max(1, n))
         for start in range(0, members, chunk):
@@ -170,48 +170,59 @@ def batched_route_matrices(
 
 
 def fill_bandwidth_residuals(
-    dense: np.ndarray,
-    missing: Sequence[int],
-    nodes: Sequence[int],
-    hops_of: Callable[[int], np.ndarray],
-) -> Dict[int, np.ndarray]:
-    """Residual bottleneck matrices of one bandwidth overlay.
+    requests: Sequence[
+        Tuple[np.ndarray, Sequence[int], Sequence[int], Callable[[int], np.ndarray]]
+    ],
+) -> List[Dict[int, np.ndarray]]:
+    """Residual bottleneck matrices of a round's bandwidth overlays.
 
-    ``dense`` is the overlay's announced-bandwidth matrix (NaN absent)
-    and ``hops_of(node)`` the node's candidate first hops, ascending (the
+    Each request is ``(dense, missing, nodes, hops_of)``: one overlay's
+    announced-bandwidth matrix (NaN absent), the nodes whose residuals
+    are wanted, the nodes that may read one this round, and
+    ``hops_of(node)``, the node's candidate first hops, ascending (the
     rows of its matrix).  Small waves close each ``missing`` node's
-    residual adjacency directly (Floyd-Warshall pivoting); once the wave
-    says the overlay is quiet (:data:`_AVOID_ONE_MIN_WAVE` requests), one
-    divide-and-conquer :func:`bottleneck_avoid_one` pass yields the
+    residual adjacency directly (Floyd-Warshall pivoting), every
+    request's closures of one size pivoted as one stack; once a wave
+    says its overlay is quiet (:data:`_AVOID_ONE_MIN_WAVE` requests),
+    one divide-and-conquer :func:`bottleneck_avoid_one` pass yields the
     residual matrices of *every* member of ``nodes`` at once, so the
     caller holds the whole round until the next wiring change.  Both
     produce bitwise-identical slices (max-min values are selections, not
     arithmetic).
 
-    Returns ``{node: (hops x n) matrix}`` — every ``missing`` node, or
-    every member of ``nodes`` with a candidate hop.  Past
-    :data:`CLOSURE_MAX_NODES` dense closures (and the ``(n, n, n)``
-    avoid-one tensor) are O(n^3) in time and memory, so it returns
-    nothing and each caller runs its own bit-identical per-source
-    fallback.
+    Returns one ``{node: (hops x n) matrix}`` per request — every
+    ``missing`` node, or every member of ``nodes`` with a candidate hop.
+    Past :data:`CLOSURE_MAX_NODES` dense closures (and the ``(n, n, n)``
+    avoid-one tensor) are O(n^3) in time and memory, so a request that
+    large gets nothing and its caller runs its own bit-identical
+    per-source fallback.
     """
-    if dense.shape[0] > CLOSURE_MAX_NODES:
-        return {}
-    adjacency = np.where(np.isnan(dense), 0.0, dense)
-    np.fill_diagonal(adjacency, np.inf)
-    if len(missing) >= _AVOID_ONE_MIN_WAVE:
-        tensor = bottleneck_avoid_one(adjacency)
-        return {
-            node: tensor[node][rows, :]
-            for node in nodes
-            if len(rows := hops_of(node))
-        }
-    filled = {}
-    for node in missing:
-        residual = adjacency.copy()
-        residual[node, :] = 0.0
-        residual[node, node] = np.inf
-        filled[node] = bottleneck_closure_fw(residual)[hops_of(node), :]
+    filled: List[Dict[int, np.ndarray]] = [{} for _ in requests]
+    # n -> (the request's dict, node, its hop rows, residual adjacency)
+    closures: Dict[int, List[Tuple[Dict, int, np.ndarray, np.ndarray]]] = {}
+    for slot, (dense, missing, nodes, hops_of) in enumerate(requests):
+        n = dense.shape[0]
+        if n > CLOSURE_MAX_NODES:
+            continue
+        adjacency = np.where(np.isnan(dense), 0.0, dense)
+        np.fill_diagonal(adjacency, np.inf)
+        if len(missing) >= _AVOID_ONE_MIN_WAVE:
+            tensor = bottleneck_avoid_one(adjacency)
+            filled[slot] = {
+                node: tensor[node][rows, :]
+                for node in nodes
+                if len(rows := hops_of(node))
+            }
+            continue
+        for node in missing:
+            residual = adjacency.copy()
+            residual[node, :] = 0.0
+            residual[node, node] = np.inf
+            closures.setdefault(n, []).append((filled[slot], node, hops_of(node), residual))
+    for jobs in closures.values():
+        closed = bottleneck_closure_fw(np.stack([job[-1] for job in jobs]))
+        for (into, node, rows, _residual), closure in zip(jobs, closed):
+            into[node] = closure[rows, :]
     return filled
 
 

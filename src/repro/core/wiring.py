@@ -60,11 +60,6 @@ class Wiring:
         """Number of chosen neighbours (k actually in use)."""
         return len(self.neighbors)
 
-    @property
-    def selfish(self) -> FrozenSet[int]:
-        """The selfishly chosen (non-donated) neighbours."""
-        return self.neighbors - self.donated
-
     def replace(self, old: int, new: int) -> "Wiring":
         """Return a wiring with ``old`` swapped for ``new``."""
         if old not in self.neighbors:
@@ -217,10 +212,6 @@ class GlobalWiring:
         opportunity in the engine's epoch loop.
         """
         return OverlayGraph.from_weight_maps(self.n, self._weight_rows(active, node))
-
-    def announcements(self) -> Dict[int, Dict[int, float]]:
-        """Per-node link announcements (node -> {neighbor: cost})."""
-        return {node: dict(weights) for node, weights in self._weights.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GlobalWiring(n={self.n}, wired={len(self._wirings)})"

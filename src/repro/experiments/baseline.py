@@ -11,15 +11,16 @@ budget ``k``:
   bandwidth to BR's — larger is better, so the ratios sit below 1).
 
 Every panel is a registered :class:`~repro.scenario.spec.ScenarioSpec`
-(experiment names ``fig1-*``) run by :func:`_run_fig1`; from Python,
+(experiment names ``fig1-*``) planned by :func:`_plan_fig1`; from Python,
 ``run_spec(default_spec("fig1-delay-ping").override(n=30))``.
 
 Performance
 -----------
 A k-sweep is a batch of independent deployments — one per (policy, k)
-pair — over one underlay, and :func:`_run_fig1` runs the whole batch
-through :class:`~repro.core.deployment_batch.DeploymentBatch` (the
-session's ``batched=True``, the default):
+pair — over one underlay, and :func:`_plan_fig1` lays out the whole
+batch for :class:`~repro.core.deployment_batch.DeploymentBatch` (the
+session's ``batched=True``, the default; a sweep's cells of one ``n``
+may share one batch, see :func:`repro.scenario.session.run_group`):
 
 * the per-k underlay snapshots (announced + true metrics) are taken up
   front, every deployment gets its own spawned RNG stream, and the
@@ -47,7 +48,7 @@ from repro.core.policies import FullMeshPolicy
 from repro.experiments.harness import ExperimentResult, add_normalized_sweep
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, policy_label
 from repro.util.rng import as_generator, spawn_generators
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
@@ -82,12 +83,13 @@ _FIG1_PANELS = {
 }
 
 
-def _run_fig1(session: SimulationSession) -> ExperimentResult:
-    """Registered runner shared by all four Fig. 1 panels.
+def _plan_fig1(session: SimulationSession):
+    """Registered plan shared by all four Fig. 1 panels.
 
     Wirings are chosen from the *announced* metric (what nodes measured)
     and evaluated on the *true* metric, as in a real deployment; the
-    whole (k, policy) grid is one deployment batch.
+    whole (k, policy) grid is one deployment batch, and ``finish`` turns
+    its mean costs into the normalised series.
     """
     spec = session.spec
     panel = _FIG1_PANELS[spec.experiment]
@@ -124,16 +126,27 @@ def _run_fig1(session: SimulationSession) -> ExperimentResult:
         provider.advance(1)
     for deployment, stream in zip(deployments, spawn_generators(rng, len(deployments))):
         deployment.rng = stream
-    means = session.deployment_means(deployments)
     labels = list(policies)
-    for index, k in enumerate(spec.k_grid):
-        base = index * len(labels)
-        raw = {
-            label: float(means[base + offset])
-            for offset, label in enumerate(labels)
-        }
-        add_normalized_sweep(result, k, raw, "best-response")
-    return result
+
+    def finish(means) -> ExperimentResult:
+        for index, k in enumerate(spec.k_grid):
+            base = index * len(labels)
+            raw = {
+                label: float(means[base + offset])
+                for offset, label in enumerate(labels)
+            }
+            add_normalized_sweep(result, k, raw, "best-response")
+        return result
+
+    return deployments, finish
+
+
+def _fig1_deployments(spec: ScenarioSpec) -> int:
+    """Deployments :func:`_plan_fig1` lays out: one per (k, policy)."""
+    labels = {policy_label(descriptor) for descriptor in spec.policies}
+    if spec.param("include_full_mesh", False):
+        labels.add("full-mesh")
+    return len(spec.k_grid) * len(labels)
 
 
 def _fig1_spec(experiment: str) -> ScenarioSpec:
@@ -156,7 +169,8 @@ def _register() -> None:
             name,
             help=panel["help"],
             default_spec=lambda name=name: _fig1_spec(name),
-            runner=_run_fig1,
+            plan=_plan_fig1,
+            deployments=_fig1_deployments,
             smoke_args=("--n", "12", "--k", "2,3", "--br-rounds", "1"),
         )
 

@@ -23,13 +23,13 @@ from repro.experiments.harness import ExperimentResult, _param_list, normalize_a
 from repro.netsim.planetlab import synthetic_planetlab
 from repro.scenario.registry import register_scenario
 from repro.scenario.session import SimulationSession
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, policy_label
 from repro.util.rng import as_generator
 
 DEFAULT_EXPONENTS = (0.0, 0.5, 1.0, 1.5)
 
 
-def _run_preferences(session: SimulationSession) -> ExperimentResult:
+def _plan_preferences(session: SimulationSession):
     spec = session.spec
     k = int(spec.param("k", spec.k_grid[0]))
     exponents = [float(e) for e in _param_list(spec, "exponents", DEFAULT_EXPONENTS)]
@@ -68,18 +68,27 @@ def _run_preferences(session: SimulationSession) -> ExperimentResult:
             preferences=preference_of[exponent],
         )
 
-    means = session.deployment_means(session.deployment_grid(cells, rng, build))
     labels = list(policies)
-    for index, exponent in enumerate(exponents):
-        base = index * len(labels)
-        raw: Dict[str, float] = {
-            label: float(means[base + offset])
-            for offset, label in enumerate(labels)
-        }
-        normalized = normalize_against(raw, "best-response")
-        for name, value in normalized.items():
-            result.add_point(name, exponent, value)
-    return result
+
+    def finish(means) -> ExperimentResult:
+        for index, exponent in enumerate(exponents):
+            base = index * len(labels)
+            raw: Dict[str, float] = {
+                label: float(means[base + offset])
+                for offset, label in enumerate(labels)
+            }
+            normalized = normalize_against(raw, "best-response")
+            for name, value in normalized.items():
+                result.add_point(name, exponent, value)
+        return result
+
+    return session.deployment_grid(cells, rng, build), finish
+
+
+def _preferences_deployments(spec: ScenarioSpec) -> int:
+    """Deployments :func:`_plan_preferences` lays out: (exponent, policy)."""
+    exponents = _param_list(spec, "exponents", DEFAULT_EXPONENTS)
+    return len(exponents) * len({policy_label(d) for d in spec.policies})
 
 
 register_scenario(
@@ -95,6 +104,7 @@ register_scenario(
         seed=2008,
         params={"exponents": list(DEFAULT_EXPONENTS), "k": 3},
     ),
-    runner=_run_preferences,
+    plan=_plan_preferences,
+    deployments=_preferences_deployments,
     smoke_args=("--n", "12", "--k", "3", "--br-rounds", "1", "--param", "exponents=0.0,1.0"),
 )

@@ -10,8 +10,6 @@ trace file, or built directly from a matrix.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -160,15 +158,6 @@ class DelaySpace:
             labels=data.get("labels"),
             jitter_std=data.get("jitter_std", 0.0),
         )
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the delay space to ``path`` as JSON."""
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "DelaySpace":
-        """Load a delay space previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     @classmethod
     def from_coordinates(

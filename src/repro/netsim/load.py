@@ -76,10 +76,6 @@ class NodeLoadModel:
         """Vector of instantaneous ground-truth loads."""
         return np.maximum(0.0, self.base_load + self._fluctuation)
 
-    def measured_load(self, node: int) -> float:
-        """EWMA-smoothed load, i.e. what the node would announce."""
-        return self._ewmas[node].value
-
     def measured_loads(self) -> np.ndarray:
         """Vector of EWMA-smoothed loads for all nodes."""
         return np.array([e.value for e in self._ewmas])

@@ -53,6 +53,11 @@ _CLOSURE_MIN_SOURCES = 8
 #: Soft cap on temporary cells per closure squaring chunk (~64 MB float64).
 _CLOSURE_CHUNK_CELLS = 8_000_000
 
+#: Cells of a stacked Floyd-Warshall chunk (8 MB float64 per pivot's
+#: temporary): ~450 closures of 48 nodes, or 16 of 256, share each
+#: pivot broadcast.
+_FW_STACK_CELLS = 1 << 20
+
 def widest_path_bandwidths_from(graph: OverlayGraph, src: int) -> np.ndarray:
     """Maximum bottleneck bandwidth from ``src`` to every node.
 
@@ -133,9 +138,10 @@ def _apply_bottleneck_pivot(matrix: np.ndarray, pivot: int) -> None:
     After the update, ``matrix[i, j]`` also covers paths routing through
     ``pivot``.  Valid in any application order (idempotent semiring), and
     — since bottleneck values are pure selections of edge weights — the
-    result is bitwise identical to any other exact algorithm's.
+    result is bitwise identical to any other exact algorithm's.  A
+    ``(members, n, n)`` stack pivots every member in the same broadcast.
     """
-    cross = np.minimum(matrix[:, pivot][:, None], matrix[pivot, :][None, :])
+    cross = np.minimum(matrix[..., :, pivot, None], matrix[..., pivot, None, :])
     np.maximum(matrix, cross, out=matrix)
 
 
@@ -147,11 +153,22 @@ def bottleneck_closure_fw(adjacency: np.ndarray) -> np.ndarray:
     (``O(n^3)`` with tiny constants) instead of ``O(log diameter)``
     full matrix squarings, which wins for the small dense matrices the
     sweep kernels close per re-wiring opportunity.
+
+    ``adjacency`` may also be a ``(members, n, n)`` stack: its members
+    are pivoted together, :data:`_FW_STACK_CELLS` cells at a time, so a
+    stack pays the ``n`` pivot broadcasts once per chunk instead of once
+    per member; each slice is bitwise its own closure.  Counted as one
+    ``widest.closure_fw`` call of ``members * n`` rows.
     """
     closure = np.array(adjacency, dtype=float, copy=True)
-    telemetry.kernel_call("widest.closure_fw", closure.shape[0])
-    for pivot in range(closure.shape[0]):
-        _apply_bottleneck_pivot(closure, pivot)
+    n = closure.shape[-1]
+    stack = closure.reshape(-1, n, n)
+    telemetry.kernel_call("widest.closure_fw", stack.shape[0] * n)
+    chunk = max(1, _FW_STACK_CELLS // max(1, n * n))
+    for start in range(0, stack.shape[0], chunk):
+        block = stack[start : start + chunk]
+        for pivot in range(n):
+            _apply_bottleneck_pivot(block, pivot)
     return closure
 
 

@@ -222,13 +222,12 @@ def _list(args: argparse.Namespace) -> int:
 
 
 def _spec(args: argparse.Namespace) -> int:
-    text = _spec_from_args(args).to_json()
+    spec = _spec_from_args(args)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+        spec.save(args.output)
         print(f"# scenario spec written to {args.output}")
     else:
-        print(text)
+        print(spec.to_json())
     return 0
 
 

@@ -11,18 +11,33 @@ one shared catalogue:
   ``run_spec(default_spec(name).override(...))``,
 * ``SimulationSession.run()`` resolves the spec's ``experiment`` field to
   the registered runner.
+
+A build-only experiment registers a *plan* instead of a runner: a
+callable ``session -> (deployments, finish)`` that lays out the spec's
+:class:`~repro.core.deployment_batch.DeploymentSpec` grid and returns
+``finish(means) -> ExperimentResult`` for the means of those
+deployments.  The registry derives the runner from it (plan, one
+``session.deployment_means``, finish), so a single spec runs the one
+way every spec does, while :func:`repro.scenario.session.run_group` can
+build the deployments of several planned specs as one batch.  A plan
+comes with ``deployments(spec)``, the number of deployments it will lay
+out, which is how wide that batch gets before anything is planned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.scenario.spec import ScenarioSpec
 from repro.util.validation import ValidationError
 
 #: Runner signature: takes the running session, returns an ExperimentResult.
 Runner = Callable[["SimulationSession"], "ExperimentResult"]  # noqa: F821
+
+#: Plan signature: takes the session, returns its deployments and the
+#: ``finish(means)`` that turns their mean costs into the ExperimentResult.
+Plan = Callable[["SimulationSession"], Tuple[list, Callable]]  # noqa: F821
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,10 @@ class ScenarioDefinition:
     #: Extra CLI arguments that make a smoke run of this experiment tiny
     #: and fast (used by the CLI test suite).
     smoke_args: Tuple[str, ...] = field(default_factory=tuple)
+    #: Build-only experiments: the plan the runner is derived from, and
+    #: the number of deployments it lays out for a spec.
+    plan: Optional[Plan] = None
+    deployments: Optional[Callable[[ScenarioSpec], int]] = None
 
 
 _REGISTRY: Dict[str, ScenarioDefinition] = {}
@@ -46,17 +65,38 @@ def register_scenario(
     *,
     help: str,
     default_spec: Callable[[], ScenarioSpec],
-    runner: Runner,
+    runner: Optional[Runner] = None,
+    plan: Optional[Plan] = None,
+    deployments: Optional[Callable[[ScenarioSpec], int]] = None,
     smoke_args: Tuple[str, ...] = (),
 ) -> None:
-    """Register (or re-register, e.g. on module reload) an experiment."""
+    """Register (or re-register, e.g. on module reload) an experiment.
+
+    Give either ``runner`` or ``plan`` with its ``deployments`` count.
+    """
+    if (runner is None) == (plan is None) or (plan is None) != (deployments is None):
+        raise ValidationError(
+            f"{name}: register a runner, or a plan with its deployments count"
+        )
     _REGISTRY[name] = ScenarioDefinition(
         name=name,
         help=help,
         default_spec=default_spec,
-        runner=runner,
+        runner=runner if runner is not None else _planned_runner(plan),
         smoke_args=tuple(smoke_args),
+        plan=plan,
+        deployments=deployments,
     )
+
+
+def _planned_runner(plan: Plan) -> Runner:
+    """The runner of a planned experiment: plan, build and score, finish."""
+
+    def run(session):
+        deployments, finish = plan(session)
+        return finish(session.deployment_means(deployments))
+
+    return run
 
 
 def _ensure_loaded() -> None:

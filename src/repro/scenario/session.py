@@ -3,7 +3,8 @@
 :class:`SimulationSession` realises a :class:`~repro.scenario.spec.ScenarioSpec`:
 
 * it resolves the spec's ``experiment`` against the scenario registry and
-  drives the registered runner,
+  drives the registered runner (:func:`run_group` runs several planned
+  specs of one ``n`` with their deployments as one batch),
 * it offers the planning facade the runners are built on — substrate and
   metric-provider construction per metric family, policy construction
   from descriptors, preference matrices, churn schedules, cheating
@@ -21,14 +22,14 @@ is the same either way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.churn.models import ChurnSchedule, parametrized_churn, trace_driven_churn
 from repro.core.cheating import CheatingModel
 from repro.core.cost import Metric, zipf_preferences
-from repro.core.deployment_batch import DeploymentBatch, DeploymentSpec
+from repro.core.deployment_batch import MERGE_MAX_NODES, DeploymentBatch, DeploymentSpec
 from repro.core.engine_batch import EngineBatch, EngineSpec
 from repro.core.policies import NeighborSelectionPolicy
 from repro.core.providers import (
@@ -81,10 +82,12 @@ class SimulationSession:
         memo: a batched run hands every residual to its step and reads 0
         throughout.
         """
+        return self._stamp(registry.resolve(self.spec.experiment).runner(self))
+
+    def _stamp(self, result):
+        """Stamp provenance (and the epoch loops' cache statistics)."""
         from repro.core.codec import cache_stats_to_json
 
-        definition = registry.resolve(self.spec.experiment)
-        result = definition.runner(self)
         result.metadata["scenario"] = self.spec.to_dict()
         if self._engine_batches:
             # One schema for every consumer of the diagnostics dict —
@@ -259,3 +262,68 @@ class SimulationSession:
 def run_spec(spec: ScenarioSpec, *, batched: bool = True):
     """Convenience: run a spec through a fresh session."""
     return SimulationSession(spec, batched=batched).run()
+
+
+def _planned_nodes(spec: ScenarioSpec) -> Optional[int]:
+    """Stacked deployment nodes of a planned spec; None without a plan."""
+    try:
+        definition = registry.resolve(spec.experiment)
+        if definition.plan is None:
+            return None
+        return spec.n * int(definition.deployments(spec))
+    except ValidationError:
+        return None  # the spec's own run reports what is wrong with it
+
+
+def merge_groups(specs: Sequence[ScenarioSpec]) -> List[List[int]]:
+    """Indices of ``specs`` in the groups :func:`run_group` runs as one batch.
+
+    Specs whose experiment registered a plan group with the specs of the
+    same ``n``, in order, until a group would stack more than
+    :data:`~repro.core.deployment_batch.MERGE_MAX_NODES` deployment
+    nodes; any other spec is a group of one.
+    """
+    groups: List[List[int]] = []
+    filling: Dict[int, Tuple[List[int], int]] = {}  # n -> (group, nodes)
+    for index, spec in enumerate(specs):
+        nodes = _planned_nodes(spec)
+        if nodes is None:
+            groups.append([index])
+            continue
+        group, stacked = filling.get(spec.n, (None, 0))
+        if group is None or stacked + nodes > MERGE_MAX_NODES:
+            group, stacked = [], 0
+            groups.append(group)
+        group.append(index)
+        filling[spec.n] = (group, stacked + nodes)
+    return groups
+
+
+def run_group(specs: Sequence[ScenarioSpec]) -> List:
+    """Run ``specs`` on the lockstep tier; one result per spec, in order.
+
+    A group of one is :meth:`SimulationSession.run`.  A larger group
+    (one :func:`merge_groups` made: planned experiments, one ``n``)
+    plans every spec, builds and scores all their deployments as one
+    :class:`~repro.core.deployment_batch.DeploymentBatch`, and finishes
+    each spec from its own slice of the means — bit for bit what each
+    spec's own run gives, since every deployment draws from its own
+    stream.  Whatever any spec raises propagates: a caller that must
+    pin a failure on its spec runs the specs alone.
+    """
+    sessions = [SimulationSession(spec) for spec in specs]
+    if len(sessions) == 1:
+        return [sessions[0].run()]
+    definitions = [registry.resolve(spec.experiment) for spec in specs]
+    if any(d.plan is None for d in definitions) or len({s.n for s in specs}) != 1:
+        raise ValidationError("a group runs planned experiments of one n only")
+    plans = [d.plan(session) for d, session in zip(definitions, sessions)]
+    means = sessions[0].deployment_means(
+        [deployment for deployments, _finish in plans for deployment in deployments]
+    )
+    results, start = [], 0
+    for session, (deployments, finish) in zip(sessions, plans):
+        stop = start + len(deployments)
+        results.append(session._stamp(finish(means[start:stop])))
+        start = stop
+    return results

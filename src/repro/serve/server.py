@@ -571,44 +571,9 @@ def run_server(
     asyncio.run(main())
 
 
-def start_background_server(
-    service: OverlayService,
-    *,
-    host: str = "127.0.0.1",
-    port: Optional[int] = None,
-    socket_path: Optional[str] = None,
-    cadence: float = 0.0,
-    queue_limit: int = REQUEST_QUEUE_LIMIT,
-) -> threading.Thread:
-    """Run a server on a daemon thread; returns once it is accepting.
-
-    The test/benchmark harness: the thread exits when a client sends
-    ``shutdown``.
-    """
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=run_server,
-        kwargs=dict(
-            host=host,
-            port=port,
-            socket_path=socket_path,
-            cadence=cadence,
-            queue_limit=queue_limit,
-            ready=ready,
-        ),
-        args=(service,),
-        daemon=True,
-    )
-    thread.start()
-    if not ready.wait(timeout=30):
-        raise RuntimeError("overlay server failed to start within 30s")
-    return thread
-
-
 __all__ = [
     "OverlayServer",
     "REQUEST_QUEUE_LIMIT",
     "SUBSCRIBER_QUEUE_LIMIT",
     "run_server",
-    "start_background_server",
 ]

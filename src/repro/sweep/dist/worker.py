@@ -1,16 +1,19 @@
 """Claim-driven cell execution: the drain loop behind ``sweep-worker``.
 
-:func:`execute_cell_claimed` is the one code path that runs a sweep cell
-under the claim protocol — claim, heartbeat, execute, persist, mark
-done/failed, release — and it is shared by *both* execution surfaces:
+:func:`execute_group_claimed` is the one code path that runs sweep
+cells under the claim protocol — claim, heartbeat, execute, persist,
+mark done/failed, release — and it is shared by *both* execution
+surfaces:
 
 * ``repro sweep-worker`` runs :func:`run_worker`, an in-process loop
-  that drains unclaimed cells until the whole corpus is done (waiting
-  out, and eventually reclaiming, other workers' leases);
-* ``repro sweep --workers N`` dispatches the same function inside its
-  ``multiprocessing`` pool, making the local pool one more backend of
-  the same protocol — a pool worker and a remote host contend for cells
-  with identical semantics, so both can safely share one store.
+  that drains unclaimed cells one at a time (:func:`execute_cell_claimed`,
+  a group of one) until the whole corpus is done (waiting out, and
+  eventually reclaiming, other workers' leases);
+* ``repro sweep`` runs it on each group of cells its executor formed,
+  inline or inside its ``multiprocessing`` pool, making the local pool
+  one more backend of the same protocol — a pool worker and a remote
+  host contend for cells with identical semantics, so both can safely
+  share one store.
 
 Because results are write-once and byte-deterministic per cell, every
 race in the protocol degrades to wasted work, never wrong bytes: the
@@ -71,31 +74,34 @@ class CellFailure:
 
 
 class _Heartbeat:
-    """Background lease renewal while a cell executes.
+    """Background lease renewal of every held claim while cells execute.
 
     Renews at lease/4 so a healthy worker is never within three missed
-    beats of expiry.  A renewal that finds the claim lost (reclaimed
-    after a long stall) flips ``lost`` and stops beating; the execution
-    keeps going — the write-once store makes the duplicate harmless.
+    beats of expiry.  A renewal that finds a claim lost (reclaimed after
+    a long stall) adds its key to ``lost`` and stops beating for it; the
+    execution keeps going — the write-once store makes the duplicate
+    harmless.
     """
 
-    def __init__(self, claims: ClaimStore, record: ClaimRecord):
+    def __init__(self, claims: ClaimStore, records: Sequence[ClaimRecord]):
         self.claims = claims
-        self.record = record
-        self.lost = False
+        self.records = list(records)
+        self.lost: set = set()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         interval = max(self.claims.lease_seconds / 4.0, 0.05)
         while not self._stop.wait(interval):
-            try:
-                self.record = self.claims.renew(self.record)
-            except ClaimLost:
-                self.lost = True
-                return
-            except OSError:  # pragma: no cover - transient mount hiccup
-                continue
+            for slot, record in enumerate(self.records):
+                if record.key in self.lost:
+                    continue
+                try:
+                    self.records[slot] = self.claims.renew(record)
+                except ClaimLost:
+                    self.lost.add(record.key)
+                except OSError:  # pragma: no cover - transient mount hiccup
+                    continue
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -104,6 +110,28 @@ class _Heartbeat:
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
         self._thread.join()
+
+
+def _run_specs(spec_dicts: Sequence[Dict[str, object]]) -> List[tuple]:
+    """``(result, None)`` or ``(None, (error, traceback))`` per spec.
+
+    The specs run as one group (:func:`repro.scenario.session.run_group`);
+    if that raises, each runs alone, so a failure and its traceback land
+    on the spec that raised and the others still finish.
+    """
+    # Imported here so the module stays importable before fork and the
+    # heavy scenario stack loads once per worker process.
+    from repro.scenario.session import run_group
+    from repro.scenario.spec import ScenarioSpec
+
+    try:
+        results = run_group([ScenarioSpec.from_dict(d) for d in spec_dicts])
+    except Exception as error:  # noqa: BLE001 - contained per cell by design
+        if len(spec_dicts) > 1:
+            return [_run_specs([spec_dict])[0] for spec_dict in spec_dicts]
+        message = f"{type(error).__name__}: {error}"
+        return [(None, (message, traceback_module.format_exc()))]
+    return [(result, None) for result in results]
 
 
 def execute_cell_claimed(
@@ -132,64 +160,96 @@ def execute_cell_claimed(
     attempt (``repro sweep`` re-attempts failed cells; the cooperative
     ``sweep-worker`` loop leaves them to be skipped instead).
     """
+    return execute_group_claimed(
+        [(key, spec_dict)],
+        store_spec=store_spec,
+        lease_seconds=lease_seconds,
+        skip_done=skip_done,
+        clear_failed=clear_failed,
+    )[0]
+
+
+def execute_group_claimed(
+    cells: Sequence[tuple],
+    *,
+    store_spec: str,
+    lease_seconds: float = DEFAULT_LEASE_SECONDS,
+    skip_done: bool = False,
+    clear_failed: bool = True,
+) -> List[Dict[str, object]]:
+    """Run ``(key, spec_dict)`` cells as one group under the claim protocol.
+
+    Every cell is claimed before anything runs; a cell another live
+    worker holds, or (with ``skip_done``) already done, is left out with
+    the outcome :func:`execute_cell_claimed` gives it.  The held cells
+    run together (:func:`_run_specs`) under one heartbeat that renews
+    every held claim; each result is stored and marked done as its own
+    cell (the done record keeps the real time from claim to done), each
+    failure recorded on its own key.  ``finally`` releases every held
+    claim, on an interrupt too.  Returns one outcome per cell, in order.
+    """
     from repro.sweep.store import SweepStore
 
     store = SweepStore(store_spec)
     claims = ClaimStore(store.backend, lease_seconds=lease_seconds)
-    outcome: Dict[str, object] = {
-        "key": key,
-        "host": claims.host,
-        "pid": claims.pid,
-        "reclaimed": False,
-    }
-    if skip_done and store.has(key):
-        outcome["status"] = "already-done"
-        return outcome
-    claim = claims.try_claim(key)
-    if claim is None:
-        holder = claims.read(key)
-        outcome["status"] = "claimed"
-        outcome["owner"] = holder.owner() if holder is not None else "unknown"
-        return outcome
-    outcome["reclaimed"] = claim.reclaimed
+    outcomes: List[Dict[str, object]] = []
+    held: List[tuple] = []  # (outcome, spec_dict, claim)
     try:
-        if skip_done and store.has(key):
-            outcome["status"] = "already-done"
-            return outcome
-        if clear_failed:
-            claims.clear_failed(key)
-        # Imported here so the module stays importable before fork and
-        # the heavy scenario stack loads once per worker process.
-        from repro.scenario.session import SimulationSession
-        from repro.scenario.spec import ScenarioSpec
-
-        with _Heartbeat(claims, claim) as heartbeat:
-            try:
-                spec = ScenarioSpec.from_dict(spec_dict)
-                result = SimulationSession(spec).run()
-            except Exception as error:  # noqa: BLE001 - contained per cell by design
-                message = f"{type(error).__name__}: {error}"
-                trace = traceback_module.format_exc()
-                claims.mark_failed(key, error=message, traceback_text=trace)
+        for key, spec_dict in cells:
+            outcome: Dict[str, object] = {
+                "key": key,
+                "host": claims.host,
+                "pid": claims.pid,
+                "reclaimed": False,
+            }
+            outcomes.append(outcome)
+            if skip_done and store.has(key):
+                outcome["status"] = "already-done"
+                continue
+            claim = claims.try_claim(key)
+            if claim is None:
+                holder = claims.read(key)
+                outcome["status"] = "claimed"
+                outcome["owner"] = holder.owner() if holder is not None else "unknown"
+                continue
+            held.append((outcome, spec_dict, claim))
+            outcome["reclaimed"] = claim.reclaimed
+        running = []
+        for outcome, spec_dict, claim in held:
+            if skip_done and store.has(claim.key):
+                outcome["status"] = "already-done"
+                continue
+            if clear_failed:
+                claims.clear_failed(claim.key)
+            running.append((outcome, spec_dict, claim))
+        if not running:
+            return outcomes
+        with _Heartbeat(claims, [claim for *_, claim in running]) as heartbeat:
+            ran = _run_specs([spec_dict for _outcome, spec_dict, _claim in running])
+        for (outcome, spec_dict, claim), (result, failure) in zip(running, ran):
+            if failure is not None:
+                message, trace = failure
+                claims.mark_failed(claim.key, error=message, traceback_text=trace)
                 outcome.update(status="failed", error=message, traceback=trace)
-                return outcome
-        store.put(key, spec_dict, result.as_dict())
-        finished = claims.clock()
-        claims.mark_done(
-            key,
-            started=claim.started,
-            finished=finished,
-            experiment=str(spec_dict.get("experiment", "")),
-            reclaimed=claim.reclaimed,
-        )
-        outcome.update(
-            status="done",
-            elapsed=max(0.0, finished - claim.started),
-            lost_lease=heartbeat.lost,
-        )
-        return outcome
+                continue
+            store.put(claim.key, spec_dict, result.as_dict())
+            finished = claims.clock()
+            claims.mark_done(
+                claim.key,
+                started=claim.started,
+                finished=finished,
+                experiment=str(spec_dict.get("experiment", "")),
+                reclaimed=claim.reclaimed,
+            )
+            outcome.update(
+                status="done",
+                elapsed=max(0.0, finished - claim.started),
+                lost_lease=claim.key in heartbeat.lost,
+            )
+        return outcomes
     finally:
-        claims.release(claim)
+        for _outcome, _spec_dict, claim in held:
+            claims.release(claim)
 
 
 @dataclass

@@ -2,25 +2,36 @@
 
 :func:`run_sweep` is the engine room of ``repro sweep``: it filters the
 cell grid against the :class:`~repro.sweep.store.SweepStore` (``resume``
-skips completed cells), fans the pending cells across a
-``multiprocessing`` pool, and persists every finished cell as soon as its
-result is computed — so killing the sweep loses at most the cells in
-flight.
+skips completed cells), groups the pending cells, fans the groups
+across a ``multiprocessing`` pool, and persists every finished cell as
+soon as its group's results are computed — so killing the sweep loses
+at most the groups in flight.
+
+A group is the cells one claimed run executes together: build-only
+cells (experiments that registered a plan) of the same ``n`` build all
+their deployments as one lockstep
+:class:`~repro.core.deployment_batch.DeploymentBatch`, up to a cap on
+stacked deployment nodes
+(:func:`repro.scenario.session.merge_groups`); any other cell is a
+group of one and runs exactly as
+:meth:`~repro.scenario.session.SimulationSession.run` does.  With
+``workers > 1`` groups are halved until every worker has one.
 
 Since the distributed layer landed, the local pool is *one backend of
 the same claim protocol* that ``repro sweep-worker`` speaks across
-hosts: every pool worker claims its cell
-(:func:`repro.sweep.dist.worker.execute_cell_claimed` — ``O_EXCL`` claim
-file, heartbeat lease renewal, done/failed side records), executes it
-through the existing :class:`~repro.scenario.session.SimulationSession`
-facade, and writes the result itself.  A ``repro sweep`` and any number
-of ``sweep-worker`` processes (local or remote, via a ``shared-fs``
-store) can therefore share one store without duplicating work: a cell
-another live worker holds is *deferred*, not re-run.
+hosts: every group claims each of its cells
+(:func:`repro.sweep.dist.worker.execute_group_claimed` — ``O_EXCL``
+claim files, one heartbeat renewing every held lease, done/failed side
+records per cell), executes them through the scenario layer's
+:func:`~repro.scenario.session.run_group`, and writes each result
+itself.  A ``repro sweep`` and any number of ``sweep-worker`` processes
+(local or remote, via a ``shared-fs`` store) can therefore share one
+store without duplicating work: a cell another live worker holds is
+*deferred*, not re-run.
 
 Because a cell's result is a pure function of its spec, results are
 byte-identical across ``workers=1`` and ``workers=N`` regardless of
-scheduling order — and across hosts.
+scheduling order or grouping — and across hosts.
 
 The pool prefers the cheap ``fork`` start method (Linux) and falls back
 to ``spawn`` elsewhere; the worker entry point is a module-level function
@@ -33,28 +44,27 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sweep.dist.claims import DEFAULT_LEASE_SECONDS
-from repro.sweep.dist.worker import CellFailure, execute_cell_claimed
+from repro.sweep.dist.worker import CellFailure, execute_group_claimed
 from repro.sweep.store import SweepStore
 from repro.sweep.template import SweepCell
 from repro.telemetry import runtime as telemetry
 from repro.util.validation import ValidationError
 
 
-def _execute_cell(payload: Tuple[int, str, Dict[str, object], Dict[str, object]]):
-    """Pool entry point: claim and run one cell, return its outcome.
+def _execute_group(payload: Tuple[int, List[Tuple[str, Dict[str, object]]], Dict[str, object]]):
+    """Pool entry point: claim and run one group of cells, return outcomes.
 
-    Returns ``(index, outcome_dict)``; the outcome's ``status`` is
-    ``done`` / ``failed`` / ``claimed`` / ``already-done`` (see
-    :func:`repro.sweep.dist.worker.execute_cell_claimed`).  A crashing
-    cell surfaces as a ``failed`` outcome, not as the pool's own
+    Returns ``(index, [outcome_dict, ...])``, one outcome per cell; each
+    ``status`` is ``done`` / ``failed`` / ``claimed`` / ``already-done``
+    (see :func:`repro.sweep.dist.worker.execute_group_claimed`).  A
+    crashing group surfaces as ``failed`` outcomes, not as the pool's own
     exception — ``imap_unordered`` would re-raise it in the parent and
-    abort every other in-flight cell with a bare traceback.
+    abort every other in-flight group with a bare traceback.
     """
-    index, key, spec_dict, options = payload
+    index, cells, options = payload
     try:
-        outcome = execute_cell_claimed(
-            key,
-            spec_dict,
+        outcomes = execute_group_claimed(
+            cells,
             store_spec=str(options["store_spec"]),
             lease_seconds=float(options["lease_seconds"]),
             skip_done=bool(options["skip_done"]),
@@ -63,13 +73,33 @@ def _execute_cell(payload: Tuple[int, str, Dict[str, object], Dict[str, object]]
     except Exception as error:  # noqa: BLE001 - protocol errors contained too
         import traceback
 
-        outcome = {
-            "key": key,
+        failure = {
             "status": "failed",
             "error": f"{type(error).__name__}: {error}",
             "traceback": traceback.format_exc(),
         }
-    return index, outcome
+        outcomes = [dict(failure, key=key) for key, _spec in cells]
+    return index, outcomes
+
+
+def _groups(cells: Sequence[SweepCell], workers: int) -> List[List[SweepCell]]:
+    """The cells in the groups one claimed run each executes.
+
+    :func:`repro.scenario.session.merge_groups` puts planned cells of one
+    ``n`` together; with ``workers > 1`` the widest group is halved until
+    every worker has a group or every group is one cell.
+    """
+    from repro.scenario.session import merge_groups
+
+    groups = [[cells[i] for i in group] for group in merge_groups([c.spec for c in cells])]
+    while len(groups) < workers:
+        widest = max(range(len(groups)), key=lambda g: len(groups[g]))
+        group = groups[widest]
+        if len(group) == 1:
+            break
+        half = len(group) // 2
+        groups[widest : widest + 1] = [group[:half], group[half:]]
+    return groups
 
 
 def _pool_context():
@@ -166,7 +196,7 @@ def run_sweep(
         if not pending:
             return report
 
-        by_index = dict(enumerate(pending))
+        groups = _groups(pending, workers)
         options = {
             "store_spec": store.backend.describe(),
             "lease_seconds": float(lease_seconds),
@@ -176,12 +206,18 @@ def run_sweep(
             "skip_done": bool(resume),
         }
         payloads = [
-            (index, cell.key, cell.spec.to_dict(), options)
-            for index, cell in by_index.items()
+            (index, [(cell.key, cell.spec.to_dict()) for cell in group], options)
+            for index, group in enumerate(groups)
         ]
 
-        def record(index: int, outcome: Dict[str, object]) -> None:
-            cell = by_index[index]
+        def record(index: int, outcomes: List[Dict[str, object]]) -> None:
+            group = groups[index]
+            telemetry.count("sweep.groups")
+            telemetry.count("sweep.group_cells", len(group))
+            for cell, outcome in zip(group, outcomes):
+                record_cell(cell, outcome, len(group))
+
+        def record_cell(cell: SweepCell, outcome: Dict[str, object], group: int) -> None:
             status = outcome.get("status")
             if status == "failed":
                 telemetry.count("sweep.cells.failed")
@@ -209,21 +245,21 @@ def run_sweep(
                     float(outcome.get("elapsed", 0.0)),
                     key=cell.key,
                     reclaimed=bool(outcome.get("reclaimed", False)),
+                    group=group,
                 )
                 report.executed.append(cell.key)
                 if on_cell is not None:
                     on_cell(cell)
 
-        if workers == 1 or len(pending) == 1:
+        if workers == 1 or len(groups) == 1:
             for payload in payloads:
-                index, outcome = _execute_cell(payload)
-                record(index, outcome)
+                record(*_execute_group(payload))
             return report
 
         context = _pool_context()
-        with context.Pool(processes=min(workers, len(pending))) as pool:
-            for index, outcome in pool.imap_unordered(
-                _execute_cell, payloads, chunksize=1
+        with context.Pool(processes=min(workers, len(groups))) as pool:
+            for index, outcomes in pool.imap_unordered(
+                _execute_group, payloads, chunksize=1
             ):
-                record(index, outcome)
+                record(index, outcomes)
         return report

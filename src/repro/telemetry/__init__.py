@@ -41,10 +41,8 @@ from repro.telemetry.runtime import (
     observe,
     record_span,
     register_cache,
-    set_gauge,
     span,
     summary_line,
-    trace_path,
     tracer,
 )
 
@@ -60,9 +58,7 @@ __all__ = [
     "observe",
     "record_span",
     "register_cache",
-    "set_gauge",
     "span",
     "summary_line",
-    "trace_path",
     "tracer",
 ]

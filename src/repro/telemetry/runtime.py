@@ -2,7 +2,7 @@
 
 All instrumentation in the repo routes through the module-level helpers
 here (:func:`span`, :func:`event`, :func:`count`, :func:`observe`,
-:func:`set_gauge`, :func:`kernel_call`).  When telemetry is disabled —
+:func:`kernel_call`).  When telemetry is disabled —
 the default — every helper is one global read plus a ``None`` check and
 returns a module-level singleton where a value is needed, so the
 instrumented hot paths stay within noise of un-instrumented code
@@ -99,10 +99,6 @@ def tracer() -> Optional[Tracer]:
     return _tracer
 
 
-def trace_path() -> Optional[str]:
-    """The active trace file path, if tracing to a path."""
-    return _trace_path
-
 
 # ---------------------------------------------------------------------- #
 # Hot-path helpers (the no-op guard)
@@ -143,13 +139,6 @@ def observe(
     m = _metrics
     if m is not None:
         m.histogram(name, edges).observe(value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set gauge ``name``; nothing when metrics are off."""
-    m = _metrics
-    if m is not None:
-        m.gauge(name).set(value)
 
 
 def kernel_call(name: str, size: int = 0) -> None:
@@ -194,9 +183,7 @@ __all__ = [
     "observe",
     "record_span",
     "register_cache",
-    "set_gauge",
     "span",
     "summary_line",
-    "trace_path",
     "tracer",
 ]

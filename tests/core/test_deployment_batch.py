@@ -22,6 +22,7 @@ from repro.core import (
     KRegularPolicy,
     LoadMetricProvider,
     ResidualRouteCache,
+    deployment_batch,
     metric_fingerprint,
 )
 from repro.core.codec import history_digest
@@ -291,7 +292,7 @@ class TestRouteValueTensor:
         batch = DeploymentBatch(specs, batched=True)
         wirings = batch.build()
         graphs = [w.to_graph() for w in wirings]
-        tensor = batch.route_value_tensor(graphs)
+        tensor = deployment_batch._route_values(batch.specs, graphs, batch.n)
         assert tensor.shape == (len(specs), 15, 15)
         for spec, graph, matrix in zip(specs, graphs, tensor):
             expected = spec.truth.route_values_rows(graph, range(15))
@@ -301,7 +302,7 @@ class TestRouteValueTensor:
         specs = _sweep_specs(_bandwidth_provider(12), (2,), 13)
         batch = DeploymentBatch(specs, batched=True)
         graphs = [w.to_graph() for w in batch.build()]
-        tensor = batch.route_value_tensor(graphs)
+        tensor = deployment_batch._route_values(batch.specs, graphs, batch.n)
         from repro.routing.widest_path import widest_path_bandwidths_multi
 
         for graph, matrix in zip(graphs, tensor):
@@ -310,11 +311,43 @@ class TestRouteValueTensor:
             )
             assert np.array_equal(matrix, reference)
 
+    def test_scoring_stacks_at_most_the_score_block(self, monkeypatch):
+        """Scoring a 35-deployment sweep of 50 nodes (the default
+        fig1-delay-ping grid's size) never hands csgraph more stacked
+        nodes than the scoring cap: its dense output is quadratic in them."""
+        from repro.core import lockstep
+
+        provider = _delay_provider(50)
+        announced, truth = provider.announced_metric(), provider.true_metric()
+        specs = [
+            DeploymentSpec(
+                label="k-random", policy=KRandomPolicy(), k=k, announced=announced,
+                truth=truth, rng=stream,
+            )
+            for k, stream in zip(
+                [2, 3, 4, 5, 6, 7, 8] * 5, spawn_generators(np.random.default_rng(3), 35)
+            )
+        ]
+        batch = DeploymentBatch(specs)
+        wirings = batch.build()
+        stacked, dijkstra = [], lockstep._csgraph_dijkstra
+
+        def spy(graph, **kwargs):
+            stacked.append(graph.shape[0])
+            return dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(lockstep, "_csgraph_dijkstra", spy)
+        means = batch.mean_true_costs(wirings)
+        assert sum(stacked) == 35 * 50
+        assert max(stacked) <= deployment_batch._SCORE_BLOCK_NODES
+        monkeypatch.setattr(lockstep, "_csgraph_dijkstra", dijkstra)
+        assert np.array_equal(means, DeploymentBatch(specs, batched=False).mean_true_costs(wirings))
+
     def test_requires_one_graph_per_spec(self):
         specs = _sweep_specs(_delay_provider(10), (2,), 1)
         batch = DeploymentBatch(specs)
         with pytest.raises(ValidationError):
-            batch.route_value_tensor([])
+            batch.mean_true_costs([])
 
 
 class TestMailbox:

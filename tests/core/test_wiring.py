@@ -20,10 +20,6 @@ class TestWiring:
         with pytest.raises(ValidationError):
             Wiring.of(0, [1, 2], donated=[3])
 
-    def test_selfish_links(self):
-        wiring = Wiring.of(0, [1, 2, 3], donated=[3])
-        assert wiring.selfish == frozenset({1, 2})
-
     def test_replace(self):
         wiring = Wiring.of(0, [1, 2], donated=[2])
         replaced = wiring.replace(2, 3)
@@ -92,11 +88,6 @@ class TestGlobalWiring:
         clone = gw.copy()
         clone.remove_wiring(0)
         assert gw.wiring_of(0) is not None
-
-    def test_announcements(self):
-        ann = self.make().announcements()
-        assert ann[0] == {1: 5.0, 2: 6.0}
-        assert ann[1] == {2: 3.0}
 
     def test_replacing_wiring_updates_weights(self):
         gw = self.make()

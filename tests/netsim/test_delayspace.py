@@ -88,12 +88,6 @@ class TestDerivation:
         assert np.allclose(clone.matrix, small_delay_space.matrix)
         assert clone.labels == small_delay_space.labels
 
-    def test_save_load(self, small_delay_space, tmp_path):
-        path = tmp_path / "space.json"
-        small_delay_space.save(path)
-        clone = DelaySpace.load(path)
-        assert np.allclose(clone.matrix, small_delay_space.matrix)
-
 
 class TestFromCoordinates:
     def test_distances_match_euclidean(self):

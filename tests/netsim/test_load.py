@@ -14,7 +14,7 @@ class TestNodeLoadModel:
 
     def test_measured_defined_initially(self, load_model8):
         for node in range(8):
-            assert load_model8.measured_load(node) >= 0
+            assert load_model8.measured_loads()[node] >= 0
 
     def test_heterogeneous_base_loads(self):
         model = NodeLoadModel(50, seed=0)
@@ -34,7 +34,7 @@ class TestNodeLoadModel:
         for _ in range(30):
             model.advance(1)
             true_series.append(model.true_load(0))
-            measured_series.append(model.measured_load(0))
+            measured_series.append(model.measured_loads()[0])
         assert np.std(np.diff(measured_series)) < np.std(np.diff(true_series))
 
     def test_deterministic_given_seed(self):

@@ -10,9 +10,13 @@ is exact, not approximate.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import lockstep
 from repro.routing.graph import OverlayGraph
 from repro.routing.widest_path import (
     bandwidth_adjacency,
@@ -21,6 +25,9 @@ from repro.routing.widest_path import (
     bottleneck_closure_fw,
     widest_path_bandwidths_multi,
 )
+
+#: The module (``repro.routing`` re-exports a function of the same name).
+widest_path = importlib.import_module("repro.routing.widest_path")
 
 SETTINGS = settings(
     max_examples=25,
@@ -100,3 +107,66 @@ def test_source_subsets(graph, data):
     batched = widest_path_bandwidths_multi(graph, sources, batched=True)
     assert np.array_equal(batched, reference)
     assert batched.shape == (len(sources), graph.n)
+
+
+@st.composite
+def adjacency_stacks(draw):
+    """Stacks of bottleneck adjacencies of one size: absent (0) and
+    zero-bandwidth links, ``+inf`` links, ``+inf`` diagonals."""
+    n = draw(st.integers(1, 12))
+    members = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    stack = rng.uniform(0.1, 100.0, size=(members, n, n))
+    stack[rng.random(stack.shape) < 0.5] = 0.0
+    stack[rng.random(stack.shape) < 0.05] = np.inf
+    idx = np.arange(n)
+    stack[:, idx, idx] = np.inf
+    return stack
+
+
+@given(adjacency_stacks())
+@SETTINGS
+def test_stacked_closures_equal_per_matrix_closures(stack):
+    """Pivoting a stack together is bitwise each member's own closure,
+    in one chunk or in many."""
+    expected = np.stack([bottleneck_closure_fw(member) for member in stack])
+    assert np.array_equal(bottleneck_closure_fw(stack), expected)
+    for member, closure in zip(stack, expected):
+        assert np.array_equal(bottleneck_closure(member), closure)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(widest_path, "_FW_STACK_CELLS", 1)  # one member per chunk
+        assert np.array_equal(bottleneck_closure_fw(stack), expected)
+
+
+@given(adjacency_stacks(), st.data())
+@SETTINGS
+def test_stacked_residual_fill_equals_one_overlay_at_a_time(stack, data):
+    """A round's residual fill over several overlays equals filling each
+    overlay alone; an overlay past the closure cutoff gets nothing."""
+    n = stack.shape[1]
+    denses = [np.where(member == 0.0, np.nan, member) for member in stack]
+
+    def hops(node):
+        return np.array([c for c in range(n) if c != node], dtype=int)
+
+    requests = [
+        (dense, data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
+         list(range(n)), hops)
+        for dense in denses
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lockstep, "_AVOID_ONE_MIN_WAVE", data.draw(st.integers(1, 12)))
+        together = lockstep.fill_bandwidth_residuals(requests)
+        alone = [lockstep.fill_bandwidth_residuals([request])[0] for request in requests]
+        patch.setattr(lockstep, "CLOSURE_MAX_NODES", n - 1)
+        assert lockstep.fill_bandwidth_residuals(requests) == [{} for _ in requests]
+    for filled, expected, (dense, missing, _nodes, _hops) in zip(together, alone, requests):
+        assert sorted(filled) == sorted(expected)
+        assert all(np.array_equal(filled[node], expected[node]) for node in expected)
+        adjacency = np.where(np.isnan(dense), 0.0, dense)
+        for node in missing:
+            residual = adjacency.copy()
+            residual[node, :] = 0.0
+            residual[node, node] = np.inf
+            if len(hops(node)):
+                assert np.array_equal(filled[node], bottleneck_closure(residual)[hops(node)])

@@ -4,6 +4,7 @@ import json
 import os
 import socket
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
 from repro.serve.load import run_load
-from repro.serve.server import SUBSCRIBER_QUEUE_LIMIT, start_background_server
+from repro.serve.server import SUBSCRIBER_QUEUE_LIMIT, run_server
 from repro.serve.service import OverlayService
 from repro.util.validation import ValidationError
 
@@ -31,6 +32,21 @@ def _spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
+def _start_background_server(service, socket_path):
+    """Run a server on a daemon thread; returns once it is accepting.  The
+    thread exits when a client sends ``shutdown``."""
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=run_server,
+        args=(service,),
+        kwargs=dict(socket_path=socket_path, ready=ready),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(timeout=30), "overlay server failed to start within 30s"
+    return thread
+
+
 @pytest.fixture
 def served():
     """A served overlay on a unix socket: ``(socket path, service)``."""
@@ -38,7 +54,7 @@ def served():
     sock = os.path.join(tempfile.mkdtemp(prefix="serve-", dir="/tmp"), "ovl.sock")
     service = OverlayService(_spec())
     service.tick()
-    thread = start_background_server(service, socket_path=sock)
+    thread = _start_background_server(service, socket_path=sock)
     yield sock, service
     if not service.closed:
         try:

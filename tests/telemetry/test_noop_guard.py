@@ -19,7 +19,6 @@ def _hot_loop(iterations: int) -> None:
             pass
         telemetry.count("engine.steps")
         telemetry.observe("serve.request.lookup", 0.001)
-        telemetry.set_gauge("depth", 1.0)
         telemetry.kernel_call("shortest.multi", 16)
         telemetry.event("mark")
         telemetry.record_span("cell", 0.01)
@@ -34,7 +33,6 @@ class TestDisabledGuard:
     def test_disabled_accessors_are_none(self):
         assert telemetry.metrics() is None
         assert telemetry.tracer() is None
-        assert telemetry.trace_path() is None
         assert telemetry.summary_line() == "TELEMETRY spans=0 events=0"
 
     def test_disabled_helpers_allocate_nothing_lasting(self):

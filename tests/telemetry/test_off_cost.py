@@ -41,7 +41,6 @@ _UNIT_BODIES: Dict[str, Callable[[], None]] = {
     "span": lambda: telemetry.span("epoch.steps", epoch=3).__enter__(),
     "count": lambda: telemetry.count("engine.steps"),
     "observe": lambda: telemetry.observe("serve.request.lookup", 0.001),
-    "set_gauge": lambda: telemetry.set_gauge("depth", 1.0),
     "kernel_call": lambda: telemetry.kernel_call("shortest.multi", 16),
     "event": lambda: telemetry.event("mark", key="k"),
     "record_span": lambda: telemetry.record_span("cell", 0.01, key="k"),

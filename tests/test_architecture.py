@@ -606,6 +606,44 @@ def test_cli_is_a_dispatcher(root: Path = ROOT) -> None:
     _none(tree.grep_modules(r"add_argument\(", ["repro.cli"]), "repro.cli defines flags")
 
 
+def test_one_deployment_batch_construction_site(root: Path = ROOT) -> None:
+    """A ``DeploymentBatch`` is built in ``repro.scenario.session`` alone
+    (``SimulationSession.deployment_batch``): a sweep's build-only cells
+    share one by going through the scenario layer's group function, never
+    by building their own.  Set with the grouped sweep executor."""
+    _equal(
+        _tree(root).calls("DeploymentBatch"),
+        [("repro.scenario.session", "deployment_batch")],
+        "constructions of DeploymentBatch",
+    )
+
+
+#: What the sweep layer must not call to run a cell: the scenario
+#: layer's execution facade and the registry's runners and plans.
+_RUNNERS = (
+    "SimulationSession", "run_spec", "deployment_means", "build_deployments",
+    "deployment_batch", "engine_sweep", "engine_batch", "runner", "plan",
+)
+
+
+def test_sweeps_run_cells_through_the_group_function(root: Path = ROOT) -> None:
+    """``repro.sweep`` reaches a runner only through
+    ``repro.scenario.session.run_group``, which decides what shares a
+    batch; it calls no session facade, runner or plan itself.  Set with
+    the grouped sweep executor."""
+    tree = _tree(root)
+    tree.require("repro.sweep")
+    sweep = tree.package("repro.sweep")
+    _none(
+        [(m, where, name) for name in _RUNNERS for m, where in tree.calls(name) if m in sweep],
+        "the sweep layer runs a cell around the group function",
+    )
+    _none(
+        [] if any(m in sweep for m, _where in tree.calls("run_group")) else ["run_group"],
+        "the sweep layer never calls",
+    )
+
+
 RULES = (
     test_packages_follow_the_layer_order,
     test_one_directory_fsync,
@@ -625,6 +663,8 @@ RULES = (
     test_one_log_reader,
     test_one_tier_at_the_front_doors,
     test_cli_is_a_dispatcher,
+    test_one_deployment_batch_construction_site,
+    test_sweeps_run_cells_through_the_group_function,
 )
 
 
@@ -688,11 +728,22 @@ BASELINE = {
     "src/repro/scenario/registry.py": (
         "def _ensure_loaded():\n    import repro.experiments  # noqa: F401\n"
     ),
+    "src/repro/scenario/session.py": (
+        "from repro.core.deployment_batch import DeploymentBatch\n\n\n"
+        "class SimulationSession:\n"
+        "    def deployment_batch(self, specs):\n        return DeploymentBatch(specs)\n\n\n"
+        "def run_group(specs):\n    return [SimulationSession() for _ in specs]\n"
+    ),
     "src/repro/experiments/__init__.py": (
         "from repro.scenario.lifecycle import Session\n\n"
         "__all__ = ['ExperimentResult', 'Series']\n"
     ),
     "src/repro/sweep/__init__.py": "",
+    "src/repro/sweep/dist/__init__.py": "",
+    "src/repro/sweep/dist/worker.py": (
+        "def _run_specs(specs):\n"
+        "    from repro.scenario.session import run_group\n\n    return run_group(specs)\n"
+    ),
     "src/repro/serve/__init__.py": "",
     "src/repro/serve/protocol.py": (
         "import json\n\nimport orjson\n\n\n"
@@ -796,6 +847,15 @@ PLANTS = (
      {"src/repro/scenario/cli.py": "FLAGS = ('--sequential',)\n"}),
     (test_cli_is_a_dispatcher, "the dispatcher defines a flag",
      {"src/repro/cli.py": "def build_parser(parser):\n    parser.add_argument('--n')\n"}),
+    (test_one_deployment_batch_construction_site, "an experiment builds its own batch",
+     {"src/repro/experiments/baseline.py": "from repro.core import deployment_batch\n\n\n"
+      "def means(specs):\n    return deployment_batch.DeploymentBatch(specs).run()\n"}),
+    (test_sweeps_run_cells_through_the_group_function, "the executor calls a session",
+     {"src/repro/sweep/executor.py": "from repro.scenario import session\n\n\n"
+      "def cell(spec):\n    return session.SimulationSession(spec).run()\n"}),
+    (test_sweeps_run_cells_through_the_group_function, "the worker runs a plan",
+     {"src/repro/sweep/dist/worker.py": "def _run_specs(specs, definition, session):\n"
+      "    return [definition.plan(session) for _ in specs]\n"}),
 )
 
 

@@ -1,12 +1,14 @@
 """No test-only code under ``src/``.
 
 A fixpoint scan over ``src/repro``: every top-level ``def``/``class`` and
-every method of a top-level class must be reached, meaning its name (as a
-whole word) appears in another ``src/``, ``bench/`` or ``examples/``
-module, or in its own module outside its own definition.  Package
-``__init__`` re-exports and ``__all__`` lists are not callers, and neither
-is any text inside a definition the scan has already found unreached, so a
-name that only dead code mentions is dead too.
+every method of a top-level class must be reached, meaning code in another
+``src/``, ``bench/`` or ``examples/`` module, or in its own module outside
+its own definition, uses its name — as a name or an attribute in the
+syntax tree.  Prose is not a use: docstrings, comments and other string
+literals name nothing, and neither do imports (so package ``__init__``
+re-exports are not callers) or ``__all__`` lists.  Nor is any code inside
+a definition the scan has already found unreached, so a name that only
+dead code uses is dead too.
 
 The few unreached definitions the repo keeps on purpose are on
 ``ALLOWLIST``, each with its reason; what an allowlisted definition uses
@@ -21,15 +23,14 @@ Runs under pytest and stand-alone, with nothing but the standard library::
 from __future__ import annotations
 
 import ast
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "examples")
+#: Where callers are looked for, under a repository root.
+CALLER_DIRS = ("src", "bench", "examples")
 
 #: Unreached definitions kept on purpose: ``module:qualname`` (or a whole
 #: module) -> the reason.
@@ -61,9 +62,23 @@ ALLOWLIST = {
     "repro.serve.client:ServeClient.next_event": (
         "protocol client: the client half of the subscribe op"
     ),
+    "repro.routing.linkstate:LinkStateProtocol.view_of": (
+        "waits on ROADMAP's parked per-node-view item: routes from what a node heard"
+    ),
+    "repro.routing.widest_path:bottleneck_closure": (
+        "oracle: the definitional max-min closure the fast closures are pinned against"
+    ),
+    "repro.core.sampling:bias_rank": (
+        "oracle: the paper's b_ij for one candidate, which the sampling tests rank by"
+    ),
+    "repro.scenario.session:run_spec": (
+        "library front door: README's Python way to run a spec"
+    ),
+    "repro.telemetry.diagnostics:strip_diagnostics": (
+        "result comparison: CI's parity step and docs/observability.md strip with it"
+    ),
 }
 
-_WORD = re.compile(r"\w+")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -95,13 +110,13 @@ class Definition:
         )
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _definitions(path: Path, tree: ast.Module) -> list[Definition]:
-    module = _module_name(path)
+def _definitions(path: Path, tree: ast.Module, src: Path) -> list[Definition]:
+    module = _module_name(path, src)
 
     def make(node, qualname, parent=None):
         start = min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -122,36 +137,28 @@ def _definitions(path: Path, tree: ast.Module) -> list[Definition]:
     return found
 
 
-def _export_lines(path: Path, tree: ast.Module) -> set[int]:
-    """A package ``__init__``'s imports and ``__all__``: not callers."""
-    if path.name != "__init__.py":
-        return set()
-    lines = set()
-    for node in tree.body:
-        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
-        ):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+def _uses(tree: ast.AST):
+    """``(name, line)`` of every name and attribute the code uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
 
 
-def scan() -> tuple[list[Definition], dict[str, Definition]]:
-    """``(unreached definitions, every definition by key)`` at the fixpoint."""
+def scan(root: Path = ROOT) -> tuple[list[Definition], dict[str, Definition]]:
+    """``(unreached definitions, every definition by key)`` at the fixpoint,
+    over the repository at ``root``."""
+    package = root / "src" / "repro"
     definitions: list[Definition] = []
-    mentions: dict[str, list[tuple[Path, int]]] = {}  # word -> (path, line)s
+    mentions: dict[str, list[tuple[Path, int]]] = {}  # name -> (path, line)s
     for base in CALLER_DIRS:
-        for path in sorted(base.rglob("*.py")):
-            text = path.read_text()
-            skip: set[int] = set()
-            if PACKAGE in path.parents:
-                tree = ast.parse(text)
-                definitions += _definitions(path, tree)
-                skip = _export_lines(path, tree)
-            for number, line in enumerate(text.splitlines(), 1):
-                if number not in skip:
-                    for word in set(_WORD.findall(line)):
-                        mentions.setdefault(word, []).append((path, number))
+        for path in sorted((root / base).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if package in path.parents:
+                definitions += _definitions(path, tree, package.parent)
+            for name, number in _uses(tree):
+                mentions.setdefault(name, []).append((path, number))
 
     dead: list[Definition] = []
     # Text inside these spans reaches nothing: unreached, not allowlisted.
@@ -221,6 +228,26 @@ def test_no_stale_allowlist_entry():
 
 def test_allowlist_is_short_and_gives_reasons():
     assert malformed() == []
+
+
+def test_prose_is_not_a_caller(tmp_path):
+    """A def that a docstring, a comment and a string name, but no code
+    uses, is unreached; what code uses is reached."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from repro.kit import used, prose_only\n")
+    (package / "kit.py").write_text(
+        "def used():\n    return 1\n\n\ndef prose_only():\n    return 2\n"
+    )
+    (package / "app.py").write_text(
+        '"""Calls :func:`prose_only`? No: only ``used``."""\n\n'
+        "from repro.kit import used\n\n"
+        "# prose_only is named here too\n"
+        "NAMES = ['prose_only']\n\n\n"
+        "def main():\n    return used()\n\n\nmain()\n"
+    )
+    dead, _ = scan(tmp_path)
+    assert unlisted(dead) == ["repro.kit:prose_only (2 lines)"]
 
 
 def main() -> int:
