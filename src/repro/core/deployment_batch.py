@@ -1,18 +1,20 @@
-"""Batched multi-deployment sweeps: build every overlay, then score them all.
+"""Batched multi-deployment sweeps: build every overlay and score them all.
 
 The paper's k-sweeps (Fig. 1 and friends) compare many *independent*
 overlay deployments — one per (policy, k, metric) triple — that share one
 underlay.  Building and scoring them one after another leaves the
 vectorised kernels idle between deployments; this module stacks them:
 
-* **Construction.**  Structural policies build directly
+* **Construction.**  Best-response dynamics run first, through the
+  repo's one lockstep driver, that of :mod:`repro.core.engine_batch`:
+  each deployment's dynamics are a small owner that stands where an
+  engine stands, and one round of them is one lockstep epoch — residual
+  planners, settled skips, the fused kernel and the BR(ε) adoption rule
+  are the epoch loop's own.  Structural policies build directly
   (:func:`~repro.core.policies.build_overlay`: they select from ids and
-  direct link weights, so there is nothing to stack).  Best-response
-  dynamics run through the repo's one lockstep driver, that of
-  :mod:`repro.core.engine_batch`: each deployment's dynamics are a small
-  owner that stands where an engine stands, and one round of them is one
-  lockstep epoch — residual planners, settled skips, the fused kernel
-  and the BR(ε) adoption rule are the epoch loop's own.
+  direct link weights, so there is nothing to stack), each when its
+  score chunk asks for it, so a batch never holds more than one chunk of
+  them.
 
 * **Scoring.**  The built overlays are scored a chunk of
   :data:`_SCORE_BLOCK_NODES` stacked nodes at a time: the chunk's
@@ -35,7 +37,8 @@ so no two deployments may share one :class:`numpy.random.Generator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,13 +69,16 @@ _SCORE_BLOCK_NODES = 256
 
 #: Stacked deployment nodes (deployments x n) up to which the cells of a
 #: sweep merge into one batch (:func:`repro.scenario.session.run_group`).
-#: A group's peak memory grows with its width (each quiet bandwidth build
-#: holds n^3 residual floats).  On ``build_12cell`` (12 cells of 4
-#: deployments x 48 nodes, seed 7, a 2-vCPU box) ``peak_rss_mb`` read
-#: 69.8 with cells run alone, and 71.3 / 72.0 / 72.6 / 73.3 / 76.6 at caps
-#: of 384 / 576 / 768 / 1152 / 2304 nodes (2 / 3 / 4 / 6 / 12 cells); this
-#: cap keeps the sweep within +5% on every seed tried.
-MERGE_MAX_NODES = 576
+#: A wider group runs fewer, wider lockstep rounds; what grows with it is
+#: the best-response rounds' working set (the fused kernel's tensors, the
+#: bandwidth mailboxes, one dense matrix per build), since structural
+#: overlays are built as their score chunk is scored.  On
+#: ``build_12cell`` (12 cells of 4 deployments x 48 nodes, seeds 7 and
+#: 11-13, a 2-vCPU box) the median ``peak_rss_mb`` read 72.8 at the old
+#: 576-node cap without that deferral, and 73.8 / 75.6 with it at caps
+#: of 1 152 / 2 304 nodes (6 / 12 cells); this cap is the widest within
+#: +2%.
+MERGE_MAX_NODES = 1152
 
 
 @dataclass
@@ -338,66 +344,92 @@ class DeploymentBatch:
         nobody or the round limit passes (zero rounds keep the seed
         wiring and, as sequentially, draw no shuffle).
         """
+        return list(self._overlays())
+
+    def _overlays(self) -> Iterator[GlobalWiring]:
+        """Every deployment's overlay, in spec order, each built as late
+        as it can be.
+
+        The best-response deployments' lockstep rounds run first (they
+        need one another for width); each structural overlay is built
+        when it is asked for, so a consumer that scores chunk by chunk
+        (:meth:`run`) holds one chunk's overlays, not the sweep's.  Every
+        spec draws from its own stream, so the order changes no draw.
+        """
         if not self.batched:
-            return [_sequential_overlay(spec) for spec in self.specs]
-        wirings: List[GlobalWiring] = []
+            for spec in self.specs:
+                yield _sequential_overlay(spec)
+            return
+        built = self._best_responses()
+        for i, spec in enumerate(self.specs):
+            yield built.pop(i) if i in built else _sequential_overlay(spec)
+
+    def _best_responses(self) -> Dict[int, GlobalWiring]:
+        """Index -> overlay of every best-response deployment, its rounds
+        run in lockstep; what the rounds held (owners, dense matrices,
+        mailboxes) is gone when this returns."""
+        wirings: Dict[int, GlobalWiring] = {}
         states: List[_LockstepState] = []
-        for spec in self.specs:
+        for i, spec in enumerate(self.specs):
             if not isinstance(spec.policy, BestResponsePolicy):
-                wirings.append(_sequential_overlay(spec))
                 continue
             owner = _BuildOwner(spec)
-            wirings.append(owner.wiring)
+            wirings[i] = owner.wiring
             if int(spec.br_rounds) > 0:
                 states.append(_LockstepState(owner))
         driver = _LockstepDriver()
         while states:
             driver._run_rounds(states)
-            states = [
-                st
-                for st in states
-                if st.plan.rewirings and st.plan.epoch < int(st.engine.spec.br_rounds)
-            ]
+            running = []
+            for st in states:
+                if st.plan.rewirings and st.plan.epoch < int(st.engine.spec.br_rounds):
+                    running.append(st)
+                else:
+                    st.discard_mailbox()
+            states = running
         return wirings
 
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    def mean_true_costs(self, wirings: Sequence[GlobalWiring]) -> np.ndarray:
+    def mean_true_costs(self, wirings: Iterable[GlobalWiring]) -> np.ndarray:
         """Mean per-node cost of every deployment on its true metric.
 
-        The batched path scores :data:`_SCORE_BLOCK_NODES` stacked nodes'
-        worth of deployments at a time, each chunk one
-        preference-weighted broadcast over its route values, so the
-        working set is a chunk's, not the sweep's; the sequential path is
-        one ``all_node_costs`` call per deployment.  Both are bitwise
+        ``wirings`` is consumed in order, one score chunk at a time: the
+        batched path scores :data:`_SCORE_BLOCK_NODES` stacked nodes'
+        worth of deployments at once, each chunk one preference-weighted
+        broadcast over its route values, so the working set is a
+        chunk's, not the sweep's; the sequential path is one
+        ``all_node_costs`` call per deployment.  Both are bitwise
         identical (same route values, same elementwise clamp/multiply,
         same pairwise summation order per row).
         """
-        if len(wirings) != len(self.specs):
-            raise ValidationError("one wiring per deployment expected")
-        if not self.batched:
-            means = np.empty(len(wirings))
-            for i, (spec, wiring) in enumerate(zip(self.specs, wirings)):
-                costs = spec.truth.all_node_costs(wiring.to_graph(), spec.preferences)
-                means[i] = float(np.mean(list(costs.values())))
-            return means
+        overlays = iter(wirings)
         n = self.n
+        means = np.empty(len(self.specs))
+        step = max(1, _SCORE_BLOCK_NODES // n) if self.batched else 1
         rows = np.arange(n)[:, None]
         # Destination columns per node, in the ascending "everyone else"
         # order Metric._weighted_cost iterates.
         cols = np.array([[j for j in range(n) if j != i] for i in range(n)])
-        means = np.empty(len(self.specs))
-        step = max(1, _SCORE_BLOCK_NODES // n)
         for start in range(0, len(self.specs), step):
             chunk = slice(start, start + step)
             specs = self.specs[chunk]
-            graphs = [wiring.to_graph() for wiring in wirings[chunk]]
+            graphs = [wiring.to_graph() for wiring in islice(overlays, len(specs))]
+            if len(graphs) != len(specs):
+                raise ValidationError("one wiring per deployment expected")
+            if not self.batched:
+                costs = specs[0].truth.all_node_costs(graphs[0], specs[0].preferences)
+                means[start] = float(np.mean(list(costs.values())))
+                continue
             picked = _route_values(specs, graphs, n)[:, rows, cols]  # (chunk, n, n - 1)
             means[chunk] = _mean_costs(specs, picked, rows, cols)
+        if next(overlays, None) is not None:
+            raise ValidationError("one wiring per deployment expected")
         return means
 
     # ------------------------------------------------------------------ #
     def run(self) -> np.ndarray:
-        """Build every deployment and return the mean true-metric costs."""
-        return self.mean_true_costs(self.build())
+        """Build every deployment and return the mean true-metric costs:
+        :meth:`mean_true_costs` over the overlays as they are built."""
+        return self.mean_true_costs(self._overlays())

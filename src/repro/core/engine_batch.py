@@ -251,7 +251,7 @@ class _LockstepState:
         if self.token() != token:
             # While the token stands (a build's next round), so do the
             # mailbox and the quiet streak.
-            self.mailbox.clear()
+            self.discard_mailbox()
             self.wave = 1
         self.active_set = frozenset(self.plan.active_list)
         before = self.dense
@@ -285,6 +285,12 @@ class _LockstepState:
                 if v in active_set:
                     dense[node, v] = w
         self.dense = dense
+
+    def discard_mailbox(self) -> None:
+        """Drop every planned residual no step read (``batch.prefill.discarded``)."""
+        if self.mailbox:
+            telemetry.count("batch.prefill.discarded", len(self.mailbox))
+            self.mailbox.clear()
 
     def hop_rows(self, node: int) -> np.ndarray:
         """The node's candidate first hops, in evaluator (sorted) order."""
@@ -364,7 +370,7 @@ class _LockstepState:
             # chain falls back to single-step lookahead until a quiet
             # streak re-earns the deeper pipeline (a wasted bandwidth
             # member costs a full n^3 closure).
-            self.mailbox.clear()
+            self.discard_mailbox()
             self.wave = 1
         else:
             self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))

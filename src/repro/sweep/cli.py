@@ -6,8 +6,10 @@ executes the cells across a worker pool into a content-addressed
 :class:`~repro.sweep.store.SweepStore` (``--resume`` skips completed
 cells, so an interrupted sweep picks up where it died), and prints the
 aggregated per-experiment tables.  ``--dry-run`` prints the plan —
-which cells exist, their spec hashes, and which are already complete —
-without running anything.  ``--status`` reports live corpus progress
+which cells exist, their spec hashes, which are already complete, and
+the group each pending cell would run in (the grouping ``run_sweep``
+itself forms for ``--workers``) — without running anything.
+``--status`` reports live corpus progress
 (done/claimed/orphaned/failed/pending, per-host throughput) from the
 store's claim and completion records.  ``--trace out.jsonl`` records a
 span-level JSONL trace and ``--telemetry`` enables the metrics registry
@@ -34,7 +36,7 @@ from repro.sweep.aggregate import aggregate_cells
 from repro.sweep.dist.claims import DEFAULT_LEASE_SECONDS
 from repro.sweep.dist.status import corpus_status, format_status
 from repro.sweep.dist.worker import run_worker
-from repro.sweep.executor import run_sweep
+from repro.sweep.executor import _groups, run_sweep
 from repro.sweep.store import SweepStore
 from repro.sweep.template import expand_corpus, load_templates
 from repro.telemetry import runtime as telemetry
@@ -61,7 +63,10 @@ def register(sub) -> None:
     sweep_cmd.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the expanded cell plan (and completion state) without running",
+        help=(
+            "print the expanded cell plan (completion state, and the group "
+            "each pending cell runs in) without running"
+        ),
     )
     sweep_cmd.add_argument(
         "--status",
@@ -194,14 +199,18 @@ def _sweep(args: argparse.Namespace) -> int:
         return 0
 
     if args.dry_run:
-        complete = sum(1 for cell in cells if store.has(cell.key))
+        done = {cell.key for cell in cells if store.has(cell.key)}
+        pending = [cell for cell in cells if cell.key not in done]
+        groups = _groups(pending, args.workers)
+        group_of = {cell.key: index for index, group in enumerate(groups) for cell in group}
         if args.json:
             plan = {
                 "corpus": corpus,
                 "template": args.template,
                 "store": store_dir,
                 "total": len(cells),
-                "complete": complete,
+                "complete": len(done),
+                "groups": len(groups),
                 "cells": [
                     {
                         "template": cell.template,
@@ -209,7 +218,8 @@ def _sweep(args: argparse.Namespace) -> int:
                         "key": cell.key,
                         "experiment": cell.spec.experiment,
                         "assignment": dict(cell.assignment),
-                        "complete": store.has(cell.key),
+                        "complete": cell.key in done,
+                        "group": group_of.get(cell.key),
                     }
                     for cell in cells
                 ],
@@ -218,12 +228,14 @@ def _sweep(args: argparse.Namespace) -> int:
         else:
             print(
                 f"# sweep plan {corpus}: {len(cells)} cells "
-                f"({complete} complete) -> {store_dir}"
+                f"({len(done)} complete) -> {store_dir} in {len(groups)} groups"
             )
             for cell in cells:
-                status = "done" if store.has(cell.key) else "pending"
+                group = group_of.get(cell.key)
+                status = "pending" if group is not None else "done"
+                column = f"g{group}" if group is not None else "-"
                 print(
-                    f"{cell.key[:12]}  {status:>7}  {cell.spec.experiment}  "
+                    f"{cell.key[:12]}  {status:>7}  {column:>4}  {cell.spec.experiment}  "
                     f"{cell.describe()}"
                 )
         return 0

@@ -92,7 +92,7 @@ def _groups(cells: Sequence[SweepCell], workers: int) -> List[List[SweepCell]]:
     from repro.scenario.session import merge_groups
 
     groups = [[cells[i] for i in group] for group in merge_groups([c.spec for c in cells])]
-    while len(groups) < workers:
+    while groups and len(groups) < workers:
         widest = max(range(len(groups)), key=lambda g: len(groups[g]))
         group = groups[widest]
         if len(group) == 1:

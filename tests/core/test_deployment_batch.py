@@ -6,7 +6,9 @@ best-response dynamics, fused broadcasts) and ``batched=False`` (the
 preserved pre-batching sequential implementation).
 """
 
+import gc
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -348,6 +350,43 @@ class TestRouteValueTensor:
         batch = DeploymentBatch(specs)
         with pytest.raises(ValidationError):
             batch.mean_true_costs([])
+
+
+class TestDeferredBuilds:
+    """Structural overlays are built as their score chunk is scored, after
+    the best-response rounds, and the order changes no output bit."""
+
+    N = 24  # 10 deployments a score chunk: 30 specs span 3 chunks
+
+    def _specs(self):
+        return _sweep_specs(_MixedProvider(self.N), (2, 3, 4, 5, 6, 7), 17, br_rounds=2)
+
+    def test_run_equals_sequential_and_scored_build(self):
+        specs = self._specs()
+        assert len(specs) > 2 * (deployment_batch._SCORE_BLOCK_NODES // self.N)
+        batched = DeploymentBatch(specs).run()
+        sequential = DeploymentBatch(self._specs(), batched=False).run()
+        batch = DeploymentBatch(self._specs())
+        assert np.array_equal(batched, sequential)
+        assert np.array_equal(batched, batch.mean_true_costs(batch.build()))
+
+    def test_at_most_one_chunk_of_structural_overlays_alive(self, monkeypatch):
+        build, alive, most = deployment_batch._sequential_overlay, [], [0]
+
+        def spy(spec):
+            wiring = build(spec)
+            gc.collect()
+            alive[:] = [ref for ref in alive if ref() is not None]
+            alive.append(weakref.ref(wiring))
+            most[0] = max(most[0], len(alive))
+            return wiring
+
+        monkeypatch.setattr(deployment_batch, "_sequential_overlay", spy)
+        specs = self._specs()
+        structural = sum(not isinstance(s.policy, BestResponsePolicy) for s in specs)
+        DeploymentBatch(specs).run()
+        assert structural > 10
+        assert most[0] <= deployment_batch._SCORE_BLOCK_NODES // self.N
 
 
 class TestMailbox:

@@ -9,8 +9,10 @@ every held claim alive for as long as the group runs.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from repro.sweep import SweepStore, SweepTemplate, run_sweep
 from repro.sweep.dist import ClaimStore
 from repro.sweep.dist.worker import WorkerInterrupted, execute_group_claimed
 from repro.telemetry import runtime as telemetry
+
+REPO = Path(__file__).resolve().parents[2]
 
 #: fig1 ping, load and bandwidth panels, a preferences cell and one
 #: epoch-loop cell, all at n = 12.
@@ -202,3 +206,21 @@ def test_merge_groups_caps_stacked_nodes_and_splits_by_n(mixed):
     ]
     wide = fig1.override(n=cap)  # one cell past the cap is a group of one
     assert merge_groups([wide, wide]) == [[0], [1]]
+
+
+def _corpus_cells(relative):
+    with open(REPO / relative) as handle:
+        return SweepTemplate.from_dict(json.load(handle)).expand()
+
+
+def test_merge_groups_width_on_the_12cell_corpora():
+    """The cap's meaning on the benchmark corpus (n = 48, 4 deployments a
+    cell: 192 stacked nodes) and on its n = 80 original (320 a cell,
+    which the old 576-node cap ran one cell at a time)."""
+    assert deployment_batch.MERGE_MAX_NODES == 1152
+    bench = [cell.spec for cell in _corpus_cells("bench/build_12cell.json")]
+    assert len(bench) == 12 and {spec.n for spec in bench} == {48}
+    assert merge_groups(bench) == [list(range(6)), list(range(6, 12))]
+    scenario = [cell.spec for cell in _corpus_cells("scenarios/bench_12cell.json")]
+    assert len(scenario) == 12 and {spec.n for spec in scenario} == {80}
+    assert merge_groups(scenario) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]

@@ -329,6 +329,34 @@ class TestSweep:
         ]
         assert all(len(cell["key"]) == 32 for cell in plan["cells"])
 
+    def test_dry_run_shows_the_groups_a_run_executes(self, tmp_path, capsys):
+        template = self._write_template(tmp_path)
+        store = tmp_path / "store"
+        assert main(["sweep", template, "--dry-run", "--store", str(store)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("in 1 groups")
+        assert all(" g0 " in line for line in lines[1:])
+        # The pool halves the group so both workers get one.
+        args = ["sweep", template, "--dry-run", "--json", "--store", str(store)]
+        assert main(args + ["--workers", "2"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["groups"] == 2
+        assert [cell["group"] for cell in plan["cells"]] == [0, 1]
+        # A complete cell is in no group.
+        assert main(["sweep", template, "--store", str(store)]) == 0
+        capsys.readouterr()
+        (store / f"{plan['cells'][1]['key']}.json").unlink()
+        assert main(args) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["groups"] == 1
+        assert [cell["group"] for cell in plan["cells"]] == [None, 0]
+        assert main(["sweep", template, "--resume", "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main(args + ["--workers", "2"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["groups"] == 0
+        assert [cell["group"] for cell in plan["cells"]] == [None, None]
+
     def test_sweep_runs_aggregates_and_resumes(self, tmp_path, capsys):
         template = self._write_template(tmp_path)
         store = str(tmp_path / "store")
