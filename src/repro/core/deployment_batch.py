@@ -70,9 +70,9 @@ _SCORE_BLOCK_NODES = 256
 #: Stacked deployment nodes (deployments x n) up to which the cells of a
 #: sweep merge into one batch (:func:`repro.scenario.session.run_group`).
 #: A wider group runs fewer, wider lockstep rounds; what grows with it is
-#: the best-response rounds' working set (the fused kernel's tensors, the
-#: bandwidth mailboxes, one dense matrix per build), since structural
-#: overlays are built as their score chunk is scored.  On
+#: the best-response rounds' working set (the fused kernel's tensors, a
+#: round's stacked residual sweep, one dense matrix per build), since
+#: structural overlays are built as their score chunk is scored.  On
 #: ``build_12cell`` (12 cells of 4 deployments x 48 nodes, seeds 7 and
 #: 11-13, a 2-vCPU box) the median ``peak_rss_mb`` read 72.8 at the old
 #: 576-node cap without that deferral, and 73.8 / 75.6 with it at caps
@@ -173,8 +173,9 @@ class _BuildOwner:
         )
 
     def step_node(self, plan: EpochPlan, residual: Optional[np.ndarray] = None) -> bool:
-        """The next opportunity through an evaluator (which sweeps the
-        residual graph when nothing was planned: past the closure cutoff)."""
+        """The next opportunity through an evaluator, handed the round's
+        residual (it sweeps the residual graph itself only when none was
+        planned: a node with no candidate hop)."""
         node = plan.order[plan.pos]
         plan.pos += 1
         candidates = [c for c in self.node_list if c != node]
@@ -366,8 +367,8 @@ class DeploymentBatch:
 
     def _best_responses(self) -> Dict[int, GlobalWiring]:
         """Index -> overlay of every best-response deployment, its rounds
-        run in lockstep; what the rounds held (owners, dense matrices,
-        mailboxes) is gone when this returns."""
+        run in lockstep; what the rounds held (owners, dense matrices) is
+        gone when this returns."""
         wirings: Dict[int, GlobalWiring] = {}
         states: List[_LockstepState] = []
         for i, spec in enumerate(self.specs):
@@ -380,13 +381,11 @@ class DeploymentBatch:
         driver = _LockstepDriver()
         while states:
             driver._run_rounds(states)
-            running = []
-            for st in states:
-                if st.plan.rewirings and st.plan.epoch < int(st.engine.spec.br_rounds):
-                    running.append(st)
-                else:
-                    st.discard_mailbox()
-            states = running
+            states = [
+                st
+                for st in states
+                if st.plan.rewirings and st.plan.epoch < int(st.engine.spec.br_rounds)
+            ]
         return wirings
 
     # ------------------------------------------------------------------ #

@@ -11,18 +11,12 @@ The one lockstep driver (:class:`_LockstepDriver`) advances such
 deployments — :class:`EngineBatch`'s engines, and the best-response
 builds of :class:`~repro.core.deployment_batch.DeploymentBatch`, whose
 rounds are epochs of owners that stand where an engine stands — epoch by
-epoch in lockstep, and *plans* the residual route-value matrices the
-upcoming re-wiring opportunities will read.  Each planned matrix goes
-into its deployment's
-*mailbox* (:attr:`_LockstepState.mailbox`, ``{node: matrix}``) and is
-popped by that node's opportunity — a fused step, an engine stepping its
-own path (:meth:`EgoistEngine.step_node` with ``residual=``), or a
-settled skip that needs none.  Three planners fill it:
+epoch in lockstep.  Each round plans the residual route-value matrix of
+the node each stepping deployment steps, for the overlay as it stands,
+and hands it straight to that step — a fused step, or an engine stepping
+its own path (:meth:`EgoistEngine.step_node` with ``residual=``).
+Nothing planned outlives its round.  Two planners compute them:
 
-* additive metrics (delay, load) in a small batch stack the ``(engine,
-  node)`` residual weight matrices of all engines' next waves into one
-  block-diagonal CSR Dijkstra call
-  (:func:`repro.core.lockstep.batched_route_matrices`);
 * additive metrics once the batch's additive engines together count
   :data:`_MAINTAIN_MIN_ACTIVE` active nodes keep **one all-pairs matrix
   of the current overlay per engine**: a node's residual graph differs
@@ -33,27 +27,21 @@ settled skip that needs none.  Three planners fill it:
   n-source sweeps.  The repairs are stacked across the round's group
   (:meth:`_LockstepDriver._derive_residuals`): one build of the matrices
   not yet swept, one repair bringing every stale matrix up to date, one
-  repair deriving every stepping engine's next residual — at most two
-  kernel calls per round, whatever the group's width.  The repairs read
-  the group's repair tables, built once per epoch from the dense
-  overlays and patched in the rows each round rewrote
-  (:meth:`_LockstepDriver._group_tables`).  Only the next
-  node's residual is derived each round, so the mailbox holds one
-  matrix: matrix + one residual are O(n^2) per engine, where n
-  residuals would be O(n^3);
-* the bandwidth metric goes through
-  :func:`repro.core.lockstep.fill_bandwidth_residuals`, once per round
-  for every bandwidth engine (per-node closures pivoted as one stack, or
-  one avoid-one pass per engine once a quiet streak makes whole-round
-  speculation worthwhile).
+  repair deriving every stepping engine's residual — at most two kernel
+  calls per round, whatever the group's width.  The repairs read the
+  group's repair tables, built once per epoch from the dense overlays
+  and patched in the rows each round rewrote
+  (:meth:`_LockstepDriver._group_tables`).  An engine holds its matrix
+  and one residual, O(n^2), where n residuals would be O(n^3);
+* every other stepping deployment — additive below the floor, or
+  bandwidth — is one dense overlay with its node's row cleared, and the
+  round's stack of them is swept by one
+  :func:`repro.core.lockstep.batched_route_matrices` call per objective
+  direction (:meth:`_LockstepDriver._sweep_residuals`): block-diagonal
+  Dijkstra for additive metrics, max-min closures for bandwidth.
 
-A planned matrix is valid until something in its read set changes, and
-the driver sees every such change happen: a re-wire (or, under
-bandwidth, any wiring-version change) empties the mailbox, and so does
-an epoch boundary that moves the residual-state token (wiring version,
-announced-metric fingerprint, membership).  The engines' own route
-caches are the sequential tier's memo; nothing here reads or writes
-them.
+The engines' own route caches are the sequential tier's memo; nothing
+here reads or writes them.
 
 What a memoised residual bought in a quiet epoch — a node whose inputs
 did not move need not recompute anything — is kept as what it was a
@@ -64,10 +52,6 @@ live token equals the stamp the node's best response is known to be
 only the adoption tail (:meth:`_LockstepState.is_settled`; counted
 ``batch.steps.skipped``).  At equilibrium nobody re-wires, so a steady
 epoch of any fusable engine costs n adoption tails and no kernel.
-
-Wave sizes adapt per deployment: they grow while nothing re-wires
-(:func:`repro.core.lockstep.wave_cap`) and fall back to single-step
-lookahead the moment a re-wire falsifies the speculative chain.
 
 The re-wiring opportunities themselves run through the one fused kernel,
 :func:`repro.core.best_response.fused_best_response`, at any membership (it
@@ -105,12 +89,7 @@ from repro.core.best_response import Member, fused_best_response, should_rewire
 from repro.core.cheating import CheatingModel
 from repro.core.engine import EgoistEngine, EngineHistory, EpochPlan, EpochRecord
 from repro.core.failures import FailureSpec
-from repro.core.lockstep import (
-    batched_route_matrices,
-    fill_bandwidth_residuals,
-    fusable,
-    wave_cap,
-)
+from repro.core.lockstep import batched_route_matrices, fusable
 from repro.core.policies import NeighborSelectionPolicy
 from repro.core.providers import MetricProvider
 from repro.core.wiring import Wiring
@@ -135,12 +114,13 @@ _ENGINE_BLOCK_NODES = 1024
 #: from the engines' all-pairs matrices (and updating those after a
 #: re-wire) by stacked sparse repairs beats fresh n-source sweeps: the
 #: repair's fixed cost is paid once per round, not once per engine.
-#: Measured in CPU-s on a 2-vCPU box: one 50-node engine under a ping
-#: metric takes 0.56-0.59 speculative against 0.64-0.80 maintained per
-#: 15 epochs (the serve tick, so it stays below), one of 80 nodes gains
-#: 1.2x, seven churned engines of 50 nodes 1.3x, and groups of 14- to
-#: 30-node engines land within 10% either way.  Below it the stacked
-#: speculative sweeps keep the job.
+#: Measured in CPU-s on a 2-vCPU box, against stacked sweeps that still
+#: planned residuals ahead: one 50-node engine under a ping metric took
+#: 0.56-0.59 stacked against 0.64-0.80 maintained per 15 epochs (the
+#: serve tick, so it stays below), one of 80 nodes gained 1.2x, seven
+#: churned engines of 50 nodes 1.3x, and groups of 14- to 30-node
+#: engines landed within 10% either way.  Below it the stacked sweep
+#: keeps the job.
 _MAINTAIN_MIN_ACTIVE = 64
 
 
@@ -194,12 +174,10 @@ class _LockstepState:
     __slots__ = (
         "engine",
         "plan",
-        "wave",
         "dense",
         "_hop_rows",
         "version",
         "fusable",
-        "mailbox",
         "active_set",
         "maintained",
         "apsp",
@@ -212,20 +190,13 @@ class _LockstepState:
     def __init__(self, engine: EgoistEngine):
         self.engine = engine
         self.plan: Optional[EpochPlan] = None
-        self.wave = 1
         self.dense: Optional[np.ndarray] = None
         self._hop_rows: Dict[int, np.ndarray] = {}
         self.version = -1
         self.fusable = False
-        #: Planned residuals not yet read: node -> its ``(hops x n)``
-        #: route values for the overlay its opportunity will meet.
-        #: Popped by that opportunity; emptied by anything that changes
-        #: an entry's read set (see :meth:`after_step`) and by
-        #: :meth:`begin_epoch`.
-        self.mailbox: Dict[int, np.ndarray] = {}
         self.active_set: frozenset = frozenset()
         #: Whether this epoch's residuals come from :attr:`apsp` (the
-        #: maintained planner) rather than stacked speculative sweeps;
+        #: maintained planner) rather than the stacked sweep;
         #: the batch decides, for all its additive engines at once.
         self.maintained = False
         #: All-pairs distances over :attr:`dense` as it stood before the
@@ -245,14 +216,8 @@ class _LockstepState:
 
     # ------------------------------------------------------------------ #
     def begin_epoch(self) -> None:
-        token = self.token() if self.plan is not None else None
         self.plan = self.engine.begin_epoch()
         self._hop_rows.clear()
-        if self.token() != token:
-            # While the token stands (a build's next round), so do the
-            # mailbox and the quiet streak.
-            self.discard_mailbox()
-            self.wave = 1
         self.active_set = frozenset(self.plan.active_list)
         before = self.dense
         self._rebuild_dense()
@@ -286,12 +251,6 @@ class _LockstepState:
                     dense[node, v] = w
         self.dense = dense
 
-    def discard_mailbox(self) -> None:
-        """Drop every planned residual no step read (``batch.prefill.discarded``)."""
-        if self.mailbox:
-            telemetry.count("batch.prefill.discarded", len(self.mailbox))
-            self.mailbox.clear()
-
     def hop_rows(self, node: int) -> np.ndarray:
         """The node's candidate first hops, in evaluator (sorted) order."""
         rows = self._hop_rows.get(node)
@@ -308,8 +267,8 @@ class _LockstepState:
     def step(self, residual: Optional[np.ndarray]) -> None:
         """Advance one re-wiring opportunity on the engine's own path."""
         node = self.plan.order[self.plan.pos]
-        rewired = self.engine.step_node(self.plan, residual=residual)
-        self.after_step(node, rewired)
+        self.engine.step_node(self.plan, residual=residual)
+        self.after_step(node)
 
     def is_settled(self) -> bool:
         """Whether the next node's best response is already known: "stay".
@@ -342,38 +301,26 @@ class _LockstepState:
         self.engine.announce(plan, node)
         if rewired:
             plan.rewirings += 1
-        self.after_step(node, rewired)
+        self.after_step(node)
         if not rewired:
             self.settled[node] = self.token()
 
-    def after_step(self, node: int, rewired: bool) -> None:
-        """Dense/wave/mailbox bookkeeping after ``node``'s step ran."""
-        self.mailbox.pop(node, None)
-        version_changed = self.engine.wiring.version != self.version
-        if version_changed:
-            self.version = self.engine.wiring.version
-            row = self.dense[node]
-            row[:] = np.nan
-            active_set = self.active_set
-            for v, w in self.engine.wiring.weights_of(node).items():
-                if v in active_set:
-                    row[v] = w
-            if self.apsp is not None:
-                self.apsp_stale.add(node)
-            if self.maintained:
-                self.tables_stale.add(node)
-        if rewired or (version_changed and self.plan.announced.maximize):
-            # What the mailbox holds was planned for a wiring that no
-            # longer stands: an additive plan predicts the in-place
-            # weight refreshes of the nodes ahead, never a re-wire, and
-            # a bandwidth plan predicts nothing.  All of it goes, and the
-            # chain falls back to single-step lookahead until a quiet
-            # streak re-earns the deeper pipeline (a wasted bandwidth
-            # member costs a full n^3 closure).
-            self.discard_mailbox()
-            self.wave = 1
-        else:
-            self.wave = min(self.wave + 1, wave_cap(self.plan.announced.maximize))
+    def after_step(self, node: int) -> None:
+        """Keep the dense overlay (and what follows it) current after
+        ``node``'s step ran."""
+        if self.engine.wiring.version == self.version:
+            return
+        self.version = self.engine.wiring.version
+        row = self.dense[node]
+        row[:] = np.nan
+        active_set = self.active_set
+        for v, w in self.engine.wiring.weights_of(node).items():
+            if v in active_set:
+                row[v] = w
+        if self.apsp is not None:
+            self.apsp_stale.add(node)
+        if self.maintained:
+            self.tables_stale.add(node)
 
 
 class _LockstepDriver:
@@ -417,18 +364,17 @@ class _LockstepDriver:
             for st in live:
                 (settled if st.is_settled() else stepping).append(st)
             with telemetry.span("batch.prefill"):
-                self._prefill(stepping)
+                residuals = self._prefill(stepping)
             # Fused groups must share the full objective convention —
             # direction AND disconnection value — since the broadcast
-            # clamps use one value for the whole group.  The prefill put
-            # every stepping engine's next residual in its mailbox, bar
-            # what it leaves to the engine's own sweep (a lone node, a
-            # bandwidth overlay past the closure cutoff); an engine the
-            # kernel does not replicate is handed its residual instead.
+            # clamps use one value for the whole group.  Every stepping
+            # engine has its node's residual, bar a lone node with no
+            # candidate hop; an engine the kernel does not replicate is
+            # handed its residual instead.
             groups: Dict[Tuple[bool, float], List[Tuple[_LockstepState, np.ndarray]]] = {}
             fallback: List[Tuple[_LockstepState, Optional[np.ndarray]]] = []
             for st in stepping:
-                resid = st.mailbox.get(st.plan.order[st.plan.pos])
+                resid = residuals.get(st)
                 if st.fusable and resid is not None:
                     metric = st.plan.announced
                     key = (bool(metric.maximize), float(metric.unreachable_value))
@@ -455,82 +401,57 @@ class _LockstepDriver:
     # ------------------------------------------------------------------ #
     # Residual route-value prefills
     # ------------------------------------------------------------------ #
-    def _prefill(self, live: Sequence[_LockstepState]) -> None:
-        """Plan residual matrices for each engine's next wave of nodes.
+    def _prefill(
+        self, live: Sequence[_LockstepState]
+    ) -> Dict[_LockstepState, np.ndarray]:
+        """The residual of each ``live`` engine's next node, this round.
 
-        Bandwidth entries are computed from the engine's *current* wiring;
-        any wiring change empties the mailbox before a later member could
-        read one.  Additive entries are *speculative*: within an epoch
-        the announced metric is fixed, so the in-place weight refresh
-        each step performs is predictable as long as the node does not
-        re-wire — the planner simulates those refreshes and computes each
-        entry for the overlay its opportunity will meet.  A re-wire
-        falsifies the chain; :meth:`_LockstepState.after_step` then
-        empties the mailbox, and the next round's stacked sweep
-        recomputes what is still needed.  Engines on the maintained
-        planner do not speculate: their next nodes' rows are derived
-        from the all-pairs matrices, all of them in one stacked pass
-        (:meth:`_derive_residuals`), and read in this very round.
-        ``live`` holds only the engines that step this round; settled
-        ones were taken out by :meth:`_run_rounds`.
+        ``live`` holds only the engines that step this round (settled
+        ones were taken out by :meth:`_run_rounds`), and a node with no
+        candidate hop needs no residual.  Engines on the maintained
+        planner derive theirs from their all-pairs matrices
+        (:meth:`_derive_residuals`); every other engine's is swept from
+        its overlay as it stands (:meth:`_sweep_residuals`).  Each is
+        read by its node's step in this very round.
         """
-        jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
         maintained: List[_LockstepState] = []
-        bandwidth: List[Tuple[_LockstepState, List[int], List[int]]] = []
+        swept: Dict[bool, List[_LockstepState]] = {False: [], True: []}
         for st in live:
-            plan = st.plan
-            if plan.announced.maximize:
-                # An entry is read under the token it was filled at (any
-                # version change empties a bandwidth mailbox), so settled
-                # nodes need none; an avoid-one pass serves every other
-                # node — next epoch too, if the token survives.
-                token = st.token()
-                missing = [
-                    node
-                    for node in plan.order[plan.pos : plan.pos + st.wave]
-                    if len(st.hop_rows(node))
-                    and node not in st.mailbox
-                    and st.settled.get(node) != token
-                ]
-                if missing:
-                    readers = [node for node in plan.order if st.settled.get(node) != token]
-                    bandwidth.append((st, missing, readers))
-                continue
-            # Replan only when the speculative chain ran dry (or broke):
-            # while the next node's entry stands the earlier plan already
-            # covers this round and the walk would be pure overhead.
-            next_node = plan.order[plan.pos]
-            if not len(st.hop_rows(next_node)) or next_node in st.mailbox:
+            if not len(st.hop_rows(st.plan.order[st.plan.pos])):
                 continue
             if st.maintained:
-                # The all-pairs matrix is at most one re-wire behind; one
-                # residual is derived per round (n planned ones would be
-                # n all-pairs matrices, dead at the next re-wire — the
-                # quiet-epoch reuse they bought is the settled stamp).
                 maintained.append(st)
-                continue
-            jobs.extend(self._plan_speculative_jobs(st))
-        if bandwidth:
-            # One stacked pass closes every engine's residuals; past the
-            # closure cutoff nothing is planned and the engine's own
-            # auto-mode sweep (bitwise identical) runs.
-            filled = fill_bandwidth_residuals(
-                [(st.dense, missing, readers, st.hop_rows) for st, missing, readers in bandwidth]
-            )
-            for (st, _missing, _readers), residuals in zip(bandwidth, filled):
-                st.mailbox.update(residuals)
+            else:
+                swept[bool(st.plan.announced.maximize)].append(st)
+        residuals: Dict[_LockstepState, np.ndarray] = {}
+        for maximize, group in swept.items():
+            if group:
+                residuals.update(self._sweep_residuals(group, maximize))
         if maintained:
-            self._derive_residuals(maintained)
-        if not jobs:
-            return
-        stack = np.stack([dense for (_st, _node, dense) in jobs])
-        matrices = batched_route_matrices(
-            stack, maximize=False, block_nodes=_ENGINE_BLOCK_NODES
-        )
-        for (st, node, _dense), matrix in zip(jobs, matrices):
-            st.mailbox[node] = matrix[st.hop_rows(node), :]
+            residuals.update(self._derive_residuals(maintained))
+        return residuals
 
-    def _derive_residuals(self, group: Sequence[_LockstepState]) -> None:
+    def _sweep_residuals(
+        self, group: Sequence[_LockstepState], maximize: bool
+    ) -> Dict[_LockstepState, np.ndarray]:
+        """The stacked planner: every ``group`` engine's dense overlay with
+        its stepping node's out-links cleared, swept in one call —
+        bitwise the sweep of the residual graph the engine's own step
+        would run (past the closure cutoff, its per-source search)."""
+        nodes = [st.plan.order[st.plan.pos] for st in group]
+        stack = np.stack([st.dense for st in group])
+        stack[np.arange(len(group)), nodes, :] = np.nan
+        matrices = batched_route_matrices(
+            stack, maximize=maximize, block_nodes=_ENGINE_BLOCK_NODES
+        )
+        return {
+            st: matrix[st.hop_rows(node)]
+            for st, node, matrix in zip(group, nodes, matrices)
+        }
+
+    def _derive_residuals(
+        self, group: Sequence[_LockstepState]
+    ) -> Dict[_LockstepState, np.ndarray]:
         """The maintained planner: every ``group`` engine's next residual.
 
         Each engine keeps one all-pairs matrix of its current overlay
@@ -583,8 +504,9 @@ class _LockstepDriver:
         rows = repair_shortest_rows(
             apsp, sources, [(node,) for node in nodes], None, exclude=nodes, tables=tables
         )
-        for st, node, resid in zip(group, nodes, rows):
-            st.mailbox[node] = resid[st.hop_rows(node)]
+        return {
+            st: resid[st.hop_rows(node)] for st, node, resid in zip(group, nodes, rows)
+        }
 
     def _group_tables(self, group: Sequence[_LockstepState]) -> ShortestRepairTables:
         """The epoch's repair tables, current for ``group``, viewed in its
@@ -616,51 +538,14 @@ class _LockstepDriver:
                 st.tables_stale.clear()
         return tables.select([st.table_slot for st in group])
 
-    def _plan_speculative_jobs(
-        self, st: _LockstepState
-    ) -> List[Tuple[_LockstepState, int, np.ndarray]]:
-        """Residual jobs for ``st``'s next wave under predicted refreshes.
-
-        Walks the upcoming nodes simulating each step's weight re-install
-        against the epoch's announced metric, and tracks the refreshed
-        rows in a predicted dense matrix (the same dict comparison
-        :meth:`GlobalWiring.set_wiring` performs decides whether a row
-        moved).  Each returned job carries the dense snapshot of its
-        position in the chain.  A wave member already in the mailbox is
-        not swept again.
-        """
-        engine = st.engine
-        plan = st.plan
-        pred_dense: Optional[np.ndarray] = None
-        jobs: List[Tuple[_LockstepState, int, np.ndarray]] = []
-        for node in plan.order[plan.pos : plan.pos + st.wave]:
-            if len(st.hop_rows(node)) and node not in st.mailbox:
-                dense = (pred_dense if pred_dense is not None else st.dense).copy()
-                dense[node, :] = np.nan
-                jobs.append((st, node, dense))
-            # Simulate the node's in-place weight refresh (step_node
-            # re-installs the current neighbours at announced weights).
-            weights = engine.wiring.weights_of(node)
-            if weights:
-                row_weights = plan.announced.link_weight_row(node)
-                new_weights = {v: float(row_weights[v]) for v in weights}
-                if new_weights != weights:
-                    if pred_dense is None:
-                        pred_dense = st.dense.copy()
-                    row = pred_dense[node]
-                    row[:] = np.nan
-                    for v, w in new_weights.items():
-                        row[v] = w
-        return jobs
-
     def _fused_engine_steps(
         self, group: Sequence[Tuple[_LockstepState, np.ndarray]]
     ) -> None:
         """One re-wiring opportunity per engine, through the shared kernel.
 
         ``group`` pairs each engine's lockstep state with the residual
-        route-value matrix of its next node, taken from its mailbox by
-        the grouping pass in :meth:`_run_rounds`.  Each becomes a
+        route-value matrix of its next node, planned this round by
+        :meth:`_prefill`.  Each becomes a
         :class:`~repro.core.best_response.Member`;
         :func:`~repro.core.best_response.fused_best_response` scores the whole
         group.  The adoption rule is :meth:`EgoistNode.consider_rewiring`'s:

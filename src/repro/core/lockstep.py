@@ -1,4 +1,4 @@
-"""The stateless sweeps and fills of the lockstep driver.
+"""The stateless sweeps of the lockstep driver.
 
 The lockstep driver of :mod:`repro.core.engine_batch` advances many
 *independent* deployments one re-wiring opportunity at a time — the
@@ -11,24 +11,19 @@ imports the policies, which import that one).  The rest is here:
 
 * :func:`batched_route_matrices` — all-sources route values of stacked
   overlays: one block-diagonal CSR Dijkstra for additive metrics, max-min
-  closures for bandwidth (also the build sweep's scoring tensor).
-* :func:`fill_bandwidth_residuals` — residual bottleneck matrices of a
-  round's bandwidth overlays, by per-node closures pivoted as one stack
-  or one avoid-one pass per quiet overlay.
-* :func:`fusable` and :func:`wave_cap` — which policies the kernel
-  replicates, and how far ahead a quiet deployment may speculate.
+  closures for bandwidth.  It sweeps a round's residual graphs (each
+  overlay with its stepping node's row cleared), an epoch's scoring and
+  the build sweep's scoring tensor.
+* :func:`fusable` — which policies the kernel replicates.
 
-None of them keeps state: what they compute goes back to the driver,
-which hands each residual to the one step that reads it.  Every
-function is bitwise identical to the per-deployment code it stands in
-for (selections and block-separated Dijkstra runs, no arithmetic
+Neither keeps state: what they compute goes back to the driver, which
+hands each residual to the one step that reads it.  Every sweep is
+bitwise identical to the per-deployment code it stands in for (selections and block-separated Dijkstra runs, no arithmetic
 reordering), which is what keeps ``batched=True`` and
 ``batched=False`` byte-identical.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,7 +33,6 @@ from repro.core.policies import BestResponsePolicy, NeighborSelectionPolicy
 from repro.routing.graph import OverlayGraph
 from repro.routing.widest_path import (
     CLOSURE_MAX_NODES,
-    bottleneck_avoid_one,
     bottleneck_closure_fw,
     widest_path_bandwidths_multi,
 )
@@ -48,23 +42,6 @@ from repro.telemetry import runtime as telemetry
 #: (the dense distance output is ``blocks*n x blocks*n`` float64, so 4096
 #: keeps a call's output near 128 MB).
 _DIJKSTRA_BLOCK_NODES = 4096
-
-#: Wave size from which one divide-and-conquer avoid-one pass (all
-#: residual matrices of the overlay version at once) beats closing the
-#: requested residuals one by one.
-_AVOID_ONE_MIN_WAVE = 8
-
-
-def wave_cap(maximize: bool) -> int:
-    """Longest speculative wave a quiet streak may grow to.
-
-    Linear growth bets on a quiet streak continuing roughly as long as it
-    has lasted; a re-wire throws the rest of the wave away, so
-    speculation is capped harder for the bandwidth closures (a wasted
-    member costs a full n^3 closure) than for the additive Dijkstra
-    blocks.
-    """
-    return 8 if maximize else 16
 
 
 def fusable(policy: NeighborSelectionPolicy, k: int, hops: int) -> bool:
@@ -169,66 +146,7 @@ def batched_route_matrices(
     return out
 
 
-def fill_bandwidth_residuals(
-    requests: Sequence[
-        Tuple[np.ndarray, Sequence[int], Sequence[int], Callable[[int], np.ndarray]]
-    ],
-) -> List[Dict[int, np.ndarray]]:
-    """Residual bottleneck matrices of a round's bandwidth overlays.
-
-    Each request is ``(dense, missing, nodes, hops_of)``: one overlay's
-    announced-bandwidth matrix (NaN absent), the nodes whose residuals
-    are wanted, the nodes that may read one this round, and
-    ``hops_of(node)``, the node's candidate first hops, ascending (the
-    rows of its matrix).  Small waves close each ``missing`` node's
-    residual adjacency directly (Floyd-Warshall pivoting), every
-    request's closures of one size pivoted as one stack; once a wave
-    says its overlay is quiet (:data:`_AVOID_ONE_MIN_WAVE` requests),
-    one divide-and-conquer :func:`bottleneck_avoid_one` pass yields the
-    residual matrices of *every* member of ``nodes`` at once, so the
-    caller holds the whole round until the next wiring change.  Both
-    produce bitwise-identical slices (max-min values are selections, not
-    arithmetic).
-
-    Returns one ``{node: (hops x n) matrix}`` per request — every
-    ``missing`` node, or every member of ``nodes`` with a candidate hop.
-    Past :data:`CLOSURE_MAX_NODES` dense closures (and the ``(n, n, n)``
-    avoid-one tensor) are O(n^3) in time and memory, so a request that
-    large gets nothing and its caller runs its own bit-identical
-    per-source fallback.
-    """
-    filled: List[Dict[int, np.ndarray]] = [{} for _ in requests]
-    # n -> (the request's dict, node, its hop rows, residual adjacency)
-    closures: Dict[int, List[Tuple[Dict, int, np.ndarray, np.ndarray]]] = {}
-    for slot, (dense, missing, nodes, hops_of) in enumerate(requests):
-        n = dense.shape[0]
-        if n > CLOSURE_MAX_NODES:
-            continue
-        adjacency = np.where(np.isnan(dense), 0.0, dense)
-        np.fill_diagonal(adjacency, np.inf)
-        if len(missing) >= _AVOID_ONE_MIN_WAVE:
-            tensor = bottleneck_avoid_one(adjacency)
-            filled[slot] = {
-                node: tensor[node][rows, :]
-                for node in nodes
-                if len(rows := hops_of(node))
-            }
-            continue
-        for node in missing:
-            residual = adjacency.copy()
-            residual[node, :] = 0.0
-            residual[node, node] = np.inf
-            closures.setdefault(n, []).append((filled[slot], node, hops_of(node), residual))
-    for jobs in closures.values():
-        closed = bottleneck_closure_fw(np.stack([job[-1] for job in jobs]))
-        for (into, node, rows, _residual), closure in zip(jobs, closed):
-            into[node] = closure[rows, :]
-    return filled
-
-
 __all__ = [
     "batched_route_matrices",
-    "fill_bandwidth_residuals",
     "fusable",
-    "wave_cap",
 ]

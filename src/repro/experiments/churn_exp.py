@@ -13,9 +13,8 @@ re-wiring scoring across deployments; ``batched=False`` preserves the
 sequential engine byte-for-byte).  Dynamic membership rides the same
 fused path: churned-down engines take the masked (padded) re-wiring
 broadcasts, join/leave events between epochs only re-derive each
-engine's active mask, and the residuals are planned ahead of the steps
-by speculative stacked sweeps (a re-wire throws the plan away) — the
-results' ``metadata["cache"]`` records the sequential engines' memo
+engine's active mask, and each round plans the residuals its steps read
+— the results' ``metadata["cache"]`` records the sequential engines' memo
 counters (all 0 on the batched path).
 """
 

@@ -19,10 +19,9 @@ Two implementations coexist, mirroring the additive metrics:
   NumPy broadcasts.  :func:`bottleneck_closure` is the definitional
   repeated-squaring form (kept as the independent cross-check the
   parity tests pin the others against); :func:`bottleneck_closure_fw`
-  (Floyd-Warshall pivoting) is the fast single-graph form; and
-  :func:`bottleneck_avoid_one` closes the residual graphs of *every*
-  node of one overlay at once, which is what the lockstep bandwidth
-  fill in :mod:`repro.core.lockstep` builds on.
+  (Floyd-Warshall pivoting) is the fast form, and closes a stack of
+  graphs — e.g. a lockstep round's residual graphs, through
+  :func:`repro.core.lockstep.batched_route_matrices` — in one pass.
 
 :func:`widest_path_bandwidths_multi` picks between the two from the
 source count and graph size alone; its ``batched=`` argument forces one
@@ -170,51 +169,6 @@ def bottleneck_closure_fw(adjacency: np.ndarray) -> np.ndarray:
         for pivot in range(n):
             _apply_bottleneck_pivot(block, pivot)
     return closure
-
-
-def bottleneck_avoid_one(adjacency: np.ndarray) -> np.ndarray:
-    """Max-min closures avoiding each vertex as an intermediate, at once.
-
-    Returns a ``(n, n, n)`` tensor whose slice ``[i]`` equals the
-    closure of the graph in which ``i`` may start or end a path but
-    never relay one.  For row ``w != i`` this is exactly the closure of
-    the *residual* graph without ``i``'s outgoing links — a path from
-    ``w`` that uses an out-edge of ``i`` must first enter ``i``, making
-    ``i`` an intermediate — which is what a best-response sweep needs
-    for every re-wiring node of an unchanged overlay.  (Slice ``[i]``'s
-    own row ``i`` does allow ``i``'s out-edges; residual consumers must
-    take only rows ``w != i``.)
-
-    Divide-and-conquer over the pivot set: each half is applied to a
-    copy before recursing into the other half, so every leaf has seen
-    every pivot except its own vertex.  Total work is ``O(n^2 * n log
-    n)`` — asymptotically ``log n / n`` of closing the ``n`` residual
-    graphs one by one — and, being pure max-min selections, each slice
-    is bitwise identical to the per-residual closure.
-    """
-    base = np.array(adjacency, dtype=float, copy=True)
-    n = base.shape[0]
-    out = np.empty((n, n, n))
-    if n == 0:
-        return out
-    telemetry.kernel_call("widest.avoid_one", n)
-
-    def recurse(pivots: List[int], matrix: np.ndarray) -> None:
-        if len(pivots) == 1:
-            out[pivots[0]] = matrix
-            return
-        half = len(pivots) // 2
-        left, right = pivots[:half], pivots[half:]
-        branch = matrix.copy()
-        for pivot in right:
-            _apply_bottleneck_pivot(branch, pivot)
-        recurse(left, branch)
-        for pivot in left:
-            _apply_bottleneck_pivot(matrix, pivot)
-        recurse(right, matrix)
-
-    recurse(list(range(n)), base)
-    return out
 
 
 def widest_path_bandwidths_multi(

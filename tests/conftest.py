@@ -49,6 +49,73 @@ def fig1_paper_scale_sequential():
     return _fig1_four_panel(batched=False)
 
 
+class ResidualLedger:
+    """Every residual a lockstep round plans, and the step that reads it."""
+
+    def __init__(self):
+        self.planned = 0
+        #: ``(round, state)`` of residuals no step of their round read,
+        #: and of residuals a step read that its round did not plan for it.
+        self.unread: list = []
+        self.strays: list = []
+        self._round = 0
+        self._pending: dict = {}
+
+    def plan(self, residuals) -> None:
+        self._close()
+        self._round += 1
+        self.planned += len(residuals)
+        self._pending = {id(resid): (st, resid) for st, resid in residuals.items()}
+
+    def take(self, st, resid) -> None:
+        if resid is not None:
+            if self._pending.pop(id(resid), (None,))[0] is not st:
+                self.strays.append((self._round, st))
+
+    def _close(self) -> None:
+        self.unread += [(self._round, st) for st, _resid in self._pending.values()]
+        self._pending = {}
+
+    def all_read(self) -> int:
+        """Check that every round's steps read exactly what it planned;
+        returns the residuals planned."""
+        self._close()
+        assert self.unread == [], f"{len(self.unread)} planned residuals never read"
+        assert self.strays == [], f"{len(self.strays)} residuals read outside their round"
+        return self.planned
+
+
+@pytest.fixture
+def residual_ledger(monkeypatch):
+    """A :class:`ResidualLedger` fed by spies on the lockstep driver's
+    prefill and on both steps that read a residual."""
+    from repro.core.engine_batch import _LockstepDriver, _LockstepState
+
+    ledger = ResidualLedger()
+    prefill = _LockstepDriver._prefill
+    fused = _LockstepDriver._fused_engine_steps
+    step = _LockstepState.step
+
+    def prefill_spy(driver, live):
+        residuals = prefill(driver, live)
+        ledger.plan(residuals)
+        return residuals
+
+    def fused_spy(driver, group):
+        for st, resid in group:
+            ledger.take(st, resid)
+        return fused(driver, group)
+
+    def step_spy(state, residual):
+        ledger.take(state, residual)
+        return step(state, residual)
+
+    monkeypatch.setattr(_LockstepDriver, "_prefill", prefill_spy)
+    monkeypatch.setattr(_LockstepDriver, "_fused_engine_steps", fused_spy)
+    monkeypatch.setattr(_LockstepState, "step", step_spy)
+    return ledger
+
+
 @pytest.fixture
 def rng():
     """A seeded generator for test determinism."""

@@ -298,7 +298,7 @@ class TestMaskedFusedChurnPath:
             batched=batched,
         )
 
-    def test_partial_membership_is_fusable(self):
+    def test_partial_membership_is_fusable(self, monkeypatch):
         """Churned-down engines must not fall back to sequential steps."""
         batch = self._churned_batch(batched=True)
         fused_partial = 0
@@ -319,13 +319,9 @@ class TestMaskedFusedChurnPath:
             fallback += 1
             return original_step(engine, plan, **kwargs)
 
-        EngineBatch._fused_engine_steps = spy
-        EgoistEngine.step_node = step_spy
-        try:
-            batch.run(4)
-        finally:
-            EngineBatch._fused_engine_steps = original
-            EgoistEngine.step_node = original_step
+        monkeypatch.setattr(EngineBatch, "_fused_engine_steps", spy)
+        monkeypatch.setattr(EgoistEngine, "step_node", step_spy)
+        batch.run(4)
         assert fused_partial > 0, "no fused steps ran at partial membership"
         assert fallback == 0, "a BR engine fell back to per-engine stepping"
 
@@ -339,11 +335,10 @@ class TestMaskedFusedChurnPath:
         assert_histories_identical(histories, sequential)
 
     def test_stale_residuals_are_recomputed_never_patched(self):
-        """Below the maintained floor a planned residual is read as
-        planned or thrown away and recomputed by the next stacked sweep:
-        no repair kernel runs, no repair ledger exists, and the
-        recompute path's Dijkstra budget is pinned so it cannot silently
-        get more expensive."""
+        """Below the maintained floor each residual is swept afresh from
+        the overlay as it stands, in the round that reads it: no repair
+        kernel runs, no repair ledger exists, and the sweep's Dijkstra
+        budget is pinned so it cannot silently get more expensive."""
         batch = self._churned_batch(batched=True)
         registry = telemetry.enable()
         try:
@@ -358,26 +353,7 @@ class TestMaskedFusedChurnPath:
             assert engine.route_cache.repairs == engine.route_cache.restamps == 0
         assert counters["batch.steps.fused"] == 200
         assert counters["kernel.batched_route_matrices.dijkstra.calls"] == 54
-        assert counters["kernel.batched_route_matrices.dijkstra.rows"] == 3276
-
-    def test_a_rewire_drops_every_pending_speculative_entry(self, monkeypatch):
-        """Every planned entry still in the mailbox was computed for a
-        wiring in which the re-wiring node only refreshed its weights in
-        place; after the re-wire that wiring never happens, so none may
-        stay to be read."""
-        original = _LockstepState.after_step
-        falsified = []
-
-        def spy(state, node, rewired):
-            others = set(state.mailbox) - {node}
-            original(state, node, rewired)
-            if rewired and others:
-                assert not state.mailbox
-                falsified.append(len(others))
-
-        monkeypatch.setattr(_LockstepState, "after_step", spy)
-        self._churned_batch(batched=True).run(4)
-        assert falsified, "no re-wire ever met a pending speculative entry"
+        assert counters["kernel.batched_route_matrices.dijkstra.rows"] == 3024
 
 
 def _churned_specs(k_values):
@@ -435,10 +411,8 @@ class _StaticProvider(MetricProvider):
 
 def _static_bandwidth_specs():
     # Two best-response engines and a k-closest one on a fixed bandwidth
-    # matrix: a node still settled from the previous epoch skips without
-    # planning, so a run of settled skips leaves the wave ahead of the
-    # mailbox and the next unsettled node's prefill takes the avoid-one
-    # pass (seed 5 does, in its sixth epoch).
+    # matrix: the stacked sweep closes the residuals of fused and
+    # own-path steps alike, and settled nodes skip without one.
     metric = BandwidthMetric(BandwidthModel(24, seed=5).matrix())
     policies = [(BestResponsePolicy(), 2), (BestResponsePolicy(), 3), (KClosestPolicy(), 3)]
     streams = spawn_generators(np.random.default_rng(6), len(policies))
@@ -457,11 +431,11 @@ def _static_bandwidth_specs():
 #: One scenario per planner branch: (specs, epochs, the planner's entry
 #: point, which must run).
 _PLANNER_BRANCHES = {
-    "stacked-churned": (_churned_stacked_specs, 4, "_plan_speculative_jobs"),
-    "stacked-settling": (_settling_stacked_specs, 5, "_plan_speculative_jobs"),
+    "stacked-churned": (_churned_stacked_specs, 4, "_sweep_residuals"),
+    "stacked-settling": (_settling_stacked_specs, 5, "_sweep_residuals"),
     "maintained-churned": (_churned_maintained_specs, 4, "_derive_residuals"),
     "maintained-mixed": (_mixed_maintained_specs, 3, "_derive_residuals"),
-    "bandwidth-avoid-one": (_static_bandwidth_specs, 6, "bottleneck_avoid_one"),
+    "bandwidth-closure": (_static_bandwidth_specs, 6, "_sweep_residuals"),
 }
 
 
@@ -514,9 +488,9 @@ def _count_calls(monkeypatch, name):
 class TestMailbox:
     """A planned residual goes to the one step that reads it.
 
-    Each state's mailbox holds the residuals its planner computed for
-    upcoming opportunities; the engines' route caches are the sequential
-    tier's memo, which the batch never reads or writes."""
+    Each round plans the residual of the node each stepping deployment
+    steps and hands it to that step; the engines' route caches are the
+    sequential tier's memo, which the batch never reads or writes."""
 
     @pytest.mark.parametrize("branch", sorted(_PLANNER_BRANCHES))
     def test_batched_run_never_touches_the_memo(self, branch, monkeypatch):
@@ -548,47 +522,32 @@ class TestMailbox:
         )
 
     @pytest.mark.parametrize("branch", sorted(_PLANNER_BRANCHES))
-    def test_mailbox_invariants(self, branch, monkeypatch):
-        """After a re-wire the mailbox is empty; every opportunity —
-        fused, on the engine's own path, or a settled skip — pops its
-        node's entry; and after each prefill the mailbox holds only
-        upcoming opportunities of the wave (of the rest of the round,
-        once a bandwidth avoid-one pass filled it)."""
+    def test_mailbox_invariants(self, branch, residual_ledger):
+        """Each round plans a residual only for the node each stepping
+        deployment steps, and that step — fused or on the engine's own
+        path — reads it in the same round: nothing planned is thrown
+        away or carried into a later round."""
         specs, epochs, _planner = _PLANNER_BRANCHES[branch]
-        seen = {"rewires": 0, "settled_with_entry": 0, "prefills": 0}
-        original_after = _LockstepState.after_step
-        original_adopt = _LockstepState.adopt
-        original_prefill = EngineBatch._prefill
-
-        def after_spy(state, node, rewired):
-            original_after(state, node, rewired)
-            assert node not in state.mailbox
-            if rewired:
-                assert not state.mailbox
-                seen["rewires"] += 1
-
-        def adopt_spy(state, rewired):
-            node = state.plan.order[state.plan.pos]
-            if state.is_settled() and node in state.mailbox:
-                seen["settled_with_entry"] += 1
-            original_adopt(state, rewired)
-
-        def prefill_spy(batch, live):
-            original_prefill(batch, live)
-            seen["prefills"] += 1
-            for st in batch._states:
-                upcoming = st.plan.order[st.plan.pos :]
-                if not st.plan.announced.maximize:
-                    upcoming = upcoming[: st.wave]
-                assert set(st.mailbox) <= set(upcoming)
-
-        monkeypatch.setattr(_LockstepState, "after_step", after_spy)
-        monkeypatch.setattr(_LockstepState, "adopt", adopt_spy)
-        monkeypatch.setattr(EngineBatch, "_prefill", prefill_spy)
         EngineBatch(specs(), batched=True).run(epochs)
-        assert seen["rewires"] > 0 and seen["prefills"] > 0
-        if branch == "stacked-settling":
-            assert seen["settled_with_entry"] > 0, "no settled skip met an entry"
+        assert residual_ledger.all_read() > 0
+
+    def test_past_the_closure_cutoff_the_memo_stays_untouched(self, monkeypatch):
+        """A bandwidth overlay past CLOSURE_MAX_NODES is still planned for,
+        by the per-source search inside ``batched_route_matrices``, so no
+        step falls back to the sequential engine's memo."""
+        monkeypatch.setattr(lockstep_module, "CLOSURE_MAX_NODES", 8)
+        batched = EngineBatch(_static_bandwidth_specs(), batched=True)
+        batched.run(2)
+        sequential = EngineBatch(_static_bandwidth_specs(), batched=False)
+        sequential.run(2)
+        assert batched.n > lockstep_module.CLOSURE_MAX_NODES
+        for engine in batched.engines:
+            stats = engine.route_cache.stats()
+            assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+        assert_histories_identical(
+            [engine.history for engine in batched.engines],
+            [engine.history for engine in sequential.engines],
+        )
 
 
 class TestMaintainedAllPairs:

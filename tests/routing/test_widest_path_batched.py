@@ -1,7 +1,7 @@
 """Parity of the batched widest-path kernels against the reference loop.
 
-The dense max-min closures (repeated squaring, Floyd-Warshall pivoting,
-and the divide-and-conquer avoid-one tensor) only ever *select* edge
+The dense max-min closures (repeated squaring and Floyd-Warshall
+pivoting, one graph or a stack at a time) only ever *select* edge
 weights — no floating-point arithmetic touches the bottleneck values —
 so every implementation must agree bit for bit with the per-source heap
 search on arbitrary graphs.  Hypothesis generates the graphs; equality
@@ -20,7 +20,6 @@ from repro.core import lockstep
 from repro.routing.graph import OverlayGraph
 from repro.routing.widest_path import (
     bandwidth_adjacency,
-    bottleneck_avoid_one,
     bottleneck_closure,
     bottleneck_closure_fw,
     widest_path_bandwidths_multi,
@@ -78,22 +77,6 @@ def test_all_closure_variants_agree(graph):
     assert np.array_equal(bottleneck_closure_fw(adjacency), reference)
 
 
-@given(overlay_graphs())
-@SETTINGS
-def test_avoid_one_matches_residual_closures(graph):
-    """Slice ``[i]`` (rows != i) equals the closure of ``G`` minus ``i``'s
-    out-edges — the residual matrix best-response sweeps consume."""
-    adjacency = bandwidth_adjacency(graph)
-    tensor = bottleneck_avoid_one(adjacency)
-    for i in range(graph.n):
-        residual = adjacency.copy()
-        residual[i, :] = 0.0
-        residual[i, i] = np.inf
-        expected = bottleneck_closure(residual)
-        rows = [w for w in range(graph.n) if w != i]
-        assert np.array_equal(tensor[i][rows], expected[rows])
-
-
 @given(overlay_graphs(), st.data())
 @SETTINGS
 def test_source_subsets(graph, data):
@@ -140,33 +123,21 @@ def test_stacked_closures_equal_per_matrix_closures(stack):
 
 @given(adjacency_stacks(), st.data())
 @SETTINGS
-def test_stacked_residual_fill_equals_one_overlay_at_a_time(stack, data):
-    """A round's residual fill over several overlays equals filling each
-    overlay alone; an overlay past the closure cutoff gets nothing."""
-    n = stack.shape[1]
-    denses = [np.where(member == 0.0, np.nan, member) for member in stack]
-
-    def hops(node):
-        return np.array([c for c in range(n) if c != node], dtype=int)
-
-    requests = [
-        (dense, data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
-         list(range(n)), hops)
-        for dense in denses
-    ]
+def test_stacked_residual_sweep_equals_per_node_closure(stack, data):
+    """A lockstep round's bandwidth residuals — each overlay with one
+    node's row cleared, swept as one stack — are bitwise each residual
+    graph's own closure, and so is the per-source search past the
+    closure cutoff."""
+    members, n, _ = stack.shape
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=members, max_size=members))
+    residuals = np.where(stack == 0.0, np.nan, stack)
+    residuals[np.arange(members), nodes, :] = np.nan
+    swept = lockstep.batched_route_matrices(residuals, maximize=True)
+    for member, node, matrix in zip(stack, nodes, swept):
+        residual = member.copy()
+        residual[node, :] = 0.0
+        residual[node, node] = np.inf
+        assert np.array_equal(matrix, bottleneck_closure(residual))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lockstep, "_AVOID_ONE_MIN_WAVE", data.draw(st.integers(1, 12)))
-        together = lockstep.fill_bandwidth_residuals(requests)
-        alone = [lockstep.fill_bandwidth_residuals([request])[0] for request in requests]
         patch.setattr(lockstep, "CLOSURE_MAX_NODES", n - 1)
-        assert lockstep.fill_bandwidth_residuals(requests) == [{} for _ in requests]
-    for filled, expected, (dense, missing, _nodes, _hops) in zip(together, alone, requests):
-        assert sorted(filled) == sorted(expected)
-        assert all(np.array_equal(filled[node], expected[node]) for node in expected)
-        adjacency = np.where(np.isnan(dense), 0.0, dense)
-        for node in missing:
-            residual = adjacency.copy()
-            residual[node, :] = 0.0
-            residual[node, node] = np.inf
-            if len(hops(node)):
-                assert np.array_equal(filled[node], bottleneck_closure(residual)[hops(node)])
+        assert np.array_equal(lockstep.batched_route_matrices(residuals, maximize=True), swept)

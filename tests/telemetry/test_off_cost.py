@@ -16,7 +16,7 @@ number instead of a promise:
 The product of measured call counts and measured unit costs bounds the
 instrumentation's contribution without trying to resolve a sub-1%
 difference between two noisy end-to-end timings.  It runs on both
-planners: one n=50 engine stays on the speculative stacked sweeps, one
+planners: one n=50 engine stays on the stacked residual sweep, one
 n=72 engine crosses the maintained planner's floor
 (``_MAINTAIN_MIN_ACTIVE = 64``), whose prefill counters and stacked
 repair kernel fire only there.

@@ -435,7 +435,7 @@ LOCKSTEP_MODULES = tuple(
 
 def test_route_cache_is_the_sequential_engines_memo(root: Path = ROOT) -> None:
     """The lockstep batches hand each residual they plan to the step that
-    reads it (a per-state mailbox), so they never import or stamp the
+    reads it, in the round that plans it, so they never import or stamp the
     cache; the knobs that sized or switched it, and the dead immediate
     re-wire mode, must not return.  Set by d7f1936."""
     tree = _tree(root)
@@ -445,6 +445,23 @@ def test_route_cache_is_the_sequential_engines_memo(root: Path = ROOT) -> None:
         "a lockstep module touches the route cache",
     )
     _none(tree.grep(r"RewireMode|rewire_mode|route_cache_size", "src"), "cache knobs returned")
+
+
+def test_a_round_plans_only_what_it_reads(root: Path = ROOT) -> None:
+    """A lockstep round plans the residual of the node each stepping
+    deployment steps and hands it straight to that step, so nothing
+    planned outlives its round.  The speculative planning that parked
+    residuals ahead of their steps — the per-state mailbox, the wave
+    caps, the avoid-one pass, the predicted-refresh walk, the bandwidth
+    fill and the count of what it threw away — must not return."""
+    _none(
+        _tree(root).grep(
+            r"mailbox|wave_cap|_AVOID_ONE_MIN_WAVE|bottleneck_avoid_one"
+            r"|fill_bandwidth_residuals|_plan_speculative_jobs|prefill\.discarded",
+            "src",
+        ),
+        "speculative residual planning returned",
+    )
 
 
 def test_one_response_encoder(root: Path = ROOT) -> None:
@@ -656,6 +673,7 @@ RULES = (
     test_one_link_state_table_one_announce_path,
     test_serve_reads_the_epochs_matrix,
     test_route_cache_is_the_sequential_engines_memo,
+    test_a_round_plans_only_what_it_reads,
     test_one_response_encoder,
     test_one_wire_codec,
     test_one_benchmark_system,
@@ -817,6 +835,9 @@ PLANTS = (
      {"src/repro/core/lockstep.py": "from repro.core.route_cache import ResidualRouteCache\n"}),
     (test_route_cache_is_the_sequential_engines_memo, "a lockstep module is gone",
      {"src/repro/core/hybrid.py": None}),
+    (test_a_round_plans_only_what_it_reads, "a mailbox returns",
+     {"src/repro/core/engine_batch.py": BASELINE["src/repro/core/engine_batch.py"]
+      + "\n\ndef _park(state, node, residual):\n    state.mailbox[node] = residual\n"}),
     (test_one_response_encoder, "a second response writer",
      {"src/repro/serve/durable.py": "import json\n\n\n"
       "def line(entry):\n    return json.dumps(entry)\n"}),
