@@ -95,8 +95,10 @@ def register(sub) -> None:
         type=int,
         default=None,
         help=(
-            "admitted-request queue bound; excess requests get an "
-            "immediate retryable 'busy' error (default 1024)"
+            "connections the server may hold with unread replies (their "
+            "transport paused for writing); while that many are held, other "
+            "connections' requests get an immediate retryable 'busy' error "
+            "(default 1024)"
         ),
     )
     serve_cmd.add_argument(

@@ -3,10 +3,14 @@
 One :class:`OverlayServer` wraps one
 :class:`~repro.serve.service.OverlayService` and speaks the
 newline-delimited JSON protocol (:mod:`repro.serve.protocol`) over a TCP
-port or a unix socket.  Request handling and epoch ticks all run on the
-one event loop, so lookups serialize against epoch advancement without
-locks: a lookup observes either the pre-tick or the post-tick overlay,
-never a half-committed one.
+port or a unix socket.  Each connection is one :class:`asyncio.Protocol`
+that answers every complete line inside the ``data_received`` callback
+that read it, in arrival order, and writes the reply straight to the
+transport: one loop turn per request, no task or future.  Request
+handling and epoch ticks all run on the one event loop, so lookups
+serialize against epoch advancement without locks: a lookup observes
+either the pre-tick or the post-tick overlay, never a half-committed
+one.
 
 Cadence: with ``cadence > 0`` a background task ticks the service every
 ``cadence`` seconds; with ``cadence == 0`` epochs advance only on
@@ -15,24 +19,27 @@ use, so the measured overlay is pinned).
 
 Subscriptions: a ``subscribe`` request registers the connection for the
 event stream; every tick's payload is queued per subscriber and flushed
-by a writer task, so one slow consumer cannot stall the tick loop.  A
-closed connection is unsubscribed from the service, so it leaves the
-stream and is never charged another dropped event.
+by a writer task that waits while the connection's transport is paused,
+so one slow consumer cannot stall the tick loop.  A closed connection is
+unsubscribed from the service, so it leaves the stream and is never
+charged another dropped event.
 
-Admission control: every request passes through one bounded FIFO queue
-drained by a single worker task.  When the queue is full the request is
-*shed* immediately with a ``busy`` error (clients treat it as retryable
-backoff pressure) instead of accumulating unbounded latency — the
-``serve.shed`` counter records every shed.  The worker outlives any
-request: an unexpected exception is answered ``internal`` (counted as
-``serve.internal_errors``, traceback on stderr) and the queue keeps
-draining.
+Backpressure and admission control: a connection whose reader does not
+keep up is *held* — its transport is paused for writing, so the server
+stops reading it, and the lines it already sent wait until the transport
+drains.  While ``queue_limit`` connections are held, a request from any
+other connection is *shed* immediately with a ``busy`` error (clients
+treat it as retryable backoff pressure) instead of growing the server's
+unread output further — the ``serve.shed`` counter records every shed.
+Nothing a request raises ends its connection: an unexpected exception is
+answered ``internal`` (counted as ``serve.internal_errors``, traceback
+on stderr) and serving continues.
 
-Graceful drain: :meth:`OverlayServer.drain` (wired to SIGTERM by
-:func:`run_server`) closes the listener, lets every queued and in-flight
-request finish, then closes the service — which seals the mutation log
-with its ``close`` entry, so a drained shutdown needs no recovery replay
-at the next start.
+Shutdown: :meth:`OverlayServer.stop` — on a ``shutdown`` request, or on
+SIGTERM via :func:`run_server` — closes the listener and every live
+connection (each request was answered when it was read, so none is in
+flight), then closes the service, which seals the mutation log with its
+``close`` entry, so the next start needs no recovery replay.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import signal
 import threading
 import time
 import traceback
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -63,8 +70,157 @@ from repro.util.validation import ValidationError
 #: Pending epoch events per subscriber before the oldest is dropped.
 SUBSCRIBER_QUEUE_LIMIT = 256
 
-#: Pending requests admitted before new ones are shed with ``busy``.
+#: Connections held (transport paused for writing) before other
+#: connections' requests are shed with ``busy``.
 REQUEST_QUEUE_LIMIT = 1024
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: cuts lines and answers each as it is read.
+
+    A line is complete at its newline; blank lines are skipped; the
+    bytes after the last newline wait for the next read, and are answered
+    as the final line at end of stream.  A line longer than
+    :data:`MAX_LINE_BYTES` is answered ``too-large`` and ends the
+    connection.  While the transport is paused for writing the
+    connection is *held*: reading pauses, and lines already read wait in
+    the buffer until :meth:`resume_writing`.
+    """
+
+    def __init__(self, server: "OverlayServer"):
+        self.server = server
+        self.number = server._next_connection
+        server._next_connection += 1
+        self.transport: Optional[asyncio.Transport] = None
+        #: Bytes read and not yet answered: a partial line, or while held,
+        #: whole lines too.
+        self._buffer = bytearray()
+        self._eof = False
+        self._done = False
+        self.held = False
+        #: Set while the transport takes writes; the subscriber writer
+        #: waits on it.
+        self.writable = asyncio.Event()
+        self.writable.set()
+        self._event_writer: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if buffer or self.held:
+            buffer += data
+            if self.held:
+                return
+            if b"\n" not in data:
+                if len(buffer) > MAX_LINE_BYTES:
+                    self._refuse_too_large()
+                return
+            data = bytes(buffer)
+            buffer.clear()
+        self._answer_lines(data)
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not self.held:
+            self._finish()
+        return True  # the transport stays open until the replies are written
+
+    def pause_writing(self) -> None:
+        self.held = True
+        self.writable.clear()
+        self.transport.pause_reading()
+        server = self.server
+        server._held.add(self)
+        server._max_held = max(server._max_held, len(server._held))
+
+    def resume_writing(self) -> None:
+        self.held = False
+        self.writable.set()
+        self.server._held.discard(self)
+        if self._done:
+            return
+        self.transport.resume_reading()
+        if self._buffer:
+            data = bytes(self._buffer)
+            self._buffer.clear()
+            self._answer_lines(data)
+        if self._eof and not self.held:
+            self._finish()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._done = True
+        server = self.server
+        server._connections.discard(self)
+        server._held.discard(self)
+        server._unsubscribe(self.number)
+        if self._event_writer is not None:
+            self._event_writer.cancel()
+
+    def close(self) -> None:
+        """Stop answering.  Replies the client has not read yet are
+        dropped: a transport with unsent bytes is aborted, not kept open
+        for a reader that may never come."""
+        self._done = True
+        if self.transport.get_write_buffer_size():
+            self.transport.abort()
+        else:
+            self.transport.close()
+
+    def _answer_lines(self, data: bytes) -> None:
+        """Answer every complete line of ``data``; keep the rest."""
+        start = 0
+        while not (self.held or self._done):
+            end = data.find(b"\n", start)
+            if end < 0:
+                break
+            if end - start > MAX_LINE_BYTES:
+                self._refuse_too_large()
+                return
+            line = data[start : end + 1]
+            start = end + 1
+            if not line.isspace():
+                self._answer(line)
+        if start < len(data) and not self._done:
+            self._buffer += data[start:]
+            if not self.held and len(self._buffer) > MAX_LINE_BYTES:
+                self._refuse_too_large()
+
+    def _finish(self) -> None:
+        """At end of stream: answer the unterminated last line, then close."""
+        if self._done:
+            return
+        line = bytes(self._buffer)
+        self._buffer.clear()
+        if line and not line.isspace():
+            self._answer(line)
+        if not self._done:
+            self._done = True
+            self.transport.close()
+
+    def _answer(self, line: bytes) -> None:
+        server = self.server
+        if len(server._held) >= server.queue_limit:
+            self.transport.write(encode(server._shed(line)))
+            return
+        message, subscribe, shutdown = server._dispatch(line, self.number)
+        if subscribe and self._event_writer is None:
+            self._event_writer = server._subscribe(self)
+        self.transport.write(encode(message))
+        if shutdown:
+            self._done = True
+            self.transport.close()
+            server._shutdown.set()
+
+    def _refuse_too_large(self) -> None:
+        self._done = True
+        self._buffer.clear()
+        self.transport.write(
+            encode(error_response(None, "too-large", "request line too large"))
+        )
+        self.transport.close()
 
 
 class OverlayServer:
@@ -85,9 +241,9 @@ class OverlayServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._metrics_server: Optional[asyncio.base_events.Server] = None
         self._shutdown = asyncio.Event()
-        self._draining = False
-        self._requests: Optional[asyncio.Queue] = None
-        self._worker: Optional[asyncio.Task] = None
+        #: Live connections, and those held (transport paused for writing).
+        self._connections: Set[_Connection] = set()
+        self._held: Set[_Connection] = set()
         #: Per subscribed connection, the callback registered with the service.
         self._subscribers: Dict[int, Callable] = {}
         self._next_connection = 0
@@ -98,8 +254,8 @@ class OverlayServer:
         self._dropped_events = 0
         self._drops_by_connection: Dict[int, int] = {}
         self._max_queue_depth = 0
-        #: Deepest request-queue backlog ever observed.
-        self._max_request_depth = 0
+        #: Most connections ever held at once.
+        self._max_held = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -114,10 +270,7 @@ class OverlayServer:
         """Bind and start accepting; returns the bound address string."""
         if (port is None) == (socket_path is None):
             raise ValidationError("exactly one of port or socket_path is required")
-        self._requests = asyncio.Queue(maxsize=self.queue_limit)
-        self._worker = asyncio.get_running_loop().create_task(
-            self._request_worker()
-        )
+        loop = asyncio.get_running_loop()
         if socket_path is not None:
             # A SIGKILL-ed predecessor leaves its socket file behind;
             # binding over it is the supervised-restart path.
@@ -126,18 +279,18 @@ class OverlayServer:
                     os.unlink(socket_path)
                 except OSError:
                     pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=socket_path, limit=MAX_LINE_BYTES
+            self._server = await loop.create_unix_server(
+                lambda: _Connection(self), path=socket_path
             )
             address = socket_path
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=host, port=port, limit=MAX_LINE_BYTES
+            self._server = await loop.create_server(
+                lambda: _Connection(self), host=host, port=port
             )
             bound = self._server.sockets[0].getsockname()
             address = f"{bound[0]}:{bound[1]}"
         if self.cadence > 0:
-            asyncio.get_running_loop().create_task(self._tick_loop())
+            loop.create_task(self._tick_loop())
         return address
 
     async def start_metrics(
@@ -187,56 +340,37 @@ class OverlayServer:
                 pass
 
     async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) lands."""
+        """Block until a ``shutdown`` request, SIGTERM or :meth:`stop`."""
         await self._shutdown.wait()
-        if self._draining:
-            await self.drain()
-        else:
-            await self.stop()
-
-    def request_drain(self) -> None:
-        """Flag a graceful drain and wake :meth:`serve_until_shutdown`.
-
-        Signal-handler safe: only sets flags; the actual drain runs on
-        the event loop.
-        """
-        self._draining = True
-        self._shutdown.set()
-
-    async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight, seal.
-
-        The listener closes first (new connections are refused), queued
-        requests are processed to completion, connection loops exit as
-        their clients disconnect or their next read lands after the
-        shutdown flag, and only then does the service close — writing
-        the mutation log's ``close`` entry so the next start replays
-        nothing.
-        """
-        self._draining = True
-        self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._requests is not None:
-            await self._requests.join()
         await self.stop()
 
-    async def stop(self) -> None:
-        """Stop accepting, drop subscribers, close the service."""
+    def request_drain(self) -> None:
+        """Wake :meth:`serve_until_shutdown` to stop the server.
+
+        Signal-handler safe: only sets a flag; :meth:`stop` runs on the
+        event loop.
+        """
         self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-            self._metrics_server = None
-        if self._worker is not None:
-            self._worker.cancel()
-            self._worker = None
+
+    async def stop(self) -> None:
+        """Stop accepting, close every connection, seal the service.
+
+        Live connections close before the listener is awaited: since
+        Python 3.12, ``Server.wait_closed`` waits for every connection
+        the listener accepted.  A connection's replies were written when
+        its requests were read, so closing it loses none but those its
+        client has not read (:meth:`_Connection.close`).
+        """
+        self._shutdown.set()
+        for server in (self._server, self._metrics_server):
+            if server is not None:
+                server.close()
+        for connection in list(self._connections):
+            connection.close()
+        for server in (self._server, self._metrics_server):
+            if server is not None:
+                await server.wait_closed()
+        self._server = self._metrics_server = None
         for connection in list(self._subscribers):
             self._unsubscribe(connection)
         if not self.service.closed:
@@ -255,122 +389,29 @@ class OverlayServer:
                 self.service.tick()
 
     # ------------------------------------------------------------------ #
-    # Admission control
+    # Admission control and subscriptions
     # ------------------------------------------------------------------ #
-    async def _request_worker(self) -> None:
-        """Drain the admitted-request queue, one request at a time.
+    def _shed(self, line: bytes) -> Dict[str, object]:
+        """The ``busy`` reply to a request refused while connections are held."""
+        # The collector surfaces this as ``serve.shed`` at snapshot time;
+        # counting it here too would double-report.
+        self.service.counters["shed"] += 1
+        return error_response(
+            recover_request_id(line),
+            "busy",
+            f"{len(self._held)} connections hold unread replies (limit "
+            f"{self.queue_limit}); retry with backoff",
+        )
 
-        This is the only task answering requests, so nothing a request
-        raises may end it: an exception :meth:`_handle_request` does not
-        map to an error code is answered ``internal``, counted, and the
-        worker moves on to the next request.  The fallback itself cannot
-        raise: :func:`recover_request_id` never does, whatever the line.
-        """
-        assert self._requests is not None
-        try:
-            while True:
-                line, connection, future = await self._requests.get()
-                try:
-                    if future.cancelled():
-                        continue
-                    try:
-                        result = self._dispatch(line, connection)
-                    except Exception as error:
-                        self.service.counters["internal_errors"] += 1
-                        traceback.print_exc()
-                        result = (
-                            error_response(
-                                recover_request_id(line),
-                                "internal",
-                                f"{type(error).__name__}: {error}",
-                            ),
-                            False,
-                            False,
-                        )
-                    future.set_result(result)
-                finally:
-                    self._requests.task_done()
-        except asyncio.CancelledError:
-            pass
-
-    def _admit(
-        self, line: bytes, connection: int
-    ) -> Tuple[Optional["asyncio.Future"], Optional[Dict[str, object]]]:
-        """Queue one request, or shed it with a ``busy`` reply."""
-        assert self._requests is not None
-        future = asyncio.get_running_loop().create_future()
-        try:
-            self._requests.put_nowait((line, connection, future))
-        except asyncio.QueueFull:
-            # The collector surfaces this as ``serve.shed`` at snapshot
-            # time; counting it here too would double-report.
-            self.service.counters["shed"] += 1
-            return None, error_response(
-                recover_request_id(line),
-                "busy",
-                f"request queue is full ({self.queue_limit} pending); retry "
-                "with backoff",
-            )
-        depth = self._requests.qsize()
-        if depth > self._max_request_depth:
-            self._max_request_depth = depth
-        return future, None
-
-    # ------------------------------------------------------------------ #
-    # Connections
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = self._next_connection
-        self._next_connection += 1
-        writer_task: Optional[asyncio.Task] = None
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except (ValueError, asyncio.LimitOverrunError):
-                    writer.write(
-                        encode(error_response(None, "too-large", "request line too large"))
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                future, shed = self._admit(line, connection)
-                if future is None:
-                    writer.write(encode(shed))
-                    await writer.drain()
-                    continue
-                message, subscribe, shutdown = await future
-                if subscribe and connection not in self._subscribers:
-                    queue: asyncio.Queue = asyncio.Queue()
-                    notify = functools.partial(self._enqueue, connection, queue)
-                    self._subscribers[connection] = notify
-                    self.service.subscribe(notify)
-                    writer_task = asyncio.get_running_loop().create_task(
-                        self._drain_events(queue, writer)
-                    )
-                writer.write(encode(message))
-                await writer.drain()
-                if shutdown:
-                    self._shutdown.set()
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if writer_task is not None:
-                writer_task.cancel()
-            self._unsubscribe(connection)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+    def _subscribe(self, connection: _Connection) -> asyncio.Task:
+        """Register ``connection`` for the event stream; returns its writer."""
+        queue: asyncio.Queue = asyncio.Queue()
+        notify = functools.partial(self._enqueue, connection.number, queue)
+        self._subscribers[connection.number] = notify
+        self.service.subscribe(notify)
+        return asyncio.get_running_loop().create_task(
+            self._drain_events(queue, connection)
+        )
 
     def _unsubscribe(self, connection: int) -> None:
         notify = self._subscribers.pop(connection, None)
@@ -410,23 +451,26 @@ class OverlayServer:
         }
 
     def _admission_stats(self) -> Dict[str, object]:
-        """The admission-control block of ``stats`` and ``metrics``."""
+        """The admission-control block of ``stats`` and ``metrics``: the
+        connections held now (``depth``) and at most (``max_depth``)."""
         return {
             "queue_limit": self.queue_limit,
-            "depth": self._requests.qsize() if self._requests is not None else 0,
-            "max_depth": self._max_request_depth,
+            "depth": len(self._held),
+            "max_depth": self._max_held,
             "shed": self.service.counters.get("shed", 0),
         }
 
     async def _drain_events(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter
+        self, queue: asyncio.Queue, connection: _Connection
     ) -> None:
         try:
             while True:
                 payload = await queue.get()
-                writer.write(encode(payload))
-                await writer.drain()
-        except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
+                await connection.writable.wait()
+                if connection.transport.is_closing():
+                    return
+                connection.transport.write(encode(payload))
+        except asyncio.CancelledError:
             pass
 
     # ------------------------------------------------------------------ #
@@ -435,13 +479,30 @@ class OverlayServer:
     def _dispatch(self, line: bytes, connection: int):
         """Handle one request line; returns (message, subscribe?, shutdown?).
 
-        Every request's handling latency lands in the per-op
-        ``serve.request.<op>`` histogram (a no-op without a registry);
+        While a metrics registry is live, every request's handling
+        latency lands in the per-op ``serve.request.<op>`` histogram;
         lines that fail protocol parsing are pooled under ``invalid``.
+        Nothing a request raises escapes: an exception
+        :meth:`_handle_request` does not map to an error code is answered
+        ``internal``, counted, and its traceback printed.  The fallback
+        itself cannot raise: :func:`recover_request_id` never does,
+        whatever the line.
         """
-        start = time.perf_counter()
-        op, message, subscribe, shutdown = self._handle_request(line)
-        telemetry.observe(f"serve.request.{op}", time.perf_counter() - start)
+        timed = telemetry.metrics() is not None
+        start = time.perf_counter() if timed else 0.0
+        try:
+            op, message, subscribe, shutdown = self._handle_request(line)
+        except Exception as error:
+            self.service.counters["internal_errors"] += 1
+            traceback.print_exc()
+            message = error_response(
+                recover_request_id(line),
+                "internal",
+                f"{type(error).__name__}: {error}",
+            )
+            return message, False, False
+        if timed:
+            telemetry.observe(f"serve.request.{op}", time.perf_counter() - start)
         return message, subscribe, shutdown
 
     def _handle_request(self, line: bytes):
@@ -539,8 +600,8 @@ def run_server(
     :meth:`OverlayServer.start_metrics` on ``host``;
     ``announce_metrics`` receives its bound address.  With
     ``handle_sigterm`` (the CLI's foreground mode — requires the main
-    thread) SIGTERM triggers a graceful drain instead of the default
-    hard exit: the listener closes, in-flight requests finish, and the
+    thread) SIGTERM triggers :meth:`OverlayServer.stop` instead of the
+    default hard exit: the listener and the connections close, and the
     mutation log is sealed.
     """
 

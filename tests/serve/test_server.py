@@ -13,6 +13,7 @@ import pytest
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.client import ServeClient
 from repro.serve.load import run_load
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import SUBSCRIBER_QUEUE_LIMIT, run_server
 from repro.serve.service import OverlayService
 from repro.util.validation import ValidationError
@@ -48,14 +49,15 @@ def _start_background_server(service, socket_path):
 
 
 @pytest.fixture
-def served():
-    """A served overlay on a unix socket: ``(socket path, service)``."""
+def serving():
+    """A served overlay on a unix socket: ``(socket path, service, the
+    server's thread)``."""
     # Unix socket paths are length-limited (~104 bytes): mkdtemp in /tmp.
     sock = os.path.join(tempfile.mkdtemp(prefix="serve-", dir="/tmp"), "ovl.sock")
     service = OverlayService(_spec())
     service.tick()
     thread = _start_background_server(service, socket_path=sock)
-    yield sock, service
+    yield sock, service, thread
     if not service.closed:
         try:
             with ServeClient(socket_path=sock, timeout=5) as client:
@@ -64,6 +66,12 @@ def served():
             pass
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def served(serving):
+    """``(socket path, service)`` of :func:`serving`."""
+    return serving[:2]
 
 
 @pytest.fixture
@@ -121,6 +129,28 @@ class TestRequestResponse:
             vb = b.lookup(0, 5)
             assert va["value"] == vb["value"]
             assert va["version"] == vb["version"]
+
+
+class TestTcpListener:
+    def test_lookup_and_shutdown_over_tcp(self):
+        service = OverlayService(_spec())
+        service.tick()
+        ready = threading.Event()
+        addresses = []
+        thread = threading.Thread(
+            target=run_server,
+            args=(service,),
+            kwargs=dict(port=0, ready=ready, announce=addresses.append),
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(timeout=30)
+        host, port = addresses[0].rsplit(":", 1)
+        with ServeClient(host=host, port=int(port), timeout=10) as client:
+            assert client.lookup(0, 5)["ok"] is True
+            assert client.shutdown()["shutting_down"] is True
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestMalformedRequests:
@@ -290,6 +320,18 @@ class TestLoadGenerator:
 
 
 class TestShutdown:
+    def test_shutdown_with_idle_and_subscribed_connections_open(self, serving):
+        sock, _service, thread = serving
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as idle, ServeClient(
+            socket_path=sock
+        ) as subscriber:
+            idle.connect(sock)
+            subscriber.subscribe()
+            with ServeClient(socket_path=sock) as client:
+                assert client.shutdown()["shutting_down"] is True
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "the server did not exit with clients connected"
+
     def test_shutdown_closes_the_service(self, endpoint):
         with ServeClient(socket_path=endpoint) as client:
             assert client.shutdown()["shutting_down"] is True
@@ -299,3 +341,64 @@ class TestShutdown:
                 fresh.lookup(0, 5)
             finally:
                 fresh.close()
+
+
+class TestFraming:
+    """How the server cuts the byte stream into request lines: a line is
+    answered once its newline (or the peer's end of stream) arrives,
+    in the order the lines were sent, whatever the send boundaries."""
+
+    def _connect(self, endpoint):
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10)
+        raw.connect(endpoint)
+        return raw
+
+    @staticmethod
+    def _lookup(request_id) -> bytes:
+        return b'{"op": "lookup", "src": 0, "dst": 5, "id": %d}\n' % request_id
+
+    def test_a_request_split_across_two_sends(self, endpoint):
+        line = self._lookup(1)
+        with self._connect(endpoint) as raw:
+            raw.sendall(line[:10])
+            time.sleep(0.05)
+            raw.sendall(line[10:])
+            reply = json.loads(raw.makefile("rb").readline())
+        assert (reply["ok"], reply["id"]) == (True, 1)
+
+    def test_three_lines_in_one_send_are_answered_in_order(self, endpoint):
+        with self._connect(endpoint) as raw:
+            raw.sendall(self._lookup(1) + self._lookup(2) + self._lookup(3))
+            reader = raw.makefile("rb")
+            replies = [json.loads(reader.readline()) for _ in range(3)]
+        assert [(reply["ok"], reply["id"]) for reply in replies] == [
+            (True, 1), (True, 2), (True, 3)
+        ]
+
+    def test_blank_lines_are_skipped(self, endpoint):
+        with self._connect(endpoint) as raw:
+            raw.sendall(b"\n  \t\n" + self._lookup(7) + b"\r\n\n" + self._lookup(8))
+            raw.shutdown(socket.SHUT_WR)
+            lines = raw.makefile("rb").read().splitlines()
+        assert [json.loads(line)["id"] for line in lines] == [7, 8]
+
+    def test_an_oversized_line_is_refused_and_the_connection_closed(self, endpoint):
+        with self._connect(endpoint) as raw:
+            try:
+                raw.sendall(b"x" * (MAX_LINE_BYTES + 1) + b"\n" + self._lookup(2))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server may close before it read everything
+            lines = raw.makefile("rb").read().splitlines()
+        assert len(lines) == 1
+        reply = json.loads(lines[0])
+        assert (reply["ok"], reply["error"]) == (False, "too-large")
+        with ServeClient(socket_path=endpoint, timeout=10) as client:
+            assert client.lookup(0, 5)["ok"] is True
+
+    def test_a_last_line_without_newline_is_answered_at_end_of_stream(self, endpoint):
+        with self._connect(endpoint) as raw:
+            raw.sendall(self._lookup(1) + self._lookup(4).rstrip(b"\n"))
+            raw.shutdown(socket.SHUT_WR)
+            lines = raw.makefile("rb").read().splitlines()
+        assert [json.loads(line)["id"] for line in lines] == [1, 4]

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import tempfile
+import threading
+import time
 
 import pytest
 
@@ -224,23 +229,61 @@ class TestCrashSafetyTelemetry:
             service.close()
 
     def test_shed_is_single_counted_and_in_admission_stats(self):
+        """Admission through the wire: a client that pipelines frames and
+        reads nothing is held; while it is, another client is shed."""
         telemetry.enable()
-        server = OverlayServer(OverlayService(_spec()))
+        service = OverlayService(_spec())
+        service.tick()
+        server = OverlayServer(service, queue_limit=1)
+        sock = os.path.join(tempfile.mkdtemp(prefix="serve-", dir="/tmp"), "ovl.sock")
+        ready = threading.Event()
 
-        async def overfill():
-            server._requests = asyncio.Queue(maxsize=1)
-            first = server._admit(b"{}", 0)
-            second = server._admit(b'{"id": 9}', 0)
-            return first, second
+        async def serve():
+            await server.start(socket_path=sock)
+            ready.set()
+            await server.serve_until_shutdown()
 
-        (future, none), (shed_future, busy) = asyncio.run(overfill())
-        assert future is not None and none is None
-        assert shed_future is None
-        assert busy["ok"] is False and busy["error"] == "busy"
-        assert busy["id"] == 9
-        counters = telemetry.metrics().snapshot()["counters"]
-        assert counters["serve.shed"] == 1.0
-        assert server._admission_stats()["shed"] == 1
+        thread = threading.Thread(target=asyncio.run, args=(serve(),), daemon=True)
+        thread.start()
+        assert ready.wait(timeout=30)
+        pairs = [[s, d] for s in range(12) for d in range(12) if s != d] * 16
+        lookup = b'{"op": "lookup", "src": 0, "dst": 5, "id": 9}\n'
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as holder, socket.socket(
+            socket.AF_UNIX, socket.SOCK_STREAM
+        ) as other:
+            for raw in (holder, other):
+                raw.settimeout(10)
+                raw.connect(sock)
+            sent = 0
+            deadline = time.monotonic() + 30
+            while server._admission_stats()["depth"] == 0:
+                assert time.monotonic() < deadline, "the pipelining client was never held"
+                holder.sendall(
+                    json.dumps({"op": "lookup_batch", "pairs": pairs, "id": sent}).encode()
+                    + b"\n"
+                )
+                sent += 1
+                time.sleep(0.02)
+            other.sendall(lookup)
+            busy = json.loads(other.makefile("rb").readline())
+            assert busy["ok"] is False and busy["error"] == "busy"
+            assert busy["id"] == 9
+            counters = telemetry.metrics().snapshot()["counters"]
+            assert counters["serve.shed"] == 1.0
+            admission = server._admission_stats()
+            assert (admission["depth"], admission["shed"]) == (1, 1)
+
+            replies = holder.makefile("rb")
+            answered = [json.loads(replies.readline()) for _ in range(sent)]
+            assert [(r["ok"], r["id"]) for r in answered] == [(True, i) for i in range(sent)]
+            other.sendall(lookup)
+            served = json.loads(other.makefile("rb").readline())
+            assert (served["ok"], served["id"]) == (True, 9)
+            admission = server._admission_stats()
+            assert (admission["depth"], admission["max_depth"]) == (0, 1)
+            other.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_stats_op_reports_recovery_and_retry_counters(self, tmp_path):
         log, ckpt = self._crashed_chain(tmp_path)

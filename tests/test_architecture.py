@@ -485,6 +485,21 @@ def test_one_response_encoder(root: Path = ROOT) -> None:
         _none(found, "more than one lookup_batch path")
 
 
+def test_serve_answers_in_the_read_callback(root: Path = ROOT) -> None:
+    """Each serve connection answers a line in the callback that read it
+    and writes the reply to its transport, so no request waits in a
+    queue for a worker task.  The stream handler, the admission queue and
+    its worker must not return."""
+    tree = _tree(root)
+    _none(
+        tree.grep_modules(
+            r"\b(_request_worker|_admit|_handle_connection)\b|Queue\(maxsize",
+            tree.package("repro.serve"),
+        ),
+        "a request queue or worker task returned to serve",
+    )
+
+
 def test_one_wire_codec(root: Path = ROOT) -> None:
     """orjson reads and writes the wire behind ``serve/protocol.py`` alone;
     the client and the server call its functions, never a JSON library of
@@ -675,6 +690,7 @@ RULES = (
     test_route_cache_is_the_sequential_engines_memo,
     test_a_round_plans_only_what_it_reads,
     test_one_response_encoder,
+    test_serve_answers_in_the_read_callback,
     test_one_wire_codec,
     test_one_benchmark_system,
     test_one_way_to_run_an_experiment,
@@ -843,6 +859,9 @@ PLANTS = (
       "def line(entry):\n    return json.dumps(entry)\n"}),
     (test_one_response_encoder, "a second batch path",
      {"src/repro/serve/batch.py": "def lookup_batch(service, pairs):\n    return pairs\n"}),
+    (test_serve_answers_in_the_read_callback, "a request worker returns",
+     {"src/repro/serve/server.py": BASELINE["src/repro/serve/server.py"]
+      + "\n\nasync def _request_worker(queue):\n    return await queue.get()\n"}),
     (test_one_wire_codec, "the client imports orjson",
      {"src/repro/serve/client.py": "def read(line):\n"
       "    import orjson\n\n    return orjson.loads(line)\n"}),

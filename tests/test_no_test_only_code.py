@@ -8,7 +8,9 @@ syntax tree.  Prose is not a use: docstrings, comments and other string
 literals name nothing, and neither do imports (so package ``__init__``
 re-exports are not callers) or ``__all__`` lists.  Nor is any code inside
 a definition the scan has already found unreached, so a name that only
-dead code uses is dead too.
+dead code uses is dead too.  Dunders and the event-loop callbacks of an
+``asyncio.Protocol`` subclass (:data:`LOOP_CALLBACKS`) are the runtime's to
+call, so the scan does not look for their callers.
 
 The few unreached definitions the repo keeps on purpose are on
 ``ALLOWLIST``, each with its reason; what an allowlisted definition uses
@@ -81,6 +83,30 @@ ALLOWLIST = {
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+#: The callbacks an asyncio event loop makes on a protocol object.  Like a
+#: dunder, such a method of an ``asyncio.Protocol`` subclass is called by
+#: the runtime, so it is not a definition the scan looks for callers of.
+LOOP_CALLBACKS = frozenset(
+    {
+        "connection_made",
+        "connection_lost",
+        "data_received",
+        "eof_received",
+        "pause_writing",
+        "resume_writing",
+    }
+)
+
+
+def _is_asyncio_protocol(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(base, ast.Attribute)
+        and base.attr == "Protocol"
+        and isinstance(base.value, ast.Name)
+        and base.value.id == "asyncio"
+        for base in node.bases
+    )
+
 
 @dataclass(eq=False)
 class Definition:
@@ -128,11 +154,13 @@ def _definitions(path: Path, tree: ast.Module, src: Path) -> list[Definition]:
             top = make(node, node.name)
             found.append(top)
             if isinstance(node, ast.ClassDef):
+                runtime = LOOP_CALLBACKS if _is_asyncio_protocol(node) else ()
                 found += [
                     make(child, f"{node.name}.{child.name}", top)
                     for child in node.body
                     if isinstance(child, _DEFS)
                     and not (child.name.startswith("__") and child.name.endswith("__"))
+                    and child.name not in runtime
                 ]
     return found
 
@@ -248,6 +276,31 @@ def test_prose_is_not_a_caller(tmp_path):
     )
     dead, _ = scan(tmp_path)
     assert unlisted(dead) == ["repro.kit:prose_only (2 lines)"]
+
+
+def test_loop_callbacks_of_a_protocol_are_reached(tmp_path):
+    """The event loop calls an ``asyncio.Protocol``'s callbacks, and what
+    they call is reached; any other method, or a callback name on a class
+    that is no protocol, still needs a caller."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "wire.py").write_text(
+        "import asyncio\n\n\n"
+        "class Lines(asyncio.Protocol):\n"
+        "    def data_received(self, data):\n        self._answer(data)\n\n"
+        "    def _answer(self, data):\n        return data\n\n"
+        "    def unused(self):\n        return 0\n\n\n"
+        "class Plain:\n"
+        "    def data_received(self, data):\n        return data\n\n\n"
+        "def factory():\n    return Lines(), Plain()\n\n\n"
+        "factory()\n"
+    )
+    dead, _ = scan(tmp_path)
+    assert unlisted(dead) == [
+        "repro.wire:Lines.unused (2 lines)",
+        "repro.wire:Plain.data_received (2 lines)",
+    ]
 
 
 def main() -> int:
